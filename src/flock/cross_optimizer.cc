@@ -6,7 +6,7 @@
 #include <functional>
 
 #include "common/hash.h"
-#include "ml/runtime.h"
+#include "ml/graph.h"
 #include "sql/optimizer.h"
 
 namespace flock::flock {

@@ -213,8 +213,12 @@ class FlockEngine {
   ModelRegistry* models() { return &models_; }
   CrossOptimizer* cross_optimizer() { return &cross_optimizer_; }
 
+  /// Cached plans were rewritten (or not) under the previous setting, so
+  /// toggling drops them; otherwise the toggle would not take effect for
+  /// any statement already in the plan cache.
   void set_enable_cross_optimizer(bool on) {
     enable_cross_optimizer_ = on;
+    sql_engine_.plan_cache()->Clear();
   }
   bool enable_cross_optimizer() const { return enable_cross_optimizer_; }
 

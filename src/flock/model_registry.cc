@@ -1,7 +1,5 @@
 #include "flock/model_registry.h"
 
-#include <algorithm>
-
 #include "common/string_util.h"
 
 namespace flock::flock {
@@ -10,50 +8,19 @@ namespace {
 std::string Key(const std::string& name) { return ToLower(name); }
 }  // namespace
 
-void ModelRegistry::AnalyzeEntry(ModelEntry* entry) {
-  entry->ends_with_sigmoid = false;
-  entry->tree_node_id = -1;
-  // Compile the dense scoring kernel once, at deploy/specialize time;
-  // every ScoreBatch thereafter runs slot-resolved over contiguous
-  // buffers. Unsupported graph shapes leave a not-ok kernel and scoring
-  // falls back to the per-call GraphRuntime.
-  entry->kernel = std::make_shared<ml::DenseKernel>(entry->graph);
+Status ModelRegistry::AnalyzeEntry(ModelEntry* entry) {
+  // Compiled once, at deploy/specialize time. There is no second engine,
+  // so a graph the kernel cannot compile is refused here.
+  auto kernel = std::make_shared<ml::DenseKernel>(entry->graph);
+  FLOCK_RETURN_NOT_OK(kernel->status());
+  entry->kernel = std::move(kernel);
   entry->training_profile.mean = entry->pipeline.scaler_means();
   entry->training_profile.std = entry->pipeline.scaler_stds();
-  const auto& nodes = entry->graph.nodes();
-  int out = entry->graph.output_id();
-  if (out >= 0 && nodes[static_cast<size_t>(out)].op ==
-                      ml::OpType::kSigmoid) {
-    entry->ends_with_sigmoid = true;
+  entry->tree_node_id = -1;
+  for (const ml::GraphNode& node : entry->graph.nodes()) {
+    if (node.op == ml::OpType::kTreeEnsemble) entry->tree_node_id = node.id;
   }
-  for (const ml::GraphNode& node : nodes) {
-    if (node.op == ml::OpType::kTreeEnsemble) {
-      entry->tree_node_id = node.id;
-      // Suffix bounds over tree leaf values (boosted-sum semantics).
-      const auto& trees = node.trees;
-      entry->bounds.suffix_min.assign(trees.size() + 1, 0.0);
-      entry->bounds.suffix_max.assign(trees.size() + 1, 0.0);
-      for (size_t i = trees.size(); i-- > 0;) {
-        double tree_min = 0.0, tree_max = 0.0;
-        bool first = true;
-        for (const ml::TreeNode& tn : trees[i].nodes) {
-          if (tn.is_leaf()) {
-            if (first) {
-              tree_min = tree_max = tn.value;
-              first = false;
-            } else {
-              tree_min = std::min(tree_min, tn.value);
-              tree_max = std::max(tree_max, tn.value);
-            }
-          }
-        }
-        entry->bounds.suffix_min[i] =
-            entry->bounds.suffix_min[i + 1] + tree_min;
-        entry->bounds.suffix_max[i] =
-            entry->bounds.suffix_max[i + 1] + tree_max;
-      }
-    }
-  }
+  return Status::OK();
 }
 
 Status ModelRegistry::Register(const std::string& name,
@@ -66,7 +33,7 @@ Status ModelRegistry::Register(const std::string& name,
   entry->lineage = lineage;
   FLOCK_ASSIGN_OR_RETURN(entry->graph, pipeline.Compile());
   entry->pipeline = std::move(pipeline);
-  AnalyzeEntry(entry.get());
+  FLOCK_RETURN_NOT_OK(AnalyzeEntry(entry.get()));
 
   std::lock_guard<std::mutex> lock(mu_);
   auto& history = models_[Key(name)];
@@ -102,7 +69,7 @@ Status ModelRegistry::RestoreModel(const std::string& name,
   entry->allowed_principals = std::move(allowed_principals);
   FLOCK_ASSIGN_OR_RETURN(entry->graph, pipeline.Compile());
   entry->pipeline = std::move(pipeline);
-  AnalyzeEntry(entry.get());
+  FLOCK_RETURN_NOT_OK(AnalyzeEntry(entry.get()));
 
   std::lock_guard<std::mutex> lock(mu_);
   auto& history = models_[Key(name)];
@@ -250,7 +217,7 @@ uint64_t ModelRegistry::CurrentVersion(const std::string& name) const {
 Status ModelRegistry::RegisterSpecialization(const std::string& key,
                                              ModelEntry entry) {
   auto shared = std::make_shared<ModelEntry>(std::move(entry));
-  AnalyzeEntry(shared.get());
+  FLOCK_RETURN_NOT_OK(AnalyzeEntry(shared.get()));
   std::lock_guard<std::mutex> lock(mu_);
   specializations_[Key(key)] = std::move(shared);
   audit_log_.push_back(AuditEvent{AuditEvent::Kind::kSpecialize, key,

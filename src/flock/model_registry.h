@@ -15,13 +15,6 @@
 
 namespace flock::flock {
 
-/// Bound limits for threshold short-circuiting: suffix min/max of remaining
-/// tree contributions, precomputed per model.
-struct TreeSuffixBounds {
-  std::vector<double> suffix_min;  // [i] = min of trees[i..]
-  std::vector<double> suffix_max;
-};
-
 /// Per-input training-time feature statistics, captured from the fitted
 /// pipeline when the model is registered. The lifecycle drift monitor
 /// compares live feature distributions against these; empty when the
@@ -60,15 +53,11 @@ struct ModelEntry {
   std::vector<size_t> input_mapping;
 
   // --- precomputed scoring metadata ---
-  /// True when the graph ends in Sigmoid (strippable for predicate
-  /// push-up).
-  bool ends_with_sigmoid = false;
   /// Index of the TreeEnsemble node, or -1.
   int tree_node_id = -1;
-  TreeSuffixBounds bounds;
-  /// Compiled dense-slot scoring kernel (built by AnalyzeEntry; shared and
-  /// immutable, so entry copies stay cheap). Null or not-ok kernels fall
-  /// back to GraphRuntime in flock::ScoreBatch.
+  /// Compiled dense-slot scoring kernel, the only scorer (built by
+  /// AnalyzeEntry; shared and immutable, so entry copies stay cheap).
+  /// Every registered entry has an ok kernel.
   std::shared_ptr<const ml::DenseKernel> kernel;
   /// Training-time feature statistics (from the pipeline's scaler) for
   /// drift monitoring.
@@ -97,7 +86,8 @@ class ModelRegistry {
   ModelRegistry& operator=(const ModelRegistry&) = delete;
 
   /// Registers (or re-versions) `name`. The pipeline is compiled and
-  /// validated here; an invalid pipeline never enters the catalog.
+  /// validated here; an invalid pipeline, or a graph the scoring kernel
+  /// cannot compile, never enters the catalog.
   Status Register(const std::string& name, ml::Pipeline pipeline,
                   const std::string& created_by = "system",
                   const std::string& lineage = "");
@@ -150,6 +140,7 @@ class ModelRegistry {
   uint64_t CurrentVersion(const std::string& name) const;
 
   /// Registers an optimizer-internal specialization under a derived key.
+  /// InvalidArgument when the scoring kernel cannot compile its graph.
   Status RegisterSpecialization(const std::string& key, ModelEntry entry);
   StatusOr<const ModelEntry*> GetSpecialization(
       const std::string& key) const;
@@ -162,10 +153,11 @@ class ModelRegistry {
 
   const std::vector<AuditEvent>& audit_log() const { return audit_log_; }
 
-  /// Fills `entry`'s precomputed scoring metadata (sigmoid detection, tree
-  /// node index, suffix bounds). Exposed for the optimizer, which builds
-  /// specialized entries by hand.
-  static void AnalyzeEntry(ModelEntry* entry);
+  /// Fills `entry`'s precomputed scoring metadata (compiled kernel, tree
+  /// node index, training profile). InvalidArgument when the graph is not
+  /// a chain the kernel compiles; such an entry must not be deployed.
+  /// Exposed for tests and benches that build entries by hand.
+  static Status AnalyzeEntry(ModelEntry* entry);
 
  private:
   mutable std::mutex mu_;

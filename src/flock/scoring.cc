@@ -1,9 +1,6 @@
 #include "flock/scoring.h"
 
 #include <cmath>
-#include <limits>
-
-#include "ml/runtime.h"
 
 namespace flock::flock {
 
@@ -56,7 +53,13 @@ StatusOr<ml::Matrix> AssembleFeatures(
   return raw;
 }
 
-Status CheckScoringArity(const ModelEntry& entry, const ml::Matrix& raw) {
+namespace {
+
+/// The entry's compiled kernel, once `raw` has exactly the model's inputs.
+/// Registered entries always have one; a hand-built entry without one is
+/// an error, not a detour through a second engine.
+StatusOr<const ml::DenseKernel*> KernelFor(const ModelEntry& entry,
+                                           const ml::Matrix& raw) {
   if (raw.cols() != entry.graph.input_cols()) {
     return Status::InvalidArgument(
         "model " + entry.name + " expects " +
@@ -64,122 +67,37 @@ Status CheckScoringArity(const ModelEntry& entry, const ml::Matrix& raw) {
         " feature columns, got " + std::to_string(raw.cols()) +
         " (extra features are never dropped, missing ones never skipped)");
   }
-  return Status::OK();
+  if (entry.kernel == nullptr) {
+    return Status::InvalidArgument("model " + entry.name +
+                                   " has no compiled scoring kernel");
+  }
+  return entry.kernel.get();
 }
+
+// Reused by every call on this thread; the kernel itself is shared.
+thread_local ml::DenseKernelScratch scratch;
+
+}  // namespace
 
 StatusOr<std::vector<double>> ScoreBatch(const ModelEntry& entry,
                                          const ml::Matrix& raw) {
-  FLOCK_RETURN_NOT_OK(CheckScoringArity(entry, raw));
-  if (entry.kernel != nullptr && entry.kernel->ok()) {
-    // The compiled dense-slot kernel: slot resolution happened once at
-    // deploy time; scratch buffers are reused across every call on this
-    // thread (the executor scores one morsel at a time per thread, and
-    // the kernel itself is immutable and shared).
-    thread_local ml::DenseKernelScratch scratch;
-    std::vector<double> scores;
-    FLOCK_RETURN_NOT_OK(entry.kernel->ScoreBatch(raw, &scratch, &scores));
-    return scores;
-  }
-  ml::GraphRuntime runtime(&entry.graph);
-  return runtime.RunToScores(raw);
+  FLOCK_ASSIGN_OR_RETURN(const ml::DenseKernel* kernel,
+                         KernelFor(entry, raw));
+  std::vector<double> scores;
+  FLOCK_RETURN_NOT_OK(kernel->ScoreBatch(raw, &scratch, &scores));
+  return scores;
 }
 
 StatusOr<std::vector<bool>> ScoreThresholdBatch(const ModelEntry& entry,
                                                 const ml::Matrix& raw,
                                                 double threshold,
                                                 ThresholdOp op) {
-  FLOCK_RETURN_NOT_OK(CheckScoringArity(entry, raw));
-  const size_t n = raw.rows();
-  // Fold a trailing Sigmoid into the threshold: sigmoid is monotone, so
-  // sigmoid(z) OP t  <=>  z OP logit(t) for t in (0, 1).
-  double raw_threshold = threshold;
-  if (entry.ends_with_sigmoid) {
-    // sigmoid(z) lies strictly inside (0, 1): thresholds at or beyond the
-    // ends resolve statically.
-    if (threshold <= 0.0) {
-      bool verdict = op == ThresholdOp::kGt || op == ThresholdOp::kGe;
-      return std::vector<bool>(n, verdict);
-    }
-    if (threshold >= 1.0) {
-      bool verdict = op == ThresholdOp::kLt || op == ThresholdOp::kLe;
-      return std::vector<bool>(n, verdict);
-    }
-    raw_threshold = std::log(threshold / (1.0 - threshold));
-  }
-
-  auto compare = [op](double score, double thr) {
-    switch (op) {
-      case ThresholdOp::kGt:
-        return score > thr;
-      case ThresholdOp::kGe:
-        return score >= thr;
-      case ThresholdOp::kLt:
-        return score < thr;
-      case ThresholdOp::kLe:
-        return score <= thr;
-    }
-    return false;
-  };
-
-  // Short-circuit path: boosted tree ensembles (sum semantics) with bounds.
-  const ml::GraphNode* tree_node = nullptr;
-  if (entry.tree_node_id >= 0) {
-    const ml::GraphNode& node =
-        entry.graph.nodes()[static_cast<size_t>(entry.tree_node_id)];
-    if (!node.tree_average && !node.trees.empty()) tree_node = &node;
-  }
-  if (tree_node != nullptr) {
-    ml::GraphRuntime runtime(&entry.graph);
-    FLOCK_ASSIGN_OR_RETURN(
-        ml::Matrix features,
-        runtime.RunToNode(raw, tree_node->inputs[0]));
-    const auto& trees = tree_node->trees;
-    const auto& smin = entry.bounds.suffix_min;
-    const auto& smax = entry.bounds.suffix_max;
-    std::vector<bool> out(n, false);
-    for (size_t r = 0; r < n; ++r) {
-      const double* row = features.row(r);
-      double acc = tree_node->tree_base;
-      bool decided = false;
-      for (size_t t = 0; t < trees.size(); ++t) {
-        acc += trees[t].Predict(row);
-        // Bounds of the final score given remaining trees.
-        double lo = acc + smin[t + 1];
-        double hi = acc + smax[t + 1];
-        // If even the extremes agree with one verdict, stop traversing.
-        if (compare(lo, raw_threshold) == compare(hi, raw_threshold) &&
-            lo <= hi) {
-          out[r] = compare(lo, raw_threshold);
-          decided = true;
-          break;
-        }
-      }
-      if (!decided) out[r] = compare(acc, raw_threshold);
-    }
-    return out;
-  }
-
-  // Fallback: full scoring, compare at the (possibly raw) output.
-  ml::GraphRuntime runtime(&entry.graph);
-  if (entry.ends_with_sigmoid) {
-    // Score up to the sigmoid's input.
-    const ml::GraphNode& sig =
-        entry.graph.nodes()[static_cast<size_t>(entry.graph.output_id())];
-    FLOCK_ASSIGN_OR_RETURN(ml::Matrix z,
-                           runtime.RunToNode(raw, sig.inputs[0]));
-    std::vector<bool> out(n);
-    for (size_t r = 0; r < n; ++r) {
-      out[r] = compare(z.at(r, 0), raw_threshold);
-    }
-    return out;
-  }
-  FLOCK_ASSIGN_OR_RETURN(std::vector<double> scores,
-                         runtime.RunToScores(raw));
-  std::vector<bool> out(n);
-  for (size_t r = 0; r < n; ++r) {
-    out[r] = compare(scores[r], raw_threshold);
-  }
-  return out;
+  FLOCK_ASSIGN_OR_RETURN(const ml::DenseKernel* kernel,
+                         KernelFor(entry, raw));
+  std::vector<bool> verdicts;
+  FLOCK_RETURN_NOT_OK(
+      kernel->ScoreThreshold(raw, threshold, op, &scratch, &verdicts));
+  return verdicts;
 }
 
 }  // namespace flock::flock

@@ -1,7 +1,11 @@
 #include "ml/dense_kernel.h"
 
 #include <algorithm>
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 
 #include "common/cancel.h"
 
@@ -20,7 +24,7 @@ DenseKernel::DenseKernel(const ModelGraph& graph) {
   // The kernel executes nodes 1..output_id as a straight-line chain over
   // ping-pong buffers, so each node must consume exactly the previous
   // node's output. Anything else (Concat, DAG wiring, dangling suffix
-  // nodes) falls back to GraphRuntime.
+  // nodes) leaves the kernel not-ok, and the registry refuses the model.
   for (size_t i = 1; i <= static_cast<size_t>(graph.output_id()); ++i) {
     const GraphNode& node = nodes[i];
     if (node.inputs.size() != 1 ||
@@ -74,14 +78,54 @@ DenseKernel::DenseKernel(const ModelGraph& graph) {
   }
   if (steps_.empty()) {
     status_ = Status::InvalidArgument("dense kernel: empty plan");
+    return;
   }
+
+  // Threshold early exit needs the last step before a run of monotone
+  // elementwise steps (Sigmoid, Identity) to be a boosted ensemble with
+  // finite leaves, so `suffix(sum) OP t` flips at most once along the sum.
+  size_t tree = steps_.size();
+  while (tree-- > 0 && (steps_[tree].op == OpType::kSigmoid ||
+                        steps_[tree].op == OpType::kIdentity)) {
+  }
+  if (tree >= steps_.size() || steps_[tree].op != OpType::kTreeEnsemble ||
+      steps_[tree].tree_average || !std::isfinite(steps_[tree].tree_base)) {
+    return;
+  }
+  const std::vector<Tree>& trees = steps_[tree].trees;
+  std::vector<double> lower(trees.size() + 1, 0.0), upper = lower;
+  double total_abs = std::fabs(steps_[tree].tree_base);
+  for (size_t i = trees.size(); i-- > 0;) {
+    double lo = HUGE_VAL, hi = -HUGE_VAL;
+    for (const TreeNode& node : trees[i].nodes) {
+      if (!node.is_leaf()) continue;
+      if (!std::isfinite(node.value)) return;
+      lo = std::min(lo, node.value);
+      hi = std::max(hi, node.value);
+    }
+    if (lo > hi) return;  // no leaf
+    lower[i] = lower[i + 1] + lo;
+    upper[i] = upper[i + 1] + hi;
+    total_abs += std::max(-lo, hi);
+  }
+  // Summing the m trees from index i onto a partial sum rounds by at most
+  // m * DBL_EPSILON / 2 * total_abs; the suffix sums and the bound
+  // arithmetic round by as much again: (m + 4) * DBL_EPSILON * total_abs.
+  for (size_t i = 0; i <= trees.size(); ++i) {
+    const double margin = static_cast<double>(trees.size() - i + 4) *
+                          DBL_EPSILON * total_abs;
+    lower[i] -= margin;
+    upper[i] += margin;
+  }
+  tree_step_ = tree;
+  lower_ = std::move(lower);
+  upper_ = std::move(upper);
 }
 
-const double* DenseKernel::Execute(size_t n,
-                                   DenseKernelScratch* scratch) const {
-  double* cur = scratch->a_.data();
-  double* alt = scratch->b_.data();
-  for (const Step& step : steps_) {
+const double* DenseKernel::Execute(size_t first, size_t last, size_t n,
+                                   double* cur, double* alt) const {
+  for (size_t s = first; s < last; ++s) {
+    const Step& step = steps_[s];
     const size_t in_cols = step.in_cols;
     const size_t out_cols = step.out_cols;
     switch (step.op) {
@@ -186,12 +230,14 @@ double DenseKernel::ScoreRow(const double* row,
   if (scratch->a_.size() < need) scratch->a_.resize(need);
   if (scratch->b_.size() < need) scratch->b_.resize(need);
   std::copy(row, row + input_cols_, scratch->a_.data());
-  return Execute(1, scratch)[0];
+  return Execute(0, steps_.size(), 1, scratch->a_.data(),
+                 scratch->b_.data())[0];
 }
 
-Status DenseKernel::ScoreBatch(const Matrix& raw,
-                               DenseKernelScratch* scratch,
-                               std::vector<double>* out) const {
+template <typename BlockFn>
+Status DenseKernel::ForEachBlock(const Matrix& raw,
+                                 DenseKernelScratch* scratch,
+                                 BlockFn&& fn) const {
   FLOCK_RETURN_NOT_OK(status_);
   if (raw.cols() != input_cols_) {
     return Status::InvalidArgument(
@@ -199,7 +245,6 @@ Status DenseKernel::ScoreBatch(const Matrix& raw,
         " input columns, got " + std::to_string(raw.cols()));
   }
   const size_t n = raw.rows();
-  out->resize(n);
   const size_t block = std::min(n == 0 ? size_t{1} : n, kBlockRows);
   const size_t need = block * max_cols_;
   if (scratch->a_.size() < need) scratch->a_.resize(need);
@@ -219,7 +264,18 @@ Status DenseKernel::ScoreBatch(const Matrix& raw,
       std::copy(src, src + input_cols_,
                 scratch->a_.data() + r * input_cols_);
     }
-    const double* scores = Execute(rows, scratch);
+    fn(begin, rows);
+  }
+  return Status::OK();
+}
+
+Status DenseKernel::ScoreBatch(const Matrix& raw,
+                               DenseKernelScratch* scratch,
+                               std::vector<double>* out) const {
+  out->resize(raw.rows());
+  return ForEachBlock(raw, scratch, [&](size_t begin, size_t rows) {
+    const double* scores = Execute(0, steps_.size(), rows,
+                                   scratch->a_.data(), scratch->b_.data());
     // The final step is width >= 1 per row; score is column 0. When the
     // last step was in-place (e.g. trailing Sigmoid over a 1-wide
     // buffer), rows are packed at the final step's output width.
@@ -227,8 +283,100 @@ Status DenseKernel::ScoreBatch(const Matrix& raw,
     for (size_t r = 0; r < rows; ++r) {
       (*out)[begin + r] = scores[r * stride];
     }
+  });
+}
+
+namespace {
+
+bool Compare(double score, double threshold, ThresholdOp op) {
+  return op == ThresholdOp::kGt   ? score > threshold
+         : op == ThresholdOp::kGe ? score >= threshold
+         : op == ThresholdOp::kLt ? score < threshold
+                                  : score <= threshold;
+}
+
+}  // namespace
+
+double DenseKernel::ThresholdCut(double threshold, ThresholdOp op) const {
+  // kLt/kLe are the complements of kGe/kGt, which hold on an upper range
+  // of sums because the suffix is monotone non-decreasing.
+  const ThresholdOp up = op == ThresholdOp::kLt   ? ThresholdOp::kGe
+                         : op == ThresholdOp::kLe ? ThresholdOp::kGt
+                                                  : op;
+  // Keys in [-kInf, kInf] order the doubles in [-inf, +inf]; kInf is the
+  // bit pattern of +inf.
+  constexpr int64_t kInf = 0x7FF0000000000000;
+  auto at = [](int64_t key) {
+    const int64_t bits =
+        key < 0 ? std::numeric_limits<int64_t>::min() - key : key;
+    double z;
+    std::memcpy(&z, &bits, sizeof(z));
+    return z;
+  };
+  auto holds = [&](int64_t key) {
+    double z = at(key), spare = 0.0;
+    return Compare(*Execute(tree_step_ + 1, steps_.size(), 1, &z, &spare),
+                   threshold, up);
+  };
+  int64_t lo = -kInf, hi = kInf;
+  if (holds(lo)) return at(lo);
+  if (!holds(hi)) return std::nan("");
+  // Invariant: fails at lo, holds at hi. Splitting at 0 first keeps
+  // hi - lo within int64.
+  (holds(0) ? hi : lo) = 0;
+  while (hi - lo > 1) {
+    const int64_t mid = lo + (hi - lo) / 2;
+    (holds(mid) ? hi : lo) = mid;
   }
-  return Status::OK();
+  return at(hi);
+}
+
+Status DenseKernel::ScoreThreshold(const Matrix& raw, double threshold,
+                                   ThresholdOp op,
+                                   DenseKernelScratch* scratch,
+                                   std::vector<bool>* out) const {
+  out->resize(raw.rows());
+  if (lower_.empty()) {
+    std::vector<double> scores;
+    FLOCK_RETURN_NOT_OK(ScoreBatch(raw, scratch, &scores));
+    for (size_t r = 0; r < scores.size(); ++r) {
+      (*out)[r] = Compare(scores[r], threshold, op);
+    }
+    return Status::OK();
+  }
+  // Sums >= cut pass kGt/kGe and fail kLt/kLe; a NaN cut decides no row
+  // early.
+  const double cut = ThresholdCut(threshold, op);
+  const bool upper = op == ThresholdOp::kGt || op == ThresholdOp::kGe;
+  const Step& ensemble = steps_[tree_step_];
+  return ForEachBlock(raw, scratch, [&](size_t begin, size_t rows) {
+    const double* features = Execute(0, tree_step_, rows,
+                                     scratch->a_.data(), scratch->b_.data());
+    for (size_t r = 0; r < rows; ++r) {
+      const double* row = features + r * ensemble.in_cols;
+      double acc = ensemble.tree_base;
+      bool decided = false, verdict = false;
+      for (size_t t = 0; t < ensemble.trees.size() && !decided; ++t) {
+        acc += ensemble.trees[t].Predict(row);
+        if (acc + lower_[t + 1] >= cut) {
+          decided = true;
+          verdict = upper;
+        } else if (acc + upper_[t + 1] < cut) {
+          decided = true;
+          verdict = !upper;
+        }
+      }
+      if (!decided) {
+        // Too close to call from bounds: every tree was summed, so finish
+        // the row's kernel score and compare that.
+        double spare = 0.0;
+        verdict = Compare(
+            *Execute(tree_step_ + 1, steps_.size(), 1, &acc, &spare),
+            threshold, op);
+      }
+      (*out)[begin + r] = verdict;
+    }
+  });
 }
 
 }  // namespace flock::ml

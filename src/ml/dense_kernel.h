@@ -22,16 +22,20 @@ class DenseKernelScratch {
   std::vector<double> a_, b_;
 };
 
-/// Compiled dense-slot scoring kernel — the production scoring path.
+/// Comparison direction of a threshold-pushed predicate `score OP t`.
+enum class ThresholdOp { kGt, kGe, kLt, kLe };
+
+/// Compiled dense-slot scoring kernel — the only scoring engine on the
+/// serving path.
 ///
 /// Where `RowScorer` interprets a pipeline through per-step named-feature
 /// maps (the Figure-4 "scikit-learn" baseline) and `GraphRuntime`
-/// re-allocates one matrix per node per invocation, the dense kernel does
-/// all name→slot resolution and plan validation once at construction:
-/// every step is lowered to a fixed-width transform over contiguous
-/// `double` buffers, with attributes (imputer fills, scale/offset vectors,
-/// one-hot layout, gemm weights, trees) copied into the kernel so it is
-/// self-contained and immutable afterwards.
+/// re-allocates one matrix per node per invocation (the "ORT" baseline and
+/// test oracle), the dense kernel does all name→slot resolution and plan
+/// validation once at construction: every step is lowered to a fixed-width
+/// transform over contiguous `double` buffers, with attributes (imputer
+/// fills, scale/offset vectors, one-hot layout, gemm weights, trees)
+/// copied into the kernel so it is self-contained and immutable afterwards.
 ///
 /// Execution contracts:
 ///  * `ScoreRow` scores a single dense row with zero allocation (given a
@@ -42,11 +46,17 @@ class DenseKernelScratch {
 ///    nodes stay hot in cache across the rows of the block). Summation
 ///    order per row is unchanged, so results are bitwise identical to
 ///    `ScoreRow` and to `GraphRuntime`.
+///  * `ScoreThreshold` returns `score OP t` per row (the paper's predicate
+///    push-up, §4.1) with the same block loop. Every verdict equals the
+///    comparison of the row's `ScoreBatch` score, bitwise. For a boosted
+///    (summed) tree ensemble followed only by Sigmoid/Identity, a row stops
+///    traversing trees once suffix bounds on the remaining trees put its
+///    final raw sum clear of the cut by a summation-rounding margin.
 ///
 /// Only linear single-input op chains are compiled (which is everything
 /// `Pipeline::Compile` and the cross-optimizer emit). Graphs using Concat
-/// or non-chain wiring leave the kernel in a not-ok state and callers fall
-/// back to `GraphRuntime`; `status()` says why.
+/// or non-chain wiring leave the kernel in a not-ok state and `status()`
+/// says why; the model registry refuses to deploy them.
 class DenseKernel {
  public:
   /// Compiles `graph` into a dense step plan. The graph is only read
@@ -71,7 +81,13 @@ class DenseKernel {
   Status ScoreBatch(const Matrix& raw, DenseKernelScratch* scratch,
                     std::vector<double>* out) const;
 
-  /// Rows per block in ScoreBatch; exposed for tests/benches.
+  /// Writes `score OP threshold` for every row of `raw` into `out`
+  /// (resized to raw.rows()), equal to comparing each `ScoreBatch` score.
+  Status ScoreThreshold(const Matrix& raw, double threshold, ThresholdOp op,
+                        DenseKernelScratch* scratch,
+                        std::vector<bool>* out) const;
+
+  /// Rows per block in ScoreBatch/ScoreThreshold; exposed for tests/benches.
   static constexpr size_t kBlockRows = 256;
 
  private:
@@ -96,15 +112,34 @@ class DenseKernel {
     double binarizer_threshold = 0.5;
   };
 
-  /// Runs all steps over `n` rows held densely in scratch buffer `a_`
-  /// (row-major, in_cols wide). Leaves the output in whichever buffer the
-  /// last step wrote and returns a pointer to it.
-  const double* Execute(size_t n, DenseKernelScratch* scratch) const;
+  /// Runs steps [first, last) over `n` rows held densely in `cur`
+  /// (row-major, steps_[first].in_cols wide), ping-ponging with `alt`.
+  /// Returns whichever buffer the last step wrote.
+  const double* Execute(size_t first, size_t last, size_t n, double* cur,
+                        double* alt) const;
+
+  /// Validates `raw`, then copies it block by block into scratch buffer
+  /// `a_` and calls `fn(begin, rows)`, polling the request's CancelToken
+  /// before each block.
+  template <typename BlockFn>
+  Status ForEachBlock(const Matrix& raw, DenseKernelScratch* scratch,
+                      BlockFn&& fn) const;
+
+  /// Smallest ensemble sum z (over the doubles) for which `suffix(z) OP'
+  /// threshold` holds, OP' being `op` for kGt/kGe and its complement for
+  /// kLt/kLe; NaN when no z qualifies.
+  double ThresholdCut(double threshold, ThresholdOp op) const;
 
   Status status_;
   size_t input_cols_ = 0;
   size_t max_cols_ = 0;  // widest step output (scratch sizing)
   std::vector<Step> steps_;
+
+  // Threshold early exit (empty bounds = none): the sum over all trees of
+  // a row whose sum over trees [0, i) is `acc` lies within
+  // [acc + lower_[i], acc + upper_[i]].
+  size_t tree_step_ = 0;
+  std::vector<double> lower_, upper_;
 };
 
 }  // namespace flock::ml

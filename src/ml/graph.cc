@@ -1,5 +1,6 @@
 #include "ml/graph.h"
 
+#include <algorithm>
 #include <set>
 
 #include "common/string_util.h"
@@ -387,6 +388,150 @@ size_t ModelGraph::TotalTreeNodes() const {
     for (const Tree& tree : node.trees) total += tree.size();
   }
   return total;
+}
+
+std::vector<ColumnRange> PropagateRanges(
+    const ModelGraph& graph, int node_id,
+    const std::vector<ColumnRange>& input_ranges) {
+  std::vector<std::vector<ColumnRange>> ranges(graph.nodes().size());
+  ranges[0] = input_ranges;
+  for (size_t i = 1; i <= static_cast<size_t>(node_id); ++i) {
+    const GraphNode& node = graph.nodes()[i];
+    const auto& in = ranges[static_cast<size_t>(node.inputs[0])];
+    if (in.empty() && node.op != OpType::kConcat) {
+      continue;  // unknown upstream
+    }
+    std::vector<ColumnRange> out;
+    switch (node.op) {
+      case OpType::kImputer:
+        out = in;
+        for (size_t c = 0; c < out.size(); ++c) {
+          if (out[c].known) {
+            out[c].min = std::min(out[c].min, node.imputer_values[c]);
+            out[c].max = std::max(out[c].max, node.imputer_values[c]);
+          }
+        }
+        break;
+      case OpType::kScaler:
+        out.resize(in.size());
+        for (size_t c = 0; c < in.size(); ++c) {
+          if (!in[c].known) continue;
+          double a = (in[c].min - node.offset[c]) * node.scale[c];
+          double b = (in[c].max - node.offset[c]) * node.scale[c];
+          out[c].min = std::min(a, b);
+          out[c].max = std::max(a, b);
+          out[c].known = true;
+        }
+        break;
+      case OpType::kOneHot: {
+        for (size_t c = 0; c < in.size(); ++c) {
+          int k = node.onehot_sizes[c];
+          if (k == 0) {
+            out.push_back(in[c]);
+          } else {
+            for (int j = 0; j < k; ++j) {
+              out.push_back(ColumnRange{0.0, 1.0, true});
+            }
+          }
+        }
+        break;
+      }
+      case OpType::kConcat: {
+        bool all_known = true;
+        for (int input_id : node.inputs) {
+          const auto& part = ranges[static_cast<size_t>(input_id)];
+          if (part.empty()) {
+            all_known = false;
+            break;
+          }
+          out.insert(out.end(), part.begin(), part.end());
+        }
+        if (!all_known) out.clear();
+        break;
+      }
+      case OpType::kSigmoid:
+        out.assign(in.size(), ColumnRange{0.0, 1.0, true});
+        break;
+      case OpType::kBinarizer:
+        out.assign(in.size(), ColumnRange{0.0, 1.0, true});
+        break;
+      case OpType::kRelu:
+        out = in;
+        for (auto& r : out) {
+          if (r.known) {
+            r.min = std::max(0.0, r.min);
+            r.max = std::max(0.0, r.max);
+          }
+        }
+        break;
+      case OpType::kIdentity:
+        out = in;
+        break;
+      default:
+        // Gemm/TreeEnsemble outputs: stop propagation (ranges not needed
+        // past the model itself).
+        out.clear();
+        break;
+    }
+    ranges[i] = std::move(out);
+  }
+  return ranges[static_cast<size_t>(node_id)];
+}
+
+namespace {
+
+/// Rebuilds `tree` with statically-decidable branches folded; appends nodes
+/// into `out` and returns the new index of the subtree rooted at `idx`.
+int32_t PruneSubtree(const Tree& tree, int32_t idx,
+                     const std::vector<ColumnRange>& ranges,
+                     std::vector<TreeNode>* out) {
+  const TreeNode& n = tree.nodes[static_cast<size_t>(idx)];
+  if (n.is_leaf()) {
+    out->push_back(n);
+    return static_cast<int32_t>(out->size() - 1);
+  }
+  const ColumnRange& r = ranges[static_cast<size_t>(n.feature)];
+  if (r.known) {
+    if (r.max < n.threshold) {
+      // Every value routes left.
+      return PruneSubtree(tree, n.left, ranges, out);
+    }
+    if (r.min >= n.threshold) {
+      return PruneSubtree(tree, n.right, ranges, out);
+    }
+  }
+  // Keep the split; reserve a slot, then emit children.
+  out->push_back(n);
+  size_t slot = out->size() - 1;
+  int32_t new_left = PruneSubtree(tree, n.left, ranges, out);
+  int32_t new_right = PruneSubtree(tree, n.right, ranges, out);
+  (*out)[slot].left = new_left;
+  (*out)[slot].right = new_right;
+  return static_cast<int32_t>(slot);
+}
+
+}  // namespace
+
+size_t CompressTreesWithRanges(ModelGraph* graph,
+                               const std::vector<ColumnRange>& input_ranges) {
+  size_t removed = 0;
+  for (GraphNode& node : graph->mutable_nodes()) {
+    if (node.op != OpType::kTreeEnsemble || node.trees.empty()) continue;
+    std::vector<ColumnRange> feature_ranges =
+        PropagateRanges(*graph, node.inputs[0], input_ranges);
+    if (feature_ranges.empty()) continue;
+    for (Tree& tree : node.trees) {
+      std::vector<TreeNode> pruned;
+      pruned.reserve(tree.nodes.size());
+      // The surviving root is pushed first, so it lands at index 0.
+      PruneSubtree(tree, 0, feature_ranges, &pruned);
+      if (pruned.size() < tree.nodes.size()) {
+        removed += tree.nodes.size() - pruned.size();
+        tree.nodes = std::move(pruned);
+      }
+    }
+  }
+  return removed;
 }
 
 }  // namespace flock::ml

@@ -124,6 +124,29 @@ class ModelGraph {
   bool finalized_ = false;
 };
 
+/// Propagates per-column [min, max] value ranges through the graph's
+/// featurizer prefix. Used by the ModelCompression rule: storage statistics
+/// on the scanned columns become ranges over the tree-ensemble's feature
+/// space, enabling static resolution of unreachable branches (paper §4.1,
+/// "model compression exploiting input data statistics").
+struct ColumnRange {
+  double min = 0.0;
+  double max = 0.0;
+  bool known = false;
+};
+
+/// Returns the value ranges at `node_id`'s output given input ranges, or an
+/// empty vector if ranges cannot be propagated to that node.
+std::vector<ColumnRange> PropagateRanges(
+    const ModelGraph& graph, int node_id,
+    const std::vector<ColumnRange>& input_ranges);
+
+/// Prunes every TreeEnsemble in `graph` whose input ranges are derivable
+/// from `input_ranges`: branches that the data can never take are folded
+/// away. Returns the number of tree nodes removed.
+size_t CompressTreesWithRanges(ModelGraph* graph,
+                               const std::vector<ColumnRange>& input_ranges);
+
 }  // namespace flock::ml
 
 #endif  // FLOCK_ML_GRAPH_H_

@@ -42,8 +42,8 @@ enum class ModelTask { kRegression, kBinaryClassification };
 ///  * `ScoreRow` — direct evaluation (reference semantics);
 ///  * `RowScorer` (row_scorer.h) — deliberately interpreted per-row path,
 ///    the "scikit-learn" baseline of Figure 4;
-///  * `Compile()` -> ModelGraph + GraphRuntime — the vectorized "ONNX" path
-///    used standalone (ORT) and in-database (SONNX).
+///  * `Compile()` -> ModelGraph, run in-database (SONNX) by the compiled
+///    DenseKernel and standalone (ORT baseline) by GraphRuntime.
 class Pipeline {
  public:
   enum class ModelType { kNone, kLinear, kTrees };

@@ -9,11 +9,12 @@ namespace flock::ml {
 
 /// Vectorized interpreter for ModelGraphs — the stand-in for ONNX Runtime.
 ///
-/// Executes one kernel per node over the whole batch; this is the engine
-/// used both standalone ("ORT" baseline in Figure 4) and inside the Flock
-/// Predict operator ("SONNX"), where the SQL executor calls it once per
-/// morsel from many threads (the runtime itself is stateless and
-/// re-entrant).
+/// Executes one kernel per node over the whole batch, allocating one
+/// matrix per node. Not on the serving path (in-DBMS scoring runs only
+/// through `DenseKernel`): it is the standalone "ORT" baseline of Figure 4
+/// and the independent oracle tests and benchmarks check the kernel
+/// against. Runs any finalized graph, including non-chain wiring.
+/// Stateless and re-entrant.
 class GraphRuntime {
  public:
   explicit GraphRuntime(const ModelGraph* graph) : graph_(graph) {}
@@ -22,8 +23,7 @@ class GraphRuntime {
   StatusOr<Matrix> Run(const Matrix& input) const;
 
   /// Runs only the prefix up to and including `node_id`, returning that
-  /// node's output. Used by threshold push-up, which needs the featurized
-  /// matrix feeding the tree ensemble without evaluating the ensemble.
+  /// node's output (e.g. the featurized matrix feeding a tree ensemble).
   StatusOr<Matrix> RunToNode(const Matrix& input, int node_id) const;
 
   /// Convenience: runs and returns the first output column.
@@ -34,29 +34,6 @@ class GraphRuntime {
 
   const ModelGraph* graph_;
 };
-
-/// Propagates per-column [min, max] value ranges through the graph's
-/// featurizer prefix. Used by the ModelCompression rule: storage statistics
-/// on the scanned columns become ranges over the tree-ensemble's feature
-/// space, enabling static resolution of unreachable branches (paper §4.1,
-/// "model compression exploiting input data statistics").
-struct ColumnRange {
-  double min = 0.0;
-  double max = 0.0;
-  bool known = false;
-};
-
-/// Returns the value ranges at `node_id`'s output given input ranges, or an
-/// empty vector if ranges cannot be propagated to that node.
-std::vector<ColumnRange> PropagateRanges(
-    const ModelGraph& graph, int node_id,
-    const std::vector<ColumnRange>& input_ranges);
-
-/// Prunes every TreeEnsemble in `graph` whose input ranges are derivable
-/// from `input_ranges`: branches that the data can never take are folded
-/// away. Returns the number of tree nodes removed.
-size_t CompressTreesWithRanges(ModelGraph* graph,
-                               const std::vector<ColumnRange>& input_ranges);
 
 }  // namespace flock::ml
 

@@ -212,28 +212,34 @@ StatusOr<QueryResult> SqlEngine::Execute(const std::string& sql,
 
 StatusOr<QueryResult> SqlEngine::ExecuteCachedPlan(
     const LogicalPlan& plan, const CancelToken& cancel) {
-  PhysicalPlanner physical_planner(&registry_);
+  FLOCK_ASSIGN_OR_RETURN(PhysicalOperatorPtr root, LowerPlan(plan));
   QueryResult result;
-  PhysicalOperatorPtr lowered;
-  {
-    obs::ScopedSpan span("lower");
-    FLOCK_ASSIGN_OR_RETURN(lowered, physical_planner.Lower(plan));
-  }
-  size_t execute_span = 0;
-  {
-    obs::ScopedSpan exec_span("execute");
-    execute_span = exec_span.index();
-    FLOCK_ASSIGN_OR_RETURN(result.batch,
-                           ExecutePhysical(lowered.get(), cancel));
-    lowered->CollectMetrics(&result.operator_metrics);
-  }
-  AccumulateScanMetrics(result.operator_metrics);
-  if (auto* rec = obs::TraceRecorder::Current()) {
-    GraftExecutionSpans(rec, execute_span, result.operator_metrics);
-  }
-  result.plan_digest = PlanDigest(result.operator_metrics);
+  FLOCK_RETURN_NOT_OK(ExecuteLowered(root.get(), cancel, &result));
   result.from_plan_cache = true;
   return result;
+}
+
+StatusOr<PhysicalOperatorPtr> SqlEngine::LowerPlan(const LogicalPlan& plan) {
+  obs::ScopedSpan span("lower");
+  return PhysicalPlanner(&registry_).Lower(plan);
+}
+
+Status SqlEngine::ExecuteLowered(PhysicalOperator* root,
+                                 const CancelToken& cancel,
+                                 QueryResult* result) {
+  size_t execute_span = 0;
+  {
+    obs::ScopedSpan span("execute");
+    execute_span = span.index();
+    FLOCK_ASSIGN_OR_RETURN(result->batch, ExecutePhysical(root, cancel));
+    root->CollectMetrics(&result->operator_metrics);
+  }
+  AccumulateScanMetrics(result->operator_metrics);
+  if (auto* rec = obs::TraceRecorder::Current()) {
+    GraftExecutionSpans(rec, execute_span, result->operator_metrics);
+  }
+  result->plan_digest = PlanDigest(result->operator_metrics);
+  return Status::OK();
 }
 
 void SqlEngine::AccumulateScanMetrics(
@@ -343,30 +349,13 @@ StatusOr<QueryResult> SqlEngine::ExecuteStatement(
         FLOCK_ASSIGN_OR_RETURN(plan, PlanQuery(select));
       }
       FLOCK_RETURN_NOT_OK(OptimizePlan(&plan));
-      PhysicalPlanner physical_planner(&registry_);
-      PhysicalOperatorPtr root;
-      {
-        obs::ScopedSpan span("lower");
-        FLOCK_ASSIGN_OR_RETURN(root, physical_planner.Lower(*plan));
-      }
+      FLOCK_ASSIGN_OR_RETURN(PhysicalOperatorPtr root, LowerPlan(*plan));
       QueryResult result;
       if (explain.analyze) {
         // EXPLAIN ANALYZE: execute, then render the plan with the
-        // per-operator counters the run recorded.
-        size_t execute_span = 0;
-        {
-          obs::ScopedSpan span("execute");
-          execute_span = span.index();
-          FLOCK_ASSIGN_OR_RETURN(RecordBatch discard,
-                                 ExecutePhysical(root.get(), cancel));
-          (void)discard;
-          root->CollectMetrics(&result.operator_metrics);
-        }
-        AccumulateScanMetrics(result.operator_metrics);
-        if (auto* rec = obs::TraceRecorder::Current()) {
-          GraftExecutionSpans(rec, execute_span, result.operator_metrics);
-        }
-        result.plan_digest = PlanDigest(result.operator_metrics);
+        // per-operator counters the run recorded (the rows are replaced
+        // by the rendered plan below).
+        FLOCK_RETURN_NOT_OK(ExecuteLowered(root.get(), cancel, &result));
       }
       result.plan_text = "== Logical Plan ==\n" + plan->ToString() +
                          "== Physical Plan ==\n" +
@@ -428,17 +417,6 @@ Status SqlEngine::OptimizePlan(PlanPtr* plan) {
   return Status::OK();
 }
 
-StatusOr<RecordBatch> SqlEngine::ExecutePlan(const LogicalPlan& plan,
-                                             const CancelToken& cancel) {
-  ExecutorOptions exec_options;
-  exec_options.num_threads = options_.num_threads;
-  exec_options.morsel_size = options_.morsel_size;
-  exec_options.enable_zone_map_pruning = options_.enable_zone_map_pruning;
-  exec_options.cancel = cancel;
-  Executor executor(&registry_, pool_.get(), exec_options);
-  return executor.Execute(plan);
-}
-
 StatusOr<RecordBatch> SqlEngine::ExecutePhysical(PhysicalOperator* root,
                                                  const CancelToken& cancel) {
   ExecutorOptions exec_options;
@@ -462,26 +440,9 @@ StatusOr<QueryResult> SqlEngine::ExecuteSelect(
   if (cache_key != nullptr) {
     plan_cache_.Insert(*cache_key, plan->Clone());
   }
-  PhysicalPlanner physical_planner(&registry_);
-  PhysicalOperatorPtr root;
-  {
-    obs::ScopedSpan span("lower");
-    FLOCK_ASSIGN_OR_RETURN(root, physical_planner.Lower(*plan));
-  }
+  FLOCK_ASSIGN_OR_RETURN(PhysicalOperatorPtr root, LowerPlan(*plan));
   QueryResult result;
-  size_t execute_span = 0;
-  {
-    obs::ScopedSpan span("execute");
-    execute_span = span.index();
-    FLOCK_ASSIGN_OR_RETURN(result.batch,
-                           ExecutePhysical(root.get(), cancel));
-    root->CollectMetrics(&result.operator_metrics);
-  }
-  AccumulateScanMetrics(result.operator_metrics);
-  if (auto* rec = obs::TraceRecorder::Current()) {
-    GraftExecutionSpans(rec, execute_span, result.operator_metrics);
-  }
-  result.plan_digest = PlanDigest(result.operator_metrics);
+  FLOCK_RETURN_NOT_OK(ExecuteLowered(root.get(), cancel, &result));
   return result;
 }
 

@@ -127,10 +127,6 @@ class SqlEngine {
   /// Runs the built-in optimizer, then the plan rewriter if set.
   Status OptimizePlan(PlanPtr* plan);
 
-  /// Executes a bound plan (lowers to a physical plan internally).
-  StatusOr<storage::RecordBatch> ExecutePlan(const LogicalPlan& plan,
-                                             const CancelToken& cancel = {});
-
   /// Executes an already-lowered physical plan; metrics accumulate into
   /// the operator tree.
   StatusOr<storage::RecordBatch> ExecutePhysical(
@@ -194,6 +190,13 @@ class SqlEngine {
 
   StatusOr<QueryResult> ExecuteCachedPlan(const LogicalPlan& plan,
                                           const CancelToken& cancel);
+  /// Lowers `plan` under the "lower" span.
+  StatusOr<PhysicalOperatorPtr> LowerPlan(const LogicalPlan& plan);
+  /// Runs a lowered plan under the "execute" span into `result`: rows,
+  /// operator metrics (folded into the scan totals and grafted into the
+  /// trace) and the plan digest.
+  Status ExecuteLowered(PhysicalOperator* root, const CancelToken& cancel,
+                        QueryResult* result);
   void AppendQueryLog(const std::string& sql);
   /// Folds scan segment counters from one statement's operator metrics
   /// into the engine-lifetime totals.

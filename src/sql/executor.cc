@@ -317,12 +317,6 @@ ExecContext Executor::MakeContext() const {
   return ctx;
 }
 
-StatusOr<RecordBatch> Executor::Execute(const LogicalPlan& plan) {
-  PhysicalPlanner planner(registry_);
-  FLOCK_ASSIGN_OR_RETURN(PhysicalOperatorPtr root, planner.Lower(plan));
-  return Execute(root.get());
-}
-
 StatusOr<RecordBatch> Executor::Execute(PhysicalOperator* root) {
   return Run(root);
 }

@@ -42,16 +42,13 @@ struct ExecutorOptions {
 /// morsel parallelism is what gives in-DBMS inference its "automatic
 /// parallelization" advantage over standalone scoring (paper Figure 4).
 ///
-/// The executor no longer interprets LogicalPlan nodes: Execute(LogicalPlan)
-/// is a convenience that lowers through PhysicalPlanner first.
+/// The executor runs physical plans only; PhysicalPlanner lowers a
+/// LogicalPlan first.
 class Executor {
  public:
   Executor(const FunctionRegistry* registry, ThreadPool* pool,
            ExecutorOptions options)
       : registry_(registry), pool_(pool), options_(options) {}
-
-  /// Lowers `plan` and executes it.
-  StatusOr<storage::RecordBatch> Execute(const LogicalPlan& plan);
 
   /// Executes an already-lowered plan. Operator metrics accumulate into
   /// the tree (call root->ResetMetrics() to re-run fresh).

@@ -1,6 +1,9 @@
 #include "sql/lexer.h"
 
 #include <cctype>
+#include <cerrno>
+#include <cmath>
+#include <cstdlib>
 #include <unordered_set>
 
 #include "common/string_util.h"
@@ -104,9 +107,13 @@ StatusOr<std::vector<Token>> Tokenize(const std::string& sql) {
       std::string num = sql.substr(start, i - start);
       tok.type = TokenType::kNumber;
       tok.text = num;
-      try {
-        tok.number = std::stod(num);
-      } catch (...) {
+      // strtod, not stod: a literal that underflows to a subnormal still
+      // denotes the nearest double (stod throws on it); only overflow and
+      // text holding no number are errors.
+      errno = 0;
+      char* end = nullptr;
+      tok.number = std::strtod(num.c_str(), &end);
+      if (end == num.c_str() || (errno == ERANGE && std::isinf(tok.number))) {
         return Status::ParseError("bad numeric literal: " + num);
       }
       tok.is_integer = !has_dot && !has_exp;

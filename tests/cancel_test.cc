@@ -266,6 +266,9 @@ flock::ModelEntry MakeScoringEntry() {
   auto graph = entry.pipeline.Compile();
   EXPECT_TRUE(graph.ok());
   entry.graph = *std::move(graph);
+  // Compile the scoring kernel the way deploy does; scoring has no other
+  // engine.
+  EXPECT_TRUE(flock::ModelRegistry::AnalyzeEntry(&entry).ok());
   return entry;
 }
 

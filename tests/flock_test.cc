@@ -1,14 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
+#include <iomanip>
 #include <thread>
 #include <vector>
 
 #include "common/random.h"
 #include "flock/flock_engine.h"
 #include "flock/scoring.h"
+#include "ml/linear.h"
 #include "ml/tree.h"
 
 namespace flock::flock {
@@ -176,6 +180,64 @@ TEST_F(FlockEngineTest, OptimizerEquivalenceAcrossThresholdsAndOps) {
       EXPECT_EQ(baseline.batch.column(0)->int_at(0),
                 optimized.batch.column(0)->int_at(0))
           << "op=" << op << " t=" << t;
+    }
+  }
+}
+
+TEST_F(FlockEngineTest, OptimizerKeepsRowsAtTiedAndSaturatedThresholds) {
+  // The cross-optimizer rewrites `PREDICT(...) OP literal` into the
+  // PREDICT_GT/GE/LT/LE push-up, so its verdicts must match the plain
+  // comparison exactly: at thresholds equal to a row's score, and at 0.0
+  // and 1.0 on a model whose scores saturate to exactly those values.
+  ml::Pipeline saturating;
+  saturating.SetInputs(
+      {ml::FeatureSpec{"clicks", ml::FeatureKind::kNumeric, {}},
+       ml::FeatureSpec{"tenure", ml::FeatureKind::kNumeric, {}}});
+  ml::LinearModel lm;
+  lm.weights = {20.0, -50.0};
+  lm.bias = -750.0;
+  lm.logistic = true;
+  saturating.SetLinearModel(lm);
+  ASSERT_TRUE(engine_.DeployModel("sat", saturating, "tester", "t").ok());
+
+  auto ids = [&](const std::string& query, bool optimize) {
+    engine_.set_enable_cross_optimizer(optimize);
+    auto r = Exec(query);
+    std::vector<int64_t> out;
+    for (size_t i = 0; i < r.batch.num_rows(); ++i) {
+      out.push_back(r.batch.column(0)->int_at(i));
+    }
+    return out;
+  };
+  for (const std::string& call :
+       {PredictCall(), std::string("PREDICT(sat, clicks, tenure)")}) {
+    engine_.set_enable_cross_optimizer(false);
+    auto scored = Exec("SELECT " + call + " FROM users");
+    std::vector<double> observed;
+    bool saw_zero = false, saw_one = false;
+    for (size_t i = 0; i < scored.batch.num_rows(); ++i) {
+      double s = scored.batch.column(0)->double_at(i);
+      saw_zero |= s == 0.0;
+      saw_one |= s == 1.0;
+      if (s > 0.0 && s < 1.0) observed.push_back(s);
+    }
+    ASSERT_FALSE(observed.empty()) << call;
+    std::sort(observed.begin(), observed.end());
+    std::vector<double> thresholds = {0.0, 1.0};
+    for (size_t k = 0; k < 12; ++k) {
+      thresholds.push_back(observed[k * (observed.size() - 1) / 11]);
+    }
+    if (call != PredictCall()) {
+      EXPECT_TRUE(saw_zero && saw_one) << "sat must saturate both ways";
+    }
+    for (const char* op : {">=", ">", "<=", "<"}) {
+      for (double t : thresholds) {
+        char literal[32];
+        std::snprintf(literal, sizeof(literal), "%.17g", t);
+        const std::string query = "SELECT id FROM users WHERE " + call +
+                                  " " + op + " " + literal + " ORDER BY id";
+        EXPECT_EQ(ids(query, false), ids(query, true)) << query;
+      }
     }
   }
 }
@@ -357,6 +419,14 @@ TEST_F(FlockEngineTest, DeployRollbackRacesConcurrentScorers) {
       }
     });
   }
+  // Commit only once queries are under way, so the undo path really races
+  // them; on a loaded host the scorer threads can start after ten quick
+  // commits have already finished.
+  while (scored.load(std::memory_order_relaxed) +
+             failed.load(std::memory_order_relaxed) <
+         2) {
+    std::this_thread::yield();
+  }
   for (int i = 0; i < 10; ++i) {
     DeployTransaction txn = engine_.BeginDeployment();
     txn.StageRegister("churn", pipeline_, "tester", "race-candidate");
@@ -414,8 +484,9 @@ TEST_F(FlockEngineTest, RuntimeSelectionSmallBatchMatchesVectorized) {
 
 // --- scoring unit checks ---------------------------------------------------
 
-TEST(ScoringTest, ThresholdBatchMatchesFullScoring) {
-  // Small hand-rolled boosted ensemble.
+/// A logistic two-input boosted ensemble of five stumps whose leaves are
+/// scaled by `leaf_scale` (large scales saturate scores to exactly 1.0).
+ml::Pipeline ToyBoostedPipeline(double leaf_scale) {
   ml::Pipeline pipeline;
   pipeline.SetInputs({ml::FeatureSpec{"x", ml::FeatureKind::kNumeric, {}},
                       ml::FeatureSpec{"y", ml::FeatureKind::kNumeric, {}}});
@@ -430,23 +501,28 @@ TEST(ScoringTest, ThresholdBatchMatchesFullScoring) {
     root.right = 2;
     ml::TreeNode l, r;
     l.feature = -1;
-    l.value = -0.4 + 0.1 * t;
+    l.value = (-0.4 + 0.1 * t) * leaf_scale;
     r.feature = -1;
-    r.value = 0.5 - 0.05 * t;
+    r.value = (0.5 - 0.05 * t) * leaf_scale;
     tree.nodes = {root, l, r};
     model.trees.push_back(tree);
   }
   pipeline.SetTreeModel(model);
+  return pipeline;
+}
 
-  ModelEntry entry;
-  entry.name = "toy";
-  entry.pipeline = pipeline;
-  auto graph = pipeline.Compile();
-  ASSERT_TRUE(graph.ok());
-  entry.graph = std::move(graph).value();
-  ModelRegistry::AnalyzeEntry(&entry);
-  ASSERT_TRUE(entry.ends_with_sigmoid);
-  ASSERT_GE(entry.tree_node_id, 0);
+TEST(ScoringTest, ThresholdBatchMatchesFullScoring) {
+  // The hand-rolled boosted ensemble, the same ensemble with leaves large
+  // enough to saturate to exactly 1.0, and a logistic regression whose
+  // scores saturate to exactly 0.0 and 1.0.
+  ml::Pipeline logistic;
+  logistic.SetInputs({ml::FeatureSpec{"x", ml::FeatureKind::kNumeric, {}},
+                      ml::FeatureSpec{"y", ml::FeatureKind::kNumeric, {}}});
+  ml::LinearModel lm;
+  lm.weights = {400.0, -300.0};
+  lm.bias = 0.25;
+  lm.logistic = true;
+  logistic.SetLinearModel(lm);
 
   Random rng(5);
   ml::Matrix raw(500, 2);
@@ -454,22 +530,44 @@ TEST(ScoringTest, ThresholdBatchMatchesFullScoring) {
     raw.at(i, 0) = rng.NextGaussian();
     raw.at(i, 1) = rng.NextGaussian();
   }
-  auto scores = ScoreBatch(entry, raw);
-  ASSERT_TRUE(scores.ok());
-  for (double t : {0.3, 0.5, 0.62}) {
-    for (ThresholdOp op : {ThresholdOp::kGt, ThresholdOp::kGe,
-                           ThresholdOp::kLt, ThresholdOp::kLe}) {
-      auto verdicts = ScoreThresholdBatch(entry, raw, t, op);
-      ASSERT_TRUE(verdicts.ok());
-      for (size_t i = 0; i < 500; ++i) {
-        double s = (*scores)[i];
-        bool expected = op == ThresholdOp::kGt   ? s > t
-                        : op == ThresholdOp::kGe ? s >= t
-                        : op == ThresholdOp::kLt ? s < t
-                                                 : s <= t;
-        EXPECT_EQ((*verdicts)[i], expected) << "row " << i << " t=" << t;
+  for (const ml::Pipeline& pipeline :
+       {ToyBoostedPipeline(1.0), ToyBoostedPipeline(200.0), logistic}) {
+    ModelEntry entry;
+    entry.name = "toy";
+    entry.pipeline = pipeline;
+    auto graph = pipeline.Compile();
+    ASSERT_TRUE(graph.ok());
+    entry.graph = std::move(graph).value();
+    ASSERT_TRUE(ModelRegistry::AnalyzeEntry(&entry).ok());
+
+    auto scores = ScoreBatch(entry, raw);
+    ASSERT_TRUE(scores.ok());
+    // Every observed score is a tied threshold for at least one row.
+    std::vector<double> thresholds = *scores;
+    for (double t : {0.0, 1.0, -0.5, 1.5, 0.3, 0.5, 0.62}) {
+      thresholds.push_back(t);
+    }
+    size_t wrong = 0;
+    for (double t : thresholds) {
+      for (ThresholdOp op : {ThresholdOp::kGt, ThresholdOp::kGe,
+                             ThresholdOp::kLt, ThresholdOp::kLe}) {
+        auto verdicts = ScoreThresholdBatch(entry, raw, t, op);
+        ASSERT_TRUE(verdicts.ok());
+        for (size_t i = 0; i < 500; ++i) {
+          double s = (*scores)[i];
+          bool expected = op == ThresholdOp::kGt   ? s > t
+                          : op == ThresholdOp::kGe ? s >= t
+                          : op == ThresholdOp::kLt ? s < t
+                                                   : s <= t;
+          if ((*verdicts)[i] != expected && wrong++ == 0) {
+            ADD_FAILURE() << std::setprecision(17) << "row " << i
+                          << " score " << s << " t=" << t << " op "
+                          << static_cast<int>(op);
+          }
+        }
       }
     }
+    EXPECT_EQ(wrong, 0u);
   }
 }
 
@@ -484,7 +582,7 @@ TEST(ScoringTest, DegenerateThresholdsResolveStatically) {
   ModelEntry entry;
   entry.pipeline = pipeline;
   entry.graph = *pipeline.Compile();
-  ModelRegistry::AnalyzeEntry(&entry);
+  ASSERT_TRUE(ModelRegistry::AnalyzeEntry(&entry).ok());
   ml::Matrix raw(3, 1, 0.0);
   auto all_true = ScoreThresholdBatch(entry, raw, -0.5, ThresholdOp::kGt);
   ASSERT_TRUE(all_true.ok());

@@ -14,7 +14,9 @@
 //     by zero, rows missing features score as NaN-imputed instead of
 //     throwing std::out_of_range, arity mismatches are rejected with an
 //     error status at the flock::ScoreBatch boundary, and non-chain
-//     graphs fall back to the runtime instead of mis-executing.
+//     graphs are refused at deploy (the kernel is the only scoring
+//     engine; GraphRuntime is kept as the oracle these tests compare
+//     against, not as a fallback).
 //
 //  3. Coalescing: the serving layer's MicroBatcher groups concurrent
 //     single-row calls into shared kernel invocations with bitwise-equal
@@ -164,7 +166,7 @@ flock::ModelEntry MakeToyEntry() {
   auto graph = pipeline.Compile();
   EXPECT_TRUE(graph.ok());
   entry.graph = std::move(graph).value();
-  flock::ModelRegistry::AnalyzeEntry(&entry);
+  EXPECT_TRUE(flock::ModelRegistry::AnalyzeEntry(&entry).ok());
   return entry;
 }
 
@@ -392,7 +394,7 @@ TEST(RowScorerTest, NoModelFallbackIsDeterministic) {
 }
 
 // ---------------------------------------------------------------------------
-// 2c. Non-chain graphs fall back to GraphRuntime.
+// 2c. Non-chain graphs are rejected, by the kernel and at deploy.
 
 TEST(DenseKernelTest, RejectsNonChainGraphs) {
   // A hand-wired diamond (concat reads node 0 and node 1) is valid for
@@ -420,6 +422,15 @@ TEST(DenseKernelTest, RejectsNonChainGraphs) {
   DenseKernel kernel(graph);
   EXPECT_FALSE(kernel.ok());
   EXPECT_FALSE(kernel.status().ok());
+
+  // No second engine would score it, so the registry refuses it.
+  flock::ModelRegistry registry;
+  flock::ModelEntry entry;
+  entry.name = "diamond";
+  entry.graph = graph;
+  Status st = registry.RegisterSpecialization("diamond#x", entry);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  EXPECT_FALSE(registry.HasSpecialization("diamond#x"));
 }
 
 TEST(DenseKernelTest, EmptyGraphIsRejectedNotExecuted) {
@@ -459,11 +470,11 @@ TEST(ScoringBoundaryTest, AnalyzeEntryCompilesKernel) {
   EXPECT_EQ(entry.kernel->input_cols(), 2u);
 }
 
-TEST(ScoringBoundaryTest, KernelRoutingMatchesRuntimeFallback) {
-  // The same entry scored with and without its kernel must agree bitwise
-  // — this is the guarantee that lets every caller (serving, lifecycle
-  // shadow/canary, the optimizer's specializations) ignore which path
-  // actually ran.
+TEST(ScoringBoundaryTest, ScoreBatchMatchesGraphRuntimeOracle) {
+  // The serving entry point agrees bitwise with the independent graph
+  // interpreter — the guarantee that lets every caller (serving,
+  // lifecycle shadow/canary, the optimizer's specializations) trust the
+  // one kernel.
   flock::ModelEntry entry = MakeToyEntry();
   ASSERT_NE(entry.kernel, nullptr);
 
@@ -476,13 +487,20 @@ TEST(ScoringBoundaryTest, KernelRoutingMatchesRuntimeFallback) {
   auto with_kernel = flock::ScoreBatch(entry, raw);
   ASSERT_TRUE(with_kernel.ok());
 
+  auto oracle = GraphRuntime(&entry.graph).RunToScores(raw);
+  ASSERT_TRUE(oracle.ok());
+  for (size_t r = 0; r < raw.rows(); ++r) {
+    EXPECT_PRED2(BitEq, (*with_kernel)[r], (*oracle)[r]) << "row " << r;
+  }
+
+  // An entry that never went through the registry has no kernel; scoring
+  // it is an error, not a detour through another engine.
   flock::ModelEntry no_kernel = entry;
   no_kernel.kernel = nullptr;
-  auto fallback = flock::ScoreBatch(no_kernel, raw);
-  ASSERT_TRUE(fallback.ok());
-  for (size_t r = 0; r < raw.rows(); ++r) {
-    EXPECT_PRED2(BitEq, (*with_kernel)[r], (*fallback)[r]) << "row " << r;
-  }
+  EXPECT_FALSE(flock::ScoreBatch(no_kernel, raw).ok());
+  EXPECT_FALSE(flock::ScoreThresholdBatch(no_kernel, raw, 0.5,
+                                          flock::ThresholdOp::kGt)
+                   .ok());
 }
 
 // ---------------------------------------------------------------------------

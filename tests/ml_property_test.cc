@@ -7,11 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iomanip>
 #include <tuple>
 
 #include "common/random.h"
 #include "flock/model_registry.h"
 #include "flock/scoring.h"
+#include "ml/linear.h"
 #include "ml/pipeline.h"
 #include "ml/row_scorer.h"
 #include "ml/runtime.h"
@@ -188,36 +190,63 @@ TEST_P(PipelineEquivalenceTest, RangeCompressionSoundInsideBox) {
 }
 
 TEST_P(PipelineEquivalenceTest, ThresholdShortCircuitMatchesFullScores) {
-  flock::ModelEntry entry;
-  entry.name = "prop";
-  entry.pipeline = pipeline_;
-  auto graph = pipeline_.Compile();
-  ASSERT_TRUE(graph.ok());
-  entry.graph = std::move(graph).value();
-  flock::ModelRegistry::AnalyzeEntry(&entry);
+  // Two models over the same featurizers: the trained boosted ensemble
+  // (suffix-bound early exit) and a logistic regression whose large
+  // weights saturate many rows' scores to exactly 0.0 and 1.0.
+  Pipeline saturating = pipeline_;
+  LinearModel lm;
+  lm.weights.assign(pipeline_.Transform(RandomRaw(1, 0x57)).cols(), 0.0);
+  for (size_t j = 0; j < lm.weights.size(); ++j) {
+    lm.weights[j] = j % 2 == 0 ? 300.0 : -200.0;
+  }
+  lm.logistic = true;
+  saturating.SetLinearModel(lm);
 
   Matrix raw = RandomRaw(300, 0x55);
-  auto scores = flock::ScoreBatch(entry, raw);
-  ASSERT_TRUE(scores.ok());
-  Random rng(seed_ ^ 0x56);
-  for (int i = 0; i < 4; ++i) {
-    double threshold = rng.UniformDouble(0.05, 0.95);
-    for (auto op :
-         {flock::ThresholdOp::kGt, flock::ThresholdOp::kGe,
-          flock::ThresholdOp::kLt, flock::ThresholdOp::kLe}) {
-      auto verdicts =
-          flock::ScoreThresholdBatch(entry, raw, threshold, op);
-      ASSERT_TRUE(verdicts.ok());
-      for (size_t r = 0; r < raw.rows(); ++r) {
-        double s = (*scores)[r];
-        bool expected = op == flock::ThresholdOp::kGt   ? s > threshold
-                        : op == flock::ThresholdOp::kGe ? s >= threshold
-                        : op == flock::ThresholdOp::kLt ? s < threshold
-                                                        : s <= threshold;
-        ASSERT_EQ((*verdicts)[r], expected)
-            << "row " << r << " threshold " << threshold;
+  for (const Pipeline* pipeline : {&pipeline_, &saturating}) {
+    flock::ModelEntry entry;
+    entry.name = "prop";
+    entry.pipeline = *pipeline;
+    auto graph = pipeline->Compile();
+    ASSERT_TRUE(graph.ok());
+    entry.graph = std::move(graph).value();
+    ASSERT_TRUE(flock::ModelRegistry::AnalyzeEntry(&entry).ok());
+
+    auto scores = flock::ScoreBatch(entry, raw);
+    ASSERT_TRUE(scores.ok());
+    // Thresholds equal to achievable scores are where a folded or rounded
+    // cut goes wrong; 0, 1 and values outside [0, 1] are where a static
+    // shortcut goes wrong.
+    std::vector<double> thresholds = *scores;
+    for (double t : {0.0, 1.0, -0.5, 1.5}) thresholds.push_back(t);
+    Random rng(seed_ ^ 0x56);
+    for (int i = 0; i < 4; ++i) {
+      thresholds.push_back(rng.UniformDouble(0.05, 0.95));
+    }
+    size_t wrong = 0;
+    for (double threshold : thresholds) {
+      for (auto op :
+           {flock::ThresholdOp::kGt, flock::ThresholdOp::kGe,
+            flock::ThresholdOp::kLt, flock::ThresholdOp::kLe}) {
+        auto verdicts =
+            flock::ScoreThresholdBatch(entry, raw, threshold, op);
+        ASSERT_TRUE(verdicts.ok());
+        for (size_t r = 0; r < raw.rows(); ++r) {
+          double s = (*scores)[r];
+          bool expected = op == flock::ThresholdOp::kGt   ? s > threshold
+                          : op == flock::ThresholdOp::kGe ? s >= threshold
+                          : op == flock::ThresholdOp::kLt ? s < threshold
+                                                          : s <= threshold;
+          if ((*verdicts)[r] != expected && wrong++ == 0) {
+            ADD_FAILURE() << std::setprecision(17) << "row " << r
+                          << " score " << s << " threshold " << threshold
+                          << " op " << static_cast<int>(op);
+          }
+        }
       }
     }
+    EXPECT_EQ(wrong, 0u) << "wrong verdicts over " << thresholds.size()
+                         << " thresholds";
   }
 }
 

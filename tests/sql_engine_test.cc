@@ -507,6 +507,16 @@ TEST(ParserTest, ErrorsAreParseErrors) {
             StatusCode::kParseError);
   EXPECT_EQ(Parser::ParseExpression("1 +").status().code(),
             StatusCode::kParseError);
+  EXPECT_EQ(Parser::ParseExpression("1e999").status().code(),
+            StatusCode::kParseError);
+}
+
+TEST(ParserTest, SubnormalLiteralKeepsItsValue) {
+  // A %.17g-printed subnormal (e.g. a saturated sigmoid score used as a
+  // threshold) must parse back to the same double.
+  auto e = Parser::ParseExpression("1.5368782843524641e-308");
+  ASSERT_TRUE(e.ok()) << e.status().ToString();
+  EXPECT_EQ((*e)->literal.AsDouble(), 1.5368782843524641e-308);
 }
 
 TEST_F(SqlEngineTest, PreCancelledTokenFailsBeforeExecution) {
