@@ -28,6 +28,7 @@
 #include "common/stopwatch.h"
 #include "flock/flock_engine.h"
 #include "ml/tree.h"
+#include "obs/metrics_registry.h"
 #include "serve/server.h"
 
 namespace {
@@ -242,6 +243,14 @@ std::string Canon(const flock::storage::RecordBatch& batch) {
   return out.str();
 }
 
+/// One metric of `server`, read by name from the registry that backs its
+/// `.metrics` exposition (zeros when the metric is not registered).
+flock::obs::MetricReading Metric(flock::serve::PredictionServer& server,
+                                 const std::string& name) {
+  return server.metrics_registry()->Read(name).value_or(
+      flock::obs::MetricReading{});
+}
+
 struct ConfigResult {
   size_t clients = 0;
   size_t workers = 0;
@@ -306,21 +315,23 @@ ConfigResult RunConfig(size_t clients, size_t workers,
   for (auto& thread : threads) thread.join();
   double wall_ms = wall.ElapsedMillis();
 
-  flock::serve::ServerMetricsSnapshot snapshot = server.Snapshot();
+  const flock::obs::HistogramSnapshot latency =
+      Metric(server, "serve.latency_ms").histogram;
   ConfigResult result;
   result.clients = clients;
   result.workers = workers;
   result.traced = traced;
   result.requests = clients * kRequestsPerClient;
   result.errors = errors.load();
-  result.shed = snapshot.requests_shed;
+  result.shed =
+      static_cast<uint64_t>(Metric(server, "serve.requests_shed").value);
   result.wall_ms = wall_ms;
   result.qps = result.requests / (wall_ms / 1000.0);
-  result.p50_ms = snapshot.p50_ms;
-  result.p95_ms = snapshot.p95_ms;
-  result.p99_ms = snapshot.p99_ms;
-  result.mean_ms = snapshot.mean_ms;
-  result.cache_hit_rate = snapshot.plan_cache_hit_rate;
+  result.p50_ms = latency.p50;
+  result.p95_ms = latency.p95;
+  result.p99_ms = latency.p99;
+  result.mean_ms = latency.mean;
+  result.cache_hit_rate = Metric(server, "plan_cache.hit_rate").value;
   return result;
 }
 
@@ -422,30 +433,31 @@ MicroBatchResult RunMicroBatchConfig(bool coalesce) {
     return all[idx];
   };
 
-  flock::serve::ServerMetricsSnapshot snapshot = server.Snapshot();
   MicroBatchResult result;
   result.coalesced = coalesce;
   result.base.clients = clients;
   result.base.workers = options.admission.num_workers;
   result.base.requests = clients * kRequestsPerClient;
   result.base.errors = errors.load();
-  result.base.shed = snapshot.requests_shed;
+  result.base.shed =
+      static_cast<uint64_t>(Metric(server, "serve.requests_shed").value);
   result.base.wall_ms = wall_ms;
   result.base.qps = result.base.requests / (wall_ms / 1000.0);
   result.base.p50_ms = percentile(0.50);
   result.base.p95_ms = percentile(0.95);
   result.base.p99_ms = percentile(0.99);
   result.base.mean_ms = all.empty() ? 0.0 : sum / all.size();
-  result.base.cache_hit_rate = snapshot.plan_cache_hit_rate;
+  result.base.cache_hit_rate = Metric(server, "plan_cache.hit_rate").value;
   result.mismatches = mismatches.load();
-  if (flock::serve::MicroBatcher* batcher = server.microbatcher()) {
-    result.rows_coalesced = batcher->rows_coalesced();
-    result.batches = batcher->batches_executed();
-    const flock::obs::HistogramSnapshot sizes =
-        batcher->batch_sizes().Snapshot();
-    result.mean_batch_size = sizes.mean_ms;  // batch-size histogram: the
-                                             // "ms" fields carry sizes
-    result.avg_wait_ms = batcher->avg_wait_ms();
+  if (coalesce) {
+    result.rows_coalesced = static_cast<uint64_t>(
+        Metric(server, "serve.coalesce_rows").value);
+    result.batches = static_cast<uint64_t>(
+        Metric(server, "serve.coalesce_batches").value);
+    result.mean_batch_size =
+        Metric(server, "serve.batch_size").histogram.mean;
+    result.avg_wait_ms =
+        Metric(server, "serve.coalesce_wait_ms").histogram.mean;
   }
   return result;
 }

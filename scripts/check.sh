@@ -64,13 +64,15 @@ if [[ "$RUN_TSAN" == 1 ]]; then
   # Concurrency-sensitive suites only: serving (concurrent sessions over
   # one shared engine), the thread pool, the morsel-parallel executor,
   # and the observability primitives hit from every serving thread
-  # (latency histogram, metrics registry, slow log, admission drain).
+  # (metrics registry, slow log, admission drain; the histogram suites
+  # run in the `obs` label stage below).
   ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-    -R 'Serve|ServerMetrics|LatencyHistogram|SessionManager|AdmissionController|ThreadPool|ParallelDifferential|MetricsRegistry|SlowQueryLog|ObsEngine'
+    -R 'Serve|SessionManager|AdmissionController|ThreadPool|ParallelDifferential|MetricsRegistry|SlowQueryLog|ObsEngine'
 
   echo "== TSan label stages: obs storage repl kernel cancel lifecycle =="
   # Each label is a whole suite whose code runs on several threads at once:
-  #   obs       tracing's thread-local recorders on the serving workers;
+  #   obs       tracing's thread-local recorders on the serving workers
+  #             and concurrent obs::Histogram records and snapshots;
   #   storage   zone-map pruning reading live segment stats from every
   #             executor worker while GetStats fills its aggregate cache;
   #   repl      the applier's streaming thread vs. its lag gauges and the

@@ -48,8 +48,6 @@ FlockEngine::FlockEngine(FlockEngineOptions options)
       cross_optimizer_(&models_, options.cross),
       context_(std::make_shared<ScoringContext>()),
       enable_cross_optimizer_(options.enable_cross_optimizer) {
-  context_->runtime = options.runtime;
-
   RegisterPredictFunctions(sql_engine_.functions(), &models_, context_);
 
   sql_engine_.set_plan_rewriter([this](sql::PlanPtr* plan) -> Status {

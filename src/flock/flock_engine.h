@@ -39,7 +39,6 @@ std::string RolloutCandidateKey(const std::string& model);
 struct FlockEngineOptions {
   sql::EngineOptions sql;
   CrossOptimizer::Options cross;
-  RuntimeSelectionOptions runtime;
   /// Master switch for the SQLxML cross-optimizer. Off = "SONNX" config
   /// (in-DB inference, relational optimizations only); on = "SONNX-ext".
   bool enable_cross_optimizer = true;

@@ -77,14 +77,6 @@ void RegisterPredictFunctions(sql::FunctionRegistry* functions,
           return out;
         }
       }
-      size_t small = context->runtime.small_batch_threshold;
-      if (small > 0 && num_rows < small && entry->input_mapping.empty()) {
-        // Runtime selection: interpreted per-row path for tiny batches.
-        for (size_t r = 0; r < num_rows; ++r) {
-          out->AppendDouble(entry->pipeline.ScoreRow(raw.row(r)));
-        }
-        return out;
-      }
       FLOCK_ASSIGN_OR_RETURN(std::vector<double> scores,
                              ScoreBatch(*entry, raw));
       for (double s : scores) out->AppendDouble(s);

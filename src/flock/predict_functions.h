@@ -11,14 +11,6 @@
 
 namespace flock::flock {
 
-/// Runtime-selection knobs (paper §4.1: "physical operator selection based
-/// on statistics [and] available runtime").
-struct RuntimeSelectionOptions {
-  /// Batches smaller than this score through the interpreted per-row path
-  /// (no kernel setup cost); larger batches use the vectorized graph.
-  size_t small_batch_threshold = 0;  // 0 = always vectorized
-};
-
 /// Observes the assembled raw feature matrix of every PREDICT call, before
 /// scoring. The lifecycle drift monitor implements this to maintain online
 /// feature-distribution sketches. Implementations must be thread-safe
@@ -51,14 +43,13 @@ class ScoreCoalescer {
                                     const double* row, size_t width) = 0;
 };
 
-/// Shared mutable scoring context (current principal, runtime options,
-/// optional feature observer, optional micro-batching coalescer). The
-/// hook pointers are atomic so the lifecycle/serving layers can
-/// attach/detach them without the exclusive lock; installed hooks must
-/// outlive the engine (or be detached first).
+/// Shared mutable scoring context (current principal, optional feature
+/// observer, optional micro-batching coalescer). The hook pointers are
+/// atomic so the lifecycle/serving layers can attach/detach them without
+/// the exclusive lock; installed hooks must outlive the engine (or be
+/// detached first).
 struct ScoringContext {
   std::string principal = "system";
-  RuntimeSelectionOptions runtime;
   std::atomic<FeatureObserver*> observer{nullptr};
   std::atomic<ScoreCoalescer*> coalescer{nullptr};
 };

@@ -340,8 +340,8 @@ RolloutStatusView RolloutManager::BuildView(
       rollout.candidate_errors.load(std::memory_order_relaxed);
   view.max_divergence =
       rollout.max_divergence.load(std::memory_order_relaxed);
-  view.live_p99_ms = rollout.live_latency.PercentileMs(0.99);
-  view.candidate_p99_ms = rollout.candidate_latency.PercentileMs(0.99);
+  view.live_p99_ms = rollout.live_latency.Percentile(0.99) / 1e3;
+  view.candidate_p99_ms = rollout.candidate_latency.Percentile(0.99) / 1e3;
   view.drift_score = monitor_.DriftScore(rollout.model);
   {
     std::lock_guard<std::mutex> lock(rollout.breach_mu);
@@ -581,8 +581,9 @@ void RolloutManager::CheckGuards(
   if (breach.empty() && guard.max_latency_regression > 0.0 &&
       rollout->live_latency.count() >= guard.min_observations &&
       rollout->candidate_latency.count() >= guard.min_observations) {
-    const double live_p99 = rollout->live_latency.PercentileMs(0.99);
-    const double cand_p99 = rollout->candidate_latency.PercentileMs(0.99);
+    const double live_p99 = rollout->live_latency.Percentile(0.99) / 1e3;
+    const double cand_p99 =
+        rollout->candidate_latency.Percentile(0.99) / 1e3;
     if (live_p99 > 0.0 && cand_p99 / live_p99 > guard.max_latency_regression) {
       breach = "candidate p99 " + FormatDouble(cand_p99) + "ms is " +
                FormatDouble(cand_p99 / live_p99) + "x live p99 " +
@@ -708,13 +709,14 @@ void RolloutManager::RegisterMetrics(obs::MetricsRegistry* registry) {
     obs::HistogramSnapshot snap;
     std::lock_guard<std::mutex> lock(mu_);
     for (const auto& [key, rollout] : rollouts_) {
-      const serve::LatencyHistogram& h =
-          candidate ? rollout->candidate_latency : rollout->live_latency;
-      snap.count += h.count();
-      snap.mean_ms = std::max(snap.mean_ms, h.mean_ms());
-      snap.p50_ms = std::max(snap.p50_ms, h.PercentileMs(0.50));
-      snap.p95_ms = std::max(snap.p95_ms, h.PercentileMs(0.95));
-      snap.p99_ms = std::max(snap.p99_ms, h.PercentileMs(0.99));
+      const obs::HistogramSnapshot h =
+          (candidate ? rollout->candidate_latency : rollout->live_latency)
+              .Snapshot(1e-3);
+      snap.count += h.count;
+      snap.mean = std::max(snap.mean, h.mean);
+      snap.p50 = std::max(snap.p50, h.p50);
+      snap.p95 = std::max(snap.p95, h.p95);
+      snap.p99 = std::max(snap.p99, h.p99);
     }
     return snap;
   };

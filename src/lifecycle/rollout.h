@@ -13,8 +13,8 @@
 #include "common/status_or.h"
 #include "flock/flock_engine.h"
 #include "lifecycle/monitor.h"
+#include "obs/histogram.h"
 #include "obs/metrics_registry.h"
-#include "serve/metrics.h"
 #include "sql/engine.h"
 
 namespace flock::lifecycle {
@@ -185,8 +185,8 @@ class RolloutManager {
     std::atomic<uint64_t> diverged_rows{0};
     std::atomic<uint64_t> candidate_errors{0};
     std::atomic<double> max_divergence{0.0};
-    serve::LatencyHistogram live_latency;
-    serve::LatencyHistogram candidate_latency;
+    obs::Histogram live_latency;       // µs
+    obs::Histogram candidate_latency;  // µs
 
     mutable std::mutex breach_mu;
     std::string guard_breach;

@@ -66,6 +66,28 @@ size_t MetricsRegistry::size() const {
   return metrics_.size();
 }
 
+std::optional<MetricReading> MetricsRegistry::Read(
+    const std::string& name) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = metrics_.find(name);
+  if (it == metrics_.end()) return std::nullopt;
+  const Metric& metric = it->second;
+  MetricReading reading;
+  switch (metric.kind) {
+    case Kind::kCounter:
+    case Kind::kGauge:
+      reading.value = static_cast<double>(metric.value ? metric.value() : 0);
+      break;
+    case Kind::kGaugeF:
+      reading.value = metric.value_f ? metric.value_f() : 0.0;
+      break;
+    case Kind::kHistogram:
+      if (metric.histogram) reading.histogram = metric.histogram();
+      break;
+  }
+  return reading;
+}
+
 std::string MetricsRegistry::ToJson() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::string out = "{";
@@ -96,10 +118,10 @@ std::string MetricsRegistry::ToJson() const {
         HistogramSnapshot h =
             metric.histogram ? metric.histogram() : HistogramSnapshot{};
         out += "{\"count\": " + std::to_string(h.count) +
-               ", \"mean\": " + FormatDouble(h.mean_ms) +
-               ", \"p50\": " + FormatDouble(h.p50_ms) +
-               ", \"p95\": " + FormatDouble(h.p95_ms) +
-               ", \"p99\": " + FormatDouble(h.p99_ms) + "}";
+               ", \"mean\": " + FormatDouble(h.mean) +
+               ", \"p50\": " + FormatDouble(h.p50) +
+               ", \"p95\": " + FormatDouble(h.p95) +
+               ", \"p99\": " + FormatDouble(h.p99) + "}";
         break;
       }
     }
@@ -135,10 +157,10 @@ std::string MetricsRegistry::ToPrometheus() const {
             metric.histogram ? metric.histogram() : HistogramSnapshot{};
         out += "# TYPE " + prom + " summary\n";
         out += prom + "_count " + std::to_string(h.count) + "\n";
-        out += prom + "_mean_ms " + FormatDouble(h.mean_ms) + "\n";
-        out += prom + "{quantile=\"0.5\"} " + FormatDouble(h.p50_ms) + "\n";
-        out += prom + "{quantile=\"0.95\"} " + FormatDouble(h.p95_ms) + "\n";
-        out += prom + "{quantile=\"0.99\"} " + FormatDouble(h.p99_ms) + "\n";
+        out += prom + "_mean_ms " + FormatDouble(h.mean) + "\n";
+        out += prom + "{quantile=\"0.5\"} " + FormatDouble(h.p50) + "\n";
+        out += prom + "{quantile=\"0.95\"} " + FormatDouble(h.p95) + "\n";
+        out += prom + "{quantile=\"0.99\"} " + FormatDouble(h.p99) + "\n";
         break;
       }
     }

@@ -5,19 +5,19 @@
 #include <functional>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
+
+#include "obs/histogram.h"
 
 namespace flock::obs {
 
-/// Point-in-time view of a latency histogram, pulled through a
-/// registered callback (the histogram itself stays lock-free in its
-/// owning subsystem).
-struct HistogramSnapshot {
-  uint64_t count = 0;
-  double mean_ms = 0.0;
-  double p50_ms = 0.0;
-  double p95_ms = 0.0;
-  double p99_ms = 0.0;
+/// One metric's current value, read by name through
+/// MetricsRegistry::Read: counters and gauges fill `value` (exact below
+/// 2^53), histograms fill `histogram`.
+struct MetricReading {
+  double value = 0.0;
+  HistogramSnapshot histogram;
 };
 
 /// The engine-wide metric registry: one namespace for every subsystem's
@@ -48,6 +48,10 @@ class MetricsRegistry {
   void RegisterHistogram(const std::string& name, HistogramFn fn);
 
   size_t size() const;
+
+  /// The structured read path for in-process readers (tests, benches):
+  /// the current value of `name`, or nullopt when it is not registered.
+  std::optional<MetricReading> Read(const std::string& name) const;
 
   /// Compact JSON, metrics grouped by subsystem prefix:
   ///   {"plan_cache": {"hits": 12, ...},

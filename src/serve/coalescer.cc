@@ -10,55 +10,12 @@
 
 namespace flock::serve {
 
-void BatchSizeHistogram::Record(size_t batch_size) {
-  if (batch_size == 0) return;
-  const size_t bucket = std::min(batch_size, kMaxTracked);
-  buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  total_rows_.fetch_add(batch_size, std::memory_order_relaxed);
-}
-
-obs::HistogramSnapshot BatchSizeHistogram::Snapshot() const {
-  obs::HistogramSnapshot snap;
-  uint64_t counts[kMaxTracked + 1];
-  uint64_t total = 0;
-  for (size_t i = 1; i <= kMaxTracked; ++i) {
-    counts[i] = buckets_[i].load(std::memory_order_relaxed);
-    total += counts[i];
-  }
-  snap.count = total;
-  if (total == 0) return snap;
-  snap.mean_ms = static_cast<double>(
-                     total_rows_.load(std::memory_order_relaxed)) /
-                 static_cast<double>(total);
-  auto percentile = [&](double p) {
-    const uint64_t rank = static_cast<uint64_t>(p * (total - 1)) + 1;
-    uint64_t seen = 0;
-    for (size_t i = 1; i <= kMaxTracked; ++i) {
-      seen += counts[i];
-      if (seen >= rank) return static_cast<double>(i);
-    }
-    return static_cast<double>(kMaxTracked);
-  };
-  snap.p50_ms = percentile(0.50);
-  snap.p95_ms = percentile(0.95);
-  snap.p99_ms = percentile(0.99);
-  return snap;
-}
-
 MicroBatcher::MicroBatcher(MicroBatchOptions options)
     : options_(options) {
   if (options_.max_batch == 0) options_.max_batch = 1;
 }
 
 MicroBatcher::~MicroBatcher() { Drain(); }
-
-double MicroBatcher::avg_wait_ms() const {
-  const uint64_t batches = batches_.load(std::memory_order_relaxed);
-  if (batches == 0) return 0.0;
-  return static_cast<double>(wait_nanos_.load(std::memory_order_relaxed)) /
-         1e6 / static_cast<double>(batches);
-}
 
 StatusOr<double> MicroBatcher::ScoreDirect(const flock::ModelEntry& entry,
                                            const double* row,
@@ -92,7 +49,6 @@ StatusOr<double> MicroBatcher::ScoreOne(const flock::ModelEntry& entry,
       (options_.bypass_solo && inflight == 1)) {
     bypassed_.fetch_add(1, std::memory_order_relaxed);
     batch_sizes_.Record(1);
-    rows_.fetch_add(1, std::memory_order_relaxed);
     return ScoreDirect(entry, row, width);
   }
 
@@ -147,9 +103,7 @@ StatusOr<double> MicroBatcher::ScoreOne(const flock::ModelEntry& entry,
           return batch->full || batch->flush ||
                  draining_.load(std::memory_order_relaxed);
         });
-    wait_nanos_.fetch_add(
-        static_cast<uint64_t>(window.ElapsedMicros() * 1e3),
-        std::memory_order_relaxed);
+    leader_waits_.Record(window.ElapsedMicros());
     batch->closed = true;
     auto it = open_.find(&entry);
     if (it != open_.end() && it->second == batch) open_.erase(it);
@@ -170,12 +124,10 @@ StatusOr<double> MicroBatcher::ScoreOne(const flock::ModelEntry& entry,
     scores = flock::ScoreBatch(entry, m);
   }
 
-  batches_.fetch_add(1, std::memory_order_relaxed);
-  rows_.fetch_add(batch->count, std::memory_order_relaxed);
   if (batch->count >= 2) {
     coalesced_rows_.fetch_add(batch->count, std::memory_order_relaxed);
   }
-  batch_sizes_.Record(batch->count);
+  batch_sizes_.Record(static_cast<double>(batch->count));
 
   double leader_score = 0.0;
   {

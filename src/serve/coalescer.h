@@ -1,7 +1,6 @@
 #ifndef FLOCK_SERVE_COALESCER_H_
 #define FLOCK_SERVE_COALESCER_H_
 
-#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -12,7 +11,7 @@
 
 #include "common/status_or.h"
 #include "flock/predict_functions.h"
-#include "obs/metrics_registry.h"
+#include "obs/histogram.h"
 
 namespace flock::serve {
 
@@ -31,24 +30,6 @@ struct MicroBatchOptions {
   /// window entirely and score immediately — a lone client never pays
   /// the coalescing wait.
   bool bypass_solo = true;
-};
-
-/// Exact-count batch-size histogram (sizes 1..kMaxTracked, larger sizes
-/// clamp into the last bucket). Record is one relaxed fetch_add; the
-/// snapshot computes mean and percentiles over batch sizes for the
-/// `serve.batch_size` exposition.
-class BatchSizeHistogram {
- public:
-  static constexpr size_t kMaxTracked = 64;
-
-  void Record(size_t batch_size);
-  obs::HistogramSnapshot Snapshot() const;
-  uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-
- private:
-  std::array<std::atomic<uint64_t>, kMaxTracked + 1> buckets_{};
-  std::atomic<uint64_t> count_{0};
-  std::atomic<uint64_t> total_rows_{0};
 };
 
 /// The serving layer's cross-request micro-batching stage.
@@ -87,13 +68,14 @@ class MicroBatcher : public flock::ScoreCoalescer {
   void Drain();
 
   const MicroBatchOptions& options() const { return options_; }
-  const BatchSizeHistogram& batch_sizes() const { return batch_sizes_; }
-  uint64_t batches_executed() const {
-    return batches_.load(std::memory_order_relaxed);
-  }
-  uint64_t rows_scored() const {
-    return rows_.load(std::memory_order_relaxed);
-  }
+  /// Rows per kernel invocation, bypasses included as batches of 1 (the
+  /// `serve.batch_size` histogram); its sum is every row scored.
+  const obs::Histogram& batch_sizes() const { return batch_sizes_; }
+  /// Each leader's coalescing window in µs (the `serve.coalesce_wait_ms`
+  /// histogram): one sample per coalesced batch.
+  const obs::Histogram& leader_waits() const { return leader_waits_; }
+  /// Batches that went through a coalescing window (bypasses excluded).
+  uint64_t batches_executed() const { return leader_waits_.count(); }
   /// Rows that actually shared a kernel invocation (batch size >= 2).
   uint64_t rows_coalesced() const {
     return coalesced_rows_.load(std::memory_order_relaxed);
@@ -101,9 +83,6 @@ class MicroBatcher : public flock::ScoreCoalescer {
   uint64_t bypassed() const {
     return bypassed_.load(std::memory_order_relaxed);
   }
-  /// Mean leader wait over all executed batches, in ms — the
-  /// `serve.coalesce_wait_ms` gauge.
-  double avg_wait_ms() const;
 
  private:
   struct Batch {
@@ -129,12 +108,10 @@ class MicroBatcher : public flock::ScoreCoalescer {
   std::atomic<size_t> inflight_{0};
   std::atomic<bool> draining_{false};
 
-  BatchSizeHistogram batch_sizes_;
-  std::atomic<uint64_t> batches_{0};
-  std::atomic<uint64_t> rows_{0};
+  obs::Histogram batch_sizes_;
+  obs::Histogram leader_waits_;
   std::atomic<uint64_t> coalesced_rows_{0};
   std::atomic<uint64_t> bypassed_{0};
-  std::atomic<uint64_t> wait_nanos_{0};
 };
 
 }  // namespace flock::serve

@@ -4,6 +4,13 @@
 
 namespace flock::serve {
 
+namespace {
+
+// The latency histograms record µs; their metrics report ms.
+constexpr double kMicrosToMs = 1e-3;
+
+}  // namespace
+
 PredictionServer::PredictionServer(flock::FlockEngine* engine,
                                    ServerOptions options)
     : engine_(engine),
@@ -22,10 +29,12 @@ PredictionServer::PredictionServer(flock::FlockEngine* engine,
 
 void PredictionServer::RegisterMetrics() {
   // serve.* — request counters, sessions, queue, latency.
-  registry_.RegisterCounter("serve.requests_ok",
-                            [this] { return metrics_.requests_ok(); });
-  registry_.RegisterCounter("serve.requests_error",
-                            [this] { return metrics_.requests_error(); });
+  registry_.RegisterCounter("serve.requests_ok", [this] {
+    return requests_ok_.load(std::memory_order_relaxed);
+  });
+  registry_.RegisterCounter("serve.requests_error", [this] {
+    return requests_error_.load(std::memory_order_relaxed);
+  });
   registry_.RegisterCounter("serve.requests_shed",
                             [this] { return admission_.shed_count(); });
   registry_.RegisterGauge("serve.sessions_open", [this] {
@@ -37,14 +46,7 @@ void PredictionServer::RegisterMetrics() {
     return static_cast<uint64_t>(admission_.queue_depth());
   });
   registry_.RegisterHistogram("serve.latency_ms", [this] {
-    const LatencyHistogram& hist = metrics_.latency();
-    obs::HistogramSnapshot snap;
-    snap.count = hist.count();
-    snap.mean_ms = hist.mean_ms();
-    snap.p50_ms = hist.PercentileMs(0.50);
-    snap.p95_ms = hist.PercentileMs(0.95);
-    snap.p99_ms = hist.PercentileMs(0.99);
-    return snap;
+    return latency_.Snapshot(kMicrosToMs);
   });
 
   // exec.* — the cancellation layer: how many statements ended by
@@ -60,14 +62,7 @@ void PredictionServer::RegisterMetrics() {
     return admission_.deadline_shed_count();
   });
   registry_.RegisterHistogram("exec.cancel_latency_ms", [this] {
-    const LatencyHistogram& hist = cancel_latency_;
-    obs::HistogramSnapshot snap;
-    snap.count = hist.count();
-    snap.mean_ms = hist.mean_ms();
-    snap.p50_ms = hist.PercentileMs(0.50);
-    snap.p95_ms = hist.PercentileMs(0.95);
-    snap.p99_ms = hist.PercentileMs(0.99);
-    return snap;
+    return cancel_latency_.Snapshot(kMicrosToMs);
   });
 
   // serve.batch_size / serve.coalesce_* — the micro-batching stage.
@@ -76,8 +71,8 @@ void PredictionServer::RegisterMetrics() {
     registry_.RegisterHistogram("serve.batch_size", [batcher] {
       return batcher->batch_sizes().Snapshot();
     });
-    registry_.RegisterGaugeF("serve.coalesce_wait_ms", [batcher] {
-      return batcher->avg_wait_ms();
+    registry_.RegisterHistogram("serve.coalesce_wait_ms", [batcher] {
+      return batcher->leader_waits().Snapshot(kMicrosToMs);
     });
     registry_.RegisterCounter("serve.coalesce_batches", [batcher] {
       return batcher->batches_executed();
@@ -227,7 +222,9 @@ std::future<StatusOr<sql::QueryResult>> PredictionServer::Submit(
             options_.interceptor
                 ? options_.interceptor(session->principal(), sql, execute)
                 : execute(sql);
-        metrics_.RecordRequest(timer.ElapsedMillis(), result.ok());
+        latency_.Record(timer.ElapsedMicros());
+        (result.ok() ? requests_ok_ : requests_error_)
+            .fetch_add(1, std::memory_order_relaxed);
         session->RecordRequest(result.ok());
         RecordCancellation(result.status(), token);
         session->ClearActiveCancel(token);
@@ -235,9 +232,11 @@ std::future<StatusOr<sql::QueryResult>> PredictionServer::Submit(
       },
       token,
       // Queued past its deadline (or killed while waiting): the worker
-      // sheds it without parsing a byte of SQL.
+      // sheds it without parsing a byte of SQL. It counts as an error
+      // but adds no latency sample: a 0 ms sample per shed would drag
+      // serve.latency_ms's p50 down exactly when the server overloads.
       [this, session, promise, token](Status fired) {
-        metrics_.RecordRequest(0.0, /*ok=*/false);
+        requests_error_.fetch_add(1, std::memory_order_relaxed);
         session->RecordRequest(false);
         RecordCancellation(fired, token);
         session->ClearActiveCancel(token);
@@ -314,27 +313,6 @@ void PredictionServer::Shutdown() {
 bool PredictionServer::accepting() const {
   return !shutdown_.load(std::memory_order_acquire) &&
          !admission_.draining();
-}
-
-ServerMetricsSnapshot PredictionServer::Snapshot() const {
-  ServerMetricsSnapshot snap;
-  snap.requests_ok = metrics_.requests_ok();
-  snap.requests_error = metrics_.requests_error();
-  snap.requests_shed = admission_.shed_count();
-  snap.sessions_open = sessions_.num_open();
-  snap.sessions_opened_total = sessions_.total_opened();
-  snap.queue_depth = admission_.queue_depth();
-  const LatencyHistogram& hist = metrics_.latency();
-  snap.latency_count = hist.count();
-  snap.mean_ms = hist.mean_ms();
-  snap.p50_ms = hist.PercentileMs(0.50);
-  snap.p95_ms = hist.PercentileMs(0.95);
-  snap.p99_ms = hist.PercentileMs(0.99);
-  sql::PlanCacheStats cache = engine_->sql()->plan_cache()->stats();
-  snap.plan_cache_hits = cache.hits;
-  snap.plan_cache_misses = cache.misses;
-  snap.plan_cache_hit_rate = cache.hit_rate();
-  return snap;
 }
 
 LoopbackClient::LoopbackClient(PredictionServer* server,

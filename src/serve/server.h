@@ -9,14 +9,13 @@
 #include <string>
 
 #include "common/cancel.h"
-
 #include "common/status_or.h"
 #include "flock/flock_engine.h"
+#include "obs/histogram.h"
 #include "obs/metrics_registry.h"
 #include "policy/policy_engine.h"
 #include "serve/admission.h"
 #include "serve/coalescer.h"
-#include "serve/metrics.h"
 #include "serve/retry.h"
 #include "serve/session.h"
 
@@ -74,8 +73,8 @@ struct ServerOptions {
 ///     shedding, graceful drain),
 ///   * the SQL plan cache (hit = skip parse/plan/optimize; see
 ///     sql::PlanCache for the invalidation contract),
-///   * a ServerMetrics registry (latency percentiles, shed count, queue
-///     depth, cache hit rate) exported as JSON.
+///   * a metrics registry (latency percentiles, shed count, queue
+///     depth, cache hit rate) exported as JSON and Prometheus text.
 ///
 /// Transports sit on top: examples/flock_server.cc speaks a
 /// line-delimited text protocol over TCP, and LoopbackClient (below)
@@ -117,16 +116,11 @@ class PredictionServer {
   void Shutdown();
   bool accepting() const;
 
-  ServerMetricsSnapshot Snapshot() const;
-
   /// Unified metrics (every registered subsystem: serve, plan_cache,
   /// slowlog, wal, policy) as JSON — the `.metrics` wire response.
   std::string MetricsJson() const { return registry_.ToJson(); }
   /// Same metrics, Prometheus text exposition (`.metrics prom`).
   std::string MetricsPrometheus() const { return registry_.ToPrometheus(); }
-  /// Legacy flat snapshot JSON (kept for tooling that predates the
-  /// registry; Snapshot() is the structured form).
-  std::string SnapshotJson() const { return Snapshot().ToJson(); }
   /// The slow-query log dump (`.slowlog` wire response).
   std::string SlowLogJson() const {
     return engine_->sql()->slow_log()->ToJson();
@@ -156,13 +150,17 @@ class PredictionServer {
   std::string default_principal_;
   SessionManager sessions_;
   AdmissionController admission_;
-  ServerMetrics metrics_;
+  std::atomic<uint64_t> requests_ok_{0};
+  std::atomic<uint64_t> requests_error_{0};
+  /// Worker start to response, in µs: the time a request spends inside
+  /// the engine (and the coalescer), not its admission-queue wait.
+  obs::Histogram latency_;
   std::atomic<uint64_t> cancelled_total_{0};
   std::atomic<uint64_t> deadline_total_{0};
   /// Time from the stop signal (kill instant / deadline) to the request
   /// actually completing with a cancel status — the responsiveness of
   /// the cooperative polling, exported as exec.cancel_latency_ms.
-  LatencyHistogram cancel_latency_;
+  obs::Histogram cancel_latency_;  // µs
   obs::MetricsRegistry registry_;
   /// Owned micro-batcher, installed into the engine while the server is
   /// alive (detached in Shutdown, after the admission drain).

@@ -304,7 +304,7 @@ TEST(MicroBatchCancelTest, WaiterDeadlineLeavesOpenBatch) {
 
   leader_thread.join();
   // The leader scored the abandoned row along with its own (batch of 2).
-  EXPECT_EQ(batcher.rows_scored(), 2u);
+  EXPECT_EQ(batcher.batch_sizes().sum(), 2.0);
 }
 
 TEST(MicroBatchCancelTest, DeadRequestNeverJoinsABatch) {
@@ -321,7 +321,7 @@ TEST(MicroBatchCancelTest, DeadRequestNeverJoinsABatch) {
   auto score = batcher.ScoreOne(entry, row, 2);
   ASSERT_FALSE(score.ok());
   EXPECT_EQ(score.status().code(), StatusCode::kCancelled);
-  EXPECT_EQ(batcher.rows_scored(), 0u);
+  EXPECT_EQ(batcher.batch_sizes().sum(), 0.0);
 }
 
 // ---------------------------------------------------------------------

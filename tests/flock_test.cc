@@ -453,35 +453,6 @@ TEST_F(FlockEngineTest, NullFeaturesGoThroughImputer) {
   EXPECT_LE(s, 1.0);
 }
 
-TEST_F(FlockEngineTest, RuntimeSelectionSmallBatchMatchesVectorized) {
-  FlockEngineOptions options = MakeOptions();
-  options.runtime.small_batch_threshold = 1u << 30;  // force row path
-  FlockEngine row_engine(options);
-  // Rebuild schema/data/model in the second engine via SQL + API.
-  auto src = engine_.database()->GetTable("users");
-  ASSERT_TRUE(src.ok());
-  ASSERT_TRUE(row_engine.database()
-                  ->CreateTable("users", (*src)->schema())
-                  .ok());
-  auto dst = row_engine.database()->GetTable("users");
-  ASSERT_TRUE(dst.ok());
-  ASSERT_TRUE((*dst)->AppendBatch((*src)->ScanRange(0, 128)).ok());
-  ASSERT_TRUE(row_engine.DeployModel("churn", pipeline_).ok());
-  row_engine.set_enable_cross_optimizer(false);
-
-  auto interpreted = row_engine.Execute(
-      "SELECT " + PredictCall() + " FROM users ORDER BY id");
-  ASSERT_TRUE(interpreted.ok());
-  engine_.set_enable_cross_optimizer(false);
-  auto vectorized = Exec("SELECT " + PredictCall() +
-                         " FROM users ORDER BY id LIMIT 128");
-  ASSERT_EQ(interpreted->batch.num_rows(), 128u);
-  for (size_t i = 0; i < 128; ++i) {
-    EXPECT_NEAR(interpreted->batch.column(0)->double_at(i),
-                vectorized.batch.column(0)->double_at(i), 1e-9);
-  }
-}
-
 // --- scoring unit checks ---------------------------------------------------
 
 /// A logistic two-input boosted ensemble of five stumps whose leaves are

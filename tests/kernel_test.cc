@@ -550,7 +550,7 @@ TEST(MicroBatcherTest, CoalescedScoresAreBitwiseIdentical) {
     ASSERT_TRUE(statuses[t].ok()) << statuses[t].ToString();
     EXPECT_PRED2(BitEq, got[t], expected[t]) << "request " << t;
   }
-  EXPECT_EQ(batcher.rows_scored(), kThreads);
+  EXPECT_EQ(batcher.batch_sizes().sum(), static_cast<double>(kThreads));
   // With all 8 released together and a 50 ms window, at least one batch
   // actually coalesced (>= 2 rows in one kernel invocation).
   EXPECT_GT(batcher.rows_coalesced(), 0u);
@@ -669,7 +669,8 @@ TEST(MicroBatcherTest, ConcurrentStressStaysCorrect) {
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(failures.load(), 0u);
-  EXPECT_EQ(batcher.rows_scored(), kThreads * kRounds);
+  EXPECT_EQ(batcher.batch_sizes().sum(),
+            static_cast<double>(kThreads * kRounds));
 }
 
 }  // namespace

@@ -1,11 +1,11 @@
 // Tests for the observability layer (src/obs/) and the serving-path
-// fixes that ride with it: latency-percentile interpolation against a
-// sorted-vector oracle, SQL normalization (comments, escaped quotes),
-// the Admit-vs-Drain admission race, snapshot JSON completeness, the
-// metric registry's JSON/Prometheus expositions, span-tree recording,
-// and the slow-query log — plus engine-level integration: traced
-// execution, EXPLAIN ANALYZE trace sections, plan digests and slow-log
-// capture through sql::SqlEngine.
+// fixes that ride with it: histogram percentiles against a sorted-vector
+// oracle and under concurrent recording, SQL normalization (comments,
+// escaped quotes), the Admit-vs-Drain admission race, the metric
+// registry's JSON/Prometheus expositions and by-name reads, span-tree
+// recording, and the slow-query log — plus engine-level integration:
+// traced execution, EXPLAIN ANALYZE trace sections, plan digests and
+// slow-log capture through sql::SqlEngine.
 
 #include <gtest/gtest.h>
 
@@ -18,11 +18,11 @@
 #include <thread>
 #include <vector>
 
+#include "obs/histogram.h"
 #include "obs/metrics_registry.h"
 #include "obs/slow_log.h"
 #include "obs/trace.h"
 #include "serve/admission.h"
-#include "serve/metrics.h"
 #include "sql/engine.h"
 #include "sql/plan_cache.h"
 #include "storage/database.h"
@@ -30,6 +30,7 @@
 namespace flock {
 namespace {
 
+using obs::Histogram;
 using obs::HistogramSnapshot;
 using obs::MetricsRegistry;
 using obs::SlowQueryEntry;
@@ -39,78 +40,143 @@ using obs::TraceRecorder;
 using obs::TraceScope;
 using serve::AdmissionController;
 using serve::AdmissionOptions;
-using serve::LatencyHistogram;
-using serve::ServerMetricsSnapshot;
 
 // ---------------------------------------------------------------------
-// LatencyHistogram percentiles vs a sorted-vector oracle.
+// Histogram percentiles vs a sorted-vector oracle.
 
-double OraclePercentileMs(std::vector<double> micros, double p) {
-  std::sort(micros.begin(), micros.end());
-  size_t rank = static_cast<size_t>(std::ceil(p * micros.size()));
+double OraclePercentile(std::vector<double> samples, double p) {
+  std::sort(samples.begin(), samples.end());
+  size_t rank = static_cast<size_t>(std::ceil(p * samples.size()));
   if (rank == 0) rank = 1;
-  return micros[rank - 1] / 1e3;
+  return samples[rank - 1];
 }
 
-TEST(LatencyHistogramPercentile, SubMicrosecondSamplesAreNotInflated) {
-  // Regression: the old implementation returned the covering bucket's
-  // *upper* bound, so a population of 0.5 µs samples reported
-  // p50 = 1.25 µs (0.00125 ms) — 2.5x the truth. Interpolation keeps
-  // the estimate inside the bucket.
-  LatencyHistogram hist;
+TEST(HistogramPercentile, SubMicrosecondSamplesAreNotInflated) {
+  // Regression: an earlier implementation returned the covering bucket's
+  // *upper* bound, so a population of 0.5 µs samples reported a p50 at
+  // the bucket's top — 2.5x the truth. Interpolation keeps the estimate
+  // inside the bucket.
+  Histogram hist;
   for (int i = 0; i < 100; ++i) hist.Record(0.5);
-  double p50 = hist.PercentileMs(0.50);
+  double p50 = hist.Percentile(0.50);
   EXPECT_GT(p50, 0.0);
-  EXPECT_LT(p50, 0.001) << "p50 escaped bucket 0 [0, 1.25 us)";
+  EXPECT_LT(p50, 1.0) << "p50 escaped bucket 0 [0, 1 us)";
 }
 
 TEST(LatencyHistogramPercentile, TracksSortedVectorOracle) {
-  // Log-uniform samples across five decades; every percentile estimate
-  // must stay within one geometric bucket (x1.25) of the exact value.
-  LatencyHistogram hist;
-  std::vector<double> samples;
+  // Every percentile estimate must stay within one geometric bucket
+  // (x1.25) of the exact value, and the mean is exact. Inputs:
+  // log-uniform latencies across five decades, and the integer batch
+  // sizes 1..64.
+  std::vector<std::vector<double>> inputs(2);
   uint64_t state = 42;
   for (int i = 0; i < 2000; ++i) {
     state = state * 6364136223846793005ULL + 1442695040888963407ULL;
     double unit = static_cast<double>(state >> 11) /
                   static_cast<double>(1ULL << 53);
-    double micros = std::pow(10.0, 1.0 + 5.0 * unit);  // [10us, 1s]
-    samples.push_back(micros);
-    hist.Record(micros);
+    inputs[0].push_back(std::pow(10.0, 1.0 + 5.0 * unit));  // [10us, 1s]
   }
-  for (double p : {0.50, 0.90, 0.95, 0.99}) {
-    double oracle = OraclePercentileMs(samples, p);
-    double est = hist.PercentileMs(p);
-    EXPECT_GT(est, oracle / LatencyHistogram::kGrowth * 0.99)
-        << "p=" << p << " oracle=" << oracle;
-    EXPECT_LT(est, oracle * LatencyHistogram::kGrowth * 1.01)
-        << "p=" << p << " oracle=" << oracle;
+  for (int size = 1; size <= 64; ++size) inputs[1].push_back(size);
+
+  for (size_t input = 0; input < inputs.size(); ++input) {
+    const std::vector<double>& samples = inputs[input];
+    Histogram hist;
+    double sum = 0.0;
+    for (double sample : samples) {
+      hist.Record(sample);
+      sum += sample;
+    }
+    EXPECT_EQ(hist.count(), samples.size());
+    for (double p : {0.50, 0.90, 0.95, 0.99}) {
+      double oracle = OraclePercentile(samples, p);
+      double est = hist.Percentile(p);
+      EXPECT_GT(est, oracle / Histogram::kGrowth * 0.99)
+          << "input " << input << " p=" << p << " oracle=" << oracle;
+      EXPECT_LT(est, oracle * Histogram::kGrowth * 1.01)
+          << "input " << input << " p=" << p << " oracle=" << oracle;
+    }
+    EXPECT_LE(hist.Percentile(0.50), hist.Percentile(0.95));
+    EXPECT_LE(hist.Percentile(0.95), hist.Percentile(0.99));
+    EXPECT_EQ(hist.Snapshot().mean, sum / static_cast<double>(samples.size()))
+        << "input " << input;
   }
-  EXPECT_LE(hist.PercentileMs(0.50), hist.PercentileMs(0.95));
-  EXPECT_LE(hist.PercentileMs(0.95), hist.PercentileMs(0.99));
 }
 
-TEST(LatencyHistogramPercentile, ExactBucketBoundariesStayHalfOpen) {
+TEST(LatencyHistogramTest, PercentilesAreOrderedAndBounded) {
+  // 10 µs..10 ms in 10 µs steps, read back in ms the way the serving
+  // metrics report it.
+  Histogram hist;
+  EXPECT_EQ(hist.Percentile(0.5), 0.0);
+  for (int i = 1; i <= 1000; ++i) {
+    hist.Record(i * 10.0);
+  }
+  EXPECT_EQ(hist.count(), 1000u);
+  HistogramSnapshot ms = hist.Snapshot(1e-3);
+  EXPECT_EQ(ms.count, 1000u);
+  EXPECT_GT(ms.p50, 0.0);
+  EXPECT_LE(ms.p50, ms.p95);
+  EXPECT_LE(ms.p95, ms.p99);
+  // Exact p50 is 5ms; bucketed estimate must land within one bucket.
+  EXPECT_NEAR(ms.p50, 5.0, 5.0 * (Histogram::kGrowth - 1.0));
+  EXPECT_NEAR(ms.mean, 5.005, 0.1);
+}
+
+TEST(HistogramPercentile, ExactBucketBoundariesStayHalfOpen) {
   // Regression for the float-truncation boundary: a sample at exactly
-  // kGrowth^k belongs to bucket k = [kGrowth^k, kGrowth^{k+1}), so the
+  // kGrowth^k belongs to the bucket [kGrowth^k, kGrowth^{k+1}), so the
   // interpolated percentile can never fall below the sample itself.
   for (int k : {5, 10, 20, 40}) {
-    LatencyHistogram hist;
-    double boundary = std::pow(LatencyHistogram::kGrowth, k);
+    Histogram hist;
+    double boundary = std::pow(Histogram::kGrowth, k);
     hist.Record(boundary);
-    double p50_us = hist.PercentileMs(0.50) * 1e3;
-    EXPECT_GE(p50_us, boundary * 0.999) << "k=" << k;
-    EXPECT_LT(p50_us, boundary * LatencyHistogram::kGrowth * 1.001)
-        << "k=" << k;
+    double p50 = hist.Percentile(0.50);
+    EXPECT_GE(p50, boundary * 0.999) << "k=" << k;
+    EXPECT_LT(p50, boundary * Histogram::kGrowth * 1.001) << "k=" << k;
   }
 }
 
-TEST(LatencyHistogramPercentile, EmptyAndClampedInputs) {
-  LatencyHistogram hist;
-  EXPECT_EQ(hist.PercentileMs(0.5), 0.0);
+TEST(HistogramPercentile, EmptyAndClampedInputs) {
+  Histogram hist;
+  EXPECT_EQ(hist.Percentile(0.5), 0.0);
   hist.Record(100.0);
-  EXPECT_GT(hist.PercentileMs(-0.5), 0.0);  // clamped to p0 -> rank 1
-  EXPECT_GT(hist.PercentileMs(1.5), 0.0);   // clamped to p100
+  EXPECT_GT(hist.Percentile(-0.5), 0.0);  // clamped to p0 -> rank 1
+  EXPECT_GT(hist.Percentile(1.5), 0.0);   // clamped to p100
+}
+
+TEST(HistogramConcurrency, ConcurrentRecordsAreAllCounted) {
+  // Writers on several threads while a reader snapshots: no sample is
+  // lost, and the exact sum survives the concurrent adds.
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 20000;
+  Histogram hist;
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    uint64_t last = 0;
+    while (!done.load(std::memory_order_acquire)) {
+      HistogramSnapshot snap = hist.Snapshot();
+      EXPECT_GE(snap.count, last);
+      EXPECT_LE(snap.p50, snap.p95);
+      EXPECT_LE(snap.p95, snap.p99);
+      last = snap.count;
+    }
+  });
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kThreads; ++t) {
+    writers.emplace_back([&hist] {
+      for (int i = 0; i < kPerThread; ++i) hist.Record(i % 64 + 1);
+    });
+  }
+  for (auto& writer : writers) writer.join();
+  done.store(true, std::memory_order_release);
+  reader.join();
+
+  const uint64_t n = static_cast<uint64_t>(kThreads) * kPerThread;
+  EXPECT_EQ(hist.count(), n);
+  HistogramSnapshot snap = hist.Snapshot();
+  EXPECT_EQ(snap.count, n);
+  double expected_sum = 0.0;
+  for (int i = 0; i < kPerThread; ++i) expected_sum += i % 64 + 1;
+  EXPECT_EQ(hist.sum(), expected_sum * kThreads);
 }
 
 // ---------------------------------------------------------------------
@@ -195,44 +261,11 @@ TEST(AdmissionControllerDrainRace, NoWorkExecutesAfterDrainReturns) {
 }
 
 // ---------------------------------------------------------------------
-// ServerMetricsSnapshot::ToJson completeness.
+// MetricsRegistry expositions.
 
 size_t CountChar(const std::string& s, char c) {
   return static_cast<size_t>(std::count(s.begin(), s.end(), c));
 }
-
-TEST(ServerMetricsSnapshotJson, WideCountersProduceCompleteJson) {
-  // Regression: a fixed 768-byte snprintf buffer silently truncated the
-  // JSON once every counter went wide.
-  ServerMetricsSnapshot snap;
-  snap.requests_ok = 18446744073709551615ULL;
-  snap.requests_error = 18446744073709551614ULL;
-  snap.requests_shed = 18446744073709551613ULL;
-  snap.sessions_open = 18446744073709551612ULL;
-  snap.sessions_opened_total = 18446744073709551611ULL;
-  snap.queue_depth = 18446744073709551610ULL;
-  snap.latency_count = 18446744073709551609ULL;
-  snap.p50_ms = 123456789.123456;
-  snap.p95_ms = 223456789.123456;
-  snap.p99_ms = 323456789.123456;
-  snap.mean_ms = 423456789.123456;
-  snap.plan_cache_hits = 18446744073709551608ULL;
-  snap.plan_cache_misses = 18446744073709551607ULL;
-  snap.plan_cache_hit_rate = 0.987654321;
-  std::string json = snap.ToJson();
-  ASSERT_FALSE(json.empty());
-  EXPECT_EQ(json.back(), '}');
-  EXPECT_EQ(CountChar(json, '{'), CountChar(json, '}'));
-  for (const char* key :
-       {"\"requests\"", "\"sessions\"", "\"queue_depth\"",
-        "\"latency_ms\"", "\"plan_cache\"", "18446744073709551615",
-        "18446744073709551607"}) {
-    EXPECT_NE(json.find(key), std::string::npos) << key << "\n" << json;
-  }
-}
-
-// ---------------------------------------------------------------------
-// MetricsRegistry expositions.
 
 TEST(MetricsRegistryTest, JsonGroupsBySubsystem) {
   MetricsRegistry registry;
@@ -243,13 +276,15 @@ TEST(MetricsRegistryTest, JsonGroupsBySubsystem) {
   registry.RegisterHistogram("serve.latency_ms", [] {
     HistogramSnapshot h;
     h.count = 3;
-    h.mean_ms = 1.5;
-    h.p50_ms = 1.0;
-    h.p95_ms = 2.0;
-    h.p99_ms = 2.5;
+    h.mean = 1.5;
+    h.p50 = 1.0;
+    h.p95 = 2.0;
+    h.p99 = 2.5;
     return h;
   });
   std::string json = registry.ToJson();
+  ASSERT_FALSE(json.empty());
+  EXPECT_EQ(json.back(), '}');
   EXPECT_NE(json.find("\"plan_cache\": {"), std::string::npos) << json;
   EXPECT_NE(json.find("\"serve\": {"), std::string::npos) << json;
   EXPECT_NE(json.find("\"hits\": 41"), std::string::npos) << json;
@@ -258,6 +293,53 @@ TEST(MetricsRegistryTest, JsonGroupsBySubsystem) {
   EXPECT_NE(json.find("\"latency_ms\": {\"count\": 3"), std::string::npos)
       << json;
   EXPECT_EQ(CountChar(json, '{'), CountChar(json, '}'));
+
+  // Read returns the same values by name.
+  EXPECT_EQ(registry.Read("plan_cache.hits")->value, 41.0);
+  EXPECT_EQ(registry.Read("plan_cache.hit_rate")->value, 0.5);
+  EXPECT_EQ(registry.Read("serve.latency_ms")->histogram.count, 3u);
+  EXPECT_EQ(registry.Read("serve.latency_ms")->histogram.p95, 2.0);
+  EXPECT_FALSE(registry.Read("serve.no_such_metric").has_value());
+}
+
+TEST(ServerMetricsSnapshotJson, WideCountersProduceCompleteJson) {
+  // Regression: a fixed 768-byte snprintf buffer once silently truncated
+  // the serving metrics JSON once every counter went wide. The serving
+  // metric names, every value near UINT64_MAX, through the registry.
+  MetricsRegistry registry;
+  uint64_t wide = 18446744073709551615ULL;
+  for (const char* name :
+       {"serve.requests_ok", "serve.requests_error", "serve.requests_shed",
+        "serve.sessions_opened_total", "plan_cache.hits",
+        "plan_cache.misses"}) {
+    registry.RegisterCounter(name, [v = wide--] { return v; });
+  }
+  registry.RegisterGauge("serve.sessions_open",
+                         [] { return 18446744073709551612ULL; });
+  registry.RegisterGauge("serve.queue_depth",
+                         [] { return 18446744073709551610ULL; });
+  registry.RegisterHistogram("serve.latency_ms", [] {
+    HistogramSnapshot h;
+    h.count = 18446744073709551609ULL;
+    h.mean = 423456789.123456;
+    h.p50 = 123456789.123456;
+    h.p95 = 223456789.123456;
+    h.p99 = 323456789.123456;
+    return h;
+  });
+  registry.RegisterGaugeF("plan_cache.hit_rate", [] { return 0.987654321; });
+  std::string json = registry.ToJson();
+  ASSERT_FALSE(json.empty());
+  EXPECT_EQ(json.back(), '}');
+  EXPECT_EQ(CountChar(json, '{'), CountChar(json, '}'));
+  for (const char* key :
+       {"\"serve\": {", "\"requests_ok\": 18446744073709551615",
+        "\"sessions_open\"", "\"queue_depth\"",
+        "\"latency_ms\": {\"count\": 18446744073709551609",
+        "\"plan_cache\": {", "\"misses\": 18446744073709551610",
+        "\"hit_rate\""}) {
+    EXPECT_NE(json.find(key), std::string::npos) << key << "\n" << json;
+  }
 }
 
 TEST(MetricsRegistryTest, PrometheusExposition) {
@@ -267,9 +349,9 @@ TEST(MetricsRegistryTest, PrometheusExposition) {
   registry.RegisterHistogram("serve.latency_ms", [] {
     HistogramSnapshot h;
     h.count = 9;
-    h.p50_ms = 0.5;
-    h.p95_ms = 0.9;
-    h.p99_ms = 1.1;
+    h.p50 = 0.5;
+    h.p95 = 0.9;
+    h.p99 = 1.1;
     return h;
   });
   std::string prom = registry.ToPrometheus();

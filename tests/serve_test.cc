@@ -13,6 +13,7 @@
 #include <chrono>
 #include <future>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -22,10 +23,10 @@
 #include "common/stopwatch.h"
 #include "flock/flock_engine.h"
 #include "ml/tree.h"
+#include "obs/metrics_registry.h"
 #include "obs/slow_log.h"
 #include "policy/policy_engine.h"
 #include "serve/admission.h"
-#include "serve/metrics.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "serve/session.h"
@@ -36,6 +37,15 @@ namespace {
 
 using storage::DataType;
 using storage::Value;
+
+/// One metric of `server`, read by name through its registry: counters
+/// and gauges in `.value`, histograms in `.histogram`.
+obs::MetricReading Metric(PredictionServer& server, const std::string& name) {
+  std::optional<obs::MetricReading> reading =
+      server.metrics_registry()->Read(name);
+  EXPECT_TRUE(reading.has_value()) << name << " is not registered";
+  return reading.value_or(obs::MetricReading{});
+}
 
 std::vector<std::string> Canonicalize(const storage::RecordBatch& batch) {
   std::vector<std::string> rows;
@@ -306,43 +316,6 @@ TEST(ServeProtocolTest, EncodeResponseFramesTraceSection) {
 }
 
 // ---------------------------------------------------------------------------
-// Metrics
-
-TEST(LatencyHistogramTest, PercentilesAreOrderedAndBounded) {
-  LatencyHistogram histogram;
-  EXPECT_EQ(histogram.PercentileMs(0.5), 0.0);
-  for (int i = 1; i <= 1000; ++i) {
-    histogram.Record(i * 10.0);  // 10us .. 10ms
-  }
-  EXPECT_EQ(histogram.count(), 1000u);
-  double p50 = histogram.PercentileMs(0.50);
-  double p95 = histogram.PercentileMs(0.95);
-  double p99 = histogram.PercentileMs(0.99);
-  EXPECT_GT(p50, 0.0);
-  EXPECT_LE(p50, p95);
-  EXPECT_LE(p95, p99);
-  // Exact p50 is 5ms; bucketed estimate must land within one bucket.
-  EXPECT_NEAR(p50, 5.0, 5.0 * (LatencyHistogram::kGrowth - 1.0));
-  EXPECT_NEAR(histogram.mean_ms(), 5.005, 0.1);
-  histogram.Reset();
-  EXPECT_EQ(histogram.count(), 0u);
-  EXPECT_EQ(histogram.PercentileMs(0.99), 0.0);
-}
-
-TEST(ServerMetricsTest, SnapshotJsonHasAllSections) {
-  ServerMetricsSnapshot snapshot;
-  snapshot.requests_ok = 5;
-  snapshot.p50_ms = 1.25;
-  std::string json = snapshot.ToJson();
-  for (const char* key :
-       {"\"requests\"", "\"sessions\"", "\"queue_depth\"",
-        "\"latency_ms\"", "\"plan_cache\"", "\"p50\"", "\"p95\"",
-        "\"p99\"", "\"shed\"", "\"hit_rate\""}) {
-    EXPECT_NE(json.find(key), std::string::npos) << key << " in " << json;
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Sessions
 
 TEST(SessionManagerTest, CapAndLifecycle) {
@@ -421,11 +394,10 @@ TEST_F(ServeTest, LoopbackClientExecutesQueriesAndPredicts) {
   auto bad = client.Execute("SELECT nope FROM emp");
   EXPECT_FALSE(bad.ok());
 
-  ServerMetricsSnapshot snapshot = server.Snapshot();
-  EXPECT_EQ(snapshot.requests_ok, 2u);
-  EXPECT_EQ(snapshot.requests_error, 1u);
-  EXPECT_EQ(snapshot.latency_count, 3u);
-  EXPECT_EQ(snapshot.sessions_open, 1u);
+  EXPECT_EQ(Metric(server, "serve.requests_ok").value, 2.0);
+  EXPECT_EQ(Metric(server, "serve.requests_error").value, 1.0);
+  EXPECT_EQ(Metric(server, "serve.latency_ms").histogram.count, 3u);
+  EXPECT_EQ(Metric(server, "serve.sessions_open").value, 1.0);
 
   auto session = server.sessions()->Get(client.session_id());
   ASSERT_TRUE(session.ok());
@@ -476,10 +448,9 @@ TEST_F(ServeTest, EightConcurrentSessionsMatchSerialExecution) {
 
   EXPECT_EQ(errors.load(), 0);
   EXPECT_EQ(mismatches.load(), 0);
-  ServerMetricsSnapshot snapshot = server.Snapshot();
-  EXPECT_EQ(snapshot.requests_ok,
-            static_cast<uint64_t>(kSessions) * corpus.size());
-  EXPECT_EQ(snapshot.requests_shed, 0u);
+  EXPECT_EQ(Metric(server, "serve.requests_ok").value,
+            static_cast<double>(kSessions * corpus.size()));
+  EXPECT_EQ(Metric(server, "serve.requests_shed").value, 0.0);
 }
 
 TEST_F(ServeTest, TpchTemplatesThroughConcurrentSessions) {
@@ -573,14 +544,15 @@ TEST_F(ServeTest, MixedLoadTenThousandRequestsZeroErrors) {
   for (auto& thread : threads) thread.join();
 
   EXPECT_EQ(failures.load(), 0);
-  ServerMetricsSnapshot snapshot = server.Snapshot();
-  EXPECT_EQ(snapshot.requests_ok,
-            static_cast<uint64_t>(kSessions) * kPerSession);
-  EXPECT_EQ(snapshot.requests_error, 0u);
-  EXPECT_EQ(snapshot.requests_shed, 0u);
-  EXPECT_GT(snapshot.plan_cache_hit_rate, 0.9);
-  EXPECT_LE(snapshot.p50_ms, snapshot.p95_ms);
-  EXPECT_LE(snapshot.p95_ms, snapshot.p99_ms);
+  EXPECT_EQ(Metric(server, "serve.requests_ok").value,
+            static_cast<double>(kSessions * kPerSession));
+  EXPECT_EQ(Metric(server, "serve.requests_error").value, 0.0);
+  EXPECT_EQ(Metric(server, "serve.requests_shed").value, 0.0);
+  EXPECT_GT(Metric(server, "plan_cache.hit_rate").value, 0.9);
+  const obs::HistogramSnapshot latency =
+      Metric(server, "serve.latency_ms").histogram;
+  EXPECT_LE(latency.p50, latency.p95);
+  EXPECT_LE(latency.p95, latency.p99);
 }
 
 TEST_F(ServeTest, PlanCacheHitRateOnRepeatedTemplates) {
@@ -592,7 +564,7 @@ TEST_F(ServeTest, PlanCacheHitRateOnRepeatedTemplates) {
     ASSERT_TRUE(result.ok());
     if (i > 0) EXPECT_TRUE(result->from_plan_cache);
   }
-  EXPECT_GT(server.Snapshot().plan_cache_hit_rate, 0.9);
+  EXPECT_GT(Metric(server, "plan_cache.hit_rate").value, 0.9);
 }
 
 TEST_F(ServeTest, DdlInvalidatesCachedPlansAcrossSessions) {
@@ -686,8 +658,8 @@ TEST_F(ServeTest, OverloadShedsWithUnavailable) {
   EXPECT_EQ(ok + shed, 64);
   EXPECT_GE(ok, 1);
   EXPECT_GE(shed, 1);
-  EXPECT_EQ(server.Snapshot().requests_shed,
-            static_cast<uint64_t>(shed));
+  EXPECT_EQ(Metric(server, "serve.requests_shed").value,
+            static_cast<double>(shed));
 
   // Overload is transient: once the burst clears, requests are admitted.
   EXPECT_TRUE(client.Execute("SELECT COUNT(*) FROM emp").ok());
@@ -760,12 +732,11 @@ TEST_F(ServeTest, MetricsJsonRoundTrip) {
   EXPECT_NE(prom.find("# TYPE flock_plan_cache_hits counter"),
             std::string::npos);
 
-  // The legacy flat snapshot is still available for older tooling.
-  std::string legacy = server.SnapshotJson();
-  EXPECT_NE(legacy.find("\"ok\": 5"), std::string::npos) << legacy;
-  ServerMetricsSnapshot snapshot = server.Snapshot();
-  EXPECT_EQ(snapshot.latency_count, 5u);
-  EXPECT_LE(snapshot.p50_ms, snapshot.p99_ms);
+  // The structured read path returns the same values by name.
+  const obs::HistogramSnapshot latency =
+      Metric(server, "serve.latency_ms").histogram;
+  EXPECT_EQ(latency.count, 5u);
+  EXPECT_LE(latency.p50, latency.p99);
 }
 
 TEST_F(ServeTest, PolicyCountersJoinUnifiedMetrics) {
@@ -1087,8 +1058,8 @@ TEST_F(ServeTest, MicroBatchedPredictionsMatchSerialExecution) {
   EXPECT_EQ(mismatches.load(), 0);
 
   const MicroBatcher* batcher = server.microbatcher();
-  EXPECT_EQ(server.microbatcher()->rows_scored(),
-            static_cast<uint64_t>(kSessions) * corpus.size());
+  EXPECT_EQ(batcher->batch_sizes().sum(),
+            static_cast<double>(kSessions * corpus.size()));
   // With 8 workers overlapping inside a 2 ms window, some requests must
   // actually have shared a kernel invocation.
   EXPECT_GT(batcher->rows_coalesced(), 0u);
@@ -1100,7 +1071,8 @@ TEST_F(ServeTest, MicroBatchedPredictionsMatchSerialExecution) {
   std::string json = server.MetricsJson();
   EXPECT_NE(json.find("\"batch_size\""), std::string::npos);
   EXPECT_NE(json.find("\"coalesce_batches\""), std::string::npos);
-  EXPECT_NE(json.find("\"coalesce_wait_ms\""), std::string::npos);
+  EXPECT_NE(json.find("\"coalesce_wait_ms\": {\"count\""), std::string::npos)
+      << json;
   std::string prom = server.MetricsPrometheus();
   EXPECT_NE(prom.find("serve_batch_size"), std::string::npos);
 }
@@ -1231,6 +1203,53 @@ TEST_F(ServeTest, QueuedRequestPastDeadlineIsShedUnexecuted) {
   auto probe = engine_->Execute("SELECT COUNT(*) FROM shed_probe");
   ASSERT_TRUE(probe.ok());
   EXPECT_EQ(probe->batch.column(0)->int_at(0), 0);
+}
+
+TEST_F(ServeTest, DeadlineShedRequestsAddNoLatencySamples) {
+  // Requests shed in the queue past their deadline count as errors but
+  // must not add latency samples: a 0 ms sample per shed would drag
+  // serve.latency_ms's p50 down exactly when the server is overloaded.
+  ServerOptions options;
+  options.admission.num_workers = 1;
+  PredictionServer server(engine_.get(), options);
+  LoopbackClient client(&server);
+  ASSERT_TRUE(client.status().ok());
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(client.Execute("SELECT COUNT(*) FROM emp").ok());
+  }
+  const obs::HistogramSnapshot before =
+      Metric(server, "serve.latency_ms").histogram;
+  ASSERT_EQ(before.count, 5u);
+
+  auto session = server.sessions()->Get(client.session_id());
+  ASSERT_TRUE(session.ok());
+  (*session)->set_deadline_ms(20.0);
+
+  // Hold the only worker outside any request, so the blocker itself
+  // records no latency sample.
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  ASSERT_TRUE(server.admission()->Admit([released] { released.wait(); }).ok());
+  constexpr int kShed = 8;
+  std::vector<std::future<StatusOr<sql::QueryResult>>> victims;
+  for (int i = 0; i < kShed; ++i) {
+    victims.push_back(
+        server.Submit(client.session_id(), "SELECT COUNT(*) FROM emp"));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  release.set_value();
+  for (auto& victim : victims) {
+    EXPECT_EQ(victim.get().status().code(), StatusCode::kDeadlineExceeded);
+  }
+
+  EXPECT_EQ(Metric(server, "exec.deadline_queue_shed").value,
+            static_cast<double>(kShed));
+  EXPECT_EQ(Metric(server, "serve.requests_error").value,
+            static_cast<double>(kShed));
+  const obs::HistogramSnapshot after =
+      Metric(server, "serve.latency_ms").histogram;
+  EXPECT_EQ(after.count, before.count);
+  EXPECT_EQ(after.p50, before.p50);
 }
 
 TEST_F(ServeTest, MicroBatchFollowerDeadlineDoesNotStickToBatch) {
