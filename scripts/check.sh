@@ -2,8 +2,9 @@
 # Full verification: regular build + tests, then an AddressSanitizer build
 # running every test (catches the memory bugs morsel-parallel execution can
 # hide), then a ThreadSanitizer build running the concurrency-sensitive
-# suites — the serving layer's sessions/admission/plan-cache paths and the
-# thread pool, plus the whole of each suite labelled `obs`, `storage`,
+# suites — the serving layer's sessions/admission/plan-cache paths, the
+# thread pool and the compiled filter predicates the morsel workers
+# share, plus the whole of each suite labelled `obs`, `storage`,
 # `repl`, `kernel`, `cancel` and `lifecycle` (data races in the
 # shared-engine serving path only show up under TSan with genuinely
 # concurrent sessions) — and finally a dedicated recovery stage: the crash
@@ -60,14 +61,16 @@ if [[ "$RUN_TSAN" == 1 ]]; then
   echo "== TSan build + concurrent-suite ctest =="
   cmake -B build-tsan -S . -DFLOCK_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j "$JOBS" --target serve_test common_test \
-    parallel_differential_test obs_test
+    parallel_differential_test obs_test sql_evaluator_test
   # Concurrency-sensitive suites only: serving (concurrent sessions over
-  # one shared engine), the thread pool, the morsel-parallel executor,
-  # and the observability primitives hit from every serving thread
+  # one shared engine), the thread pool, the morsel-parallel executor
+  # (its filter cases share one compiled PredicateProgram read-only
+  # across every morsel worker), the compiled-predicate differential
+  # suite, and the observability primitives hit from every serving thread
   # (metrics registry, slow log, admission drain; the histogram suites
   # run in the `obs` label stage below).
   ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-    -R 'Serve|SessionManager|AdmissionController|ThreadPool|ParallelDifferential|MetricsRegistry|SlowQueryLog|ObsEngine'
+    -R 'Serve|SessionManager|AdmissionController|ThreadPool|ParallelDifferential|PredicateProgramDifferential|MetricsRegistry|SlowQueryLog|ObsEngine'
 
   echo "== TSan label stages: obs storage repl kernel cancel lifecycle =="
   # Each label is a whole suite whose code runs on several threads at once:

@@ -513,8 +513,9 @@ StatusOr<QueryResult> SqlEngine::ExecuteUpdate(const UpdateStatement& stmt) {
   if (stmt.where != nullptr) {
     ExprPtr predicate = stmt.where->Clone();
     FLOCK_RETURN_NOT_OK(BindDmlExpr(predicate.get(), schema));
-    FLOCK_ASSIGN_OR_RETURN(rows, EvaluatePredicate(*predicate, snapshot,
-                                                   &registry_));
+    FLOCK_ASSIGN_OR_RETURN(
+        rows, EvaluatePredicate(PredicateProgram(*predicate, schema),
+                                snapshot, &registry_));
   } else {
     rows.resize(snapshot.num_rows());
     for (size_t i = 0; i < rows.size(); ++i) {
@@ -557,7 +558,8 @@ StatusOr<QueryResult> SqlEngine::ExecuteDelete(const DeleteStatement& stmt) {
     FLOCK_RETURN_NOT_OK(BindDmlExpr(predicate.get(), schema));
     FLOCK_ASSIGN_OR_RETURN(
         std::vector<uint32_t> doomed,
-        EvaluatePredicate(*predicate, snapshot, &registry_));
+        EvaluatePredicate(PredicateProgram(*predicate, schema), snapshot,
+                          &registry_));
     for (uint32_t r : doomed) keep[r] = false;
   } else {
     std::fill(keep.begin(), keep.end(), false);

@@ -125,50 +125,51 @@ StatusOr<ColumnVectorPtr> EvaluateComparison(BinaryOp op,
           "cannot order-compare string against numeric");
     }
   }
-  for (size_t i = 0; i < n; ++i) {
-    if (lhs.IsNull(i) || rhs.IsNull(i)) {
-      out->AppendNull();
-      continue;
+  bool is_comparison = DispatchComparison(op, [&](auto cmp) {
+    constexpr BinaryOp kOp = decltype(cmp)::value;
+    for (size_t i = 0; i < n; ++i) {
+      if (lhs.IsNull(i) || rhs.IsNull(i)) {
+        out->AppendNull();
+        continue;
+      }
+      bool r;
+      if (string_cmp) {
+        r = Compare<kOp>(lhs.string_at(i), rhs.string_at(i));
+      } else if (numeric_cmp) {
+        r = Compare<kOp>(lhs.AsDouble(i), rhs.AsDouble(i));
+      } else {
+        r = Compare<kOp>(lhs.GetValue(i).ToString(),
+                         rhs.GetValue(i).ToString());
+      }
+      out->AppendBool(r);
     }
-    int cmp;
-    if (string_cmp) {
-      cmp = lhs.string_at(i).compare(rhs.string_at(i));
-    } else if (numeric_cmp) {
-      double a = lhs.AsDouble(i);
-      double b = rhs.AsDouble(i);
-      cmp = a < b ? -1 : (a > b ? 1 : 0);
-    } else {
-      cmp = lhs.GetValue(i).ToString().compare(rhs.GetValue(i).ToString());
-    }
-    bool r = false;
-    switch (op) {
-      case BinaryOp::kEq:
-        r = cmp == 0;
-        break;
-      case BinaryOp::kNotEq:
-        r = cmp != 0;
-        break;
-      case BinaryOp::kLt:
-        r = cmp < 0;
-        break;
-      case BinaryOp::kLtEq:
-        r = cmp <= 0;
-        break;
-      case BinaryOp::kGt:
-        r = cmp > 0;
-        break;
-      case BinaryOp::kGtEq:
-        r = cmp >= 0;
-        break;
-      default:
-        return Status::Internal("bad comparison op");
-    }
-    out->AppendBool(r);
-  }
+  });
+  if (!is_comparison) return Status::Internal("bad comparison op");
   return out;
 }
 
 }  // namespace
+
+bool IsComparison(BinaryOp op) {
+  return op == BinaryOp::kEq || op == BinaryOp::kNotEq ||
+         op == BinaryOp::kLt || op == BinaryOp::kLtEq ||
+         op == BinaryOp::kGt || op == BinaryOp::kGtEq;
+}
+
+BinaryOp FlipComparison(BinaryOp op) {
+  switch (op) {
+    case BinaryOp::kLt:
+      return BinaryOp::kGt;
+    case BinaryOp::kLtEq:
+      return BinaryOp::kGtEq;
+    case BinaryOp::kGt:
+      return BinaryOp::kLt;
+    case BinaryOp::kGtEq:
+      return BinaryOp::kLtEq;
+    default:
+      return op;
+  }
+}
 
 bool LikeMatch(const std::string& text, const std::string& pattern) {
   // Iterative two-pointer wildcard match: % = any run, _ = any one char.
@@ -486,22 +487,6 @@ StatusOr<ColumnVectorPtr> EvaluateExpr(const Expr& expr,
     }
   }
   return Status::Internal("unhandled expression kind");
-}
-
-StatusOr<std::vector<uint32_t>> EvaluatePredicate(
-    const Expr& expr, const RecordBatch& input,
-    const FunctionRegistry* registry) {
-  FLOCK_ASSIGN_OR_RETURN(ColumnVectorPtr mask,
-                         EvaluateExpr(expr, input, registry));
-  std::vector<uint32_t> sel;
-  const size_t n = input.num_rows();
-  sel.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (!mask->IsNull(i) && mask->AsDouble(i) != 0.0) {
-      sel.push_back(static_cast<uint32_t>(i));
-    }
-  }
-  return sel;
 }
 
 StatusOr<DataType> InferExprType(const Expr& expr,

@@ -1,6 +1,7 @@
 #ifndef FLOCK_SQL_EVALUATOR_H_
 #define FLOCK_SQL_EVALUATOR_H_
 
+#include <type_traits>
 #include <vector>
 
 #include "common/status_or.h"
@@ -17,11 +18,58 @@ StatusOr<storage::ColumnVectorPtr> EvaluateExpr(
     const Expr& expr, const storage::RecordBatch& input,
     const FunctionRegistry* registry);
 
-/// Evaluates a predicate and returns the selected row indexes (rows where the
-/// predicate is non-null true).
-StatusOr<std::vector<uint32_t>> EvaluatePredicate(
-    const Expr& expr, const storage::RecordBatch& input,
-    const FunctionRegistry* registry);
+/// The one SQL comparison routine, shared by EvaluateExpr and the
+/// compiled predicate kernels: `a OP b` for OP in = <> < <= > >=. Numbers
+/// compare as IEEE doubles, so every comparison against NaN is false
+/// except <>, which is true; strings compare bytewise.
+template <BinaryOp Op, typename T>
+inline bool Compare(const T& a, const T& b) {
+  static_assert(Op == BinaryOp::kEq || Op == BinaryOp::kNotEq ||
+                Op == BinaryOp::kLt || Op == BinaryOp::kLtEq ||
+                Op == BinaryOp::kGt || Op == BinaryOp::kGtEq);
+  if constexpr (Op == BinaryOp::kEq) return a == b;
+  if constexpr (Op == BinaryOp::kNotEq) return !(a == b);
+  if constexpr (Op == BinaryOp::kLt) return a < b;
+  if constexpr (Op == BinaryOp::kLtEq) return a <= b;
+  if constexpr (Op == BinaryOp::kGt) return a > b;
+  if constexpr (Op == BinaryOp::kGtEq) return a >= b;
+}
+
+/// Calls `fn(std::integral_constant<BinaryOp, Op>{})` for comparison `op`,
+/// so a row loop can be instantiated per operator; false when `op` is not
+/// a comparison.
+template <typename Fn>
+bool DispatchComparison(BinaryOp op, Fn&& fn) {
+  switch (op) {
+    case BinaryOp::kEq:
+      fn(std::integral_constant<BinaryOp, BinaryOp::kEq>{});
+      return true;
+    case BinaryOp::kNotEq:
+      fn(std::integral_constant<BinaryOp, BinaryOp::kNotEq>{});
+      return true;
+    case BinaryOp::kLt:
+      fn(std::integral_constant<BinaryOp, BinaryOp::kLt>{});
+      return true;
+    case BinaryOp::kLtEq:
+      fn(std::integral_constant<BinaryOp, BinaryOp::kLtEq>{});
+      return true;
+    case BinaryOp::kGt:
+      fn(std::integral_constant<BinaryOp, BinaryOp::kGt>{});
+      return true;
+    case BinaryOp::kGtEq:
+      fn(std::integral_constant<BinaryOp, BinaryOp::kGtEq>{});
+      return true;
+    default:
+      return false;
+  }
+}
+
+/// True for = <> < <= > >=.
+bool IsComparison(BinaryOp op);
+
+/// The operator that gives the same result with its operands swapped
+/// (`a < b` == `b > a`); = and <> map to themselves.
+BinaryOp FlipComparison(BinaryOp op);
 
 /// Computes the static result type of `expr` against `schema`.
 StatusOr<storage::DataType> InferExprType(const Expr& expr,

@@ -71,6 +71,30 @@ StatusOr<ColumnVectorPtr> NormalizeType(ColumnVectorPtr col,
   return ColumnVectorPtr(std::move(cast));
 }
 
+/// Filters a join's output with `program`; for a LEFT join the residual
+/// only filters matched rows, so null-padded rows (rsel < 0) always survive.
+StatusOr<RecordBatch> FilterJoinOutput(const PredicateProgram& program,
+                                       JoinType join_type,
+                                       const std::vector<int64_t>& rsel,
+                                       const ExecContext& ctx,
+                                       RecordBatch out) {
+  FLOCK_ASSIGN_OR_RETURN(std::vector<uint32_t> sel,
+                         EvaluatePredicate(program, out, ctx.registry));
+  if (join_type == JoinType::kLeft) {
+    std::vector<uint32_t> keep;
+    keep.reserve(out.num_rows());
+    size_t next = 0;
+    for (size_t i = 0; i < out.num_rows(); ++i) {
+      const bool passed = next < sel.size() && sel[next] == i;
+      if (passed) ++next;
+      if (passed || rsel[i] < 0) keep.push_back(static_cast<uint32_t>(i));
+    }
+    sel = std::move(keep);
+  }
+  if (sel.size() == out.num_rows()) return out;
+  return out.SelectView(std::move(sel));
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -94,7 +118,7 @@ std::string PhysicalOperator::ToString(int indent, bool analyze) const {
     if (scanned + pruned > 0) {
       std::snprintf(
           buf, sizeof(buf),
-          " [in=%llu out=%llu time=%.3fms segments=%llu pruned=%llu]",
+          " [in=%llu out=%llu time=%.3fms segments=%llu pruned=%llu",
           static_cast<unsigned long long>(
               metrics.rows_in.load(std::memory_order_relaxed)),
           static_cast<unsigned long long>(
@@ -102,14 +126,14 @@ std::string PhysicalOperator::ToString(int indent, bool analyze) const {
           metrics.millis(), static_cast<unsigned long long>(scanned),
           static_cast<unsigned long long>(pruned));
     } else {
-      std::snprintf(buf, sizeof(buf), " [in=%llu out=%llu time=%.3fms]",
+      std::snprintf(buf, sizeof(buf), " [in=%llu out=%llu time=%.3fms",
                     static_cast<unsigned long long>(
                         metrics.rows_in.load(std::memory_order_relaxed)),
                     static_cast<unsigned long long>(
                         metrics.rows_out.load(std::memory_order_relaxed)),
                     metrics.millis());
     }
-    out << buf;
+    out << buf << AnalyzeDetail() << "]";
   }
   out << "\n";
   for (const auto& child : children) {
@@ -215,7 +239,8 @@ bool TableScanOp::CanSkipSegment(size_t segment) const {
 
 FilterOp::FilterOp(PhysicalOperatorPtr child, ExprPtr predicate)
     : PhysicalOperator(Kind::kFilter, child->output_schema()),
-      predicate(std::move(predicate)) {
+      predicate(std::move(predicate)),
+      program(*this->predicate, output_schema()) {
   children.push_back(std::move(child));
 }
 
@@ -223,10 +248,15 @@ std::string FilterOp::label() const {
   return "Filter(" + predicate->ToString() + ")";
 }
 
+std::string FilterOp::AnalyzeDetail() const {
+  return " kernels=" + std::to_string(program.num_kernels()) +
+         " residual=" + std::to_string(program.num_residual());
+}
+
 StatusOr<RecordBatch> FilterOp::ProcessMorsel(const ExecContext& ctx,
                                               RecordBatch input) {
   FLOCK_ASSIGN_OR_RETURN(std::vector<uint32_t> sel,
-                         EvaluatePredicate(*predicate, input, ctx.registry));
+                         EvaluatePredicate(program, input, ctx.registry));
   if (sel.size() == input.num_rows()) return input;
   // Zero-copy: record the survivors as a selection vector; the gather
   // happens at the first operator that needs dense columns.
@@ -337,6 +367,13 @@ HashJoinProbeOp::HashJoinProbeOp(PhysicalOperatorPtr probe,
       keys(std::move(keys)),
       residual(std::move(residual)),
       join_type(join_type) {
+  if (!this->residual.empty()) {
+    std::vector<ExprPtr> clauses;
+    clauses.reserve(this->residual.size());
+    for (const auto& e : this->residual) clauses.push_back(e->Clone());
+    residual_program_.emplace(*CombineConjuncts(std::move(clauses)),
+                              output_schema());
+  }
   children.push_back(std::move(probe));
   children.push_back(std::move(build));
 }
@@ -411,29 +448,9 @@ StatusOr<RecordBatch> HashJoinProbeOp::ProcessMorsel(const ExecContext& ctx,
     }
   }
 
-  if (residual.empty()) return out;
-
-  std::vector<ExprPtr> clauses;
-  clauses.reserve(residual.size());
-  for (const auto& e : residual) clauses.push_back(e->Clone());
-  ExprPtr combined = CombineConjuncts(std::move(clauses));
-  if (join_type == JoinType::kLeft) {
-    // The residual only filters matched rows; padded rows always survive.
-    FLOCK_ASSIGN_OR_RETURN(ColumnVectorPtr mask,
-                           EvaluateExpr(*combined, out, ctx.registry));
-    std::vector<uint32_t> sel;
-    for (size_t i = 0; i < out.num_rows(); ++i) {
-      bool is_padded = rsel[i] < 0;
-      if (is_padded || (!mask->IsNull(i) && mask->AsDouble(i) != 0.0)) {
-        sel.push_back(static_cast<uint32_t>(i));
-      }
-    }
-    return out.SelectView(std::move(sel));
-  }
-  FLOCK_ASSIGN_OR_RETURN(std::vector<uint32_t> sel,
-                         EvaluatePredicate(*combined, out, ctx.registry));
-  if (sel.size() == out.num_rows()) return out;
-  return out.SelectView(std::move(sel));
+  if (!residual_program_) return out;
+  return FilterJoinOutput(*residual_program_, join_type, rsel, ctx,
+                          std::move(out));
 }
 
 NestedLoopJoinOp::NestedLoopJoinOp(PhysicalOperatorPtr left,
@@ -443,6 +460,9 @@ NestedLoopJoinOp::NestedLoopJoinOp(PhysicalOperatorPtr left,
     : PhysicalOperator(Kind::kNestedLoopJoin, std::move(schema)),
       condition(std::move(condition)),
       join_type(join_type) {
+  if (this->condition) {
+    condition_program_.emplace(*this->condition, output_schema());
+  }
   children.push_back(std::move(left));
   children.push_back(std::move(right));
 }
@@ -508,24 +528,9 @@ StatusOr<RecordBatch> NestedLoopJoinOp::ProcessMorsel(const ExecContext& ctx,
     }
   }
 
-  if (condition == nullptr) return out;
-
-  if (join_type == JoinType::kLeft) {
-    FLOCK_ASSIGN_OR_RETURN(ColumnVectorPtr mask,
-                           EvaluateExpr(*condition, out, ctx.registry));
-    std::vector<uint32_t> sel;
-    for (size_t i = 0; i < out.num_rows(); ++i) {
-      bool is_padded = rsel[i] < 0;
-      if (is_padded || (!mask->IsNull(i) && mask->AsDouble(i) != 0.0)) {
-        sel.push_back(static_cast<uint32_t>(i));
-      }
-    }
-    return out.SelectView(std::move(sel));
-  }
-  FLOCK_ASSIGN_OR_RETURN(std::vector<uint32_t> sel,
-                         EvaluatePredicate(*condition, out, ctx.registry));
-  if (sel.size() == out.num_rows()) return out;
-  return out.SelectView(std::move(sel));
+  if (!condition_program_) return out;
+  return FilterJoinOutput(*condition_program_, join_type, rsel, ctx,
+                          std::move(out));
 }
 
 // ---------------------------------------------------------------------------

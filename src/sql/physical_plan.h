@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "sql/ast.h"
 #include "sql/function_registry.h"
 #include "sql/logical_plan.h"
+#include "sql/predicate_program.h"
 #include "storage/record_batch.h"
 #include "storage/table.h"
 
@@ -118,6 +120,10 @@ class PhysicalOperator {
   /// Operator name + salient parameters, e.g. "Filter(salary > 100)".
   virtual std::string label() const = 0;
 
+  /// Extra fields for the EXPLAIN ANALYZE bracket, each with a leading
+  /// space (e.g. " kernels=2 residual=0"); empty by default.
+  virtual std::string AnalyzeDetail() const { return {}; }
+
   /// True for operators that transform morsels without cross-morsel state.
   virtual bool IsStreaming() const { return false; }
 
@@ -155,7 +161,8 @@ class PhysicalOperator {
 /// execution time. Pruning is conservative: a conjunct that cannot rule a
 /// segment out leaves it scanned, and the Filter operator above still
 /// evaluates the full predicate — so attaching conjuncts is strictly an
-/// optimization and cached plans stay correct across DML.
+/// optimization and cached plans stay correct across DML. Built from the
+/// same ClassifyConjunct shapes the Filter's PredicateProgram runs.
 struct ScanPruneConjunct {
   enum class Kind { kCompare, kIsNull, kIsNotNull };
   Kind kind = Kind::kCompare;
@@ -197,16 +204,21 @@ class TableScanOp : public PhysicalOperator {
 // Streaming operators
 // ---------------------------------------------------------------------------
 
+/// Narrows each morsel's selection to the rows where `predicate` is TRUE,
+/// through the PredicateProgram compiled from it at construction (shared
+/// read-only by every morsel worker).
 class FilterOp : public PhysicalOperator {
  public:
   FilterOp(PhysicalOperatorPtr child, ExprPtr predicate);
 
   std::string label() const override;
+  std::string AnalyzeDetail() const override;
   bool IsStreaming() const override { return true; }
   StatusOr<storage::RecordBatch> ProcessMorsel(
       const ExecContext& ctx, storage::RecordBatch input) override;
 
-  ExprPtr predicate;
+  const ExprPtr predicate;
+  const PredicateProgram program;
 };
 
 class ProjectOp : public PhysicalOperator {
@@ -292,9 +304,13 @@ class HashJoinProbeOp : public PhysicalOperator {
     return static_cast<HashJoinBuildOp*>(children[1].get());
   }
 
-  std::vector<ExprPtr> keys;      // bound against the probe child's schema
-  std::vector<ExprPtr> residual;  // bound against probe ++ build schema
+  std::vector<ExprPtr> keys;  // bound against the probe child's schema
+  /// Bound against probe ++ build schema; compiled into residual_program_.
+  const std::vector<ExprPtr> residual;
   JoinType join_type = JoinType::kInner;
+
+ private:
+  std::optional<PredicateProgram> residual_program_;  // AND of `residual`
 };
 
 /// Cross join / non-equi join: streams probe-side morsels against the
@@ -312,9 +328,12 @@ class NestedLoopJoinOp : public PhysicalOperator {
   StatusOr<storage::RecordBatch> ProcessMorsel(
       const ExecContext& ctx, storage::RecordBatch input) override;
 
-  ExprPtr condition;  // may be null (cross join)
+  const ExprPtr condition;  // may be null (cross join)
   JoinType join_type = JoinType::kCross;
   std::shared_ptr<const storage::RecordBatch> right_rows;  // set by Executor
+
+ private:
+  std::optional<PredicateProgram> condition_program_;  // set iff condition
 };
 
 // ---------------------------------------------------------------------------

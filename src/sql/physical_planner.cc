@@ -107,91 +107,45 @@ int ScanOutputToTableColumn(const TableScanOp& scan, int output_index) {
   return static_cast<int>(scan.projection[static_cast<size_t>(output_index)]);
 }
 
-bool NumericLiteral(const Expr& e, double* out) {
-  if (e.kind != ExprKind::kLiteral || e.literal.is_null() ||
-      e.literal.type() == DataType::kString) {
-    return false;
-  }
-  *out = e.literal.AsDouble();
-  return true;
-}
-
 /// Collects prune-friendly conjuncts of the filter predicate that sits
-/// directly above `scan` and resolves them to table column indexes. Only
-/// shapes whose zone-map rejection is exact are accepted (column CMP
-/// numeric literal, non-negated BETWEEN, IS [NOT] NULL); everything else
-/// is simply not pushed — the Filter above re-checks every row either way.
+/// directly above `scan` and resolves them to table column indexes. The
+/// conjuncts are read through ClassifyConjunct, the classifier the Filter's
+/// compiled program uses; only shapes whose zone-map rejection is exact are
+/// pushed (numeric column CMP literal for = < <= > >=, non-negated numeric
+/// BETWEEN, IS [NOT] NULL) — the Filter above re-checks every row either
+/// way.
 void AttachPruneConjuncts(TableScanOp* scan, const Expr& predicate) {
-  std::vector<ExprPtr> conjuncts = SplitConjuncts(predicate.Clone());
-  for (const auto& conjunct : conjuncts) {
-    if (conjunct->kind == ExprKind::kIsNull) {
-      const Expr* arg = conjunct->children[0].get();
-      if (arg->kind != ExprKind::kColumnRef) continue;
-      int table_col = ScanOutputToTableColumn(*scan, arg->column_index);
-      if (table_col < 0) continue;
-      ScanPruneConjunct out;
-      out.kind = conjunct->negated ? ScanPruneConjunct::Kind::kIsNotNull
-                                   : ScanPruneConjunct::Kind::kIsNull;
-      out.table_column = static_cast<size_t>(table_col);
-      scan->prune_conjuncts.push_back(out);
-      continue;
-    }
-    if (conjunct->kind == ExprKind::kBetween && !conjunct->negated) {
-      const Expr* arg = conjunct->children[0].get();
-      double lo = 0.0, hi = 0.0;
-      if (arg->kind != ExprKind::kColumnRef ||
-          !NumericLiteral(*conjunct->children[1], &lo) ||
-          !NumericLiteral(*conjunct->children[2], &hi)) {
-        continue;
-      }
-      int table_col = ScanOutputToTableColumn(*scan, arg->column_index);
-      if (table_col < 0) continue;
-      ScanPruneConjunct ge;
-      ge.kind = ScanPruneConjunct::Kind::kCompare;
-      ge.table_column = static_cast<size_t>(table_col);
-      ge.op = BinaryOp::kGtEq;
-      ge.literal = lo;
-      scan->prune_conjuncts.push_back(ge);
-      ScanPruneConjunct le = ge;
-      le.op = BinaryOp::kLtEq;
-      le.literal = hi;
-      scan->prune_conjuncts.push_back(le);
-      continue;
-    }
-    if (conjunct->kind != ExprKind::kBinary) continue;
-    BinaryOp op = conjunct->bin_op;
-    if (op != BinaryOp::kLt && op != BinaryOp::kLtEq && op != BinaryOp::kGt &&
-        op != BinaryOp::kGtEq && op != BinaryOp::kEq) {
-      continue;
-    }
-    const Expr* a = conjunct->children[0].get();
-    const Expr* b = conjunct->children[1].get();
-    double literal = 0.0;
-    const Expr* col = nullptr;
-    if (a->kind == ExprKind::kColumnRef && NumericLiteral(*b, &literal)) {
-      col = a;
-    } else if (b->kind == ExprKind::kColumnRef &&
-               NumericLiteral(*a, &literal)) {
-      col = b;
-      // literal OP column: flip to column OP' literal.
-      switch (op) {
-        case BinaryOp::kLt: op = BinaryOp::kGt; break;
-        case BinaryOp::kLtEq: op = BinaryOp::kGtEq; break;
-        case BinaryOp::kGt: op = BinaryOp::kLt; break;
-        case BinaryOp::kGtEq: op = BinaryOp::kLtEq; break;
-        default: break;
-      }
-    } else {
-      continue;
-    }
-    int table_col = ScanOutputToTableColumn(*scan, col->column_index);
+  for (const auto& conjunct : SplitConjuncts(predicate.Clone())) {
+    const ConjunctShape shape =
+        ClassifyConjunct(*conjunct, scan->output_schema());
+    const int table_col = ScanOutputToTableColumn(*scan, shape.column);
     if (table_col < 0) continue;
     ScanPruneConjunct out;
-    out.kind = ScanPruneConjunct::Kind::kCompare;
     out.table_column = static_cast<size_t>(table_col);
-    out.op = op;
-    out.literal = literal;
-    scan->prune_conjuncts.push_back(out);
+    switch (shape.kind) {
+      case ConjunctShape::Kind::kIsNull:
+        out.kind = shape.negated ? ScanPruneConjunct::Kind::kIsNotNull
+                                 : ScanPruneConjunct::Kind::kIsNull;
+        scan->prune_conjuncts.push_back(out);
+        break;
+      case ConjunctShape::Kind::kBetween:
+        if (shape.negated || shape.strings) break;
+        out.op = BinaryOp::kGtEq;
+        out.literal = shape.literals[0].AsDouble();
+        scan->prune_conjuncts.push_back(out);
+        out.op = BinaryOp::kLtEq;
+        out.literal = shape.literals[1].AsDouble();
+        scan->prune_conjuncts.push_back(out);
+        break;
+      case ConjunctShape::Kind::kCompareLiteral:
+        if (shape.strings || shape.op == BinaryOp::kNotEq) break;
+        out.op = shape.op;
+        out.literal = shape.literals[0].AsDouble();
+        scan->prune_conjuncts.push_back(out);
+        break;
+      default:
+        break;
+    }
   }
 }
 

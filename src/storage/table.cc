@@ -1,6 +1,7 @@
 #include "storage/table.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "common/logging.h"
@@ -31,6 +32,10 @@ void ExtendZoneMap(ColumnStats* zm, const ColumnVector& col, size_t begin,
     }
     if (!zm->numeric) continue;
     double v = col.AsDouble(r);
+    // NaN fails every range comparison, so it can never be what keeps a
+    // segment from being pruned; std::min/max would also let a leading NaN
+    // stick as both bounds.
+    if (std::isnan(v)) continue;
     if (!zm->has_range) {
       zm->min = v;
       zm->max = v;

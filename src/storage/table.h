@@ -28,6 +28,7 @@ struct ColumnStats {
   size_t row_count = 0;
   bool numeric = false;
   /// True when min/max describe at least one non-NULL numeric value.
+  /// NaN values are counted in row_count but left out of min/max.
   /// Empty, all-NULL, and non-numeric columns report has_range == false;
   /// callers must not read min/max then (historically they saw a bogus
   /// [0, 0] and could not tell it from a genuine zero range).

@@ -115,6 +115,30 @@ TEST(ParallelDifferentialTest, FilterProjectPipeline) {
                     "WHERE salary > 800 AND id % 3 = 0");
 }
 
+TEST(ParallelDifferentialTest, CompiledFilterKernelsAndResidual) {
+  // Every kernel shape plus a residual in one predicate: one compiled
+  // program is shared read-only by all four morsel workers.
+  ExpectSameResults(JoinDb(),
+                    "SELECT id, name, dept_id FROM emp "
+                    "WHERE salary BETWEEN 300 AND 2500 AND name >= 'e2' "
+                    "AND dept_id IN (1, 3, 5, 7, 9) AND dept_id IS NOT NULL "
+                    "AND 650 > id AND id % 2 = 1");
+  ExpectSameResults(JoinDb(),
+                    "SELECT id FROM emp WHERE name NOT IN ('e1', 'e2') "
+                    "AND salary NOT BETWEEN 500 AND 2000 AND dept_id < id");
+}
+
+TEST(ParallelDifferentialTest, CompiledJoinResiduals) {
+  ExpectSameResults(JoinDb(),
+                    "SELECT emp.id, dept.dname FROM emp "
+                    "LEFT JOIN dept ON emp.dept_id = dept.id "
+                    "AND emp.salary < dept.budget AND dept.dname <> 'dept3'");
+  ExpectSameResults(JoinDb(),
+                    "SELECT emp.id, dept.id FROM emp JOIN dept "
+                    "ON emp.salary > dept.budget AND dept.id BETWEEN 2 AND 4 "
+                    "WHERE emp.id < 40");
+}
+
 TEST(ParallelDifferentialTest, InnerHashJoin) {
   ExpectSameResults(JoinDb(),
                     "SELECT emp.name, dept.dname FROM emp "

@@ -214,6 +214,41 @@ TEST(PruningDifferentialTest, ScanMorselsAliasSegmentMemory) {
   EXPECT_EQ(morsel.column(0).get(), (*table)->segment_column(1, 1).get());
 }
 
+// NaN compares false under every operator but <>, which is true. A NaN
+// that used to reach a segment's zone map first stuck as both its min and
+// max, so pruning dropped the segment for `x < 5` and `x > 0`; and the
+// evaluator treated NaN as equal to everything, so `x = 7` matched it.
+TEST(PruningDifferentialTest, NanComparesFalseWithPruningOnAndOff) {
+  Database db;
+  SqlEngine setup(&db, PruningOptions(true));
+  ASSERT_TRUE(setup.Execute("CREATE TABLE t (x DOUBLE)").ok());
+  ASSERT_TRUE(setup
+                  .Execute("INSERT INTO t VALUES (CAST('nan' AS DOUBLE)), "
+                           "(1.0), (3.0)")
+                  .ok());
+  const std::vector<std::pair<std::string, size_t>> cases = {
+      {"SELECT x FROM t WHERE x < 5", 2},
+      {"SELECT x FROM t WHERE x > 0", 2},
+      {"SELECT x FROM t WHERE x = 7", 0},
+      {"SELECT x FROM t WHERE x <= 3", 2},
+      {"SELECT x FROM t WHERE x >= 1", 2},
+      {"SELECT x FROM t WHERE x <> 7", 3},
+      {"SELECT x FROM t WHERE 5 > x", 2},
+      {"SELECT x FROM t WHERE x BETWEEN 0 AND 5", 2},
+      {"SELECT x FROM t WHERE x = CAST('nan' AS DOUBLE)", 0},
+  };
+  for (bool prune : {true, false}) {
+    SqlEngine engine(&db, PruningOptions(prune));
+    for (const auto& [sql, expected] : cases) {
+      auto result = engine.Execute(sql);
+      ASSERT_TRUE(result.ok()) << sql << ": " << result.status().ToString();
+      EXPECT_EQ(result->batch.num_rows(), expected)
+          << sql << (prune ? " (pruning on)" : " (pruning off)");
+    }
+  }
+  for (const auto& entry : cases) ExpectSameResults(&db, entry.first);
+}
+
 TEST(PruningDifferentialTest, CachedPlansStayCorrectAcrossDml) {
   Database db;
   db.set_default_segment_capacity(8);

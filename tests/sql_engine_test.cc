@@ -295,6 +295,20 @@ TEST_F(SqlEngineTest, ExplainAnalyzeReportsOperatorMetrics) {
   EXPECT_EQ(scan.rows_in, 6u);
 }
 
+TEST_F(SqlEngineTest, ExplainAnalyzeReportsFilterKernelSplit) {
+  // Two conjuncts compile to typed kernels, the LIKE stays residual; the
+  // plain Filter(...) label is unchanged.
+  auto r = Exec(
+      "EXPLAIN ANALYZE SELECT name FROM emp "
+      "WHERE salary > 100 AND 200 >= salary AND name LIKE 'a%'");
+  EXPECT_NE(r.plan_text.find("Filter("), std::string::npos) << r.plan_text;
+  EXPECT_NE(r.plan_text.find(" kernels=2 residual=1]"), std::string::npos)
+      << r.plan_text;
+  auto plain = Exec("EXPLAIN SELECT name FROM emp WHERE salary > 100");
+  EXPECT_EQ(plain.plan_text.find("kernels="), std::string::npos)
+      << plain.plan_text;
+}
+
 TEST_F(SqlEngineTest, SelectSurfacesOperatorMetrics) {
   auto r = Exec("SELECT name FROM emp WHERE salary > 100");
   ASSERT_FALSE(r.operator_metrics.empty());
