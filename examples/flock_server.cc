@@ -53,13 +53,16 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cctype>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "common/random.h"
@@ -543,6 +546,40 @@ void ServeConnection(ConnectionContext* ctx, int fd) {
   close(fd);
 }
 
+/// Parses the whole of `text` as a number in [min, max] — an integer for
+/// integral T, digits only — or prints what `flag` wants and returns
+/// false. Every numeric flag and positional goes through here, so a typo
+/// like `=10k` or `abc` stops the server instead of becoming 10 or 0.
+template <typename T>
+bool ParseNumberFlag(const char* flag, const std::string& text, T min, T max,
+                     T* out) {
+  const char* begin = text.c_str();
+  char* end = nullptr;
+  errno = 0;
+  T value{};
+  bool parsed = false;
+  if constexpr (std::is_floating_point_v<T>) {
+    value = static_cast<T>(std::strtod(begin, &end));
+    parsed = end != begin;
+  } else {
+    unsigned long long wide = std::strtoull(begin, &end, 10);
+    parsed = end != begin && std::isdigit(static_cast<unsigned char>(*begin));
+    parsed = parsed && wide <= static_cast<unsigned long long>(max);
+    value = static_cast<T>(wide);
+  }
+  if (!parsed || *end != '\0' || errno != 0 || !(value >= min) ||
+      !(value <= max)) {
+    std::ostringstream range;
+    range << "[" << min << ", " << max << "]";
+    std::fprintf(stderr, "%s wants %s in %s, got '%s'\n", flag,
+                 std::is_floating_point_v<T> ? "a number" : "an integer",
+                 range.str().c_str(), text.c_str());
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -551,7 +588,7 @@ int main(int argc, char** argv) {
   uint64_t staleness_bound = 10000;  // records behind before shedding reads
   double default_deadline_ms = 0.0;  // 0 = no deadline
   flock::serve::MicroBatchOptions microbatch;  // off unless --microbatch
-  std::vector<int> positional;
+  std::vector<std::string> positional;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--data-dir=", 0) == 0) {
@@ -563,34 +600,55 @@ int main(int argc, char** argv) {
     } else if (arg == "--replica-of" && i + 1 < argc) {
       replica_of = argv[++i];
     } else if (arg.rfind("--staleness-bound=", 0) == 0) {
-      staleness_bound = std::strtoull(
-          arg.c_str() + std::strlen("--staleness-bound="), nullptr, 10);
+      if (!ParseNumberFlag("--staleness-bound",
+                           arg.substr(std::strlen("--staleness-bound=")),
+                           uint64_t{0}, UINT64_MAX, &staleness_bound)) {
+        return 1;
+      }
     } else if (arg == "--microbatch") {
       microbatch.enabled = true;
     } else if (arg.rfind("--microbatch=", 0) == 0) {
       microbatch.enabled = true;
-      microbatch.max_batch = static_cast<size_t>(std::strtoull(
-          arg.c_str() + std::strlen("--microbatch="), nullptr, 10));
+      if (!ParseNumberFlag("--microbatch",
+                           arg.substr(std::strlen("--microbatch=")),
+                           size_t{2}, size_t{1} << 16,
+                           &microbatch.max_batch)) {
+        return 1;
+      }
     } else if (arg.rfind("--microbatch-wait-ms=", 0) == 0) {
       microbatch.enabled = true;
-      microbatch.max_wait_ms =
-          std::atof(arg.c_str() + std::strlen("--microbatch-wait-ms="));
+      if (!ParseNumberFlag("--microbatch-wait-ms",
+                           arg.substr(std::strlen("--microbatch-wait-ms=")),
+                           0.0, 60000.0, &microbatch.max_wait_ms)) {
+        return 1;
+      }
     } else if (arg.rfind("--default-deadline-ms=", 0) == 0) {
-      const char* text = arg.c_str() + std::strlen("--default-deadline-ms=");
-      char* end = nullptr;
-      default_deadline_ms = std::strtod(text, &end);
-      if (end == text || *end != '\0' || default_deadline_ms < 0.0) {
-        std::fprintf(stderr,
-                     "--default-deadline-ms wants a non-negative number, "
-                     "got %s\n", text);
+      if (!ParseNumberFlag("--default-deadline-ms",
+                           arg.substr(std::strlen("--default-deadline-ms=")),
+                           0.0, 1e9, &default_deadline_ms)) {
         return 1;
       }
     } else {
-      positional.push_back(std::atoi(arg.c_str()));
+      positional.push_back(arg);
     }
   }
-  if (microbatch.enabled && microbatch.max_batch < 2) {
-    std::fprintf(stderr, "--microbatch wants a batch size >= 2\n");
+  if (positional.size() > 3) {
+    std::fprintf(stderr, "unexpected argument '%s'\n",
+                 positional[3].c_str());
+    return 1;
+  }
+  int port = 5433;
+  flock::serve::ServerOptions options;
+  // Positionals: port, workers, queue depth (0 = unbounded).
+  if ((positional.size() > 0 &&
+       !ParseNumberFlag("port", positional[0], 1, 65535, &port)) ||
+      (positional.size() > 1 &&
+       !ParseNumberFlag("workers", positional[1], size_t{1}, size_t{1024},
+                        &options.admission.num_workers)) ||
+      (positional.size() > 2 &&
+       !ParseNumberFlag("queue depth", positional[2], size_t{0},
+                        size_t{1} << 20,
+                        &options.admission.max_queue_depth))) {
     return 1;
   }
   if (!replica_of.empty() && !data_dir.empty()) {
@@ -599,11 +657,6 @@ int main(int argc, char** argv) {
                  "(replicas are memory-only until promoted)\n");
     return 1;
   }
-  int port = positional.size() > 0 ? positional[0] : 5433;
-  flock::serve::ServerOptions options;
-  options.admission.num_workers = positional.size() > 1 ? positional[1] : 4;
-  options.admission.max_queue_depth =
-      positional.size() > 2 ? positional[2] : 64;
   options.microbatch = microbatch;
   options.default_deadline_ms = default_deadline_ms;
 
@@ -616,9 +669,14 @@ int main(int argc, char** argv) {
   std::unique_ptr<flock::repl::ReplicaApplier> applier;
   if (!replica_of.empty()) {
     size_t colon = replica_of.rfind(':');
-    if (colon == std::string::npos || colon + 1 >= replica_of.size()) {
+    int primary_port = 0;
+    if (colon == std::string::npos || colon == 0) {
       std::fprintf(stderr, "--replica-of wants HOST:PORT, got %s\n",
                    replica_of.c_str());
+      return 1;
+    }
+    if (!ParseNumberFlag("--replica-of port", replica_of.substr(colon + 1), 1,
+                         65535, &primary_port)) {
       return 1;
     }
     flock::Status replica_open = engine.OpenAsReplica();
@@ -628,8 +686,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     source = std::make_unique<TcpReplicationSource>(
-        replica_of.substr(0, colon),
-        std::atoi(replica_of.c_str() + colon + 1));
+        replica_of.substr(0, colon), primary_port);
     applier = std::make_unique<flock::repl::ReplicaApplier>(&engine,
                                                             source.get());
     flock::Status caught_up = applier->CatchUp();

@@ -242,14 +242,8 @@ wal::EngineStateAdapter FlockEngine::BuildStateAdapter() {
     for (const auto& [key, rollout] : rollouts_) out.push_back(rollout);
     return out;
   };
-  // Restore and replay share one body: every rollout record carries the
-  // complete post-transition state, so applying the latest record (or the
-  // snapshot image) alone reproduces it. Callers hold the exclusive lock.
-  adapter.restore_rollout =
-      [this](const wal::RolloutSnapshot& rollout) -> Status {
-    return ApplyRolloutLocked(rollout);
-  };
-  adapter.replay_rollout =
+  // Callers hold the exclusive lock.
+  adapter.apply_rollout =
       [this](const wal::RolloutSnapshot& rollout) -> Status {
     return ApplyRolloutLocked(rollout);
   };

@@ -36,7 +36,7 @@ StatusOr<FetchResult> ReplicationPublisher::Fetch(ReplicationPosition from,
   out.next = from;
 
   if (reader_ == nullptr) {
-    reader_ = std::make_unique<wal::WalTailReader>(wal_path());
+    reader_ = std::make_unique<wal::WalReader>(wal_path());
   }
   if (reader_->epoch() != from.epoch || reader_->next_lsn() != from.lsn) {
     Status seek = reader_->Seek(from.lsn);
@@ -82,7 +82,7 @@ StatusOr<FetchResult> ReplicationPublisher::Fetch(ReplicationPosition from,
 
 StatusOr<ReplicationPosition> ReplicationPublisher::DurableEnd() {
   std::lock_guard<std::mutex> lock(mu_);
-  wal::WalTailReader probe(wal_path());
+  wal::WalReader probe(wal_path());
   while (true) {
     auto polled = probe.Poll(1024);
     if (!polled.ok()) {

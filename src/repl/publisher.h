@@ -17,7 +17,7 @@ namespace flock::repl {
 /// the file is always current up to the last committed record) and
 /// against a dead one's leftover files — the failover path.
 ///
-/// Torn tails are handled by WalTailReader: a half-written final frame is
+/// Torn tails are handled by WalReader: a half-written final frame is
 /// "end of durable log", never an error, because the writer only acks a
 /// record after its full frame (and fsync policy) lands. Checkpoint log
 /// swaps surface as `snapshot_required` when the replica's position is
@@ -43,7 +43,7 @@ class ReplicationPublisher : public ReplicationSource {
   std::string data_dir_;
   std::mutex mu_;
   /// Cursor for this replica's stream; recreated on Seek mismatches.
-  std::unique_ptr<wal::WalTailReader> reader_;
+  std::unique_ptr<wal::WalReader> reader_;
 };
 
 }  // namespace flock::repl

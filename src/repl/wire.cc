@@ -75,20 +75,12 @@ StatusOr<std::string> HexDecode(const std::string& hex) {
 }
 
 std::string EncodeRecordFrame(const wal::WalRecord& record) {
-  std::string frame;
-  frame += static_cast<char>(static_cast<uint8_t>(record.type));
-  frame += wal::EncodeRecordPayload(record);
-  return HexEncode(frame);
+  return HexEncode(wal::EncodeRecordBody(record));
 }
 
 StatusOr<wal::WalRecord> DecodeRecordFrame(const std::string& hex) {
-  FLOCK_ASSIGN_OR_RETURN(std::string frame, HexDecode(hex));
-  if (frame.empty()) {
-    return Status::ParseError("record frame is empty");
-  }
-  return wal::DecodeRecordPayload(
-      static_cast<wal::WalRecordType>(static_cast<uint8_t>(frame[0])),
-      frame.data() + 1, frame.size() - 1);
+  FLOCK_ASSIGN_OR_RETURN(std::string body, HexDecode(hex));
+  return wal::DecodeRecordBody(body);
 }
 
 ReplCommand ParseReplCommand(const std::string& args) {

@@ -22,9 +22,10 @@ namespace flock::repl {
 ///   REPL RECORDS <n> <next_epoch> <next_lsn> <eol> <snap>\n
 ///   <hex frame> x n\nEND\n
 ///
-/// Payloads are lowercase-hex encoded (a record frame is the u8 type tag
-/// + EncodeRecordPayload bytes) — binary-safe inside a line-delimited
-/// text protocol at 2x size, which catch-up amortizes fine.
+/// Payloads are lowercase-hex encoded (a record frame is the
+/// wal::EncodeRecordBody bytes: u8 type tag + payload) — binary-safe
+/// inside a line-delimited text protocol at 2x size, which catch-up
+/// amortizes fine.
 
 std::string HexEncode(const std::string& bytes);
 StatusOr<std::string> HexDecode(const std::string& hex);

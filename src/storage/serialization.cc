@@ -91,6 +91,15 @@ Status ByteReader::GetString(std::string* v) {
 
 namespace {
 
+Status CheckCount(uint64_t n, size_t min_item_bytes, size_t remaining) {
+  if (min_item_bytes > 0 && n > remaining / min_item_bytes) {
+    return Status::DataLoss("count " + std::to_string(n) +
+                            " cannot fit in the " +
+                            std::to_string(remaining) + " bytes left");
+  }
+  return Status::OK();
+}
+
 Status CheckDataType(uint8_t raw, DataType* out) {
   switch (raw) {
     case static_cast<uint8_t>(DataType::kBool):
@@ -106,6 +115,16 @@ Status CheckDataType(uint8_t raw, DataType* out) {
 }
 
 }  // namespace
+
+Status ByteReader::GetCount(uint32_t* n, size_t min_item_bytes) {
+  FLOCK_RETURN_NOT_OK(GetU32(n));
+  return CheckCount(*n, min_item_bytes, remaining());
+}
+
+Status ByteReader::GetCount(uint64_t* n, size_t min_item_bytes) {
+  FLOCK_RETURN_NOT_OK(GetU64(n));
+  return CheckCount(*n, min_item_bytes, remaining());
+}
 
 void SerializeValue(const Value& v, std::string* out) {
   PutU8(out, v.is_null() ? 1 : 0);
@@ -177,7 +196,7 @@ void SerializeSchema(const Schema& schema, std::string* out) {
 
 Status DeserializeSchema(ByteReader* in, Schema* out) {
   uint32_t n;
-  FLOCK_RETURN_NOT_OK(in->GetU32(&n));
+  FLOCK_RETURN_NOT_OK(in->GetCount(&n, 4 + 1 + 1));  // name, type, nullable
   std::vector<ColumnDef> columns;
   columns.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
@@ -229,7 +248,8 @@ Status DeserializeBatch(ByteReader* in, RecordBatch* out) {
   Schema schema;
   FLOCK_RETURN_NOT_OK(DeserializeSchema(in, &schema));
   uint64_t rows;
-  FLOCK_RETURN_NOT_OK(in->GetU64(&rows));
+  // Every row holds at least a validity byte per column.
+  FLOCK_RETURN_NOT_OK(in->GetCount(&rows, schema.num_columns()));
   RecordBatch batch(schema);
   for (size_t c = 0; c < schema.num_columns(); ++c) {
     ColumnVector* col = batch.mutable_column(c);

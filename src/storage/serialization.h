@@ -41,6 +41,12 @@ class ByteReader {
   Status GetI64(int64_t* v);
   Status GetDouble(double* v);
   Status GetString(std::string* v);
+  /// Reads a u32 (or u64) element count, DataLoss unless `n` items of at
+  /// least `min_item_bytes` each fit in what is left. Decoders size
+  /// containers from counts, so this keeps a corrupt count from driving
+  /// an allocation the input could never fill.
+  Status GetCount(uint32_t* n, size_t min_item_bytes);
+  Status GetCount(uint64_t* n, size_t min_item_bytes);
 
   size_t remaining() const { return size_ - pos_; }
   size_t position() const { return pos_; }

@@ -14,22 +14,17 @@
 #include "storage/serialization.h"
 #include "wal/fault_injector.h"
 #include "wal/wal_format.h"
+#include "wal/wal_record.h"
 
 namespace flock::wal {
 
 using storage::ByteReader;
-using storage::PutDouble;
 using storage::PutString;
 using storage::PutU32;
 using storage::PutU64;
 using storage::PutU8;
 
 namespace {
-
-constexpr uint8_t kMaxActionKind = 4;    // policy::ActionKind::kAlert
-constexpr uint8_t kMaxEntityType = 10;   // prov::EntityType::kVersionRun
-constexpr uint8_t kMaxEdgeType = 8;      // prov::EdgeType::kHasParam
-constexpr uint8_t kMaxRolloutState = 4;  // rolled_back
 
 Status Errno(const std::string& what, const std::string& path) {
   return Status::Internal(what + " failed for " + path + ": " +
@@ -79,20 +74,12 @@ std::string EncodeSnapshot(const SnapshotData& data) {
   PutU64(&payload, data.policy_next_seq);
   PutU32(&payload, static_cast<uint32_t>(data.timeline.size()));
   for (const policy::TimelineEntry& e : data.timeline) {
-    PutU64(&payload, e.seq);
-    PutString(&payload, e.policy);
-    PutU8(&payload, static_cast<uint8_t>(e.action));
-    PutDouble(&payload, e.before);
-    PutDouble(&payload, e.after);
-    PutU8(&payload, e.rejected ? 1 : 0);
-    PutString(&payload, e.context);
+    PutTimelineEntry(&payload, e);
   }
 
   PutU32(&payload, static_cast<uint32_t>(data.entities.size()));
   for (const prov::Entity& entity : data.entities) {
-    PutU8(&payload, static_cast<uint8_t>(entity.type));
-    PutString(&payload, entity.name);
-    PutU64(&payload, entity.version);
+    PutEntity(&payload, entity);
     PutU32(&payload, static_cast<uint32_t>(entity.properties.size()));
     for (const auto& [key, value] : entity.properties) {
       PutString(&payload, key);
@@ -100,25 +87,10 @@ std::string EncodeSnapshot(const SnapshotData& data) {
     }
   }
   PutU32(&payload, static_cast<uint32_t>(data.edges.size()));
-  for (const prov::Edge& edge : data.edges) {
-    PutU64(&payload, edge.src);
-    PutU64(&payload, edge.dst);
-    PutU8(&payload, static_cast<uint8_t>(edge.type));
-  }
+  for (const prov::Edge& edge : data.edges) PutEdge(&payload, edge);
 
   PutU32(&payload, static_cast<uint32_t>(data.rollouts.size()));
-  for (const RolloutSnapshot& r : data.rollouts) {
-    PutString(&payload, r.model);
-    PutU8(&payload, r.state);
-    PutU32(&payload, r.canary_permille);
-    PutString(&payload, r.candidate_pipeline_text);
-    PutString(&payload, r.initiated_by);
-    PutU64(&payload, r.live_version);
-    PutDouble(&payload, r.max_divergence_rate);
-    PutDouble(&payload, r.max_latency_regression);
-    PutDouble(&payload, r.max_drift_score);
-    PutU64(&payload, r.min_observations);
-  }
+  for (const RolloutSnapshot& r : data.rollouts) PutRollout(&payload, r);
 
   std::string out(kSnapshotMagic, sizeof(kSnapshotMagic));
   out.append(payload);
@@ -151,8 +123,10 @@ StatusOr<SnapshotData> DecodeSnapshot(const std::string& buf) {
   }
   FLOCK_RETURN_NOT_OK(in.GetU64(&data.epoch));
 
+  // Each count is checked against the bytes left at the smallest
+  // encoding of its item, so a corrupt count fails before it allocates.
   uint32_t n;
-  FLOCK_RETURN_NOT_OK(in.GetU32(&n));
+  FLOCK_RETURN_NOT_OK(in.GetCount(&n, 4 + 4 + 8 + 4));
   data.tables.resize(n);
   for (TableSnapshot& t : data.tables) {
     FLOCK_RETURN_NOT_OK(in.GetString(&t.name));
@@ -163,7 +137,7 @@ StatusOr<SnapshotData> DecodeSnapshot(const std::string& buf) {
         return Status::DataLoss("snapshot table has zero segment capacity");
       }
       uint32_t num_segments;
-      FLOCK_RETURN_NOT_OK(in.GetU32(&num_segments));
+      FLOCK_RETURN_NOT_OK(in.GetCount(&num_segments, 4 + 8));
       t.segments.resize(num_segments);
       for (storage::RecordBatch& segment : t.segments) {
         FLOCK_RETURN_NOT_OK(storage::DeserializeBatch(&in, &segment));
@@ -177,7 +151,7 @@ StatusOr<SnapshotData> DecodeSnapshot(const std::string& buf) {
     }
   }
 
-  FLOCK_RETURN_NOT_OK(in.GetU32(&n));
+  FLOCK_RETURN_NOT_OK(in.GetCount(&n, 4 + 8 + 4 + 4 + 4 + 4));
   data.models.resize(n);
   for (ModelSnapshot& m : data.models) {
     FLOCK_RETURN_NOT_OK(in.GetString(&m.name));
@@ -186,14 +160,14 @@ StatusOr<SnapshotData> DecodeSnapshot(const std::string& buf) {
     FLOCK_RETURN_NOT_OK(in.GetString(&m.created_by));
     FLOCK_RETURN_NOT_OK(in.GetString(&m.lineage));
     uint32_t acl;
-    FLOCK_RETURN_NOT_OK(in.GetU32(&acl));
+    FLOCK_RETURN_NOT_OK(in.GetCount(&acl, 4));
     m.allowed_principals.resize(acl);
     for (std::string& p : m.allowed_principals) {
       FLOCK_RETURN_NOT_OK(in.GetString(&p));
     }
   }
 
-  FLOCK_RETURN_NOT_OK(in.GetU32(&n));
+  FLOCK_RETURN_NOT_OK(in.GetCount(&n, 1 + 4 + 4 + 8 + 8));
   data.audit.resize(n);
   for (AuditEventSnapshot& e : data.audit) {
     FLOCK_RETURN_NOT_OK(in.GetU8(&e.kind));
@@ -204,39 +178,20 @@ StatusOr<SnapshotData> DecodeSnapshot(const std::string& buf) {
   }
 
   FLOCK_RETURN_NOT_OK(in.GetU64(&data.policy_next_seq));
-  FLOCK_RETURN_NOT_OK(in.GetU32(&n));
+  FLOCK_RETURN_NOT_OK(in.GetCount(&n, 8 + 4 + 1 + 8 + 8 + 1 + 4));
   data.timeline.resize(n);
   for (policy::TimelineEntry& e : data.timeline) {
-    uint8_t action, rejected;
-    FLOCK_RETURN_NOT_OK(in.GetU64(&e.seq));
-    FLOCK_RETURN_NOT_OK(in.GetString(&e.policy));
-    FLOCK_RETURN_NOT_OK(in.GetU8(&action));
-    FLOCK_RETURN_NOT_OK(in.GetDouble(&e.before));
-    FLOCK_RETURN_NOT_OK(in.GetDouble(&e.after));
-    FLOCK_RETURN_NOT_OK(in.GetU8(&rejected));
-    FLOCK_RETURN_NOT_OK(in.GetString(&e.context));
-    if (action > kMaxActionKind) {
-      return Status::DataLoss("snapshot timeline entry has bad action");
-    }
-    e.action = static_cast<policy::ActionKind>(action);
-    e.rejected = rejected != 0;
+    FLOCK_RETURN_NOT_OK(GetTimelineEntry(&in, &e));
   }
 
-  FLOCK_RETURN_NOT_OK(in.GetU32(&n));
+  FLOCK_RETURN_NOT_OK(in.GetCount(&n, 1 + 4 + 8 + 4));
   data.entities.resize(n);
   for (size_t i = 0; i < data.entities.size(); ++i) {
     prov::Entity& entity = data.entities[i];
     entity.id = i + 1;
-    uint8_t type;
-    FLOCK_RETURN_NOT_OK(in.GetU8(&type));
-    if (type > kMaxEntityType) {
-      return Status::DataLoss("snapshot provenance entity has bad type");
-    }
-    entity.type = static_cast<prov::EntityType>(type);
-    FLOCK_RETURN_NOT_OK(in.GetString(&entity.name));
-    FLOCK_RETURN_NOT_OK(in.GetU64(&entity.version));
+    FLOCK_RETURN_NOT_OK(GetEntity(&in, &entity));
     uint32_t props;
-    FLOCK_RETURN_NOT_OK(in.GetU32(&props));
+    FLOCK_RETURN_NOT_OK(in.GetCount(&props, 4 + 4));
     for (uint32_t p = 0; p < props; ++p) {
       std::string key, value;
       FLOCK_RETURN_NOT_OK(in.GetString(&key));
@@ -244,36 +199,18 @@ StatusOr<SnapshotData> DecodeSnapshot(const std::string& buf) {
       entity.properties[key] = value;
     }
   }
-  FLOCK_RETURN_NOT_OK(in.GetU32(&n));
+  FLOCK_RETURN_NOT_OK(in.GetCount(&n, 8 + 8 + 1));
   data.edges.resize(n);
   for (prov::Edge& edge : data.edges) {
-    uint8_t type;
-    FLOCK_RETURN_NOT_OK(in.GetU64(&edge.src));
-    FLOCK_RETURN_NOT_OK(in.GetU64(&edge.dst));
-    FLOCK_RETURN_NOT_OK(in.GetU8(&type));
-    if (type > kMaxEdgeType) {
-      return Status::DataLoss("snapshot provenance edge has bad type");
-    }
-    edge.type = static_cast<prov::EdgeType>(type);
+    FLOCK_RETURN_NOT_OK(GetEdge(&in, &edge));
   }
 
   if (version >= 3) {
-    FLOCK_RETURN_NOT_OK(in.GetU32(&n));
+    FLOCK_RETURN_NOT_OK(
+        in.GetCount(&n, 4 + 1 + 4 + 4 + 4 + 8 + 8 + 8 + 8 + 8));
     data.rollouts.resize(n);
     for (RolloutSnapshot& r : data.rollouts) {
-      FLOCK_RETURN_NOT_OK(in.GetString(&r.model));
-      FLOCK_RETURN_NOT_OK(in.GetU8(&r.state));
-      if (r.state > kMaxRolloutState) {
-        return Status::DataLoss("snapshot rollout has bad state");
-      }
-      FLOCK_RETURN_NOT_OK(in.GetU32(&r.canary_permille));
-      FLOCK_RETURN_NOT_OK(in.GetString(&r.candidate_pipeline_text));
-      FLOCK_RETURN_NOT_OK(in.GetString(&r.initiated_by));
-      FLOCK_RETURN_NOT_OK(in.GetU64(&r.live_version));
-      FLOCK_RETURN_NOT_OK(in.GetDouble(&r.max_divergence_rate));
-      FLOCK_RETURN_NOT_OK(in.GetDouble(&r.max_latency_regression));
-      FLOCK_RETURN_NOT_OK(in.GetDouble(&r.max_drift_score));
-      FLOCK_RETURN_NOT_OK(in.GetU64(&r.min_observations));
+      FLOCK_RETURN_NOT_OK(GetRollout(&in, &r));
     }
   }
 

@@ -255,14 +255,12 @@ void DurabilityManager::OnDeleteRows(const storage::Table& table,
 }
 
 void DurabilityManager::OnEntity(const prov::Entity& entity) {
-  Observe(WalRecord::ProvEntity(entity.id,
-                                static_cast<uint8_t>(entity.type),
-                                entity.name, entity.version));
+  Observe(WalRecord::ProvEntity(entity.id, entity.type, entity.name,
+                                entity.version));
 }
 
 void DurabilityManager::OnEdge(const prov::Edge& edge) {
-  Observe(WalRecord::ProvEdge(edge.src, edge.dst,
-                              static_cast<uint8_t>(edge.type)));
+  Observe(WalRecord::ProvEdge(edge));
 }
 
 void DurabilityManager::OnProperty(uint64_t id, const std::string& key,
@@ -271,10 +269,7 @@ void DurabilityManager::OnProperty(uint64_t id, const std::string& key,
 }
 
 void DurabilityManager::OnTimelineEntry(const policy::TimelineEntry& entry) {
-  Observe(WalRecord::PolicyAction(entry.seq, entry.policy,
-                                  static_cast<uint8_t>(entry.action),
-                                  entry.before, entry.after, entry.rejected,
-                                  entry.context));
+  Observe(WalRecord::PolicyAction(entry));
 }
 
 }  // namespace flock::wal

@@ -89,13 +89,11 @@ struct EngineStateAdapter {
   /// All rollouts (active and terminal) for checkpointing.
   std::function<std::vector<RolloutSnapshot>()> snapshot_rollouts;
 
-  /// Restores one rollout from a snapshot image (installs the candidate
-  /// specialization when the recorded state is active).
-  std::function<Status(const RolloutSnapshot&)> restore_rollout;
-
-  /// WAL replay of one rollout state transition (idempotent: later
-  /// records simply overwrite the stored state for the model).
-  std::function<Status(const RolloutSnapshot&)> replay_rollout;
+  /// Installs one rollout, from a snapshot image or a WAL transition
+  /// record alike: each carries the complete post-transition state, so
+  /// applying the latest one overwrites the stored state for the model
+  /// (and installs the candidate specialization while it is active).
+  std::function<Status(const RolloutSnapshot&)> apply_rollout;
 };
 
 }  // namespace flock::wal

@@ -2,17 +2,15 @@
 
 #include <sys/stat.h>
 
-#include "wal/wal_format.h"
 #include "wal/wal_reader.h"
 
 namespace flock::wal {
 
 namespace {
 
-constexpr uint8_t kMaxActionKind = 4;    // policy::ActionKind::kAlert
-constexpr uint8_t kMaxEntityType = 10;   // prov::EntityType::kVersionRun
-constexpr uint8_t kMaxEdgeType = 8;      // prov::EdgeType::kHasParam
-constexpr uint8_t kMaxRolloutState = 4;  // rolled_back
+/// Records decoded per poll while replaying, bounding how many are held
+/// in memory at once.
+constexpr size_t kReplayPollRecords = 1024;
 
 uint64_t FileSize(const std::string& path) {
   struct stat st;
@@ -52,23 +50,26 @@ StatusOr<RecoveryResult> RecoveryManager::Recover() {
     return snapshot.status();
   }
 
-  auto reader = WalReader::Open(wal_path());
-  if (!reader.ok()) {
-    if (reader.status().code() == StatusCode::kNotFound) {
-      return result;  // fresh directory (or snapshot-only)
-    }
-    if (!result.snapshot_restored &&
-        reader.status().code() == StatusCode::kDataLoss &&
-        FileSize(wal_path()) < kWalHeaderSize) {
-      // Crash during the very first WAL creation, before any record could
-      // have committed: nothing to lose, start over.
-      result.stale_wal_discarded = true;
-      return result;
-    }
-    return reader.status();
+  // Poll(0) reads only the header: the epoch fence below must run before
+  // any record of a possibly stale log is decoded.
+  WalReader reader(wal_path());
+  Status header = reader.Poll(0).status();
+  if (header.code() == StatusCode::kNotFound) {
+    return result;  // fresh directory (or snapshot-only)
   }
+  if (header.code() == StatusCode::kUnavailable) {
+    // The header is shorter than its fixed size: a crash during the very
+    // first WAL creation, before any record could have committed, is
+    // nothing to lose. After a checkpoint the log cannot be that short.
+    if (result.snapshot_restored) {
+      return Status::DataLoss("wal header truncated: " + wal_path());
+    }
+    result.stale_wal_discarded = true;
+    return result;
+  }
+  FLOCK_RETURN_NOT_OK(header);
 
-  uint64_t wal_epoch = (*reader)->epoch();
+  uint64_t wal_epoch = reader.epoch();
   if (!result.snapshot_restored) {
     if (wal_epoch != 1) {
       return Status::DataLoss("wal is from epoch " +
@@ -89,16 +90,18 @@ StatusOr<RecoveryResult> RecoveryManager::Recover() {
 
   result.wal_found = true;
   result.epoch = wal_epoch;
-  WalRecord record;
-  bool done = false;
   while (true) {
-    FLOCK_RETURN_NOT_OK((*reader)->Next(&record, &done));
-    if (done) break;
-    FLOCK_RETURN_NOT_OK(ApplyWalRecord(Target(), record));
-    ++result.wal_records_replayed;
+    FLOCK_ASSIGN_OR_RETURN(WalReader::PollResult polled,
+                           reader.Poll(kReplayPollRecords));
+    for (const WalRecord& record : polled.records) {
+      FLOCK_RETURN_NOT_OK(ApplyWalRecord(Target(), record));
+      ++result.wal_records_replayed;
+    }
+    if (polled.end_of_durable_log) break;
   }
-  result.tail_truncated = (*reader)->tail_truncated();
-  result.wal_valid_size = (*reader)->valid_size();
+  // Bytes past the cursor are a torn final append; Resume truncates them.
+  result.wal_valid_size = reader.offset();
+  result.tail_truncated = reader.offset() < FileSize(wal_path());
   return result;
 }
 
@@ -133,11 +136,11 @@ Status RestoreSnapshotState(const WalReplayTarget& target,
     adapter->restore_audit(snapshot.audit);
   }
   for (const RolloutSnapshot& r : snapshot.rollouts) {
-    if (adapter == nullptr || !adapter->restore_rollout) {
+    if (adapter == nullptr || !adapter->apply_rollout) {
       return Status::Internal(
-          "snapshot contains rollouts but no restore_rollout adapter");
+          "snapshot contains rollouts but no apply_rollout adapter");
     }
-    FLOCK_RETURN_NOT_OK(adapter->restore_rollout(r));
+    FLOCK_RETURN_NOT_OK(adapter->apply_rollout(r));
   }
   if (!snapshot.timeline.empty() || snapshot.policy_next_seq > 0) {
     if (target.policy == nullptr) {
@@ -202,46 +205,26 @@ Status ApplyWalRecord(const WalReplayTarget& target, const WalRecord& r) {
             "wal contains model drops but no replay_drop adapter");
       }
       return adapter->replay_drop(r.name, r.principal);
-    case WalRecordType::kPolicyAction: {
+    case WalRecordType::kPolicyAction:
       if (policy == nullptr) {
         return Status::Internal(
             "wal contains policy actions but no policy engine is attached");
       }
-      if (r.action > kMaxActionKind) {
-        return Status::DataLoss("policy action record has bad action kind");
-      }
-      policy::TimelineEntry entry;
-      entry.seq = r.seq;
-      entry.policy = r.name;
-      entry.action = static_cast<policy::ActionKind>(r.action);
-      entry.before = r.before;
-      entry.after = r.after;
-      entry.rejected = r.rejected;
-      entry.context = r.context;
-      policy->ReplayTimelineEntry(std::move(entry));
+      policy->ReplayTimelineEntry(r.timeline);
       return Status::OK();
-    }
     case WalRecordType::kProvEntity:
       if (catalog == nullptr) {
         return Status::Internal(
             "wal contains provenance but no catalog is attached");
       }
-      if (r.prov_type > kMaxEntityType) {
-        return Status::DataLoss("provenance record has bad entity type");
-      }
-      return catalog->ReplayEntity(
-          r.entity_id, static_cast<prov::EntityType>(r.prov_type), r.name,
-          r.version);
+      return catalog->ReplayEntity(r.entity.id, r.entity.type, r.entity.name,
+                                   r.entity.version);
     case WalRecordType::kProvEdge:
       if (catalog == nullptr) {
         return Status::Internal(
             "wal contains provenance but no catalog is attached");
       }
-      if (r.prov_type > kMaxEdgeType) {
-        return Status::DataLoss("provenance record has bad edge type");
-      }
-      catalog->AddEdge(r.src, r.dst,
-                        static_cast<prov::EdgeType>(r.prov_type));
+      catalog->AddEdge(r.edge.src, r.edge.dst, r.edge.type);
       return Status::OK();
     case WalRecordType::kProvProperty:
       if (catalog == nullptr) {
@@ -250,15 +233,11 @@ Status ApplyWalRecord(const WalReplayTarget& target, const WalRecord& r) {
       }
       return catalog->SetProperty(r.entity_id, r.key, r.value);
     case WalRecordType::kRolloutState:
-      if (adapter == nullptr || !adapter->replay_rollout) {
+      if (adapter == nullptr || !adapter->apply_rollout) {
         return Status::Internal(
-            "wal contains rollout transitions but no replay_rollout "
-            "adapter");
+            "wal contains rollout transitions but no apply_rollout adapter");
       }
-      if (r.rollout.state > kMaxRolloutState) {
-        return Status::DataLoss("rollout record has bad state");
-      }
-      return adapter->replay_rollout(r.rollout);
+      return adapter->apply_rollout(r.rollout);
   }
   return Status::DataLoss("unknown wal record type during replay");
 }

@@ -40,8 +40,9 @@ struct WalReplayTarget {
   const EngineStateAdapter* adapter = nullptr;
 };
 
-/// Applies one committed redo record. Internal/DataLoss when the record
-/// names a component the target lacks or carries malformed enum tags.
+/// Applies one committed redo record. Internal when the record names a
+/// component the target lacks; DataLoss when it does not fit the state
+/// (enum tags were already range-checked by DecodeRecordBody).
 Status ApplyWalRecord(const WalReplayTarget& target,
                       const WalRecord& record);
 

@@ -1,5 +1,9 @@
 #include "wal/wal_format.h"
 
+#include <cstring>
+
+#include "storage/serialization.h"
+
 namespace flock::wal {
 
 namespace {
@@ -27,6 +31,30 @@ uint32_t Crc32(const void* data, size_t len, uint32_t seed) {
     c = table.entries[(c ^ p[i]) & 0xFF] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
+}
+
+std::string EncodeWalHeader(uint64_t epoch) {
+  std::string header(kWalMagic, sizeof(kWalMagic));
+  storage::PutU32(&header, kWalFormatVersion);
+  storage::PutU64(&header, epoch);
+  return header;
+}
+
+StatusOr<uint64_t> DecodeWalHeader(std::string_view header) {
+  if (header.size() < kWalHeaderSize ||
+      std::memcmp(header.data(), kWalMagic, sizeof(kWalMagic)) != 0) {
+    return Status::DataLoss("bad wal magic");
+  }
+  storage::ByteReader in(header.substr(sizeof(kWalMagic)));
+  uint32_t version;
+  uint64_t epoch;
+  FLOCK_RETURN_NOT_OK(in.GetU32(&version));
+  FLOCK_RETURN_NOT_OK(in.GetU64(&epoch));
+  if (version != kWalFormatVersion) {
+    return Status::DataLoss("unsupported wal format version " +
+                            std::to_string(version));
+  }
+  return epoch;
 }
 
 }  // namespace flock::wal

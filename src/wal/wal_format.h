@@ -3,6 +3,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
+#include <string_view>
+
+#include "common/status_or.h"
 
 namespace flock::wal {
 
@@ -26,10 +30,10 @@ namespace flock::wal {
 ///   +-----------+-----------+----------+------------------+
 ///
 /// `len` counts type + payload; `crc` is CRC-32 (reflected, poly
-/// 0xEDB88320) over type + payload. A record that ends exactly at EOF but
-/// fails its length or CRC check is a *torn tail* — the fsync that would
-/// have committed it never completed — and is silently dropped; the same
-/// damage anywhere else in the file is DataLoss.
+/// 0xEDB88320) over type + payload. A record that fails its length or CRC
+/// check with no intact record after it is a *torn tail* — the fsync that
+/// would have committed it never completed — and is silently dropped;
+/// damage followed by an intact record is DataLoss (see WalReader).
 inline constexpr char kWalMagic[8] = {'F', 'L', 'O', 'C',
                                       'K', 'W', 'A', 'L'};
 inline constexpr uint32_t kWalFormatVersion = 1;
@@ -37,6 +41,12 @@ inline constexpr size_t kWalHeaderSize = 8 + 4 + 8;
 inline constexpr size_t kRecordHeaderSize = 4 + 4;
 /// Sanity bound: a single record larger than this is corruption, not data.
 inline constexpr uint32_t kMaxRecordLen = 1u << 30;
+
+/// The kWalHeaderSize-byte header of a log cut at `epoch`.
+std::string EncodeWalHeader(uint64_t epoch);
+/// Reads a header back (`header` holds at least kWalHeaderSize bytes) and
+/// returns its epoch; DataLoss on a bad magic or an unsupported version.
+StatusOr<uint64_t> DecodeWalHeader(std::string_view header);
 
 /// Snapshot file layout: magic, format version, epoch, sectioned payload,
 /// then a trailing CRC-32 over everything after the magic.

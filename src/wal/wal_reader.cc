@@ -1,159 +1,81 @@
 #include "wal/wal_reader.h"
 
-#include <cstring>
 #include <fstream>
-#include <sstream>
 
 #include "storage/serialization.h"
 #include "wal/wal_format.h"
 
 namespace flock::wal {
 
-StatusOr<std::unique_ptr<WalReader>> WalReader::Open(
-    const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::NotFound("wal file not found: " + path);
-  }
-  std::ostringstream contents;
-  contents << in.rdbuf();
-  std::string buf = std::move(contents).str();
+namespace {
 
-  if (buf.size() < kWalHeaderSize) {
-    return Status::DataLoss("wal header truncated: " + path);
-  }
-  if (std::memcmp(buf.data(), kWalMagic, sizeof(kWalMagic)) != 0) {
-    return Status::DataLoss("bad wal magic: " + path);
-  }
-  storage::ByteReader header(buf.data() + sizeof(kWalMagic),
-                             kWalHeaderSize - sizeof(kWalMagic));
-  uint32_t version;
-  uint64_t epoch;
-  FLOCK_RETURN_NOT_OK(header.GetU32(&version));
-  FLOCK_RETURN_NOT_OK(header.GetU64(&epoch));
-  if (version != kWalFormatVersion) {
-    return Status::DataLoss("unsupported wal format version " +
-                            std::to_string(version));
-  }
-  return std::unique_ptr<WalReader>(new WalReader(std::move(buf), epoch));
+/// The body length the frame header at `p` declares, or 0 when it is
+/// implausible or the body would not fit in the `available` bytes after
+/// the header.
+uint32_t BodyLength(const char* p, uint64_t available) {
+  storage::ByteReader header(p, kRecordHeaderSize);
+  uint32_t len = 0;
+  (void)header.GetU32(&len);
+  return len >= 1 && len <= kMaxRecordLen && len <= available ? len : 0;
 }
 
-WalReader::WalReader(std::string buf, uint64_t epoch)
-    : buf_(std::move(buf)),
-      epoch_(epoch),
-      pos_(kWalHeaderSize),
-      valid_size_(kWalHeaderSize) {}
-
-Status WalReader::Next(WalRecord* record, bool* done) {
-  *done = false;
-  if (pos_ == buf_.size()) {
-    *done = true;
-    return Status::OK();
-  }
-
-  // A frame header or body extending past EOF can only be a torn final
-  // append: the writer lays down the full frame with one write() and
-  // only acks after fsync, so an incomplete frame never committed.
-  if (buf_.size() - pos_ < kRecordHeaderSize) {
-    tail_truncated_ = true;
-    *done = true;
-    return Status::OK();
-  }
-  storage::ByteReader frame(buf_.data() + pos_, buf_.size() - pos_);
-  uint32_t len, crc;
-  FLOCK_RETURN_NOT_OK(frame.GetU32(&len));
-  FLOCK_RETURN_NOT_OK(frame.GetU32(&crc));
-  if (len > kMaxRecordLen) {
-    // An absurd length mid-log is corruption; at the tail it is
-    // indistinguishable from a torn length word, so drop it.
-    if (buf_.size() - pos_ <= kRecordHeaderSize + 8) {
-      tail_truncated_ = true;
-      *done = true;
-      return Status::OK();
-    }
-    return Status::DataLoss("wal record length " + std::to_string(len) +
-                            " exceeds limit at offset " +
-                            std::to_string(pos_));
-  }
-  if (len < 1 || frame.remaining() < len) {
-    tail_truncated_ = true;
-    *done = true;
-    return Status::OK();
-  }
-
-  const char* body = buf_.data() + pos_ + kRecordHeaderSize;
-  if (Crc32(body, len) != crc) {
-    if (pos_ + kRecordHeaderSize + len == buf_.size()) {
-      // Bad checksum on the final record: torn write, never committed.
-      tail_truncated_ = true;
-      *done = true;
-      return Status::OK();
-    }
-    return Status::DataLoss("wal checksum mismatch at offset " +
-                            std::to_string(pos_));
-  }
-
-  auto decoded = DecodeRecordPayload(static_cast<WalRecordType>(
-                                         static_cast<uint8_t>(body[0])),
-                                     body + 1, len - 1);
-  FLOCK_RETURN_NOT_OK(decoded.status());
-  *record = *std::move(decoded);
-  pos_ += kRecordHeaderSize + len;
-  valid_size_ = pos_;
-  ++records_read_;
-  return Status::OK();
+/// True when the CRC in the frame header at `p` matches its body.
+bool CrcMatches(const char* p, uint32_t len) {
+  storage::ByteReader header(p + 4, 4);
+  uint32_t crc = 0;
+  (void)header.GetU32(&crc);
+  return Crc32(p + kRecordHeaderSize, len) == crc;
 }
 
-WalTailReader::WalTailReader(std::string path) : path_(std::move(path)) {}
+/// True when an intact frame starts anywhere in `tail` past its first
+/// byte: whatever damage sits at the front of `tail` is not the end of
+/// the log.
+bool IntactFrameFollows(const std::string& tail) {
+  for (size_t q = 1; q + kRecordHeaderSize < tail.size(); ++q) {
+    uint32_t len =
+        BodyLength(tail.data() + q, tail.size() - q - kRecordHeaderSize);
+    if (len > 0 && CrcMatches(tail.data() + q, len)) return true;
+  }
+  return false;
+}
 
-StatusOr<std::string> WalTailReader::Load(bool* epoch_changed) {
-  *epoch_changed = false;
-  std::ifstream in(path_, std::ios::binary);
+}  // namespace
+
+WalReader::WalReader(std::string path) : path_(std::move(path)) {}
+
+StatusOr<WalReader::PollResult> WalReader::Poll(size_t max_records) {
+  PollResult result;
+  std::ifstream in(path_, std::ios::binary | std::ios::ate);
   if (!in) {
     return Status::NotFound("wal file not found: " + path_);
   }
-  std::ostringstream contents;
-  contents << in.rdbuf();
-  std::string buf = std::move(contents).str();
+  const std::streamoff end = in.tellg();
+  if (end < 0) {
+    return Status::Internal("cannot size wal file: " + path_);
+  }
+  const uint64_t size = static_cast<uint64_t>(end);
+  in.seekg(0);
 
   // A header shorter than the fixed prefix can only be a log mid-creation
   // (the writer lays the header down with one write): not yet durable.
-  if (buf.size() < kWalHeaderSize) {
+  std::string frame(kWalHeaderSize, '\0');
+  if (size < kWalHeaderSize || !in.read(frame.data(), kWalHeaderSize)) {
     return Status::Unavailable("wal header not yet complete: " + path_);
   }
-  if (std::memcmp(buf.data(), kWalMagic, sizeof(kWalMagic)) != 0) {
-    return Status::DataLoss("bad wal magic: " + path_);
+  auto epoch = DecodeWalHeader(frame);
+  if (!epoch.ok()) {
+    return Status::DataLoss(epoch.status().message() + ": " + path_);
   }
-  storage::ByteReader header(buf.data() + sizeof(kWalMagic),
-                             kWalHeaderSize - sizeof(kWalMagic));
-  uint32_t version;
-  uint64_t epoch;
-  FLOCK_RETURN_NOT_OK(header.GetU32(&version));
-  FLOCK_RETURN_NOT_OK(header.GetU64(&epoch));
-  if (version != kWalFormatVersion) {
-    return Status::DataLoss("unsupported wal format version " +
-                            std::to_string(version));
-  }
-  if (!header_seen_ || epoch != epoch_) {
-    *epoch_changed = header_seen_;
+  if (!header_seen_ || *epoch != epoch_) {
+    result.epoch_changed = header_seen_;
     header_seen_ = true;
-    epoch_ = epoch;
+    epoch_ = *epoch;
     next_lsn_ = 0;
     offset_ = kWalHeaderSize;
+    // A swap is handed to the caller before streaming from the new log.
+    if (result.epoch_changed) return result;
   }
-  return buf;
-}
-
-StatusOr<WalTailReader::PollResult> WalTailReader::Poll(
-    size_t max_records) {
-  PollResult result;
-  FLOCK_ASSIGN_OR_RETURN(std::string buf, Load(&result.epoch_changed));
-  if (result.epoch_changed) {
-    // The file was swapped by a checkpoint; hand the epoch bump to the
-    // caller before streaming from the new log.
-    return result;
-  }
-  if (offset_ > buf.size()) {
+  if (offset_ > size) {
     // The file shrank without an epoch change — the writer resumed over
     // a torn tail we had not consumed (truncation never crosses a
     // committed record, so a consumed position can only vanish if the
@@ -162,72 +84,59 @@ StatusOr<WalTailReader::PollResult> WalTailReader::Poll(
                             std::to_string(offset_) + ": " + path_);
   }
 
-  size_t pos = offset_;
+  in.seekg(static_cast<std::streamoff>(offset_));
   while (result.records.size() < max_records) {
-    if (pos == buf.size()) {
-      result.end_of_durable_log = true;
-      break;
+    const uint64_t left = size - offset_;
+    uint32_t len = 0;
+    frame.resize(kRecordHeaderSize);
+    if (left >= kRecordHeaderSize && in.read(frame.data(), kRecordHeaderSize)) {
+      len = BodyLength(frame.data(), left - kRecordHeaderSize);
     }
-    if (buf.size() - pos < kRecordHeaderSize) {
-      // Partial frame header at the tail: an append in flight.
-      result.end_of_durable_log = true;
-      break;
-    }
-    storage::ByteReader frame(buf.data() + pos, buf.size() - pos);
-    uint32_t len, crc;
-    FLOCK_RETURN_NOT_OK(frame.GetU32(&len));
-    FLOCK_RETURN_NOT_OK(frame.GetU32(&crc));
-    if (len > kMaxRecordLen) {
-      // At the tail this is indistinguishable from a torn length word
-      // still being written; mid-log it is corruption.
-      if (buf.size() - pos <= kRecordHeaderSize + 8) {
-        result.end_of_durable_log = true;
-        break;
+    if (len > 0) {
+      frame.resize(kRecordHeaderSize + len);
+      if (!in.read(frame.data() + kRecordHeaderSize, len) ||
+          !CrcMatches(frame.data(), len)) {
+        len = 0;
       }
-      return Status::DataLoss("wal record length " + std::to_string(len) +
-                              " exceeds limit at offset " +
-                              std::to_string(pos));
     }
-    if (len < 1 || frame.remaining() < len) {
-      // Body extends past EOF: the append (or its flush) is in flight.
+    if (len == 0) {
+      // Clean EOF, or a damaged frame. The writer lays each frame down
+      // with one write, so a torn or in-flight append is the last thing
+      // in the file; an intact frame after the damage means committed
+      // records were corrupted.
+      if (left > 0) {
+        std::string tail(left, '\0');
+        in.clear();
+        in.seekg(static_cast<std::streamoff>(offset_));
+        if (in.read(tail.data(), static_cast<std::streamsize>(left)) &&
+            IntactFrameFollows(tail)) {
+          return Status::DataLoss("wal record at offset " +
+                                  std::to_string(offset_) +
+                                  " is damaged but intact records follow "
+                                  "it: " + path_);
+        }
+      }
       result.end_of_durable_log = true;
       break;
     }
-    const char* body = buf.data() + pos + kRecordHeaderSize;
-    if (Crc32(body, len) != crc) {
-      if (pos + kRecordHeaderSize + len == buf.size()) {
-        // Bad checksum on the final frame: a torn tail, not corruption —
-        // this is exactly the live-tailing case where the old reader's
-        // mid-log rule would misfire. End of durable log; the frame may
-        // be completed (or truncated away by a resume) before the next
-        // poll.
-        result.end_of_durable_log = true;
-        break;
-      }
-      return Status::DataLoss("wal checksum mismatch at offset " +
-                              std::to_string(pos));
-    }
-    auto decoded = DecodeRecordPayload(static_cast<WalRecordType>(
-                                           static_cast<uint8_t>(body[0])),
-                                       body + 1, len - 1);
-    FLOCK_RETURN_NOT_OK(decoded.status());
-    result.records.push_back(*std::move(decoded));
-    pos += kRecordHeaderSize + len;
-    offset_ = pos;
+    FLOCK_ASSIGN_OR_RETURN(
+        WalRecord record,
+        DecodeRecordBody(std::string_view(frame).substr(kRecordHeaderSize)));
+    result.records.push_back(std::move(record));
+    offset_ += frame.size();
     ++next_lsn_;
   }
   return result;
 }
 
-Status WalTailReader::Seek(uint64_t lsn) {
-  header_seen_ = false;  // force a full reload incl. header re-validation
-  bool epoch_changed = false;
-  FLOCK_RETURN_NOT_OK(Load(&epoch_changed).status());
+Status WalReader::Seek(uint64_t lsn) {
+  header_seen_ = false;  // restart at the header, re-validating it
+  FLOCK_RETURN_NOT_OK(Poll(0).status());
   while (next_lsn_ < lsn) {
     uint64_t remaining = lsn - next_lsn_;
-    auto polled = Poll(static_cast<size_t>(remaining));
-    FLOCK_RETURN_NOT_OK(polled.status());
-    if (polled->records.size() < remaining) {
+    FLOCK_ASSIGN_OR_RETURN(PollResult polled,
+                           Poll(static_cast<size_t>(remaining)));
+    if (polled.records.size() < remaining) {
       return Status::OutOfRange(
           "wal holds " + std::to_string(next_lsn_) +
           " durable records, cannot seek to lsn " + std::to_string(lsn));

@@ -2,7 +2,6 @@
 #define FLOCK_WAL_WAL_READER_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -11,66 +10,34 @@
 
 namespace flock::wal {
 
-/// Streaming reader over a WAL file. Loads the whole log into memory
-/// (logs are bounded by checkpoint frequency) and iterates records,
-/// distinguishing two kinds of damage:
+/// The one reader of WAL files. Crash recovery drains it in bounded
+/// polls; the replication publisher tails a primary's live log with it.
+/// Each Poll re-reads the header and then only the bytes past its cursor,
+/// so draining a log is a single pass over the file.
 ///
-///  - A bad record whose frame ends at (or runs past) EOF is a *torn
-///    tail*: the crash happened mid-append and the record never committed.
-///    Next() reports end-of-log; `tail_truncated()` turns true and
-///    `valid_size()` marks where the intact prefix ends.
-///  - The same damage anywhere else — or an unreadable header — is
-///    unrecoverable corruption: Status::DataLoss.
-class WalReader {
- public:
-  static StatusOr<std::unique_ptr<WalReader>> Open(const std::string& path);
-
-  /// Reads the next record. Sets *done=true (leaving *record untouched)
-  /// at end of log — clean or torn.
-  Status Next(WalRecord* record, bool* done);
-
-  uint64_t epoch() const { return epoch_; }
-  /// Byte offset of the end of the last intact record (or the header).
-  uint64_t valid_size() const { return valid_size_; }
-  /// True when the log ended in a torn record that was dropped.
-  bool tail_truncated() const { return tail_truncated_; }
-  uint64_t records_read() const { return records_read_; }
-
- private:
-  WalReader(std::string buf, uint64_t epoch);
-
-  std::string buf_;
-  uint64_t epoch_;
-  size_t pos_;
-  uint64_t valid_size_;
-  bool tail_truncated_ = false;
-  uint64_t records_read_ = 0;
-};
-
-/// Incremental reader over a *live* WAL that a writer is still appending
-/// to — the replication publisher tails the primary's log with one of
-/// these. Two things distinguish tailing from the recovery-time
-/// WalReader above:
-///
-///  - A torn or partial record at the tail is NOT a crash artifact to
-///    truncate: the writer may simply be mid-append (or mid-flush), and
-///    the frame may complete by the next poll. Poll() stops at the last
-///    intact record boundary and reports "end of durable log" — never a
-///    CRC error, and never a sticky truncation — so the caller retries
-///    later from the same position. Damage strictly *before* the tail
-///    frame is still DataLoss (real corruption).
-///
-///  - Checkpoints atomically replace the file with a fresh, empty log
-///    under a bumped epoch. Poll() detects the swap via the header epoch
-///    and reports it (`epoch_changed`), resetting its cursor to the new
-///    log's start; the caller decides whether it can continue (it was
-///    fully caught up) or must re-bootstrap from a snapshot.
+///  - A damaged frame (partial header, implausible length, body past EOF
+///    or a CRC mismatch) with no intact frame anywhere after it is the
+///    *end of the durable log*: an append that is in flight, or that a
+///    crash tore and so never committed. Poll stops at the last intact
+///    frame boundary; the condition is not sticky, so a live tail simply
+///    polls again from the same cursor. Recovery reads it as a torn tail:
+///    the cursor is the valid size, and any bytes past it are dropped.
+///  - Damage followed by an intact frame is corruption of committed
+///    records: Status::DataLoss. (A torn write is always the last thing
+///    in the file, so intact bytes after damage rule it out.)
+///  - A header shorter than the fixed prefix is a log mid-creation:
+///    Unavailable. A bad magic or version is DataLoss.
+///  - Checkpoints atomically replace the file with a fresh log under a
+///    bumped epoch. Poll detects the swap from the header and reports it
+///    (`epoch_changed`), resetting its cursor to the new log's start; the
+///    caller decides whether it can continue (it was fully caught up) or
+///    must re-bootstrap from a snapshot.
 ///
 /// Positions are LSNs: the index of the next record within the current
 /// epoch's log (record 0 is the first record after the header).
-class WalTailReader {
+class WalReader {
  public:
-  explicit WalTailReader(std::string path);
+  explicit WalReader(std::string path);
 
   struct PollResult {
     /// Records decoded this poll, in log order.
@@ -83,9 +50,9 @@ class WalTailReader {
     bool epoch_changed = false;
   };
 
-  /// Reads up to `max_records` records from the current position.
-  /// NotFound until the log file exists; DataLoss only on mid-log
-  /// corruption (a damaged final frame is end-of-durable-log instead).
+  /// Reads up to `max_records` records from the current position
+  /// (`Poll(0)` only validates the header and learns the epoch).
+  /// NotFound until the log file exists; DataLoss only on corruption.
   StatusOr<PollResult> Poll(size_t max_records);
 
   /// Repositions to `lsn` within the current log (re-reading from the
@@ -100,10 +67,6 @@ class WalTailReader {
   uint64_t offset() const { return offset_; }
 
  private:
-  /// Loads the file, validates the header, and detects epoch swaps.
-  /// Returns the file contents; positions offset_ appropriately.
-  StatusOr<std::string> Load(bool* epoch_changed);
-
   std::string path_;
   uint64_t epoch_ = 0;
   uint64_t next_lsn_ = 0;

@@ -107,39 +107,28 @@ WalRecord WalRecord::DropModel(std::string name, std::string principal) {
   return r;
 }
 
-WalRecord WalRecord::PolicyAction(uint64_t seq, std::string policy,
-                                  uint8_t action, double before,
-                                  double after, bool rejected,
-                                  std::string context) {
+WalRecord WalRecord::PolicyAction(policy::TimelineEntry entry) {
   WalRecord r;
   r.type = WalRecordType::kPolicyAction;
-  r.seq = seq;
-  r.name = std::move(policy);
-  r.action = action;
-  r.before = before;
-  r.after = after;
-  r.rejected = rejected;
-  r.context = std::move(context);
+  r.timeline = std::move(entry);
   return r;
 }
 
-WalRecord WalRecord::ProvEntity(uint64_t id, uint8_t type,
+WalRecord WalRecord::ProvEntity(uint64_t id, prov::EntityType type,
                                 std::string name, uint64_t version) {
   WalRecord r;
   r.type = WalRecordType::kProvEntity;
-  r.entity_id = id;
-  r.prov_type = type;
-  r.name = std::move(name);
-  r.version = version;
+  r.entity.id = id;
+  r.entity.type = type;
+  r.entity.name = std::move(name);
+  r.entity.version = version;
   return r;
 }
 
-WalRecord WalRecord::ProvEdge(uint64_t src, uint64_t dst, uint8_t type) {
+WalRecord WalRecord::ProvEdge(prov::Edge edge) {
   WalRecord r;
   r.type = WalRecordType::kProvEdge;
-  r.src = src;
-  r.dst = dst;
-  r.prov_type = type;
+  r.edge = edge;
   return r;
 }
 
@@ -160,8 +149,112 @@ WalRecord WalRecord::RolloutChange(RolloutSnapshot rollout) {
   return r;
 }
 
-std::string EncodeRecordPayload(const WalRecord& record) {
+namespace {
+
+// Largest valid ordinal of each enum a record or snapshot stores as a u8.
+constexpr uint8_t kMaxActionKind = 4;    // policy::ActionKind::kAlert
+constexpr uint8_t kMaxEntityType = 10;   // prov::EntityType::kVersionRun
+constexpr uint8_t kMaxEdgeType = 8;      // prov::EdgeType::kHasParam
+constexpr uint8_t kMaxRolloutState = 4;  // rolled_back
+
+Status GetEnum(ByteReader* in, uint8_t max, const char* what,
+               uint8_t* out) {
+  FLOCK_RETURN_NOT_OK(in->GetU8(out));
+  if (*out > max) {
+    return Status::DataLoss(std::string("bad ") + what + " tag " +
+                            std::to_string(*out));
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+void PutTimelineEntry(std::string* out, const policy::TimelineEntry& e) {
+  PutU64(out, e.seq);
+  PutString(out, e.policy);
+  PutU8(out, static_cast<uint8_t>(e.action));
+  PutDouble(out, e.before);
+  PutDouble(out, e.after);
+  PutU8(out, e.rejected ? 1 : 0);
+  PutString(out, e.context);
+}
+
+Status GetTimelineEntry(ByteReader* in, policy::TimelineEntry* e) {
+  uint8_t action, rejected;
+  FLOCK_RETURN_NOT_OK(in->GetU64(&e->seq));
+  FLOCK_RETURN_NOT_OK(in->GetString(&e->policy));
+  FLOCK_RETURN_NOT_OK(
+      GetEnum(in, kMaxActionKind, "policy action kind", &action));
+  FLOCK_RETURN_NOT_OK(in->GetDouble(&e->before));
+  FLOCK_RETURN_NOT_OK(in->GetDouble(&e->after));
+  FLOCK_RETURN_NOT_OK(in->GetU8(&rejected));
+  FLOCK_RETURN_NOT_OK(in->GetString(&e->context));
+  e->action = static_cast<policy::ActionKind>(action);
+  e->rejected = rejected != 0;
+  return Status::OK();
+}
+
+void PutRollout(std::string* out, const RolloutSnapshot& r) {
+  PutString(out, r.model);
+  PutU8(out, r.state);
+  PutU32(out, r.canary_permille);
+  PutString(out, r.candidate_pipeline_text);
+  PutString(out, r.initiated_by);
+  PutU64(out, r.live_version);
+  PutDouble(out, r.max_divergence_rate);
+  PutDouble(out, r.max_latency_regression);
+  PutDouble(out, r.max_drift_score);
+  PutU64(out, r.min_observations);
+}
+
+Status GetRollout(ByteReader* in, RolloutSnapshot* r) {
+  FLOCK_RETURN_NOT_OK(in->GetString(&r->model));
+  FLOCK_RETURN_NOT_OK(GetEnum(in, kMaxRolloutState, "rollout state",
+                              &r->state));
+  FLOCK_RETURN_NOT_OK(in->GetU32(&r->canary_permille));
+  FLOCK_RETURN_NOT_OK(in->GetString(&r->candidate_pipeline_text));
+  FLOCK_RETURN_NOT_OK(in->GetString(&r->initiated_by));
+  FLOCK_RETURN_NOT_OK(in->GetU64(&r->live_version));
+  FLOCK_RETURN_NOT_OK(in->GetDouble(&r->max_divergence_rate));
+  FLOCK_RETURN_NOT_OK(in->GetDouble(&r->max_latency_regression));
+  FLOCK_RETURN_NOT_OK(in->GetDouble(&r->max_drift_score));
+  return in->GetU64(&r->min_observations);
+}
+
+void PutEntity(std::string* out, const prov::Entity& entity) {
+  PutU8(out, static_cast<uint8_t>(entity.type));
+  PutString(out, entity.name);
+  PutU64(out, entity.version);
+}
+
+Status GetEntity(ByteReader* in, prov::Entity* entity) {
+  uint8_t type;
+  FLOCK_RETURN_NOT_OK(
+      GetEnum(in, kMaxEntityType, "provenance entity type", &type));
+  entity->type = static_cast<prov::EntityType>(type);
+  FLOCK_RETURN_NOT_OK(in->GetString(&entity->name));
+  return in->GetU64(&entity->version);
+}
+
+void PutEdge(std::string* out, const prov::Edge& edge) {
+  PutU64(out, edge.src);
+  PutU64(out, edge.dst);
+  PutU8(out, static_cast<uint8_t>(edge.type));
+}
+
+Status GetEdge(ByteReader* in, prov::Edge* edge) {
+  uint8_t type;
+  FLOCK_RETURN_NOT_OK(in->GetU64(&edge->src));
+  FLOCK_RETURN_NOT_OK(in->GetU64(&edge->dst));
+  FLOCK_RETURN_NOT_OK(
+      GetEnum(in, kMaxEdgeType, "provenance edge type", &type));
+  edge->type = static_cast<prov::EdgeType>(type);
+  return Status::OK();
+}
+
+std::string EncodeRecordBody(const WalRecord& record) {
   std::string out;
+  PutU8(&out, static_cast<uint8_t>(record.type));
   switch (record.type) {
     case WalRecordType::kCreateTable:
       PutString(&out, record.name);
@@ -200,24 +293,14 @@ std::string EncodeRecordPayload(const WalRecord& record) {
       PutString(&out, record.principal);
       break;
     case WalRecordType::kPolicyAction:
-      PutU64(&out, record.seq);
-      PutString(&out, record.name);
-      PutU8(&out, record.action);
-      PutDouble(&out, record.before);
-      PutDouble(&out, record.after);
-      PutU8(&out, record.rejected ? 1 : 0);
-      PutString(&out, record.context);
+      PutTimelineEntry(&out, record.timeline);
       break;
     case WalRecordType::kProvEntity:
-      PutU64(&out, record.entity_id);
-      PutU8(&out, record.prov_type);
-      PutString(&out, record.name);
-      PutU64(&out, record.version);
+      PutU64(&out, record.entity.id);
+      PutEntity(&out, record.entity);
       break;
     case WalRecordType::kProvEdge:
-      PutU64(&out, record.src);
-      PutU64(&out, record.dst);
-      PutU8(&out, record.prov_type);
+      PutEdge(&out, record.edge);
       break;
     case WalRecordType::kProvProperty:
       PutU64(&out, record.entity_id);
@@ -225,27 +308,19 @@ std::string EncodeRecordPayload(const WalRecord& record) {
       PutString(&out, record.value);
       break;
     case WalRecordType::kRolloutState:
-      PutString(&out, record.rollout.model);
-      PutU8(&out, record.rollout.state);
-      PutU32(&out, record.rollout.canary_permille);
-      PutString(&out, record.rollout.candidate_pipeline_text);
-      PutString(&out, record.rollout.initiated_by);
-      PutU64(&out, record.rollout.live_version);
-      PutDouble(&out, record.rollout.max_divergence_rate);
-      PutDouble(&out, record.rollout.max_latency_regression);
-      PutDouble(&out, record.rollout.max_drift_score);
-      PutU64(&out, record.rollout.min_observations);
+      PutRollout(&out, record.rollout);
       break;
   }
   return out;
 }
 
-StatusOr<WalRecord> DecodeRecordPayload(WalRecordType type,
-                                        const char* data, size_t size) {
-  ByteReader in(data, size);
+StatusOr<WalRecord> DecodeRecordBody(std::string_view body) {
+  ByteReader in(body);
+  uint8_t tag;
+  if (!in.GetU8(&tag).ok()) return Status::DataLoss("empty wal record body");
   WalRecord r;
-  r.type = type;
-  switch (type) {
+  r.type = static_cast<WalRecordType>(tag);
+  switch (r.type) {
     case WalRecordType::kCreateTable:
       FLOCK_RETURN_NOT_OK(in.GetString(&r.name));
       FLOCK_RETURN_NOT_OK(storage::DeserializeSchema(&in, &r.schema));
@@ -261,7 +336,8 @@ StatusOr<WalRecord> DecodeRecordPayload(WalRecordType type,
       FLOCK_RETURN_NOT_OK(in.GetString(&r.name));
       FLOCK_RETURN_NOT_OK(in.GetU32(&r.column));
       uint32_t n;
-      FLOCK_RETURN_NOT_OK(in.GetU32(&n));
+      // Each update is a u32 row id plus a value of at least two bytes.
+      FLOCK_RETURN_NOT_OK(in.GetCount(&n, 4 + 2));
       r.rows.resize(n);
       for (uint32_t i = 0; i < n; ++i) {
         FLOCK_RETURN_NOT_OK(in.GetU32(&r.rows[i]));
@@ -275,15 +351,10 @@ StatusOr<WalRecord> DecodeRecordPayload(WalRecordType type,
     case WalRecordType::kDeleteRows: {
       FLOCK_RETURN_NOT_OK(in.GetString(&r.name));
       uint64_t n;
-      FLOCK_RETURN_NOT_OK(in.GetU64(&n));
-      if (in.remaining() < n) {
-        return Status::DataLoss("truncated DELETE_ROWS bitmap");
-      }
+      FLOCK_RETURN_NOT_OK(in.GetCount(&n, 1));
       r.keep.resize(n);
       for (uint64_t i = 0; i < n; ++i) {
-        uint8_t b;
-        FLOCK_RETURN_NOT_OK(in.GetU8(&b));
-        r.keep[i] = b;
+        FLOCK_RETURN_NOT_OK(in.GetU8(&r.keep[i]));
       }
       break;
     }
@@ -297,28 +368,15 @@ StatusOr<WalRecord> DecodeRecordPayload(WalRecordType type,
       FLOCK_RETURN_NOT_OK(in.GetString(&r.name));
       FLOCK_RETURN_NOT_OK(in.GetString(&r.principal));
       break;
-    case WalRecordType::kPolicyAction: {
-      uint8_t rejected;
-      FLOCK_RETURN_NOT_OK(in.GetU64(&r.seq));
-      FLOCK_RETURN_NOT_OK(in.GetString(&r.name));
-      FLOCK_RETURN_NOT_OK(in.GetU8(&r.action));
-      FLOCK_RETURN_NOT_OK(in.GetDouble(&r.before));
-      FLOCK_RETURN_NOT_OK(in.GetDouble(&r.after));
-      FLOCK_RETURN_NOT_OK(in.GetU8(&rejected));
-      FLOCK_RETURN_NOT_OK(in.GetString(&r.context));
-      r.rejected = rejected != 0;
+    case WalRecordType::kPolicyAction:
+      FLOCK_RETURN_NOT_OK(GetTimelineEntry(&in, &r.timeline));
       break;
-    }
     case WalRecordType::kProvEntity:
-      FLOCK_RETURN_NOT_OK(in.GetU64(&r.entity_id));
-      FLOCK_RETURN_NOT_OK(in.GetU8(&r.prov_type));
-      FLOCK_RETURN_NOT_OK(in.GetString(&r.name));
-      FLOCK_RETURN_NOT_OK(in.GetU64(&r.version));
+      FLOCK_RETURN_NOT_OK(in.GetU64(&r.entity.id));
+      FLOCK_RETURN_NOT_OK(GetEntity(&in, &r.entity));
       break;
     case WalRecordType::kProvEdge:
-      FLOCK_RETURN_NOT_OK(in.GetU64(&r.src));
-      FLOCK_RETURN_NOT_OK(in.GetU64(&r.dst));
-      FLOCK_RETURN_NOT_OK(in.GetU8(&r.prov_type));
+      FLOCK_RETURN_NOT_OK(GetEdge(&in, &r.edge));
       break;
     case WalRecordType::kProvProperty:
       FLOCK_RETURN_NOT_OK(in.GetU64(&r.entity_id));
@@ -326,23 +384,14 @@ StatusOr<WalRecord> DecodeRecordPayload(WalRecordType type,
       FLOCK_RETURN_NOT_OK(in.GetString(&r.value));
       break;
     case WalRecordType::kRolloutState:
-      FLOCK_RETURN_NOT_OK(in.GetString(&r.rollout.model));
-      FLOCK_RETURN_NOT_OK(in.GetU8(&r.rollout.state));
-      FLOCK_RETURN_NOT_OK(in.GetU32(&r.rollout.canary_permille));
-      FLOCK_RETURN_NOT_OK(in.GetString(&r.rollout.candidate_pipeline_text));
-      FLOCK_RETURN_NOT_OK(in.GetString(&r.rollout.initiated_by));
-      FLOCK_RETURN_NOT_OK(in.GetU64(&r.rollout.live_version));
-      FLOCK_RETURN_NOT_OK(in.GetDouble(&r.rollout.max_divergence_rate));
-      FLOCK_RETURN_NOT_OK(in.GetDouble(&r.rollout.max_latency_regression));
-      FLOCK_RETURN_NOT_OK(in.GetDouble(&r.rollout.max_drift_score));
-      FLOCK_RETURN_NOT_OK(in.GetU64(&r.rollout.min_observations));
+      FLOCK_RETURN_NOT_OK(GetRollout(&in, &r.rollout));
       break;
     default:
       return Status::DataLoss("unknown wal record type " +
-                              std::to_string(static_cast<int>(type)));
+                              std::to_string(tag));
   }
   if (!in.exhausted()) {
-    return Status::DataLoss(std::string(WalRecordTypeName(type)) +
+    return Status::DataLoss(std::string(WalRecordTypeName(r.type)) +
                             " record has trailing bytes");
   }
   return r;

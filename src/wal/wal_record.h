@@ -3,11 +3,15 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status_or.h"
+#include "policy/policy_engine.h"
+#include "prov/entity.h"
 #include "storage/record_batch.h"
 #include "storage/schema.h"
+#include "storage/serialization.h"
 #include "storage/value.h"
 #include "wal/engine_state.h"
 
@@ -41,7 +45,6 @@ struct WalRecord {
 
   // kCreateTable / kDropTable / kAppendBatch / kUpdateColumn /
   // kDeleteRows: table name. kDeployModel / kDropModel: model name.
-  // kPolicyAction: policy name.
   std::string name;
 
   storage::Schema schema;       // kCreateTable
@@ -57,22 +60,14 @@ struct WalRecord {
   std::string lineage;        // kDeployModel
   std::string principal;      // kDropModel
 
-  // kPolicyAction (mirrors policy::TimelineEntry).
-  uint64_t seq = 0;
-  uint8_t action = 0;
-  double before = 0.0;
-  double after = 0.0;
-  bool rejected = false;
-  std::string context;
+  policy::TimelineEntry timeline;  // kPolicyAction
+  prov::Entity entity;  // kProvEntity: id, type, name, version
+  prov::Edge edge;      // kProvEdge
 
-  // kProvEntity / kProvEdge / kProvProperty.
-  uint64_t entity_id = 0;   // entity id (kProvEntity/kProvProperty)
-  uint64_t src = 0;         // kProvEdge
-  uint64_t dst = 0;         // kProvEdge
-  uint8_t prov_type = 0;    // EntityType or EdgeType ordinal
-  uint64_t version = 0;     // kProvEntity
-  std::string key;          // kProvProperty
-  std::string value;        // kProvProperty
+  // kProvProperty.
+  uint64_t entity_id = 0;
+  std::string key;
+  std::string value;
 
   // kRolloutState: the full post-transition rollout.
   RolloutSnapshot rollout;
@@ -89,23 +84,37 @@ struct WalRecord {
   static WalRecord DeployModel(std::string name, std::string pipeline_text,
                                std::string created_by, std::string lineage);
   static WalRecord DropModel(std::string name, std::string principal);
-  static WalRecord PolicyAction(uint64_t seq, std::string policy,
-                                uint8_t action, double before, double after,
-                                bool rejected, std::string context);
-  static WalRecord ProvEntity(uint64_t id, uint8_t type, std::string name,
-                              uint64_t version);
-  static WalRecord ProvEdge(uint64_t src, uint64_t dst, uint8_t type);
+  static WalRecord PolicyAction(policy::TimelineEntry entry);
+  static WalRecord ProvEntity(uint64_t id, prov::EntityType type,
+                              std::string name, uint64_t version);
+  static WalRecord ProvEdge(prov::Edge edge);
   static WalRecord ProvProperty(uint64_t id, std::string key,
                                 std::string value);
   static WalRecord RolloutChange(RolloutSnapshot rollout);
 };
 
-/// Encodes the payload (everything after the u8 type tag in the frame).
-std::string EncodeRecordPayload(const WalRecord& record);
+/// Encodes a record body: the u8 type tag, then the type's payload. A WAL
+/// frame's length and CRC cover exactly these bytes, and `.repl fetch`
+/// ships them hex-encoded.
+std::string EncodeRecordBody(const WalRecord& record);
 
-/// Decodes a payload; DataLoss on truncation, bad tags, or trailing bytes.
-StatusOr<WalRecord> DecodeRecordPayload(WalRecordType type,
-                                        const char* data, size_t size);
+/// Decodes a body; DataLoss when it is empty, has an unknown tag, is
+/// truncated, carries an out-of-range enum tag, or has trailing bytes.
+StatusOr<WalRecord> DecodeRecordBody(std::string_view body);
+
+// Sub-codecs shared by record bodies and snapshot sections, so each type
+// has one byte layout. The getters hold the only enum range checks: a
+// decoded value is always a valid enumerator.
+void PutTimelineEntry(std::string* out, const policy::TimelineEntry& entry);
+Status GetTimelineEntry(storage::ByteReader* in,
+                        policy::TimelineEntry* entry);
+void PutRollout(std::string* out, const RolloutSnapshot& rollout);
+Status GetRollout(storage::ByteReader* in, RolloutSnapshot* rollout);
+/// u8 type, name, version (the id and properties are the caller's).
+void PutEntity(std::string* out, const prov::Entity& entity);
+Status GetEntity(storage::ByteReader* in, prov::Entity* entity);
+void PutEdge(std::string* out, const prov::Edge& edge);
+Status GetEdge(storage::ByteReader* in, prov::Edge* edge);
 
 }  // namespace flock::wal
 

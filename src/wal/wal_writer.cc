@@ -57,20 +57,13 @@ Status FsyncDir(const std::string& dir) {
   return s;
 }
 
-std::string EncodeHeader(uint64_t epoch) {
-  std::string header(kWalMagic, sizeof(kWalMagic));
-  storage::PutU32(&header, kWalFormatVersion);
-  storage::PutU64(&header, epoch);
-  return header;
-}
-
 /// Writes a fresh WAL (header only) at `path`, truncating anything there,
 /// and fsyncs the file and its directory. Returns the open handle.
 StatusOr<std::FILE*> CreateLogFile(const std::string& path,
                                    uint64_t epoch) {
   std::FILE* file = std::fopen(path.c_str(), "wb");
   if (file == nullptr) return Errno("open", path);
-  std::string header = EncodeHeader(epoch);
+  std::string header = EncodeWalHeader(epoch);
   Status s = WriteAll(file, header.data(), header.size(), path);
   if (s.ok()) s = FsyncFile(file, path);
   if (s.ok()) s = FsyncDir(DirOf(path));
@@ -162,12 +155,7 @@ Status WalWriter::AppendLocked(const WalRecord& record,
                                std::unique_lock<std::mutex>* lock) {
   FLOCK_RETURN_NOT_OK(health_);
 
-  std::string payload = EncodeRecordPayload(record);
-  std::string body;
-  body.reserve(1 + payload.size());
-  storage::PutU8(&body, static_cast<uint8_t>(record.type));
-  body.append(payload);
-
+  std::string body = EncodeRecordBody(record);
   std::string frame;
   frame.reserve(kRecordHeaderSize + body.size());
   storage::PutU32(&frame, static_cast<uint32_t>(body.size()));

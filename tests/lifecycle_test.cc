@@ -246,10 +246,9 @@ TEST(WalRolloutRecordTest, PayloadRoundTrips) {
   snapshot.min_observations = 123;
 
   wal::WalRecord record = wal::WalRecord::RolloutChange(snapshot);
-  std::string payload = wal::EncodeRecordPayload(record);
-  auto decoded = wal::DecodeRecordPayload(wal::WalRecordType::kRolloutState,
-                                          payload.data(), payload.size());
+  auto decoded = wal::DecodeRecordBody(wal::EncodeRecordBody(record));
   ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded->type, wal::WalRecordType::kRolloutState);
   EXPECT_EQ(decoded->rollout.model, "churn");
   EXPECT_EQ(decoded->rollout.state, 2);
   EXPECT_EQ(decoded->rollout.canary_permille, 250u);

@@ -8,7 +8,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -18,6 +20,7 @@
 #include "storage/value.h"
 #include "wal/checkpoint.h"
 #include "wal/fault_injector.h"
+#include "wal/recovery.h"
 #include "wal/wal_format.h"
 #include "wal/wal_reader.h"
 #include "wal/wal_record.h"
@@ -69,24 +72,62 @@ void AppendBytes(const std::string& path, const std::string& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-/// All eleven record types, with every field group populated.
+RolloutSnapshot SampleRollout() {
+  RolloutSnapshot r;
+  r.model = "churn";
+  r.state = 2;
+  r.canary_permille = 250;
+  r.candidate_pipeline_text = "cand-pipe";
+  r.initiated_by = "alice";
+  r.live_version = 3;
+  r.max_divergence_rate = 0.1;
+  r.max_latency_regression = 0.2;
+  r.max_drift_score = 0.3;
+  r.min_observations = 50;
+  return r;
+}
+
+/// All twelve record types, with every field group populated, in an order
+/// that replays cleanly into an empty engine.
 std::vector<WalRecord> AllRecordTypes() {
+  policy::TimelineEntry entry;
+  entry.seq = 7;
+  entry.policy = "clamp";
+  entry.action = policy::ActionKind::kClamp;
+  entry.before = 0.9;
+  entry.after = 0.5;
+  entry.rejected = true;
+  entry.context = "ctx";
   std::vector<WalRecord> records;
   records.push_back(WalRecord::CreateTable("t", TwoColSchema()));
   records.push_back(WalRecord::AppendBatch("t", SmallBatch()));
   records.push_back(WalRecord::UpdateColumn(
       "t", 1, {0, 1}, {Value::Double(9.0), Value::Double(8.0)}));
   records.push_back(WalRecord::DeleteRows("t", {1, 0}));
-  records.push_back(WalRecord::DropTable("t"));
   records.push_back(WalRecord::DeployModel("churn", "pipe-bytes", "alice",
                                            "train.py"));
   records.push_back(WalRecord::DropModel("churn", "bob"));
-  records.push_back(WalRecord::PolicyAction(7, "clamp", 1, 0.9, 0.5, true,
-                                            "ctx"));
-  records.push_back(WalRecord::ProvEntity(3, 5, "churn", 2));
-  records.push_back(WalRecord::ProvEdge(3, 1, 4));
-  records.push_back(WalRecord::ProvProperty(3, "auc", "0.91"));
+  records.push_back(WalRecord::PolicyAction(entry));
+  records.push_back(
+      WalRecord::ProvEntity(1, prov::EntityType::kModel, "churn", 2));
+  records.push_back(WalRecord::ProvEdge({1, 1, prov::EdgeType::kTrains}));
+  records.push_back(WalRecord::ProvProperty(1, "auc", "0.91"));
+  records.push_back(WalRecord::RolloutChange(SampleRollout()));
+  records.push_back(WalRecord::DropTable("t"));
   return records;
+}
+
+void ExpectRolloutsEqual(const RolloutSnapshot& a, const RolloutSnapshot& b) {
+  EXPECT_EQ(a.model, b.model);
+  EXPECT_EQ(a.state, b.state);
+  EXPECT_EQ(a.canary_permille, b.canary_permille);
+  EXPECT_EQ(a.candidate_pipeline_text, b.candidate_pipeline_text);
+  EXPECT_EQ(a.initiated_by, b.initiated_by);
+  EXPECT_EQ(a.live_version, b.live_version);
+  EXPECT_EQ(a.max_divergence_rate, b.max_divergence_rate);
+  EXPECT_EQ(a.max_latency_regression, b.max_latency_regression);
+  EXPECT_EQ(a.max_drift_score, b.max_drift_score);
+  EXPECT_EQ(a.min_observations, b.min_observations);
 }
 
 void ExpectRecordsEqual(const WalRecord& a, const WalRecord& b) {
@@ -105,26 +146,68 @@ void ExpectRecordsEqual(const WalRecord& a, const WalRecord& b) {
   EXPECT_EQ(a.created_by, b.created_by);
   EXPECT_EQ(a.lineage, b.lineage);
   EXPECT_EQ(a.principal, b.principal);
-  EXPECT_EQ(a.seq, b.seq);
-  EXPECT_EQ(a.action, b.action);
-  EXPECT_EQ(a.before, b.before);
-  EXPECT_EQ(a.after, b.after);
-  EXPECT_EQ(a.rejected, b.rejected);
-  EXPECT_EQ(a.context, b.context);
+  EXPECT_EQ(a.timeline.seq, b.timeline.seq);
+  EXPECT_EQ(a.timeline.policy, b.timeline.policy);
+  EXPECT_EQ(a.timeline.action, b.timeline.action);
+  EXPECT_EQ(a.timeline.before, b.timeline.before);
+  EXPECT_EQ(a.timeline.after, b.timeline.after);
+  EXPECT_EQ(a.timeline.rejected, b.timeline.rejected);
+  EXPECT_EQ(a.timeline.context, b.timeline.context);
+  EXPECT_EQ(a.entity.id, b.entity.id);
+  EXPECT_EQ(a.entity.type, b.entity.type);
+  EXPECT_EQ(a.entity.name, b.entity.name);
+  EXPECT_EQ(a.entity.version, b.entity.version);
+  EXPECT_EQ(a.edge.src, b.edge.src);
+  EXPECT_EQ(a.edge.dst, b.edge.dst);
+  EXPECT_EQ(a.edge.type, b.edge.type);
   EXPECT_EQ(a.entity_id, b.entity_id);
-  EXPECT_EQ(a.src, b.src);
-  EXPECT_EQ(a.dst, b.dst);
-  EXPECT_EQ(a.prov_type, b.prov_type);
-  EXPECT_EQ(a.version, b.version);
   EXPECT_EQ(a.key, b.key);
   EXPECT_EQ(a.value, b.value);
+  ExpectRolloutsEqual(a.rollout, b.rollout);
+}
+
+/// A log drained by the one reader to the end of its durable prefix, in
+/// bounded polls the way recovery drains it.
+struct DrainedLog {
+  Status status;
+  uint64_t epoch = 0;
+  std::vector<WalRecord> records;
+  uint64_t valid_size = 0;      // the reader's cursor
+  bool tail_truncated = false;  // bytes remain past the cursor
+};
+
+DrainedLog DrainLog(const std::string& path) {
+  DrainedLog log;
+  WalReader reader(path);
+  while (true) {
+    auto polled = reader.Poll(4);
+    if (!polled.ok()) {
+      log.status = polled.status();
+      break;
+    }
+    for (WalRecord& record : polled->records) {
+      log.records.push_back(std::move(record));
+    }
+    if (polled->end_of_durable_log) break;
+  }
+  log.epoch = reader.epoch();
+  log.valid_size = reader.offset();
+  log.tail_truncated = log.valid_size < ReadFile(path).size();
+  return log;
+}
+
+std::vector<std::string> Names(const std::vector<WalRecord>& records) {
+  std::vector<std::string> names;
+  for (const WalRecord& record : records) names.push_back(record.name);
+  return names;
 }
 
 TEST(WalRecordTest, PayloadRoundTripAllTypes) {
   for (const WalRecord& record : AllRecordTypes()) {
-    std::string payload = EncodeRecordPayload(record);
-    auto decoded =
-        DecodeRecordPayload(record.type, payload.data(), payload.size());
+    std::string body = EncodeRecordBody(record);
+    EXPECT_EQ(static_cast<uint8_t>(body[0]),
+              static_cast<uint8_t>(record.type));
+    auto decoded = DecodeRecordBody(body);
     ASSERT_TRUE(decoded.ok())
         << WalRecordTypeName(record.type) << ": "
         << decoded.status().ToString();
@@ -134,22 +217,50 @@ TEST(WalRecordTest, PayloadRoundTripAllTypes) {
 
 TEST(WalRecordTest, TruncatedPayloadIsDataLoss) {
   for (const WalRecord& record : AllRecordTypes()) {
-    std::string payload = EncodeRecordPayload(record);
-    if (payload.empty()) continue;
-    auto decoded = DecodeRecordPayload(record.type, payload.data(),
-                                       payload.size() - 1);
+    std::string body = EncodeRecordBody(record);
+    auto decoded =
+        DecodeRecordBody(std::string_view(body).substr(0, body.size() - 1));
     ASSERT_FALSE(decoded.ok()) << WalRecordTypeName(record.type);
     EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss);
   }
+  EXPECT_EQ(DecodeRecordBody("").status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(DecodeRecordBody("\x63").status().code(),
+            StatusCode::kDataLoss);  // unknown type tag
 }
 
 TEST(WalRecordTest, TrailingBytesAreDataLoss) {
   WalRecord record = WalRecord::DropTable("t");
-  std::string payload = EncodeRecordPayload(record) + "x";
-  auto decoded =
-      DecodeRecordPayload(record.type, payload.data(), payload.size());
+  std::string body = EncodeRecordBody(record) + "x";
+  auto decoded = DecodeRecordBody(body);
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss);
+}
+
+// The shared sub-codecs hold the only enum range checks, so an
+// out-of-range tag fails at decode, before any replay sees it.
+TEST(WalRecordTest, OutOfRangeEnumTagsAreDataLossAtDecode) {
+  const std::vector<WalRecord> records = AllRecordTypes();
+  struct Case {
+    WalRecordType type;
+    size_t tag_offset;  // of the enum byte within the body
+  };
+  const Case cases[] = {
+      {WalRecordType::kPolicyAction, 1 + 8 + 4 + 5},  // seq, "clamp"
+      {WalRecordType::kProvEntity, 1 + 8},            // id
+      {WalRecordType::kProvEdge, 1 + 8 + 8},          // src, dst
+      {WalRecordType::kRolloutState, 1 + 4 + 5},      // "churn"
+  };
+  for (const Case& c : cases) {
+    for (const WalRecord& record : records) {
+      if (record.type != c.type) continue;
+      std::string body = EncodeRecordBody(record);
+      ASSERT_TRUE(DecodeRecordBody(body).ok());
+      body[c.tag_offset] = static_cast<char>(0x7f);
+      EXPECT_EQ(DecodeRecordBody(body).status().code(),
+                StatusCode::kDataLoss)
+          << WalRecordTypeName(c.type);
+    }
+  }
 }
 
 TEST(WalWriterTest, WriteThenReadBack) {
@@ -167,22 +278,14 @@ TEST(WalWriterTest, WriteThenReadBack) {
   EXPECT_GE((*writer_or)->syncs(), records.size());  // one per append
   writer_or->reset();
 
-  auto reader_or = WalReader::Open(path);
-  ASSERT_TRUE(reader_or.ok()) << reader_or.status().ToString();
-  EXPECT_EQ((*reader_or)->epoch(), 3u);
-  for (const WalRecord& expected : records) {
-    WalRecord got;
-    bool done = false;
-    ASSERT_TRUE((*reader_or)->Next(&got, &done).ok());
-    ASSERT_FALSE(done);
-    ExpectRecordsEqual(expected, got);
+  DrainedLog log = DrainLog(path);
+  ASSERT_TRUE(log.status.ok()) << log.status.ToString();
+  EXPECT_EQ(log.epoch, 3u);
+  ASSERT_EQ(log.records.size(), records.size());
+  for (size_t i = 0; i < records.size(); ++i) {
+    ExpectRecordsEqual(records[i], log.records[i]);
   }
-  WalRecord got;
-  bool done = false;
-  ASSERT_TRUE((*reader_or)->Next(&got, &done).ok());
-  EXPECT_TRUE(done);
-  EXPECT_FALSE((*reader_or)->tail_truncated());
-  EXPECT_EQ((*reader_or)->records_read(), records.size());
+  EXPECT_FALSE(log.tail_truncated);
 }
 
 TEST(WalWriterTest, EveryFsyncPolicyRoundTrips) {
@@ -202,18 +305,12 @@ TEST(WalWriterTest, EveryFsyncPolicyRoundTrips) {
               .ok());
     }
     writer_or->reset();
-    auto reader_or = WalReader::Open(path);
-    ASSERT_TRUE(reader_or.ok());
-    WalRecord record;
-    bool done = false;
-    size_t count = 0;
-    while (true) {
-      ASSERT_TRUE((*reader_or)->Next(&record, &done).ok());
-      if (done) break;
-      EXPECT_EQ(record.name, "t" + std::to_string(count));
-      ++count;
+    DrainedLog log = DrainLog(path);
+    ASSERT_TRUE(log.status.ok());
+    for (size_t i = 0; i < log.records.size(); ++i) {
+      EXPECT_EQ(log.records[i].name, "t" + std::to_string(i));
     }
-    EXPECT_EQ(count, 20u) << FsyncPolicyName(policy);
+    EXPECT_EQ(log.records.size(), 20u) << FsyncPolicyName(policy);
   }
 }
 
@@ -248,17 +345,9 @@ TEST(WalWriterTest, GroupCommitConcurrentAppends) {
             static_cast<uint64_t>(kThreads * kPerThread));
   writer_or->reset();
 
-  auto reader_or = WalReader::Open(path);
-  ASSERT_TRUE(reader_or.ok());
-  WalRecord record;
-  bool done = false;
-  size_t count = 0;
-  while (true) {
-    ASSERT_TRUE((*reader_or)->Next(&record, &done).ok());
-    if (done) break;
-    ++count;
-  }
-  EXPECT_EQ(count, static_cast<size_t>(kThreads * kPerThread));
+  DrainedLog log = DrainLog(path);
+  ASSERT_TRUE(log.status.ok());
+  EXPECT_EQ(log.records.size(), static_cast<size_t>(kThreads * kPerThread));
 }
 
 TEST(WalWriterTest, ResumeAppendsAfterIntactPrefix) {
@@ -273,16 +362,11 @@ TEST(WalWriterTest, ResumeAppendsAfterIntactPrefix) {
   std::string contents = ReadFile(path);
   WriteFile(path, contents + std::string(5, '\x7f'));
 
-  auto reader_or = WalReader::Open(path);
-  ASSERT_TRUE(reader_or.ok());
-  WalRecord record;
-  bool done = false;
-  ASSERT_TRUE((*reader_or)->Next(&record, &done).ok());
-  ASSERT_FALSE(done);
-  ASSERT_TRUE((*reader_or)->Next(&record, &done).ok());
-  ASSERT_TRUE(done);
-  EXPECT_TRUE((*reader_or)->tail_truncated());
-  uint64_t valid = (*reader_or)->valid_size();
+  DrainedLog torn = DrainLog(path);
+  ASSERT_TRUE(torn.status.ok());
+  ASSERT_EQ(torn.records.size(), 1u);
+  EXPECT_TRUE(torn.tail_truncated);
+  uint64_t valid = torn.valid_size;
   EXPECT_EQ(valid, contents.size());
 
   // Resume truncates the torn tail and appends cleanly after it.
@@ -291,16 +375,10 @@ TEST(WalWriterTest, ResumeAppendsAfterIntactPrefix) {
   ASSERT_TRUE((*resumed_or)->Append(WalRecord::DropTable("b")).ok());
   resumed_or->reset();
 
-  auto reread_or = WalReader::Open(path);
-  ASSERT_TRUE(reread_or.ok());
-  std::vector<std::string> names;
-  while (true) {
-    ASSERT_TRUE((*reread_or)->Next(&record, &done).ok());
-    if (done) break;
-    names.push_back(record.name);
-  }
-  EXPECT_EQ(names, (std::vector<std::string>{"a", "b"}));
-  EXPECT_FALSE((*reread_or)->tail_truncated());
+  DrainedLog reread = DrainLog(path);
+  ASSERT_TRUE(reread.status.ok());
+  EXPECT_EQ(Names(reread.records), (std::vector<std::string>{"a", "b"}));
+  EXPECT_FALSE(reread.tail_truncated);
 }
 
 TEST(WalReaderTest, TornFinalCrcIsDroppedButMidLogCrcIsDataLoss) {
@@ -317,25 +395,18 @@ TEST(WalReaderTest, TornFinalCrcIsDroppedButMidLogCrcIsDataLoss) {
   std::string tail_damage = intact;
   tail_damage.back() ^= 0x1;
   WriteFile(path, tail_damage);
-  auto reader_or = WalReader::Open(path);
-  ASSERT_TRUE(reader_or.ok());
-  WalRecord record;
-  bool done = false;
-  ASSERT_TRUE((*reader_or)->Next(&record, &done).ok());
-  ASSERT_FALSE(done);
-  EXPECT_EQ(record.name, "first");
-  ASSERT_TRUE((*reader_or)->Next(&record, &done).ok());
-  EXPECT_TRUE(done);
-  EXPECT_TRUE((*reader_or)->tail_truncated());
+  DrainedLog torn = DrainLog(path);
+  ASSERT_TRUE(torn.status.ok());
+  EXPECT_EQ(Names(torn.records), (std::vector<std::string>{"first"}));
+  EXPECT_TRUE(torn.tail_truncated);
 
   // The same bit flip in the FIRST record is mid-log: DataLoss.
   std::string mid_damage = intact;
   mid_damage[kWalHeaderSize + kRecordHeaderSize + 2] ^= 0x1;
   WriteFile(path, mid_damage);
-  auto bad_or = WalReader::Open(path);
-  ASSERT_TRUE(bad_or.ok());  // header is fine; damage surfaces on Next
-  Status st = (*bad_or)->Next(&record, &done);
-  while (st.ok() && !done) st = (*bad_or)->Next(&record, &done);
+  WalReader header_only(path);
+  ASSERT_TRUE(header_only.Poll(0).ok());  // header is fine
+  Status st = DrainLog(path).status;  // damage surfaces on the records
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kDataLoss);
 }
@@ -344,9 +415,18 @@ TEST(WalReaderTest, TruncatedHeaderIsDataLoss) {
   std::string dir = MakeTempDir();
   std::string path = dir + "/wal.log";
   WriteFile(path, "FLOCKW");  // shorter than the 20-byte header
-  auto reader_or = WalReader::Open(path);
-  ASSERT_FALSE(reader_or.ok());
-  EXPECT_EQ(reader_or.status().code(), StatusCode::kDataLoss);
+  // To the reader a short header is a log still being created...
+  EXPECT_EQ(WalReader(path).Poll(1).status().code(),
+            StatusCode::kUnavailable);
+  // ...but next to a snapshot (a checkpoint already cut this log) it is
+  // damage, and recovery refuses it.
+  SnapshotData snapshot;
+  snapshot.epoch = 1;
+  ASSERT_TRUE(CheckpointManager(dir).Write(snapshot).ok());
+  storage::Database db;
+  auto recovered = RecoveryManager(dir, &db, nullptr, nullptr, {}).Recover();
+  ASSERT_FALSE(recovered.ok());
+  EXPECT_EQ(recovered.status().code(), StatusCode::kDataLoss);
 }
 
 TEST(WalWriterTest, ResetForEpochCutsFreshLog) {
@@ -360,16 +440,11 @@ TEST(WalWriterTest, ResetForEpochCutsFreshLog) {
   ASSERT_TRUE((*writer_or)->Append(WalRecord::DropTable("new")).ok());
   writer_or->reset();
 
-  auto reader_or = WalReader::Open(path);
-  ASSERT_TRUE(reader_or.ok());
-  EXPECT_EQ((*reader_or)->epoch(), 2u);
-  WalRecord record;
-  bool done = false;
-  ASSERT_TRUE((*reader_or)->Next(&record, &done).ok());
-  ASSERT_FALSE(done);
-  EXPECT_EQ(record.name, "new");  // the pre-reset record is gone
-  ASSERT_TRUE((*reader_or)->Next(&record, &done).ok());
-  EXPECT_TRUE(done);
+  DrainedLog log = DrainLog(path);
+  ASSERT_TRUE(log.status.ok());
+  EXPECT_EQ(log.epoch, 2u);
+  // The pre-reset record is gone.
+  EXPECT_EQ(Names(log.records), (std::vector<std::string>{"new"}));
 }
 
 TEST(FaultInjectorTest, ErrorModeWedgesTheWriterStickily) {
@@ -393,15 +468,9 @@ TEST(FaultInjectorTest, ErrorModeWedgesTheWriterStickily) {
   writer_or->reset();
 
   // Only the pre-fault record is on disk.
-  auto reader_or = WalReader::Open(path);
-  ASSERT_TRUE(reader_or.ok());
-  WalRecord record;
-  bool done = false;
-  ASSERT_TRUE((*reader_or)->Next(&record, &done).ok());
-  ASSERT_FALSE(done);
-  EXPECT_EQ(record.name, "ok");
-  ASSERT_TRUE((*reader_or)->Next(&record, &done).ok());
-  EXPECT_TRUE(done);
+  DrainedLog log = DrainLog(path);
+  ASSERT_TRUE(log.status.ok());
+  EXPECT_EQ(Names(log.records), (std::vector<std::string>{"ok"}));
 }
 
 TEST(FaultInjectorTest, SkipCountDelaysTheFault) {
@@ -608,12 +677,12 @@ TEST(SnapshotTest, CheckpointManagerWritesAtomicallyAndReadsBack) {
 }
 
 // ---------------------------------------------------------------------
-// WalTailReader: incremental tailing of a *live* log (replication).
+// WalReader tailing a *live* log (replication).
 // ---------------------------------------------------------------------
 
 TEST(WalTailReaderTest, PollIsNotFoundUntilTheLogExists) {
   std::string dir = MakeTempDir();
-  WalTailReader tail(dir + "/wal.log");
+  WalReader tail(dir + "/wal.log");
   auto poll = tail.Poll(10);
   ASSERT_FALSE(poll.ok());
   EXPECT_EQ(poll.status().code(), StatusCode::kNotFound);
@@ -630,7 +699,7 @@ TEST(WalTailReaderTest, TailsALiveWriterIncrementally) {
       (*writer)->Append(WalRecord::CreateTable("t", TwoColSchema())).ok());
   ASSERT_TRUE((*writer)->Append(WalRecord::AppendBatch("t", SmallBatch())).ok());
 
-  WalTailReader tail(path);
+  WalReader tail(path);
   auto first = tail.Poll(10);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   EXPECT_EQ(first->records.size(), 2u);
@@ -672,7 +741,7 @@ TEST(WalTailReaderTest, TornTailIsEndOfDurableLogNotAnError) {
   // A half-written frame at the tail: to a tailing replica this is a
   // record still in flight, not corruption — retried, never truncated.
   AppendBytes(path, std::string("\x40\x00\x00\x00\xaa\xbb", 6));
-  WalTailReader tail(path);
+  WalReader tail(path);
   auto poll = tail.Poll(10);
   ASSERT_TRUE(poll.ok()) << poll.status().ToString();
   EXPECT_EQ(poll->records.size(), 1u);
@@ -703,7 +772,7 @@ TEST(WalTailReaderTest, InjectedPartialWriteReadsAsEndOfDurableLog) {
       (*writer)->Append(WalRecord::AppendBatch("t", SmallBatch())).ok());
   FaultInjector::Get()->Disarm();
 
-  WalTailReader tail(path);
+  WalReader tail(path);
   auto poll = tail.Poll(10);
   ASSERT_TRUE(poll.ok()) << poll.status().ToString();
   EXPECT_EQ(poll->records.size(), 1u);  // only the committed record
@@ -729,7 +798,7 @@ TEST(WalTailReaderTest, MidLogDamageIsStillDataLoss) {
   bytes[first_end - 3] ^= 0x5a;
   WriteFile(path, bytes);
 
-  WalTailReader tail(path);
+  WalReader tail(path);
   auto poll = tail.Poll(10);
   ASSERT_FALSE(poll.ok());
   EXPECT_EQ(poll.status().code(), StatusCode::kDataLoss);
@@ -745,7 +814,7 @@ TEST(WalTailReaderTest, CheckpointEpochSwapIsReported) {
   ASSERT_TRUE(
       (*writer)->Append(WalRecord::CreateTable("t", TwoColSchema())).ok());
 
-  WalTailReader tail(path);
+  WalReader tail(path);
   ASSERT_TRUE(tail.Poll(10).ok());
   EXPECT_EQ(tail.epoch(), 1u);
 
@@ -780,7 +849,7 @@ TEST(WalTailReaderTest, SeekRepositionsWithinTheDurablePrefix) {
             .ok());
   }
 
-  WalTailReader tail(path);
+  WalReader tail(path);
   ASSERT_TRUE(tail.Seek(2).ok());
   EXPECT_EQ(tail.epoch(), 3u);
   auto poll = tail.Poll(10);
@@ -791,6 +860,393 @@ TEST(WalTailReaderTest, SeekRepositionsWithinTheDurablePrefix) {
   // Seeking past the durable log is OutOfRange (the caller re-bootstraps
   // or waits, depending on which side of the epoch it is on).
   EXPECT_EQ(tail.Seek(9).code(), StatusCode::kOutOfRange);
+}
+
+// ---------------------------------------------------------------------
+// Replay into real components (shared by the compatibility and sweep
+// tests below).
+// ---------------------------------------------------------------------
+
+/// The components a recovery replays into, with the registry callbacks
+/// recorded instead of applied.
+struct ReplayedState {
+  storage::Database db;
+  prov::Catalog catalog;
+  policy::PolicyEngine policy;
+  std::vector<std::string> model_calls;
+  std::vector<AuditEventSnapshot> audit;
+  std::vector<RolloutSnapshot> rollouts;
+
+  EngineStateAdapter Adapter() {
+    EngineStateAdapter adapter;
+    adapter.replay_deploy = [this](const std::string& name,
+                                   const std::string& pipeline_text,
+                                   const std::string& created_by,
+                                   const std::string& lineage) {
+      model_calls.push_back("deploy " + name + " " + pipeline_text + " " +
+                            created_by + " " + lineage);
+      return Status::OK();
+    };
+    adapter.replay_drop = [this](const std::string& name,
+                                 const std::string& principal) {
+      model_calls.push_back("drop " + name + " " + principal);
+      return Status::OK();
+    };
+    adapter.restore_model = [this](const ModelSnapshot& m) {
+      model_calls.push_back("restore " + m.name + " " +
+                            std::to_string(m.version));
+      return Status::OK();
+    };
+    adapter.restore_audit = [this](std::vector<AuditEventSnapshot> events) {
+      audit = std::move(events);
+    };
+    adapter.apply_rollout = [this](const RolloutSnapshot& rollout) {
+      rollouts.push_back(rollout);
+      return Status::OK();
+    };
+    return adapter;
+  }
+
+  StatusOr<RecoveryResult> Recover(const std::string& dir) {
+    return RecoveryManager(dir, &db, &catalog, &policy, Adapter())
+        .Recover();
+  }
+};
+
+std::string FromHex(std::string_view hex) {
+  std::string bytes;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    bytes += static_cast<char>(
+        std::stoi(std::string(hex.substr(i, 2)), nullptr, 16));
+  }
+  return bytes;
+}
+
+/// Writes AllRecordTypes() as a fresh epoch-1 log; returns its bytes.
+std::string WriteAllRecordTypes(const std::string& path) {
+  WalWriterOptions options;
+  options.fsync_policy = FsyncPolicy::kNever;
+  auto writer = WalWriter::Create(path, 1, options);
+  EXPECT_TRUE(writer.ok());
+  for (const WalRecord& record : AllRecordTypes()) {
+    EXPECT_TRUE((*writer)->Append(record).ok());
+  }
+  writer->reset();
+  return ReadFile(path);
+}
+
+/// Offsets where the header and then each frame of `log` end, read from
+/// the length words of an intact log.
+std::vector<size_t> FrameEnds(const std::string& log) {
+  std::vector<size_t> ends = {kWalHeaderSize};
+  while (ends.back() < log.size()) {
+    storage::ByteReader frame(log.data() + ends.back(), 4);
+    uint32_t len = 0;
+    EXPECT_TRUE(frame.GetU32(&len).ok());
+    ends.push_back(ends.back() + kRecordHeaderSize + len);
+  }
+  EXPECT_EQ(ends.back(), log.size());
+  return ends;
+}
+
+// ---------------------------------------------------------------------
+// Bytes written before record bodies and snapshot sections shared their
+// sub-codecs: a log holding AllRecordTypes() and the image of
+// SampleSnapshot() plus SampleRollout(). They must decode to the same
+// state, and today's encoders must reproduce them byte for byte.
+// ---------------------------------------------------------------------
+
+constexpr char kEarlierWalHex[] =
+    "464c4f434b57414c0100000001000000000000001800000074c5ac3d01010000"
+    "007402000000010000006b0100010000007602013c000000170ddac603010000"
+    "007402000000010000006b010001000000760201020000000000000001010000"
+    "000000000001020000000000000001000000000000f83f002a00000086cd52c9"
+    "0401000000740100000002000000000000000100000000020000000000002240"
+    "0002000000000000204010000000a68d0c7c0501000000740200000000000000"
+    "01002d00000082d678650605000000636875726e0a000000706970652d627974"
+    "657305000000616c69636508000000747261696e2e707911000000acfcc91607"
+    "05000000636875726e03000000626f622b000000d5424a6c0807000000000000"
+    "0005000000636c616d7002cdccccccccccec3f000000000000e03f0103000000"
+    "6374781b000000bdee17770901000000000000000505000000636875726e0200"
+    "00000000000012000000db112ee20a0100000000000000010000000000000004"
+    "180000006f75e05e0b01000000000000000300000061756304000000302e3931"
+    "4d00000065239ec50c05000000636875726e02fa0000000900000063616e642d"
+    "7069706505000000616c69636503000000000000009a9999999999b93f9a9999"
+    "999999c93f333333333333d33f3200000000000000060000003d9c0296020100"
+    "000074";
+constexpr char kEarlierSnapshotHex[] =
+    "464c4f434b534e50030000000900000000000000010000000100000074020000"
+    "00010000006b0100010000007602010400000000000000010000000200000001"
+    "0000006b01000100000076020102000000000000000101000000000000000102"
+    "0000000000000001000000000000f83f000100000005000000636875726e0400"
+    "000000000000040000007069706505000000616c69636508000000747261696e"
+    "2e70790200000005000000616c69636503000000626f62010000000105000000"
+    "636875726e05000000616c696365040000000000000064000000000000000c00"
+    "000000000000010000000b0000000000000005000000636c616d7000cdcccccc"
+    "ccccec3f000000000000e03f0103000000637478010000000505000000636875"
+    "726e0400000000000000010000000300000061756304000000302e3931010000"
+    "0001000000000000000100000000000000070100000005000000636875726e02"
+    "fa0000000900000063616e642d7069706505000000616c696365030000000000"
+    "00009a9999999999b93f9a9999999999c93f333333333333d33f320000000000"
+    "00002650bf6b";
+
+TEST(WalCompatTest, EarlierLogRecoversAndReencodesIdentically) {
+  std::string dir = MakeTempDir();
+  const std::string log = FromHex(kEarlierWalHex);
+  WriteFile(dir + "/wal.log", log);
+  ReplayedState state;
+  auto recovered = state.Recover(dir);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(recovered->wal_records_replayed, 12u);
+  EXPECT_FALSE(recovered->tail_truncated);
+  EXPECT_EQ(recovered->wal_valid_size, log.size());
+
+  EXPECT_TRUE(state.db.ListTables().empty());  // created, edited, dropped
+  EXPECT_EQ(state.model_calls,
+            (std::vector<std::string>{"deploy churn pipe-bytes alice train.py",
+                                      "drop churn bob"}));
+  ASSERT_EQ(state.policy.timeline().size(), 1u);
+  const policy::TimelineEntry& entry = state.policy.timeline()[0];
+  EXPECT_EQ(entry.seq, 7u);
+  EXPECT_EQ(entry.policy, "clamp");
+  EXPECT_EQ(entry.action, policy::ActionKind::kClamp);
+  EXPECT_EQ(entry.before, 0.9);
+  EXPECT_EQ(entry.after, 0.5);
+  EXPECT_TRUE(entry.rejected);
+  EXPECT_EQ(entry.context, "ctx");
+  ASSERT_EQ(state.catalog.entities().size(), 1u);
+  const prov::Entity& entity = state.catalog.entities()[0];
+  EXPECT_EQ(entity.type, prov::EntityType::kModel);
+  EXPECT_EQ(entity.name, "churn");
+  EXPECT_EQ(entity.version, 2u);
+  EXPECT_EQ(entity.properties.at("auc"), "0.91");
+  ASSERT_EQ(state.catalog.edges().size(), 1u);
+  EXPECT_EQ(state.catalog.edges()[0].type, prov::EdgeType::kTrains);
+  ASSERT_EQ(state.rollouts.size(), 1u);
+  ExpectRolloutsEqual(state.rollouts[0], SampleRollout());
+
+  EXPECT_EQ(WriteAllRecordTypes(MakeTempDir() + "/wal.log"), log);
+}
+
+TEST(WalCompatTest, EarlierSnapshotRestoresAndReencodesIdentically) {
+  const std::string image = FromHex(kEarlierSnapshotHex);
+  SnapshotData expected = SampleSnapshot();
+  expected.rollouts.push_back(SampleRollout());
+  EXPECT_EQ(EncodeSnapshot(expected), image);
+
+  auto decoded = DecodeSnapshot(image);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ReplayedState state;
+  EngineStateAdapter adapter = state.Adapter();
+  ASSERT_TRUE(RestoreSnapshotState(
+                  {&state.db, &state.catalog, &state.policy, &adapter},
+                  *decoded)
+                  .ok());
+  auto table = state.db.GetTable("t");
+  ASSERT_TRUE(table.ok());
+  EXPECT_EQ((*table)->ScanRange(0, (*table)->num_rows()).ToString(),
+            SmallBatch().ToString());
+  EXPECT_EQ(state.model_calls, (std::vector<std::string>{"restore churn 4"}));
+  ASSERT_EQ(state.audit.size(), 1u);
+  EXPECT_EQ(state.audit[0].principal, "alice");
+  EXPECT_EQ(state.audit[0].rows, 100u);
+  ASSERT_EQ(state.policy.timeline().size(), 1u);
+  EXPECT_EQ(state.policy.timeline()[0].seq, 11u);
+  EXPECT_EQ(state.policy.timeline()[0].action, policy::ActionKind::kAllow);
+  ASSERT_EQ(state.catalog.entities().size(), 1u);
+  EXPECT_EQ(state.catalog.entities()[0].properties.at("auc"), "0.91");
+  ASSERT_EQ(state.catalog.edges().size(), 1u);
+  EXPECT_EQ(state.catalog.edges()[0].type, prov::EdgeType::kVersionOf);
+  ASSERT_EQ(state.rollouts.size(), 1u);
+  ExpectRolloutsEqual(state.rollouts[0], SampleRollout());
+}
+
+// ---------------------------------------------------------------------
+// Decoders check every count against the bytes left before sizing a
+// container from it: each crafted input below names ~4G items in a few
+// bytes, and must be DataLoss rather than an allocation.
+// ---------------------------------------------------------------------
+
+std::string SealSnapshot(const std::string& payload) {
+  std::string out(kSnapshotMagic, sizeof(kSnapshotMagic));
+  out.append(payload);
+  storage::PutU32(&out, Crc32(payload.data(), payload.size()));
+  return out;
+}
+
+/// A version-3 snapshot payload up to (not including) the count of
+/// top-level section `section` (0 tables, 1 models, 2 audit, 3 timeline,
+/// 4 entities, 5 edges, 6 rollouts), every earlier section empty.
+std::string SnapshotPayloadBefore(int section) {
+  std::string payload;
+  storage::PutU32(&payload, kSnapshotFormatVersion);
+  storage::PutU64(&payload, 9);  // epoch
+  for (int s = 0; s <= section; ++s) {
+    if (s == 3) storage::PutU64(&payload, 0);  // policy next seq
+    if (s < section) storage::PutU32(&payload, 0);
+  }
+  return payload;
+}
+
+struct HugeCountCase {
+  std::string site;
+  std::function<Status()> decode;
+};
+
+void PrintTo(const HugeCountCase& c, std::ostream* os) { *os << c.site; }
+
+std::vector<HugeCountCase> HugeCountCases() {
+  constexpr uint32_t kHuge = 0xFFFFFFFFu;
+  auto body = [](WalRecordType type, const std::string& rest) {
+    std::string out;
+    storage::PutU8(&out, static_cast<uint8_t>(type));
+    storage::PutString(&out, "t");
+    return out + rest;
+  };
+  auto record = [](std::string bytes) {
+    return [bytes] { return DecodeRecordBody(bytes).status(); };
+  };
+  auto snapshot = [](std::string payload) {
+    return [payload] { return DecodeSnapshot(SealSnapshot(payload)).status(); };
+  };
+  std::vector<HugeCountCase> cases;
+
+  std::string rest;
+  storage::PutU32(&rest, 0);  // column
+  storage::PutU32(&rest, kHuge);
+  cases.push_back({"UpdateColumn",
+                   record(body(WalRecordType::kUpdateColumn, rest))});
+  rest.clear();
+  storage::PutU64(&rest, uint64_t{1} << 40);
+  cases.push_back({"DeleteRows",
+                   record(body(WalRecordType::kDeleteRows, rest))});
+  rest.clear();
+  storage::PutU32(&rest, kHuge);  // schema column count
+  cases.push_back({"Schema", record(body(WalRecordType::kCreateTable, rest))});
+  rest.clear();
+  storage::SerializeSchema(TwoColSchema(), &rest);
+  storage::PutU64(&rest, uint64_t{1} << 40);  // batch row count
+  cases.push_back({"Batch", record(body(WalRecordType::kAppendBatch, rest))});
+
+  const char* sections[] = {"SnapshotTables",   "SnapshotModels",
+                            "SnapshotAudit",    "SnapshotTimeline",
+                            "SnapshotEntities", "SnapshotEdges",
+                            "SnapshotRollouts"};
+  for (int s = 0; s < 7; ++s) {
+    std::string payload = SnapshotPayloadBefore(s);
+    storage::PutU32(&payload, kHuge);
+    cases.push_back({sections[s], snapshot(payload)});
+  }
+  std::string segments = SnapshotPayloadBefore(0);
+  storage::PutU32(&segments, 1);  // one table
+  storage::PutString(&segments, "t");
+  storage::SerializeSchema(TwoColSchema(), &segments);
+  storage::PutU64(&segments, 4);  // segment capacity
+  storage::PutU32(&segments, kHuge);
+  cases.push_back({"SnapshotSegments", snapshot(segments)});
+  std::string acl = SnapshotPayloadBefore(1);
+  storage::PutU32(&acl, 1);  // one model
+  storage::PutString(&acl, "m");
+  storage::PutU64(&acl, 1);
+  storage::PutString(&acl, "pipe");
+  storage::PutString(&acl, "alice");
+  storage::PutString(&acl, "train.py");
+  storage::PutU32(&acl, kHuge);  // allowed principals
+  cases.push_back({"SnapshotModelAcl", snapshot(acl)});
+  return cases;
+}
+
+class HugeCountTest : public ::testing::TestWithParam<HugeCountCase> {};
+
+TEST_P(HugeCountTest, IsDataLossBeforeAllocating) {
+  Status st = GetParam().decode();
+  EXPECT_EQ(st.code(), StatusCode::kDataLoss) << st.ToString();
+}
+
+// ctest names each case after its site, through PrintTo.
+INSTANTIATE_TEST_SUITE_P(CountSites, HugeCountTest,
+                         ::testing::ValuesIn(HugeCountCases()));
+
+// ---------------------------------------------------------------------
+// Truncation and bit-flip sweep over one log holding every record type:
+// recovery and a fresh reader must agree on the durable prefix at every
+// length, and damage must be a torn tail exactly when it is in the final
+// frame.
+// ---------------------------------------------------------------------
+
+TEST(WalSweepTest, TruncationAtEveryLengthReplaysCompleteFrames) {
+  std::string dir = MakeTempDir();
+  std::string path = dir + "/wal.log";
+  const std::string log = WriteAllRecordTypes(path);
+  const std::vector<size_t> ends = FrameEnds(log);
+  const std::vector<WalRecord> records = AllRecordTypes();
+  ASSERT_EQ(ends.size(), records.size() + 1);
+  for (size_t len = 0; len <= log.size(); ++len) {
+    SCOPED_TRACE("log truncated to " + std::to_string(len) + " bytes");
+    WriteFile(path, log.substr(0, len));
+    ReplayedState state;
+    auto recovered = state.Recover(dir);
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    if (len < kWalHeaderSize) {
+      // A crash while the first log's header was being written.
+      EXPECT_TRUE(recovered->stale_wal_discarded);
+      EXPECT_EQ(recovered->wal_records_replayed, 0u);
+      continue;
+    }
+    size_t complete = 0;
+    while (complete + 1 < ends.size() && ends[complete + 1] <= len) {
+      ++complete;
+    }
+    EXPECT_EQ(recovered->wal_records_replayed, complete);
+    EXPECT_EQ(recovered->wal_valid_size, ends[complete]);
+    EXPECT_EQ(recovered->tail_truncated, ends[complete] < len);
+
+    WalReader reader(path);
+    auto polled = reader.Poll(records.size() + 1);
+    ASSERT_TRUE(polled.ok()) << polled.status().ToString();
+    EXPECT_TRUE(polled->end_of_durable_log);
+    EXPECT_EQ(reader.offset(), ends[complete]);
+    ASSERT_EQ(polled->records.size(), complete);
+    for (size_t i = 0; i < complete; ++i) {
+      ExpectRecordsEqual(records[i], polled->records[i]);
+    }
+  }
+}
+
+TEST(WalSweepTest, ByteFlipIsDataLossMidLogAndTornInTheFinalFrame) {
+  std::string dir = MakeTempDir();
+  std::string path = dir + "/wal.log";
+  const std::string log = WriteAllRecordTypes(path);
+  const std::vector<size_t> ends = FrameEnds(log);
+  const size_t final_frame = ends[ends.size() - 2];
+  for (uint8_t mask : {uint8_t{0x01}, uint8_t{0xFF}}) {
+    for (size_t i = 0; i < log.size(); ++i) {
+      SCOPED_TRACE("byte " + std::to_string(i) + " ^= " +
+                   std::to_string(mask));
+      std::string damaged = log;
+      damaged[i] = static_cast<char>(damaged[i] ^ mask);
+      WriteFile(path, damaged);
+      ReplayedState state;
+      auto recovered = state.Recover(dir);
+      DrainedLog drained = DrainLog(path);
+      if (i < final_frame) {
+        // The header or a committed frame with intact frames after it.
+        ASSERT_FALSE(recovered.ok());
+        EXPECT_EQ(recovered.status().code(), StatusCode::kDataLoss);
+        if (i >= kWalHeaderSize) {
+          EXPECT_EQ(drained.status.code(), StatusCode::kDataLoss);
+        }
+        continue;
+      }
+      ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+      EXPECT_EQ(recovered->wal_records_replayed, ends.size() - 2);
+      EXPECT_TRUE(recovered->tail_truncated);
+      EXPECT_EQ(recovered->wal_valid_size, final_frame);
+      ASSERT_TRUE(drained.status.ok()) << drained.status.ToString();
+      EXPECT_EQ(drained.records.size(), ends.size() - 2);
+      EXPECT_EQ(drained.valid_size, final_frame);
+    }
+  }
 }
 
 TEST(WalFormatTest, Crc32MatchesKnownVector) {
