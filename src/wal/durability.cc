@@ -255,8 +255,7 @@ void DurabilityManager::OnDeleteRows(const storage::Table& table,
 }
 
 void DurabilityManager::OnEntity(const prov::Entity& entity) {
-  Observe(WalRecord::ProvEntity(entity.id, entity.type, entity.name,
-                                entity.version));
+  Observe(WalRecord::ProvEntity(entity));
 }
 
 void DurabilityManager::OnEdge(const prov::Edge& edge) {

@@ -231,7 +231,7 @@ Status ApplyWalRecord(const WalReplayTarget& target, const WalRecord& r) {
         return Status::Internal(
             "wal contains provenance but no catalog is attached");
       }
-      return catalog->SetProperty(r.entity_id, r.key, r.value);
+      return catalog->SetProperty(r.entity.id, r.key, r.value);
     case WalRecordType::kRolloutState:
       if (adapter == nullptr || !adapter->apply_rollout) {
         return Status::Internal(

@@ -31,9 +31,9 @@ namespace flock::wal {
 ///
 /// `len` counts type + payload; `crc` is CRC-32 (reflected, poly
 /// 0xEDB88320) over type + payload. A record that fails its length or CRC
-/// check with no intact record after it is a *torn tail* — the fsync that
-/// would have committed it never completed — and is silently dropped;
-/// damage followed by an intact record is DataLoss (see WalReader).
+/// check is a *torn tail* — the fsync that would have committed it never
+/// completed — and is silently dropped, unless committed records provably
+/// follow it, which is DataLoss (see WalReader).
 inline constexpr char kWalMagic[8] = {'F', 'L', 'O', 'C',
                                       'K', 'W', 'A', 'L'};
 inline constexpr uint32_t kWalFormatVersion = 1;

@@ -1,6 +1,7 @@
 #include "wal/wal_reader.h"
 
 #include <fstream>
+#include <string_view>
 
 #include "storage/serialization.h"
 #include "wal/wal_format.h"
@@ -19,22 +20,69 @@ uint32_t BodyLength(const char* p, uint64_t available) {
   return len >= 1 && len <= kMaxRecordLen && len <= available ? len : 0;
 }
 
-/// True when the CRC in the frame header at `p` matches its body.
-bool CrcMatches(const char* p, uint32_t len) {
+/// The CRC word of the frame header at `p`.
+uint32_t DeclaredCrc(const char* p) {
   storage::ByteReader header(p + 4, 4);
   uint32_t crc = 0;
   (void)header.GetU32(&crc);
-  return Crc32(p + kRecordHeaderSize, len) == crc;
+  return crc;
 }
 
-/// True when an intact frame starts anywhere in `tail` past its first
-/// byte: whatever damage sits at the front of `tail` is not the end of
-/// the log.
-bool IntactFrameFollows(const std::string& tail) {
-  for (size_t q = 1; q + kRecordHeaderSize < tail.size(); ++q) {
-    uint32_t len =
-        BodyLength(tail.data() + q, tail.size() - q - kRecordHeaderSize);
-    if (len > 0 && CrcMatches(tail.data() + q, len)) return true;
+/// True when the CRC in the frame header at `p` matches its body.
+bool CrcMatches(const char* p, uint32_t len) {
+  return Crc32(p + kRecordHeaderSize, len) == DeclaredCrc(p);
+}
+
+/// Whether the damaged frame at the front of `tail` (the rest of the log)
+/// is a committed frame that was corrupted, rather than a torn or
+/// in-flight append. It is when, at some offset c after it:
+///  - frames with known type tags chain from c to the end of the file
+///    (or to a remnant shorter than a frame header),
+///  - the frame at c is intact, and
+///  - the damaged frame provably ends at c: its length word says so (the
+///    damage is in its CRC or body), or its CRC matches the bytes up to c
+///    (the damage is in its length).
+/// A torn append is cut short, so its length never fits the file, and a
+/// CRC over part of its body matching the full body's is a 2^-32 chance.
+/// Frames that user data happens to embed in it therefore do not count.
+/// Linear in the tail: one backward pass for the chains, one chained CRC
+/// up to each chain start, and a full check of only the candidates that
+/// pass both.
+bool DamagedFrameWasCommitted(std::string_view tail) {
+  const size_t n = tail.size();
+  if (n < kRecordHeaderSize) return false;
+  std::vector<bool> reaches_end(n + 1);
+  for (size_t p = n + 1; p-- > 0;) {
+    if (n - p < kRecordHeaderSize) {
+      reaches_end[p] = true;
+      continue;
+    }
+    uint32_t len = BodyLength(tail.data() + p, n - p - kRecordHeaderSize);
+    reaches_end[p] =
+        len > 0 &&
+        IsWalRecordType(static_cast<uint8_t>(tail[p + kRecordHeaderSize])) &&
+        reaches_end[p + kRecordHeaderSize + len];
+  }
+  storage::ByteReader header(tail.data(), 4);
+  uint32_t declared_len = 0;
+  (void)header.GetU32(&declared_len);
+  const uint32_t declared_crc = DeclaredCrc(tail.data());
+  uint32_t crc = 0;  // over tail[kRecordHeaderSize, c)
+  size_t crc_end = kRecordHeaderSize;
+  for (size_t c = kRecordHeaderSize + 1; c + kRecordHeaderSize < n; ++c) {
+    if (!reaches_end[c]) continue;
+    crc = Crc32(tail.data() + crc_end, c - crc_end, crc);
+    crc_end = c;
+    if (c - kRecordHeaderSize != declared_len && crc != declared_crc) {
+      continue;
+    }
+    const char* frame = tail.data() + c;
+    uint32_t len = BodyLength(frame, n - c - kRecordHeaderSize);
+    if (CrcMatches(frame, len) &&
+        DecodeRecordBody(std::string_view(frame + kRecordHeaderSize, len))
+            .ok()) {
+      return true;
+    }
   }
   return false;
 }
@@ -100,20 +148,19 @@ StatusOr<WalReader::PollResult> WalReader::Poll(size_t max_records) {
       }
     }
     if (len == 0) {
-      // Clean EOF, or a damaged frame. The writer lays each frame down
-      // with one write, so a torn or in-flight append is the last thing
-      // in the file; an intact frame after the damage means committed
-      // records were corrupted.
+      // Clean EOF, or a damaged frame. A torn or in-flight append is the
+      // last thing in the file; a committed continuation after the damage
+      // means committed records were corrupted.
       if (left > 0) {
         std::string tail(left, '\0');
         in.clear();
         in.seekg(static_cast<std::streamoff>(offset_));
         if (in.read(tail.data(), static_cast<std::streamsize>(left)) &&
-            IntactFrameFollows(tail)) {
+            DamagedFrameWasCommitted(tail)) {
           return Status::DataLoss("wal record at offset " +
                                   std::to_string(offset_) +
-                                  " is damaged but intact records follow "
-                                  "it: " + path_);
+                                  " is damaged but committed records "
+                                  "follow it: " + path_);
         }
       }
       result.end_of_durable_log = true;

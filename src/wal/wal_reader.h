@@ -16,15 +16,18 @@ namespace flock::wal {
 /// so draining a log is a single pass over the file.
 ///
 ///  - A damaged frame (partial header, implausible length, body past EOF
-///    or a CRC mismatch) with no intact frame anywhere after it is the
-///    *end of the durable log*: an append that is in flight, or that a
-///    crash tore and so never committed. Poll stops at the last intact
-///    frame boundary; the condition is not sticky, so a live tail simply
-///    polls again from the same cursor. Recovery reads it as a torn tail:
-///    the cursor is the valid size, and any bytes past it are dropped.
-///  - Damage followed by an intact frame is corruption of committed
-///    records: Status::DataLoss. (A torn write is always the last thing
-///    in the file, so intact bytes after damage rule it out.)
+///    or a CRC mismatch) is the *end of the durable log*: an append that
+///    is in flight, or that a crash tore and so never committed. Poll
+///    stops at the last intact frame boundary; the condition is not
+///    sticky, so a live tail simply polls again from the same cursor.
+///    Recovery reads it as a torn tail: the cursor is the valid size, and
+///    any bytes past it are dropped.
+///  - Unless committed records provably follow the damage: a chain of
+///    frames from some later offset to EOF whose first frame is intact,
+///    where the damaged frame's length or CRC shows it ends at that
+///    offset. That is corruption of committed records: Status::DataLoss.
+///    A torn append never fits the file, so frames that its payload
+///    happens to contain do not count.
 ///  - A header shorter than the fixed prefix is a log mid-creation:
 ///    Unavailable. A bad magic or version is DataLoss.
 ///  - Checkpoints atomically replace the file with a fresh log under a

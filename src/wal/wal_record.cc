@@ -114,14 +114,10 @@ WalRecord WalRecord::PolicyAction(policy::TimelineEntry entry) {
   return r;
 }
 
-WalRecord WalRecord::ProvEntity(uint64_t id, prov::EntityType type,
-                                std::string name, uint64_t version) {
+WalRecord WalRecord::ProvEntity(prov::Entity entity) {
   WalRecord r;
   r.type = WalRecordType::kProvEntity;
-  r.entity.id = id;
-  r.entity.type = type;
-  r.entity.name = std::move(name);
-  r.entity.version = version;
+  r.entity = std::move(entity);
   return r;
 }
 
@@ -136,7 +132,7 @@ WalRecord WalRecord::ProvProperty(uint64_t id, std::string key,
                                   std::string value) {
   WalRecord r;
   r.type = WalRecordType::kProvProperty;
-  r.entity_id = id;
+  r.entity.id = id;
   r.key = std::move(key);
   r.value = std::move(value);
   return r;
@@ -303,7 +299,7 @@ std::string EncodeRecordBody(const WalRecord& record) {
       PutEdge(&out, record.edge);
       break;
     case WalRecordType::kProvProperty:
-      PutU64(&out, record.entity_id);
+      PutU64(&out, record.entity.id);
       PutString(&out, record.key);
       PutString(&out, record.value);
       break;
@@ -379,7 +375,7 @@ StatusOr<WalRecord> DecodeRecordBody(std::string_view body) {
       FLOCK_RETURN_NOT_OK(GetEdge(&in, &r.edge));
       break;
     case WalRecordType::kProvProperty:
-      FLOCK_RETURN_NOT_OK(in.GetU64(&r.entity_id));
+      FLOCK_RETURN_NOT_OK(in.GetU64(&r.entity.id));
       FLOCK_RETURN_NOT_OK(in.GetString(&r.key));
       FLOCK_RETURN_NOT_OK(in.GetString(&r.value));
       break;

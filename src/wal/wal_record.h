@@ -37,6 +37,12 @@ enum class WalRecordType : uint8_t {
 
 const char* WalRecordTypeName(WalRecordType type);
 
+/// True when `tag` is the value of a WalRecordType enumerator.
+inline bool IsWalRecordType(uint8_t tag) {
+  return tag >= static_cast<uint8_t>(WalRecordType::kCreateTable) &&
+         tag <= static_cast<uint8_t>(WalRecordType::kRolloutState);
+}
+
 /// A decoded record: `type` selects which field group is meaningful.
 /// Kept flat (rather than a std::variant) so the codec and replay switch
 /// stay simple; records are short-lived decode buffers, not a data model.
@@ -61,13 +67,11 @@ struct WalRecord {
   std::string principal;      // kDropModel
 
   policy::TimelineEntry timeline;  // kPolicyAction
-  prov::Entity entity;  // kProvEntity: id, type, name, version
-  prov::Edge edge;      // kProvEdge
-
-  // kProvProperty.
-  uint64_t entity_id = 0;
-  std::string key;
-  std::string value;
+  // kProvEntity: id, type, name, version. kProvProperty: the id only.
+  prov::Entity entity;
+  prov::Edge edge;    // kProvEdge
+  std::string key;    // kProvProperty
+  std::string value;  // kProvProperty
 
   // kRolloutState: the full post-transition rollout.
   RolloutSnapshot rollout;
@@ -85,8 +89,7 @@ struct WalRecord {
                                std::string created_by, std::string lineage);
   static WalRecord DropModel(std::string name, std::string principal);
   static WalRecord PolicyAction(policy::TimelineEntry entry);
-  static WalRecord ProvEntity(uint64_t id, prov::EntityType type,
-                              std::string name, uint64_t version);
+  static WalRecord ProvEntity(prov::Entity entity);
   static WalRecord ProvEdge(prov::Edge edge);
   static WalRecord ProvProperty(uint64_t id, std::string key,
                                 std::string value);
