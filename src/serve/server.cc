@@ -107,12 +107,19 @@ void PredictionServer::RegisterMetrics() {
   });
 
   // storage.* — segmented-scan counters: segments read vs skipped by
-  // zone-map pruning, engine-lifetime totals across all table scans.
+  // zone-map pruning, and blocks read vs skipped inside the read
+  // segments, engine-lifetime totals across all table scans.
   registry_.RegisterCounter("storage.segments_scanned", [sql_engine] {
     return sql_engine->segments_scanned_total();
   });
   registry_.RegisterCounter("storage.segments_pruned", [sql_engine] {
     return sql_engine->segments_pruned_total();
+  });
+  registry_.RegisterCounter("storage.blocks_scanned", [sql_engine] {
+    return sql_engine->blocks_scanned_total();
+  });
+  registry_.RegisterCounter("storage.blocks_pruned", [sql_engine] {
+    return sql_engine->blocks_pruned_total();
   });
 
   // slowlog.* — the slow-query ring buffer.

@@ -244,16 +244,25 @@ Status SqlEngine::ExecuteLowered(PhysicalOperator* root,
 
 void SqlEngine::AccumulateScanMetrics(
     const std::vector<OperatorMetricsSnapshot>& snapshots) {
-  uint64_t scanned = 0, pruned = 0;
+  uint64_t scanned = 0, pruned = 0, blocks_scanned = 0, blocks_pruned = 0;
   for (const auto& snap : snapshots) {
     scanned += snap.segments_scanned;
     pruned += snap.segments_pruned;
+    blocks_scanned += snap.blocks_scanned;
+    blocks_pruned += snap.blocks_pruned;
   }
   if (scanned > 0) {
     segments_scanned_total_.fetch_add(scanned, std::memory_order_relaxed);
   }
   if (pruned > 0) {
     segments_pruned_total_.fetch_add(pruned, std::memory_order_relaxed);
+  }
+  if (blocks_scanned > 0) {
+    blocks_scanned_total_.fetch_add(blocks_scanned,
+                                    std::memory_order_relaxed);
+  }
+  if (blocks_pruned > 0) {
+    blocks_pruned_total_.fetch_add(blocks_pruned, std::memory_order_relaxed);
   }
 }
 

@@ -144,14 +144,22 @@ class SqlEngine {
   void set_num_threads(size_t n) { options_.num_threads = n; }
   void set_enable_optimizer(bool on) { options_.enable_optimizer = on; }
 
-  /// Engine-lifetime totals of segments read/skipped by table scans,
-  /// accumulated after each SELECT / EXPLAIN ANALYZE; exported through
-  /// the obs metrics registry as storage.segments_{scanned,pruned}.
+  /// Engine-lifetime totals of segments read/skipped by table scans, and
+  /// of blocks read/skipped inside the read segments, accumulated after
+  /// each SELECT / EXPLAIN ANALYZE; exported through the obs metrics
+  /// registry as storage.segments_{scanned,pruned} and
+  /// storage.blocks_{scanned,pruned}.
   uint64_t segments_scanned_total() const {
     return segments_scanned_total_.load(std::memory_order_relaxed);
   }
   uint64_t segments_pruned_total() const {
     return segments_pruned_total_.load(std::memory_order_relaxed);
+  }
+  uint64_t blocks_scanned_total() const {
+    return blocks_scanned_total_.load(std::memory_order_relaxed);
+  }
+  uint64_t blocks_pruned_total() const {
+    return blocks_pruned_total_.load(std::memory_order_relaxed);
   }
 
   void set_plan_rewriter(PlanRewriter rewriter) {
@@ -219,6 +227,8 @@ class SqlEngine {
   std::vector<std::string> query_log_;
   std::atomic<uint64_t> segments_scanned_total_{0};
   std::atomic<uint64_t> segments_pruned_total_{0};
+  std::atomic<uint64_t> blocks_scanned_total_{0};
+  std::atomic<uint64_t> blocks_pruned_total_{0};
 
   PlanRewriter plan_rewriter_;
   CreateModelHandler create_model_handler_;

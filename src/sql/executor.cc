@@ -428,9 +428,10 @@ Status Executor::RunPipeline(PhysicalOperator* top, PipelineSink* sink) {
 
   // Build the morsel work list. For a scan, morsels never straddle
   // segments (so each is a zero-copy view over one segment's columns),
-  // and zone-map pruning drops whole segments here — an execution-time
-  // decision against live statistics, which is why cached plans stay
-  // valid across DML.
+  // and zone-map pruning drops whole segments here, then every morsel
+  // whose blocks the block maps all disprove — an execution-time decision
+  // against live statistics, which is why cached plans stay valid across
+  // DML.
   struct Morsel {
     size_t segment;  // kNoSegment for materialized sources
     size_t begin;
@@ -441,7 +442,10 @@ Status Executor::RunPipeline(PhysicalOperator* top, PipelineSink* sink) {
   if (scan != nullptr) {
     const bool prune =
         options_.enable_zone_map_pruning && !scan->prune_conjuncts.empty();
+    constexpr size_t kBlockRows = storage::Table::kBlockRows;
     uint64_t scanned = 0, pruned = 0;
+    uint64_t blocks_scanned = 0, blocks_pruned = 0;
+    std::vector<char> block_disproved;  // per block of the current segment
     const size_t num_segments = scan->table->num_segments();
     for (size_t s = 0; s < num_segments; ++s) {
       const size_t rows = scan->table->segment_rows(s);
@@ -451,12 +455,39 @@ Status Executor::RunPipeline(PhysicalOperator* top, PipelineSink* sink) {
         continue;
       }
       ++scanned;
-      for (size_t begin = 0; begin < rows; begin += options_.morsel_size) {
-        work.push_back(
-            Morsel{s, begin, std::min(rows, begin + options_.morsel_size)});
+      // A one-block segment's block map is its segment map: already
+      // checked above.
+      const size_t num_blocks = scan->table->segment_blocks(s);
+      const bool prune_blocks = prune && num_blocks > 1;
+      if (prune_blocks) {
+        block_disproved.resize(num_blocks);
+        for (size_t b = 0; b < num_blocks; ++b) {
+          block_disproved[b] = scan->CanSkipBlock(s, b) ? 1 : 0;
+        }
       }
+      // A morsel is skipped only when every block it overlaps is
+      // disproved, so any morsel size stays correct. A block counts as
+      // scanned when any morsel reading its rows is kept.
+      size_t next_unread_block = 0, read_blocks = 0;
+      for (size_t begin = 0; begin < rows; begin += options_.morsel_size) {
+        const size_t end = std::min(rows, begin + options_.morsel_size);
+        const size_t first = begin / kBlockRows;
+        const size_t last = (end - 1) / kBlockRows;
+        if (prune_blocks &&
+            std::all_of(block_disproved.begin() + first,
+                        block_disproved.begin() + last + 1,
+                        [](char d) { return d != 0; })) {
+          continue;
+        }
+        read_blocks += last + 1 - std::max(first, next_unread_block);
+        next_unread_block = last + 1;
+        work.push_back(Morsel{s, begin, end});
+      }
+      blocks_scanned += read_blocks;
+      blocks_pruned += num_blocks - read_blocks;
     }
     scan->metrics.RecordSegments(scanned, pruned);
+    scan->metrics.RecordBlocks(blocks_scanned, blocks_pruned);
   } else {
     const size_t total = mat.num_rows();
     for (size_t begin = 0; begin < total; begin += options_.morsel_size) {

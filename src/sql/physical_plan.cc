@@ -111,20 +111,25 @@ std::string PhysicalOperator::ToString(int indent, bool analyze) const {
   out << std::string(static_cast<size_t>(indent) * 2, ' ') << label()
       << " width=" << output_schema_.num_columns();
   if (analyze) {
-    char buf[144];
+    char buf[224];
     uint64_t scanned =
         metrics.segments_scanned.load(std::memory_order_relaxed);
     uint64_t pruned = metrics.segments_pruned.load(std::memory_order_relaxed);
     if (scanned + pruned > 0) {
       std::snprintf(
           buf, sizeof(buf),
-          " [in=%llu out=%llu time=%.3fms segments=%llu pruned=%llu",
+          " [in=%llu out=%llu time=%.3fms segments=%llu pruned=%llu "
+          "blocks=%llu pruned=%llu",
           static_cast<unsigned long long>(
               metrics.rows_in.load(std::memory_order_relaxed)),
           static_cast<unsigned long long>(
               metrics.rows_out.load(std::memory_order_relaxed)),
           metrics.millis(), static_cast<unsigned long long>(scanned),
-          static_cast<unsigned long long>(pruned));
+          static_cast<unsigned long long>(pruned),
+          static_cast<unsigned long long>(
+              metrics.blocks_scanned.load(std::memory_order_relaxed)),
+          static_cast<unsigned long long>(
+              metrics.blocks_pruned.load(std::memory_order_relaxed)));
     } else {
       std::snprintf(buf, sizeof(buf), " [in=%llu out=%llu time=%.3fms",
                     static_cast<unsigned long long>(
@@ -154,6 +159,8 @@ void PhysicalOperator::CollectMetrics(std::vector<OperatorMetricsSnapshot>* out,
       metrics.segments_scanned.load(std::memory_order_relaxed);
   snap.segments_pruned =
       metrics.segments_pruned.load(std::memory_order_relaxed);
+  snap.blocks_scanned = metrics.blocks_scanned.load(std::memory_order_relaxed);
+  snap.blocks_pruned = metrics.blocks_pruned.load(std::memory_order_relaxed);
   out->push_back(std::move(snap));
   for (const auto& child : children) {
     child->CollectMetrics(out, depth + 1);
@@ -190,10 +197,16 @@ RecordBatch TableScanOp::ScanMorsel(size_t segment, size_t begin,
   return batch;
 }
 
-bool TableScanOp::CanSkipSegment(size_t segment) const {
-  for (const ScanPruneConjunct& conjunct : prune_conjuncts) {
-    const storage::ColumnStats& zm =
-        table->segment_zone_map(segment, conjunct.table_column);
+namespace {
+
+/// True when some conjunct is false for every row the zone maps summarize.
+/// `zone_map(c)` returns the map of table column `c` at the level being
+/// checked (a segment or a block), so both levels share one proof.
+template <typename ZoneMapFn>
+bool ZoneMapsDisprove(const std::vector<ScanPruneConjunct>& conjuncts,
+                      ZoneMapFn zone_map) {
+  for (const ScanPruneConjunct& conjunct : conjuncts) {
+    const storage::ColumnStats& zm = zone_map(conjunct.table_column);
     switch (conjunct.kind) {
       case ScanPruneConjunct::Kind::kIsNull:
         if (zm.null_count == 0) return true;
@@ -231,6 +244,20 @@ bool TableScanOp::CanSkipSegment(size_t segment) const {
     }
   }
   return false;
+}
+
+}  // namespace
+
+bool TableScanOp::CanSkipSegment(size_t segment) const {
+  return ZoneMapsDisprove(prune_conjuncts, [&](size_t c) -> const auto& {
+    return table->segment_zone_map(segment, c);
+  });
+}
+
+bool TableScanOp::CanSkipBlock(size_t segment, size_t block) const {
+  return ZoneMapsDisprove(prune_conjuncts, [&](size_t c) -> const auto& {
+    return table->block_zone_map(segment, c, block);
+  });
 }
 
 // ---------------------------------------------------------------------------

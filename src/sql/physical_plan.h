@@ -41,9 +41,12 @@ struct OperatorMetrics {
   std::atomic<uint64_t> rows_in{0};
   std::atomic<uint64_t> rows_out{0};
   std::atomic<uint64_t> nanos{0};
-  // Scan-only: segments read vs skipped by zone-map pruning.
+  // Scan-only: segments read vs skipped by zone-map pruning, and blocks
+  // of the read segments whose rows were read vs skipped by block maps.
   std::atomic<uint64_t> segments_scanned{0};
   std::atomic<uint64_t> segments_pruned{0};
+  std::atomic<uint64_t> blocks_scanned{0};
+  std::atomic<uint64_t> blocks_pruned{0};
 
   void Record(uint64_t in, uint64_t out, uint64_t ns) {
     rows_in.fetch_add(in, std::memory_order_relaxed);
@@ -54,12 +57,18 @@ struct OperatorMetrics {
     segments_scanned.fetch_add(scanned, std::memory_order_relaxed);
     segments_pruned.fetch_add(pruned, std::memory_order_relaxed);
   }
+  void RecordBlocks(uint64_t scanned, uint64_t pruned) {
+    blocks_scanned.fetch_add(scanned, std::memory_order_relaxed);
+    blocks_pruned.fetch_add(pruned, std::memory_order_relaxed);
+  }
   void Reset() {
     rows_in.store(0, std::memory_order_relaxed);
     rows_out.store(0, std::memory_order_relaxed);
     nanos.store(0, std::memory_order_relaxed);
     segments_scanned.store(0, std::memory_order_relaxed);
     segments_pruned.store(0, std::memory_order_relaxed);
+    blocks_scanned.store(0, std::memory_order_relaxed);
+    blocks_pruned.store(0, std::memory_order_relaxed);
   }
   double millis() const {
     return static_cast<double>(nanos.load(std::memory_order_relaxed)) / 1e6;
@@ -77,6 +86,8 @@ struct OperatorMetricsSnapshot {
   double wall_ms = 0.0;
   uint64_t segments_scanned = 0;  // scans only
   uint64_t segments_pruned = 0;   // scans only
+  uint64_t blocks_scanned = 0;    // scans only
+  uint64_t blocks_pruned = 0;     // scans only
 };
 
 class PhysicalOperator;
@@ -191,6 +202,10 @@ class TableScanOp : public PhysicalOperator {
   /// True when the segment's zone maps prove no row can satisfy the
   /// pushed-down conjuncts. Evaluated per execution against live stats.
   bool CanSkipSegment(size_t segment) const;
+
+  /// The same proof against the zone maps of one block of the segment
+  /// (rows [block * kBlockRows, (block + 1) * kBlockRows)).
+  bool CanSkipBlock(size_t segment, size_t block) const;
 
   std::string table_name;
   storage::TablePtr table;

@@ -47,6 +47,22 @@ void ExtendZoneMap(ColumnStats* zm, const ColumnVector& col, size_t begin,
   }
 }
 
+/// Folds the summary `part` into `into`: the result equals folding the
+/// rows behind both directly.
+void MergeZoneMap(ColumnStats* into, const ColumnStats& part) {
+  into->row_count += part.row_count;
+  into->null_count += part.null_count;
+  if (!part.has_range) return;
+  if (!into->has_range) {
+    into->min = part.min;
+    into->max = part.max;
+    into->has_range = true;
+  } else {
+    into->min = std::min(into->min, part.min);
+    into->max = std::max(into->max, part.max);
+  }
+}
+
 }  // namespace
 
 Table::Table(std::string name, Schema schema, size_t segment_capacity)
@@ -82,6 +98,7 @@ Segment* Table::OpenSegment() {
           std::make_shared<ColumnVector>(schema_.column(c).type));
       seg->zone_maps.push_back(EmptyStats(schema_.column(c).type));
     }
+    seg->block_maps.resize(schema_.num_columns());
     segments_.push_back(std::move(seg));
   }
   return segments_.back().get();
@@ -103,8 +120,7 @@ void Table::AppendRowsToSegments(const RecordBatch& dense) {
     for (size_t c = 0; c < schema_.num_columns(); ++c) {
       size_t old_size = seg->columns[c]->size();
       seg->columns[c]->AppendRange(*dense.column(c), pos, pos + take);
-      ExtendZoneMap(&seg->zone_maps[c], *seg->columns[c], old_size,
-                    old_size + take);
+      ExtendZoneMaps(seg, c, old_size, old_size + take);
     }
     seg->num_rows += take;
     if (seg->num_rows >= segment_capacity_) seg->sealed = true;
@@ -165,8 +181,7 @@ Status Table::AppendRow(const std::vector<Value>& row) {
     }
   }
   for (size_t c = 0; c < schema_.num_columns(); ++c) {
-    ExtendZoneMap(&seg->zone_maps[c], *seg->columns[c], seg->num_rows,
-                  seg->num_rows + 1);
+    ExtendZoneMaps(seg, c, seg->num_rows, seg->num_rows + 1);
   }
   seg->num_rows += 1;
   if (seg->num_rows >= segment_capacity_) seg->sealed = true;
@@ -345,9 +360,10 @@ Status Table::RestoreSegments(const std::vector<RecordBatch>& segments) {
       seg->columns.push_back(std::move(column));
       seg->zone_maps.push_back(EmptyStats(schema_.column(c).type));
     }
+    seg->block_maps.resize(schema_.num_columns());
     seg->num_rows = batch.num_rows();
     for (size_t c = 0; c < schema_.num_columns(); ++c) {
-      ExtendZoneMap(&seg->zone_maps[c], *seg->columns[c], 0, seg->num_rows);
+      ExtendZoneMaps(seg.get(), c, 0, seg->num_rows);
     }
     seg->sealed = seg->num_rows >= segment_capacity_;
     total += seg->num_rows;
@@ -365,10 +381,26 @@ Status Table::RestoreSegments(const std::vector<RecordBatch>& segments) {
   return Status::OK();
 }
 
+void Table::ExtendZoneMaps(Segment* seg, size_t c, size_t begin,
+                           size_t end) {
+  const ColumnVector& col = *seg->columns[c];
+  std::vector<ColumnStats>& blocks = seg->block_maps[c];
+  while (begin < end) {
+    const size_t b = begin / kBlockRows;
+    const size_t stop = std::min(end, (b + 1) * kBlockRows);
+    ColumnStats part = EmptyStats(col.type());
+    ExtendZoneMap(&part, col, begin, stop);
+    if (b == blocks.size()) blocks.push_back(EmptyStats(col.type()));
+    MergeZoneMap(&blocks[b], part);
+    MergeZoneMap(&seg->zone_maps[c], part);
+    begin = stop;
+  }
+}
+
 void Table::RecomputeZoneMap(Segment* seg, size_t c) {
-  ColumnStats zm = EmptyStats(seg->columns[c]->type());
-  ExtendZoneMap(&zm, *seg->columns[c], 0, seg->columns[c]->size());
-  seg->zone_maps[c] = zm;
+  seg->zone_maps[c] = EmptyStats(seg->columns[c]->type());
+  seg->block_maps[c].clear();
+  ExtendZoneMaps(seg, c, 0, seg->columns[c]->size());
 }
 
 StatusOr<ColumnStats> Table::GetStats(size_t i) const {
@@ -381,21 +413,7 @@ StatusOr<ColumnStats> Table::GetStats(size_t i) const {
   }
   // Fold the per-segment zone maps; never rescans data.
   ColumnStats stats = EmptyStats(schema_.column(i).type);
-  for (const auto& seg : segments_) {
-    const ColumnStats& zm = seg->zone_maps[i];
-    stats.row_count += zm.row_count;
-    stats.null_count += zm.null_count;
-    if (zm.has_range) {
-      if (!stats.has_range) {
-        stats.min = zm.min;
-        stats.max = zm.max;
-        stats.has_range = true;
-      } else {
-        stats.min = std::min(stats.min, zm.min);
-        stats.max = std::max(stats.max, zm.max);
-      }
-    }
-  }
+  for (const auto& seg : segments_) MergeZoneMap(&stats, seg->zone_maps[i]);
   std::lock_guard<std::mutex> lock(stats_mu_);
   stats_cache_[i] = stats;
   return stats;

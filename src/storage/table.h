@@ -52,15 +52,25 @@ struct VersionInfo {
 /// vectors remain consistent snapshots. Zone maps (per-column min/max/null
 /// counts) are maintained eagerly: incrementally on append, recomputed only
 /// for segments a mutation rewrites.
+///
+/// Each segment also keeps a finer zone map per Table::kBlockRows-row block
+/// (`block_maps[c][b]` covers rows [b * kBlockRows, (b + 1) * kBlockRows)
+/// of column c), so a point lookup reads one block instead of the whole
+/// segment. Block maps are built in the same pass that extends the segment
+/// map (each block's fold is merged into it), rebuilt with it when a
+/// mutation rewrites a column, and never persisted: recovery rebuilds them
+/// from the restored rows.
 struct Segment {
   std::vector<ColumnVectorPtr> columns;  // one per schema column
   std::vector<ColumnStats> zone_maps;    // one per schema column
+  std::vector<std::vector<ColumnStats>> block_maps;  // [column][block]
   size_t num_rows = 0;
   bool sealed = false;
 };
 
 /// An append-friendly columnar table, stored as a sequence of fixed-capacity
-/// immutable segments with per-segment zone maps, plus a version ledger.
+/// immutable segments with per-segment and per-block zone maps, plus a
+/// version ledger.
 ///
 /// Locking contract (enforced by the engine layer, documented here because
 /// this class is where it matters): mutators (AppendBatch, AppendRow,
@@ -81,6 +91,9 @@ class Table {
   /// ~64K rows per segment: large enough to amortize per-segment metadata,
   /// small enough that zone maps discriminate on range predicates.
   static constexpr size_t kDefaultSegmentCapacity = 64 * 1024;
+  /// Rows per block zone map: one default executor morsel, so a block the
+  /// maps disprove is exactly one morsel the scan never builds.
+  static constexpr size_t kBlockRows = RecordBatch::kDefaultBatchSize;
 
   /// `segment_capacity` is a knob for tests and benchmarks that need
   /// multi-segment tables with small row counts; production tables use
@@ -106,6 +119,15 @@ class Table {
   /// Zone map for column `c` of segment `s` (maintained eagerly).
   const ColumnStats& segment_zone_map(size_t s, size_t c) const {
     return segments_[s]->zone_maps[c];
+  }
+  /// Blocks in segment `s`: ceil(segment_rows(s) / kBlockRows).
+  size_t segment_blocks(size_t s) const {
+    return (segments_[s]->num_rows + kBlockRows - 1) / kBlockRows;
+  }
+  /// Zone map for column `c` of block `b` in segment `s` (maintained
+  /// eagerly, with the segment's zone map).
+  const ColumnStats& block_zone_map(size_t s, size_t c, size_t b) const {
+    return segments_[s]->block_maps[c][b];
   }
   /// The shared column vector backing (s, c); read-only for callers.
   /// Exposed so tests can assert scan morsels alias segment memory.
@@ -177,7 +199,12 @@ class Table {
   /// Appends rows [begin, end) of `dense` into segments, extending zone
   /// maps incrementally and sealing segments as they fill.
   void AppendRowsToSegments(const RecordBatch& dense);
-  /// Recomputes the zone map of column `c` in segment `seg` from scratch.
+  /// Folds rows [begin, end) of column `c` into its block maps and, block
+  /// by block, into its segment zone map: one pass over the data.
+  static void ExtendZoneMaps(Segment* seg, size_t c, size_t begin,
+                             size_t end);
+  /// Recomputes the segment and block zone maps of column `c` in segment
+  /// `seg` from scratch.
   static void RecomputeZoneMap(Segment* seg, size_t c);
   /// Invalidates the aggregate-stats cache (all columns / one column).
   void InvalidateStatsCache();

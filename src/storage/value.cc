@@ -106,7 +106,10 @@ int Value::Compare(const Value& other) const {
   double b = other.AsDouble();
   if (a < b) return -1;
   if (a > b) return 1;
-  return 0;
+  // Equal, or a NaN is involved. NaN sorts above every number and equal to
+  // itself, so the order stays total and MIN/MAX/ORDER BY do not depend on
+  // the order rows arrive in.
+  return static_cast<int>(std::isnan(a)) - static_cast<int>(std::isnan(b));
 }
 
 uint64_t Value::Hash() const {

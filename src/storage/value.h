@@ -60,8 +60,9 @@ class Value {
   bool operator==(const Value& other) const;
   bool operator!=(const Value& other) const { return !(*this == other); }
 
-  /// Three-way storage comparison; NULL sorts first. Requires comparable
-  /// types (numeric vs numeric, string vs string, bool vs bool).
+  /// Three-way storage comparison; NULL sorts first and NaN after every
+  /// other number. Requires comparable types (numeric vs numeric, string
+  /// vs string, bool vs bool).
   int Compare(const Value& other) const;
 
   /// Hash for join/aggregate keys.

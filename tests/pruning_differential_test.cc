@@ -1,16 +1,21 @@
 // Differential test for zone-map pruning: every query must produce
 // identical (order-normalized) results with pruning force-enabled and
-// force-disabled over tables whose tiny segment capacity makes pruning
-// decisions frequent. Also pins down the execution-time contract: scan
-// morsels are zero-copy views of segment memory, cached plans survive
-// DML that changes pruning decisions, and the segments_scanned/pruned
-// counters surface through EXPLAIN ANALYZE and the engine totals.
+// force-disabled over tables whose tiny segment capacity makes segment
+// pruning decisions frequent, and over a multi-block table at the default
+// capacity where the per-block zone maps decide. Also pins down the
+// execution-time contract: scan morsels are zero-copy views of segment
+// memory, cached plans survive DML that changes pruning decisions, and the
+// segments/blocks scanned/pruned counters surface through EXPLAIN ANALYZE
+// and the engine totals.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <sstream>
+#include <thread>
 
+#include "flock/flock_engine.h"
 #include "sql/engine.h"
 #include "sql/physical_plan.h"
 #include "storage/database.h"
@@ -44,10 +49,10 @@ std::vector<std::string> Canonicalize(const storage::RecordBatch& batch) {
   return rows;
 }
 
-EngineOptions PruningOptions(bool prune) {
+EngineOptions PruningOptions(bool prune, size_t morsel_size = 64) {
   EngineOptions options;
   options.num_threads = 2;
-  options.morsel_size = 64;
+  options.morsel_size = morsel_size;
   options.enable_zone_map_pruning = prune;
   return options;
 }
@@ -93,9 +98,9 @@ Database* JoinDb() {
 
 /// Runs `sql` with pruning on and off; expects identical multisets.
 void ExpectSameResults(Database* db, const std::string& sql,
-                       bool count_only = false) {
-  SqlEngine pruned(db, PruningOptions(true));
-  SqlEngine full(db, PruningOptions(false));
+                       bool count_only = false, size_t morsel_size = 64) {
+  SqlEngine pruned(db, PruningOptions(true, morsel_size));
+  SqlEngine full(db, PruningOptions(false, morsel_size));
   auto a = pruned.Execute(sql);
   auto b = full.Execute(sql);
   ASSERT_TRUE(a.ok()) << sql << ": " << a.status().ToString();
@@ -105,8 +110,9 @@ void ExpectSameResults(Database* db, const std::string& sql,
     return;
   }
   EXPECT_EQ(Canonicalize(a->batch), Canonicalize(b->batch)) << sql;
-  // Pruning-off executions must never report a pruned segment.
+  // Pruning-off executions must never report a pruned segment or block.
   EXPECT_EQ(full.segments_pruned_total(), 0u) << sql;
+  EXPECT_EQ(full.blocks_pruned_total(), 0u) << sql;
 }
 
 TEST(PruningDifferentialTest, RangeOnRowOrderCorrelatedColumn) {
@@ -293,6 +299,245 @@ TEST(PruningDifferentialTest, CachedPlansStayCorrectAcrossDml) {
   ASSERT_TRUE(reference.ok());
   EXPECT_EQ(Canonicalize(after_delete->batch),
             Canonicalize(reference->batch));
+
+  // The same contract one level down, for block zone maps inside one
+  // default-capacity segment: 10000 rows, k = row index, 5 blocks.
+  Database blocks_db;
+  SqlEngine blocks(&blocks_db, PruningOptions(true, 2048));
+  SqlEngine blocks_full(&blocks_db, PruningOptions(false, 2048));
+  ASSERT_TRUE(blocks.Execute("CREATE TABLE b (k INT, v DOUBLE)").ok());
+  for (int chunk = 0; chunk < 10; ++chunk) {
+    std::string rows = "INSERT INTO b VALUES ";
+    for (int i = chunk * 1000; i < (chunk + 1) * 1000; ++i) {
+      if (i > chunk * 1000) rows += ", ";
+      rows += "(" + std::to_string(i) + ", " + std::to_string(i) + ".5)";
+    }
+    ASSERT_TRUE(blocks.Execute(rows).ok());
+  }
+  const std::string block_query =
+      "SELECT k, v FROM b WHERE k BETWEEN 100 AND 120";
+  auto check = [&](size_t expected_rows, const std::string& step) {
+    auto cached = blocks.Execute(block_query);
+    ASSERT_TRUE(cached.ok()) << step;
+    EXPECT_TRUE(cached->from_plan_cache) << step;
+    EXPECT_EQ(cached->batch.num_rows(), expected_rows) << step;
+    auto ref = blocks_full.Execute(block_query);
+    ASSERT_TRUE(ref.ok()) << step;
+    EXPECT_EQ(Canonicalize(cached->batch), Canonicalize(ref->batch)) << step;
+  };
+  auto warm = blocks.Execute(block_query);
+  ASSERT_TRUE(warm.ok());
+  EXPECT_EQ(warm->batch.num_rows(), 21u);
+  EXPECT_EQ(blocks.blocks_scanned_total(), 1u);
+  EXPECT_EQ(blocks.blocks_pruned_total(), 4u);
+  check(21, "before DML");
+  // An INSERT whose key falls in the cached query's range lands in the
+  // last block (keys 8192..), which the query pruned until now.
+  ASSERT_TRUE(blocks.Execute("INSERT INTO b VALUES (110, -1.0)").ok());
+  check(22, "after INSERT into a pruned block");
+  // An UPDATE moves a key from block 2 (keys 4096..6143) into range.
+  ASSERT_TRUE(blocks.Execute("UPDATE b SET k = 105 WHERE k = 5000").ok());
+  check(23, "after UPDATE moving a key into a pruned block");
+  // A DELETE of 2300 early rows shifts every later row into an earlier
+  // block: the updated row moves to block 1, the inserted one to block 3.
+  ASSERT_TRUE(
+      blocks.Execute("DELETE FROM b WHERE k >= 200 AND k < 2500").ok());
+  check(23, "after DELETE shifting rows into earlier blocks");
+  EXPECT_GT(blocks.blocks_pruned_total(), 4u);
+}
+
+// --- Block zone maps --------------------------------------------------
+//
+// One default-capacity segment of 10000 rows, i.e. five 2048-row blocks:
+// `id` follows row order; `x` follows it too, except that block 2 (rows
+// 4096..6143) is all NULL and block 3 (rows 6144..8191) holds a NaN on
+// every 5th row; `u` is uncorrelated with row order.
+Database* BlockDb() {
+  static Database* db = [] {
+    auto* database = new Database();
+    SqlEngine setup(database, PruningOptions(true));
+    EXPECT_TRUE(
+        setup.Execute("CREATE TABLE blk (id INT, x DOUBLE, u INT)").ok());
+    for (int chunk = 0; chunk < 10; ++chunk) {
+      std::string insert = "INSERT INTO blk VALUES ";
+      for (int i = chunk * 1000; i < (chunk + 1) * 1000; ++i) {
+        if (i > chunk * 1000) insert += ", ";
+        std::string x;
+        if (i >= 4096 && i < 6144) {
+          x = "NULL";
+        } else if (i >= 6144 && i < 8192 && i % 5 == 0) {
+          x = "CAST('nan' AS DOUBLE)";
+        } else {
+          x = std::to_string(i) + ".25";
+        }
+        insert += "(" + std::to_string(i) + ", " + x + ", " +
+                  std::to_string((i * 7919) % 1000) + ")";
+      }
+      EXPECT_TRUE(setup.Execute(insert).ok());
+    }
+    return database;
+  }();
+  return db;
+}
+
+TEST(PruningDifferentialTest, BlockPruningAgreesAtEveryMorselSize) {
+  const std::vector<std::string> queries = {
+      "SELECT id, x, u FROM blk WHERE id = 5000",
+      "SELECT id FROM blk WHERE id = 0",
+      "SELECT id FROM blk WHERE id = 9999",
+      "SELECT id FROM blk WHERE id = 20000",
+      "SELECT id FROM blk WHERE id < 100",
+      "SELECT id FROM blk WHERE id >= 9000",
+      "SELECT id FROM blk WHERE id > 4000 AND id <= 4200",
+      "SELECT id FROM blk WHERE 3000 > id",
+      "SELECT id, x FROM blk WHERE id BETWEEN 2040 AND 2060",
+      "SELECT id FROM blk WHERE id NOT BETWEEN 100 AND 9900",
+      "SELECT id FROM blk WHERE x IS NULL",
+      "SELECT id FROM blk WHERE x IS NOT NULL",
+      "SELECT id FROM blk WHERE x IS NULL AND id < 5000",
+      "SELECT id FROM blk WHERE x IS NOT NULL AND id BETWEEN 4000 AND 6200",
+      "SELECT id FROM blk WHERE x = CAST('nan' AS DOUBLE)",
+      "SELECT id FROM blk WHERE x < CAST('nan' AS DOUBLE)",
+      "SELECT id FROM blk WHERE x <> CAST('nan' AS DOUBLE)",
+      "SELECT id FROM blk WHERE x > 7000",
+      "SELECT id FROM blk WHERE x BETWEEN 6500 AND 6600",
+      "SELECT id FROM blk WHERE x <> 7000.25",
+      "SELECT id FROM blk WHERE u = 500",
+      "SELECT id FROM blk WHERE u < 3 AND id > 3000",
+      "SELECT COUNT(*), MIN(x), MAX(x) FROM blk WHERE id >= 6000",
+  };
+  for (size_t morsel_size : {2048, 1000, 3000}) {
+    for (const std::string& sql : queries) {
+      SCOPED_TRACE("morsel_size " + std::to_string(morsel_size));
+      ExpectSameResults(BlockDb(), sql, /*count_only=*/false, morsel_size);
+    }
+  }
+}
+
+/// The TableScan snapshot of `result` (the first scan in plan order).
+OperatorMetricsSnapshot ScanSnapshot(const QueryResult& result) {
+  for (const OperatorMetricsSnapshot& snap : result.operator_metrics) {
+    if (snap.name.rfind("TableScan", 0) == 0) return snap;
+  }
+  ADD_FAILURE() << "no TableScan in the plan";
+  return {};
+}
+
+TEST(PruningDifferentialTest, BlockPruningActuallyFires) {
+  Database db;
+  SqlEngine engine(&db, PruningOptions(true, 2048));
+  ASSERT_TRUE(engine.Execute("CREATE TABLE t (id INT, v DOUBLE)").ok());
+  for (int chunk = 0; chunk < 10; ++chunk) {
+    std::string insert = "INSERT INTO t VALUES ";
+    for (int i = chunk * 2000; i < (chunk + 1) * 2000; ++i) {
+      if (i > chunk * 2000) insert += ", ";
+      insert += "(" + std::to_string(i) + ", " + std::to_string(i) + ".5)";
+    }
+    ASSERT_TRUE(engine.Execute(insert).ok());
+  }
+  auto table = db.GetTable("t");
+  ASSERT_TRUE(table.ok());
+  ASSERT_EQ((*table)->num_segments(), 1u);
+  ASSERT_EQ((*table)->segment_blocks(0), 10u);
+
+  // A point lookup reads the one block that holds its key.
+  auto point = engine.Execute("SELECT id, v FROM t WHERE id = 12345");
+  ASSERT_TRUE(point.ok()) << point.status().ToString();
+  EXPECT_EQ(point->batch.num_rows(), 1u);
+  OperatorMetricsSnapshot scan = ScanSnapshot(*point);
+  EXPECT_EQ(scan.segments_scanned, 1u);
+  EXPECT_EQ(scan.segments_pruned, 0u);
+  EXPECT_EQ(scan.blocks_scanned, 1u);
+  EXPECT_EQ(scan.blocks_pruned, 9u);
+  EXPECT_EQ(scan.rows_in, 2048u);
+
+  // 32 ids straddling the boundary between blocks 2 and 3 read both.
+  auto straddle =
+      engine.Execute("SELECT id FROM t WHERE id BETWEEN 6128 AND 6159");
+  ASSERT_TRUE(straddle.ok());
+  EXPECT_EQ(straddle->batch.num_rows(), 32u);
+  scan = ScanSnapshot(*straddle);
+  EXPECT_EQ(scan.blocks_scanned, 2u);
+  EXPECT_EQ(scan.blocks_pruned, 8u);
+
+  // The engine totals behind storage.blocks_{scanned,pruned}.
+  EXPECT_EQ(engine.blocks_scanned_total(), 3u);
+  EXPECT_EQ(engine.blocks_pruned_total(), 17u);
+
+  // EXPLAIN ANALYZE shows both levels on the scan.
+  auto explain =
+      engine.Execute("EXPLAIN ANALYZE SELECT id FROM t WHERE id = 12345");
+  ASSERT_TRUE(explain.ok());
+  EXPECT_NE(explain->plan_text.find("segments=1 pruned=0 blocks=1 pruned=9"),
+            std::string::npos)
+      << explain->plan_text;
+
+  // Pruning off reads every block and prunes none.
+  SqlEngine full(&db, PruningOptions(false, 2048));
+  auto unpruned = full.Execute("SELECT id, v FROM t WHERE id = 12345");
+  ASSERT_TRUE(unpruned.ok());
+  scan = ScanSnapshot(*unpruned);
+  EXPECT_EQ(scan.blocks_scanned, 10u);
+  EXPECT_EQ(scan.blocks_pruned, 0u);
+  EXPECT_EQ(scan.rows_in, 20000u);
+}
+
+// Run under TSan: point lookups that block maps prune, on one shared
+// engine, while a writer appends single rows into the open block whose
+// zone maps those lookups read.
+TEST(PruningDifferentialTest, BlockPrunedLookupsRaceOpenBlockAppends) {
+  flock::FlockEngineOptions options;
+  options.sql.num_threads = 2;
+  flock::FlockEngine engine(options);
+  ASSERT_TRUE(engine.Execute("CREATE TABLE t (id INT, v DOUBLE)").ok());
+  constexpr int kRows = 5000;  // blocks 0 and 1 full, block 2 open
+  for (int chunk = 0; chunk < 5; ++chunk) {
+    std::string insert = "INSERT INTO t VALUES ";
+    for (int i = chunk * 1000; i < (chunk + 1) * 1000; ++i) {
+      if (i > chunk * 1000) insert += ", ";
+      insert += "(" + std::to_string(i) + ", " + std::to_string(i) + ".5)";
+    }
+    ASSERT_TRUE(engine.Execute(insert).ok());
+  }
+  constexpr int kAppends = 120;
+  std::atomic<int> appended{0};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> readers;
+  for (int w = 0; w < 4; ++w) {
+    readers.emplace_back([&, w] {
+      for (int iter = 0; iter < 40; ++iter) {
+        // A key in a sealed-in block must be found exactly once; a key
+        // the writer may or may not have appended yet, at most once.
+        const int old_key = (w * 1237 + iter * 331) % kRows;
+        auto hit = engine.Execute("SELECT id FROM t WHERE id = " +
+                                  std::to_string(old_key));
+        if (!hit.ok() || hit->batch.num_rows() != 1) ++failures;
+        const int new_key = kRows + (iter * 3 + w) % kAppends;
+        const bool must_exist = new_key < kRows + appended.load();
+        auto maybe = engine.Execute("SELECT id FROM t WHERE id = " +
+                                    std::to_string(new_key));
+        if (!maybe.ok() || maybe->batch.num_rows() > 1) ++failures;
+        if (maybe.ok() && must_exist && maybe->batch.num_rows() != 1) {
+          ++failures;
+        }
+      }
+    });
+  }
+  std::thread writer([&] {
+    for (int i = 0; i < kAppends; ++i) {
+      auto st = engine.Execute("INSERT INTO t VALUES (" +
+                               std::to_string(kRows + i) + ", 0.5)");
+      if (!st.ok()) ++failures;
+      appended.store(i + 1);
+    }
+  });
+  for (auto& th : readers) th.join();
+  writer.join();
+  EXPECT_EQ(failures.load(), 0);
+  auto count = engine.Execute("SELECT COUNT(*) FROM t WHERE id >= 5000");
+  ASSERT_TRUE(count.ok());
+  EXPECT_EQ(count->batch.column(0)->GetValue(0).int_value(), kAppends);
+  EXPECT_GT(engine.sql()->blocks_pruned_total(), 0u);
 }
 
 /// All 22 TPC-H templates, pruning on vs off, over multi-segment data.

@@ -21,6 +21,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <string>
@@ -430,6 +431,71 @@ TEST(RecoveryTest, SegmentedLayoutSurvivesCheckpointRestart) {
   auto rows = reopened.Execute("SELECT k, v FROM seg ORDER BY k");
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows->batch.ToString(1000), before);
+}
+
+/// INSERT statements loading keys [begin, end) into `blk (id INT, v
+/// DOUBLE)`, 2000 rows per statement.
+std::vector<std::string> BlockInserts(int begin, int end) {
+  std::vector<std::string> statements;
+  for (int chunk = begin; chunk < end; chunk += 2000) {
+    std::string sql = "INSERT INTO blk VALUES ";
+    for (int i = chunk; i < std::min(end, chunk + 2000); ++i) {
+      if (i > chunk) sql += ", ";
+      sql += "(" + std::to_string(i) + ", " + std::to_string(i) + ".5)";
+    }
+    statements.push_back(std::move(sql));
+  }
+  return statements;
+}
+
+/// The scan counters and rows of `EXPLAIN ANALYZE <query>`, rendered so
+/// two engines can be compared with one EXPECT_EQ.
+std::string ScanCounters(flock::FlockEngine* engine, const std::string& query) {
+  auto result = engine->Execute("EXPLAIN ANALYZE " + query);
+  if (!result.ok()) return "ERR " + result.status().ToString();
+  for (const sql::OperatorMetricsSnapshot& snap : result->operator_metrics) {
+    if (snap.name.rfind("TableScan", 0) != 0) continue;
+    return "segments=" + std::to_string(snap.segments_scanned) +
+           " pruned=" + std::to_string(snap.segments_pruned) +
+           " blocks=" + std::to_string(snap.blocks_scanned) +
+           " pruned=" + std::to_string(snap.blocks_pruned) +
+           " in=" + std::to_string(snap.rows_in) +
+           " out=" + std::to_string(snap.rows_out) + " rows=" +
+           std::to_string(result->operator_metrics.front().rows_out);
+  }
+  return "no TableScan";
+}
+
+TEST(RecoveryTest, BlockPruningMatchesAfterSnapshotAndWalTail) {
+  std::string dir = MakeTempDir();
+  const std::vector<std::string> lookups = {
+      "SELECT id, v FROM blk WHERE id = 5000",    // snapshot rows
+      "SELECT id, v FROM blk WHERE id = 21000",   // WAL-tail rows
+      "SELECT id FROM blk WHERE id BETWEEN 20470 AND 20500",  // both
+  };
+  std::vector<std::string> primary;
+  {
+    flock::FlockEngine engine(SerialEngineOptions());
+    ASSERT_TRUE(engine.Open(dir).ok());
+    ASSERT_TRUE(engine.Execute("CREATE TABLE blk (id INT, v DOUBLE)").ok());
+    ASSERT_TRUE(RunStatements(&engine, BlockInserts(0, 20000)).ok());
+    ASSERT_TRUE(engine.Checkpoint().ok());
+    ASSERT_TRUE(RunStatements(&engine, BlockInserts(20000, 23000)).ok());
+    for (const std::string& query : lookups) {
+      primary.push_back(ScanCounters(&engine, query));
+    }
+  }
+  // 23000 rows in one segment: 12 blocks, one of which holds the key.
+  EXPECT_EQ(primary[0],
+            "segments=1 pruned=0 blocks=1 pruned=11 in=2048 out=2048 rows=1");
+
+  flock::FlockEngine reopened(SerialEngineOptions());
+  ASSERT_TRUE(reopened.Open(dir).ok());
+  EXPECT_TRUE(reopened.durability()->recovery().snapshot_restored);
+  EXPECT_GT(reopened.durability()->recovery().wal_records_replayed, 0u);
+  for (size_t i = 0; i < lookups.size(); ++i) {
+    EXPECT_EQ(ScanCounters(&reopened, lookups[i]), primary[i]) << lookups[i];
+  }
 }
 
 TEST(RecoveryTest, SegmentFlushErrorLeavesNoTempImage) {

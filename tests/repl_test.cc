@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <memory>
@@ -378,6 +379,68 @@ TEST(ReplicaTest, PrimaryCheckpointTriggersReBootstrap) {
   EXPECT_EQ(pair.applier->bootstraps(), 2u);
   EXPECT_EQ(pair.applier->applied().epoch, 2u);
   EXPECT_EQ(Digest(pair.replica.get()), Digest(pair.primary.get()));
+}
+
+/// INSERT statements loading keys [begin, end) into `blk (id INT, v
+/// DOUBLE)`, 2000 rows per statement.
+std::vector<std::string> BlockInserts(int begin, int end) {
+  std::vector<std::string> statements;
+  for (int chunk = begin; chunk < end; chunk += 2000) {
+    std::string sql = "INSERT INTO blk VALUES ";
+    for (int i = chunk; i < std::min(end, chunk + 2000); ++i) {
+      if (i > chunk) sql += ", ";
+      sql += "(" + std::to_string(i) + ", " + std::to_string(i) + ".5)";
+    }
+    statements.push_back(std::move(sql));
+  }
+  return statements;
+}
+
+/// The scan counters and rows of `EXPLAIN ANALYZE <query>`, rendered so
+/// two engines can be compared with one EXPECT_EQ.
+std::string ScanCounters(flock::FlockEngine* engine, const std::string& query) {
+  auto result = engine->Execute("EXPLAIN ANALYZE " + query);
+  if (!result.ok()) return "ERR " + result.status().ToString();
+  for (const sql::OperatorMetricsSnapshot& snap : result->operator_metrics) {
+    if (snap.name.rfind("TableScan", 0) != 0) continue;
+    return "segments=" + std::to_string(snap.segments_scanned) +
+           " pruned=" + std::to_string(snap.segments_pruned) +
+           " blocks=" + std::to_string(snap.blocks_scanned) +
+           " pruned=" + std::to_string(snap.blocks_pruned) +
+           " in=" + std::to_string(snap.rows_in) +
+           " out=" + std::to_string(snap.rows_out) + " rows=" +
+           std::to_string(result->operator_metrics.front().rows_out);
+  }
+  return "no TableScan";
+}
+
+TEST(ReplicaTest, BlockPruningMatchesPrimaryAfterBootstrapAndStreaming) {
+  ReplicaPair pair = MakePair();
+  ASSERT_TRUE(
+      pair.primary->Execute("CREATE TABLE blk (id INT, v DOUBLE)").ok());
+  ASSERT_TRUE(RunStatements(pair.primary.get(), BlockInserts(0, 20000)).ok());
+  // The replica bootstraps from this snapshot, then streams the tail.
+  ASSERT_TRUE(pair.primary->Checkpoint().ok());
+  ASSERT_TRUE(
+      RunStatements(pair.primary.get(), BlockInserts(20000, 23000)).ok());
+  ASSERT_TRUE(pair.applier->CatchUp().ok());
+  EXPECT_EQ(pair.applier->bootstraps(), 1u);
+  EXPECT_GT(pair.applier->records_applied(), 0u);
+
+  // 23000 rows in one segment are 12 blocks; the last lookup straddles
+  // the boundary between blocks 9 and 10.
+  const std::vector<std::pair<std::string, std::string>> lookups = {
+      {"SELECT id, v FROM blk WHERE id = 5000", " blocks=1 pruned=11 "},
+      {"SELECT id, v FROM blk WHERE id = 21000", " blocks=1 pruned=11 "},
+      {"SELECT id FROM blk WHERE id BETWEEN 20470 AND 20500",
+       " blocks=2 pruned=10 "},
+  };
+  for (const auto& [query, blocks] : lookups) {
+    const std::string on_primary = ScanCounters(pair.primary.get(), query);
+    EXPECT_NE(on_primary.find(blocks), std::string::npos)
+        << query << ": " << on_primary;
+    EXPECT_EQ(ScanCounters(pair.replica.get(), query), on_primary) << query;
+  }
 }
 
 TEST(ReplicaTest, ModelsReplicateAndScoreIdentically) {

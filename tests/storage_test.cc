@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <string>
 #include <thread>
 
 #include "storage/column_vector.h"
@@ -37,6 +40,14 @@ TEST(ValueTest, CompareOrdersNullsFirst) {
   EXPECT_EQ(Value::Null().Compare(Value::Null()), 0);
   EXPECT_LT(Value::Int(1).Compare(Value::Int(2)), 0);
   EXPECT_LT(Value::String("a").Compare(Value::String("b")), 0);
+}
+
+TEST(ValueTest, CompareOrdersNanAfterEveryNumber) {
+  const Value nan = Value::Double(std::nan(""));
+  EXPECT_GT(nan.Compare(Value::Double(1e300)), 0);
+  EXPECT_LT(Value::Int(-5).Compare(nan), 0);
+  EXPECT_EQ(nan.Compare(Value::Double(std::nan(""))), 0);
+  EXPECT_GT(nan.Compare(Value::Null()), 0);
 }
 
 TEST(ValueTest, CastRoundTrips) {
@@ -377,6 +388,195 @@ TEST(SegmentTest, RestoreSegmentsReproducesLayout) {
                   .ok());
   EXPECT_EQ(dst.num_segments(), 3u);
   EXPECT_EQ(dst.segment_rows(2), 3u);
+}
+
+// --- Block zone maps ----------------------------------------------------
+
+constexpr size_t kBlock = Table::kBlockRows;
+
+/// Row `i` of the block-map fixtures: `score` is NULL for the whole of
+/// block 1, NaN on every 13th row, and otherwise uncorrelated with `id`.
+std::vector<Value> BlockRow(int64_t i) {
+  Value score;
+  if (i >= static_cast<int64_t>(kBlock) &&
+      i < static_cast<int64_t>(2 * kBlock)) {
+    score = Value::Null();
+  } else if (i % 13 == 0) {
+    score = Value::Double(std::nan(""));
+  } else {
+    score = Value::Double(static_cast<double>((i * 7919) % 10007) / 4.0);
+  }
+  return {Value::Int(i), i % 5 == 0 ? Value::Null() : Value::String("r"),
+          score};
+}
+
+RecordBatch BlockRows(int64_t begin, int64_t end) {
+  RecordBatch batch(MakeSchema());
+  for (int64_t i = begin; i < end; ++i) {
+    EXPECT_TRUE(batch.AppendRow(BlockRow(i)).ok());
+  }
+  return batch;
+}
+
+/// From-scratch fold of rows [begin, end) of `col`, independent of the
+/// table's own code.
+ColumnStats FoldRows(const ColumnVector& col, size_t begin, size_t end) {
+  ColumnStats stats;
+  stats.numeric = col.type() != DataType::kString;
+  for (size_t r = begin; r < end; ++r) {
+    ++stats.row_count;
+    if (col.IsNull(r)) {
+      ++stats.null_count;
+      continue;
+    }
+    if (!stats.numeric) continue;
+    double v = col.AsDouble(r);
+    if (std::isnan(v)) continue;
+    stats.min = stats.has_range ? std::min(stats.min, v) : v;
+    stats.max = stats.has_range ? std::max(stats.max, v) : v;
+    stats.has_range = true;
+  }
+  return stats;
+}
+
+void ExpectSameStats(const ColumnStats& a, const ColumnStats& b,
+                     const std::string& where) {
+  EXPECT_EQ(a.row_count, b.row_count) << where;
+  EXPECT_EQ(a.null_count, b.null_count) << where;
+  EXPECT_EQ(a.numeric, b.numeric) << where;
+  ASSERT_EQ(a.has_range, b.has_range) << where;
+  if (a.has_range) {
+    EXPECT_EQ(a.min, b.min) << where;
+    EXPECT_EQ(a.max, b.max) << where;
+  }
+}
+
+/// Every block map equals a from-scratch fold of its rows, and folding a
+/// segment's block maps reproduces the segment's zone map exactly.
+void ExpectBlockMapsConsistent(const Table& t) {
+  for (size_t s = 0; s < t.num_segments(); ++s) {
+    const size_t rows = t.segment_rows(s);
+    ASSERT_EQ(t.segment_blocks(s), (rows + kBlock - 1) / kBlock);
+    for (size_t c = 0; c < t.schema().num_columns(); ++c) {
+      const ColumnVector& col = *t.segment_column(s, c);
+      ASSERT_EQ(col.size(), rows);
+      ColumnStats folded;
+      folded.numeric = col.type() != DataType::kString;
+      for (size_t b = 0; b < t.segment_blocks(s); ++b) {
+        const std::string where = "segment " + std::to_string(s) +
+                                  " column " + std::to_string(c) +
+                                  " block " + std::to_string(b);
+        const ColumnStats& block = t.block_zone_map(s, c, b);
+        ExpectSameStats(block,
+                        FoldRows(col, b * kBlock,
+                                 std::min(rows, (b + 1) * kBlock)),
+                        where);
+        folded.row_count += block.row_count;
+        folded.null_count += block.null_count;
+        if (block.has_range) {
+          folded.min = folded.has_range ? std::min(folded.min, block.min)
+                                        : block.min;
+          folded.max = folded.has_range ? std::max(folded.max, block.max)
+                                        : block.max;
+          folded.has_range = true;
+        }
+      }
+      const std::string where =
+          "segment " + std::to_string(s) + " column " + std::to_string(c);
+      ExpectSameStats(t.segment_zone_map(s, c), folded, where);
+      ExpectSameStats(t.segment_zone_map(s, c), FoldRows(col, 0, rows),
+                      where);
+    }
+  }
+}
+
+TEST(BlockZoneMapTest, AppendBatchSpanningBlocksAndSegments) {
+  // A capacity that is not a multiple of the block size leaves a partial
+  // last block in every sealed segment.
+  Table t("t", MakeSchema(), /*segment_capacity=*/2 * kBlock + 500);
+  ASSERT_TRUE(t.AppendBatch(BlockRows(0, 11000)).ok());
+  ASSERT_EQ(t.num_segments(), 3u);
+  EXPECT_EQ(t.segment_blocks(0), 3u);
+  ExpectBlockMapsConsistent(t);
+  // A second batch fills the open segment's partial block, then spills.
+  ASSERT_TRUE(t.AppendBatch(BlockRows(11000, 13500)).ok());
+  ExpectBlockMapsConsistent(t);
+  // The all-NULL block has no range; the NaN rows stay out of min/max.
+  const ColumnStats& nulls = t.block_zone_map(0, 2, 1);
+  EXPECT_EQ(nulls.null_count, nulls.row_count);
+  EXPECT_FALSE(nulls.has_range);
+  EXPECT_TRUE(t.block_zone_map(0, 2, 0).has_range);
+}
+
+TEST(BlockZoneMapTest, AppendRowCrossesABlockBoundary) {
+  Table t("t", MakeSchema());
+  ASSERT_TRUE(t.AppendBatch(BlockRows(0, kBlock - 3)).ok());
+  ExpectBlockMapsConsistent(t);
+  for (int64_t i = kBlock - 3; i < static_cast<int64_t>(kBlock) + 3; ++i) {
+    ASSERT_TRUE(t.AppendRow(BlockRow(i)).ok());
+    ExpectBlockMapsConsistent(t);
+  }
+  EXPECT_EQ(t.segment_blocks(0), 2u);
+  EXPECT_EQ(t.block_zone_map(0, 0, 1).row_count, 3u);
+  EXPECT_EQ(t.block_zone_map(0, 0, 1).min, static_cast<double>(kBlock));
+}
+
+TEST(BlockZoneMapTest, FilterInPlaceRebuildsShiftedBlocks) {
+  Table t("t", MakeSchema(), /*segment_capacity=*/3 * kBlock);
+  ASSERT_TRUE(t.AppendBatch(BlockRows(0, 8000)).ok());
+  // Deleting rows early in a segment shifts every later row into an
+  // earlier block.
+  std::vector<bool> keep(t.num_rows(), true);
+  for (size_t i = 0; i < 3000; i += 3) keep[i] = false;
+  EXPECT_EQ(t.FilterInPlace(keep), 1000u);
+  ExpectBlockMapsConsistent(t);
+  // Deleting a whole block's worth leaves fewer blocks behind.
+  std::vector<bool> drop_block(t.num_rows(), true);
+  for (size_t i = 0; i < kBlock; ++i) drop_block[i] = false;
+  EXPECT_EQ(t.FilterInPlace(drop_block), kBlock);
+  ExpectBlockMapsConsistent(t);
+}
+
+TEST(BlockZoneMapTest, UpdateColumnRebuildsTouchedBlocks) {
+  Table t("t", MakeSchema());
+  ASSERT_TRUE(t.AppendBatch(BlockRows(0, 5000)).ok());
+  // Into the all-NULL block, a NaN, a NULL over a value, and a new max.
+  ASSERT_TRUE(t.UpdateColumn(2, {kBlock + 7, 10, 11, 4999},
+                             {Value::Double(-3.0), Value::Double(std::nan("")),
+                              Value::Null(), Value::Double(1e9)})
+                  .ok());
+  ExpectBlockMapsConsistent(t);
+  EXPECT_EQ(t.block_zone_map(0, 2, 1).min, -3.0);
+  EXPECT_EQ(t.block_zone_map(0, 2, 2).max, 1e9);
+  // An update of the id column moves a key into another block's range.
+  ASSERT_TRUE(t.UpdateColumn(0, {3}, {Value::Int(4500)}).ok());
+  ExpectBlockMapsConsistent(t);
+  EXPECT_EQ(t.block_zone_map(0, 0, 0).max, 4500.0);
+}
+
+TEST(BlockZoneMapTest, RestoreSegmentsRebuildsBlockMaps) {
+  Table src("t", MakeSchema(), /*segment_capacity=*/2 * kBlock + 500);
+  ASSERT_TRUE(src.AppendBatch(BlockRows(0, 10000)).ok());
+  std::vector<RecordBatch> images;
+  for (size_t s = 0; s < src.num_segments(); ++s) {
+    images.push_back(src.ScanSegment(s));
+  }
+  Table dst("t", MakeSchema(), /*segment_capacity=*/2 * kBlock + 500);
+  ASSERT_TRUE(dst.RestoreSegments(images).ok());
+  ExpectBlockMapsConsistent(dst);
+  for (size_t s = 0; s < src.num_segments(); ++s) {
+    ASSERT_EQ(dst.segment_blocks(s), src.segment_blocks(s));
+    for (size_t b = 0; b < src.segment_blocks(s); ++b) {
+      for (size_t c = 0; c < 3; ++c) {
+        ExpectSameStats(dst.block_zone_map(s, c, b),
+                        src.block_zone_map(s, c, b),
+                        "restored block " + std::to_string(b));
+      }
+    }
+  }
+  // The restored open segment keeps extending its last block.
+  ASSERT_TRUE(dst.AppendRow(BlockRow(10000)).ok());
+  ExpectBlockMapsConsistent(dst);
 }
 
 TEST(SegmentTest, StatsHasRangeFalseForEmptyAndAllNull) {
