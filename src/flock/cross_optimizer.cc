@@ -1,13 +1,16 @@
 #include "flock/cross_optimizer.h"
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdio>
-#include <limits>
-#include <map>
 #include <functional>
 
 #include "common/hash.h"
 #include "ml/graph.h"
+#include "sql/evaluator.h"
 #include "sql/optimizer.h"
+#include "sql/physical_plan.h"
 
 namespace flock::flock {
 
@@ -76,11 +79,37 @@ Status ForEachExprRoot(LogicalPlan* plan,
   return Status::OK();
 }
 
+/// The registry entry a PREDICT call names: an optimizer specialization
+/// when the name carries a `#` suffix, the deployed model otherwise.
+StatusOr<const ModelEntry*> LookupEntry(const ModelRegistry& models,
+                                        const std::string& name) {
+  if (name.find('#') != std::string::npos) {
+    return models.GetSpecialization(name);
+  }
+  return models.Get(name);
+}
+
+/// A specialization `key` of `entry` (named `name`): a copy that keeps the
+/// pipeline, graph and input mapping, audited against the user-visible
+/// model it derives from.
+ModelEntry DeriveSpecialization(const ModelEntry& entry,
+                                const std::string& name,
+                                const std::string& key) {
+  ModelEntry spec;
+  spec.name = key;
+  spec.base_name = entry.base_name.empty() ? name.substr(0, name.find('#'))
+                                           : entry.base_name;
+  spec.pipeline = entry.pipeline;
+  spec.graph = entry.graph;
+  spec.input_mapping = entry.input_mapping;
+  return spec;
+}
+
 /// Finds the table scan feeding `plan` through Filter-only links (schemas
 /// are stable across filters, so column indexes line up). Returns nullptr
 /// when the chain is broken by a schema-changing node.
-const LogicalPlan* UnderlyingScan(const LogicalPlan* plan) {
-  const LogicalPlan* node = plan;
+LogicalPlan* UnderlyingScan(LogicalPlan* plan) {
+  LogicalPlan* node = plan;
   while (node->kind == PlanKind::kFilter) {
     node = node->children[0].get();
   }
@@ -94,6 +123,29 @@ std::string MaskKey(const std::vector<bool>& used) {
   std::snprintf(buf, sizeof(buf), "%llx",
                 static_cast<unsigned long long>(h & 0xFFFFFF));
   return buf;
+}
+
+/// Specialization key for `name` compressed to `ranges`. The compressed
+/// graph is a function of the entry and the ranges alone, so the key
+/// spells out the exact bit pattern of every known bound: two range sets
+/// share a specialization only when they are identical.
+std::string CompressionKey(const std::string& name,
+                           const std::vector<ml::ColumnRange>& ranges) {
+  std::string key = name + "#c";
+  for (const ml::ColumnRange& r : ranges) {
+    if (!r.known) {
+      key += "-.";
+      continue;
+    }
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%llx:%llx.",
+                  static_cast<unsigned long long>(
+                      std::bit_cast<uint64_t>(r.min)),
+                  static_cast<unsigned long long>(
+                      std::bit_cast<uint64_t>(r.max)));
+    key += buf;
+  }
+  return key;
 }
 
 }  // namespace
@@ -187,22 +239,7 @@ Status CrossOptimizer::PushUpPredicates(LogicalPlan* plan) {
       std::swap(conjunct->children[0], conjunct->children[1]);
       lhs = conjunct->children[0].get();
       rhs = conjunct->children[1].get();
-      switch (op) {
-        case BinaryOp::kGt:
-          op = BinaryOp::kLt;
-          break;
-        case BinaryOp::kGtEq:
-          op = BinaryOp::kLtEq;
-          break;
-        case BinaryOp::kLt:
-          op = BinaryOp::kGt;
-          break;
-        case BinaryOp::kLtEq:
-          op = BinaryOp::kGtEq;
-          break;
-        default:
-          break;
-      }
+      op = sql::FlipComparison(op);
     }
     const char* fn_name = nullptr;
     switch (op) {
@@ -242,12 +279,8 @@ Status CrossOptimizer::PruneFeatures(LogicalPlan* plan) {
   return ForEachExprRoot(plan, [&](ExprPtr* root) -> Status {
     return VisitPredictCalls(root->get(), [&](Expr* call) -> Status {
       FLOCK_ASSIGN_OR_RETURN(std::string name, CallModelName(*call));
-      const ModelEntry* entry = nullptr;
-      if (name.find('#') != std::string::npos) {
-        FLOCK_ASSIGN_OR_RETURN(entry, models_->GetSpecialization(name));
-      } else {
-        FLOCK_ASSIGN_OR_RETURN(entry, models_->Get(name));
-      }
+      FLOCK_ASSIGN_OR_RETURN(const ModelEntry* entry,
+                             LookupEntry(*models_, name));
       std::vector<bool> used = entry->graph.UsedInputColumns();
       size_t dropped = 0;
       for (bool u : used) dropped += u ? 0 : 1;
@@ -260,14 +293,9 @@ Status CrossOptimizer::PruneFeatures(LogicalPlan* plan) {
       }
       std::string key = name + "#p" + MaskKey(used);
       if (!models_->HasSpecialization(key)) {
-        ModelEntry spec;
-        spec.name = key;
-        spec.base_name = entry->base_name.empty()
-                             ? name.substr(0, name.find('#'))
-                             : entry->base_name;
-        spec.pipeline = entry->pipeline;
-        spec.graph = entry->graph;
+        ModelEntry spec = DeriveSpecialization(*entry, name, key);
         FLOCK_RETURN_NOT_OK(spec.graph.CompactInputs(used));
+        spec.input_mapping.clear();
         for (size_t c = 0; c < used.size(); ++c) {
           if (used[c]) {
             spec.input_mapping.push_back(entry->input_mapping.empty()
@@ -297,160 +325,77 @@ Status CrossOptimizer::PruneFeatures(LogicalPlan* plan) {
   });
 }
 
-namespace {
-
-/// Bounds on a scan-output column implied by filter predicates.
-struct Bounds {
-  double lo = -std::numeric_limits<double>::infinity();
-  double hi = std::numeric_limits<double>::infinity();
-};
-
-void CollectConjunctBounds(const Expr& e, std::map<int, Bounds>* bounds) {
-  if (e.kind == ExprKind::kBinary && e.bin_op == BinaryOp::kAnd) {
-    CollectConjunctBounds(*e.children[0], bounds);
-    CollectConjunctBounds(*e.children[1], bounds);
-    return;
-  }
-  auto literal_value = [](const Expr& expr, double* out) {
-    if (expr.kind == ExprKind::kLiteral && !expr.literal.is_null() &&
-        expr.literal.type() != storage::DataType::kString) {
-      *out = expr.literal.AsDouble();
-      return true;
-    }
-    return false;
-  };
-  if (e.kind == ExprKind::kBetween &&
-      e.children[0]->kind == ExprKind::kColumnRef && !e.negated) {
-    double lo, hi;
-    if (literal_value(*e.children[1], &lo) &&
-        literal_value(*e.children[2], &hi)) {
-      Bounds& b = (*bounds)[e.children[0]->column_index];
-      b.lo = std::max(b.lo, lo);
-      b.hi = std::min(b.hi, hi);
-    }
-    return;
-  }
-  if (e.kind != ExprKind::kBinary) return;
-  const Expr* col = e.children[0].get();
-  const Expr* lit = e.children[1].get();
-  BinaryOp op = e.bin_op;
-  if (col->kind != ExprKind::kColumnRef) {
-    // literal CMP column: flip.
-    std::swap(col, lit);
-    switch (op) {
-      case BinaryOp::kLt:
-        op = BinaryOp::kGt;
-        break;
-      case BinaryOp::kLtEq:
-        op = BinaryOp::kGtEq;
-        break;
-      case BinaryOp::kGt:
-        op = BinaryOp::kLt;
-        break;
-      case BinaryOp::kGtEq:
-        op = BinaryOp::kLtEq;
-        break;
-      default:
-        break;
-    }
-  }
-  if (col->kind != ExprKind::kColumnRef || col->column_index < 0) return;
-  double value;
-  if (!literal_value(*lit, &value)) return;
-  Bounds& b = (*bounds)[col->column_index];
-  switch (op) {
-    case BinaryOp::kGt:
-    case BinaryOp::kGtEq:
-      b.lo = std::max(b.lo, value);
-      break;
-    case BinaryOp::kLt:
-    case BinaryOp::kLtEq:
-      b.hi = std::min(b.hi, value);
-      break;
-    case BinaryOp::kEq:
-      b.lo = std::max(b.lo, value);
-      b.hi = std::min(b.hi, value);
-      break;
-    default:
-      break;
-  }
-}
-
-}  // namespace
-
 Status CrossOptimizer::CompressModels(LogicalPlan* plan) {
   for (auto& child : plan->children) {
     FLOCK_RETURN_NOT_OK(CompressModels(child.get()));
   }
   if (plan->children.empty()) return Status::OK();
-  const LogicalPlan* scan = UnderlyingScan(plan->children[0].get());
+  LogicalPlan* scan = UnderlyingScan(plan->children[0].get());
   if (scan == nullptr || scan->table == nullptr) return Status::OK();
+  const storage::Table& table = *scan->table;
 
-  // Data predicates between this node and the scan narrow column ranges
-  // beyond the table statistics (filters preserve column indexes).
-  std::map<int, Bounds> predicate_bounds;
+  // The filters between this node and the scan, read as scan pruning reads
+  // them. No row of a segment they disprove reaches the model, so the
+  // envelopes below fold only the surviving segments' zone maps.
+  std::vector<sql::ScanPruneConjunct> conjuncts;
   for (const LogicalPlan* node = plan->children[0].get();
        node->kind == PlanKind::kFilter; node = node->children[0].get()) {
-    CollectConjunctBounds(*node->predicate, &predicate_bounds);
+    sql::AppendPruneConjuncts(*node->predicate, scan->output_schema, table,
+                              scan->projection, &conjuncts);
   }
-
-  // Per-segment refinement: segments whose zone maps contradict the
-  // predicate bounds contribute no rows to scoring (the executor prunes
-  // them with the same test), so the feature envelopes below fold only
-  // *surviving* segments — tighter [min,max] than table-wide statistics,
-  // hence more tree-branch pruning.
-  const storage::Table& table = *scan->table;
-  std::map<size_t, Bounds> table_bounds;
-  for (const auto& [out_idx, b] : predicate_bounds) {
-    if (out_idx < 0) continue;
-    size_t table_col = static_cast<size_t>(out_idx);
-    if (!scan->projection.empty()) {
-      if (table_col >= scan->projection.size()) continue;
-      table_col = scan->projection[table_col];
-    }
-    if (table_col >= table.schema().num_columns()) continue;
-    Bounds& tb = table_bounds[table_col];
-    tb.lo = std::max(tb.lo, b.lo);
-    tb.hi = std::min(tb.hi, b.hi);
-  }
-  std::vector<bool> surviving(table.num_segments(), true);
-  bool any_surviving = false;
+  std::vector<size_t> surviving;
   for (size_t s = 0; s < table.num_segments(); ++s) {
-    if (table.segment_rows(s) == 0) {
-      surviving[s] = false;
-      continue;
+    if (table.segment_rows(s) > 0 &&
+        !sql::ZoneMapsDisprove(conjuncts, [&](size_t c) -> const auto& {
+          return table.segment_zone_map(s, c);
+        })) {
+      surviving.push_back(s);
     }
-    for (const auto& [col, b] : table_bounds) {
+  }
+  // No rows reach the model: nothing to specialize.
+  if (surviving.empty()) return Status::OK();
+
+  // [min, max] of table column `col` over the rows that reach the model:
+  // the surviving segments' zone maps, narrowed by the comparisons (`>`
+  // and `>=` raise min, `<` and `<=` lower max, `=` sets both). A NaN
+  // literal bounds nothing; every row compares false against it.
+  auto envelope = [&](size_t col) {
+    ml::ColumnRange range;
+    for (size_t s : surviving) {
       const storage::ColumnStats& zm = table.segment_zone_map(s, col);
-      // A bounds entry means a comparison conjunct exists on this column,
-      // which no NULL row passes.
-      if (zm.null_count == zm.row_count) {
-        surviving[s] = false;
-        break;
+      if (!zm.numeric || !zm.has_range) continue;
+      range.min = range.known ? std::min(range.min, zm.min) : zm.min;
+      range.max = range.known ? std::max(range.max, zm.max) : zm.max;
+      range.known = true;
+    }
+    if (!range.known) return range;  // no survivor holds a number here
+    for (const sql::ScanPruneConjunct& c : conjuncts) {
+      if (c.kind != sql::ScanPruneConjunct::Kind::kCompare ||
+          c.table_column != col || std::isnan(c.literal)) {
+        continue;
       }
-      if (zm.numeric && zm.has_range && (b.lo > zm.max || b.hi < zm.min)) {
-        surviving[s] = false;
-        break;
+      if (c.op == BinaryOp::kGt || c.op == BinaryOp::kGtEq ||
+          c.op == BinaryOp::kEq) {
+        range.min = std::max(range.min, c.literal);
+      }
+      if (c.op == BinaryOp::kLt || c.op == BinaryOp::kLtEq ||
+          c.op == BinaryOp::kEq) {
+        range.max = std::min(range.max, c.literal);
       }
     }
-    if (surviving[s]) any_surviving = true;
-  }
-  if (!any_surviving && table.num_segments() > 0) {
-    // Every segment is pruned: no rows reach the model; nothing to
-    // specialize (mirrors the contradictory-predicate early-out).
-    return Status::OK();
-  }
+    return range;
+  };
 
   return ForEachExprRoot(plan, [&](ExprPtr* root) -> Status {
     return VisitPredictCalls(root->get(), [&](Expr* call) -> Status {
       FLOCK_ASSIGN_OR_RETURN(std::string name, CallModelName(*call));
-      const ModelEntry* entry = nullptr;
-      if (name.find('#') != std::string::npos) {
-        FLOCK_ASSIGN_OR_RETURN(entry, models_->GetSpecialization(name));
-      } else {
-        FLOCK_ASSIGN_OR_RETURN(entry, models_->Get(name));
+      FLOCK_ASSIGN_OR_RETURN(const ModelEntry* entry,
+                             LookupEntry(*models_, name));
+      // Trees only, and only behind an imputer: without one a NULL or NaN
+      // input reaches the trees as NaN, which no zone-map range bounds.
+      if (entry->tree_node_id < 0 || !entry->pipeline.has_imputer()) {
+        return Status::OK();
       }
-      if (entry->tree_node_id < 0) return Status::OK();  // trees only
 
       size_t offset = FeatureArgOffset(*call);
       size_t width = call->children.size() - offset;
@@ -472,84 +417,23 @@ Status CrossOptimizer::CompressModels(LogicalPlan* plan) {
           any_known = true;
           continue;
         }
-        if (arg.kind != ExprKind::kColumnRef || arg.column_index < 0) {
-          continue;
-        }
-        // Map through the scan's projection to the table column.
-        size_t table_col = static_cast<size_t>(arg.column_index);
-        if (!scan->projection.empty()) {
-          if (table_col >= scan->projection.size()) continue;
-          table_col = scan->projection[table_col];
-        }
-        auto stats = scan->table->GetStats(table_col);
-        // has_range distinguishes "no non-NULL numeric data" from a
-        // genuine [0, 0] range (empty and all-NULL columns used to
-        // report min=max=0.0 and could poison compression envelopes).
-        if (!stats.ok() || !stats->numeric || !stats->has_range) {
-          continue;
-        }
-        // Envelope over surviving segments only (falls back to the
-        // table-wide range when zone maps carry no extra information).
-        double lo = stats->min;
-        double hi = stats->max;
-        bool have_segment_range = false;
-        for (size_t s = 0; s < table.num_segments(); ++s) {
-          if (!surviving[s]) continue;
-          const storage::ColumnStats& zm =
-              table.segment_zone_map(s, table_col);
-          if (!zm.has_range) continue;
-          if (!have_segment_range) {
-            lo = zm.min;
-            hi = zm.max;
-            have_segment_range = true;
-          } else {
-            lo = std::min(lo, zm.min);
-            hi = std::max(hi, zm.max);
-          }
-        }
-        if (!have_segment_range) continue;  // survivors are all-NULL here
-        auto bound = predicate_bounds.find(arg.column_index);
-        if (bound != predicate_bounds.end()) {
-          lo = std::max(lo, bound->second.lo);
-          hi = std::min(hi, bound->second.hi);
-        }
-        if (lo > hi) {
+        if (arg.kind != ExprKind::kColumnRef) continue;
+        const int col = sql::ScanOutputToTableColumn(
+            table, scan->projection, arg.column_index);
+        if (col < 0) continue;
+        ranges[i] = envelope(static_cast<size_t>(col));
+        if (!ranges[i].known) continue;
+        if (ranges[i].min > ranges[i].max) {
           // Contradictory predicates: no rows survive anyway; skip.
           return Status::OK();
         }
-        ranges[i] = ml::ColumnRange{lo, hi, true};
         any_known = true;
       }
       if (!any_known) return Status::OK();
 
-      // The cache key must reflect everything the ranges depend on: table
-      // version (statistics) AND the predicate-derived bounds.
-      uint64_t range_hash = 0x9E3779B97F4A7C15ULL;
-      for (const auto& r : ranges) {
-        range_hash = HashCombine(range_hash, r.known ? 1 : 0);
-        if (r.known) {
-          range_hash = HashCombine(
-              range_hash, static_cast<uint64_t>(r.min * 1e6));
-          range_hash = HashCombine(
-              range_hash, static_cast<uint64_t>(r.max * 1e6));
-        }
-      }
-      char range_key[24];
-      std::snprintf(range_key, sizeof(range_key), "%llx",
-                    static_cast<unsigned long long>(range_hash &
-                                                    0xFFFFFFFF));
-      std::string key = name + "#c" + scan->table_name + "v" +
-                        std::to_string(scan->table->current_version()) +
-                        "r" + range_key;
+      const std::string key = CompressionKey(name, ranges);
       if (!models_->HasSpecialization(key)) {
-        ModelEntry spec;
-        spec.name = key;
-        spec.base_name = entry->base_name.empty()
-                             ? name.substr(0, name.find('#'))
-                             : entry->base_name;
-        spec.pipeline = entry->pipeline;
-        spec.graph = entry->graph;
-        spec.input_mapping = entry->input_mapping;
+        ModelEntry spec = DeriveSpecialization(*entry, name, key);
         size_t removed = ml::CompressTreesWithRanges(&spec.graph, ranges);
         if (removed == 0) return Status::OK();
         stats_.tree_nodes_compressed += removed;
@@ -558,6 +442,9 @@ Status CrossOptimizer::CompressModels(LogicalPlan* plan) {
             models_->RegisterSpecialization(key, std::move(spec)));
       }
       call->children[0] = Expr::MakeLiteral(Value::String(key));
+      // The compressed graph holds only for the data these zone maps
+      // describe; a cached copy of this plan is stale after any DML.
+      scan->stats_version = table.current_version();
       return Status::OK();
     });
   });

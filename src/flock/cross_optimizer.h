@@ -25,12 +25,19 @@ namespace flock::flock {
 ///     sparsity) are dropped from the call; a compacted model
 ///     specialization is registered and the engine's projection pruning
 ///     then narrows the scan itself.
-///  4. **ModelCompression**: storage min/max statistics of the argument
-///     columns are propagated through the featurizers and used to fold
-///     decision-tree branches the data can never take.
+///  4. **ModelCompression**: the [min, max] of each argument column over
+///     the rows that can reach the model is propagated through the
+///     featurizers and used to fold decision-tree branches the data can
+///     never take. The filters below the call are read as scan pruning
+///     reads them (sql::AppendPruneConjuncts); the range folds the zone
+///     maps of the segments sql::ZoneMapsDisprove keeps, narrowed by the
+///     filters' comparisons. The specialization key spells out the exact
+///     ranges, and the plan's scan records the table version the zone
+///     maps describe, so a cached plan is re-planned after DML.
 ///
 /// Rules 3-4 register internal specializations in the ModelRegistry under
-/// names like `churn#p1a2b#c3f4`; those names never leave the engine.
+/// names like `churn#p1a2b#c<ranges>`; those names never leave the
+/// engine.
 class CrossOptimizer {
  public:
   struct Options {

@@ -1,7 +1,9 @@
 #ifndef FLOCK_SQL_LOGICAL_PLAN_H_
 #define FLOCK_SQL_LOGICAL_PLAN_H_
 
+#include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -44,6 +46,10 @@ struct LogicalPlan {
   std::string table_name;
   storage::TablePtr table;            // resolved by the planner
   std::vector<size_t> projection;     // column subset (empty = all)
+  /// Set by a rewrite whose result depends on `table`'s statistics (zone
+  /// maps): the table version those statistics describe. A cached plan
+  /// whose scan no longer matches its table's version is stale.
+  std::optional<uint64_t> stats_version;
 
   // kFilter
   ExprPtr predicate;

@@ -197,56 +197,58 @@ RecordBatch TableScanOp::ScanMorsel(size_t segment, size_t begin,
   return batch;
 }
 
-namespace {
+int ScanOutputToTableColumn(const storage::Table& table,
+                            const std::vector<size_t>& projection,
+                            int output_index) {
+  if (output_index < 0) return -1;
+  if (projection.empty()) {
+    if (static_cast<size_t>(output_index) >= table.schema().num_columns()) {
+      return -1;
+    }
+    return output_index;
+  }
+  if (static_cast<size_t>(output_index) >= projection.size()) return -1;
+  return static_cast<int>(projection[static_cast<size_t>(output_index)]);
+}
 
-/// True when some conjunct is false for every row the zone maps summarize.
-/// `zone_map(c)` returns the map of table column `c` at the level being
-/// checked (a segment or a block), so both levels share one proof.
-template <typename ZoneMapFn>
-bool ZoneMapsDisprove(const std::vector<ScanPruneConjunct>& conjuncts,
-                      ZoneMapFn zone_map) {
-  for (const ScanPruneConjunct& conjunct : conjuncts) {
-    const storage::ColumnStats& zm = zone_map(conjunct.table_column);
-    switch (conjunct.kind) {
-      case ScanPruneConjunct::Kind::kIsNull:
-        if (zm.null_count == 0) return true;
+void AppendPruneConjuncts(const Expr& predicate,
+                          const storage::Schema& scan_schema,
+                          const storage::Table& table,
+                          const std::vector<size_t>& projection,
+                          std::vector<ScanPruneConjunct>* out) {
+  for (const auto& conjunct : SplitConjuncts(predicate.Clone())) {
+    const ConjunctShape shape = ClassifyConjunct(*conjunct, scan_schema);
+    const int table_col =
+        ScanOutputToTableColumn(table, projection, shape.column);
+    if (table_col < 0) continue;
+    ScanPruneConjunct prune;
+    prune.table_column = static_cast<size_t>(table_col);
+    switch (shape.kind) {
+      case ConjunctShape::Kind::kIsNull:
+        prune.kind = shape.negated ? ScanPruneConjunct::Kind::kIsNotNull
+                                   : ScanPruneConjunct::Kind::kIsNull;
+        out->push_back(prune);
         break;
-      case ScanPruneConjunct::Kind::kIsNotNull:
-        if (zm.null_count == zm.row_count) return true;
+      case ConjunctShape::Kind::kBetween:
+        if (shape.negated || shape.strings) break;
+        prune.op = BinaryOp::kGtEq;
+        prune.literal = shape.literals[0].AsDouble();
+        out->push_back(prune);
+        prune.op = BinaryOp::kLtEq;
+        prune.literal = shape.literals[1].AsDouble();
+        out->push_back(prune);
         break;
-      case ScanPruneConjunct::Kind::kCompare:
-        // A comparison never passes NULL, so an all-NULL segment cannot
-        // satisfy it regardless of the range.
-        if (zm.null_count == zm.row_count) return true;
-        if (!zm.numeric || !zm.has_range) break;  // cannot rule out
-        switch (conjunct.op) {
-          case BinaryOp::kLt:
-            if (!(zm.min < conjunct.literal)) return true;
-            break;
-          case BinaryOp::kLtEq:
-            if (!(zm.min <= conjunct.literal)) return true;
-            break;
-          case BinaryOp::kGt:
-            if (!(zm.max > conjunct.literal)) return true;
-            break;
-          case BinaryOp::kGtEq:
-            if (!(zm.max >= conjunct.literal)) return true;
-            break;
-          case BinaryOp::kEq:
-            if (conjunct.literal < zm.min || conjunct.literal > zm.max) {
-              return true;
-            }
-            break;
-          default:
-            break;
-        }
+      case ConjunctShape::Kind::kCompareLiteral:
+        if (shape.strings || shape.op == BinaryOp::kNotEq) break;
+        prune.op = shape.op;
+        prune.literal = shape.literals[0].AsDouble();
+        out->push_back(prune);
+        break;
+      default:
         break;
     }
   }
-  return false;
 }
-
-}  // namespace
 
 bool TableScanOp::CanSkipSegment(size_t segment) const {
   return ZoneMapsDisprove(prune_conjuncts, [&](size_t c) -> const auto& {

@@ -182,6 +182,75 @@ struct ScanPruneConjunct {
   double literal = 0.0;         // kCompare only
 };
 
+/// Maps a column index of a scan's output through the scan's `projection`
+/// (empty = all columns) to the column index in `table`; -1 when out of
+/// range.
+int ScanOutputToTableColumn(const storage::Table& table,
+                            const std::vector<size_t>& projection,
+                            int output_index);
+
+/// Appends to `out` the prune conjuncts of `predicate`, a predicate bound
+/// against the output (`scan_schema`) of a scan of `table` narrowed by
+/// `projection` (empty = all columns), resolved to `table` column indexes.
+/// The conjuncts are read through ClassifyConjunct, the classifier the
+/// Filter's compiled program uses; only shapes whose zone-map rejection is
+/// exact are kept (numeric column CMP literal for = < <= > >=, the two
+/// bounds of a non-negated numeric BETWEEN, IS [NOT] NULL). This is the one
+/// reader of predicate values against zone maps: scan pruning and the
+/// cross-optimizer's model compression both go through it.
+void AppendPruneConjuncts(const Expr& predicate,
+                          const storage::Schema& scan_schema,
+                          const storage::Table& table,
+                          const std::vector<size_t>& projection,
+                          std::vector<ScanPruneConjunct>* out);
+
+/// True when some conjunct is false for every row the zone maps summarize.
+/// `zone_map(c)` returns the map of table column `c` at the level being
+/// checked (a segment or a block), so every level shares one proof.
+template <typename ZoneMapFn>
+bool ZoneMapsDisprove(const std::vector<ScanPruneConjunct>& conjuncts,
+                      ZoneMapFn zone_map) {
+  for (const ScanPruneConjunct& conjunct : conjuncts) {
+    const storage::ColumnStats& zm = zone_map(conjunct.table_column);
+    switch (conjunct.kind) {
+      case ScanPruneConjunct::Kind::kIsNull:
+        if (zm.null_count == 0) return true;
+        break;
+      case ScanPruneConjunct::Kind::kIsNotNull:
+        if (zm.null_count == zm.row_count) return true;
+        break;
+      case ScanPruneConjunct::Kind::kCompare:
+        // A comparison never passes NULL, so an all-NULL segment cannot
+        // satisfy it regardless of the range.
+        if (zm.null_count == zm.row_count) return true;
+        if (!zm.numeric || !zm.has_range) break;  // cannot rule out
+        switch (conjunct.op) {
+          case BinaryOp::kLt:
+            if (!(zm.min < conjunct.literal)) return true;
+            break;
+          case BinaryOp::kLtEq:
+            if (!(zm.min <= conjunct.literal)) return true;
+            break;
+          case BinaryOp::kGt:
+            if (!(zm.max > conjunct.literal)) return true;
+            break;
+          case BinaryOp::kGtEq:
+            if (!(zm.max >= conjunct.literal)) return true;
+            break;
+          case BinaryOp::kEq:
+            if (conjunct.literal < zm.min || conjunct.literal > zm.max) {
+              return true;
+            }
+            break;
+          default:
+            break;
+        }
+        break;
+    }
+  }
+  return false;
+}
+
 class TableScanOp : public PhysicalOperator {
  public:
   TableScanOp(std::string table_name, storage::TablePtr table,

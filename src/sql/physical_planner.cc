@@ -92,63 +92,6 @@ void ReplaceScoringCalls(ExprPtr* e, const std::vector<ExprPtr>& calls,
   }
 }
 
-/// Maps a scan-output column index through the scan's projection to the
-/// underlying table column index; -1 when out of range.
-int ScanOutputToTableColumn(const TableScanOp& scan, int output_index) {
-  if (output_index < 0) return -1;
-  if (scan.projection.empty()) {
-    if (static_cast<size_t>(output_index) >=
-        scan.table->schema().num_columns()) {
-      return -1;
-    }
-    return output_index;
-  }
-  if (static_cast<size_t>(output_index) >= scan.projection.size()) return -1;
-  return static_cast<int>(scan.projection[static_cast<size_t>(output_index)]);
-}
-
-/// Collects prune-friendly conjuncts of the filter predicate that sits
-/// directly above `scan` and resolves them to table column indexes. The
-/// conjuncts are read through ClassifyConjunct, the classifier the Filter's
-/// compiled program uses; only shapes whose zone-map rejection is exact are
-/// pushed (numeric column CMP literal for = < <= > >=, non-negated numeric
-/// BETWEEN, IS [NOT] NULL) — the Filter above re-checks every row either
-/// way.
-void AttachPruneConjuncts(TableScanOp* scan, const Expr& predicate) {
-  for (const auto& conjunct : SplitConjuncts(predicate.Clone())) {
-    const ConjunctShape shape =
-        ClassifyConjunct(*conjunct, scan->output_schema());
-    const int table_col = ScanOutputToTableColumn(*scan, shape.column);
-    if (table_col < 0) continue;
-    ScanPruneConjunct out;
-    out.table_column = static_cast<size_t>(table_col);
-    switch (shape.kind) {
-      case ConjunctShape::Kind::kIsNull:
-        out.kind = shape.negated ? ScanPruneConjunct::Kind::kIsNotNull
-                                 : ScanPruneConjunct::Kind::kIsNull;
-        scan->prune_conjuncts.push_back(out);
-        break;
-      case ConjunctShape::Kind::kBetween:
-        if (shape.negated || shape.strings) break;
-        out.op = BinaryOp::kGtEq;
-        out.literal = shape.literals[0].AsDouble();
-        scan->prune_conjuncts.push_back(out);
-        out.op = BinaryOp::kLtEq;
-        out.literal = shape.literals[1].AsDouble();
-        scan->prune_conjuncts.push_back(out);
-        break;
-      case ConjunctShape::Kind::kCompareLiteral:
-        if (shape.strings || shape.op == BinaryOp::kNotEq) break;
-        out.op = shape.op;
-        out.literal = shape.literals[0].AsDouble();
-        scan->prune_conjuncts.push_back(out);
-        break;
-      default:
-        break;
-    }
-  }
-}
-
 }  // namespace
 
 void PhysicalPlanner::CollectScoringCalls(const Expr& e,
@@ -228,8 +171,10 @@ StatusOr<PhysicalOperatorPtr> PhysicalPlanner::LowerFilter(
   // against zone maps. Done before any scoring rewrite so the original
   // column references are still bound against the scan's output.
   if (child->kind() == PhysicalOperator::Kind::kTableScan) {
-    AttachPruneConjuncts(static_cast<TableScanOp*>(child.get()),
-                         *plan.predicate);
+    auto* scan = static_cast<TableScanOp*>(child.get());
+    AppendPruneConjuncts(*plan.predicate, scan->output_schema(),
+                         *scan->table, scan->projection,
+                         &scan->prune_conjuncts);
   }
 
   std::vector<ExprPtr> calls;

@@ -56,10 +56,27 @@ std::string NormalizeSql(const std::string& sql) {
   return out;
 }
 
+namespace {
+
+/// False when some scan of `plan` carries statistics of a table version
+/// that is no longer current.
+bool StatsCurrent(const LogicalPlan& plan) {
+  if (plan.stats_version.has_value() &&
+      *plan.stats_version != plan.table->current_version()) {
+    return false;
+  }
+  for (const auto& child : plan.children) {
+    if (!StatsCurrent(*child)) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
 PlanPtr PlanCache::Lookup(const std::string& key) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = index_.find(key);
-  if (it == index_.end()) {
+  if (it == index_.end() || !StatsCurrent(*it->second->second)) {
     ++stats_.misses;
     return nullptr;
   }

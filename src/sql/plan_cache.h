@@ -49,8 +49,13 @@ struct PlanCacheStats {
 /// handles and (after cross-optimization) specialized model names, so any
 /// DDL — CREATE/DROP TABLE, CREATE/DROP MODEL — and any model redeploy
 /// must Clear() the cache. Plain DML does not: scans read the live table
-/// through the resolved handle. SqlEngine and FlockEngine enforce this;
-/// see SqlEngine::Execute and FlockEngine's locking contract.
+/// through the resolved handle. The one exception is a plan a rewrite
+/// built from table statistics (a model compressed to the zone maps'
+/// value ranges): its scan records the table version it read
+/// (LogicalPlan::stats_version), and Lookup treats an entry whose version
+/// is no longer current as a miss, so the caller re-plans and Insert
+/// replaces it. SqlEngine and FlockEngine enforce this; see
+/// SqlEngine::Execute and FlockEngine's locking contract.
 class PlanCache {
  public:
   explicit PlanCache(size_t capacity = 256) : capacity_(capacity) {}
@@ -59,7 +64,8 @@ class PlanCache {
   PlanCache& operator=(const PlanCache&) = delete;
 
   /// Returns a private clone of the cached plan for `key`, or nullptr on
-  /// miss. Counts a hit/miss and refreshes LRU order.
+  /// miss (including a stale stats_version). Counts a hit/miss and
+  /// refreshes LRU order.
   PlanPtr Lookup(const std::string& key);
 
   /// Inserts (or replaces) the plan for `key`, evicting the least

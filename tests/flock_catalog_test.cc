@@ -2,8 +2,6 @@
 
 #include "flock/flock_engine.h"
 #include "ml/linear.h"
-#include "policy/monitor.h"
-#include "common/random.h"
 
 namespace flock::flock {
 namespace {
@@ -127,74 +125,3 @@ TEST_F(CatalogTablesTest, BatchScoringIntoTable) {
 
 }  // namespace
 }  // namespace flock::flock
-
-namespace flock::policy {
-namespace {
-
-TEST(ModelMonitorTest, NoDriftOnStableDistribution) {
-  MonitorOptions options;
-  options.window_size = 500;
-  ModelMonitor monitor(options);
-  ::flock::Random rng(1);
-  for (int i = 0; i < 2500; ++i) {
-    monitor.Observe(0.3 + 0.2 * rng.NextDouble());
-  }
-  EXPECT_EQ(monitor.completed_windows(), 5u);
-  EXPECT_LT(monitor.LatestPsi(), 0.1);
-  EXPECT_FALSE(monitor.DriftDetected());
-}
-
-TEST(ModelMonitorTest, DetectsShiftedScores) {
-  MonitorOptions options;
-  options.window_size = 500;
-  ModelMonitor monitor(options);
-  ::flock::Random rng(2);
-  for (int i = 0; i < 1000; ++i) {
-    monitor.Observe(0.2 + 0.1 * rng.NextDouble());  // baseline low scores
-  }
-  for (int i = 0; i < 1000; ++i) {
-    monitor.Observe(0.7 + 0.1 * rng.NextDouble());  // drifted high scores
-  }
-  EXPECT_TRUE(monitor.DriftDetected());
-  EXPECT_GT(monitor.LatestPsi(), 0.25);
-  EXPECT_GT(monitor.WindowMean(3), monitor.WindowMean(0));
-}
-
-TEST(ModelMonitorTest, RebaselineClearsDrift) {
-  MonitorOptions options;
-  options.window_size = 200;
-  ModelMonitor monitor(options);
-  ::flock::Random rng(3);
-  for (int i = 0; i < 400; ++i) monitor.Observe(0.2);
-  for (int i = 0; i < 400; ++i) {
-    monitor.Observe(0.8 + 0.05 * rng.NextDouble());
-  }
-  ASSERT_TRUE(monitor.DriftDetected());
-  monitor.Rebaseline();
-  for (int i = 0; i < 400; ++i) {
-    monitor.Observe(0.8 + 0.05 * rng.NextDouble());
-  }
-  EXPECT_FALSE(monitor.DriftDetected()) << monitor.Summary();
-}
-
-TEST(ModelMonitorTest, PartialWindowIgnored) {
-  MonitorOptions options;
-  options.window_size = 100;
-  ModelMonitor monitor(options);
-  for (int i = 0; i < 150; ++i) monitor.Observe(0.5);
-  EXPECT_EQ(monitor.completed_windows(), 1u);
-  EXPECT_DOUBLE_EQ(monitor.LatestPsi(), 0.0);  // needs 2 windows
-}
-
-TEST(ModelMonitorTest, OutOfRangeScoresClampToEdgeBins) {
-  MonitorOptions options;
-  options.window_size = 10;
-  ModelMonitor monitor(options);
-  for (int i = 0; i < 10; ++i) monitor.Observe(-5.0);
-  for (int i = 0; i < 10; ++i) monitor.Observe(5.0);
-  EXPECT_EQ(monitor.completed_windows(), 2u);
-  EXPECT_GT(monitor.LatestPsi(), 0.25);  // all mass moved bins
-}
-
-}  // namespace
-}  // namespace flock::policy

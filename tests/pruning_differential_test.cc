@@ -6,12 +6,17 @@
 // execution-time contract: scan morsels are zero-copy views of segment
 // memory, cached plans survive DML that changes pruning decisions, and the
 // segments/blocks scanned/pruned counters surface through EXPLAIN ANALYZE
-// and the engine totals.
+// and the engine totals. Model compression, which reads the same zone maps
+// and conjuncts, must score bitwise like the uncompressed model, fresh
+// and from the plan cache, and across DML.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <cmath>
+#include <optional>
 #include <sstream>
 #include <thread>
 
@@ -538,6 +543,239 @@ TEST(PruningDifferentialTest, BlockPrunedLookupsRaceOpenBlockAppends) {
   ASSERT_TRUE(count.ok());
   EXPECT_EQ(count->batch.column(0)->GetValue(0).int_value(), kAppends);
   EXPECT_GT(engine.sql()->blocks_pruned_total(), 0u);
+}
+
+// --- Model compression ------------------------------------------------
+//
+// The cross-optimizer compresses tree models to the value ranges of the
+// rows that can reach them, read from the same zone maps and pushed-down
+// conjuncts as scan pruning. Scores must be bitwise equal to the
+// uncompressed model's, whatever the predicate and whatever DML ran since
+// the plan was cached.
+
+/// A tree over one input `x`: leaf values are distinct so any misrouted
+/// row shows. `x < split ? left : right`, with an optional second split
+/// `x < split2` under the right branch. NULL and NaN inputs impute to
+/// `fill` unless `fill` is NaN, which deploys the model without an imputer.
+ml::Pipeline TreePipeline(double split, double fill,
+                          std::optional<double> split2 = std::nullopt) {
+  ml::Pipeline pipeline;
+  pipeline.SetInputs({ml::FeatureSpec{"x", ml::FeatureKind::kNumeric, {}}});
+  if (!std::isnan(fill)) pipeline.SetImputer({fill});
+  auto leaf = [](double value) {
+    ml::TreeNode n;
+    n.feature = -1;
+    n.value = value;
+    return n;
+  };
+  ml::TreeNode root;
+  root.feature = 0;
+  root.threshold = split;
+  root.left = 1;
+  root.right = 2;
+  ml::Tree tree;
+  if (split2.has_value()) {
+    ml::TreeNode inner = root;
+    inner.threshold = *split2;
+    inner.left = 3;
+    inner.right = 4;
+    tree.nodes = {root, leaf(1.0), inner, leaf(0.5), leaf(0.0)};
+  } else {
+    tree.nodes = {root, leaf(1.0), leaf(0.0)};
+  }
+  ml::TreeEnsembleModel model;
+  model.trees.push_back(tree);
+  pipeline.SetTreeModel(model);
+  return pipeline;
+}
+
+/// The rows of `batch`, sorted, with doubles spelled as their bit
+/// patterns so equal rows are bitwise equal.
+std::vector<std::string> ExactRows(const storage::RecordBatch& batch) {
+  std::vector<std::string> rows;
+  for (size_t r = 0; r < batch.num_rows(); ++r) {
+    std::string row;
+    for (size_t c = 0; c < batch.num_columns(); ++c) {
+      Value v = batch.column(c)->GetValue(r);
+      if (!v.is_null() && v.type() == DataType::kDouble) {
+        row += std::to_string(std::bit_cast<uint64_t>(v.double_value()));
+      } else {
+        row += v.ToString();
+      }
+      row += "|";
+    }
+    rows.push_back(std::move(row));
+  }
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+/// Segment capacity 4, so each group of four ids is one segment:
+///   ids 0-3    x 0.1, 0.2, NULL, 0.4   b all NULL
+///   ids 4-7    x 0.5 .. 0.8            b 1 .. 4
+///   ids 8-11   x all NULL              b 5 .. 8
+///   ids 12-15  x 0.9, NaN, 1.0, 1.1    b 0, NULL, 2, 3
+/// `m` splits at 0.45 and 0.85 behind an imputer filling 0.5; `raw` is the
+/// same tree without an imputer.
+void CreateCompressionTable(flock::FlockEngine* engine) {
+  engine->database()->set_default_segment_capacity(4);
+  ASSERT_TRUE(
+      engine->Execute("CREATE TABLE t (id INT, x DOUBLE, b INT)").ok());
+  ASSERT_TRUE(engine
+                  ->Execute("INSERT INTO t VALUES (0, 0.1, NULL), "
+                            "(1, 0.2, NULL), (2, NULL, NULL), (3, 0.4, NULL), "
+                            "(4, 0.5, 1), (5, 0.6, 2), (6, 0.7, 3), "
+                            "(7, 0.8, 4), (8, NULL, 5), (9, NULL, 6), "
+                            "(10, NULL, 7), (11, NULL, 8), (12, 0.9, 0), "
+                            "(13, CAST('nan' AS DOUBLE), NULL), "
+                            "(14, 1.0, 2), (15, 1.1, 3)")
+                  .ok());
+  ASSERT_TRUE(engine->DeployModel("m", TreePipeline(0.45, 0.5, 0.85)).ok());
+  ASSERT_TRUE(
+      engine->DeployModel("raw", TreePipeline(0.45, std::nan(""), 0.85))
+          .ok());
+}
+
+TEST(CompressionDifferentialTest, ScoresMatchTheUncompressedModel) {
+  flock::FlockEngine engine;
+  CreateCompressionTable(&engine);
+  const std::vector<std::string> predicates = {
+      // Comparisons with the literal on either side, and BETWEEN.
+      "x >= 0.5",
+      "0.5 <= x",
+      "0.45 > x",
+      "0.8 >= x AND 0.3 < x",
+      "x = 0.9",
+      "x BETWEEN 0.5 AND 0.75",
+      "x BETWEEN 0.86 AND 2",
+      "id >= 4",
+      "id < 4",
+      "id BETWEEN 4 AND 7",
+      // Shapes that narrow no range.
+      "x NOT BETWEEN 0.2 AND 0.9",
+      "x IN (0.1, 0.9)",
+      "id IN (1, 13)",
+      "x <> 0.5",
+      // NULL tests.
+      "x IS NULL",
+      "x IS NOT NULL",
+      "b IS NULL",
+      "b IS NOT NULL AND x > 0.6",
+      // A disjunction with a literal is no comparison on `b`.
+      "b OR 1",
+      "1 OR b",
+      // NaN literals.
+      "x = CAST('nan' AS DOUBLE)",
+      "x < CAST('nan' AS DOUBLE)",
+      "x <> CAST('nan' AS DOUBLE)",
+      "x >= 0.5 AND x <= CAST('nan' AS DOUBLE)",
+      "x >= 0.86 AND x <> CAST('nan' AS DOUBLE)",
+  };
+  size_t compressed = 0;
+  for (const std::string& predicate : predicates) {
+    for (const std::string& sql :
+         {"SELECT id, PREDICT(m, x), PREDICT(raw, x) FROM t WHERE " +
+              predicate,
+          "SELECT id FROM t WHERE " + predicate +
+              " AND PREDICT(m, x) > 0.25"}) {
+      SCOPED_TRACE(sql);
+      engine.set_enable_cross_optimizer(false);
+      auto reference = engine.Execute(sql);
+      ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+      engine.set_enable_cross_optimizer(true);
+      engine.models()->ClearSpecializations();
+      auto fresh = engine.Execute(sql);
+      ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+      EXPECT_FALSE(fresh->from_plan_cache);
+      compressed += engine.cross_optimizer()->stats().tree_nodes_compressed;
+      auto cached = engine.Execute(sql);
+      ASSERT_TRUE(cached.ok()) << cached.status().ToString();
+      EXPECT_TRUE(cached->from_plan_cache);
+      EXPECT_EQ(ExactRows(fresh->batch), ExactRows(reference->batch));
+      EXPECT_EQ(ExactRows(cached->batch), ExactRows(reference->batch));
+    }
+  }
+  // Not vacuous: several shapes narrow `x` past a split.
+  EXPECT_GT(compressed, 0u);
+}
+
+// A specialization is keyed by the exact ranges it was compressed to.
+// Keys used to hash bounds truncated to 1e-6, so `x >= 0.5000001` reused
+// the specialization `x >= 0.5000005` built, whose tree sends every row
+// right of the 0.5000003 split.
+TEST(CompressionDifferentialTest, NearbyBoundsNeverShareASpecialization) {
+  flock::FlockEngine engine;
+  ASSERT_TRUE(engine.Execute("CREATE TABLE t (id INT, x DOUBLE)").ok());
+  ASSERT_TRUE(engine
+                  .Execute("INSERT INTO t VALUES (1, 0.5000002), (2, 0.6), "
+                           "(3, 0.9)")
+                  .ok());
+  ASSERT_TRUE(engine.DeployModel("m", TreePipeline(0.5000003, 0.7)).ok());
+  auto high = engine.Execute(
+      "SELECT id, PREDICT(m, x) FROM t WHERE x >= 0.5000005");
+  ASSERT_TRUE(high.ok()) << high.status().ToString();
+  EXPECT_GT(engine.cross_optimizer()->stats().tree_nodes_compressed, 0u);
+  ASSERT_EQ(high->batch.num_rows(), 2u);
+  const std::string query =
+      "SELECT id, PREDICT(m, x) FROM t WHERE x >= 0.5000001";
+  auto low = engine.Execute(query);
+  ASSERT_TRUE(low.ok()) << low.status().ToString();
+  engine.set_enable_cross_optimizer(false);
+  auto reference = engine.Execute(query);
+  ASSERT_TRUE(reference.ok());
+  // Row 1 (x = 0.5000002) lies left of the split and scores 1.0.
+  EXPECT_EQ(ExactRows(low->batch), ExactRows(reference->batch));
+  EXPECT_EQ(ExactRows(reference->batch).size(), 3u);
+}
+
+/// Caches `SELECT id, PREDICT(m, x) FROM t` over x in {0.6, 0.7, 0.9},
+/// which compresses `m` (split 0.5, then 0.8) to its right branch, runs
+/// `dml`, and expects the next execution to re-plan and score exactly as
+/// the uncompressed model does.
+void ExpectCompressedPlanReplannedAfter(const std::string& dml) {
+  flock::FlockEngine engine;
+  ASSERT_TRUE(engine.Execute("CREATE TABLE t (id INT, x DOUBLE)").ok());
+  ASSERT_TRUE(
+      engine.Execute("INSERT INTO t VALUES (1, 0.6), (3, 0.7), (4, 0.9)")
+          .ok());
+  ASSERT_TRUE(engine.DeployModel("m", TreePipeline(0.5, 0.75, 0.8)).ok());
+  const std::string query = "SELECT id, PREDICT(m, x) FROM t";
+  ASSERT_TRUE(engine.Execute(query).ok());
+  EXPECT_GT(engine.cross_optimizer()->stats().tree_nodes_compressed, 0u);
+  auto cached = engine.Execute(query);
+  ASSERT_TRUE(cached.ok());
+  EXPECT_TRUE(cached->from_plan_cache);
+
+  ASSERT_TRUE(engine.Execute(dml).ok()) << dml;
+  auto after = engine.Execute(query);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_FALSE(after->from_plan_cache) << "stale compressed plan reused";
+  engine.set_enable_cross_optimizer(false);
+  auto reference = engine.Execute(query);
+  ASSERT_TRUE(reference.ok());
+  EXPECT_EQ(ExactRows(after->batch), ExactRows(reference->batch));
+
+  // The re-planned entry replaced the stale one.
+  engine.set_enable_cross_optimizer(true);
+  ASSERT_TRUE(engine.Execute(query).ok());
+  auto again = engine.Execute(query);
+  ASSERT_TRUE(again.ok());
+  EXPECT_TRUE(again->from_plan_cache);
+}
+
+TEST(CompressionDifferentialTest, CachedPlanReplansAfterInsert) {
+  // The new row lies left of the split the cached model folded away.
+  ExpectCompressedPlanReplannedAfter("INSERT INTO t VALUES (2, 0.1)");
+}
+
+TEST(CompressionDifferentialTest, CachedPlanReplansAfterUpdate) {
+  ExpectCompressedPlanReplannedAfter("UPDATE t SET x = 0.1 WHERE id = 3");
+}
+
+TEST(CompressionDifferentialTest, CachedPlanReplansAfterDelete) {
+  // Scores stay right either way, but the plan depends on the data it
+  // was compressed for and must not outlive it.
+  ExpectCompressedPlanReplannedAfter("DELETE FROM t WHERE id = 4");
 }
 
 /// All 22 TPC-H templates, pruning on vs off, over multi-segment data.
