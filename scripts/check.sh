@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Full verification: regular build + tests, then an AddressSanitizer build
+# Full verification: regular build + tests and a build of the perfbench
+# program against the same sources, then an AddressSanitizer build
 # running every test (catches the memory bugs morsel-parallel execution can
 # hide), then a ThreadSanitizer build running the concurrency-sensitive
 # suites — the serving layer's sessions/admission/plan-cache paths, the
@@ -42,6 +43,14 @@ if [[ "$RUN_PLAIN" == 1 ]]; then
   cmake -B build -S . >/dev/null
   cmake --build build -j "$JOBS"
   ctest --test-dir build --output-on-failure -j "$JOBS"
+
+  echo "== perfbench build =="
+  # The benchmark program builds its own copy of the libraries from src/
+  # and links their public API (NormalizeSql, Parser::Parse, PlanCache,
+  # ServerOptions, ...), so an API change in src/ that breaks it fails
+  # here rather than in a benchmark run.
+  cmake -S perfbench -B build-perfbench >/dev/null
+  cmake --build build-perfbench -j "$JOBS"
 fi
 
 if [[ "$RUN_ASAN" == 1 ]]; then
@@ -51,8 +60,8 @@ if [[ "$RUN_ASAN" == 1 ]]; then
   # Every label runs here, including the zero-copy segment scans
   # (`storage`), snapshot/record round-trips (`repl`), the kernel's
   # ping-pong scratch and the coalescer's hand-off buffers (`kernel`), the
-  # abandon paths a kill creates (`cancel`) and rollout state round-trips
-  # (`lifecycle`).
+  # abandon paths a kill creates (`cancel`), rollout state round-trips
+  # (`lifecycle`) and the seeded SQL-text mutation campaign (`fuzz`).
   ASAN_OPTIONS=detect_leaks=0 \
     ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 fi

@@ -25,14 +25,9 @@ using storage::Value;
 
 namespace {
 
-bool IsPredictName(const std::string& name) {
-  return name == "PREDICT" || name == "PREDICT_GT" ||
-         name == "PREDICT_GE" || name == "PREDICT_LT" ||
-         name == "PREDICT_LE";
-}
-
 bool IsPredictCall(const Expr& e) {
-  return e.kind == ExprKind::kFunction && IsPredictName(e.function_name);
+  return e.kind == ExprKind::kFunction &&
+         sql::IsPredictFunction(e.function_name);
 }
 
 /// Index of the first feature argument of a PREDICT-family call.

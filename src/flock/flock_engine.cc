@@ -294,34 +294,16 @@ Status FlockEngine::Checkpoint() {
   return Status::OK();
 }
 
-bool FlockEngine::IsReadStatement(const std::string& sql) {
-  std::string lowered = ToLower(Trim(sql));
-  return StartsWith(lowered, "select") || StartsWith(lowered, "explain");
-}
-
-bool FlockEngine::RequiresExclusive(const std::string& sql) {
-  std::string lowered = ToLower(Trim(sql));
-  // Catalog-view queries rebuild flock_models/flock_audit first (DDL).
-  if (lowered.find("flock_models") != std::string::npos ||
-      lowered.find("flock_audit") != std::string::npos) {
-    return true;
-  }
-  // Only plain reads may share the lock; everything else mutates state.
-  return !(StartsWith(lowered, "select") || StartsWith(lowered, "explain"));
-}
-
 StatusOr<sql::QueryResult> FlockEngine::Execute(
     const std::string& sql, const sql::ExecOptions& exec_opts) {
-  if (replica_ && !IsReadStatement(sql)) {
-    return Status::Redirect(
-        "replica is read-only; send writes and DDL to the primary");
-  }
-  if (RequiresExclusive(sql)) {
+  FLOCK_ASSIGN_OR_RETURN(sql::LexedStatement stmt, sql::LexStatement(sql));
+  FLOCK_RETURN_NOT_OK(CheckReplicaServes(stmt));
+  if (!stmt.read_only || NamesCatalogView(stmt)) {
     std::unique_lock<std::shared_mutex> lock(engine_mu_);
-    return GuardDurable(ExecuteLocked(sql, exec_opts));
+    return GuardDurable(ExecuteLocked(stmt, exec_opts));
   }
   std::shared_lock<std::shared_mutex> lock(engine_mu_);
-  return sql_engine_.Execute(sql, exec_opts);
+  return sql_engine_.Execute(stmt, exec_opts);
 }
 
 StatusOr<sql::QueryResult> FlockEngine::GuardDurable(
@@ -335,28 +317,43 @@ StatusOr<sql::QueryResult> FlockEngine::GuardDurable(
 StatusOr<sql::QueryResult> FlockEngine::ExecuteAs(
     const std::string& sql, const std::string& principal,
     const sql::ExecOptions& exec_opts) {
-  if (replica_ && !IsReadStatement(sql)) {
-    return Status::Redirect(
-        "replica is read-only; send writes and DDL to the primary");
-  }
+  FLOCK_ASSIGN_OR_RETURN(sql::LexedStatement stmt, sql::LexStatement(sql));
+  FLOCK_RETURN_NOT_OK(CheckReplicaServes(stmt));
   // The scoring context is shared by every execution, so swapping the
   // principal demands exclusivity even for reads.
   std::unique_lock<std::shared_mutex> lock(engine_mu_);
   std::string saved = context_->principal;
   context_->principal = principal;
-  auto result = ExecuteLocked(sql, exec_opts);
+  auto result = ExecuteLocked(stmt, exec_opts);
   context_->principal = saved;
   return GuardDurable(std::move(result));
 }
 
+Status FlockEngine::CheckReplicaServes(const sql::LexedStatement& stmt) const {
+  if (replica_ && !stmt.read_only) {
+    return Status::Redirect(
+        "replica is read-only; send writes and DDL to the primary");
+  }
+  return Status::OK();
+}
+
+bool FlockEngine::NamesCatalogView(const sql::LexedStatement& stmt) {
+  for (const sql::Token& token : stmt.tokens) {
+    if (token.type == sql::TokenType::kIdentifier &&
+        (EqualsIgnoreCase(token.text, "flock_models") ||
+         EqualsIgnoreCase(token.text, "flock_audit"))) {
+      return true;
+    }
+  }
+  return false;
+}
+
 StatusOr<sql::QueryResult> FlockEngine::ExecuteLocked(
-    const std::string& sql, const sql::ExecOptions& exec_opts) {
-  std::string lowered = ToLower(sql);
-  if (lowered.find("flock_models") != std::string::npos ||
-      lowered.find("flock_audit") != std::string::npos) {
+    const sql::LexedStatement& stmt, const sql::ExecOptions& exec_opts) {
+  if (NamesCatalogView(stmt)) {
     FLOCK_RETURN_NOT_OK(RefreshCatalogTablesLocked());
   }
-  return sql_engine_.Execute(sql, exec_opts);
+  return sql_engine_.Execute(stmt, exec_opts);
 }
 
 Status FlockEngine::RefreshCatalogTables() {

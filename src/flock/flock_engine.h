@@ -60,22 +60,33 @@ struct FlockEngineOptions {
 ///
 /// ## Locking contract (concurrent Execute)
 ///
-/// Execute is safe to call from any number of threads. A single
-/// reader/writer lock (`engine_mu_`) arbitrates:
+/// Execute is safe to call from any number of threads. Execute and
+/// ExecuteAs lex the statement once (sql::LexStatement) before taking
+/// any lock, and decide everything below from its token classes, never
+/// from its characters; text that does not lex fails with ParseError
+/// before any lock. A single reader/writer lock (`engine_mu_`)
+/// arbitrates:
 ///
-///  * **Shared (many concurrent holders):** SELECT / EXPLAIN statements
-///    that do not touch the catalog views. Scoring, plan-cache lookups,
+///  * **Shared (many concurrent holders):** statements whose first token
+///    is the keyword SELECT or EXPLAIN (LexedStatement::read_only) and
+///    none of whose identifier tokens is `flock_models` or `flock_audit`
+///    (any case, quoted or not; the words inside a string literal or a
+///    comment are no identifier tokens). Scoring, plan-cache lookups,
 ///    the cross-optimizer and the model registry are all individually
 ///    thread-safe under the shared lock, and each execution lowers its
 ///    own physical plan, so queries never share mutable operator state.
 ///  * **Exclusive (single holder, no readers):** everything that mutates
-///    shared engine state — DDL (CREATE/DROP TABLE, CREATE/DROP MODEL),
-///    DML writes (INSERT/UPDATE/DELETE; storage tables are not safe for
-///    concurrent mutation), catalog-view refresh (queries naming
-///    `flock_models` / `flock_audit` rebuild those tables first),
-///    ExecuteScript, DeployModel / DeployTransaction::Commit,
-///    SetPrincipal, and ExecuteAs (which swaps the scoring principal for
-///    the duration of the statement).
+///    shared engine state — every statement whose first token is not
+///    SELECT/EXPLAIN (DDL: CREATE/DROP TABLE, CREATE/DROP MODEL; DML
+///    writes: INSERT/UPDATE/DELETE, as storage tables are not safe for
+///    concurrent mutation), catalog-view refresh (a read naming
+///    `flock_models` / `flock_audit` as an identifier rebuilds those
+///    tables first), ExecuteScript, DeployModel /
+///    DeployTransaction::Commit, SetPrincipal, and ExecuteAs (which
+///    swaps the scoring principal for the duration of the statement).
+///
+/// The first token decides because Execute parses exactly one statement:
+/// `SELECT 1; DROP TABLE t` is a parse error, not a read.
 ///
 /// Model entries returned by the registry are only freed by DROP/redeploy,
 /// which require the exclusive lock — so a scoring query holding the
@@ -103,8 +114,8 @@ class FlockEngine {
               FlockDurabilityConfig config = {});
 
   /// Puts the engine in read-only replica mode: no local durability, and
-  /// every statement that is not a plain SELECT/EXPLAIN fails with
-  /// Status::Redirect (the client must retarget the primary). State
+  /// every statement whose first token is not SELECT or EXPLAIN fails
+  /// with Status::Redirect (the client must retarget the primary). State
   /// arrives exclusively through InstallReplicaSnapshot (bootstrap) and
   /// ApplyReplicated (streamed WAL records) — the same replay path crash
   /// recovery uses, so a replica is bit-for-bit a recovered primary.
@@ -140,9 +151,9 @@ class FlockEngine {
   wal::DurabilityManager* durability() { return durability_.get(); }
 
   /// Executes one SQL statement (including CREATE/DROP MODEL). Queries
-  /// touching the model catalog views (`flock_models`, `flock_audit`)
-  /// see a snapshot refreshed at statement start — models are data, so
-  /// they are queryable like any other table:
+  /// naming the model catalog views (`flock_models`, `flock_audit`) as
+  /// identifiers see a snapshot refreshed at statement start — models
+  /// are data, so they are queryable like any other table:
   ///
   ///   SELECT name, version, created_by FROM flock_models;
   ///   SELECT principal, COUNT(*) FROM flock_audit GROUP BY principal;
@@ -222,14 +233,14 @@ class FlockEngine {
   bool enable_cross_optimizer() const { return enable_cross_optimizer_; }
 
  private:
-  /// True when `sql` is a plain SELECT/EXPLAIN — the only statements a
-  /// read-only replica serves locally.
-  static bool IsReadStatement(const std::string& sql);
+  /// Redirect on a replica unless `stmt` is read-only (its first token
+  /// is SELECT or EXPLAIN), the only statements a replica serves.
+  Status CheckReplicaServes(const sql::LexedStatement& stmt) const;
 
-  /// True when `sql` must run under the exclusive lock: anything that is
-  /// not a plain SELECT/EXPLAIN, plus catalog-view queries (their lazy
-  /// refresh drops and recreates tables).
-  static bool RequiresExclusive(const std::string& sql);
+  /// True when an identifier token of `stmt` is `flock_models` or
+  /// `flock_audit` (any case): the statement reads a catalog view, whose
+  /// refresh drops and recreates tables under the exclusive lock.
+  static bool NamesCatalogView(const sql::LexedStatement& stmt);
 
   /// Builds the adapter recovery and replication use to reach the model
   /// registry (snapshot/restore/replay hooks).
@@ -243,9 +254,10 @@ class FlockEngine {
   /// Replay target for streamed records (replica mode).
   wal::WalReplayTarget ReplicaTarget() const;
 
-  /// Body of Execute; caller holds the appropriate lock.
+  /// Body of Execute and ExecuteAs under the exclusive lock: refreshes
+  /// the catalog views the statement names, then executes it.
   StatusOr<sql::QueryResult> ExecuteLocked(
-      const std::string& sql, const sql::ExecOptions& exec_opts);
+      const sql::LexedStatement& stmt, const sql::ExecOptions& exec_opts);
   Status RefreshCatalogTablesLocked();
 
   /// Shared body of UpdateRolloutState, WAL replay, and snapshot restore:

@@ -1,13 +1,14 @@
 #include "lifecycle/rollout.h"
 
 #include <algorithm>
-#include <cctype>
 #include <chrono>
 #include <cmath>
 #include <sstream>
 
 #include "common/hash.h"
 #include "common/string_util.h"
+#include "sql/ast.h"
+#include "sql/lexer.h"
 
 namespace flock::lifecycle {
 
@@ -34,10 +35,6 @@ std::string FormatDouble(double v) {
   return out.str();
 }
 
-bool IsIdentChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
-}
-
 }  // namespace
 
 const char* StageName(RolloutStage stage) {
@@ -54,66 +51,39 @@ const char* StageName(RolloutStage stage) {
 std::string RewritePredictCalls(const std::string& sql,
                                 const std::string& model,
                                 const std::string& replacement) {
+  // Text that does not lex is no scoring query; the engine rejects it.
+  StatusOr<std::vector<sql::Token>> lexed = sql::Tokenize(sql);
+  if (!lexed.ok()) return sql;
+  const std::vector<sql::Token>& tokens = *lexed;
   const std::string model_lower = ToLower(model);
   std::string out;
-  out.reserve(sql.size() + 16);
-  const size_t n = sql.size();
-  size_t i = 0;
-  while (i < n) {
-    char c = sql[i];
-    if (c == '\'') {
-      // Copy string literals verbatim so a PREDICT-like word inside one
-      // is never mistaken for a call.
-      size_t j = i + 1;
-      while (j < n && sql[j] != '\'') ++j;
-      size_t end = std::min(j + 1, n);
-      out.append(sql, i, end - i);
-      i = end;
+  size_t copied = 0;  // sql[0, copied) is already in `out`
+  // A model argument is the token after `PREDICT*(`; the last token is
+  // kEof, so tokens[t + 2] exists whenever tokens[t + 1] is not it.
+  for (size_t t = 0; t + 2 < tokens.size(); ++t) {
+    const sql::Token& call = tokens[t];
+    const sql::Token& arg = tokens[t + 2];
+    if ((call.type != sql::TokenType::kKeyword &&
+         call.type != sql::TokenType::kIdentifier) ||
+        !sql::IsPredictFunction(ToUpper(call.text)) ||
+        tokens[t + 1].type != sql::TokenType::kLParen ||
+        (arg.type != sql::TokenType::kIdentifier &&
+         arg.type != sql::TokenType::kString) ||
+        ToLower(arg.text) != model_lower) {
       continue;
     }
-    if (!std::isalpha(static_cast<unsigned char>(c)) && c != '_') {
-      out += c;
-      ++i;
-      continue;
-    }
-    size_t j = i;
-    while (j < n && IsIdentChar(sql[j])) ++j;
-    const std::string word = sql.substr(i, j - i);
-    out += word;
-    i = j;
-    const std::string lower = ToLower(word);
-    if (lower != "predict" && lower != "predict_gt" &&
-        lower != "predict_ge" && lower != "predict_lt" &&
-        lower != "predict_le") {
-      continue;
-    }
-    // Look ahead for "( <model-name>" — bare identifier or quoted string.
-    size_t k = i;
-    while (k < n && std::isspace(static_cast<unsigned char>(sql[k]))) ++k;
-    if (k >= n || sql[k] != '(') continue;
-    ++k;
-    while (k < n && std::isspace(static_cast<unsigned char>(sql[k]))) ++k;
-    const size_t arg_start = k;
-    size_t arg_end = k;
-    std::string arg;
-    if (k < n && sql[k] == '\'') {
-      size_t e = k + 1;
-      while (e < n && sql[e] != '\'') ++e;
-      if (e >= n) continue;  // unterminated literal: leave untouched
-      arg = sql.substr(k + 1, e - k - 1);
-      arg_end = e + 1;
-    } else {
-      size_t e = k;
-      while (e < n && IsIdentChar(sql[e])) ++e;
-      if (e == k) continue;
-      arg = sql.substr(k, e - k);
-      arg_end = e;
-    }
-    if (ToLower(arg) != model_lower) continue;
-    out.append(sql, i, arg_start - i);  // "(", surrounding whitespace
+    out.append(sql, copied, arg.offset - copied);
     out += replacement;
-    i = arg_end;
+    copied = arg.end;
+    // A string literal touching the spliced one would fuse with it
+    // ('x''y' lexes as one string); keep them apart.
+    if (tokens[t + 3].type == sql::TokenType::kString &&
+        tokens[t + 3].offset == arg.end) {
+      out += ' ';
+    }
   }
+  if (copied == 0) return sql;
+  out.append(sql, copied, std::string::npos);
   return out;
 }
 

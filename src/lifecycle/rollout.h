@@ -73,10 +73,13 @@ struct RolloutStatusView {
 };
 
 /// Rewrites the model-name argument of every PREDICT / PREDICT_{GT,GE,
-/// LT,LE} call naming `model` (bare identifier or quoted string,
-/// case-insensitive) to `replacement`, leaving everything else — including
-/// other string literals — untouched. Returns the input unchanged when no
-/// call references the model. Exposed for tests.
+/// LT,LE} call naming `model` to `replacement`. Routing reads tokens: a
+/// call is a PREDICT-family token, then `(`, then an identifier or
+/// string token equal to `model` ignoring case (`churn`, `'churn'`,
+/// `"churn"`), and the replacement is spliced over exactly that token's
+/// source bytes. Comments, string literals and every other token are
+/// untouched. Returns the input unchanged when no call references the
+/// model or the text does not lex. Exposed for tests.
 std::string RewritePredictCalls(const std::string& sql,
                                 const std::string& model,
                                 const std::string& replacement);

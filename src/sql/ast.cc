@@ -238,6 +238,12 @@ bool IsAggregateFunction(const std::string& upper_name) {
          upper_name == "AVG" || upper_name == "MIN" || upper_name == "MAX";
 }
 
+bool IsPredictFunction(const std::string& upper_name) {
+  return upper_name == "PREDICT" || upper_name == "PREDICT_GT" ||
+         upper_name == "PREDICT_GE" || upper_name == "PREDICT_LT" ||
+         upper_name == "PREDICT_LE";
+}
+
 bool ContainsAggregate(const Expr& e) {
   if (e.kind == ExprKind::kFunction && IsAggregateFunction(e.function_name)) {
     return true;

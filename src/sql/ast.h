@@ -111,6 +111,10 @@ struct Expr {
 /// True if `name` is one of COUNT/SUM/AVG/MIN/MAX.
 bool IsAggregateFunction(const std::string& upper_name);
 
+/// True if `name` is PREDICT or PREDICT_{GT,GE,LT,LE}: the scoring calls
+/// whose first argument names a model, bare or quoted, not a column.
+bool IsPredictFunction(const std::string& upper_name);
+
 /// True if the tree contains an aggregate call.
 bool ContainsAggregate(const Expr& e);
 

@@ -15,38 +15,6 @@ namespace flock::sql {
 
 namespace {
 
-/// Cheap prefix test for EXPLAIN ANALYZE so Execute can decide whether
-/// to trace without lower-casing the whole statement on the hot path.
-bool IsExplainAnalyze(const std::string& sql) {
-  size_t i = 0;
-  auto skip_space = [&] {
-    while (i < sql.size() &&
-           std::isspace(static_cast<unsigned char>(sql[i]))) {
-      ++i;
-    }
-  };
-  auto match_word = [&](const char* word) {
-    size_t start = i;
-    for (const char* w = word; *w != '\0'; ++w, ++i) {
-      if (i >= sql.size() ||
-          std::tolower(static_cast<unsigned char>(sql[i])) != *w) {
-        i = start;
-        return false;
-      }
-    }
-    if (i < sql.size() &&
-        !std::isspace(static_cast<unsigned char>(sql[i]))) {
-      i = start;
-      return false;
-    }
-    return true;
-  };
-  skip_space();
-  if (!match_word("explain")) return false;
-  skip_space();
-  return match_word("analyze");
-}
-
 /// Converts the executor's per-operator wall_ms into nanoseconds for
 /// span grafting.
 uint64_t WallNanos(double wall_ms) {
@@ -74,40 +42,6 @@ void GraftExecutionSpans(
     // level): the model-scoring share of the run.
     recorder->AddUnder(execute_span, "score", -1, WallNanos(score_ms));
   }
-}
-
-/// Binds column refs in a DML predicate/assignment against a single table
-/// schema, with the same PREDICT(model, ...) first-argument handling as
-/// the SELECT planner — so `UPDATE t SET flagged = 1 WHERE PREDICT(m,
-/// a, b) > 0.9` works.
-Status BindDmlExpr(Expr* e, const storage::Schema& schema) {
-  if (e->kind == ExprKind::kFunction && e->function_name == "PREDICT") {
-    if (e->children.empty()) {
-      return Status::InvalidArgument("PREDICT requires a model argument");
-    }
-    if (e->children[0]->kind == ExprKind::kColumnRef) {
-      e->children[0] = Expr::MakeLiteral(
-          storage::Value::String(e->children[0]->column_name));
-    }
-    for (size_t i = 1; i < e->children.size(); ++i) {
-      FLOCK_RETURN_NOT_OK(BindDmlExpr(e->children[i].get(), schema));
-    }
-    return Status::OK();
-  }
-  if (e->kind == ExprKind::kColumnRef) {
-    if (e->column_index >= 0) return Status::OK();
-    auto idx = schema.FindColumn(e->column_name);
-    if (!idx.has_value()) {
-      return Status::NotFound("column not found: " + e->column_name);
-    }
-    e->column_index = static_cast<int>(*idx);
-    e->resolved_type = schema.column(*idx).type;
-    return Status::OK();
-  }
-  for (auto& c : e->children) {
-    if (c) FLOCK_RETURN_NOT_OK(BindDmlExpr(c.get(), schema));
-  }
-  return Status::OK();
 }
 
 }  // namespace
@@ -149,6 +83,13 @@ SqlEngine::SqlEngine(storage::Database* db, EngineOptions options)
 
 StatusOr<QueryResult> SqlEngine::Execute(const std::string& sql,
                                          const ExecOptions& exec_opts) {
+  FLOCK_ASSIGN_OR_RETURN(LexedStatement lexed, LexStatement(sql));
+  return Execute(lexed, exec_opts);
+}
+
+StatusOr<QueryResult> SqlEngine::Execute(const LexedStatement& lexed,
+                                         const ExecOptions& exec_opts) {
+  const std::string& sql = lexed.sql;
   Stopwatch timer;
   // A request that spent its whole deadline in the admission queue (or
   // was killed before a worker picked it up) stops here, before parsing.
@@ -161,33 +102,31 @@ StatusOr<QueryResult> SqlEngine::Execute(const std::string& sql,
   // without an explicit parameter path — the optimizer's rules, the WAL
   // observer firing behind the storage API — can attach spans; untraced
   // requests never allocate a recorder.
-  const bool tracing = exec_opts.trace || IsExplainAnalyze(sql);
+  const bool tracing = exec_opts.trace || lexed.explain_analyze;
   std::optional<obs::TraceRecorder> recorder;
   std::optional<obs::TraceScope> trace_scope;
   if (tracing) {
     recorder.emplace();
     trace_scope.emplace(&*recorder);
   }
-  // Prepared-statement fast path: a normalized-text hit returns a private
-  // clone of the optimized plan and skips parse/plan/optimize entirely.
-  // Bypassed while an observer is set — observers must see every parsed
-  // statement (eager provenance capture).
+  // Prepared-statement fast path: a hit on the lexed key returns a
+  // private clone of the optimized plan and skips parse/plan/optimize
+  // entirely. Bypassed while an observer is set — observers must see
+  // every parsed statement (eager provenance capture).
   const bool use_cache =
       options_.enable_plan_cache && statement_observer_ == nullptr;
-  std::string cache_key;
   if (use_cache) {
     PlanPtr cached;
     {
       obs::ScopedSpan span("plan_cache.lookup");
-      cache_key = NormalizeSql(sql);
-      cached = plan_cache_.Lookup(cache_key);
+      cached = plan_cache_.Lookup(lexed.key);
     }
     if (cached != nullptr) {
       FLOCK_ASSIGN_OR_RETURN(QueryResult result,
                              ExecuteCachedPlan(*cached, exec_opts.cancel));
       result.elapsed_ms = timer.ElapsedMillis();
       if (recorder.has_value()) result.trace = recorder->Snapshot();
-      MaybeRecordSlowQuery(result, sql, &cache_key);
+      MaybeRecordSlowQuery(result, lexed.key);
       if (options_.keep_query_log) AppendQueryLog(sql);
       return result;
     }
@@ -195,16 +134,15 @@ StatusOr<QueryResult> SqlEngine::Execute(const std::string& sql,
   StatementPtr stmt;
   {
     obs::ScopedSpan span("parse");
-    FLOCK_ASSIGN_OR_RETURN(stmt, Parser::Parse(sql));
+    FLOCK_ASSIGN_OR_RETURN(stmt, Parser::Parse(lexed.tokens));
   }
   FLOCK_ASSIGN_OR_RETURN(
       QueryResult result,
-      ExecuteStatement(sql, *stmt, use_cache ? &cache_key : nullptr,
+      ExecuteStatement(sql, *stmt, use_cache ? &lexed.key : nullptr,
                        exec_opts.cancel));
   result.elapsed_ms = timer.ElapsedMillis();
   if (recorder.has_value()) result.trace = recorder->Snapshot();
-  MaybeRecordSlowQuery(result, sql,
-                       use_cache ? &cache_key : nullptr);
+  MaybeRecordSlowQuery(result, lexed.key);
   if (options_.keep_query_log) AppendQueryLog(sql);
   if (statement_observer_) statement_observer_(sql, *stmt);
   return result;
@@ -267,11 +205,10 @@ void SqlEngine::AccumulateScanMetrics(
 }
 
 void SqlEngine::MaybeRecordSlowQuery(const QueryResult& result,
-                                     const std::string& sql,
-                                     const std::string* normalized) {
+                                     const std::string& key) {
   if (!slow_log_.ShouldRecord(result.elapsed_ms)) return;
   obs::SlowQueryEntry entry;
-  entry.sql = normalized != nullptr ? *normalized : NormalizeSql(sql);
+  entry.sql = key;
   entry.plan_digest = result.plan_digest;
   entry.elapsed_ms = result.elapsed_ms;
   entry.from_plan_cache = result.from_plan_cache;
@@ -381,7 +318,8 @@ StatusOr<QueryResult> SqlEngine::ExecuteStatement(
                       100.0 * cache.hit_rate(), plan_cache_.size());
         result.plan_text += line;
         // EXPLAIN ANALYZE always runs traced (Execute installs the
-        // recorder when it sees the prefix); render the span tree too.
+        // recorder when the lexed statement starts EXPLAIN ANALYZE);
+        // render the span tree too.
         if (auto* rec = obs::TraceRecorder::Current()) {
           result.plan_text +=
               "== Trace ==\n" + obs::RenderSpanTree(rec->Snapshot());
@@ -517,11 +455,30 @@ StatusOr<QueryResult> SqlEngine::ExecuteUpdate(const UpdateStatement& stmt) {
   const Schema& schema = table->schema();
   RecordBatch snapshot = table->ScanAll();
 
+  // Bind every expression before the first mutation, so a statement that
+  // names a missing column changes nothing.
+  Planner binder(db_, &registry_);
+  ExprPtr predicate;
+  if (stmt.where != nullptr) {
+    predicate = stmt.where->Clone();
+    FLOCK_RETURN_NOT_OK(
+        binder.BindTableExpr(predicate.get(), stmt.table_name, schema));
+  }
+  std::vector<std::pair<size_t, ExprPtr>> assignments;
+  for (const auto& [col_name, expr] : stmt.assignments) {
+    auto idx = schema.FindColumn(col_name);
+    if (!idx.has_value()) {
+      return Status::NotFound("column not found: " + col_name);
+    }
+    ExprPtr bound = expr->Clone();
+    FLOCK_RETURN_NOT_OK(
+        binder.BindTableExpr(bound.get(), stmt.table_name, schema));
+    assignments.emplace_back(*idx, std::move(bound));
+  }
+
   // Select target rows.
   std::vector<uint32_t> rows;
-  if (stmt.where != nullptr) {
-    ExprPtr predicate = stmt.where->Clone();
-    FLOCK_RETURN_NOT_OK(BindDmlExpr(predicate.get(), schema));
+  if (predicate != nullptr) {
     FLOCK_ASSIGN_OR_RETURN(
         rows, EvaluatePredicate(PredicateProgram(*predicate, schema),
                                 snapshot, &registry_));
@@ -535,13 +492,7 @@ StatusOr<QueryResult> SqlEngine::ExecuteUpdate(const UpdateStatement& stmt) {
   // Evaluate assignments over the selected rows.
   RecordBatch selected = snapshot.Select(rows);
   size_t affected = rows.size();
-  for (const auto& [col_name, expr] : stmt.assignments) {
-    auto idx = schema.FindColumn(col_name);
-    if (!idx.has_value()) {
-      return Status::NotFound("column not found: " + col_name);
-    }
-    ExprPtr bound = expr->Clone();
-    FLOCK_RETURN_NOT_OK(BindDmlExpr(bound.get(), schema));
+  for (const auto& [idx, bound] : assignments) {
     FLOCK_ASSIGN_OR_RETURN(storage::ColumnVectorPtr values,
                            EvaluateExpr(*bound, selected, &registry_));
     std::vector<Value> boxed;
@@ -549,7 +500,7 @@ StatusOr<QueryResult> SqlEngine::ExecuteUpdate(const UpdateStatement& stmt) {
     for (size_t i = 0; i < values->size(); ++i) {
       boxed.push_back(values->GetValue(i));
     }
-    FLOCK_RETURN_NOT_OK(table->UpdateColumn(*idx, rows, boxed));
+    FLOCK_RETURN_NOT_OK(table->UpdateColumn(idx, rows, boxed));
   }
   QueryResult result;
   result.rows_affected = affected;
@@ -564,7 +515,9 @@ StatusOr<QueryResult> SqlEngine::ExecuteDelete(const DeleteStatement& stmt) {
   if (stmt.where != nullptr) {
     RecordBatch snapshot = table->ScanAll();
     ExprPtr predicate = stmt.where->Clone();
-    FLOCK_RETURN_NOT_OK(BindDmlExpr(predicate.get(), schema));
+    FLOCK_RETURN_NOT_OK(Planner(db_, &registry_)
+                            .BindTableExpr(predicate.get(), stmt.table_name,
+                                           schema));
     FLOCK_ASSIGN_OR_RETURN(
         std::vector<uint32_t> doomed,
         EvaluatePredicate(PredicateProgram(*predicate, schema), snapshot,

@@ -16,6 +16,7 @@
 #include "sql/ast.h"
 #include "sql/executor.h"
 #include "sql/function_registry.h"
+#include "sql/lexer.h"
 #include "sql/logical_plan.h"
 #include "sql/optimizer.h"
 #include "sql/physical_plan.h"
@@ -72,7 +73,7 @@ struct EngineOptions {
   bool enable_optimizer = true;
   /// Record every executed statement for lazy provenance capture.
   bool keep_query_log = true;
-  /// Prepared-statement plan cache keyed on normalized SQL text: SELECT
+  /// Prepared-statement plan cache keyed on the lexed statement key: SELECT
   /// executions reuse the optimized logical plan, skipping
   /// parse/plan/optimize. Invalidated on any DDL. Bypassed while a
   /// statement observer is set (observers must see every parsed
@@ -114,8 +115,14 @@ class SqlEngine {
   SqlEngine(const SqlEngine&) = delete;
   SqlEngine& operator=(const SqlEngine&) = delete;
 
-  /// Parses and executes one statement.
+  /// Lexes, parses and executes one statement.
   StatusOr<QueryResult> Execute(const std::string& sql,
+                                const ExecOptions& exec_opts = {});
+
+  /// Executes one already-lexed statement: its key is the plan-cache
+  /// key and the slow-log text, `explain_analyze` turns tracing on, and
+  /// on a cache miss the parser consumes its tokens.
+  StatusOr<QueryResult> Execute(const LexedStatement& lexed,
                                 const ExecOptions& exec_opts = {});
 
   /// Executes a ';'-separated script; returns the last statement's result.
@@ -183,8 +190,8 @@ class SqlEngine {
   }
 
  private:
-  /// `cache_key` is the normalized SQL text to cache an optimized SELECT
-  /// plan under, or nullptr to skip caching (scripts, subqueries).
+  /// `cache_key` is the lexed key to cache an optimized SELECT plan
+  /// under, or nullptr to skip caching (scripts, subqueries).
   StatusOr<QueryResult> ExecuteStatement(const std::string& sql,
                                          const Statement& stmt,
                                          const std::string* cache_key,
@@ -210,12 +217,10 @@ class SqlEngine {
   /// into the engine-lifetime totals.
   void AccumulateScanMetrics(
       const std::vector<OperatorMetricsSnapshot>& snapshots);
-  /// Captures `result` in the slow-query log when it crossed the
-  /// threshold. `normalized` is the already-normalized SQL when the plan
-  /// cache computed it, else null (normalization happens lazily then).
+  /// Captures `result` in the slow-query log, under the statement's
+  /// lexed key, when it crossed the threshold.
   void MaybeRecordSlowQuery(const QueryResult& result,
-                            const std::string& sql,
-                            const std::string* normalized);
+                            const std::string& key);
 
   storage::Database* db_;
   EngineOptions options_;

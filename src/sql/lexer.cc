@@ -50,27 +50,23 @@ StatusOr<std::vector<Token>> Tokenize(const std::string& sql) {
     }
     Token tok;
     tok.offset = i;
-    // Identifiers / keywords.
     if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-      size_t start = i;
+      // Identifiers / keywords.
       while (i < n && (std::isalnum(static_cast<unsigned char>(sql[i])) ||
                        sql[i] == '_')) {
         ++i;
       }
-      std::string word = sql.substr(start, i - start);
+      std::string word = sql.substr(tok.offset, i - tok.offset);
       std::string upper = ToUpper(word);
       if (IsKeyword(upper)) {
         tok.type = TokenType::kKeyword;
-        tok.text = upper;
+        tok.text = std::move(upper);
       } else {
         tok.type = TokenType::kIdentifier;
-        tok.text = word;
+        tok.text = std::move(word);
       }
-      tokens.push_back(std::move(tok));
-      continue;
-    }
-    // Quoted identifiers "name".
-    if (c == '"') {
+    } else if (c == '"') {
+      // Quoted identifiers "name".
       size_t start = ++i;
       while (i < n && sql[i] != '"') ++i;
       if (i >= n) {
@@ -79,14 +75,10 @@ StatusOr<std::vector<Token>> Tokenize(const std::string& sql) {
       tok.type = TokenType::kIdentifier;
       tok.text = sql.substr(start, i - start);
       ++i;
-      tokens.push_back(std::move(tok));
-      continue;
-    }
-    // Numbers.
-    if (std::isdigit(static_cast<unsigned char>(c)) ||
-        (c == '.' && i + 1 < n &&
-         std::isdigit(static_cast<unsigned char>(sql[i + 1])))) {
-      size_t start = i;
+    } else if (std::isdigit(static_cast<unsigned char>(c)) ||
+               (c == '.' && i + 1 < n &&
+                std::isdigit(static_cast<unsigned char>(sql[i + 1])))) {
+      // Numbers.
       bool has_dot = false;
       bool has_exp = false;
       while (i < n) {
@@ -104,132 +96,120 @@ StatusOr<std::vector<Token>> Tokenize(const std::string& sql) {
           break;
         }
       }
-      std::string num = sql.substr(start, i - start);
       tok.type = TokenType::kNumber;
-      tok.text = num;
+      tok.text = sql.substr(tok.offset, i - tok.offset);
       // strtod, not stod: a literal that underflows to a subnormal still
       // denotes the nearest double (stod throws on it); only overflow and
       // text holding no number are errors.
       errno = 0;
       char* end = nullptr;
-      tok.number = std::strtod(num.c_str(), &end);
-      if (end == num.c_str() || (errno == ERANGE && std::isinf(tok.number))) {
-        return Status::ParseError("bad numeric literal: " + num);
+      tok.number = std::strtod(tok.text.c_str(), &end);
+      if (end == tok.text.c_str() ||
+          (errno == ERANGE && std::isinf(tok.number))) {
+        return Status::ParseError("bad numeric literal: " + tok.text);
       }
       tok.is_integer = !has_dot && !has_exp;
-      tokens.push_back(std::move(tok));
-      continue;
-    }
-    // Strings.
-    if (c == '\'') {
+    } else if (c == '\'') {
+      // Strings; '' inside one is an escaped quote.
       ++i;
-      std::string text;
       while (i < n) {
         if (sql[i] == '\'') {
           if (i + 1 < n && sql[i + 1] == '\'') {
-            text.push_back('\'');
+            tok.text.push_back('\'');
             i += 2;
             continue;
           }
           break;
         }
-        text.push_back(sql[i]);
+        tok.text.push_back(sql[i]);
         ++i;
       }
       if (i >= n) return Status::ParseError("unterminated string literal");
       ++i;  // closing quote
       tok.type = TokenType::kString;
-      tok.text = std::move(text);
-      tokens.push_back(std::move(tok));
-      continue;
+    } else {
+      // Operators & punctuation.
+      const char next = i + 1 < n ? sql[i + 1] : '\0';
+      size_t width = 1;
+      switch (c) {
+        case ',': tok.type = TokenType::kComma; break;
+        case '(': tok.type = TokenType::kLParen; break;
+        case ')': tok.type = TokenType::kRParen; break;
+        case ';': tok.type = TokenType::kSemicolon; break;
+        case '.': tok.type = TokenType::kDot; break;
+        case '*': tok.type = TokenType::kStar; break;
+        case '+': tok.type = TokenType::kPlus; break;
+        case '-': tok.type = TokenType::kMinus; break;
+        case '/': tok.type = TokenType::kSlash; break;
+        case '%': tok.type = TokenType::kPercent; break;
+        case '=': tok.type = TokenType::kEq; break;
+        case '<':
+          if (next == '=') {
+            tok.type = TokenType::kLtEq;
+            width = 2;
+          } else if (next == '>') {
+            tok.type = TokenType::kNotEq;
+            width = 2;
+          } else {
+            tok.type = TokenType::kLt;
+          }
+          break;
+        case '>':
+          tok.type = next == '=' ? TokenType::kGtEq : TokenType::kGt;
+          width = next == '=' ? 2 : 1;
+          break;
+        case '!':
+          if (next == '=') {
+            tok.type = TokenType::kNotEq;
+            width = 2;
+            break;
+          }
+          [[fallthrough]];
+        default:
+          return Status::ParseError(std::string("unexpected character '") +
+                                    c + "' at offset " + std::to_string(i));
+      }
+      tok.text = sql.substr(i, width);
+      i += width;
     }
-    // Operators & punctuation.
-    auto push1 = [&](TokenType t) {
-      tok.type = t;
-      tok.text = std::string(1, c);
-      ++i;
-      tokens.push_back(tok);
-    };
-    switch (c) {
-      case ',':
-        push1(TokenType::kComma);
-        break;
-      case '(':
-        push1(TokenType::kLParen);
-        break;
-      case ')':
-        push1(TokenType::kRParen);
-        break;
-      case ';':
-        push1(TokenType::kSemicolon);
-        break;
-      case '.':
-        push1(TokenType::kDot);
-        break;
-      case '*':
-        push1(TokenType::kStar);
-        break;
-      case '+':
-        push1(TokenType::kPlus);
-        break;
-      case '-':
-        push1(TokenType::kMinus);
-        break;
-      case '/':
-        push1(TokenType::kSlash);
-        break;
-      case '%':
-        push1(TokenType::kPercent);
-        break;
-      case '=':
-        push1(TokenType::kEq);
-        break;
-      case '<':
-        if (i + 1 < n && sql[i + 1] == '=') {
-          tok.type = TokenType::kLtEq;
-          tok.text = "<=";
-          i += 2;
-          tokens.push_back(tok);
-        } else if (i + 1 < n && sql[i + 1] == '>') {
-          tok.type = TokenType::kNotEq;
-          tok.text = "<>";
-          i += 2;
-          tokens.push_back(tok);
-        } else {
-          push1(TokenType::kLt);
-        }
-        break;
-      case '>':
-        if (i + 1 < n && sql[i + 1] == '=') {
-          tok.type = TokenType::kGtEq;
-          tok.text = ">=";
-          i += 2;
-          tokens.push_back(tok);
-        } else {
-          push1(TokenType::kGt);
-        }
-        break;
-      case '!':
-        if (i + 1 < n && sql[i + 1] == '=') {
-          tok.type = TokenType::kNotEq;
-          tok.text = "!=";
-          i += 2;
-          tokens.push_back(tok);
-        } else {
-          return Status::ParseError("unexpected character '!' at offset " +
-                                    std::to_string(i));
-        }
-        break;
-      default:
-        return Status::ParseError(std::string("unexpected character '") + c +
-                                  "' at offset " + std::to_string(i));
-    }
+    tok.end = i;
+    tokens.push_back(std::move(tok));
   }
   Token eof;
   eof.type = TokenType::kEof;
   eof.offset = n;
+  eof.end = n;
   tokens.push_back(eof);
   return tokens;
+}
+
+StatusOr<LexedStatement> LexStatement(const std::string& sql) {
+  LexedStatement lexed;
+  FLOCK_ASSIGN_OR_RETURN(lexed.tokens, Tokenize(sql));
+  lexed.sql = sql;
+  const std::vector<Token>& tokens = lexed.tokens;
+  size_t last = tokens.size() - 1;  // the kEof token
+  while (last > 0 && tokens[last - 1].type == TokenType::kSemicolon) --last;
+  lexed.key.reserve(sql.size());
+  for (size_t t = 0; t < last; ++t) {
+    const Token& tok = tokens[t];
+    if (t > 0 && tok.offset > tokens[t - 1].end) lexed.key += ' ';
+    if (tok.type == TokenType::kString) {
+      lexed.key.append(sql, tok.offset, tok.end - tok.offset);
+      continue;
+    }
+    for (size_t c = tok.offset; c < tok.end; ++c) {
+      lexed.key += static_cast<char>(
+          std::tolower(static_cast<unsigned char>(sql[c])));
+    }
+  }
+  auto is_keyword = [&](size_t t, const char* kw) {
+    return t < tokens.size() && tokens[t].type == TokenType::kKeyword &&
+           tokens[t].text == kw;
+  };
+  lexed.read_only = is_keyword(0, "SELECT") || is_keyword(0, "EXPLAIN");
+  lexed.explain_analyze = is_keyword(0, "EXPLAIN") && is_keyword(1, "ANALYZE");
+  return lexed;
 }
 
 }  // namespace flock::sql

@@ -13,8 +13,37 @@ namespace flock::sql {
 bool IsKeyword(const std::string& upper);
 
 /// Tokenizes a SQL string. Strings use single quotes with '' escapes;
-/// comments are `-- ...` to end of line.
+/// comments are `-- ...` to end of line. The last token is kEof.
 StatusOr<std::vector<Token>> Tokenize(const std::string& sql);
+
+/// One statement, tokenized once. Every decision the engine makes about
+/// a statement before parsing it (replica gate, lock mode, catalog-view
+/// refresh, tracing, plan-cache key, rollout routing) reads these
+/// fields, and on a plan-cache miss the parser consumes `tokens`.
+struct LexedStatement {
+  std::string sql;            // the source text; token spans index it
+  std::vector<Token> tokens;  // ends with kEof
+  /// Plan-cache key: each token's source text, string literals verbatim
+  /// and everything else lower-cased, joined by one space wherever
+  /// whitespace or a comment separated two tokens; a trailing ';' is
+  /// dropped. Two statements share a key only when they lex to the same
+  /// tokens, up to the case of names and a trailing ';' (the key lexes
+  /// back to them):
+  ///
+  ///   "SELECT  COUNT(*) FROM T;"  ->  "select count(*) from t"
+  ///   "SELECT id -- hot\nFROM t"  ->  "select id from t"
+  ///   "SELECT 'don''t' FROM t"    ->  "select 'don''t' from t"
+  ///   "SELECT \"a--b\" FROM t"    ->  "select \"a--b\" from t"
+  std::string key;
+  /// The first token is the keyword SELECT or EXPLAIN.
+  bool read_only = false;
+  /// The first two tokens are EXPLAIN ANALYZE.
+  bool explain_analyze = false;
+};
+
+/// Tokenizes `sql` and derives the LexedStatement fields from the tokens.
+/// Fails with the tokenizer's ParseError.
+StatusOr<LexedStatement> LexStatement(const std::string& sql);
 
 }  // namespace flock::sql
 

@@ -10,7 +10,14 @@ using storage::Value;
 
 StatusOr<StatementPtr> Parser::Parse(const std::string& sql) {
   FLOCK_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(sql));
-  Parser parser(std::move(tokens));
+  return Parse(tokens);
+}
+
+StatusOr<StatementPtr> Parser::Parse(const std::vector<Token>& tokens) {
+  if (tokens.empty() || tokens.back().type != TokenType::kEof) {
+    return Status::InvalidArgument("token list does not end with kEof");
+  }
+  Parser parser(tokens);
   FLOCK_ASSIGN_OR_RETURN(StatementPtr stmt, parser.ParseStatement());
   parser.Match(TokenType::kSemicolon);
   if (!parser.Check(TokenType::kEof)) {
@@ -23,7 +30,7 @@ StatusOr<StatementPtr> Parser::Parse(const std::string& sql) {
 StatusOr<std::vector<StatementPtr>> Parser::ParseScript(
     const std::string& sql) {
   FLOCK_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(sql));
-  Parser parser(std::move(tokens));
+  Parser parser(tokens);
   std::vector<StatementPtr> out;
   while (!parser.Check(TokenType::kEof)) {
     if (parser.Match(TokenType::kSemicolon)) continue;
@@ -35,7 +42,7 @@ StatusOr<std::vector<StatementPtr>> Parser::ParseScript(
 
 StatusOr<ExprPtr> Parser::ParseExpression(const std::string& text) {
   FLOCK_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(text));
-  Parser parser(std::move(tokens));
+  Parser parser(tokens);
   FLOCK_ASSIGN_OR_RETURN(ExprPtr e, parser.ParseExpr());
   if (!parser.Check(TokenType::kEof)) {
     return Status::ParseError("trailing input after expression");

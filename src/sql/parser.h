@@ -23,6 +23,10 @@ class Parser {
   /// Parses exactly one statement (a trailing ';' is allowed).
   static StatusOr<StatementPtr> Parse(const std::string& sql);
 
+  /// Parses exactly one statement from already-lexed tokens (ending with
+  /// kEof), so a caller that lexed the statement does not lex it again.
+  static StatusOr<StatementPtr> Parse(const std::vector<Token>& tokens);
+
   /// Parses a ';'-separated script into a statement list.
   static StatusOr<std::vector<StatementPtr>> ParseScript(
       const std::string& sql);
@@ -32,7 +36,7 @@ class Parser {
   static StatusOr<ExprPtr> ParseExpression(const std::string& text);
 
  private:
-  explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
+  explicit Parser(const std::vector<Token>& tokens) : tokens_(tokens) {}
 
   const Token& Peek(size_t ahead = 0) const;
   const Token& Advance();
@@ -63,7 +67,7 @@ class Parser {
   StatusOr<ExprPtr> ParseUnary();
   StatusOr<ExprPtr> ParsePrimary();
 
-  std::vector<Token> tokens_;
+  const std::vector<Token>& tokens_;
   size_t pos_ = 0;
 };
 

@@ -1,59 +1,12 @@
 #include "sql/plan_cache.h"
 
-#include <cctype>
+#include "sql/lexer.h"
 
 namespace flock::sql {
 
 std::string NormalizeSql(const std::string& sql) {
-  std::string out;
-  out.reserve(sql.size());
-  bool in_string = false;
-  bool pending_space = false;
-  for (size_t i = 0; i < sql.size(); ++i) {
-    char c = sql[i];
-    if (in_string) {
-      out += c;
-      if (c == '\'') {
-        // '' inside a literal is an escaped quote, not a terminator:
-        // emit both characters and stay in the string.
-        if (i + 1 < sql.size() && sql[i + 1] == '\'') {
-          out += '\'';
-          ++i;
-        } else {
-          in_string = false;
-        }
-      }
-      continue;
-    }
-    if (c == '-' && i + 1 < sql.size() && sql[i + 1] == '-') {
-      // A '--' comment runs to end of line and separates tokens like
-      // whitespace; swallowing it (rather than copying it) keeps
-      // `SELECT 1 -- note` and `SELECT 1` on one cache entry and stops
-      // an apostrophe inside the comment from toggling string state.
-      while (i < sql.size() && sql[i] != '\n') ++i;
-      pending_space = true;
-      continue;
-    }
-    if (c == '\'') {
-      if (pending_space && !out.empty()) out += ' ';
-      pending_space = false;
-      out += c;
-      in_string = true;
-      continue;
-    }
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      pending_space = true;
-      continue;
-    }
-    if (pending_space && !out.empty()) out += ' ';
-    pending_space = false;
-    out += static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
-  // Drop a trailing statement terminator (and any space before it).
-  while (!out.empty() && (out.back() == ';' || out.back() == ' ')) {
-    out.pop_back();
-  }
-  return out;
+  StatusOr<LexedStatement> lexed = LexStatement(sql);
+  return lexed.ok() ? std::move(lexed->key) : std::string();
 }
 
 namespace {

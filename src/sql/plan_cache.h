@@ -12,18 +12,8 @@
 
 namespace flock::sql {
 
-/// Normalizes a SQL statement into a plan-cache key: whitespace runs
-/// collapse to one space, `--` comments are stripped (they separate
-/// tokens like whitespace), everything outside single-quoted string
-/// literals is lower-cased, and a trailing ';' is dropped. A doubled
-/// quote (`''`) inside a literal is the escaped-quote idiom and does not
-/// terminate the string. Two statements that differ only in case,
-/// layout or comments therefore share one cache entry:
-///
-///   "SELECT  id FROM t;"        ->  "select id from t"
-///   "select id\nfrom T"         ->  "select id from t"
-///   "SELECT id FROM t -- hot"   ->  "select id from t"
-///   "SELECT 'don''t' FROM t"    ->  "select 'don''t' from t"
+/// The plan-cache key of `sql`: LexStatement(sql).key (see
+/// LexedStatement::key for the rule), or "" when `sql` does not lex.
 std::string NormalizeSql(const std::string& sql);
 
 /// Cumulative counters, readable while the cache is in use.
@@ -39,8 +29,11 @@ struct PlanCacheStats {
   }
 };
 
-/// Thread-safe LRU cache of optimized logical plans keyed by normalized
-/// SQL text — the prepared-statement path of the serving layer. A hit
+/// Thread-safe LRU cache of optimized logical plans keyed by the lexed
+/// statement's key (LexedStatement::key: token texts, names lower-cased,
+/// literals verbatim) — the prepared-statement path of the serving
+/// layer. A key names one token sequence, so two statements that share
+/// a plan are the same statement up to case, layout and comments. A hit
 /// skips parse/plan/optimize entirely; the caller still lowers the
 /// (cloned) plan to a fresh physical tree per execution, so concurrent
 /// executions of the same cached statement never share operator state.

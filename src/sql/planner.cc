@@ -54,12 +54,23 @@ void CollectAggregates(const Expr& e, std::vector<const Expr*>* out) {
 
 }  // namespace
 
+Status Planner::BindTableExpr(Expr* e, const std::string& table_name,
+                              const Schema& schema) {
+  Scope scope;
+  scope.bindings.push_back(
+      Scope::Binding{table_name, 0, schema.num_columns()});
+  scope.schema = schema;
+  return BindExpr(e, scope);
+}
+
 Status Planner::BindExpr(Expr* e, const Scope& scope) {
-  if (e->kind == ExprKind::kFunction && e->function_name == "PREDICT") {
-    // PREDICT(model, features...): the first argument is a model reference,
-    // not a column — rewrite it to a string literal naming the model.
+  if (e->kind == ExprKind::kFunction && IsPredictFunction(e->function_name)) {
+    // PREDICT(model, features...) and PREDICT_GT(model, threshold, ...):
+    // the first argument is a model reference, not a column — rewrite it
+    // to a string literal naming the model.
     if (e->children.empty()) {
-      return Status::InvalidArgument("PREDICT requires a model argument");
+      return Status::InvalidArgument(e->function_name +
+                                     " requires a model argument");
     }
     if (e->children[0]->kind == ExprKind::kColumnRef) {
       e->children[0] = Expr::MakeLiteral(

@@ -25,6 +25,13 @@ class Planner {
 
   StatusOr<PlanPtr> PlanSelect(const SelectStatement& stmt);
 
+  /// Binds a DML WHERE or SET expression against the one table the
+  /// statement names, by the rules of a single-table SELECT: a qualifier
+  /// must name that table, and a PREDICT-family call's first argument
+  /// names a model.
+  Status BindTableExpr(Expr* e, const std::string& table_name,
+                       const storage::Schema& schema);
+
  private:
   /// Name-resolution scope for one FROM clause: each table binding maps an
   /// alias to a contiguous column range in the concatenated schema.

@@ -35,7 +35,8 @@ struct Token {
   std::string text;   // identifier/keyword (upper-cased for keywords) or raw
   double number = 0;  // numeric literal value
   bool is_integer = false;
-  size_t offset = 0;  // byte offset in the input, for error messages
+  size_t offset = 0;  // byte offset of the first character in the input
+  size_t end = 0;     // byte offset one past the last character
 };
 
 }  // namespace flock::sql

@@ -123,5 +123,49 @@ TEST_F(CatalogTablesTest, BatchScoringIntoTable) {
   EXPECT_EQ(check->batch.column(0)->int_at(0), 4);
 }
 
+TEST_F(CatalogTablesTest, ThresholdCallsTakeBareAndQuotedModelNames) {
+  for (const char* fn :
+       {"PREDICT_GT", "PREDICT_GE", "PREDICT_LT", "PREDICT_LE"}) {
+    const std::string where =
+        std::string("SELECT COUNT(*) FROM pts WHERE ") + fn + "(";
+    auto bare = engine_.Execute(where + "scorer, 0.5, x, y)");
+    auto quoted = engine_.Execute(where + "'scorer', 0.5, x, y)");
+    ASSERT_TRUE(bare.ok()) << fn << ": " << bare.status().ToString();
+    ASSERT_TRUE(quoted.ok()) << fn << ": " << quoted.status().ToString();
+    EXPECT_EQ(bare->batch.column(0)->int_at(0),
+              quoted->batch.column(0)->int_at(0))
+        << fn;
+  }
+  // sigmoid(x - 0.5y + 0.1) > 0.5 holds for x=4,y=0 and x=5,y=1.
+  auto gt = engine_.Execute(
+      "SELECT COUNT(*) FROM pts WHERE PREDICT_GT(scorer, 0.5, x, y)");
+  ASSERT_TRUE(gt.ok());
+  EXPECT_EQ(gt->batch.column(0)->int_at(0), 2);
+  // DML binds through the same binder.
+  auto update = engine_.Execute(
+      "UPDATE pts SET flagged = 1 WHERE PREDICT_GT(scorer, 0.5, x, y)");
+  ASSERT_TRUE(update.ok()) << update.status().ToString();
+  EXPECT_EQ(update->rows_affected, 2u);
+}
+
+TEST_F(CatalogTablesTest, CatalogNameInALiteralIsNoCatalogQuery) {
+  const sql::PlanCache* cache = engine_.sql()->plan_cache();
+  const uint64_t invalidations = cache->stats().invalidations;
+  for (int run = 0; run < 3; ++run) {
+    auto r = engine_.Execute(
+        "SELECT x FROM pts WHERE 'flock_audit' = 'flock_audit'");
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->batch.num_rows(), 4u);
+    EXPECT_EQ(r->from_plan_cache, run > 0) << "run " << run;
+  }
+  EXPECT_EQ(cache->stats().invalidations, invalidations);
+  // A name token does refresh the view (and drops the cached plan), in
+  // any case and quoted.
+  auto models = engine_.Execute("SELECT name FROM \"FLOCK_MODELS\"");
+  ASSERT_TRUE(models.ok()) << models.status().ToString();
+  ASSERT_EQ(models->batch.num_rows(), 1u);
+  EXPECT_GT(cache->stats().invalidations, invalidations);
+}
+
 }  // namespace
 }  // namespace flock::flock

@@ -159,6 +159,26 @@ TEST(RewritePredictCallsTest, LeavesUnrelatedSqlUntouched) {
   }
 }
 
+TEST(RewritePredictCallsTest, ReadsCommentsAndQuotedNamesAsTokens) {
+  const std::string repl = "'churn#candidate'";
+  // The apostrophe in the comment opens no string: both calls move.
+  EXPECT_EQ(RewritePredictCalls("SELECT PREDICT(churn, a) FROM t -- don't\n"
+                                "WHERE PREDICT(churn, b) > 0.5",
+                                "churn", repl),
+            "SELECT PREDICT('churn#candidate', a) FROM t -- don't\n"
+            "WHERE PREDICT('churn#candidate', b) > 0.5");
+  // A quoted identifier names the model as the engine reads it.
+  EXPECT_EQ(RewritePredictCalls("SELECT PREDICT(\"churn\", a) FROM t",
+                                "churn", repl),
+            "SELECT PREDICT('churn#candidate', a) FROM t");
+  // Calls inside comments and string literals are text, not calls.
+  for (const char* sql : {"SELECT a FROM t -- PREDICT(churn, a)",
+                          "SELECT 'it''s PREDICT(churn, a)' FROM t",
+                          "SELECT PREDICT(churn, a FROM 'unterminated"}) {
+    EXPECT_EQ(RewritePredictCalls(sql, "churn", repl), sql) << sql;
+  }
+}
+
 // ---------------------------------------------------------------------
 // ModelMonitor.
 // ---------------------------------------------------------------------

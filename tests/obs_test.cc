@@ -603,6 +603,16 @@ TEST_F(ObsEngineTest, ExplainAnalyzeAppendsTraceSection) {
   EXPECT_EQ(plain->plan_text.find("== Trace =="), std::string::npos);
 }
 
+TEST_F(ObsEngineTest, ExplainAnalyzeAfterACommentStillTraces) {
+  Init(-1.0);
+  auto result = engine_->Execute(
+      "-- why is this slow?\nEXPLAIN ANALYZE SELECT a FROM t");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_NE(result->plan_text.find("== Trace =="), std::string::npos)
+      << result->plan_text;
+  EXPECT_FALSE(result->trace.empty());
+}
+
 TEST_F(ObsEngineTest, SlowLogCapturesOutliersWithDigestAndNormalizedSql) {
   Init(0.0);  // zero threshold: everything is an outlier
   ASSERT_TRUE(engine_->Execute("SELECT  a FROM t WHERE b > 2").ok());

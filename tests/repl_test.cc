@@ -506,6 +506,23 @@ TEST(ReplicaTest, WritesAndDdlRedirectToPrimary) {
   EXPECT_EQ(Digest(pair.replica.get()), Digest(pair.primary.get()));
 }
 
+TEST(ReplicaTest, ServesReadsThatStartWithAComment) {
+  ReplicaPair pair = MakePair();
+  ASSERT_TRUE(RunStatements(pair.primary.get(), SetupStatements()).ok());
+  ASSERT_TRUE(pair.applier->CatchUp().ok());
+
+  const char* read = "-- note\nSELECT COUNT(*) FROM kv";
+  auto on_primary = pair.primary->Execute(read);
+  ASSERT_TRUE(on_primary.ok()) << on_primary.status().ToString();
+  auto on_replica = pair.replica->Execute(read);
+  ASSERT_TRUE(on_replica.ok()) << on_replica.status().ToString();
+  EXPECT_EQ(on_replica->batch.ToString(10), on_primary->batch.ToString(10));
+  EXPECT_TRUE(pair.replica->ExecuteAs(read, "alice").ok());
+  // A comment that spells SELECT does not make a write a read.
+  auto write = pair.replica->Execute("-- SELECT\nDELETE FROM kv");
+  EXPECT_EQ(write.status().code(), StatusCode::kRedirect);
+}
+
 TEST(ReplicaTest, ApplierSeesOnlyCommittedRecordsAfterTornAppend) {
   ReplicaPair pair = MakePair();
   ASSERT_TRUE(RunStatements(pair.primary.get(), SetupStatements()).ok());

@@ -5,6 +5,7 @@
 
 #include "common/cancel.h"
 #include "sql/engine.h"
+#include "sql/lexer.h"
 #include "sql/parser.h"
 #include "storage/database.h"
 
@@ -233,6 +234,34 @@ TEST_F(SqlEngineTest, DeleteWithWhere) {
   EXPECT_EQ(check.batch.column(0)->int_at(0), 4);
 }
 
+TEST_F(SqlEngineTest, DmlQualifierMustNameTheTable) {
+  Exec("CREATE TABLE t2 (x INT, y INT)");
+  Exec("INSERT INTO t2 VALUES (10, 1), (20, 2)");
+  for (const char* sql : {"UPDATE t2 SET x = 99 WHERE nosuch.x = 20",
+                          "UPDATE t2 SET x = nosuch.y WHERE x = 20",
+                          "UPDATE t2 SET y = 7, x = nosuch.y",
+                          "DELETE FROM t2 WHERE nosuch.x = 20"}) {
+    auto result = engine_.Execute(sql);
+    ASSERT_FALSE(result.ok()) << sql;
+    EXPECT_EQ(result.status().code(), StatusCode::kNotFound) << sql;
+  }
+  auto rows = Exec("SELECT x, y FROM t2 ORDER BY x");
+  ASSERT_EQ(rows.batch.num_rows(), 2u);
+  EXPECT_EQ(rows.batch.column(0)->int_at(0), 10);
+  EXPECT_EQ(rows.batch.column(0)->int_at(1), 20);
+  EXPECT_EQ(rows.batch.column(1)->int_at(0), 1);
+  EXPECT_EQ(rows.batch.column(1)->int_at(1), 2);
+  // The table's own name qualifies, in any case.
+  EXPECT_EQ(Exec("UPDATE t2 SET x = T2.y + 90 WHERE t2.x = 20")
+                .rows_affected,
+            1u);
+  EXPECT_EQ(Exec("SELECT COUNT(*) FROM t2 WHERE x = 92")
+                .batch.column(0)
+                ->int_at(0),
+            1);
+  EXPECT_EQ(Exec("DELETE FROM t2 WHERE t2.y = 1").rows_affected, 1u);
+}
+
 TEST_F(SqlEngineTest, InsertSelect) {
   Exec("CREATE TABLE names (n VARCHAR)");
   auto r = Exec("INSERT INTO names SELECT name FROM emp WHERE dept = 'eng'");
@@ -425,6 +454,64 @@ TEST(PlanCacheTest, NormalizeSqlCollapsesLayoutAndCase) {
             NormalizeSql("SELECT * FROM emp WHERE name = 'b'"));
 }
 
+TEST(LexStatementTest, KeyJoinsTokenTextsAtTheirSourceBoundaries) {
+  auto lexed = LexStatement("SELECT  COUNT(*)\nFROM Emp -- hot\n;");
+  ASSERT_TRUE(lexed.ok()) << lexed.status().ToString();
+  EXPECT_EQ(lexed->key, "select count(*) from emp");
+  // A quoted identifier is one token: `--` inside it is no comment.
+  EXPECT_EQ(NormalizeSql("SELECT \"a--b\" FROM t1"),
+            "select \"a--b\" from t1");
+  EXPECT_NE(NormalizeSql("SELECT \"a--b\" FROM t1"),
+            NormalizeSql("SELECT \"a--b\" FROM t2"));
+  // Text that does not lex has no key.
+  EXPECT_EQ(NormalizeSql("SELECT 'unterminated FROM t"), "");
+  EXPECT_EQ(LexStatement("SELECT 'unterminated FROM t").status().code(),
+            StatusCode::kParseError);
+}
+
+TEST(LexStatementTest, StatementClassComesFromTheFirstTokens) {
+  const struct {
+    const char* sql;
+    bool read_only;
+    bool explain_analyze;
+  } kCases[] = {
+      {"SELECT 1", true, false},
+      {"-- note\nSELECT 1", true, false},
+      {"  explain analyze SELECT 1", true, true},
+      {"-- why slow?\nEXPLAIN -- really\nANALYZE SELECT 1", true, true},
+      {"EXPLAIN SELECT 1", true, false},
+      {"INSERT INTO t VALUES (1)", false, false},
+      {"-- SELECT\nDELETE FROM t", false, false},
+      {"selected FROM t", false, false},
+      {"\"SELECT\" FROM t", false, false},
+      {"", false, false},
+  };
+  for (const auto& c : kCases) {
+    auto lexed = LexStatement(c.sql);
+    ASSERT_TRUE(lexed.ok()) << c.sql;
+    EXPECT_EQ(lexed->read_only, c.read_only) << c.sql;
+    EXPECT_EQ(lexed->explain_analyze, c.explain_analyze) << c.sql;
+  }
+}
+
+TEST(LexStatementTest, TokenSpansIndexTheSource) {
+  const std::string sql = "SELECT 'it''s', \"Q\" <> 1.5e3 FROM t;";
+  auto lexed = LexStatement(sql);
+  ASSERT_TRUE(lexed.ok()) << lexed.status().ToString();
+  const std::vector<std::string> spans = {"SELECT", "'it''s'", ",",
+                                          "\"Q\"",  "<>",      "1.5e3",
+                                          "FROM",   "t",       ";"};
+  ASSERT_EQ(lexed->tokens.size(), spans.size() + 1);
+  for (size_t t = 0; t < spans.size(); ++t) {
+    const Token& token = lexed->tokens[t];
+    EXPECT_EQ(sql.substr(token.offset, token.end - token.offset), spans[t]);
+  }
+  EXPECT_EQ(lexed->tokens[1].text, "it's");
+  EXPECT_EQ(lexed->tokens[3].text, "Q");
+  EXPECT_EQ(lexed->tokens.back().type, TokenType::kEof);
+  EXPECT_EQ(lexed->tokens.back().offset, sql.size());
+}
+
 TEST(PlanCacheTest, LruEvictionAtCapacity) {
   PlanCache cache(2);
   auto plan = [] { return std::make_unique<LogicalPlan>(); };
@@ -488,6 +575,21 @@ TEST_F(SqlEngineTest, DdlInvalidatesPlanCache) {
   QueryResult fresh = Exec("SELECT SUM(x) FROM tmp");
   EXPECT_FALSE(fresh.from_plan_cache);
   EXPECT_EQ(fresh.batch.column(0)->GetValue(0).double_value(), 60.0);
+}
+
+TEST_F(SqlEngineTest, QuotedIdentifiersWithDashesKeepDistinctPlans) {
+  Exec("CREATE TABLE t1 (\"a--b\" INT)");
+  Exec("CREATE TABLE t2 (\"a--b\" INT)");
+  Exec("INSERT INTO t1 VALUES (1)");
+  Exec("INSERT INTO t2 VALUES (2)");
+  QueryResult first = Exec("SELECT \"a--b\" FROM t1");
+  QueryResult second = Exec("SELECT \"a--b\" FROM t2");
+  ASSERT_EQ(first.batch.num_rows(), 1u);
+  ASSERT_EQ(second.batch.num_rows(), 1u);
+  EXPECT_EQ(first.batch.column(0)->int_at(0), 1);
+  EXPECT_EQ(second.batch.column(0)->int_at(0), 2);
+  EXPECT_FALSE(second.from_plan_cache);
+  EXPECT_TRUE(Exec("select \"A--B\" from T2 -- again").from_plan_cache);
 }
 
 TEST_F(SqlEngineTest, ExplainAnalyzeReportsPlanCacheCounters) {
