@@ -11,7 +11,9 @@
 # concurrent sessions) — and finally a dedicated recovery stage: the WAL
 # group-commit tests under TSan (the one writer path with a genuinely
 # concurrent background flusher), plus the crash matrix (fault-injected
-# child processes) under ASan when the full ASan stage did not run.
+# child processes) under ASan when the full ASan stage did not run — and
+# an UndefinedBehaviorSanitizer build running the scoring-kernel and ML
+# property suites. The `--*-only` modes skip the UBSan stage.
 #
 # Usage: scripts/check.sh
 #          [--asan-only|--no-asan|--tsan-only|--no-tsan|--recovery-only]
@@ -23,12 +25,13 @@ RUN_PLAIN=1
 RUN_ASAN=1
 RUN_TSAN=1
 RUN_RECOVERY=1
+RUN_UBSAN=1
 case "${1:-}" in
-  --asan-only) RUN_PLAIN=0; RUN_TSAN=0; RUN_RECOVERY=0 ;;
+  --asan-only) RUN_PLAIN=0; RUN_TSAN=0; RUN_RECOVERY=0; RUN_UBSAN=0 ;;
   --no-asan) RUN_ASAN=0 ;;
-  --tsan-only) RUN_PLAIN=0; RUN_ASAN=0; RUN_RECOVERY=0 ;;
+  --tsan-only) RUN_PLAIN=0; RUN_ASAN=0; RUN_RECOVERY=0; RUN_UBSAN=0 ;;
   --no-tsan) RUN_TSAN=0 ;;
-  --recovery-only) RUN_PLAIN=0; RUN_ASAN=0; RUN_TSAN=0 ;;
+  --recovery-only) RUN_PLAIN=0; RUN_ASAN=0; RUN_TSAN=0; RUN_UBSAN=0 ;;
   "") ;;
   *)
     echo "usage: $0 [--asan-only|--no-asan|--tsan-only|--no-tsan|--recovery-only]" >&2
@@ -129,6 +132,23 @@ if [[ "$RUN_RECOVERY" == 1 ]]; then
   cmake --build build-tsan -j "$JOBS" --target wal_test
   ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
     -R 'GroupCommit|FsyncPolicy'
+fi
+
+if [[ "$RUN_UBSAN" == 1 ]]; then
+  echo "== UBSan build + kernel and ML property suites =="
+  # The kernel walks compiled forests with int32 node arithmetic
+  # (`child + !(x < threshold)`, and leaves that step to themselves
+  # through `child = i - 1`); the property suite pushes trained ensembles
+  # of several depths through it. halt_on_error turns the first signed
+  # overflow or out-of-range index into a failed test instead of a
+  # printed warning.
+  cmake -B build-ubsan -S . -DFLOCK_SANITIZE=undefined >/dev/null
+  cmake --build build-ubsan -j "$JOBS" --target kernel_test ml_property_test
+  UBSAN_OPTIONS=halt_on_error=1 \
+    ctest --test-dir build-ubsan --output-on-failure -j "$JOBS" -L kernel
+  UBSAN_OPTIONS=halt_on_error=1 \
+    ctest --test-dir build-ubsan --output-on-failure -j "$JOBS" \
+    -R 'PipelineEquivalenceTest|TrainerQualityTest'
 fi
 
 echo "All checks passed."

@@ -55,9 +55,16 @@ DenseKernel::DenseKernel(const ModelGraph& graph) {
         step.bias = node.gemm_bias;
         break;
       case OpType::kTreeEnsemble:
-        step.trees = node.trees;
-        step.tree_base = node.tree_base;
-        step.tree_average = node.tree_average;
+        for (const Tree& tree : node.trees) {
+          if (!step.forest.Append(tree)) {
+            status_ = Status::InvalidArgument(
+                "dense kernel: tree ensemble exceeds int32 node indices");
+            steps_.clear();
+            return;
+          }
+        }
+        step.forest.base = node.tree_base;
+        step.forest.average = node.tree_average;
         break;
       case OpType::kSigmoid:
       case OpType::kRelu:
@@ -88,22 +95,25 @@ DenseKernel::DenseKernel(const ModelGraph& graph) {
   while (tree-- > 0 && (steps_[tree].op == OpType::kSigmoid ||
                         steps_[tree].op == OpType::kIdentity)) {
   }
-  if (tree >= steps_.size() || steps_[tree].op != OpType::kTreeEnsemble ||
-      steps_[tree].tree_average || !std::isfinite(steps_[tree].tree_base)) {
+  if (tree >= steps_.size() || steps_[tree].op != OpType::kTreeEnsemble) {
     return;
   }
-  const std::vector<Tree>& trees = steps_[tree].trees;
-  std::vector<double> lower(trees.size() + 1, 0.0), upper = lower;
-  double total_abs = std::fabs(steps_[tree].tree_base);
-  for (size_t i = trees.size(); i-- > 0;) {
+  const Forest& forest = steps_[tree].forest;
+  if (forest.average || !std::isfinite(forest.base)) return;
+  const size_t trees = forest.trees();
+  std::vector<double> lower(trees + 1, 0.0), upper = lower;
+  double total_abs = std::fabs(forest.base);
+  for (size_t i = trees; i-- > 0;) {
+    const size_t end = i + 1 < trees
+                           ? static_cast<size_t>(forest.root[i + 1])
+                           : forest.nodes.size();
     double lo = HUGE_VAL, hi = -HUGE_VAL;
-    for (const TreeNode& node : trees[i].nodes) {
-      if (!node.is_leaf()) continue;
-      if (!std::isfinite(node.value)) return;
-      lo = std::min(lo, node.value);
-      hi = std::max(hi, node.value);
+    for (size_t j = static_cast<size_t>(forest.root[i]); j < end; ++j) {
+      if (!forest.is_leaf(j)) continue;
+      if (!std::isfinite(forest.value[j])) return;
+      lo = std::min(lo, forest.value[j]);
+      hi = std::max(hi, forest.value[j]);
     }
-    if (lo > hi) return;  // no leaf
     lower[i] = lower[i + 1] + lo;
     upper[i] = upper[i + 1] + hi;
     total_abs += std::max(-lo, hi);
@@ -111,8 +121,8 @@ DenseKernel::DenseKernel(const ModelGraph& graph) {
   // Summing the m trees from index i onto a partial sum rounds by at most
   // m * DBL_EPSILON / 2 * total_abs; the suffix sums and the bound
   // arithmetic round by as much again: (m + 4) * DBL_EPSILON * total_abs.
-  for (size_t i = 0; i <= trees.size(); ++i) {
-    const double margin = static_cast<double>(trees.size() - i + 4) *
+  for (size_t i = 0; i <= trees; ++i) {
+    const double margin = static_cast<double>(trees - i + 4) *
                           DBL_EPSILON * total_abs;
     lower[i] -= margin;
     upper[i] += margin;
@@ -120,6 +130,63 @@ DenseKernel::DenseKernel(const ModelGraph& graph) {
   tree_step_ = tree;
   lower_ = std::move(lower);
   upper_ = std::move(upper);
+}
+
+bool DenseKernel::Forest::Append(const Tree& tree) {
+  const size_t offset = nodes.size();
+  if (tree.nodes.size() >
+      static_cast<size_t>(std::numeric_limits<int32_t>::max()) - offset) {
+    return false;
+  }
+  // Breadth-first from the root: `order[p]` is the source node placed at
+  // offset + p, and `level[p]` its depth. Each interior node's children are
+  // queued together, so they land side by side. ValidateTree guarantees
+  // every node is queued exactly once.
+  std::vector<int32_t> order = {0};
+  std::vector<int32_t> level = {0};
+  int32_t max_depth = 0;
+  for (size_t p = 0; p < order.size(); ++p) {
+    const TreeNode& src = tree.nodes[static_cast<size_t>(order[p])];
+    const auto at = static_cast<int32_t>(offset + p);
+    Node node;
+    double leaf = 0.0;
+    if (src.is_leaf()) {
+      node.threshold = std::numeric_limits<double>::quiet_NaN();
+      node.child = at - 1;
+      leaf = src.value;
+      max_depth = std::max(max_depth, level[p]);
+    } else {
+      node.threshold = src.threshold;
+      node.feature = src.feature;
+      node.child = static_cast<int32_t>(offset + order.size());
+      order.push_back(src.left);
+      order.push_back(src.right);
+      level.push_back(level[p] + 1);
+      level.push_back(level[p] + 1);
+    }
+    nodes.push_back(node);
+    value.push_back(leaf);
+  }
+  root.push_back(static_cast<int32_t>(offset));
+  depth.push_back(max_depth);
+  return true;
+}
+
+void DenseKernel::Forest::Accumulate(size_t t, const double* const* x,
+                                     double* const* acc,
+                                     size_t lanes) const {
+  int32_t at[kLanes];
+  for (size_t k = 0; k < lanes; ++k) at[k] = root[t];
+  const Node* node = nodes.data();
+  for (int32_t d = 0; d < depth[t]; ++d) {
+    for (size_t k = 0; k < lanes; ++k) {
+      const Node& n = node[at[k]];
+      at[k] = n.child + !(x[k][n.feature] < n.threshold);
+    }
+  }
+  for (size_t k = 0; k < lanes; ++k) {
+    *acc[k] += value[static_cast<size_t>(at[k])];
+  }
 }
 
 const double* DenseKernel::Execute(size_t first, size_t last, size_t n,
@@ -181,21 +248,27 @@ const double* DenseKernel::Execute(size_t first, size_t last, size_t n,
         std::swap(cur, alt);
         break;
       case OpType::kTreeEnsemble: {
-        // Tree-major traversal: each tree's nodes stay cache-hot across
-        // the whole block. Per row the accumulation order is still
-        // tree 0, 1, ... so scores are bitwise identical to the row-major
-        // order GraphRuntime uses.
-        for (size_t r = 0; r < n; ++r) alt[r] = step.tree_base;
-        for (const Tree& tree : step.trees) {
-          for (size_t r = 0; r < n; ++r) {
-            alt[r] += tree.Predict(cur + r * in_cols);
+        // Tree-major over the block, kLanes rows per walk. Per row the
+        // accumulation order is still tree 0, 1, ... so scores are bitwise
+        // identical to the row-major order GraphRuntime uses.
+        const Forest& forest = step.forest;
+        for (size_t r = 0; r < n; ++r) alt[r] = forest.base;
+        const double* x[kLanes];
+        double* acc[kLanes];
+        for (size_t t = 0; t < forest.trees(); ++t) {
+          for (size_t r = 0; r < n; r += kLanes) {
+            const size_t lanes = std::min(kLanes, n - r);
+            for (size_t k = 0; k < lanes; ++k) {
+              x[k] = cur + (r + k) * in_cols;
+              acc[k] = alt + r + k;
+            }
+            forest.Accumulate(t, x, acc, lanes);
           }
         }
-        if (step.tree_average && !step.trees.empty()) {
-          const double norm =
-              1.0 / static_cast<double>(step.trees.size());
+        if (forest.average && forest.trees() > 0) {
+          const double norm = 1.0 / static_cast<double>(forest.trees());
           for (size_t r = 0; r < n; ++r) {
-            alt[r] = step.tree_base + (alt[r] - step.tree_base) * norm;
+            alt[r] = forest.base + (alt[r] - forest.base) * norm;
           }
         }
         std::swap(cur, alt);
@@ -349,32 +422,52 @@ Status DenseKernel::ScoreThreshold(const Matrix& raw, double threshold,
   const double cut = ThresholdCut(threshold, op);
   const bool upper = op == ThresholdOp::kGt || op == ThresholdOp::kGe;
   const Step& ensemble = steps_[tree_step_];
+  const Forest& forest = ensemble.forest;
   return ForEachBlock(raw, scratch, [&](size_t begin, size_t rows) {
     const double* features = Execute(0, tree_step_, rows,
                                      scratch->a_.data(), scratch->b_.data());
+    // Tree-major over the block's undecided rows: after each tree, rows
+    // the bounds decide leave `live`, and the rest are walked by the next
+    // tree. Each row still sums tree 0, 1, ... in order.
+    double acc[kBlockRows];
+    size_t live[kBlockRows];
+    size_t live_rows = rows;
     for (size_t r = 0; r < rows; ++r) {
-      const double* row = features + r * ensemble.in_cols;
-      double acc = ensemble.tree_base;
-      bool decided = false, verdict = false;
-      for (size_t t = 0; t < ensemble.trees.size() && !decided; ++t) {
-        acc += ensemble.trees[t].Predict(row);
-        if (acc + lower_[t + 1] >= cut) {
-          decided = true;
-          verdict = upper;
-        } else if (acc + upper_[t + 1] < cut) {
-          decided = true;
-          verdict = !upper;
+      acc[r] = forest.base;
+      live[r] = r;
+    }
+    const double* x[kLanes];
+    double* lane_acc[kLanes];
+    for (size_t t = 0; t < forest.trees() && live_rows > 0; ++t) {
+      for (size_t j = 0; j < live_rows; j += kLanes) {
+        const size_t lanes = std::min(kLanes, live_rows - j);
+        for (size_t k = 0; k < lanes; ++k) {
+          x[k] = features + live[j + k] * ensemble.in_cols;
+          lane_acc[k] = acc + live[j + k];
+        }
+        forest.Accumulate(t, x, lane_acc, lanes);
+      }
+      size_t kept = 0;
+      for (size_t j = 0; j < live_rows; ++j) {
+        const size_t r = live[j];
+        if (acc[r] + lower_[t + 1] >= cut) {
+          (*out)[begin + r] = upper;
+        } else if (acc[r] + upper_[t + 1] < cut) {
+          (*out)[begin + r] = !upper;
+        } else {
+          live[kept++] = r;
         }
       }
-      if (!decided) {
-        // Too close to call from bounds: every tree was summed, so finish
-        // the row's kernel score and compare that.
-        double spare = 0.0;
-        verdict = Compare(
-            *Execute(tree_step_ + 1, steps_.size(), 1, &acc, &spare),
-            threshold, op);
-      }
-      (*out)[begin + r] = verdict;
+      live_rows = kept;
+    }
+    // Too close to call from bounds: every tree was summed, so finish
+    // each remaining row's kernel score and compare that.
+    for (size_t j = 0; j < live_rows; ++j) {
+      const size_t r = live[j];
+      double spare = 0.0;
+      (*out)[begin + r] = Compare(
+          *Execute(tree_step_ + 1, steps_.size(), 1, &acc[r], &spare),
+          threshold, op);
     }
   });
 }

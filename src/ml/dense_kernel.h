@@ -1,6 +1,7 @@
 #ifndef FLOCK_ML_DENSE_KERNEL_H_
 #define FLOCK_ML_DENSE_KERNEL_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "common/status_or.h"
@@ -37,21 +38,28 @@ enum class ThresholdOp { kGt, kGe, kLt, kLe };
 /// fills, scale/offset vectors, one-hot layout, gemm weights, trees)
 /// copied into the kernel so it is self-contained and immutable afterwards.
 ///
+/// Tree ensembles are compiled too: each is relaid into one set of flat
+/// arrays (see `Forest`) and walked by a single branch-free step rule,
+/// eight rows in lockstep. The graph must have passed
+/// `ModelGraph::Finalize`, which validates every tree's shape and feature
+/// indices (`ValidateTree`).
+///
 /// Execution contracts:
 ///  * `ScoreRow` scores a single dense row with zero allocation (given a
 ///    warmed scratch).
 ///  * `ScoreBatch` scores a whole matrix/morsel in one call, processing
 ///    rows in blocks so elementwise steps run over contiguous buffers and
-///    tree ensembles traverse *tree-major* over the block (each tree's
-///    nodes stay hot in cache across the rows of the block). Summation
-///    order per row is unchanged, so results are bitwise identical to
-///    `ScoreRow` and to `GraphRuntime`.
+///    tree ensembles traverse *tree-major* over the block. Summation
+///    order per row is tree 0, 1, ..., so results are bitwise identical
+///    to `ScoreRow` and to `GraphRuntime`.
 ///  * `ScoreThreshold` returns `score OP t` per row (the paper's predicate
 ///    push-up, §4.1) with the same block loop. Every verdict equals the
 ///    comparison of the row's `ScoreBatch` score, bitwise. For a boosted
-///    (summed) tree ensemble followed only by Sigmoid/Identity, a row stops
-///    traversing trees once suffix bounds on the remaining trees put its
-///    final raw sum clear of the cut by a summation-rounding margin.
+///    (summed) tree ensemble followed only by Sigmoid/Identity, each
+///    block walks tree-major over a compacted list of still-undecided
+///    rows: a row leaves the list once suffix bounds on the remaining
+///    trees put its raw sum clear of the cut by a summation-rounding
+///    margin.
 ///
 /// Only linear single-input op chains are compiled (which is everything
 /// `Pipeline::Compile` and the cross-optimizer emit). Graphs using Concat
@@ -91,6 +99,43 @@ class DenseKernel {
   static constexpr size_t kBlockRows = 256;
 
  private:
+  /// A tree ensemble compiled for lockstep traversal. Tree t's nodes are
+  /// laid out breadth-first from `root[t]`, so an interior node's children
+  /// sit at `child` (left) and `child + 1` (right), and one step is
+  /// `i = child[i] + !(x[feature[i]] < threshold[i])`: NaN goes right, as
+  /// in `Tree::Predict`. A leaf is a fixed point of that step (NaN
+  /// threshold, `child = i - 1`), so every walk of tree t takes exactly
+  /// `depth[t]` steps and never branches on the data.
+  struct Forest {
+    struct Node {
+      double threshold = 0.0;
+      int32_t feature = 0;
+      int32_t child = 0;
+    };
+    std::vector<Node> nodes;
+    std::vector<double> value;   // leaf values, indexed like `nodes`
+    std::vector<int32_t> root;   // per tree: its first node
+    std::vector<int32_t> depth;  // per tree: its longest root-leaf path
+    double base = 0.0;
+    bool average = false;  // forest average rather than boosted sum
+
+    size_t trees() const { return root.size(); }
+    bool is_leaf(size_t i) const {
+      return nodes[i].child < static_cast<int32_t>(i);
+    }
+    /// Appends `tree` in breadth-first order; false when the ensemble's
+    /// node count would no longer fit an int32 index.
+    bool Append(const Tree& tree);
+    /// Walks rows x[0..lanes) through tree t in lockstep and adds each
+    /// row's leaf value to *acc[k]; lanes <= kLanes.
+    void Accumulate(size_t t, const double* const* x, double* const* acc,
+                    size_t lanes) const;
+  };
+
+  /// Rows one `Forest::Accumulate` walks at once: independent load chains
+  /// that hide each other's cache latency.
+  static constexpr size_t kLanes = 8;
+
   struct Step {
     OpType op = OpType::kIdentity;
     size_t in_cols = 0;
@@ -105,9 +150,7 @@ class DenseKernel {
     Matrix weights;  // [out_cols x in_cols]
     std::vector<double> bias;
     // kTreeEnsemble
-    std::vector<Tree> trees;
-    double tree_base = 0.0;
-    bool tree_average = false;
+    Forest forest;
     // kBinarizer
     double binarizer_threshold = 0.5;
   };

@@ -106,6 +106,43 @@ size_t ModelGraph::NodeOutputCols(const GraphNode& node) const {
   return 0;
 }
 
+Status ValidateTree(const Tree& tree) {
+  const size_t n = tree.nodes.size();
+  if (n == 0) return Status::InvalidArgument("tree has no nodes");
+  // Marks each node when it is first reached; a second arrival is a cycle
+  // or a shared child, and a node never reached is an orphan.
+  std::vector<bool> reached(n, false);
+  std::vector<size_t> pending = {0};
+  reached[0] = true;
+  size_t count = 1;
+  while (!pending.empty()) {
+    const size_t at = pending.back();
+    pending.pop_back();
+    const TreeNode& node = tree.nodes[at];
+    if (node.is_leaf()) continue;
+    for (int32_t child : {node.left, node.right}) {
+      if (child < 0 || static_cast<size_t>(child) >= n) {
+        return Status::InvalidArgument(
+            "tree node " + std::to_string(at) + " child index out of range");
+      }
+      if (reached[static_cast<size_t>(child)]) {
+        return Status::InvalidArgument(
+            "tree node " + std::to_string(child) +
+            " is reached more than once from the root");
+      }
+      reached[static_cast<size_t>(child)] = true;
+      ++count;
+      pending.push_back(static_cast<size_t>(child));
+    }
+  }
+  if (count != n) {
+    return Status::InvalidArgument(
+        "tree has " + std::to_string(n - count) +
+        " node(s) not reached from the root");
+  }
+  return Status::OK();
+}
+
 Status ModelGraph::Finalize() {
   if (nodes_.empty() || nodes_[0].op != OpType::kInput) {
     return Status::InvalidArgument("graph must start with an Input node");
@@ -153,6 +190,7 @@ Status ModelGraph::Finalize() {
         break;
       case OpType::kTreeEnsemble:
         for (const Tree& tree : node.trees) {
+          FLOCK_RETURN_NOT_OK(ValidateTree(tree));
           for (const TreeNode& tn : tree.nodes) {
             if (!tn.is_leaf() &&
                 static_cast<size_t>(tn.feature) >= in0) {

@@ -59,6 +59,13 @@ struct Tree {
   }
 };
 
+/// Checks that `tree` is a tree `Predict` can walk: it has a root, every
+/// interior child index is in range, and every node is reached exactly
+/// once from the root (no cycle, no shared child, no orphan). Linear in the
+/// node count. Serialized models and graphs are checked with it before
+/// anything scores them.
+Status ValidateTree(const Tree& tree);
+
 /// One operator instance in a model graph.
 struct GraphNode {
   int id = -1;

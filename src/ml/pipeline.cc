@@ -509,20 +509,8 @@ StatusOr<Pipeline> Pipeline::Deserialize(const std::string& text) {
             }
             tree.nodes.push_back(node);
           }
-          // Structural validation: Predict walks left/right unchecked, so
-          // a corrupted index would read out of bounds or loop forever.
-          // The builder appends children after their parent, so a valid
-          // tree has every interior child index in (parent, num_nodes).
-          for (size_t ni = 0; ni < tree.nodes.size(); ++ni) {
-            const TreeNode& node = tree.nodes[ni];
-            if (node.is_leaf()) continue;
-            const auto lo = static_cast<int32_t>(ni);
-            const auto hi = static_cast<int32_t>(tree.nodes.size());
-            if (node.left <= lo || node.left >= hi || node.right <= lo ||
-                node.right >= hi) {
-              return fail("tree node " + std::to_string(ni) +
-                          " child index out of range");
-            }
+          if (Status valid = ValidateTree(tree); !valid.ok()) {
+            return fail(valid.message());
           }
           model.trees.push_back(std::move(tree));
         }

@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <cstring>
 #include <future>
+#include <iomanip>
 #include <string>
 #include <thread>
 #include <vector>
@@ -256,6 +257,169 @@ TEST(DenseKernelTest, ScratchReuseAcrossModelsIsClean) {
   ASSERT_TRUE(narrow_kernel.ScoreBatch(raw, &shared, &reused).ok());
   for (size_t r = 0; r < raw.rows(); ++r) {
     EXPECT_PRED2(BitEq, reused[r], expected[r]) << "row " << r;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// 1b. Tree shapes the compiled forest layout must walk exactly like
+// Tree::Predict: NaN inputs with no imputer (NaN goes right), single-leaf
+// trees (a leaf root is its own fixed point), and a depth-1 stump beside
+// unbalanced chains deeper than 20 levels (each tree walks its own depth).
+
+ml::TreeNode LeafNode(double value) {
+  ml::TreeNode leaf;
+  leaf.value = value;
+  return leaf;
+}
+
+ml::Tree LeafTree(double value) { return ml::Tree{{LeafNode(value)}}; }
+
+/// Unbalanced chain: level d splits feature d % cols into a leaf and the
+/// next level, alternating sides. Thresholds far out in the inputs' tails
+/// send most rows down the chain, so deep leaves are actually reached.
+ml::Tree ChainTree(size_t depth, size_t cols, Random* rng) {
+  ml::Tree tree;
+  for (size_t d = 0; d < depth; ++d) {
+    const auto self = static_cast<int32_t>(tree.nodes.size());
+    const bool leaf_left = d % 2 == 0;
+    ml::TreeNode split;
+    split.feature = static_cast<int32_t>(d % cols);
+    split.threshold = (leaf_left ? -3.0 : 5.0) + rng->NextGaussian() * 0.5;
+    split.left = leaf_left ? self + 1 : self + 2;
+    split.right = leaf_left ? self + 2 : self + 1;
+    tree.nodes.push_back(split);
+    tree.nodes.push_back(LeafNode(rng->NextGaussian()));
+  }
+  tree.nodes.push_back(LeafNode(rng->NextGaussian()));
+  return tree;
+}
+
+struct TreeShape {
+  std::string name;
+  Pipeline pipeline;  // numeric inputs only, no imputer or scaler
+};
+
+std::vector<TreeShape> TreeShapes() {
+  constexpr size_t kCols = 4;
+  auto pipeline = [](ml::TreeEnsembleModel model) {
+    Pipeline p;
+    p.SetInputs(NumericSpecs(kCols));
+    p.set_task(ml::ModelTask::kBinaryClassification);
+    p.SetTreeModel(std::move(model));
+    return p;
+  };
+  Dataset data;
+  data.x = RandomRaw(600, kCols, 0, 401);
+  for (size_t r = 0; r < data.x.rows(); ++r) {
+    data.y.push_back(data.x.at(r, 0) - data.x.at(r, 2) > 0.5 ? 1.0 : 0.0);
+  }
+  ml::GbtOptions gbt;
+  gbt.num_trees = 12;
+  gbt.max_depth = 4;
+  gbt.seed = 409;
+  ml::TreeEnsembleModel trained = TrainGradientBoosting(data, gbt);
+
+  ml::TreeEnsembleModel with_leaves = trained;
+  with_leaves.trees.insert(with_leaves.trees.begin(), LeafTree(0.25));
+  with_leaves.trees.insert(with_leaves.trees.begin() + 6, LeafTree(-0.5));
+  with_leaves.trees.push_back(LeafTree(0.125));
+
+  ml::TreeEnsembleModel leaves_only;
+  leaves_only.trees = {LeafTree(0.5), LeafTree(-0.25), LeafTree(0.75)};
+  leaves_only.base = 0.1;
+  leaves_only.logistic = true;
+
+  Random rng(419);
+  ml::TreeEnsembleModel mixed_depth;
+  ml::TreeNode split;
+  split.feature = 1;
+  split.threshold = 1.0;
+  split.left = 1;
+  split.right = 2;
+  const ml::Tree stump{{split, LeafNode(-0.75), LeafNode(0.5)}};
+  mixed_depth.trees = {stump, ChainTree(24, kCols, &rng), stump,
+                       ChainTree(21, kCols, &rng)};
+  mixed_depth.base = -0.2;
+  ml::TreeEnsembleModel mixed_depth_logistic = mixed_depth;
+  mixed_depth_logistic.logistic = true;
+
+  return {{"nan_no_imputer", pipeline(trained)},
+          {"single_leaf_trees", pipeline(with_leaves)},
+          {"leaves_only", pipeline(leaves_only)},
+          {"stump_and_chains_raw", pipeline(mixed_depth)},
+          {"stump_and_chains_logistic", pipeline(mixed_depth_logistic)}};
+}
+
+TEST(DenseKernelTest, TreeShapesScoreRowEqualsBatchEqualsRowScorer) {
+  for (const TreeShape& shape : TreeShapes()) {
+    SCOPED_TRACE(shape.name);
+    auto graph = shape.pipeline.Compile();
+    ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+    DenseKernel kernel(*graph);
+    ASSERT_TRUE(kernel.ok()) << kernel.status().ToString();
+
+    // 10% NaN and no imputer: NaN reaches every split and must go right.
+    Matrix raw = RandomRaw(1000, 4, 0, 431, /*nan_fraction=*/0.1);
+    std::vector<double> interpreted = RowScorer(shape.pipeline).ScoreAll(raw);
+    DenseKernelScratch scratch;
+    std::vector<double> batch;
+    ASSERT_TRUE(kernel.ScoreBatch(raw, &scratch, &batch).ok());
+    DenseKernelScratch row_scratch;
+    for (size_t r = 0; r < raw.rows(); ++r) {
+      const double row = kernel.ScoreRow(raw.row(r), &row_scratch);
+      EXPECT_PRED2(BitEq, row, batch[r]) << "row " << r;
+      EXPECT_PRED2(BitEq, row, interpreted[r]) << "row " << r;
+    }
+  }
+}
+
+TEST(DenseKernelTest, TreeShapesThresholdVerdictsMatchGraphRuntimeOracle) {
+  // The oracle is GraphRuntime, which walks trees with Tree::Predict, so
+  // the verdicts are checked against an independent traversal, not
+  // against the kernel's own ScoreBatch. 1000 rows cross kBlockRows, and
+  // the undecided-row list shrinks across blocks of different sizes.
+  ASSERT_GT(1000u, DenseKernel::kBlockRows);
+  for (const TreeShape& shape : TreeShapes()) {
+    SCOPED_TRACE(shape.name);
+    auto graph = shape.pipeline.Compile();
+    ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+    DenseKernel kernel(*graph);
+    ASSERT_TRUE(kernel.ok()) << kernel.status().ToString();
+
+    Matrix raw = RandomRaw(1000, 4, 0, 433, /*nan_fraction=*/0.1);
+    auto oracle = GraphRuntime(&*graph).RunToScores(raw);
+    ASSERT_TRUE(oracle.ok());
+    // Ties at scores the model actually produces are where an early exit
+    // with a wrong margin flips a verdict.
+    std::vector<double> thresholds = {0.0, 1.0, -0.5, 1.5};
+    for (size_t r = 0; r < raw.rows(); r += 41) {
+      thresholds.push_back((*oracle)[r]);
+    }
+    DenseKernelScratch scratch;
+    size_t wrong = 0;
+    for (double t : thresholds) {
+      for (ml::ThresholdOp op :
+           {ml::ThresholdOp::kGt, ml::ThresholdOp::kGe, ml::ThresholdOp::kLt,
+            ml::ThresholdOp::kLe}) {
+        std::vector<bool> verdicts;
+        ASSERT_TRUE(kernel.ScoreThreshold(raw, t, op, &scratch, &verdicts)
+                        .ok());
+        ASSERT_EQ(verdicts.size(), raw.rows());
+        for (size_t r = 0; r < raw.rows(); ++r) {
+          const double s = (*oracle)[r];
+          const bool expected = op == ml::ThresholdOp::kGt   ? s > t
+                                : op == ml::ThresholdOp::kGe ? s >= t
+                                : op == ml::ThresholdOp::kLt ? s < t
+                                                             : s <= t;
+          if (verdicts[r] != expected && wrong++ == 0) {
+            ADD_FAILURE() << std::setprecision(17) << "row " << r
+                          << " score " << s << " threshold " << t << " op "
+                          << static_cast<int>(op);
+          }
+        }
+      }
+    }
+    EXPECT_EQ(wrong, 0u) << "over " << thresholds.size() << " thresholds";
   }
 }
 

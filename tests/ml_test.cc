@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/random.h"
+#include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "ml/dataset.h"
 #include "ml/graph.h"
@@ -397,6 +398,82 @@ TEST(PipelineTest, DeserializeCorruptionMatrix) {
 
   // The undamaged artifact still round-trips after all of the above.
   EXPECT_TRUE(Pipeline::Deserialize(text).ok());
+}
+
+// Tree shapes `Tree::Predict` cannot walk, or that a breadth-first
+// relayout would blow up: the empty tree (Predict read nodes[0] of an
+// empty array), shared-child DAGs (each level doubles the paths, so a
+// 40-level chain has 2^40 of them) and orphan nodes.
+TreeNode SplitNode(int32_t left, int32_t right) {
+  TreeNode node;
+  node.feature = 0;
+  node.threshold = 0.5;
+  node.left = left;
+  node.right = right;
+  return node;
+}
+
+TreeNode LeafNode(double value) {
+  TreeNode node;
+  node.value = value;
+  return node;
+}
+
+std::vector<std::pair<std::string, Tree>> BadTrees() {
+  Tree chain;
+  for (int32_t i = 0; i < 40; ++i) chain.nodes.push_back(SplitNode(i + 1, i + 1));
+  chain.nodes.push_back(LeafNode(1.5));
+  return {
+      {"empty tree", Tree{}},
+      {"shared-child DAG",
+       Tree{{SplitNode(1, 1), SplitNode(2, 2), SplitNode(3, 3), LeafNode(1.5)}}},
+      {"40-level shared-child chain", chain},
+      {"orphan node", Tree{{LeafNode(1.0), LeafNode(2.0)}}},
+  };
+}
+
+const Tree kStump{{SplitNode(1, 2), LeafNode(1.0), LeafNode(2.0)}};
+
+TEST(PipelineTest, DeserializeRejectsTreesPredictCannotWalk) {
+  auto text = [](Tree tree) {
+    Pipeline pipeline;
+    pipeline.SetInputs({FeatureSpec{"x", FeatureKind::kNumeric, {}}});
+    TreeEnsembleModel model;
+    model.trees = {std::move(tree)};
+    pipeline.SetTreeModel(std::move(model));
+    return pipeline.Serialize();
+  };
+  ASSERT_TRUE(Pipeline::Deserialize(text(kStump)).ok());
+  for (const auto& [what, tree] : BadTrees()) {
+    Stopwatch watch;
+    auto result = Pipeline::Deserialize(text(tree));
+    EXPECT_LT(watch.ElapsedMillis(), 1000.0) << what;
+    ASSERT_FALSE(result.ok()) << what << ": accepted";
+    EXPECT_EQ(result.status().code(), StatusCode::kCorruption)
+        << what << ": " << result.status().ToString();
+  }
+}
+
+TEST(GraphTest, FinalizeRejectsTreesPredictCannotWalk) {
+  // A graph reaches the scoring kernel only through Finalize, so the same
+  // shapes must be refused there too, not only by the text parser.
+  auto finalize = [](Tree tree) {
+    ModelGraph graph;
+    GraphNode node;
+    node.op = OpType::kTreeEnsemble;
+    node.inputs = {graph.SetInput(1)};
+    node.trees = {std::move(tree)};
+    graph.SetOutput(graph.AddNode(std::move(node)));
+    return graph.Finalize();
+  };
+  EXPECT_TRUE(finalize(kStump).ok());
+  for (const auto& [what, tree] : BadTrees()) {
+    Stopwatch watch;
+    Status st = finalize(tree);
+    EXPECT_LT(watch.ElapsedMillis(), 1000.0) << what;
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument)
+        << what << ": " << st.ToString();
+  }
 }
 
 TEST(GraphTest, UsedInputColumnsReflectSparsity) {
