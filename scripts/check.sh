@@ -12,8 +12,9 @@
 # group-commit tests under TSan (the one writer path with a genuinely
 # concurrent background flusher), plus the crash matrix (fault-injected
 # child processes) under ASan when the full ASan stage did not run — and
-# an UndefinedBehaviorSanitizer build running the scoring-kernel and ML
-# property suites. The `--*-only` modes skip the UBSan stage.
+# an UndefinedBehaviorSanitizer build running the scoring-kernel, ML
+# property and graph/pipeline suites. The `--*-only` modes skip the UBSan
+# stage.
 #
 # Usage: scripts/check.sh
 #          [--asan-only|--no-asan|--tsan-only|--no-tsan|--recovery-only]
@@ -88,8 +89,8 @@ if [[ "$RUN_TSAN" == 1 ]]; then
   # Each label is a whole suite whose code runs on several threads at once:
   #   obs       tracing's thread-local recorders on the serving workers
   #             and concurrent obs::Histogram records and snapshots;
-  #   storage   zone-map pruning reading live segment stats from every
-  #             executor worker while GetStats fills its aggregate cache;
+  #   storage   zone-map pruning reading segment and block zone maps
+  #             from every executor worker;
   #   repl      the applier's streaming thread vs. its lag gauges and the
   #             coordinator's Stop/Start handoff;
   #   kernel    the micro-batcher's leader/follower handoff, drain/flush
@@ -135,20 +136,24 @@ if [[ "$RUN_RECOVERY" == 1 ]]; then
 fi
 
 if [[ "$RUN_UBSAN" == 1 ]]; then
-  echo "== UBSan build + kernel and ML property suites =="
+  echo "== UBSan build + kernel, ML property and graph suites =="
   # The kernel walks compiled forests with int32 node arithmetic
   # (`child + !(x < threshold)`, and leaves that step to themselves
   # through `child = i - 1`); the property suite pushes trained ensembles
-  # of several depths through it. halt_on_error turns the first signed
-  # overflow or out-of-range index into a failed test instead of a
-  # printed warning.
+  # of several depths through it; the graph and pipeline suites run the
+  # graph analyses (input pruning, range propagation, compression). The
+  # build adds float-cast-overflow, so a categorical value outside int64
+  # reaching a one-hot encoder fails too. halt_on_error turns the first
+  # signed overflow, bad float conversion or out-of-range index into a
+  # failed test instead of a printed warning.
   cmake -B build-ubsan -S . -DFLOCK_SANITIZE=undefined >/dev/null
-  cmake --build build-ubsan -j "$JOBS" --target kernel_test ml_property_test
+  cmake --build build-ubsan -j "$JOBS" \
+    --target kernel_test ml_property_test ml_test
   UBSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir build-ubsan --output-on-failure -j "$JOBS" -L kernel
   UBSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir build-ubsan --output-on-failure -j "$JOBS" \
-    -R 'PipelineEquivalenceTest|TrainerQualityTest'
+    -R 'PipelineEquivalenceTest|TrainerQualityTest|GraphTest|PipelineTest'
 fi
 
 echo "All checks passed."

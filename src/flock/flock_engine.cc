@@ -260,7 +260,6 @@ Status FlockEngine::OpenLocked(const std::string& data_dir,
 
   wal::DurabilityOptions options;
   options.fsync_policy = config.fsync_policy;
-  options.group_commit_interval_ms = config.group_commit_interval_ms;
   options.initial_epoch = initial_epoch;
   // Derived catalog views are rebuilt from the registry on demand; they
   // must not be logged or snapshotted.

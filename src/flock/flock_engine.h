@@ -21,7 +21,6 @@ namespace flock::flock {
 /// directory, and which optional components recover/log alongside it.
 struct FlockDurabilityConfig {
   wal::FsyncPolicy fsync_policy = wal::FsyncPolicy::kEveryRecord;
-  int group_commit_interval_ms = 2;
   /// Provenance catalog to recover into and log from (optional; must
   /// outlive the engine).
   prov::Catalog* catalog = nullptr;

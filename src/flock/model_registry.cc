@@ -10,7 +10,8 @@ std::string Key(const std::string& name) { return ToLower(name); }
 
 Status ModelRegistry::AnalyzeEntry(ModelEntry* entry) {
   // Compiled once, at deploy/specialize time. There is no second engine,
-  // so a graph the kernel cannot compile is refused here.
+  // so a graph the kernel refuses (not finalized since its last change, or
+  // an ensemble too large for int32 node indices) is refused here.
   auto kernel = std::make_shared<ml::DenseKernel>(entry->graph);
   FLOCK_RETURN_NOT_OK(kernel->status());
   entry->kernel = std::move(kernel);

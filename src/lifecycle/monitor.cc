@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "common/string_util.h"
+#include "obs/json.h"
 
 namespace flock::lifecycle {
 
@@ -161,35 +161,41 @@ void ModelMonitor::Forget(const std::string& model) {
 }
 
 std::string ModelMonitor::StatusJson(const std::string& model) const {
+  using obs::JsonNumber;
+  using std::to_string;
   std::vector<FeatureSketchSnapshot> inputs = FeatureSketches(model);
-  std::ostringstream out;
-  out << "{\"inputs\":[";
+  std::string out = "{\"inputs\":[";
   for (size_t c = 0; c < inputs.size(); ++c) {
     const FeatureSketchSnapshot& s = inputs[c];
-    if (c > 0) out << ",";
-    out << "{\"count\":" << s.count << ",\"min\":" << s.min
-        << ",\"max\":" << s.max << ",\"mean\":" << s.mean
-        << ",\"p50\":" << s.p50 << ",\"p95\":" << s.p95
-        << ",\"train_mean\":" << s.train_mean
-        << ",\"train_std\":" << s.train_std << ",\"drift\":" << s.drift
-        << "}";
+    if (c > 0) out += ",";
+    out += "{\"count\":" + to_string(s.count) +
+           ",\"min\":" + JsonNumber(s.min) +
+           ",\"max\":" + JsonNumber(s.max) +
+           ",\"mean\":" + JsonNumber(s.mean) +
+           ",\"p50\":" + JsonNumber(s.p50) +
+           ",\"p95\":" + JsonNumber(s.p95) +
+           ",\"train_mean\":" + JsonNumber(s.train_mean) +
+           ",\"train_std\":" + JsonNumber(s.train_std) +
+           ",\"drift\":" + JsonNumber(s.drift) + "}";
   }
-  out << "],\"drift_score\":" << DriftScore(model) << ",\"scores\":{";
+  out += "],\"drift_score\":" + JsonNumber(DriftScore(model)) +
+         ",\"scores\":{";
   bool first = true;
   for (const char* label : {"live", "candidate"}) {
     ScoreHistogramSnapshot hist = ScoreHistogram(model, label);
-    if (!first) out << ",";
+    if (!first) out += ",";
     first = false;
-    out << "\"" << label << "\":{\"count\":" << hist.count
-        << ",\"mean\":" << hist.mean << ",\"buckets\":[";
+    out += std::string("\"") + label + "\":{\"count\":" +
+           to_string(hist.count) + ",\"mean\":" + JsonNumber(hist.mean) +
+           ",\"buckets\":[";
     for (size_t b = 0; b < hist.buckets.size(); ++b) {
-      if (b > 0) out << ",";
-      out << hist.buckets[b];
+      if (b > 0) out += ",";
+      out += to_string(hist.buckets[b]);
     }
-    out << "]}";
+    out += "]}";
   }
-  out << "}}";
-  return out.str();
+  out += "}}";
+  return out;
 }
 
 }  // namespace flock::lifecycle

@@ -7,6 +7,7 @@
 
 #include "common/hash.h"
 #include "common/string_util.h"
+#include "obs/json.h"
 #include "sql/ast.h"
 #include "sql/lexer.h"
 
@@ -343,31 +344,34 @@ std::vector<RolloutStatusView> RolloutManager::ListRollouts() const {
 }
 
 std::string RolloutManager::StatusJson() const {
+  using obs::JsonEscape;
+  using obs::JsonNumber;
+  using std::to_string;
   std::vector<RolloutStatusView> views = ListRollouts();
-  std::ostringstream out;
-  out << "{\"rollouts\":[";
+  std::string out = "{\"rollouts\":[";
   for (size_t i = 0; i < views.size(); ++i) {
     const RolloutStatusView& v = views[i];
-    if (i > 0) out << ",";
-    out << "{\"model\":\"" << v.model << "\",\"stage\":\""
-        << StageName(v.stage) << "\",\"canary_permille\":"
-        << v.canary_permille << ",\"initiated_by\":\"" << v.initiated_by
-        << "\",\"live_version\":" << v.live_version
-        << ",\"shadow_scored\":" << v.shadow_scored
-        << ",\"canary_routed\":" << v.canary_routed
-        << ",\"canary_fallbacks\":" << v.canary_fallbacks
-        << ",\"compared_rows\":" << v.compared_rows
-        << ",\"diverged_rows\":" << v.diverged_rows
-        << ",\"candidate_errors\":" << v.candidate_errors
-        << ",\"max_divergence\":" << v.max_divergence
-        << ",\"live_p99_ms\":" << v.live_p99_ms
-        << ",\"candidate_p99_ms\":" << v.candidate_p99_ms
-        << ",\"drift_score\":" << v.drift_score << ",\"guard_breach\":\""
-        << v.guard_breach << "\",\"monitor\":"
-        << monitor_.StatusJson(v.model) << "}";
+    if (i > 0) out += ",";
+    out += "{\"model\":\"" + JsonEscape(v.model) + "\",\"stage\":\"" +
+           StageName(v.stage) +
+           "\",\"canary_permille\":" + to_string(v.canary_permille) +
+           ",\"initiated_by\":\"" + JsonEscape(v.initiated_by) +
+           "\",\"live_version\":" + to_string(v.live_version) +
+           ",\"shadow_scored\":" + to_string(v.shadow_scored) +
+           ",\"canary_routed\":" + to_string(v.canary_routed) +
+           ",\"canary_fallbacks\":" + to_string(v.canary_fallbacks) +
+           ",\"compared_rows\":" + to_string(v.compared_rows) +
+           ",\"diverged_rows\":" + to_string(v.diverged_rows) +
+           ",\"candidate_errors\":" + to_string(v.candidate_errors) +
+           ",\"max_divergence\":" + JsonNumber(v.max_divergence) +
+           ",\"live_p99_ms\":" + JsonNumber(v.live_p99_ms) +
+           ",\"candidate_p99_ms\":" + JsonNumber(v.candidate_p99_ms) +
+           ",\"drift_score\":" + JsonNumber(v.drift_score) +
+           ",\"guard_breach\":\"" + JsonEscape(v.guard_breach) +
+           "\",\"monitor\":" + monitor_.StatusJson(v.model) + "}";
   }
-  out << "]}";
-  return out.str();
+  out += "]}";
+  return out;
 }
 
 StatusOr<sql::QueryResult> RolloutManager::Intercept(

@@ -14,30 +14,19 @@ namespace flock::ml {
 DenseKernel::DenseKernel(const ModelGraph& graph) {
   input_cols_ = graph.input_cols();
   max_cols_ = input_cols_;
-  const auto& nodes = graph.nodes();
-  if (nodes.empty() || graph.output_id() <= 0 ||
-      static_cast<size_t>(graph.output_id()) >= nodes.size()) {
+  // Finalize validated the chain wiring and every attribute, and a
+  // finalized graph has at least one node after its Input.
+  if (!graph.finalized()) {
     status_ = Status::InvalidArgument(
-        "dense kernel: graph has no executable nodes");
+        "dense kernel: graph has not passed ModelGraph::Finalize");
     return;
   }
-  // The kernel executes nodes 1..output_id as a straight-line chain over
-  // ping-pong buffers, so each node must consume exactly the previous
-  // node's output. Anything else (Concat, DAG wiring, dangling suffix
-  // nodes) leaves the kernel not-ok, and the registry refuses the model.
-  for (size_t i = 1; i <= static_cast<size_t>(graph.output_id()); ++i) {
+  const auto& nodes = graph.nodes();
+  for (size_t i = 1; i < nodes.size(); ++i) {
     const GraphNode& node = nodes[i];
-    if (node.inputs.size() != 1 ||
-        node.inputs[0] != static_cast<int>(i) - 1) {
-      status_ = Status::InvalidArgument(
-          "dense kernel: non-chain graph wiring at node " +
-          std::to_string(i));
-      steps_.clear();
-      return;
-    }
     Step step;
     step.op = node.op;
-    step.in_cols = steps_.empty() ? input_cols_ : steps_.back().out_cols;
+    step.in_cols = nodes[i - 1].output_cols;
     step.out_cols = node.output_cols;
     switch (node.op) {
       case OpType::kImputer:
@@ -66,34 +55,19 @@ DenseKernel::DenseKernel(const ModelGraph& graph) {
         step.forest.base = node.tree_base;
         step.forest.average = node.tree_average;
         break;
+      case OpType::kInput:
       case OpType::kSigmoid:
-      case OpType::kRelu:
-      case OpType::kIdentity:
         break;
-      case OpType::kBinarizer:
-        step.binarizer_threshold = node.binarizer_threshold;
-        break;
-      default:
-        status_ = Status::InvalidArgument(
-            "dense kernel: unsupported op " +
-            std::string(OpTypeName(node.op)));
-        steps_.clear();
-        return;
     }
     max_cols_ = std::max(max_cols_, step.out_cols);
     steps_.push_back(std::move(step));
   }
-  if (steps_.empty()) {
-    status_ = Status::InvalidArgument("dense kernel: empty plan");
-    return;
-  }
 
-  // Threshold early exit needs the last step before a run of monotone
-  // elementwise steps (Sigmoid, Identity) to be a boosted ensemble with
-  // finite leaves, so `suffix(sum) OP t` flips at most once along the sum.
+  // Threshold early exit needs the last step before a run of Sigmoids
+  // (monotone) to be a boosted ensemble with finite leaves, so
+  // `suffix(sum) OP t` flips at most once along the sum.
   size_t tree = steps_.size();
-  while (tree-- > 0 && (steps_[tree].op == OpType::kSigmoid ||
-                        steps_[tree].op == OpType::kIdentity)) {
+  while (tree-- > 0 && steps_[tree].op == OpType::kSigmoid) {
   }
   if (tree >= steps_.size() || steps_[tree].op != OpType::kTreeEnsemble) {
     return;
@@ -222,9 +196,7 @@ const double* DenseKernel::Execute(size_t first, size_t last, size_t n,
             if (k == 0) {
               dst[pos++] = src[c];
             } else {
-              const int64_t idx = std::isnan(src[c])
-                                      ? int64_t{-1}
-                                      : static_cast<int64_t>(src[c]);
+              const int64_t idx = OneHotSlot(src[c], k);
               for (int j = 0; j < k; ++j) {
                 dst[pos + static_cast<size_t>(j)] = (idx == j) ? 1.0 : 0.0;
               }
@@ -279,18 +251,7 @@ const double* DenseKernel::Execute(size_t first, size_t last, size_t n,
           cur[i] = 1.0 / (1.0 + std::exp(-cur[i]));
         }
         break;
-      case OpType::kRelu:
-        for (size_t i = 0; i < n * in_cols; ++i) {
-          cur[i] = cur[i] > 0.0 ? cur[i] : 0.0;
-        }
-        break;
-      case OpType::kBinarizer:
-        for (size_t i = 0; i < n * in_cols; ++i) {
-          cur[i] = cur[i] > step.binarizer_threshold ? 1.0 : 0.0;
-        }
-        break;
-      case OpType::kIdentity:
-      default:
+      case OpType::kInput:
         break;
     }
   }

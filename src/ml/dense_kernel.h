@@ -40,9 +40,7 @@ enum class ThresholdOp { kGt, kGe, kLt, kLe };
 ///
 /// Tree ensembles are compiled too: each is relaid into one set of flat
 /// arrays (see `Forest`) and walked by a single branch-free step rule,
-/// eight rows in lockstep. The graph must have passed
-/// `ModelGraph::Finalize`, which validates every tree's shape and feature
-/// indices (`ValidateTree`).
+/// eight rows in lockstep.
 ///
 /// Execution contracts:
 ///  * `ScoreRow` scores a single dense row with zero allocation (given a
@@ -55,16 +53,16 @@ enum class ThresholdOp { kGt, kGe, kLt, kLe };
 ///  * `ScoreThreshold` returns `score OP t` per row (the paper's predicate
 ///    push-up, §4.1) with the same block loop. Every verdict equals the
 ///    comparison of the row's `ScoreBatch` score, bitwise. For a boosted
-///    (summed) tree ensemble followed only by Sigmoid/Identity, each
-///    block walks tree-major over a compacted list of still-undecided
-///    rows: a row leaves the list once suffix bounds on the remaining
-///    trees put its raw sum clear of the cut by a summation-rounding
-///    margin.
+///    (summed) tree ensemble followed only by Sigmoid, each block walks
+///    tree-major over a compacted list of still-undecided rows: a row
+///    leaves the list once suffix bounds on the remaining trees put its
+///    raw sum clear of the cut by a summation-rounding margin.
 ///
-/// Only linear single-input op chains are compiled (which is everything
-/// `Pipeline::Compile` and the cross-optimizer emit). Graphs using Concat
-/// or non-chain wiring leave the kernel in a not-ok state and `status()`
-/// says why; the model registry refuses to deploy them.
+/// The kernel trusts `ModelGraph::Finalize` for wiring, attributes and
+/// tree shapes (`ValidateTree`) and compiles the chain node by node. It is
+/// not ok, and `status()` says why, for a graph that has not passed
+/// Finalize since its last change and for a tree ensemble too large for
+/// int32 node indices; the model registry refuses to deploy either.
 class DenseKernel {
  public:
   /// Compiles `graph` into a dense step plan. The graph is only read
@@ -137,7 +135,7 @@ class DenseKernel {
   static constexpr size_t kLanes = 8;
 
   struct Step {
-    OpType op = OpType::kIdentity;
+    OpType op = OpType::kInput;
     size_t in_cols = 0;
     size_t out_cols = 0;
     // kImputer
@@ -151,8 +149,6 @@ class DenseKernel {
     std::vector<double> bias;
     // kTreeEnsemble
     Forest forest;
-    // kBinarizer
-    double binarizer_threshold = 0.5;
   };
 
   /// Runs steps [first, last) over `n` rows held densely in `cur`

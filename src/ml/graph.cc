@@ -1,61 +1,18 @@
 #include "ml/graph.h"
 
 #include <algorithm>
-#include <set>
-
-#include "common/string_util.h"
 
 namespace flock::ml {
 
-const char* OpTypeName(OpType op) {
-  switch (op) {
-    case OpType::kInput:
-      return "Input";
-    case OpType::kImputer:
-      return "Imputer";
-    case OpType::kScaler:
-      return "Scaler";
-    case OpType::kOneHot:
-      return "OneHot";
-    case OpType::kConcat:
-      return "Concat";
-    case OpType::kGemm:
-      return "Gemm";
-    case OpType::kSigmoid:
-      return "Sigmoid";
-    case OpType::kRelu:
-      return "Relu";
-    case OpType::kTreeEnsemble:
-      return "TreeEnsemble";
-    case OpType::kBinarizer:
-      return "Binarizer";
-    case OpType::kIdentity:
-      return "Identity";
-  }
-  return "?";
-}
+namespace {
 
-StatusOr<OpType> OpTypeFromName(const std::string& name) {
-  static const std::pair<const char*, OpType> kOps[] = {
-      {"Input", OpType::kInput},
-      {"Imputer", OpType::kImputer},
-      {"Scaler", OpType::kScaler},
-      {"OneHot", OpType::kOneHot},
-      {"Concat", OpType::kConcat},
-      {"Gemm", OpType::kGemm},
-      {"Sigmoid", OpType::kSigmoid},
-      {"Relu", OpType::kRelu},
-      {"TreeEnsemble", OpType::kTreeEnsemble},
-      {"Binarizer", OpType::kBinarizer},
-      {"Identity", OpType::kIdentity},
-  };
-  for (const auto& [op_name, op] : kOps) {
-    if (name == op_name) return op;
-  }
-  return Status::InvalidArgument("unknown op type: " + name);
-}
+/// Columns a OneHot writes for one input: 1 to pass it through (k == 0),
+/// else its k indicator slots.
+size_t OneHotWidth(int k) { return k == 0 ? 1 : static_cast<size_t>(k); }
 
-int ModelGraph::SetInput(size_t num_cols) {
+}  // namespace
+
+void ModelGraph::SetInput(size_t num_cols) {
   input_cols_ = num_cols;
   nodes_.clear();
   GraphNode input;
@@ -63,47 +20,14 @@ int ModelGraph::SetInput(size_t num_cols) {
   input.op = OpType::kInput;
   input.output_cols = num_cols;
   nodes_.push_back(std::move(input));
-  return 0;
+  finalized_ = false;
 }
 
-int ModelGraph::AddNode(GraphNode node) {
+void ModelGraph::AddNode(GraphNode node) {
   node.id = static_cast<int>(nodes_.size());
+  node.inputs = {node.id - 1};
   nodes_.push_back(std::move(node));
-  return nodes_.back().id;
-}
-
-size_t ModelGraph::NodeOutputCols(const GraphNode& node) const {
-  auto in_cols = [&](size_t i) {
-    return nodes_[static_cast<size_t>(node.inputs[i])].output_cols;
-  };
-  switch (node.op) {
-    case OpType::kInput:
-      return input_cols_;
-    case OpType::kImputer:
-    case OpType::kScaler:
-    case OpType::kSigmoid:
-    case OpType::kRelu:
-    case OpType::kBinarizer:
-    case OpType::kIdentity:
-      return in_cols(0);
-    case OpType::kOneHot: {
-      size_t total = 0;
-      for (int k : node.onehot_sizes) {
-        total += k == 0 ? 1 : static_cast<size_t>(k);
-      }
-      return total;
-    }
-    case OpType::kConcat: {
-      size_t total = 0;
-      for (size_t i = 0; i < node.inputs.size(); ++i) total += in_cols(i);
-      return total;
-    }
-    case OpType::kGemm:
-      return node.gemm_weights.rows();
-    case OpType::kTreeEnsemble:
-      return 1;
-  }
-  return 0;
+  finalized_ = false;
 }
 
 Status ValidateTree(const Tree& tree) {
@@ -144,157 +68,119 @@ Status ValidateTree(const Tree& tree) {
 }
 
 Status ModelGraph::Finalize() {
-  if (nodes_.empty() || nodes_[0].op != OpType::kInput) {
-    return Status::InvalidArgument("graph must start with an Input node");
+  finalized_ = false;
+  if (nodes_.size() < 2 || nodes_[0].op != OpType::kInput) {
+    return Status::InvalidArgument(
+        "graph must be an Input node followed by at least one operator");
   }
-  for (size_t i = 0; i < nodes_.size(); ++i) {
+  nodes_[0].output_cols = input_cols_;
+  for (size_t i = 1; i < nodes_.size(); ++i) {
     GraphNode& node = nodes_[i];
+    const int prev = static_cast<int>(i) - 1;
+    if (node.inputs.size() != 1 || node.inputs[0] != prev) {
+      return Status::InvalidArgument(
+          "node " + std::to_string(i) + " must read exactly node " +
+          std::to_string(prev) + " (a model graph is a chain)");
+    }
     node.id = static_cast<int>(i);
-    for (int in : node.inputs) {
-      if (in < 0 || static_cast<size_t>(in) >= i) {
-        return Status::InvalidArgument(
-            "node inputs must reference earlier nodes (topological order)");
-      }
-    }
-    if (node.op != OpType::kInput && node.inputs.empty()) {
-      return Status::InvalidArgument("non-input node has no inputs");
-    }
-    node.output_cols = NodeOutputCols(node);
-
-    // Per-op attribute sanity.
-    size_t in0 = node.inputs.empty()
-                     ? 0
-                     : nodes_[static_cast<size_t>(node.inputs[0])]
-                           .output_cols;
+    const size_t in = nodes_[i - 1].output_cols;
     switch (node.op) {
+      case OpType::kInput:
+        return Status::InvalidArgument("only node 0 may be an Input");
       case OpType::kImputer:
-        if (node.imputer_values.size() != in0) {
+        if (node.imputer_values.size() != in) {
           return Status::InvalidArgument("Imputer value count mismatch");
         }
+        node.output_cols = in;
         break;
       case OpType::kScaler:
-        if (node.scale.size() != in0 || node.offset.size() != in0) {
+        if (node.scale.size() != in || node.offset.size() != in) {
           return Status::InvalidArgument("Scaler attr count mismatch");
         }
+        node.output_cols = in;
         break;
       case OpType::kOneHot:
-        if (node.onehot_sizes.size() != in0) {
+        if (node.onehot_sizes.size() != in) {
           return Status::InvalidArgument("OneHot sizes count mismatch");
         }
+        node.output_cols = 0;
+        for (int k : node.onehot_sizes) node.output_cols += OneHotWidth(k);
         break;
       case OpType::kGemm:
-        if (node.gemm_weights.cols() != in0 ||
+        if (node.gemm_weights.cols() != in ||
             node.gemm_bias.size() != node.gemm_weights.rows()) {
           return Status::InvalidArgument("Gemm shape mismatch");
         }
+        node.output_cols = node.gemm_weights.rows();
         break;
       case OpType::kTreeEnsemble:
         for (const Tree& tree : node.trees) {
           FLOCK_RETURN_NOT_OK(ValidateTree(tree));
           for (const TreeNode& tn : tree.nodes) {
-            if (!tn.is_leaf() &&
-                static_cast<size_t>(tn.feature) >= in0) {
+            if (!tn.is_leaf() && static_cast<size_t>(tn.feature) >= in) {
               return Status::InvalidArgument(
                   "tree references feature beyond input width");
             }
           }
         }
+        node.output_cols = 1;
         break;
-      default:
+      case OpType::kSigmoid:
+        node.output_cols = in;
         break;
     }
-  }
-  if (output_id_ < 0 ||
-      static_cast<size_t>(output_id_) >= nodes_.size()) {
-    return Status::InvalidArgument("invalid output node");
   }
   finalized_ = true;
   return Status::OK();
 }
 
-size_t ModelGraph::output_cols() const {
-  return nodes_[static_cast<size_t>(output_id_)].output_cols;
-}
-
 std::vector<bool> ModelGraph::UsedInputColumns() const {
-  // Backward dataflow: needed[id] marks which output columns of node `id`
-  // can influence the graph output.
-  std::vector<std::vector<bool>> needed(nodes_.size());
-  for (const GraphNode& node : nodes_) {
-    needed[static_cast<size_t>(node.id)]
-        .assign(node.output_cols, false);
-  }
-  auto& out_needed = needed[static_cast<size_t>(output_id_)];
-  out_needed.assign(out_needed.size(), true);
-
-  for (size_t i = nodes_.size(); i-- > 0;) {
+  // Backward along the chain: `needed` marks which output columns of the
+  // current node can influence the graph output.
+  if (nodes_.empty()) return {};
+  std::vector<bool> needed(nodes_.back().output_cols, true);
+  for (size_t i = nodes_.size(); i-- > 1;) {
     const GraphNode& node = nodes_[i];
-    const std::vector<bool>& out = needed[i];
-    bool any = false;
-    for (bool b : out) any = any || b;
-    if (!any || node.op == OpType::kInput) continue;
+    std::vector<bool> in(nodes_[i - 1].output_cols, false);
     switch (node.op) {
       case OpType::kImputer:
       case OpType::kScaler:
       case OpType::kSigmoid:
-      case OpType::kRelu:
-      case OpType::kBinarizer:
-      case OpType::kIdentity: {
-        auto& in = needed[static_cast<size_t>(node.inputs[0])];
-        for (size_t c = 0; c < out.size(); ++c) {
-          if (out[c]) in[c] = true;
-        }
+        in = needed;
         break;
-      }
       case OpType::kOneHot: {
-        auto& in = needed[static_cast<size_t>(node.inputs[0])];
         size_t out_pos = 0;
         for (size_t c = 0; c < node.onehot_sizes.size(); ++c) {
-          size_t width = node.onehot_sizes[c] == 0
-                             ? 1
-                             : static_cast<size_t>(node.onehot_sizes[c]);
+          const size_t width = OneHotWidth(node.onehot_sizes[c]);
           for (size_t k = 0; k < width; ++k) {
-            if (out[out_pos + k]) in[c] = true;
+            if (needed[out_pos + k]) in[c] = true;
           }
           out_pos += width;
         }
         break;
       }
-      case OpType::kConcat: {
-        size_t out_pos = 0;
-        for (int input_id : node.inputs) {
-          auto& in = needed[static_cast<size_t>(input_id)];
-          for (size_t c = 0; c < in.size(); ++c) {
-            if (out[out_pos + c]) in[c] = true;
-          }
-          out_pos += in.size();
-        }
-        break;
-      }
-      case OpType::kGemm: {
-        auto& in = needed[static_cast<size_t>(node.inputs[0])];
+      case OpType::kGemm:
         for (size_t j = 0; j < node.gemm_weights.rows(); ++j) {
-          if (!out[j]) continue;
+          if (!needed[j]) continue;
           for (size_t c = 0; c < node.gemm_weights.cols(); ++c) {
             if (node.gemm_weights.at(j, c) != 0.0) in[c] = true;
           }
         }
         break;
-      }
-      case OpType::kTreeEnsemble: {
-        auto& in = needed[static_cast<size_t>(node.inputs[0])];
+      case OpType::kTreeEnsemble:
+        if (!needed[0]) break;
         for (const Tree& tree : node.trees) {
           for (const TreeNode& tn : tree.nodes) {
             if (!tn.is_leaf()) in[static_cast<size_t>(tn.feature)] = true;
           }
         }
         break;
-      }
       case OpType::kInput:
         break;
     }
+    needed = std::move(in);
   }
-  return needed[0];
+  return needed;
 }
 
 Status ModelGraph::CompactInputs(const std::vector<bool>& keep) {
@@ -309,11 +195,7 @@ Status ModelGraph::CompactInputs(const std::vector<bool>& keep) {
           ": the model still uses it");
     }
   }
-  // Per-node column keep-mask propagated forward.
-  std::vector<std::vector<bool>> keep_cols(nodes_.size());
-  keep_cols[0] = keep;
-
-  // Old->new column index per node output.
+  // Old->new column index under a keep mask.
   auto remap_of = [](const std::vector<bool>& mask) {
     std::vector<int> remap(mask.size(), -1);
     int next = 0;
@@ -323,10 +205,11 @@ Status ModelGraph::CompactInputs(const std::vector<bool>& keep) {
     return remap;
   };
 
+  // Forward along the chain: `in_keep` marks which output columns of the
+  // previous node survive.
+  std::vector<bool> in_keep = keep;
   for (size_t i = 1; i < nodes_.size(); ++i) {
     GraphNode& node = nodes_[i];
-    const std::vector<bool>& in_keep =
-        keep_cols[static_cast<size_t>(node.inputs[0])];
     switch (node.op) {
       case OpType::kImputer: {
         std::vector<double> values;
@@ -334,7 +217,6 @@ Status ModelGraph::CompactInputs(const std::vector<bool>& keep) {
           if (in_keep[c]) values.push_back(node.imputer_values[c]);
         }
         node.imputer_values = std::move(values);
-        keep_cols[i] = in_keep;
         break;
       }
       case OpType::kScaler: {
@@ -347,36 +229,18 @@ Status ModelGraph::CompactInputs(const std::vector<bool>& keep) {
         }
         node.scale = std::move(scale);
         node.offset = std::move(offset);
-        keep_cols[i] = in_keep;
         break;
       }
-      case OpType::kSigmoid:
-      case OpType::kRelu:
-      case OpType::kBinarizer:
-      case OpType::kIdentity:
-        keep_cols[i] = in_keep;
-        break;
       case OpType::kOneHot: {
         std::vector<int> sizes;
         std::vector<bool> out_keep;
         for (size_t c = 0; c < in_keep.size(); ++c) {
-          size_t width = node.onehot_sizes[c] == 0
-                             ? 1
-                             : static_cast<size_t>(node.onehot_sizes[c]);
+          const size_t width = OneHotWidth(node.onehot_sizes[c]);
           if (in_keep[c]) sizes.push_back(node.onehot_sizes[c]);
-          for (size_t k = 0; k < width; ++k) out_keep.push_back(in_keep[c]);
+          out_keep.insert(out_keep.end(), width, in_keep[c]);
         }
         node.onehot_sizes = std::move(sizes);
-        keep_cols[i] = std::move(out_keep);
-        break;
-      }
-      case OpType::kConcat: {
-        std::vector<bool> out_keep;
-        for (int input_id : node.inputs) {
-          const auto& mask = keep_cols[static_cast<size_t>(input_id)];
-          out_keep.insert(out_keep.end(), mask.begin(), mask.end());
-        }
-        keep_cols[i] = std::move(out_keep);
+        in_keep = std::move(out_keep);
         break;
       }
       case OpType::kGemm: {
@@ -393,7 +257,7 @@ Status ModelGraph::CompactInputs(const std::vector<bool>& keep) {
           }
         }
         node.gemm_weights = std::move(w);
-        keep_cols[i].assign(node.gemm_weights.rows(), true);
+        in_keep.assign(node.gemm_weights.rows(), true);
         break;
       }
       case OpType::kTreeEnsemble: {
@@ -405,9 +269,10 @@ Status ModelGraph::CompactInputs(const std::vector<bool>& keep) {
             }
           }
         }
-        keep_cols[i].assign(1, true);
+        in_keep.assign(1, true);
         break;
       }
+      case OpType::kSigmoid:
       case OpType::kInput:
         break;
     }
@@ -416,7 +281,6 @@ Status ModelGraph::CompactInputs(const std::vector<bool>& keep) {
   size_t new_inputs = 0;
   for (bool b : keep) new_inputs += b ? 1 : 0;
   input_cols_ = new_inputs;
-  nodes_[0].output_cols = new_inputs;
   return Finalize();
 }
 
@@ -431,89 +295,55 @@ size_t ModelGraph::TotalTreeNodes() const {
 std::vector<ColumnRange> PropagateRanges(
     const ModelGraph& graph, int node_id,
     const std::vector<ColumnRange>& input_ranges) {
-  std::vector<std::vector<ColumnRange>> ranges(graph.nodes().size());
-  ranges[0] = input_ranges;
-  for (size_t i = 1; i <= static_cast<size_t>(node_id); ++i) {
+  // Forward along the chain; an empty vector means "unknown" and stays so.
+  std::vector<ColumnRange> ranges = input_ranges;
+  for (size_t i = 1; i <= static_cast<size_t>(node_id) && !ranges.empty();
+       ++i) {
     const GraphNode& node = graph.nodes()[i];
-    const auto& in = ranges[static_cast<size_t>(node.inputs[0])];
-    if (in.empty() && node.op != OpType::kConcat) {
-      continue;  // unknown upstream
-    }
-    std::vector<ColumnRange> out;
     switch (node.op) {
       case OpType::kImputer:
-        out = in;
-        for (size_t c = 0; c < out.size(); ++c) {
-          if (out[c].known) {
-            out[c].min = std::min(out[c].min, node.imputer_values[c]);
-            out[c].max = std::max(out[c].max, node.imputer_values[c]);
+        for (size_t c = 0; c < ranges.size(); ++c) {
+          if (ranges[c].known) {
+            ranges[c].min = std::min(ranges[c].min, node.imputer_values[c]);
+            ranges[c].max = std::max(ranges[c].max, node.imputer_values[c]);
           }
         }
         break;
       case OpType::kScaler:
-        out.resize(in.size());
-        for (size_t c = 0; c < in.size(); ++c) {
-          if (!in[c].known) continue;
-          double a = (in[c].min - node.offset[c]) * node.scale[c];
-          double b = (in[c].max - node.offset[c]) * node.scale[c];
-          out[c].min = std::min(a, b);
-          out[c].max = std::max(a, b);
-          out[c].known = true;
+        for (size_t c = 0; c < ranges.size(); ++c) {
+          if (!ranges[c].known) continue;
+          const double a = (ranges[c].min - node.offset[c]) * node.scale[c];
+          const double b = (ranges[c].max - node.offset[c]) * node.scale[c];
+          ranges[c].min = std::min(a, b);
+          ranges[c].max = std::max(a, b);
         }
         break;
       case OpType::kOneHot: {
-        for (size_t c = 0; c < in.size(); ++c) {
-          int k = node.onehot_sizes[c];
+        std::vector<ColumnRange> out;
+        for (size_t c = 0; c < ranges.size(); ++c) {
+          const int k = node.onehot_sizes[c];
           if (k == 0) {
-            out.push_back(in[c]);
+            out.push_back(ranges[c]);
           } else {
-            for (int j = 0; j < k; ++j) {
-              out.push_back(ColumnRange{0.0, 1.0, true});
-            }
+            out.insert(out.end(), static_cast<size_t>(k),
+                       ColumnRange{0.0, 1.0, true});
           }
         }
-        break;
-      }
-      case OpType::kConcat: {
-        bool all_known = true;
-        for (int input_id : node.inputs) {
-          const auto& part = ranges[static_cast<size_t>(input_id)];
-          if (part.empty()) {
-            all_known = false;
-            break;
-          }
-          out.insert(out.end(), part.begin(), part.end());
-        }
-        if (!all_known) out.clear();
+        ranges = std::move(out);
         break;
       }
       case OpType::kSigmoid:
-        out.assign(in.size(), ColumnRange{0.0, 1.0, true});
+        ranges.assign(ranges.size(), ColumnRange{0.0, 1.0, true});
         break;
-      case OpType::kBinarizer:
-        out.assign(in.size(), ColumnRange{0.0, 1.0, true});
-        break;
-      case OpType::kRelu:
-        out = in;
-        for (auto& r : out) {
-          if (r.known) {
-            r.min = std::max(0.0, r.min);
-            r.max = std::max(0.0, r.max);
-          }
-        }
-        break;
-      case OpType::kIdentity:
-        out = in;
-        break;
-      default:
-        // Gemm/TreeEnsemble outputs: stop propagation (ranges not needed
-        // past the model itself).
-        out.clear();
+      case OpType::kGemm:
+      case OpType::kTreeEnsemble:
+      case OpType::kInput:
+        // Ranges are not needed past the model itself.
+        ranges.clear();
         break;
     }
-    ranges[i] = std::move(out);
   }
-  return ranges[static_cast<size_t>(node_id)];
+  return ranges;
 }
 
 namespace {
@@ -553,10 +383,12 @@ int32_t PruneSubtree(const Tree& tree, int32_t idx,
 size_t CompressTreesWithRanges(ModelGraph* graph,
                                const std::vector<ColumnRange>& input_ranges) {
   size_t removed = 0;
-  for (GraphNode& node : graph->mutable_nodes()) {
+  std::vector<GraphNode>& nodes = graph->mutable_nodes();
+  for (size_t i = 1; i < nodes.size(); ++i) {
+    GraphNode& node = nodes[i];
     if (node.op != OpType::kTreeEnsemble || node.trees.empty()) continue;
-    std::vector<ColumnRange> feature_ranges =
-        PropagateRanges(*graph, node.inputs[0], input_ranges);
+    std::vector<ColumnRange> feature_ranges = PropagateRanges(
+        *graph, static_cast<int>(i) - 1, input_ranges);
     if (feature_ranges.empty()) continue;
     for (Tree& tree : node.trees) {
       std::vector<TreeNode> pruned;

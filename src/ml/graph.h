@@ -1,6 +1,7 @@
 #ifndef FLOCK_ML_GRAPH_H_
 #define FLOCK_ML_GRAPH_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -11,24 +12,27 @@ namespace flock::ml {
 
 /// Operator vocabulary, modeled after the ONNX / ONNX-ML operator set that
 /// the paper integrates into SQL Server ("SONNX"). Featurizers (Imputer,
-/// Scaler, OneHotEncoder) and models (Gemm for linear models, TreeEnsemble
-/// for forests/GBDTs) compose into inference pipelines.
+/// Scaler, OneHotEncoder) feed one model (Gemm for linear models,
+/// TreeEnsemble for forests/GBDTs), optionally followed by a Sigmoid.
 enum class OpType {
   kInput,
   kImputer,       // missing (NaN) -> fill value, per column
   kScaler,        // (x - offset) * scale, per column
   kOneHot,        // integer category -> indicator columns
-  kConcat,        // horizontal concatenation of inputs
   kGemm,          // X * W^T + b
-  kSigmoid,       // elementwise logistic
-  kRelu,          // elementwise max(0, x)
   kTreeEnsemble,  // sum/average of decision trees (+ base score)
-  kBinarizer,     // x > threshold ? 1 : 0
-  kIdentity,
+  kSigmoid,       // elementwise logistic
 };
 
-const char* OpTypeName(OpType op);
-StatusOr<OpType> OpTypeFromName(const std::string& name);
+/// The indicator slot a OneHot input value `v` selects among `k` slots:
+/// trunc(v) when -1 < v < k, otherwise -1 (no slot; NaN fails the test).
+/// Every one-hot encoder (the kernel, the runtime, the row scorer and the
+/// pipeline's own paths) uses this one rule, so they agree bitwise on any
+/// value, and no value outside int64's range is ever converted.
+inline int64_t OneHotSlot(double v, int64_t k) {
+  return v > -1.0 && v < static_cast<double>(k) ? static_cast<int64_t>(v)
+                                                : -1;
+}
 
 /// One node of a decision tree. Internal nodes route `x[feature] <
 /// threshold` to `left` else `right`; leaves (feature < 0) carry `value`.
@@ -69,8 +73,10 @@ Status ValidateTree(const Tree& tree);
 /// One operator instance in a model graph.
 struct GraphNode {
   int id = -1;
-  OpType op = OpType::kIdentity;
-  std::vector<int> inputs;  // ids of producer nodes
+  OpType op = OpType::kInput;
+  /// {id - 1}: a graph is a chain, and ModelGraph::AddNode wires each node
+  /// to its predecessor.
+  std::vector<int> inputs;
 
   // --- per-op attributes ---
   std::vector<double> imputer_values;
@@ -81,33 +87,38 @@ struct GraphNode {
   std::vector<Tree> trees;
   double tree_base = 0.0;
   bool tree_average = false;  // true = forest average, false = boosted sum
-  double binarizer_threshold = 0.5;
 
   size_t output_cols = 0;  // filled in by ModelGraph::Finalize
 };
 
-/// An ONNX-style dataflow graph over row-major matrices. Node 0 is always
-/// the single input; nodes are stored in topological order.
+/// An ONNX-style model graph over row-major matrices, in the one shape
+/// `Pipeline::Compile` emits: a chain Input -> [Imputer] -> [Scaler] ->
+/// [OneHot] -> Gemm | TreeEnsemble -> [Sigmoid]. Node 0 is the single
+/// input, every other node reads its predecessor's output, and the last
+/// node is the output.
 class ModelGraph {
  public:
   ModelGraph() = default;
 
-  /// Declares the input width; must be called first. Returns node id 0.
-  int SetInput(size_t num_cols);
+  /// Declares the input width (node 0); must be called first.
+  void SetInput(size_t num_cols);
 
-  /// Appends a node (inputs must refer to earlier nodes). Returns its id.
-  int AddNode(GraphNode node);
+  /// Appends `node`, wired to the current last node.
+  void AddNode(GraphNode node);
 
-  void SetOutput(int node_id) { output_id_ = node_id; }
-
-  /// Validates wiring and computes every node's output width.
+  /// Validates wiring and attributes and computes every node's output
+  /// width. The only wiring check: scorers accept a graph only once this
+  /// has passed, and any mutation through `mutable_nodes` requires it
+  /// again.
   Status Finalize();
+  bool finalized() const { return finalized_; }
 
   size_t input_cols() const { return input_cols_; }
-  size_t output_cols() const;
-  int output_id() const { return output_id_; }
   const std::vector<GraphNode>& nodes() const { return nodes_; }
-  std::vector<GraphNode>& mutable_nodes() { return nodes_; }
+  std::vector<GraphNode>& mutable_nodes() {
+    finalized_ = false;
+    return nodes_;
+  }
 
   /// Which input columns can influence the output (model sparsity). This is
   /// what Flock's FeaturePruning rule consumes: unused inputs need not be
@@ -123,10 +134,7 @@ class ModelGraph {
   size_t TotalTreeNodes() const;
 
  private:
-  size_t NodeOutputCols(const GraphNode& node) const;
-
   size_t input_cols_ = 0;
-  int output_id_ = 0;
   std::vector<GraphNode> nodes_;
   bool finalized_ = false;
 };

@@ -195,9 +195,8 @@ Matrix Pipeline::Transform(const Matrix& raw) const {
     for (size_t c = 0; c < f; ++c) {
       if (inputs_[c].kind == FeatureKind::kCategorical) {
         size_t k = inputs_[c].vocab.size();
-        int64_t idx = std::isnan(scratch[c])
-                          ? -1
-                          : static_cast<int64_t>(scratch[c]);
+        const int64_t idx =
+            OneHotSlot(scratch[c], static_cast<int64_t>(k));
         for (size_t j = 0; j < k; ++j) {
           dst[pos + j] = (idx == static_cast<int64_t>(j)) ? 1.0 : 0.0;
         }
@@ -222,10 +221,8 @@ double Pipeline::ScoreRow(const double* raw) const {
     }
     if (inputs_[c].kind == FeatureKind::kCategorical) {
       size_t k = inputs_[c].vocab.size();
-      int64_t idx = std::isnan(v) ? -1 : static_cast<int64_t>(v);
-      if (idx >= 0 && idx < static_cast<int64_t>(k)) {
-        features[pos + static_cast<size_t>(idx)] = 1.0;
-      }
+      const int64_t idx = OneHotSlot(v, static_cast<int64_t>(k));
+      if (idx >= 0) features[pos + static_cast<size_t>(idx)] = 1.0;
       pos += k;
     } else {
       features[pos++] = v;
@@ -248,25 +245,23 @@ StatusOr<ModelGraph> Pipeline::Compile() const {
   }
   const size_t f = inputs_.size();
   ModelGraph graph;
-  int last = graph.SetInput(f);
+  graph.SetInput(f);
 
   if (has_imputer_) {
     GraphNode node;
     node.op = OpType::kImputer;
-    node.inputs = {last};
     node.imputer_values = imputer_values_;
-    last = graph.AddNode(std::move(node));
+    graph.AddNode(std::move(node));
   }
   if (has_scaler_) {
     GraphNode node;
     node.op = OpType::kScaler;
-    node.inputs = {last};
     node.offset = scaler_mean_;
     node.scale.resize(f);
     for (size_t c = 0; c < f; ++c) {
       node.scale[c] = 1.0 / GuardedStd(scaler_std_[c]);
     }
-    last = graph.AddNode(std::move(node));
+    graph.AddNode(std::move(node));
   }
   bool any_categorical = false;
   for (const FeatureSpec& input : inputs_) {
@@ -275,7 +270,6 @@ StatusOr<ModelGraph> Pipeline::Compile() const {
   if (any_categorical) {
     GraphNode node;
     node.op = OpType::kOneHot;
-    node.inputs = {last};
     node.onehot_sizes.resize(f);
     for (size_t c = 0; c < f; ++c) {
       node.onehot_sizes[c] =
@@ -283,38 +277,34 @@ StatusOr<ModelGraph> Pipeline::Compile() const {
               ? static_cast<int>(inputs_[c].vocab.size())
               : 0;
     }
-    last = graph.AddNode(std::move(node));
+    graph.AddNode(std::move(node));
   }
 
   bool needs_sigmoid = false;
   if (model_type_ == ModelType::kLinear) {
     GraphNode node;
     node.op = OpType::kGemm;
-    node.inputs = {last};
     node.gemm_weights = Matrix(1, linear_.weights.size());
     for (size_t c = 0; c < linear_.weights.size(); ++c) {
       node.gemm_weights.at(0, c) = linear_.weights[c];
     }
     node.gemm_bias = {linear_.bias};
-    last = graph.AddNode(std::move(node));
+    graph.AddNode(std::move(node));
     needs_sigmoid = linear_.logistic;
   } else {
     GraphNode node;
     node.op = OpType::kTreeEnsemble;
-    node.inputs = {last};
     node.trees = trees_.trees;
     node.tree_base = trees_.base;
     node.tree_average = trees_.average;
-    last = graph.AddNode(std::move(node));
+    graph.AddNode(std::move(node));
     needs_sigmoid = trees_.logistic;
   }
   if (needs_sigmoid) {
     GraphNode node;
     node.op = OpType::kSigmoid;
-    node.inputs = {last};
-    last = graph.AddNode(std::move(node));
+    graph.AddNode(std::move(node));
   }
-  graph.SetOutput(last);
   FLOCK_RETURN_NOT_OK(graph.Finalize());
   return graph;
 }

@@ -77,7 +77,7 @@ class OneHotStep : public RowScorer::Step {
       if (sizes_[c] == 0) {
         out[out_names_[pos++]] = v;
       } else {
-        int64_t idx = std::isnan(v) ? -1 : static_cast<int64_t>(v);
+        const int64_t idx = OneHotSlot(v, sizes_[c]);
         for (int j = 0; j < sizes_[c]; ++j) {
           out[out_names_[pos++]] = (idx == j) ? 1.0 : 0.0;
         }
@@ -220,7 +220,7 @@ RowScorer::RowScorer(const Pipeline& pipeline) {
       case OpType::kSigmoid:
         steps_.push_back(std::make_unique<SigmoidStep>());
         break;
-      default:
+      case OpType::kInput:
         break;
     }
   }

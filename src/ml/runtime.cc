@@ -5,7 +5,7 @@
 namespace flock::ml {
 
 StatusOr<Matrix> GraphRuntime::Run(const Matrix& input) const {
-  return RunImpl(input, graph_->output_id());
+  return RunToNode(input, static_cast<int>(graph_->nodes().size()) - 1);
 }
 
 StatusOr<Matrix> GraphRuntime::RunToNode(const Matrix& input,
@@ -25,12 +25,10 @@ StatusOr<Matrix> GraphRuntime::RunImpl(const Matrix& input,
         " input columns, got " + std::to_string(input.cols()));
   }
   const size_t n = input.rows();
-  std::vector<Matrix> results(graph_->nodes().size());
-  results[0] = input;  // kInput
+  Matrix in = input;  // the previous node's output
 
   for (size_t i = 1; i <= static_cast<size_t>(stop_node); ++i) {
     const GraphNode& node = graph_->nodes()[i];
-    const Matrix& in = results[static_cast<size_t>(node.inputs[0])];
     Matrix out(n, node.output_cols);
     switch (node.op) {
       case OpType::kInput:
@@ -63,7 +61,7 @@ StatusOr<Matrix> GraphRuntime::RunImpl(const Matrix& input,
             if (k == 0) {
               dst[pos++] = src[c];
             } else {
-              int64_t idx = static_cast<int64_t>(src[c]);
+              const int64_t idx = OneHotSlot(src[c], k);
               for (int j = 0; j < k; ++j) {
                 dst[pos + static_cast<size_t>(j)] =
                     (idx == j) ? 1.0 : 0.0;
@@ -73,19 +71,6 @@ StatusOr<Matrix> GraphRuntime::RunImpl(const Matrix& input,
           }
         }
         break;
-      case OpType::kConcat: {
-        size_t pos = 0;
-        for (int input_id : node.inputs) {
-          const Matrix& part = results[static_cast<size_t>(input_id)];
-          for (size_t r = 0; r < n; ++r) {
-            const double* src = part.row(r);
-            double* dst = out.row(r) + pos;
-            for (size_t c = 0; c < part.cols(); ++c) dst[c] = src[c];
-          }
-          pos += part.cols();
-        }
-        break;
-      }
       case OpType::kGemm: {
         const size_t out_cols = node.gemm_weights.rows();
         const size_t in_cols = in.cols();
@@ -110,15 +95,6 @@ StatusOr<Matrix> GraphRuntime::RunImpl(const Matrix& input,
           }
         }
         break;
-      case OpType::kRelu:
-        for (size_t r = 0; r < n; ++r) {
-          const double* src = in.row(r);
-          double* dst = out.row(r);
-          for (size_t c = 0; c < in.cols(); ++c) {
-            dst[c] = src[c] > 0.0 ? src[c] : 0.0;
-          }
-        }
-        break;
       case OpType::kTreeEnsemble: {
         const double norm =
             node.tree_average && !node.trees.empty()
@@ -137,22 +113,10 @@ StatusOr<Matrix> GraphRuntime::RunImpl(const Matrix& input,
         }
         break;
       }
-      case OpType::kBinarizer:
-        for (size_t r = 0; r < n; ++r) {
-          const double* src = in.row(r);
-          double* dst = out.row(r);
-          for (size_t c = 0; c < in.cols(); ++c) {
-            dst[c] = src[c] > node.binarizer_threshold ? 1.0 : 0.0;
-          }
-        }
-        break;
-      case OpType::kIdentity:
-        out = in;
-        break;
     }
-    results[i] = std::move(out);
+    in = std::move(out);
   }
-  return results[static_cast<size_t>(stop_node)];
+  return in;
 }
 
 StatusOr<std::vector<double>> GraphRuntime::RunToScores(

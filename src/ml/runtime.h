@@ -13,7 +13,7 @@ namespace flock::ml {
 /// matrix per node. Not on the serving path (in-DBMS scoring runs only
 /// through `DenseKernel`): it is the standalone "ORT" baseline of Figure 4
 /// and the independent oracle tests and benchmarks check the kernel
-/// against. Runs any finalized graph, including non-chain wiring.
+/// against. Runs a finalized graph node by node along its chain.
 /// Stateless and re-entrant.
 class GraphRuntime {
  public:

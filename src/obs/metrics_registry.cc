@@ -2,10 +2,14 @@
 
 #include <cstdio>
 
+#include "obs/json.h"
+
 namespace flock::obs {
 
 namespace {
 
+/// A sample value in the Prometheus text format, which spells non-finite
+/// values itself (JSON output goes through JsonNumber instead).
 std::string FormatDouble(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.6g", v);
@@ -112,16 +116,16 @@ std::string MetricsRegistry::ToJson() const {
         out += std::to_string(metric.value ? metric.value() : 0);
         break;
       case Kind::kGaugeF:
-        out += FormatDouble(metric.value_f ? metric.value_f() : 0.0);
+        out += JsonNumber(metric.value_f ? metric.value_f() : 0.0);
         break;
       case Kind::kHistogram: {
         HistogramSnapshot h =
             metric.histogram ? metric.histogram() : HistogramSnapshot{};
         out += "{\"count\": " + std::to_string(h.count) +
-               ", \"mean\": " + FormatDouble(h.mean) +
-               ", \"p50\": " + FormatDouble(h.p50) +
-               ", \"p95\": " + FormatDouble(h.p95) +
-               ", \"p99\": " + FormatDouble(h.p99) + "}";
+               ", \"mean\": " + JsonNumber(h.mean) +
+               ", \"p50\": " + JsonNumber(h.p50) +
+               ", \"p95\": " + JsonNumber(h.p95) +
+               ", \"p99\": " + JsonNumber(h.p99) + "}";
         break;
       }
     }

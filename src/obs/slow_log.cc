@@ -1,35 +1,8 @@
 #include "obs/slow_log.h"
 
-#include <cstdio>
+#include "obs/json.h"
 
 namespace flock::obs {
-
-namespace {
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 void SlowQueryLog::Record(SlowQueryEntry entry) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -66,19 +39,16 @@ size_t SlowQueryLog::size() const {
 
 std::string SlowQueryLog::ToJson() const {
   std::vector<SlowQueryEntry> entries = Dump();
-  std::string out = "{\"threshold_ms\": ";
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.3f", threshold_ms());
-  out += buf;
+  std::string out =
+      "{\"threshold_ms\": " + JsonNumber(threshold_ms(), "%.3f");
   out += ", \"total_recorded\": " + std::to_string(total_recorded());
   out += ", \"entries\": [";
   for (size_t i = 0; i < entries.size(); ++i) {
     const SlowQueryEntry& e = entries[i];
     if (i > 0) out += ", ";
-    std::snprintf(buf, sizeof(buf), "%.3f", e.elapsed_ms);
     out += "{\"seq\": " + std::to_string(e.seq) + ", \"sql\": \"" +
            JsonEscape(e.sql) + "\", \"plan_digest\": \"" + e.plan_digest +
-           "\", \"elapsed_ms\": " + buf +
+           "\", \"elapsed_ms\": " + JsonNumber(e.elapsed_ms, "%.3f") +
            ", \"from_plan_cache\": " + (e.from_plan_cache ? "true" : "false") +
            ", \"spans\": " + std::to_string(e.trace.size()) + "}";
   }

@@ -69,23 +69,12 @@ Table::Table(std::string name, Schema schema, size_t segment_capacity)
     : name_(std::move(name)),
       schema_(std::move(schema)),
       segment_capacity_(std::max<size_t>(1, segment_capacity)) {
-  stats_cache_.resize(schema_.num_columns());
   versions_.push_back(VersionInfo{0, "CREATE", 0});
 }
 
 void Table::BumpVersion(const std::string& op, size_t rows) {
   versions_.push_back(
       VersionInfo{versions_.back().version + 1, op, rows});
-}
-
-void Table::InvalidateStatsCache() {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  std::fill(stats_cache_.begin(), stats_cache_.end(), std::nullopt);
-}
-
-void Table::InvalidateStatsCache(size_t col) {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  stats_cache_[col] = std::nullopt;
 }
 
 Segment* Table::OpenSegment() {
@@ -151,7 +140,6 @@ Status Table::AppendBatch(const RecordBatch& batch) {
   }
   if (dense->num_rows() > 0) {
     AppendRowsToSegments(*dense);
-    InvalidateStatsCache();
   }
   BumpVersion("INSERT", dense->num_rows());
   if (observer_ != nullptr) observer_->OnAppendBatch(*this, batch);
@@ -186,7 +174,6 @@ Status Table::AppendRow(const std::vector<Value>& row) {
   seg->num_rows += 1;
   if (seg->num_rows >= segment_capacity_) seg->sealed = true;
   ++num_rows_;
-  InvalidateStatsCache();
   BumpVersion("INSERT", 1);
   if (observer_ != nullptr) observer_->OnAppendRow(*this, row);
   return Status::OK();
@@ -266,7 +253,6 @@ size_t Table::FilterInPlace(const std::vector<bool>& keep) {
   }
   if (removed == 0) return 0;
   num_rows_ -= removed;
-  InvalidateStatsCache();
   BumpVersion("DELETE", removed);
   if (observer_ != nullptr) observer_->OnDeleteRows(*this, keep, removed);
   return removed;
@@ -320,7 +306,6 @@ Status Table::UpdateColumn(size_t col, const std::vector<uint32_t>& rows,
     segments_[s]->columns[col] = std::move(fresh);
     RecomputeZoneMap(segments_[s].get(), col);
   }
-  InvalidateStatsCache(col);
   BumpVersion("UPDATE", rows.size());
   if (observer_ != nullptr) {
     observer_->OnUpdateColumn(*this, col, rows, values);
@@ -376,7 +361,6 @@ Status Table::RestoreSegments(const std::vector<RecordBatch>& segments) {
     segments_[s]->sealed = true;
   }
   num_rows_ = total;
-  InvalidateStatsCache();
   BumpVersion("INSERT", total);
   return Status::OK();
 }
@@ -401,27 +385,6 @@ void Table::RecomputeZoneMap(Segment* seg, size_t c) {
   seg->zone_maps[c] = EmptyStats(seg->columns[c]->type());
   seg->block_maps[c].clear();
   ExtendZoneMaps(seg, c, 0, seg->columns[c]->size());
-}
-
-StatusOr<ColumnStats> Table::GetStats(size_t i) const {
-  if (i >= schema_.num_columns()) {
-    return Status::OutOfRange("column index out of range");
-  }
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    if (stats_cache_[i].has_value()) return *stats_cache_[i];
-  }
-  // Fold the per-segment zone maps; never rescans data.
-  ColumnStats stats = EmptyStats(schema_.column(i).type);
-  for (const auto& seg : segments_) MergeZoneMap(&stats, seg->zone_maps[i]);
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  stats_cache_[i] = stats;
-  return stats;
-}
-
-bool Table::stats_cached(size_t i) const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  return i < stats_cache_.size() && stats_cache_[i].has_value();
 }
 
 }  // namespace flock::storage

@@ -3,8 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -76,10 +74,8 @@ struct Segment {
 /// this class is where it matters): mutators (AppendBatch, AppendRow,
 /// FilterInPlace, UpdateColumn, RestoreSegments, set_observer) require the
 /// engine's exclusive lock — they are never concurrent with each other or
-/// with readers. All const members, including GetStats, are safe to call
-/// concurrently under the engine's shared lock: GetStats is the only const
-/// member that writes shared state (the lazy aggregate-stats cache) and it
-/// serializes those writes behind an internal mutex.
+/// with readers. All const members are safe to call concurrently under the
+/// engine's shared lock: none writes shared state.
 ///
 /// Zero-copy scans: ScanSegment returns views that share the segment's
 /// column vectors. Views taken under the shared lock must not outlive the
@@ -177,17 +173,6 @@ class Table {
   /// observer fires; one version bump covers all rows.
   Status RestoreSegments(const std::vector<RecordBatch>& segments);
 
-  // --- Statistics -----------------------------------------------------
-
-  /// Aggregate stats for column `i`, folded from the per-segment zone
-  /// maps (never scans data) and cached until the next mutation of that
-  /// column. Safe under the engine's shared lock (see class comment).
-  StatusOr<ColumnStats> GetStats(size_t i) const;
-
-  /// True when column `i`'s aggregate is currently cached — a test hook
-  /// for asserting invalidation stays column-granular.
-  bool stats_cached(size_t i) const;
-
   /// Installs a mutation observer (nullptr to clear). Not synchronized
   /// with concurrent mutation; set during single-threaded setup.
   void set_observer(TableObserver* observer) { observer_ = observer; }
@@ -206,9 +191,6 @@ class Table {
   /// Recomputes the segment and block zone maps of column `c` in segment
   /// `seg` from scratch.
   static void RecomputeZoneMap(Segment* seg, size_t c);
-  /// Invalidates the aggregate-stats cache (all columns / one column).
-  void InvalidateStatsCache();
-  void InvalidateStatsCache(size_t col);
 
   std::string name_;
   Schema schema_;
@@ -216,10 +198,6 @@ class Table {
   std::vector<std::unique_ptr<Segment>> segments_;
   size_t num_rows_ = 0;
   std::vector<VersionInfo> versions_;
-  /// Guards stats_cache_ only: GetStats may race with itself under the
-  /// engine's shared lock; mutators also take it when invalidating.
-  mutable std::mutex stats_mu_;
-  mutable std::vector<std::optional<ColumnStats>> stats_cache_;
   TableObserver* observer_ = nullptr;  // not owned
 };
 

@@ -39,8 +39,6 @@ StatusOr<std::unique_ptr<DurabilityManager>> DurabilityManager::Open(
 
   WalWriterOptions writer_options;
   writer_options.fsync_policy = manager->options_.fsync_policy;
-  writer_options.group_commit_interval_ms =
-      manager->options_.group_commit_interval_ms;
   const RecoveryResult& r = manager->recovery_;
   if (r.wal_found && !r.stale_wal_discarded) {
     FLOCK_ASSIGN_OR_RETURN(

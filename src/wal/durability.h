@@ -19,7 +19,6 @@ namespace flock::wal {
 
 struct DurabilityOptions {
   FsyncPolicy fsync_policy = FsyncPolicy::kEveryRecord;
-  int group_commit_interval_ms = 2;
   /// Tables excluded from logging and snapshots (derived catalog tables
   /// the engine rebuilds itself, e.g. flock_models / flock_audit).
   std::set<std::string> skip_tables;

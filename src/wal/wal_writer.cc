@@ -235,9 +235,9 @@ Status WalWriter::Sync() {
 void WalWriter::FlusherLoop() {
   std::unique_lock<std::mutex> lock(mu_);
   while (true) {
-    flush_cv_.wait_for(
-        lock, std::chrono::milliseconds(options_.group_commit_interval_ms),
-        [&] { return stop_flusher_ || written_seq_ > flushed_seq_; });
+    flush_cv_.wait_for(lock, kGroupCommitInterval, [&] {
+      return stop_flusher_ || written_seq_ > flushed_seq_;
+    });
     if (written_seq_ > flushed_seq_ && health_.ok()) {
       uint64_t covers = written_seq_;
       Status s = FaultInjector::Get()->Hit("wal.append.before_fsync");

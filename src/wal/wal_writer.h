@@ -2,6 +2,7 @@
 #define FLOCK_WAL_WAL_WRITER_H_
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdio>
@@ -32,10 +33,13 @@ enum class FsyncPolicy {
 
 const char* FsyncPolicyName(FsyncPolicy policy);
 
+/// Group-commit window: how long the flusher waits for more appends
+/// before one fsync covers them. Smaller = lower commit latency, more
+/// fsyncs.
+inline constexpr std::chrono::milliseconds kGroupCommitInterval{2};
+
 struct WalWriterOptions {
   FsyncPolicy fsync_policy = FsyncPolicy::kEveryRecord;
-  /// Group-commit window. Smaller = lower commit latency, more fsyncs.
-  int group_commit_interval_ms = 2;
 };
 
 /// Appends length-prefixed, CRC-checksummed records to the log. Thread-

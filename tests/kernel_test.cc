@@ -32,6 +32,8 @@
 #include <cstring>
 #include <future>
 #include <iomanip>
+#include <iterator>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -558,51 +560,137 @@ TEST(RowScorerTest, NoModelFallbackIsDeterministic) {
 }
 
 // ---------------------------------------------------------------------------
-// 2c. Non-chain graphs are rejected, by the kernel and at deploy.
+// 2c. Non-chain graphs are rejected: Finalize is the one wiring check, and
+// neither the kernel nor the registry accepts a graph that has not passed
+// it since its last change.
 
 TEST(DenseKernelTest, RejectsNonChainGraphs) {
-  // A hand-wired diamond (concat reads node 0 and node 1) is valid for
-  // the runtime but outside the kernel's straight-line contract.
-  ModelGraph graph;
-  int input = graph.SetInput(2);
+  // AddNode wires each node to its predecessor, so other wiring can only
+  // come from editing a built graph through mutable_nodes().
+  ModelGraph chain;
+  chain.SetInput(2);
   GraphNode scale;
   scale.op = OpType::kScaler;
-  scale.inputs = {input};
   scale.offset = {0.0, 0.0};
   scale.scale = {1.0, 1.0};
-  int scaled = graph.AddNode(scale);
-  GraphNode concat;
-  concat.op = OpType::kConcat;
-  concat.inputs = {input, scaled};
-  int both = graph.AddNode(concat);
+  chain.AddNode(scale);
   GraphNode gemm;
   gemm.op = OpType::kGemm;
-  gemm.inputs = {both};
-  gemm.gemm_weights = Matrix(1, 4, 0.5);
+  gemm.gemm_weights = Matrix(1, 2, 0.5);
   gemm.gemm_bias = {0.0};
-  graph.SetOutput(graph.AddNode(gemm));
-  ASSERT_TRUE(graph.Finalize().ok());
+  chain.AddNode(gemm);
+  ASSERT_TRUE(chain.Finalize().ok());
+  EXPECT_EQ(chain.nodes()[2].inputs, std::vector<int>{1});
+  ASSERT_TRUE(DenseKernel(chain).ok());
 
-  DenseKernel kernel(graph);
-  EXPECT_FALSE(kernel.ok());
-  EXPECT_FALSE(kernel.status().ok());
+  // The Gemm skipping the scaler, reading itself, reading two inputs, and
+  // reading nothing.
+  const std::vector<std::vector<int>> wirings = {{0}, {2}, {1, 1}, {}};
+  for (const std::vector<int>& inputs : wirings) {
+    SCOPED_TRACE(::testing::PrintToString(inputs));
+    ModelGraph graph = chain;
+    graph.mutable_nodes()[2].inputs = inputs;
+    EXPECT_FALSE(graph.finalized());
+    DenseKernel kernel(graph);
+    EXPECT_FALSE(kernel.ok());
+    EXPECT_EQ(kernel.status().code(), StatusCode::kInvalidArgument);
 
-  // No second engine would score it, so the registry refuses it.
-  flock::ModelRegistry registry;
-  flock::ModelEntry entry;
-  entry.name = "diamond";
-  entry.graph = graph;
-  Status st = registry.RegisterSpecialization("diamond#x", entry);
-  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
-  EXPECT_FALSE(registry.HasSpecialization("diamond#x"));
+    Status st = graph.Finalize();
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+    EXPECT_FALSE(DenseKernel(graph).ok());
+
+    // No second engine would score it, so the registry refuses it.
+    flock::ModelRegistry registry;
+    flock::ModelEntry entry;
+    entry.name = "rewired";
+    entry.graph = graph;
+    st = registry.RegisterSpecialization("rewired#x", entry);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+    EXPECT_FALSE(registry.HasSpecialization("rewired#x"));
+  }
 }
 
 TEST(DenseKernelTest, EmptyGraphIsRejectedNotExecuted) {
+  ModelGraph unset;
+  EXPECT_FALSE(unset.Finalize().ok());
+  EXPECT_FALSE(DenseKernel(unset).ok());
+
   ModelGraph graph;
   graph.SetInput(3);
-  graph.SetOutput(0);
+  EXPECT_EQ(graph.Finalize().code(), StatusCode::kInvalidArgument);
   DenseKernel kernel(graph);
   EXPECT_FALSE(kernel.ok());
+}
+
+// ---------------------------------------------------------------------------
+// 2d. Categorical values outside a vocabulary's slots. A non-string
+// argument of a categorical input reaches the kernel unchanged as an
+// index, so it can be any double. Converting it to an integer was
+// undefined for NaN and for values outside int64 (UBSan's
+// float-cast-overflow); every encoder now picks slot trunc(v) when
+// -1 < v < k and no slot otherwise.
+
+TEST(OneHotSlotTest, OutOfRangeCategoricalsAgreeEverywhere) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::nan("");
+  // {categorical value, slot it selects, slot once NaN is imputed to 0}
+  struct Case {
+    double value;
+    double slot;
+    double imputed_slot;
+  };
+  const Case cases[] = {
+      {nan, -1.0, 0.0},    {1e300, -1.0, -1.0}, {-1e300, -1.0, -1.0},
+      {inf, -1.0, -1.0},   {-inf, -1.0, -1.0},  {-1.0, -1.0, -1.0},
+      {-0.5, 0.0, 0.0},    {0.0, 0.0, 0.0},     {2.5, 2.0, 2.0},
+      {3.0, -1.0, -1.0},
+  };
+  for (bool with_imputer : {false, true}) {
+    SCOPED_TRACE(with_imputer ? "imputer" : "no imputer");
+    Pipeline pipeline;
+    pipeline.SetInputs(
+        {FeatureSpec{"x", FeatureKind::kNumeric, {}},
+         FeatureSpec{"seg", FeatureKind::kCategorical, {"a", "b", "c"}}});
+    if (with_imputer) pipeline.SetImputer({0.25, 0.0});
+    pipeline.SetScaler({1.0, 0.0}, {2.0, 1.0});
+    LinearModel model;
+    model.weights = {0.5, 1.0, -2.0, 4.0};  // x, seg=a, seg=b, seg=c
+    model.bias = 0.125;
+    pipeline.SetLinearModel(model);
+    auto graph = pipeline.Compile();
+    ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+    DenseKernel kernel(*graph);
+    ASSERT_TRUE(kernel.ok()) << kernel.status().ToString();
+    GraphRuntime runtime(&*graph);
+    RowScorer interpreted(pipeline);
+
+    Matrix raw(std::size(cases), 2);
+    for (size_t r = 0; r < raw.rows(); ++r) {
+      raw.at(r, 0) = 0.7;
+      raw.at(r, 1) = cases[r].value;
+    }
+    DenseKernelScratch scratch;
+    std::vector<double> batch;
+    ASSERT_TRUE(kernel.ScoreBatch(raw, &scratch, &batch).ok());
+    auto graph_scores = runtime.RunToScores(raw);
+    ASSERT_TRUE(graph_scores.ok());
+    std::vector<double> row_scores = interpreted.ScoreAll(raw);
+
+    for (size_t r = 0; r < raw.rows(); ++r) {
+      SCOPED_TRACE(cases[r].value);
+      // The score of the same row with the slot it should select given as
+      // an in-range index (-1 selects none).
+      const double slot =
+          with_imputer ? cases[r].imputed_slot : cases[r].slot;
+      const double in_range[] = {0.7, slot};
+      const double expected = pipeline.ScoreRow(in_range);
+      EXPECT_PRED2(BitEq, pipeline.ScoreRow(raw.row(r)), expected);
+      EXPECT_PRED2(BitEq, kernel.ScoreRow(raw.row(r), &scratch), expected);
+      EXPECT_PRED2(BitEq, batch[r], expected);
+      EXPECT_PRED2(BitEq, (*graph_scores)[r], expected);
+      EXPECT_PRED2(BitEq, row_scores[r], expected);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

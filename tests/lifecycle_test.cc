@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -572,6 +573,47 @@ TEST_F(LifecycleTest, MetricsExposition) {
 // ---------------------------------------------------------------------
 // Durability and replication.
 // ---------------------------------------------------------------------
+
+TEST_F(LifecycleTest, StatusJsonEscapesStringsAndWritesNonFiniteAsNull) {
+  // A model name and an initiator with JSON metacharacters, next to a
+  // rollout whose drift sketch saw Inf: the evaluator does not check
+  // overflow, so `age * 1e308` reaches the monitor as +Inf, and the
+  // sketch's running mean becomes NaN.
+  const std::string odd = "we\"ird\\";
+  ASSERT_TRUE(engine_
+                  ->DeployModel(odd, TrainChurnPipeline(false),
+                                "lifecycle_test", "baseline")
+                  .ok());
+  ASSERT_TRUE(manager_
+                  ->BeginWithPipeline(odd, TrainChurnPipeline(false),
+                                      GuardlessConfig(), "o\"ps\n")
+                  .ok());
+  ASSERT_TRUE(manager_
+                  ->BeginWithPipeline("churn", TrainChurnPipeline(true),
+                                      GuardlessConfig(), "ops")
+                  .ok());
+  ASSERT_TRUE(engine_
+                  ->Execute("SELECT PREDICT(churn, age * 1e308, income, "
+                            "tenure, clicks, plan) FROM users")
+                  .ok());
+  std::vector<FeatureSketchSnapshot> sketches =
+      manager_->monitor()->FeatureSketches("churn");
+  ASSERT_FALSE(sketches.empty());
+  ASSERT_TRUE(std::isinf(sketches[0].max));
+  ASSERT_TRUE(std::isnan(sketches[0].mean));  // Inf - Inf while averaging
+
+  const std::string json = manager_->StatusJson();
+  EXPECT_NE(json.find("\"model\":\"we\\\"ird\\\\\""), std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"initiated_by\":\"o\\\"ps\\n\""),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"max\":null"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"mean\":null"), std::string::npos) << json;
+  for (const char* bare : {":inf", ":-inf", ":nan", ":-nan"}) {
+    EXPECT_EQ(json.find(bare), std::string::npos) << bare << " in " << json;
+  }
+}
 
 TEST(LifecycleDurabilityTest, CrashRecoveryRestoresCanaryRollout) {
   std::string dir = MakeTempDir();

@@ -459,11 +459,11 @@ TEST(GraphTest, FinalizeRejectsTreesPredictCannotWalk) {
   // shapes must be refused there too, not only by the text parser.
   auto finalize = [](Tree tree) {
     ModelGraph graph;
+    graph.SetInput(1);
     GraphNode node;
     node.op = OpType::kTreeEnsemble;
-    node.inputs = {graph.SetInput(1)};
     node.trees = {std::move(tree)};
-    graph.SetOutput(graph.AddNode(std::move(node)));
+    graph.AddNode(std::move(node));
     return graph.Finalize();
   };
   EXPECT_TRUE(finalize(kStump).ok());
@@ -588,11 +588,9 @@ TEST(GraphTest, FinalizeValidatesWiring) {
   graph.SetInput(2);
   GraphNode bad;
   bad.op = OpType::kScaler;
-  bad.inputs = {0};
   bad.scale = {1.0};  // width mismatch: input has 2 cols
   bad.offset = {0.0};
   graph.AddNode(std::move(bad));
-  graph.SetOutput(1);
   EXPECT_FALSE(graph.Finalize().ok());
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
-#include <thread>
 
 #include "storage/column_vector.h"
 #include "storage/database.h"
@@ -206,23 +205,20 @@ TEST(TableTest, StatsComputeMinMaxAndInvalidate) {
                              Value::Double(i * 2.0)})
                     .ok());
   }
-  auto stats = t.GetStats(2);
-  ASSERT_TRUE(stats.ok());
-  EXPECT_DOUBLE_EQ(stats->min, 0.0);
-  EXPECT_DOUBLE_EQ(stats->max, 8.0);
+  ASSERT_EQ(t.num_segments(), 1u);
+  EXPECT_DOUBLE_EQ(t.segment_zone_map(0, 2).min, 0.0);
+  EXPECT_DOUBLE_EQ(t.segment_zone_map(0, 2).max, 8.0);
   ASSERT_TRUE(t.AppendRow({Value::Int(9), Value::String("x"),
                            Value::Double(100.0)})
                   .ok());
-  auto stats2 = t.GetStats(2);
-  EXPECT_DOUBLE_EQ(stats2->max, 100.0);
+  EXPECT_DOUBLE_EQ(t.segment_zone_map(0, 2).max, 100.0);
 }
 
 TEST(TableTest, StatsCountNulls) {
   Table t("t", MakeSchema());
   ASSERT_TRUE(
       t.AppendRow({Value::Int(1), Value::Null(), Value::Null()}).ok());
-  auto stats = t.GetStats(2);
-  EXPECT_EQ(stats->null_count, 1u);
+  EXPECT_EQ(t.segment_zone_map(0, 2).null_count, 1u);
 }
 
 // --- segmented storage: geometry, zone maps, zero-copy views ---
@@ -581,84 +577,50 @@ TEST(BlockZoneMapTest, RestoreSegmentsRebuildsBlockMaps) {
 
 TEST(SegmentTest, StatsHasRangeFalseForEmptyAndAllNull) {
   Table t("t", MakeSchema(), /*segment_capacity=*/4);
-  // Empty table: counts are zero and there is no range to report.
-  auto empty = t.GetStats(2);
-  ASSERT_TRUE(empty.ok());
-  EXPECT_FALSE(empty->has_range);
-  EXPECT_EQ(empty->row_count, 0u);
+  // Empty table: no segment, so no zone map claims a range.
+  EXPECT_EQ(t.num_segments(), 0u);
   // All-NULL column across two segments: still no range.
   for (int64_t i = 0; i < 6; ++i) {
     ASSERT_TRUE(
         t.AppendRow({Value::Int(i), Value::Null(), Value::Null()}).ok());
   }
-  auto all_null = t.GetStats(2);
-  ASSERT_TRUE(all_null.ok());
-  EXPECT_TRUE(all_null->numeric);
-  EXPECT_FALSE(all_null->has_range);
-  EXPECT_EQ(all_null->null_count, 6u);
-  EXPECT_EQ(all_null->row_count, 6u);
+  ASSERT_EQ(t.num_segments(), 2u);
+  for (size_t s = 0; s < 2; ++s) {
+    const ColumnStats& all_null = t.segment_zone_map(s, 2);
+    EXPECT_TRUE(all_null.numeric);
+    EXPECT_FALSE(all_null.has_range);
+    EXPECT_EQ(all_null.null_count, t.segment_rows(s));
+    EXPECT_EQ(all_null.row_count, t.segment_rows(s));
+  }
   // One real value flips has_range on.
   ASSERT_TRUE(t.AppendRow({Value::Int(6), Value::String("r"),
                            Value::Double(-2.5)})
                   .ok());
-  auto stats = t.GetStats(2);
-  EXPECT_TRUE(stats->has_range);
-  EXPECT_DOUBLE_EQ(stats->min, -2.5);
-  EXPECT_DOUBLE_EQ(stats->max, -2.5);
+  const ColumnStats& stats = t.segment_zone_map(1, 2);
+  EXPECT_TRUE(stats.has_range);
+  EXPECT_DOUBLE_EQ(stats.min, -2.5);
+  EXPECT_DOUBLE_EQ(stats.max, -2.5);
+  EXPECT_FALSE(t.segment_zone_map(0, 2).has_range);
 }
 
 TEST(SegmentTest, StatsFoldAcrossSegments) {
+  // Each segment's zone map covers exactly its own rows, and together
+  // they cover the table: [0, 3], [4, 7], [8, 9].
   Table t("t", MakeSchema(), /*segment_capacity=*/4);
   Fill(&t, 10);
-  auto stats = t.GetStats(0);
-  ASSERT_TRUE(stats.ok());
-  EXPECT_DOUBLE_EQ(stats->min, 0.0);
-  EXPECT_DOUBLE_EQ(stats->max, 9.0);
-  EXPECT_EQ(stats->row_count, 10u);
-  EXPECT_EQ(stats->null_count, 0u);
-}
-
-TEST(SegmentTest, StatsCacheInvalidationIsColumnGranular) {
-  Table t("t", MakeSchema(), /*segment_capacity=*/4);
-  Fill(&t, 8);
-  ASSERT_TRUE(t.GetStats(0).ok());
-  ASSERT_TRUE(t.GetStats(2).ok());
-  EXPECT_TRUE(t.stats_cached(0));
-  EXPECT_TRUE(t.stats_cached(2));
-  // UPDATE on column 2 must not evict column 0's aggregate.
-  ASSERT_TRUE(t.UpdateColumn(2, {3}, {Value::Double(50.0)}).ok());
-  EXPECT_TRUE(t.stats_cached(0));
-  EXPECT_FALSE(t.stats_cached(2));
-  auto stats = t.GetStats(2);
-  EXPECT_DOUBLE_EQ(stats->max, 50.0);
-  // DELETE touches row counts everywhere: all columns are invalidated.
-  std::vector<bool> keep(8, true);
-  keep[0] = false;
-  t.FilterInPlace(keep);
-  EXPECT_FALSE(t.stats_cached(0));
-  EXPECT_FALSE(t.stats_cached(2));
-  EXPECT_DOUBLE_EQ(t.GetStats(0)->min, 1.0);
-}
-
-TEST(SegmentTest, ConcurrentGetStatsIsSafe) {
-  // Mirrors the engine's shared-lock phase: many readers, no mutators.
-  // Run under TSan to check the cache's internal synchronization.
-  Table t("t", MakeSchema(), /*segment_capacity=*/64);
-  Fill(&t, 500);
-  std::vector<std::thread> threads;
-  for (int w = 0; w < 4; ++w) {
-    threads.emplace_back([&t] {
-      for (int iter = 0; iter < 50; ++iter) {
-        for (size_t c = 0; c < 3; ++c) {
-          auto stats = t.GetStats(c);
-          ASSERT_TRUE(stats.ok());
-          EXPECT_EQ(stats->row_count, 500u);
-        }
-      }
-    });
+  ASSERT_EQ(t.num_segments(), 3u);
+  size_t rows = 0;
+  for (size_t s = 0; s < t.num_segments(); ++s) {
+    const ColumnStats& zm = t.segment_zone_map(s, 0);
+    EXPECT_TRUE(zm.has_range);
+    EXPECT_DOUBLE_EQ(zm.min, 4.0 * static_cast<double>(s));
+    EXPECT_DOUBLE_EQ(zm.max, std::min(4.0 * static_cast<double>(s) + 3.0,
+                                      9.0));
+    EXPECT_EQ(zm.row_count, t.segment_rows(s));
+    EXPECT_EQ(zm.null_count, 0u);
+    rows += zm.row_count;
   }
-  for (auto& th : threads) th.join();
-  EXPECT_DOUBLE_EQ(t.GetStats(0)->max, 499.0);
+  EXPECT_EQ(rows, 10u);
 }
 
 TEST(DatabaseTest, TablesUseConfiguredDefaultSegmentCapacity) {

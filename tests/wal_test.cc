@@ -296,7 +296,6 @@ TEST(WalWriterTest, EveryFsyncPolicyRoundTrips) {
     std::string path = dir + "/wal.log";
     WalWriterOptions options;
     options.fsync_policy = policy;
-    options.group_commit_interval_ms = 1;
     auto writer_or = WalWriter::Create(path, 1, options);
     ASSERT_TRUE(writer_or.ok()) << FsyncPolicyName(policy);
     for (int i = 0; i < 20; ++i) {
@@ -321,7 +320,6 @@ TEST(WalWriterTest, GroupCommitConcurrentAppends) {
   std::string path = dir + "/wal.log";
   WalWriterOptions options;
   options.fsync_policy = FsyncPolicy::kGroupCommit;
-  options.group_commit_interval_ms = 1;
   auto writer_or = WalWriter::Create(path, 1, options);
   ASSERT_TRUE(writer_or.ok());
   WalWriter* writer = writer_or->get();
