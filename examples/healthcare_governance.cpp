@@ -123,18 +123,22 @@ auc = roc_auc_score(y, model.predict(X))
       "prov://train_readmission.py");  // lineage pointer into the catalog
 
   // Only the care team may score patients.
-  (void)engine.models()->SetAccessControl("readmission_risk",
-                                          {"dr_chen", "care_portal"});
-  engine.SetPrincipal("billing_service");
+  (void)engine.SetAccessControl("readmission_risk",
+                                {"dr_chen", "care_portal"});
+  flock::sql::ExecOptions billing;
+  billing.principal = "billing_service";
   auto denied = engine.Execute(
       "SELECT patient_id, PREDICT(readmission_risk, age, bmi, glucose, "
-      "prior_admissions) FROM patients");
+      "prior_admissions) FROM patients",
+      billing);
   std::printf("\nbilling_service scoring attempt: %s\n",
               denied.status().ToString().c_str());
-  engine.SetPrincipal("dr_chen");
+  flock::sql::ExecOptions doctor;
+  doctor.principal = "dr_chen";
   auto allowed = engine.Execute(
       "SELECT patient_id, PREDICT(readmission_risk, age, bmi, glucose, "
-      "prior_admissions) AS risk FROM patients ORDER BY risk DESC");
+      "prior_admissions) AS risk FROM patients ORDER BY risk DESC",
+      doctor);
   std::printf("dr_chen sees the risk ranking:\n%s\n",
               allowed->batch.ToString(3).c_str());
 

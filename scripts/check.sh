@@ -13,8 +13,8 @@
 # concurrent background flusher), plus the crash matrix (fault-injected
 # child processes) under ASan when the full ASan stage did not run — and
 # an UndefinedBehaviorSanitizer build running the scoring-kernel, ML
-# property and graph/pipeline suites. The `--*-only` modes skip the UBSan
-# stage.
+# property, graph/pipeline and mutation (`fuzz`) suites. The `--*-only`
+# modes skip the UBSan stage.
 #
 # Usage: scripts/check.sh
 #          [--asan-only|--no-asan|--tsan-only|--no-tsan|--recovery-only]
@@ -65,7 +65,8 @@ if [[ "$RUN_ASAN" == 1 ]]; then
   # (`storage`), snapshot/record round-trips (`repl`), the kernel's
   # ping-pong scratch and the coalescer's hand-off buffers (`kernel`), the
   # abandon paths a kill creates (`cancel`), rollout state round-trips
-  # (`lifecycle`) and the seeded SQL-text mutation campaign (`fuzz`).
+  # (`lifecycle`) and the seeded SQL-text and WAL-record mutation
+  # campaigns (`fuzz`).
   ASAN_OPTIONS=detect_leaks=0 \
     ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 fi
@@ -136,24 +137,28 @@ if [[ "$RUN_RECOVERY" == 1 ]]; then
 fi
 
 if [[ "$RUN_UBSAN" == 1 ]]; then
-  echo "== UBSan build + kernel, ML property and graph suites =="
+  echo "== UBSan build + kernel, ML property, graph and fuzz suites =="
   # The kernel walks compiled forests with int32 node arithmetic
   # (`child + !(x < threshold)`, and leaves that step to themselves
   # through `child = i - 1`); the property suite pushes trained ensembles
   # of several depths through it; the graph and pipeline suites run the
   # graph analyses (input pruning, range propagation, compression). The
   # build adds float-cast-overflow, so a categorical value outside int64
-  # reaching a one-hot encoder fails too. halt_on_error turns the first
-  # signed overflow, bad float conversion or out-of-range index into a
-  # failed test instead of a printed warning.
+  # reaching a one-hot encoder fails too. The mutation campaigns feed
+  # damaged SQL text and WAL record bodies to the lexer, parser and
+  # record decoder. halt_on_error turns the first signed overflow, bad
+  # float conversion or out-of-range index into a failed test instead of
+  # a printed warning.
   cmake -B build-ubsan -S . -DFLOCK_SANITIZE=undefined >/dev/null
   cmake --build build-ubsan -j "$JOBS" \
-    --target kernel_test ml_property_test ml_test
+    --target kernel_test ml_property_test ml_test sql_fuzz_test wal_fuzz_test
   UBSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir build-ubsan --output-on-failure -j "$JOBS" -L kernel
   UBSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir build-ubsan --output-on-failure -j "$JOBS" \
     -R 'PipelineEquivalenceTest|TrainerQualityTest|GraphTest|PipelineTest'
+  UBSAN_OPTIONS=halt_on_error=1 \
+    ctest --test-dir build-ubsan --output-on-failure -j "$JOBS" -L fuzz
 fi
 
 echo "All checks passed."

@@ -56,29 +56,20 @@ FlockEngine::FlockEngine(FlockEngineOptions options)
   });
 
   sql_engine_.set_model_ddl_handler(
-      [this](const sql::CreateModelStatement& stmt) -> Status {
+      [this](const sql::CreateModelStatement& stmt,
+             const std::string& principal) -> Status {
         FLOCK_ASSIGN_OR_RETURN(ml::Pipeline pipeline,
                                ml::Pipeline::Deserialize(stmt.definition));
         FLOCK_RETURN_NOT_OK(models_.Register(stmt.model_name,
-                                             std::move(pipeline),
-                                             context_->principal,
+                                             std::move(pipeline), principal,
                                              "sql:CREATE MODEL"));
-        if (durability_ != nullptr) {
-          return durability_->LogModelDeploy(stmt.model_name,
-                                             stmt.definition,
-                                             context_->principal,
-                                             "sql:CREATE MODEL");
-        }
-        return Status::OK();
+        return Log(wal::WalRecord::DeployModel(
+            stmt.model_name, stmt.definition, principal, "sql:CREATE MODEL"));
       },
-      [this](const sql::DropModelStatement& stmt) -> Status {
-        FLOCK_RETURN_NOT_OK(
-            models_.Drop(stmt.model_name, context_->principal));
-        if (durability_ != nullptr) {
-          return durability_->LogModelDrop(stmt.model_name,
-                                           context_->principal);
-        }
-        return Status::OK();
+      [this](const sql::DropModelStatement& stmt,
+             const std::string& principal) -> Status {
+        FLOCK_RETURN_NOT_OK(models_.Drop(stmt.model_name, principal));
+        return Log(wal::WalRecord::DropModel(stmt.model_name, principal));
       });
 }
 
@@ -150,6 +141,7 @@ Status FlockEngine::ApplyReplicated(const wal::WalRecord& record) {
     case wal::WalRecordType::kDropTable:
     case wal::WalRecordType::kDeployModel:
     case wal::WalRecordType::kDropModel:
+    case wal::WalRecordType::kAccessControl:
       // Mirror the primary's invalidation points: cached plans may hold
       // dead table handles or superseded model specializations.
       sql_engine_.plan_cache()->Clear();
@@ -236,6 +228,12 @@ wal::EngineStateAdapter FlockEngine::BuildStateAdapter() {
                                const std::string& principal) -> Status {
     return models_.Drop(name, principal);
   };
+  adapter.replay_access_control =
+      [this](const std::string& name,
+             const std::vector<std::string>& principals) -> Status {
+    return models_.SetAccessControl(
+        name, std::set<std::string>(principals.begin(), principals.end()));
+  };
   adapter.snapshot_rollouts = [this] {
     std::vector<wal::RolloutSnapshot> out;
     out.reserve(rollouts_.size());
@@ -297,9 +295,11 @@ StatusOr<sql::QueryResult> FlockEngine::Execute(
     const std::string& sql, const sql::ExecOptions& exec_opts) {
   FLOCK_ASSIGN_OR_RETURN(sql::LexedStatement stmt, sql::LexStatement(sql));
   FLOCK_RETURN_NOT_OK(CheckReplicaServes(stmt));
-  if (!stmt.read_only || NamesCatalogView(stmt)) {
+  const bool names_catalog = NamesCatalogView(stmt);
+  if (!stmt.read_only || names_catalog) {
     std::unique_lock<std::shared_mutex> lock(engine_mu_);
-    return GuardDurable(ExecuteLocked(stmt, exec_opts));
+    if (names_catalog) FLOCK_RETURN_NOT_OK(RefreshCatalogTablesLocked());
+    return GuardDurable(sql_engine_.Execute(stmt, exec_opts));
   }
   std::shared_lock<std::shared_mutex> lock(engine_mu_);
   return sql_engine_.Execute(stmt, exec_opts);
@@ -311,21 +311,6 @@ StatusOr<sql::QueryResult> FlockEngine::GuardDurable(
     FLOCK_RETURN_NOT_OK(durability_->health());
   }
   return result;
-}
-
-StatusOr<sql::QueryResult> FlockEngine::ExecuteAs(
-    const std::string& sql, const std::string& principal,
-    const sql::ExecOptions& exec_opts) {
-  FLOCK_ASSIGN_OR_RETURN(sql::LexedStatement stmt, sql::LexStatement(sql));
-  FLOCK_RETURN_NOT_OK(CheckReplicaServes(stmt));
-  // The scoring context is shared by every execution, so swapping the
-  // principal demands exclusivity even for reads.
-  std::unique_lock<std::shared_mutex> lock(engine_mu_);
-  std::string saved = context_->principal;
-  context_->principal = principal;
-  auto result = ExecuteLocked(stmt, exec_opts);
-  context_->principal = saved;
-  return GuardDurable(std::move(result));
 }
 
 Status FlockEngine::CheckReplicaServes(const sql::LexedStatement& stmt) const {
@@ -345,14 +330,6 @@ bool FlockEngine::NamesCatalogView(const sql::LexedStatement& stmt) {
     }
   }
   return false;
-}
-
-StatusOr<sql::QueryResult> FlockEngine::ExecuteLocked(
-    const sql::LexedStatement& stmt, const sql::ExecOptions& exec_opts) {
-  if (NamesCatalogView(stmt)) {
-    FLOCK_RETURN_NOT_OK(RefreshCatalogTablesLocked());
-  }
-  return sql_engine_.Execute(stmt, exec_opts);
 }
 
 Status FlockEngine::RefreshCatalogTables() {
@@ -456,11 +433,25 @@ Status FlockEngine::DeployModel(const std::string& name,
   if (durability_ != nullptr) pipeline_text = pipeline.Serialize();
   FLOCK_RETURN_NOT_OK(
       models_.Register(name, std::move(pipeline), created_by, lineage));
-  if (durability_ != nullptr) {
-    return durability_->LogModelDeploy(name, pipeline_text, created_by,
-                                       lineage);
+  return Log(
+      wal::WalRecord::DeployModel(name, pipeline_text, created_by, lineage));
+}
+
+Status FlockEngine::SetAccessControl(const std::string& name,
+                                     std::set<std::string> principals) {
+  if (replica_) {
+    return Status::Redirect(
+        "replica is read-only; change model access on the primary");
   }
-  return Status::OK();
+  std::unique_lock<std::shared_mutex> lock(engine_mu_);
+  std::vector<std::string> logged(principals.begin(), principals.end());
+  FLOCK_RETURN_NOT_OK(models_.SetAccessControl(name, std::move(principals)));
+  sql_engine_.plan_cache()->Clear();
+  return Log(wal::WalRecord::AccessControl(name, std::move(logged)));
+}
+
+Status FlockEngine::Log(const wal::WalRecord& record) {
+  return durability_ == nullptr ? Status::OK() : durability_->Log(record);
 }
 
 DeployTransaction FlockEngine::BeginDeployment() {
@@ -470,20 +461,14 @@ DeployTransaction FlockEngine::BeginDeployment() {
         sql_engine_.plan_cache()->Clear();
         if (durability_ == nullptr) return;
         for (const CommittedDeployOp& op : committed) {
-          if (op.is_drop) {
-            (void)durability_->LogModelDrop(op.name, op.created_by);
-          } else {
-            (void)durability_->LogModelDeploy(op.name, op.pipeline_text,
-                                              op.created_by, op.lineage);
-          }
+          (void)durability_->Log(
+              op.is_drop ? wal::WalRecord::DropModel(op.name, op.created_by)
+                         : wal::WalRecord::DeployModel(
+                               op.name, op.pipeline_text, op.created_by,
+                               op.lineage));
         }
       },
       [this]() { sql_engine_.plan_cache()->Clear(); });
-}
-
-void FlockEngine::SetPrincipal(const std::string& principal) {
-  std::unique_lock<std::shared_mutex> lock(engine_mu_);
-  context_->principal = principal;
 }
 
 void FlockEngine::SetFeatureObserver(FeatureObserver* observer) {
@@ -531,10 +516,7 @@ Status FlockEngine::UpdateRolloutState(const wal::RolloutSnapshot& rollout) {
   }
   std::unique_lock<std::shared_mutex> lock(engine_mu_);
   FLOCK_RETURN_NOT_OK(ApplyRolloutLocked(rollout));
-  if (durability_ != nullptr) {
-    return durability_->LogRolloutState(rollout);
-  }
-  return Status::OK();
+  return Log(wal::WalRecord::RolloutChange(rollout));
 }
 
 std::vector<wal::RolloutSnapshot> FlockEngine::RolloutStates() const {

@@ -3,6 +3,7 @@
 
 #include <map>
 #include <memory>
+#include <set>
 #include <shared_mutex>
 #include <string>
 #include <vector>
@@ -59,12 +60,13 @@ struct FlockEngineOptions {
 ///
 /// ## Locking contract (concurrent Execute)
 ///
-/// Execute is safe to call from any number of threads. Execute and
-/// ExecuteAs lex the statement once (sql::LexStatement) before taking
-/// any lock, and decide everything below from its token classes, never
-/// from its characters; text that does not lex fails with ParseError
-/// before any lock. A single reader/writer lock (`engine_mu_`)
-/// arbitrates:
+/// Execute is safe to call from any number of threads. It lexes the
+/// statement once (sql::LexStatement) before taking any lock, and decides
+/// everything below from its token classes, never from its characters;
+/// text that does not lex fails with ParseError before any lock. The
+/// principal rides each request (sql::ExecOptions::principal), so it
+/// never decides the lock mode. A single reader/writer lock
+/// (`engine_mu_`) arbitrates:
 ///
 ///  * **Shared (many concurrent holders):** statements whose first token
 ///    is the keyword SELECT or EXPLAIN (LexedStatement::read_only) and
@@ -81,8 +83,7 @@ struct FlockEngineOptions {
 ///    concurrent mutation), catalog-view refresh (a read naming
 ///    `flock_models` / `flock_audit` as an identifier rebuilds those
 ///    tables first), ExecuteScript, DeployModel /
-///    DeployTransaction::Commit, SetPrincipal, and ExecuteAs (which
-///    swaps the scoring principal for the duration of the statement).
+///    DeployTransaction::Commit, SetAccessControl and UpdateRolloutState.
 ///
 /// The first token decides because Execute parses exactly one statement:
 /// `SELECT 1; DROP TABLE t` is a parse error, not a read.
@@ -157,18 +158,11 @@ class FlockEngine {
   ///   SELECT name, version, created_by FROM flock_models;
   ///   SELECT principal, COUNT(*) FROM flock_audit GROUP BY principal;
   ///
-  /// `exec_opts` carries per-call flags (tracing) down to the SQL layer.
+  /// `exec_opts` carries per-call state down to the SQL layer: tracing,
+  /// the cancel token, and the principal every PREDICT call is checked
+  /// and audited for (and CREATE/DROP MODEL record).
   StatusOr<sql::QueryResult> Execute(const std::string& sql,
                                      const sql::ExecOptions& exec_opts = {});
-
-  /// Executes one statement with `principal` attached for access control
-  /// and audit, without disturbing the engine-wide principal. Always
-  /// takes the exclusive lock (the scoring context is shared), so
-  /// per-principal traffic serializes; the serving layer routes
-  /// default-principal queries through Execute's shared path instead.
-  StatusOr<sql::QueryResult> ExecuteAs(
-      const std::string& sql, const std::string& principal,
-      const sql::ExecOptions& exec_opts = {});
 
   /// Rebuilds the `flock_models` / `flock_audit` catalog tables from the
   /// registry (Execute calls this lazily; exposed for tests). Takes the
@@ -183,6 +177,13 @@ class FlockEngine {
   Status DeployModel(const std::string& name, ml::Pipeline pipeline,
                      const std::string& created_by = "system",
                      const std::string& lineage = "");
+
+  /// Restricts scoring on model `name` to `principals` (empty = public).
+  /// Takes the exclusive lock, clears the plan cache and WAL-logs the
+  /// change, so it survives crashes and replicates; replicas reject with
+  /// Redirect.
+  Status SetAccessControl(const std::string& name,
+                          std::set<std::string> principals);
 
   /// Begins an atomic multi-model deployment. Commit takes the engine's
   /// exclusive lock and invalidates the plan cache on success.
@@ -211,11 +212,6 @@ class FlockEngine {
   /// (serving-layer micro-batching). Same lifetime/atomicity contract as
   /// SetFeatureObserver; detach before destroying the coalescer.
   void SetScoreCoalescer(ScoreCoalescer* coalescer);
-
-  /// Sets the principal attached to subsequent scoring calls (access
-  /// control + audit).
-  void SetPrincipal(const std::string& principal);
-  const std::string& principal() const { return context_->principal; }
 
   storage::Database* database() { return &db_; }
   sql::SqlEngine* sql() { return &sql_engine_; }
@@ -253,16 +249,15 @@ class FlockEngine {
   /// Replay target for streamed records (replica mode).
   wal::WalReplayTarget ReplicaTarget() const;
 
-  /// Body of Execute and ExecuteAs under the exclusive lock: refreshes
-  /// the catalog views the statement names, then executes it.
-  StatusOr<sql::QueryResult> ExecuteLocked(
-      const sql::LexedStatement& stmt, const sql::ExecOptions& exec_opts);
   Status RefreshCatalogTablesLocked();
 
   /// Shared body of UpdateRolloutState, WAL replay, and snapshot restore:
   /// stores the rollout and (de)installs the candidate specialization.
   /// Caller holds the exclusive lock; does not WAL-log.
   Status ApplyRolloutLocked(const wal::RolloutSnapshot& rollout);
+
+  /// WAL-logs `record` when the engine is durable; OK otherwise.
+  Status Log(const wal::WalRecord& record);
 
   /// Commit-point check for exclusive statements: a statement whose WAL
   /// append failed must not be acknowledged, even though the in-memory
@@ -286,7 +281,7 @@ class FlockEngine {
   policy::PolicyEngine* replica_policy_ = nullptr;
   wal::EngineStateAdapter replica_adapter_;
   /// Shared: concurrent queries. Exclusive: DDL/DML/catalog refresh/
-  /// principal changes. See the class-level locking contract.
+  /// model changes. See the class-level locking contract.
   mutable std::shared_mutex engine_mu_;
 };
 

@@ -141,46 +141,45 @@ StatusOr<const ModelEntry*> ModelRegistry::GetVersion(
                           std::to_string(version));
 }
 
-StatusOr<const ModelEntry*> ModelRegistry::GetForScoring(
+StatusOr<ScoringGrant> ModelRegistry::GetForScoring(
     const std::string& name, const std::string& principal,
     size_t rows) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = models_.find(Key(name));
+  ScoringGrant grant;
+  grant.model = name;
+  if (name.find('#') != std::string::npos) {
+    auto spec = specializations_.find(Key(name));
+    if (spec == specializations_.end()) {
+      return Status::NotFound("specialization not found: " + name);
+    }
+    grant.entry = spec->second;
+    grant.model = spec->second->base_name;
+    if (grant.model.empty()) return grant;
+  }
+  auto it = models_.find(Key(grant.model));
   if (it == models_.end() || it->second.empty()) {
-    return Status::NotFound("model not found: " + name);
+    return Status::NotFound("model not found: " + grant.model);
   }
-  const auto& entry = it->second.back();
-  if (!entry->allowed_principals.empty() &&
-      entry->allowed_principals.count(principal) == 0) {
-    audit_log_.push_back(AuditEvent{AuditEvent::Kind::kDenied, name,
-                                    principal, entry->version, rows});
+  const ModelEntry& policy = *it->second.back();
+  if (grant.entry == nullptr) grant.entry = it->second.back();
+  grant.version = policy.version;
+  if (!policy.allowed_principals.empty() &&
+      policy.allowed_principals.count(principal) == 0) {
+    audit_log_.push_back(AuditEvent{AuditEvent::Kind::kDenied, grant.model,
+                                    principal, grant.version, rows});
     return Status::PermissionDenied("principal '" + principal +
-                                    "' may not score model " + name);
+                                    "' may not score model " + grant.model);
   }
-  audit_log_.push_back(AuditEvent{AuditEvent::Kind::kScore, name,
-                                  principal, entry->version, rows});
-  return entry.get();
+  return grant;
 }
 
-Status ModelRegistry::CheckAccess(const std::string& name,
-                                  const std::string& principal,
-                                  size_t rows) const {
+void ModelRegistry::RecordScore(const ScoringGrant& grant,
+                                const std::string& principal,
+                                size_t rows) const {
+  if (grant.model.empty()) return;
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = models_.find(Key(name));
-  if (it == models_.end() || it->second.empty()) {
-    return Status::NotFound("model not found: " + name);
-  }
-  const auto& entry = it->second.back();
-  if (!entry->allowed_principals.empty() &&
-      entry->allowed_principals.count(principal) == 0) {
-    audit_log_.push_back(AuditEvent{AuditEvent::Kind::kDenied, name,
-                                    principal, entry->version, rows});
-    return Status::PermissionDenied("principal '" + principal +
-                                    "' may not score model " + name);
-  }
-  audit_log_.push_back(AuditEvent{AuditEvent::Kind::kScore, name,
-                                  principal, entry->version, rows});
-  return Status::OK();
+  audit_log_.push_back(AuditEvent{AuditEvent::Kind::kScore, grant.model,
+                                  principal, grant.version, rows});
 }
 
 Status ModelRegistry::SetAccessControl(const std::string& name,

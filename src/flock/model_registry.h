@@ -74,6 +74,16 @@ struct AuditEvent {
   size_t rows = 0;
 };
 
+/// What a principal may score through: the pinned entry, and the model
+/// (name, version) whose access list admitted it and that its scoring is
+/// audited under — a specialization's base, or none (`model` empty) for a
+/// specialization without one.
+struct ScoringGrant {
+  std::shared_ptr<const ModelEntry> entry;
+  std::string model;
+  uint64_t version = 0;
+};
+
 /// Thread-safe model catalog with versioning, access control, and an audit
 /// log. Also stores the cross-optimizer's internal model specializations
 /// (pruned/compressed variants), which are keyed by derived names and are
@@ -120,18 +130,22 @@ class ModelRegistry {
   StatusOr<const ModelEntry*> GetVersion(const std::string& name,
                                          uint64_t version) const;
 
-  /// Get + ACL check + audit. PermissionDenied when `principal` lacks
-  /// access.
-  StatusOr<const ModelEntry*> GetForScoring(const std::string& name,
-                                            const std::string& principal,
-                                            size_t rows) const;
+  /// Resolves `name` for scoring by `principal`: a plain name to its
+  /// latest version, a key containing '#' to that specialization under
+  /// its base model's access list (the optimizer must not become a
+  /// permission bypass). PermissionDenied, audited as one DENIED event of
+  /// `rows` rows, when the list excludes `principal`.
+  StatusOr<ScoringGrant> GetForScoring(const std::string& name,
+                                       const std::string& principal,
+                                       size_t rows) const;
 
-  /// ACL check + audit without returning the entry (used when scoring goes
-  /// through a specialization derived from `name`).
-  Status CheckAccess(const std::string& name, const std::string& principal,
-                     size_t rows) const;
+  /// Appends the SCORE event for `rows` rows scored through `grant`
+  /// (nothing for a grant without an audit identity).
+  void RecordScore(const ScoringGrant& grant, const std::string& principal,
+                   size_t rows) const;
 
-  /// Restricts scoring on `name` to `principals`.
+  /// Restricts scoring on `name` to `principals` (empty = public).
+  /// FlockEngine::SetAccessControl is the durable, replicated entry point.
   Status SetAccessControl(const std::string& name,
                           std::set<std::string> principals);
 

@@ -43,13 +43,13 @@ class ScoreCoalescer {
                                     const double* row, size_t width) = 0;
 };
 
-/// Shared mutable scoring context (current principal, optional feature
-/// observer, optional micro-batching coalescer). The hook pointers are
-/// atomic so the lifecycle/serving layers can attach/detach them without
-/// the exclusive lock; installed hooks must outlive the engine (or be
-/// detached first).
+/// The engine's scoring hooks: an optional feature observer and an
+/// optional micro-batching coalescer. The pointers are atomic so the
+/// lifecycle/serving layers can attach/detach them without the exclusive
+/// lock; installed hooks must outlive the engine (or be detached first).
+/// The principal is no part of it: it rides each request's
+/// sql::ExecOptions.
 struct ScoringContext {
-  std::string principal = "system";
   std::atomic<FeatureObserver*> observer{nullptr};
   std::atomic<ScoreCoalescer*> coalescer{nullptr};
 };
@@ -58,8 +58,10 @@ struct ScoringContext {
 ///   PREDICT(model, f1, ..., fn)            -> DOUBLE score
 ///   PREDICT_GT/GE/LT/LE(model, t, f1, ...) -> BOOL  (threshold push-up)
 ///
-/// Model names containing '#' resolve to optimizer specializations
-/// (pruned/compressed variants); plain names go through access control.
+/// Each call binds once per execution through ModelRegistry::GetForScoring
+/// (model names containing '#' resolve to optimizer specializations under
+/// their base model's policy) and appends one SCORE event with the rows it
+/// scored when the binding is released with the statement's plan.
 void RegisterPredictFunctions(sql::FunctionRegistry* functions,
                               ModelRegistry* models,
                               std::shared_ptr<ScoringContext> context);

@@ -16,7 +16,7 @@ PredictionServer::PredictionServer(flock::FlockEngine* engine,
     : engine_(engine),
       options_(options),
       default_principal_(options.default_principal.empty()
-                             ? engine->principal()
+                             ? "system"
                              : options.default_principal),
       sessions_(options.max_sessions),
       admission_(options.admission) {
@@ -204,6 +204,7 @@ std::future<StatusOr<sql::QueryResult>> PredictionServer::Submit(
 
   sql::ExecOptions exec_opts;
   exec_opts.trace = session->trace();
+  exec_opts.principal = session->principal();
   // The request token is created before admission and registered on the
   // session immediately, so `.kill <session>` reaches a statement that
   // is still waiting in the queue, not just one a worker has started.
@@ -214,16 +215,9 @@ std::future<StatusOr<sql::QueryResult>> PredictionServer::Submit(
       [this, session, sql = std::move(sql), exec_opts, promise,
        token]() mutable {
         Stopwatch timer;
-        // Default-principal traffic shares the engine's read lock;
-        // other principals serialize through ExecuteAs (see the
-        // FlockEngine locking contract).
         auto execute =
-            [this, &session,
-             &exec_opts](const std::string& s) -> StatusOr<sql::QueryResult> {
-          return session->principal() == default_principal_
-                     ? engine_->Execute(s, exec_opts)
-                     : engine_->ExecuteAs(s, session->principal(),
-                                          exec_opts);
+            [this, &exec_opts](const std::string& s) {
+          return engine_->Execute(s, exec_opts);
         };
         StatusOr<sql::QueryResult> result =
             options_.interceptor

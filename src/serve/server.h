@@ -36,10 +36,10 @@ struct ServerOptions {
   /// identical with or without coalescing; only latency/throughput
   /// change.
   MicroBatchOptions microbatch;
-  /// Principal attached to sessions opened without one; "" = the
-  /// engine's principal at server construction. Sessions with a
-  /// different principal execute via FlockEngine::ExecuteAs (exclusive
-  /// lock), default-principal sessions share the read lock.
+  /// Principal attached to sessions opened without one; "" = "system".
+  /// Every session's statements carry its principal in
+  /// sql::ExecOptions, so reads share the engine's lock whoever runs
+  /// them.
   std::string default_principal;
   /// Policy engine whose decision counters should appear in the unified
   /// metrics (optional; must outlive the server).

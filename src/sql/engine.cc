@@ -94,9 +94,9 @@ StatusOr<QueryResult> SqlEngine::Execute(const LexedStatement& lexed,
   // A request that spent its whole deadline in the admission queue (or
   // was killed before a worker picked it up) stops here, before parsing.
   FLOCK_RETURN_NOT_OK(exec_opts.cancel.Check("sql.execute"));
-  // Install the token thread-locally for the parse/plan/DML phases; the
-  // executor re-installs it on its own workers for the execute phase.
-  CancelScope cancel_scope(exec_opts.cancel);
+  // Install the token and principal thread-locally for the parse/plan/DML
+  // phases; the executor re-installs them on its workers.
+  RequestScope request_scope(exec_opts.cancel, exec_opts.principal);
   // Tracing is per-call (the serving layer's `.trace on`) and implied by
   // EXPLAIN ANALYZE. The recorder is installed thread-locally so layers
   // without an explicit parameter path — the optimizer's rules, the WAL
@@ -123,7 +123,8 @@ StatusOr<QueryResult> SqlEngine::Execute(const LexedStatement& lexed,
     }
     if (cached != nullptr) {
       FLOCK_ASSIGN_OR_RETURN(QueryResult result,
-                             ExecuteCachedPlan(*cached, exec_opts.cancel));
+                             LowerAndExecute(*cached, exec_opts));
+      result.from_plan_cache = true;
       result.elapsed_ms = timer.ElapsedMillis();
       if (recorder.has_value()) result.trace = recorder->Snapshot();
       MaybeRecordSlowQuery(result, lexed.key);
@@ -138,8 +139,7 @@ StatusOr<QueryResult> SqlEngine::Execute(const LexedStatement& lexed,
   }
   FLOCK_ASSIGN_OR_RETURN(
       QueryResult result,
-      ExecuteStatement(sql, *stmt, use_cache ? &lexed.key : nullptr,
-                       exec_opts.cancel));
+      ExecuteStatement(*stmt, use_cache ? &lexed.key : nullptr, exec_opts));
   result.elapsed_ms = timer.ElapsedMillis();
   if (recorder.has_value()) result.trace = recorder->Snapshot();
   MaybeRecordSlowQuery(result, lexed.key);
@@ -148,12 +148,11 @@ StatusOr<QueryResult> SqlEngine::Execute(const LexedStatement& lexed,
   return result;
 }
 
-StatusOr<QueryResult> SqlEngine::ExecuteCachedPlan(
-    const LogicalPlan& plan, const CancelToken& cancel) {
+StatusOr<QueryResult> SqlEngine::LowerAndExecute(
+    const LogicalPlan& plan, const ExecOptions& exec_opts) {
   FLOCK_ASSIGN_OR_RETURN(PhysicalOperatorPtr root, LowerPlan(plan));
   QueryResult result;
-  FLOCK_RETURN_NOT_OK(ExecuteLowered(root.get(), cancel, &result));
-  result.from_plan_cache = true;
+  FLOCK_RETURN_NOT_OK(ExecuteLowered(root.get(), exec_opts, &result));
   return result;
 }
 
@@ -163,13 +162,13 @@ StatusOr<PhysicalOperatorPtr> SqlEngine::LowerPlan(const LogicalPlan& plan) {
 }
 
 Status SqlEngine::ExecuteLowered(PhysicalOperator* root,
-                                 const CancelToken& cancel,
+                                 const ExecOptions& exec_opts,
                                  QueryResult* result) {
   size_t execute_span = 0;
   {
     obs::ScopedSpan span("execute");
     execute_span = span.index();
-    FLOCK_ASSIGN_OR_RETURN(result->batch, ExecutePhysical(root, cancel));
+    FLOCK_ASSIGN_OR_RETURN(result->batch, ExecutePhysical(root, exec_opts));
     root->CollectMetrics(&result->operator_metrics);
   }
   AccumulateScanMetrics(result->operator_metrics);
@@ -226,24 +225,25 @@ StatusOr<QueryResult> SqlEngine::ExecuteScript(const std::string& sql) {
                          Parser::ParseScript(sql));
   QueryResult last;
   for (const auto& stmt : stmts) {
-    FLOCK_ASSIGN_OR_RETURN(last, ExecuteStatement(sql, *stmt, nullptr));
+    FLOCK_ASSIGN_OR_RETURN(last, ExecuteStatement(*stmt, nullptr, {}));
   }
   return last;
 }
 
 StatusOr<QueryResult> SqlEngine::ExecuteStatement(
-    const std::string& sql, const Statement& stmt,
-    const std::string* cache_key, const CancelToken& cancel) {
+    const Statement& stmt, const std::string* cache_key,
+    const ExecOptions& exec_opts) {
   // DML/DDL mutate in place and are not interruptible mid-statement
   // (see DESIGN.md "Cancellation contract"); the check here covers the
   // window between parse and the first mutation.
-  FLOCK_RETURN_NOT_OK(cancel.Check("sql.statement"));
+  FLOCK_RETURN_NOT_OK(exec_opts.cancel.Check("sql.statement"));
   switch (stmt.kind()) {
     case StatementKind::kSelect:
       return ExecuteSelect(static_cast<const SelectStatement&>(stmt),
-                           cache_key, cancel);
+                           cache_key, exec_opts);
     case StatementKind::kInsert:
-      return ExecuteInsert(static_cast<const InsertStatement&>(stmt));
+      return ExecuteInsert(static_cast<const InsertStatement&>(stmt),
+                           exec_opts);
     case StatementKind::kUpdate:
       return ExecuteUpdate(static_cast<const UpdateStatement&>(stmt));
     case StatementKind::kDelete:
@@ -267,7 +267,8 @@ StatusOr<QueryResult> SqlEngine::ExecuteStatement(
             "CREATE MODEL requires the Flock layer (use flock::FlockEngine)");
       }
       FLOCK_RETURN_NOT_OK(create_model_handler_(
-          static_cast<const CreateModelStatement&>(stmt)));
+          static_cast<const CreateModelStatement&>(stmt),
+          exec_opts.principal));
       // Cached plans may reference specializations of the old version.
       plan_cache_.Clear();
       return QueryResult{};
@@ -278,7 +279,8 @@ StatusOr<QueryResult> SqlEngine::ExecuteStatement(
             "DROP MODEL requires the Flock layer (use flock::FlockEngine)");
       }
       FLOCK_RETURN_NOT_OK(drop_model_handler_(
-          static_cast<const DropModelStatement&>(stmt)));
+          static_cast<const DropModelStatement&>(stmt),
+          exec_opts.principal));
       plan_cache_.Clear();
       return QueryResult{};
     }
@@ -301,7 +303,7 @@ StatusOr<QueryResult> SqlEngine::ExecuteStatement(
         // EXPLAIN ANALYZE: execute, then render the plan with the
         // per-operator counters the run recorded (the rows are replaced
         // by the rendered plan below).
-        FLOCK_RETURN_NOT_OK(ExecuteLowered(root.get(), cancel, &result));
+        FLOCK_RETURN_NOT_OK(ExecuteLowered(root.get(), exec_opts, &result));
       }
       result.plan_text = "== Logical Plan ==\n" + plan->ToString() +
                          "== Physical Plan ==\n" +
@@ -332,7 +334,6 @@ StatusOr<QueryResult> SqlEngine::ExecuteStatement(
       return result;
     }
   }
-  (void)sql;
   return Status::Internal("unhandled statement kind");
 }
 
@@ -364,20 +365,21 @@ Status SqlEngine::OptimizePlan(PlanPtr* plan) {
   return Status::OK();
 }
 
-StatusOr<RecordBatch> SqlEngine::ExecutePhysical(PhysicalOperator* root,
-                                                 const CancelToken& cancel) {
+StatusOr<RecordBatch> SqlEngine::ExecutePhysical(
+    PhysicalOperator* root, const ExecOptions& exec_opts) {
   ExecutorOptions exec_options;
   exec_options.num_threads = options_.num_threads;
   exec_options.morsel_size = options_.morsel_size;
   exec_options.enable_zone_map_pruning = options_.enable_zone_map_pruning;
-  exec_options.cancel = cancel;
+  exec_options.cancel = exec_opts.cancel;
+  exec_options.principal = exec_opts.principal;
   Executor executor(&registry_, pool_.get(), exec_options);
   return executor.Execute(root);
 }
 
 StatusOr<QueryResult> SqlEngine::ExecuteSelect(
     const SelectStatement& stmt, const std::string* cache_key,
-    const CancelToken& cancel) {
+    const ExecOptions& exec_opts) {
   PlanPtr plan;
   {
     obs::ScopedSpan span("plan");
@@ -387,13 +389,11 @@ StatusOr<QueryResult> SqlEngine::ExecuteSelect(
   if (cache_key != nullptr) {
     plan_cache_.Insert(*cache_key, plan->Clone());
   }
-  FLOCK_ASSIGN_OR_RETURN(PhysicalOperatorPtr root, LowerPlan(*plan));
-  QueryResult result;
-  FLOCK_RETURN_NOT_OK(ExecuteLowered(root.get(), cancel, &result));
-  return result;
+  return LowerAndExecute(*plan, exec_opts);
 }
 
-StatusOr<QueryResult> SqlEngine::ExecuteInsert(const InsertStatement& stmt) {
+StatusOr<QueryResult> SqlEngine::ExecuteInsert(const InsertStatement& stmt,
+                                               const ExecOptions& exec_opts) {
   obs::ScopedSpan span("execute");
   FLOCK_ASSIGN_OR_RETURN(TablePtr table, db_->GetTable(stmt.table_name));
   const Schema& schema = table->schema();
@@ -416,7 +416,7 @@ StatusOr<QueryResult> SqlEngine::ExecuteInsert(const InsertStatement& stmt) {
   RecordBatch staged(schema);
   if (stmt.select != nullptr) {
     FLOCK_ASSIGN_OR_RETURN(QueryResult sub,
-                           ExecuteSelect(*stmt.select, nullptr));
+                           ExecuteSelect(*stmt.select, nullptr, exec_opts));
     if (sub.batch.num_columns() != targets.size()) {
       return Status::InvalidArgument(
           "INSERT SELECT column count mismatch");

@@ -56,6 +56,9 @@ struct ExecOptions {
   /// the micro-batch coalescer's waits; a fired token surfaces as
   /// Cancelled or DeadlineExceeded. Null (the default) = uncancellable.
   CancelToken cancel;
+  /// Who runs the statement: PREDICT checks access and audits for it, and
+  /// CREATE/DROP MODEL record it. Reaches scoring the way `cancel` does.
+  std::string principal = "system";
 };
 
 /// Stable digest of a physical plan's shape: a 16-hex-digit hash over
@@ -104,9 +107,10 @@ struct EngineOptions {
 class SqlEngine {
  public:
   using PlanRewriter = std::function<Status(PlanPtr*)>;
-  using CreateModelHandler =
-      std::function<Status(const CreateModelStatement&)>;
-  using DropModelHandler = std::function<Status(const DropModelStatement&)>;
+  using CreateModelHandler = std::function<Status(
+      const CreateModelStatement&, const std::string& principal)>;
+  using DropModelHandler = std::function<Status(
+      const DropModelStatement&, const std::string& principal)>;
   using StatementObserver =
       std::function<void(const std::string& sql, const Statement& stmt)>;
 
@@ -137,7 +141,7 @@ class SqlEngine {
   /// Executes an already-lowered physical plan; metrics accumulate into
   /// the operator tree.
   StatusOr<storage::RecordBatch> ExecutePhysical(
-      PhysicalOperator* root, const CancelToken& cancel = {});
+      PhysicalOperator* root, const ExecOptions& exec_opts = {});
 
   storage::Database* database() { return db_; }
   FunctionRegistry* functions() { return &registry_; }
@@ -192,25 +196,27 @@ class SqlEngine {
  private:
   /// `cache_key` is the lexed key to cache an optimized SELECT plan
   /// under, or nullptr to skip caching (scripts, subqueries).
-  StatusOr<QueryResult> ExecuteStatement(const std::string& sql,
-                                         const Statement& stmt,
+  StatusOr<QueryResult> ExecuteStatement(const Statement& stmt,
                                          const std::string* cache_key,
-                                         const CancelToken& cancel = {});
+                                         const ExecOptions& exec_opts);
   StatusOr<QueryResult> ExecuteSelect(const SelectStatement& stmt,
                                       const std::string* cache_key,
-                                      const CancelToken& cancel = {});
-  StatusOr<QueryResult> ExecuteInsert(const InsertStatement& stmt);
+                                      const ExecOptions& exec_opts);
+  StatusOr<QueryResult> ExecuteInsert(const InsertStatement& stmt,
+                                      const ExecOptions& exec_opts);
   StatusOr<QueryResult> ExecuteUpdate(const UpdateStatement& stmt);
   StatusOr<QueryResult> ExecuteDelete(const DeleteStatement& stmt);
 
-  StatusOr<QueryResult> ExecuteCachedPlan(const LogicalPlan& plan,
-                                          const CancelToken& cancel);
+  /// Lowers and runs `plan`; the physical plan, and the scoring bindings
+  /// it holds, are released before this returns.
+  StatusOr<QueryResult> LowerAndExecute(const LogicalPlan& plan,
+                                        const ExecOptions& exec_opts);
   /// Lowers `plan` under the "lower" span.
   StatusOr<PhysicalOperatorPtr> LowerPlan(const LogicalPlan& plan);
   /// Runs a lowered plan under the "execute" span into `result`: rows,
   /// operator metrics (folded into the scan totals and grafted into the
   /// trace) and the plan digest.
-  Status ExecuteLowered(PhysicalOperator* root, const CancelToken& cancel,
+  Status ExecuteLowered(PhysicalOperator* root, const ExecOptions& exec_opts,
                         QueryResult* result);
   void AppendQueryLog(const std::string& sql);
   /// Folds scan segment counters from one statement's operator metrics

@@ -333,29 +333,16 @@ StatusOr<ColumnVectorPtr> EvaluateExpr(const Expr& expr,
       return out;
     }
     case ExprKind::kFunction: {
-      if (IsAggregateFunction(expr.function_name)) {
-        return Status::Internal(
-            "aggregate function reached scalar evaluator: " +
-            expr.function_name);
-      }
-      if (registry == nullptr) {
-        return Status::Internal("no function registry available");
-      }
-      FLOCK_ASSIGN_OR_RETURN(const ScalarFunction* fn,
-                             registry->Lookup(expr.function_name));
-      if (expr.children.size() < fn->min_args ||
-          expr.children.size() > fn->max_args) {
-        return Status::InvalidArgument("wrong argument count for " +
-                                       expr.function_name);
-      }
       std::vector<ColumnVectorPtr> args;
-      args.reserve(expr.children.size());
-      for (const auto& child : expr.children) {
-        FLOCK_ASSIGN_OR_RETURN(ColumnVectorPtr arg,
-                               EvaluateExpr(*child, input, registry));
-        args.push_back(std::move(arg));
-      }
-      return fn->kernel(args, n);
+      FLOCK_ASSIGN_OR_RETURN(const ScalarFunction* fn,
+                             EvaluateCallArgs(expr, input, registry, &args));
+      if (!fn->bind) return fn->kernel(args, n);
+      // A scoring call outside a PredictScore operator binds per
+      // evaluation; no rows, no binding.
+      if (n == 0) return std::make_shared<ColumnVector>(fn->return_type);
+      FLOCK_ASSIGN_OR_RETURN(ScalarKernel score,
+                             fn->bind(args, n, CurrentPrincipal()));
+      return score(args, n);
     }
     case ExprKind::kCase: {
       size_t num_pairs = (expr.children.size() - (expr.has_else ? 1 : 0)) / 2;
@@ -565,6 +552,33 @@ StatusOr<DataType> InferExprType(const Expr& expr,
       return expr.cast_type;
   }
   return Status::Internal("unhandled kind in type inference");
+}
+
+StatusOr<const ScalarFunction*> EvaluateCallArgs(
+    const Expr& call, const RecordBatch& input,
+    const FunctionRegistry* registry, std::vector<ColumnVectorPtr>* args) {
+  if (IsAggregateFunction(call.function_name)) {
+    return Status::Internal("aggregate function reached scalar evaluator: " +
+                            call.function_name);
+  }
+  if (registry == nullptr) {
+    return Status::Internal("no function registry available");
+  }
+  FLOCK_ASSIGN_OR_RETURN(const ScalarFunction* fn,
+                         registry->Lookup(call.function_name));
+  if (call.children.size() < fn->min_args ||
+      call.children.size() > fn->max_args) {
+    return Status::InvalidArgument("wrong argument count for " +
+                                   call.function_name);
+  }
+  args->clear();
+  args->reserve(call.children.size());
+  for (const auto& child : call.children) {
+    FLOCK_ASSIGN_OR_RETURN(ColumnVectorPtr arg,
+                           EvaluateExpr(*child, input, registry));
+    args->push_back(std::move(arg));
+  }
+  return fn;
 }
 
 bool IsConstantExpr(const Expr& expr) {

@@ -18,6 +18,13 @@ StatusOr<storage::ColumnVectorPtr> EvaluateExpr(
     const Expr& expr, const storage::RecordBatch& input,
     const FunctionRegistry* registry);
 
+/// Looks up function call `call`, checks its arity and evaluates its
+/// argument columns over `input` into `args`.
+StatusOr<const ScalarFunction*> EvaluateCallArgs(
+    const Expr& call, const storage::RecordBatch& input,
+    const FunctionRegistry* registry,
+    std::vector<storage::ColumnVectorPtr>* args);
+
 /// The one SQL comparison routine, shared by EvaluateExpr and the
 /// compiled predicate kernels: `a OP b` for OP in = <> < <= > >=. Numbers
 /// compare as IEEE doubles, so every comparison against NaN is false

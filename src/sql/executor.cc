@@ -314,6 +314,7 @@ ExecContext Executor::MakeContext() const {
   ctx.num_threads = pool_ ? std::max<size_t>(1, options_.num_threads) : 1;
   ctx.morsel_size = options_.morsel_size;
   ctx.cancel = options_.cancel;
+  ctx.principal = options_.principal;
   return ctx;
 }
 
@@ -530,10 +531,9 @@ Status Executor::RunPipeline(PhysicalOperator* top, PipelineSink* sink) {
 
   size_t threads = pool_ ? std::max<size_t>(1, options_.num_threads) : 1;
   if (threads == 1 || work.size() < 2) {
-    // Install the token thread-locally so layers reached through
-    // expression evaluation without a context parameter (scoring
-    // kernels, the serving coalescer) can poll it too.
-    CancelScope cancel_scope(options_.cancel);
+    // Install the token and principal thread-locally so layers reached
+    // without a context parameter (scoring, the coalescer) see them too.
+    RequestScope request_scope(options_.cancel, options_.principal);
     sink->MakeLocals(1);
     for (const Morsel& morsel : work) {
       FLOCK_RETURN_NOT_OK(drive(0, morsel));
@@ -551,11 +551,11 @@ Status Executor::RunPipeline(PhysicalOperator* top, PipelineSink* sink) {
   sink->MakeLocals(num_tasks);
   std::vector<Status> statuses(num_tasks, Status::OK());
   pool_->ParallelFor(num_tasks, [&](size_t t) {
-    // Each worker re-installs the token on its own thread (thread-local
+    // Each worker re-installs the request on its own thread (thread-local
     // state does not cross ParallelFor). Workers observe a kill at their
     // next morsel boundary and drain normally — no detached threads, so
     // ParallelFor's join is the leak-freedom guarantee.
-    CancelScope cancel_scope(options_.cancel);
+    RequestScope request_scope(options_.cancel, options_.principal);
     size_t begin = t * chunk;
     size_t end = std::min(work.size(), begin + chunk);
     for (size_t m = begin; m < end; ++m) {

@@ -2,6 +2,7 @@
 #define FLOCK_SQL_EXECUTOR_H_
 
 #include <memory>
+#include <string>
 
 #include "common/cancel.h"
 #include "common/status_or.h"
@@ -28,6 +29,7 @@ struct ExecutorOptions {
   /// operators with unbounded per-morsel fan-out. A null token (the
   /// default) never fires.
   CancelToken cancel;
+  std::string principal = "system";  // who scoring binds for
 };
 
 /// Drives physical plans as morsel-driven push pipelines.

@@ -29,7 +29,7 @@ bool FunctionRegistry::Contains(const std::string& name) const {
 
 bool FunctionRegistry::IsScoringFunction(const std::string& name) const {
   auto it = functions_.find(ToUpper(name));
-  return it != functions_.end() && it->second.scoring;
+  return it != functions_.end() && it->second.bind;
 }
 
 std::vector<std::string> FunctionRegistry::ListFunctions() const {
@@ -38,6 +38,21 @@ std::vector<std::string> FunctionRegistry::ListFunctions() const {
   for (const auto& [name, fn] : functions_) out.push_back(name);
   return out;
 }
+
+namespace {
+const std::string kDefaultPrincipal = "system";
+thread_local const std::string* current_principal = &kDefaultPrincipal;
+}  // namespace
+
+const std::string& CurrentPrincipal() { return *current_principal; }
+
+RequestScope::RequestScope(const CancelToken& cancel,
+                           const std::string& principal)
+    : cancel_(cancel), previous_principal_(current_principal) {
+  current_principal = &principal;
+}
+
+RequestScope::~RequestScope() { current_principal = previous_principal_; }
 
 namespace {
 

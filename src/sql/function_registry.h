@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cancel.h"
 #include "common/status_or.h"
 #include "storage/column_vector.h"
 
@@ -16,17 +17,46 @@ namespace flock::sql {
 using ScalarKernel = std::function<StatusOr<storage::ColumnVectorPtr>(
     const std::vector<storage::ColumnVectorPtr>& args, size_t num_rows)>;
 
+/// Binds one model-scoring call site for `principal` from its first
+/// argument columns with rows (`num_rows` > 0, model name first): the
+/// returned kernel scores that and every later morsel of the execution,
+/// from any number of workers at once. Destroying it closes the binding.
+using ScoringBinder = std::function<StatusOr<ScalarKernel>(
+    const std::vector<storage::ColumnVectorPtr>& args, size_t num_rows,
+    const std::string& principal)>;
+
 /// Metadata + kernel for one scalar function.
 struct ScalarFunction {
-  ScalarKernel kernel;
+  ScalarKernel kernel;  // unset on scoring functions
   storage::DataType return_type = storage::DataType::kDouble;
   size_t min_args = 0;
   size_t max_args = 64;
-  /// Model-scoring functions (the PREDICT family). The physical planner
-  /// hoists calls to scoring functions out of scalar expressions into a
-  /// dedicated PredictScore operator so they execute once per morsel,
-  /// show up in EXPLAIN, and report their own OperatorMetrics.
-  bool scoring = false;
+  /// Set on model-scoring functions (the PREDICT family). The physical
+  /// planner hoists their calls into a PredictScore operator, which binds
+  /// each call once per execution, shows it in EXPLAIN and reports its own
+  /// OperatorMetrics. A call evaluated elsewhere (an UPDATE/DELETE
+  /// predicate) binds per evaluation, for CurrentPrincipal().
+  ScoringBinder bind;
+};
+
+/// The principal of the statement running on this thread; "system" when
+/// no RequestScope is active.
+const std::string& CurrentPrincipal();
+
+/// Installs a request's cancel token and principal for this thread.
+/// SqlEngine::Execute wraps each statement in one and the executor each
+/// worker's morsel loop, so code without an ExecContext sees both.
+class RequestScope {
+ public:
+  RequestScope(const CancelToken& cancel, const std::string& principal);
+  ~RequestScope();
+
+  RequestScope(const RequestScope&) = delete;
+  RequestScope& operator=(const RequestScope&) = delete;
+
+ private:
+  CancelScope cancel_;
+  const std::string* previous_principal_;
 };
 
 /// Name -> scalar function table. The SQL engine pre-populates built-ins
@@ -45,7 +75,7 @@ class FunctionRegistry {
 
   bool Contains(const std::string& name) const;
 
-  /// True when `name` is registered with `scoring = true`.
+  /// True when `name` is registered with a scoring binder.
   bool IsScoringFunction(const std::string& name) const;
 
   std::vector<std::string> ListFunctions() const;

@@ -52,15 +52,17 @@ Status FoldExpr(ExprPtr* e, const FunctionRegistry* registry) {
   }
   if ((*e)->kind == ExprKind::kLiteral) return Status::OK();
   if (!IsConstantExpr(**e)) return Status::OK();
-  // PREDICT over constants is still expensive+stateful; leave it alone.
-  bool has_udf = false;
+  // A scoring call over constants still checks access and audits for the
+  // principal of each execution; folding it would cache one principal's
+  // score in the plan.
+  bool scores = false;
   VisitExpr(**e, [&](const Expr& node) {
-    if (node.kind == ExprKind::kFunction &&
-        node.function_name == "PREDICT") {
-      has_udf = true;
+    if (node.kind == ExprKind::kFunction && registry != nullptr &&
+        registry->IsScoringFunction(node.function_name)) {
+      scores = true;
     }
   });
-  if (has_udf) return Status::OK();
+  if (scores) return Status::OK();
   auto folded = EvaluateConstant(**e, registry);
   if (!folded.ok()) return Status::OK();  // fold opportunistically
   *e = Expr::MakeLiteral(std::move(folded).value());

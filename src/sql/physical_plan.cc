@@ -346,7 +346,8 @@ StatusOr<RecordBatch> ProjectOp::ProcessMorsel(const ExecContext& ctx,
 PredictScoreOp::PredictScoreOp(PhysicalOperatorPtr child,
                                std::vector<ExprPtr> calls, Schema schema)
     : PhysicalOperator(Kind::kPredictScore, std::move(schema)),
-      calls(std::move(calls)) {
+      calls(std::move(calls)),
+      bound_(this->calls.size()) {
   children.push_back(std::move(child));
 }
 
@@ -357,16 +358,31 @@ std::string PredictScoreOp::label() const {
 StatusOr<RecordBatch> PredictScoreOp::ProcessMorsel(const ExecContext& ctx,
                                                     RecordBatch input) {
   const size_t child_width = input.num_columns();
+  const size_t num_rows = input.num_rows();
   RecordBatch out(output_schema());
   for (size_t c = 0; c < child_width; ++c) {
     out.SetColumn(c, input.column(c));
   }
+  std::vector<ColumnVectorPtr> args;
   for (size_t i = 0; i < calls.size(); ++i) {
-    FLOCK_ASSIGN_OR_RETURN(ColumnVectorPtr col,
-                           EvaluateExpr(*calls[i], input, ctx.registry));
+    const DataType type = output_schema().column(child_width + i).type;
     FLOCK_ASSIGN_OR_RETURN(
-        col, NormalizeType(std::move(col),
-                           output_schema().column(child_width + i).type));
+        const ScalarFunction* fn,
+        EvaluateCallArgs(*calls[i], input, ctx.registry, &args));
+    ColumnVectorPtr col;
+    if (num_rows == 0) {
+      col = std::make_shared<ColumnVector>(type);  // nothing to bind
+    } else {
+      {
+        // The first morsel with rows binds the call for every worker; a
+        // refusal is kept, so later morsels fail without a second check.
+        std::lock_guard<std::mutex> lock(bind_mu_);
+        if (!bound_[i]) bound_[i] = fn->bind(args, num_rows, ctx.principal);
+      }
+      FLOCK_RETURN_NOT_OK(bound_[i]->status());
+      FLOCK_ASSIGN_OR_RETURN(col, (**bound_[i])(args, num_rows));
+      FLOCK_ASSIGN_OR_RETURN(col, NormalizeType(std::move(col), type));
+    }
     out.SetColumn(child_width + i, std::move(col));
   }
   return out;

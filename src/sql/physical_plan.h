@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -32,6 +33,7 @@ struct ExecContext {
   /// right side) must poll it inside their row loops; everything else is
   /// covered by the executor's per-morsel check.
   CancelToken cancel;
+  std::string principal = "system";  // who PredictScore binds for
 };
 
 /// Per-operator execution counters, accumulated across all worker threads
@@ -331,6 +333,9 @@ class ProjectOp : public PhysicalOperator {
 /// Hoisting scoring out of scalar-expression evaluation gives it its own
 /// EXPLAIN line and OperatorMetrics, and keeps threshold push-up intact
 /// (PREDICT_GT & friends are just calls with a bool output column).
+/// Each call binds (ScalarFunction::bind) on its first morsel with rows,
+/// for ExecContext::principal, and every worker scores through that
+/// binding until the operator, lowered per execution, is destroyed.
 class PredictScoreOp : public PhysicalOperator {
  public:
   PredictScoreOp(PhysicalOperatorPtr child, std::vector<ExprPtr> calls,
@@ -343,6 +348,10 @@ class PredictScoreOp : public PhysicalOperator {
       const ExecContext& ctx, storage::RecordBatch input) override;
 
   std::vector<ExprPtr> calls;  // PREDICT-family function calls
+
+ private:
+  std::mutex bind_mu_;
+  std::vector<std::optional<StatusOr<ScalarKernel>>> bound_;  // per call
 };
 
 // ---------------------------------------------------------------------------

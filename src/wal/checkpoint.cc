@@ -56,10 +56,7 @@ std::string EncodeSnapshot(const SnapshotData& data) {
     PutString(&payload, m.pipeline_text);
     PutString(&payload, m.created_by);
     PutString(&payload, m.lineage);
-    PutU32(&payload, static_cast<uint32_t>(m.allowed_principals.size()));
-    for (const std::string& p : m.allowed_principals) {
-      PutString(&payload, p);
-    }
+    PutStringList(&payload, m.allowed_principals);
   }
 
   PutU32(&payload, static_cast<uint32_t>(data.audit.size()));
@@ -159,12 +156,7 @@ StatusOr<SnapshotData> DecodeSnapshot(const std::string& buf) {
     FLOCK_RETURN_NOT_OK(in.GetString(&m.pipeline_text));
     FLOCK_RETURN_NOT_OK(in.GetString(&m.created_by));
     FLOCK_RETURN_NOT_OK(in.GetString(&m.lineage));
-    uint32_t acl;
-    FLOCK_RETURN_NOT_OK(in.GetCount(&acl, 4));
-    m.allowed_principals.resize(acl);
-    for (std::string& p : m.allowed_principals) {
-      FLOCK_RETURN_NOT_OK(in.GetString(&p));
-    }
+    FLOCK_RETURN_NOT_OK(GetStringList(&in, &m.allowed_principals));
   }
 
   FLOCK_RETURN_NOT_OK(in.GetCount(&n, 1 + 4 + 4 + 8 + 8));

@@ -88,15 +88,16 @@ bool DurabilityManager::Skip(const std::string& table) const {
   return options_.skip_tables.count(flock::ToLower(table)) > 0;
 }
 
-void DurabilityManager::Observe(const WalRecord& record) {
-  // Observer callbacks fire on the request thread, so a traced request
-  // sees its own WAL appends as spans (no-op when tracing is off).
+Status DurabilityManager::Log(const WalRecord& record) {
+  // Appends happen on the request thread, so a traced request sees its
+  // own WAL appends as spans (no-op when tracing is off).
   obs::ScopedSpan span("wal.append");
   Status s = writer_->Append(record);
   if (!s.ok()) {
     std::lock_guard<std::mutex> lock(health_mu_);
     if (observer_health_.ok()) observer_health_ = s;
   }
+  return s;
 }
 
 Status DurabilityManager::health() const {
@@ -168,56 +169,21 @@ Status DurabilityManager::Checkpoint() {
   return Status::OK();
 }
 
-Status DurabilityManager::LogModelDeploy(const std::string& name,
-                                         const std::string& pipeline_text,
-                                         const std::string& created_by,
-                                         const std::string& lineage) {
-  obs::ScopedSpan span("wal.append");
-  Status s = writer_->Append(
-      WalRecord::DeployModel(name, pipeline_text, created_by, lineage));
-  if (!s.ok()) {
-    std::lock_guard<std::mutex> lock(health_mu_);
-    if (observer_health_.ok()) observer_health_ = s;
-  }
-  return s;
-}
-
-Status DurabilityManager::LogModelDrop(const std::string& name,
-                                       const std::string& principal) {
-  obs::ScopedSpan span("wal.append");
-  Status s = writer_->Append(WalRecord::DropModel(name, principal));
-  if (!s.ok()) {
-    std::lock_guard<std::mutex> lock(health_mu_);
-    if (observer_health_.ok()) observer_health_ = s;
-  }
-  return s;
-}
-
-Status DurabilityManager::LogRolloutState(const RolloutSnapshot& rollout) {
-  obs::ScopedSpan span("wal.append");
-  Status s = writer_->Append(WalRecord::RolloutChange(rollout));
-  if (!s.ok()) {
-    std::lock_guard<std::mutex> lock(health_mu_);
-    if (observer_health_.ok()) observer_health_ = s;
-  }
-  return s;
-}
-
 void DurabilityManager::OnCreateTable(const std::string& name,
                                       const storage::Schema& schema) {
   if (Skip(name)) return;
-  Observe(WalRecord::CreateTable(name, schema));
+  (void)Log(WalRecord::CreateTable(name, schema));
 }
 
 void DurabilityManager::OnDropTable(const std::string& name) {
   if (Skip(name)) return;
-  Observe(WalRecord::DropTable(name));
+  (void)Log(WalRecord::DropTable(name));
 }
 
 void DurabilityManager::OnAppendBatch(const storage::Table& table,
                                       const storage::RecordBatch& batch) {
   if (Skip(table.name())) return;
-  Observe(WalRecord::AppendBatch(table.name(), batch));
+  (void)Log(WalRecord::AppendBatch(table.name(), batch));
 }
 
 void DurabilityManager::OnAppendRow(const storage::Table& table,
@@ -230,7 +196,7 @@ void DurabilityManager::OnAppendRow(const storage::Table& table,
     if (observer_health_.ok()) observer_health_ = s;
     return;
   }
-  Observe(WalRecord::AppendBatch(table.name(), std::move(batch)));
+  (void)Log(WalRecord::AppendBatch(table.name(), std::move(batch)));
 }
 
 void DurabilityManager::OnUpdateColumn(
@@ -238,8 +204,8 @@ void DurabilityManager::OnUpdateColumn(
     const std::vector<uint32_t>& rows,
     const std::vector<storage::Value>& values) {
   if (Skip(table.name())) return;
-  Observe(WalRecord::UpdateColumn(table.name(),
-                                  static_cast<uint32_t>(col), rows, values));
+  (void)Log(WalRecord::UpdateColumn(
+      table.name(), static_cast<uint32_t>(col), rows, values));
 }
 
 void DurabilityManager::OnDeleteRows(const storage::Table& table,
@@ -249,24 +215,24 @@ void DurabilityManager::OnDeleteRows(const storage::Table& table,
   (void)removed;
   std::vector<uint8_t> bitmap(keep.size());
   for (size_t i = 0; i < keep.size(); ++i) bitmap[i] = keep[i] ? 1 : 0;
-  Observe(WalRecord::DeleteRows(table.name(), std::move(bitmap)));
+  (void)Log(WalRecord::DeleteRows(table.name(), std::move(bitmap)));
 }
 
 void DurabilityManager::OnEntity(const prov::Entity& entity) {
-  Observe(WalRecord::ProvEntity(entity));
+  (void)Log(WalRecord::ProvEntity(entity));
 }
 
 void DurabilityManager::OnEdge(const prov::Edge& edge) {
-  Observe(WalRecord::ProvEdge(edge));
+  (void)Log(WalRecord::ProvEdge(edge));
 }
 
 void DurabilityManager::OnProperty(uint64_t id, const std::string& key,
                                    const std::string& value) {
-  Observe(WalRecord::ProvProperty(id, key, value));
+  (void)Log(WalRecord::ProvProperty(id, key, value));
 }
 
 void DurabilityManager::OnTimelineEntry(const policy::TimelineEntry& entry) {
-  Observe(WalRecord::PolicyAction(entry));
+  (void)Log(WalRecord::PolicyAction(entry));
 }
 
 }  // namespace flock::wal

@@ -33,8 +33,9 @@ struct DurabilityOptions {
 ///  1. runs recovery on Open (snapshot restore + WAL replay),
 ///  2. observes every committed mutation — storage DDL/DML via
 ///     storage::DatabaseObserver, provenance via prov::CatalogListener,
-///     policy decisions via policy::TimelineListener, model deploys via
-///     explicit Log* calls from the engine — and appends it to the WAL,
+///     policy decisions via policy::TimelineListener, model deploys,
+///     access lists and rollouts via explicit Log calls from the engine —
+///     and appends it to the WAL,
 ///  3. takes checkpoints: snapshot to disk, then cut a fresh WAL under a
 ///     bumped epoch.
 ///
@@ -86,14 +87,11 @@ class DurabilityManager : public storage::DatabaseObserver,
   uint64_t syncs() const;
   uint64_t bytes_written() const;
 
-  // --- engine-driven logging (models are not observable from storage) ---
-  Status LogModelDeploy(const std::string& name,
-                        const std::string& pipeline_text,
-                        const std::string& created_by,
-                        const std::string& lineage);
-  Status LogModelDrop(const std::string& name,
-                      const std::string& principal);
-  Status LogRolloutState(const RolloutSnapshot& rollout);
+  /// Appends one record. The observer callbacks below log through it,
+  /// and the engine logs model, access-list and rollout changes (which
+  /// are not observable from storage) directly. A failed append also
+  /// makes health() fail, stickily.
+  Status Log(const WalRecord& record);
 
   // --- storage::DatabaseObserver ---
   void OnCreateTable(const std::string& name,
@@ -124,7 +122,6 @@ class DurabilityManager : public storage::DatabaseObserver,
                     EngineStateAdapter adapter, DurabilityOptions options);
 
   bool Skip(const std::string& table) const;
-  void Observe(const WalRecord& record);
   SnapshotData BuildSnapshot(uint64_t epoch) const;
 
   std::string dir_;

@@ -86,6 +86,11 @@ struct EngineStateAdapter {
                        const std::string& principal)>
       replay_drop;
 
+  /// WAL replay of a committed access-list change (empty = public).
+  std::function<Status(const std::string& name,
+                       const std::vector<std::string>& principals)>
+      replay_access_control;
+
   /// All rollouts (active and terminal) for checkpointing.
   std::function<std::vector<RolloutSnapshot>()> snapshot_rollouts;
 

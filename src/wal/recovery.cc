@@ -238,6 +238,13 @@ Status ApplyWalRecord(const WalReplayTarget& target, const WalRecord& r) {
             "wal contains rollout transitions but no apply_rollout adapter");
       }
       return adapter->apply_rollout(r.rollout);
+    case WalRecordType::kAccessControl:
+      if (adapter == nullptr || !adapter->replay_access_control) {
+        return Status::Internal(
+            "wal contains access-list changes but no replay_access_control "
+            "adapter");
+      }
+      return adapter->replay_access_control(r.name, r.principals);
   }
   return Status::DataLoss("unknown wal record type during replay");
 }

@@ -37,6 +37,8 @@ const char* WalRecordTypeName(WalRecordType type) {
       return "PROV_PROPERTY";
     case WalRecordType::kRolloutState:
       return "ROLLOUT_STATE";
+    case WalRecordType::kAccessControl:
+      return "ACCESS_CONTROL";
   }
   return "?";
 }
@@ -145,6 +147,15 @@ WalRecord WalRecord::RolloutChange(RolloutSnapshot rollout) {
   return r;
 }
 
+WalRecord WalRecord::AccessControl(std::string model,
+                                   std::vector<std::string> principals) {
+  WalRecord r;
+  r.type = WalRecordType::kAccessControl;
+  r.name = std::move(model);
+  r.principals = std::move(principals);
+  return r;
+}
+
 namespace {
 
 // Largest valid ordinal of each enum a record or snapshot stores as a u8.
@@ -187,6 +198,19 @@ Status GetTimelineEntry(ByteReader* in, policy::TimelineEntry* e) {
   FLOCK_RETURN_NOT_OK(in->GetString(&e->context));
   e->action = static_cast<policy::ActionKind>(action);
   e->rejected = rejected != 0;
+  return Status::OK();
+}
+
+void PutStringList(std::string* out, const std::vector<std::string>& list) {
+  PutU32(out, static_cast<uint32_t>(list.size()));
+  for (const std::string& s : list) PutString(out, s);
+}
+
+Status GetStringList(ByteReader* in, std::vector<std::string>* list) {
+  uint32_t n;
+  FLOCK_RETURN_NOT_OK(in->GetCount(&n, 4));  // each string: u32 length
+  list->resize(n);
+  for (std::string& s : *list) FLOCK_RETURN_NOT_OK(in->GetString(&s));
   return Status::OK();
 }
 
@@ -306,6 +330,10 @@ std::string EncodeRecordBody(const WalRecord& record) {
     case WalRecordType::kRolloutState:
       PutRollout(&out, record.rollout);
       break;
+    case WalRecordType::kAccessControl:
+      PutString(&out, record.name);
+      PutStringList(&out, record.principals);
+      break;
   }
   return out;
 }
@@ -381,6 +409,10 @@ StatusOr<WalRecord> DecodeRecordBody(std::string_view body) {
       break;
     case WalRecordType::kRolloutState:
       FLOCK_RETURN_NOT_OK(GetRollout(&in, &r.rollout));
+      break;
+    case WalRecordType::kAccessControl:
+      FLOCK_RETURN_NOT_OK(in.GetString(&r.name));
+      FLOCK_RETURN_NOT_OK(GetStringList(&in, &r.principals));
       break;
     default:
       return Status::DataLoss("unknown wal record type " +

@@ -33,6 +33,7 @@ enum class WalRecordType : uint8_t {
   kProvEdge = 10,
   kProvProperty = 11,
   kRolloutState = 12,
+  kAccessControl = 13,
 };
 
 const char* WalRecordTypeName(WalRecordType type);
@@ -40,7 +41,7 @@ const char* WalRecordTypeName(WalRecordType type);
 /// True when `tag` is the value of a WalRecordType enumerator.
 inline bool IsWalRecordType(uint8_t tag) {
   return tag >= static_cast<uint8_t>(WalRecordType::kCreateTable) &&
-         tag <= static_cast<uint8_t>(WalRecordType::kRolloutState);
+         tag <= static_cast<uint8_t>(WalRecordType::kAccessControl);
 }
 
 /// A decoded record: `type` selects which field group is meaningful.
@@ -50,7 +51,8 @@ struct WalRecord {
   WalRecordType type = WalRecordType::kCreateTable;
 
   // kCreateTable / kDropTable / kAppendBatch / kUpdateColumn /
-  // kDeleteRows: table name. kDeployModel / kDropModel: model name.
+  // kDeleteRows: table name. kDeployModel / kDropModel / kAccessControl:
+  // model name.
   std::string name;
 
   storage::Schema schema;       // kCreateTable
@@ -76,6 +78,9 @@ struct WalRecord {
   // kRolloutState: the full post-transition rollout.
   RolloutSnapshot rollout;
 
+  // kAccessControl: the model's complete new access list (empty = public).
+  std::vector<std::string> principals;
+
   // --- constructors, one per record type ---
   static WalRecord CreateTable(std::string name, storage::Schema schema);
   static WalRecord DropTable(std::string name);
@@ -94,6 +99,8 @@ struct WalRecord {
   static WalRecord ProvProperty(uint64_t id, std::string key,
                                 std::string value);
   static WalRecord RolloutChange(RolloutSnapshot rollout);
+  static WalRecord AccessControl(std::string model,
+                                 std::vector<std::string> principals);
 };
 
 /// Encodes a record body: the u8 type tag, then the type's payload. A WAL
@@ -111,6 +118,9 @@ StatusOr<WalRecord> DecodeRecordBody(std::string_view body);
 void PutTimelineEntry(std::string* out, const policy::TimelineEntry& entry);
 Status GetTimelineEntry(storage::ByteReader* in,
                         policy::TimelineEntry* entry);
+/// A u32 count, then the strings (a model's access list).
+void PutStringList(std::string* out, const std::vector<std::string>& list);
+Status GetStringList(storage::ByteReader* in, std::vector<std::string>* list);
 void PutRollout(std::string* out, const RolloutSnapshot& rollout);
 Status GetRollout(storage::ByteReader* in, RolloutSnapshot* rollout);
 /// u8 type, name, version (the id and properties are the caller's).

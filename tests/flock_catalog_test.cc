@@ -82,8 +82,7 @@ TEST_F(CatalogTablesTest, AuditIsQueryableWithAggregates) {
 }
 
 TEST_F(CatalogTablesTest, RestrictedFlagShowsAcl) {
-  ASSERT_TRUE(
-      engine_.models()->SetAccessControl("scorer", {"alice"}).ok());
+  ASSERT_TRUE(engine_.SetAccessControl("scorer", {"alice"}).ok());
   auto r = engine_.Execute("SELECT restricted FROM flock_models");
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r->batch.column(0)->bool_at(0));

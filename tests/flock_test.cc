@@ -28,7 +28,8 @@ class FlockEngineTest : public ::testing::Test {
   static constexpr size_t kNumeric = 8;  // 4 signal + 4 noise
   static constexpr size_t kRows = 4000;
 
-  FlockEngineTest() : engine_(MakeOptions()) {
+  explicit FlockEngineTest(FlockEngineOptions options = MakeOptions())
+      : engine_(options) {
     BuildTableAndModel();
   }
 
@@ -326,14 +327,16 @@ TEST_F(FlockEngineTest, ModelVersioningOnRedeploy) {
 }
 
 TEST_F(FlockEngineTest, AccessControlDeniesAndAudits) {
-  ASSERT_TRUE(
-      engine_.models()->SetAccessControl("churn", {"alice"}).ok());
-  engine_.SetPrincipal("mallory");
-  auto denied = engine_.Execute("SELECT " + PredictCall() + " FROM users");
+  ASSERT_TRUE(engine_.SetAccessControl("churn", {"alice"}).ok());
+  sql::ExecOptions mallory;
+  mallory.principal = "mallory";
+  auto denied =
+      engine_.Execute("SELECT " + PredictCall() + " FROM users", mallory);
   EXPECT_EQ(denied.status().code(), StatusCode::kPermissionDenied);
-  engine_.SetPrincipal("alice");
+  sql::ExecOptions alice;
+  alice.principal = "alice";
   auto ok = engine_.Execute(
-      "SELECT " + PredictCall() + " FROM users LIMIT 1");
+      "SELECT " + PredictCall() + " FROM users LIMIT 1", alice);
   EXPECT_TRUE(ok.ok()) << ok.status().ToString();
 
   bool saw_denied = false, saw_score = false;
@@ -349,6 +352,101 @@ TEST_F(FlockEngineTest, AccessControlDeniesAndAudits) {
   }
   EXPECT_TRUE(saw_denied);
   EXPECT_TRUE(saw_score);
+}
+
+/// Four workers over 512-row morsels: a full scan of `users` scores in
+/// eight morsels spread across threads.
+class FlockAuditTest : public FlockEngineTest {
+ protected:
+  static constexpr size_t kMorselRows = 512;
+
+  FlockAuditTest() : FlockEngineTest(ParallelOptions()) {}
+
+  static FlockEngineOptions ParallelOptions() {
+    FlockEngineOptions options;
+    options.sql.num_threads = 4;
+    options.sql.morsel_size = kMorselRows;
+    return options;
+  }
+
+  static sql::ExecOptions As(const std::string& principal) {
+    sql::ExecOptions options;
+    options.principal = principal;
+    return options;
+  }
+
+  /// SCORE and DENIED events appended since the log held `from` events
+  /// (planning may also append the optimizer's SPECIALIZE events).
+  std::vector<AuditEvent> EventsSince(size_t from) {
+    const auto& log = engine_.models()->audit_log();
+    std::vector<AuditEvent> events;
+    for (size_t i = from; i < log.size(); ++i) {
+      if (log[i].kind == AuditEvent::Kind::kScore ||
+          log[i].kind == AuditEvent::Kind::kDenied) {
+        events.push_back(log[i]);
+      }
+    }
+    return events;
+  }
+};
+
+TEST_F(FlockAuditTest, OneScoreEventPerCallSitePerStatement) {
+  static_assert(kRows / kMorselRows >= 3);
+  const size_t before = engine_.models()->audit_log().size();
+  auto r = engine_.Execute("SELECT id, " + PredictCall() + " FROM users",
+                           As("alice"));
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->batch.num_rows(), kRows);
+  const std::vector<AuditEvent> events = EventsSince(before);
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].kind, AuditEvent::Kind::kScore);
+  EXPECT_EQ(events[0].model, "churn");
+  EXPECT_EQ(events[0].principal, "alice");
+  EXPECT_EQ(events[0].version, 1u);
+  EXPECT_EQ(events[0].rows, kRows);
+}
+
+TEST_F(FlockAuditTest, DeniedStatementRecordsOneDeniedEvent) {
+  ASSERT_TRUE(engine_.SetAccessControl("churn", {"alice"}).ok());
+  const size_t before = engine_.models()->audit_log().size();
+  auto r = engine_.Execute("SELECT id, " + PredictCall() + " FROM users",
+                           As("mallory"));
+  EXPECT_EQ(r.status().code(), StatusCode::kPermissionDenied);
+  const std::vector<AuditEvent> events = EventsSince(before);
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].kind, AuditEvent::Kind::kDenied);
+  EXPECT_EQ(events[0].principal, "mallory");
+}
+
+TEST_F(FlockAuditTest, CachedPlanBindsForTheExecutingPrincipal) {
+  ASSERT_TRUE(engine_.SetAccessControl("churn", {"alice"}).ok());
+  const std::string sql =
+      "SELECT id, " + PredictCall() + " FROM users WHERE id < 10";
+  auto cached = engine_.Execute(sql, As("alice"));
+  ASSERT_TRUE(cached.ok()) << cached.status().ToString();
+  const uint64_t hits = engine_.sql()->plan_cache()->stats().hits;
+  const size_t before = engine_.models()->audit_log().size();
+  auto denied = engine_.Execute(sql, As("mallory"));
+  EXPECT_EQ(denied.status().code(), StatusCode::kPermissionDenied);
+  EXPECT_EQ(engine_.sql()->plan_cache()->stats().hits, hits + 1);
+  const std::vector<AuditEvent> events = EventsSince(before);
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].kind, AuditEvent::Kind::kDenied);
+  EXPECT_EQ(events[0].principal, "mallory");
+}
+
+TEST_F(FlockAuditTest, StatementsThatScoreNoRowsNeitherCheckNorAudit) {
+  ASSERT_TRUE(engine_.SetAccessControl("churn", {"alice"}).ok());
+  const size_t before = engine_.models()->audit_log().size();
+  auto empty = engine_.Execute(
+      "SELECT id, " + PredictCall() + " FROM users WHERE id < 0",
+      As("mallory"));
+  ASSERT_TRUE(empty.ok()) << empty.status().ToString();
+  EXPECT_EQ(empty->batch.num_rows(), 0u);
+  auto plan = engine_.Execute(
+      "EXPLAIN SELECT id, " + PredictCall() + " FROM users", As("mallory"));
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_TRUE(EventsSince(before).empty());
 }
 
 TEST_F(FlockEngineTest, UnknownModelErrors) {

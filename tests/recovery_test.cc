@@ -383,6 +383,33 @@ TEST(RecoveryTest, ModelsRecoverAndDerivedCatalogRebuilds) {
       third.Execute("SELECT id, PREDICT(scorer, x) FROM points").ok());
 }
 
+TEST(RecoveryTest, AccessListSurvivesRestartWithoutCheckpoint) {
+  std::string dir = MakeTempDir();
+  {
+    flock::FlockEngine engine(SerialEngineOptions());
+    ASSERT_TRUE(engine.Open(dir).ok());
+    ASSERT_TRUE(
+        engine.Execute("CREATE TABLE points (id INT, x DOUBLE)").ok());
+    ASSERT_TRUE(
+        engine.Execute("INSERT INTO points VALUES (1, 1.0), (2, 6.0)").ok());
+    ASSERT_TRUE(engine.DeployModel("scorer", TinyPipeline(), "tester",
+                                   "tests/recovery_test").ok());
+    ASSERT_TRUE(engine.SetAccessControl("scorer", {"alice"}).ok());
+  }
+
+  flock::FlockEngine reopened(SerialEngineOptions());
+  ASSERT_TRUE(reopened.Open(dir).ok());
+  const char* score = "SELECT id, PREDICT(scorer, x) FROM points";
+  sql::ExecOptions mallory;
+  mallory.principal = "mallory";
+  EXPECT_EQ(reopened.Execute(score, mallory).status().code(),
+            StatusCode::kPermissionDenied);
+  sql::ExecOptions alice;
+  alice.principal = "alice";
+  auto allowed = reopened.Execute(score, alice);
+  EXPECT_TRUE(allowed.ok()) << allowed.status().ToString();
+}
+
 TEST(RecoveryTest, SegmentedLayoutSurvivesCheckpointRestart) {
   std::string dir = MakeTempDir();
   std::string before;

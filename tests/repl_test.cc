@@ -477,6 +477,36 @@ TEST(ReplicaTest, ModelsReplicateAndScoreIdentically) {
   EXPECT_FALSE(pair.replica->Execute(score).ok());
 }
 
+TEST(ReplicaTest, AccessListReplicatesAndDenies) {
+  ReplicaPair pair = MakePair();
+  ASSERT_TRUE(
+      pair.primary->Execute("CREATE TABLE points (id INT, x DOUBLE)").ok());
+  ASSERT_TRUE(
+      pair.primary->Execute("INSERT INTO points VALUES (1, 1.0), (2, 6.0)")
+          .ok());
+  ASSERT_TRUE(pair.primary
+                  ->DeployModel("scorer", TinyPipeline(), "tester",
+                                "tests/repl_test")
+                  .ok());
+  ASSERT_TRUE(pair.applier->CatchUp().ok());
+  const char* score = "SELECT id, PREDICT(scorer, x) FROM points";
+  sql::ExecOptions mallory;
+  mallory.principal = "mallory";
+  ASSERT_TRUE(pair.replica->Execute(score, mallory).ok());  // public
+
+  ASSERT_TRUE(pair.primary->SetAccessControl("scorer", {"alice"}).ok());
+  ASSERT_TRUE(pair.applier->CatchUp().ok());
+  EXPECT_EQ(pair.replica->Execute(score, mallory).status().code(),
+            StatusCode::kPermissionDenied);
+  sql::ExecOptions alice;
+  alice.principal = "alice";
+  auto allowed = pair.replica->Execute(score, alice);
+  EXPECT_TRUE(allowed.ok()) << allowed.status().ToString();
+  // Access lists change on the primary only.
+  EXPECT_EQ(pair.replica->SetAccessControl("scorer", {}).code(),
+            StatusCode::kRedirect);
+}
+
 TEST(ReplicaTest, WritesAndDdlRedirectToPrimary) {
   ReplicaPair pair = MakePair();
   ASSERT_TRUE(RunStatements(pair.primary.get(), SetupStatements()).ok());
@@ -517,7 +547,9 @@ TEST(ReplicaTest, ServesReadsThatStartWithAComment) {
   auto on_replica = pair.replica->Execute(read);
   ASSERT_TRUE(on_replica.ok()) << on_replica.status().ToString();
   EXPECT_EQ(on_replica->batch.ToString(10), on_primary->batch.ToString(10));
-  EXPECT_TRUE(pair.replica->ExecuteAs(read, "alice").ok());
+  sql::ExecOptions alice;
+  alice.principal = "alice";
+  EXPECT_TRUE(pair.replica->Execute(read, alice).ok());
   // A comment that spells SELECT does not make a write a read.
   auto write = pair.replica->Execute("-- SELECT\nDELETE FROM kv");
   EXPECT_EQ(write.status().code(), StatusCode::kRedirect);

@@ -11,8 +11,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -613,8 +615,7 @@ TEST_F(ServeTest, ModelRedeployAndDropInvalidateCachedPredictPlans) {
 }
 
 TEST_F(ServeTest, PerSessionPrincipalsEnforceModelAccess) {
-  ASSERT_TRUE(
-      engine_->models()->SetAccessControl("churn", {"system"}).ok());
+  ASSERT_TRUE(engine_->SetAccessControl("churn", {"system"}).ok());
   PredictionServer server(engine_.get());
 
   LoopbackClient admin(&server);  // default principal ("system")
@@ -627,6 +628,60 @@ TEST_F(ServeTest, PerSessionPrincipalsEnforceModelAccess) {
   EXPECT_FALSE(denied.ok());
   // Plain SQL (no model access) still works for the intern.
   EXPECT_TRUE(intern.Execute("SELECT COUNT(*) FROM emp").ok());
+}
+
+/// Holds each PREDICT call inside scoring until `parties` calls are in at
+/// once; a call that waits `timeout` in vain records the miss and goes on.
+class ScoringRendezvous : public flock::FeatureObserver {
+ public:
+  ScoringRendezvous(int parties, std::chrono::seconds timeout)
+      : parties_(parties), timeout_(timeout) {}
+
+  void ObserveFeatures(const flock::ModelEntry&, const ml::Matrix&,
+                       size_t) override {
+    std::unique_lock<std::mutex> lock(mu_);
+    ++arrived_;
+    cv_.notify_all();
+    if (!cv_.wait_for(lock, timeout_, [&] { return arrived_ >= parties_; })) {
+      timed_out_ = true;
+    }
+  }
+
+  bool timed_out() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return timed_out_;
+  }
+
+ private:
+  const int parties_;
+  const std::chrono::seconds timeout_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int arrived_ = 0;
+  bool timed_out_ = false;
+};
+
+TEST_F(ServeTest, GovernedSessionsScoreConcurrently) {
+  ASSERT_TRUE(engine_->SetAccessControl("churn", {"alice", "bob"}).ok());
+  ScoringRendezvous rendezvous(2, std::chrono::seconds(5));
+  engine_->SetFeatureObserver(&rendezvous);
+  {
+    PredictionServer server(engine_.get());
+    LoopbackClient alice(&server, "alice");
+    LoopbackClient bob(&server, "bob");
+    const std::string score =
+        std::string("SELECT id, ") + kPredictCall + " FROM users WHERE id < 50";
+    // Both statements must be inside scoring at once: the principal rides
+    // each request, so neither read needs the exclusive lock.
+    auto alice_result = std::async(std::launch::async,
+                                   [&] { return alice.Execute(score); });
+    auto bob_result = bob.Execute(score);
+    EXPECT_TRUE(bob_result.ok()) << bob_result.status().ToString();
+    auto alice_done = alice_result.get();
+    EXPECT_TRUE(alice_done.ok()) << alice_done.status().ToString();
+  }
+  engine_->SetFeatureObserver(nullptr);
+  EXPECT_FALSE(rendezvous.timed_out());
 }
 
 TEST_F(ServeTest, OverloadShedsWithUnavailable) {

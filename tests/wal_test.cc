@@ -26,6 +26,7 @@
 #include "wal/wal_reader.h"
 #include "wal/wal_record.h"
 #include "wal/wal_writer.h"
+#include "wal_records.h"
 
 namespace flock::wal {
 namespace {
@@ -45,18 +46,6 @@ std::string MakeTempDir() {
   return std::string(dir);
 }
 
-Schema TwoColSchema() {
-  return Schema({{"k", DataType::kInt64, false},
-                 {"v", DataType::kDouble, true}});
-}
-
-RecordBatch SmallBatch() {
-  RecordBatch batch(TwoColSchema());
-  EXPECT_TRUE(batch.AppendRow({Value::Int(1), Value::Double(1.5)}).ok());
-  EXPECT_TRUE(batch.AppendRow({Value::Int(2), Value::Null()}).ok());
-  return batch;
-}
-
 std::string ReadFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   return std::string(std::istreambuf_iterator<char>(in),
@@ -71,51 +60,6 @@ void WriteFile(const std::string& path, const std::string& data) {
 void AppendBytes(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::app);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-}
-
-RolloutSnapshot SampleRollout() {
-  RolloutSnapshot r;
-  r.model = "churn";
-  r.state = 2;
-  r.canary_permille = 250;
-  r.candidate_pipeline_text = "cand-pipe";
-  r.initiated_by = "alice";
-  r.live_version = 3;
-  r.max_divergence_rate = 0.1;
-  r.max_latency_regression = 0.2;
-  r.max_drift_score = 0.3;
-  r.min_observations = 50;
-  return r;
-}
-
-/// All twelve record types, with every field group populated, in an order
-/// that replays cleanly into an empty engine.
-std::vector<WalRecord> AllRecordTypes() {
-  policy::TimelineEntry entry;
-  entry.seq = 7;
-  entry.policy = "clamp";
-  entry.action = policy::ActionKind::kClamp;
-  entry.before = 0.9;
-  entry.after = 0.5;
-  entry.rejected = true;
-  entry.context = "ctx";
-  std::vector<WalRecord> records;
-  records.push_back(WalRecord::CreateTable("t", TwoColSchema()));
-  records.push_back(WalRecord::AppendBatch("t", SmallBatch()));
-  records.push_back(WalRecord::UpdateColumn(
-      "t", 1, {0, 1}, {Value::Double(9.0), Value::Double(8.0)}));
-  records.push_back(WalRecord::DeleteRows("t", {1, 0}));
-  records.push_back(WalRecord::DeployModel("churn", "pipe-bytes", "alice",
-                                           "train.py"));
-  records.push_back(WalRecord::DropModel("churn", "bob"));
-  records.push_back(WalRecord::PolicyAction(entry));
-  records.push_back(
-      WalRecord::ProvEntity({1, prov::EntityType::kModel, "churn", 2, {}}));
-  records.push_back(WalRecord::ProvEdge({1, 1, prov::EdgeType::kTrains}));
-  records.push_back(WalRecord::ProvProperty(1, "auc", "0.91"));
-  records.push_back(WalRecord::RolloutChange(SampleRollout()));
-  records.push_back(WalRecord::DropTable("t"));
-  return records;
 }
 
 void ExpectRolloutsEqual(const RolloutSnapshot& a, const RolloutSnapshot& b) {
@@ -164,6 +108,7 @@ void ExpectRecordsEqual(const WalRecord& a, const WalRecord& b) {
   EXPECT_EQ(a.key, b.key);
   EXPECT_EQ(a.value, b.value);
   ExpectRolloutsEqual(a.rollout, b.rollout);
+  EXPECT_EQ(a.principals, b.principals);
 }
 
 /// A log drained by the one reader to the end of its durable prefix, in
@@ -890,6 +835,14 @@ struct ReplayedState {
       model_calls.push_back("drop " + name + " " + principal);
       return Status::OK();
     };
+    adapter.replay_access_control =
+        [this](const std::string& name,
+               const std::vector<std::string>& principals) {
+          std::string call = "acl " + name;
+          for (const std::string& p : principals) call += " " + p;
+          model_calls.push_back(call);
+          return Status::OK();
+        };
     adapter.restore_model = [this](const ModelSnapshot& m) {
       model_calls.push_back("restore " + m.name + " " +
                             std::to_string(m.version));
@@ -920,17 +873,22 @@ std::string FromHex(std::string_view hex) {
   return bytes;
 }
 
-/// Writes AllRecordTypes() as a fresh epoch-1 log; returns its bytes.
-std::string WriteAllRecordTypes(const std::string& path) {
+/// Writes `records` as a fresh epoch-1 log; returns its bytes.
+std::string WriteRecords(const std::string& path,
+                         const std::vector<WalRecord>& records) {
   WalWriterOptions options;
   options.fsync_policy = FsyncPolicy::kNever;
   auto writer = WalWriter::Create(path, 1, options);
   EXPECT_TRUE(writer.ok());
-  for (const WalRecord& record : AllRecordTypes()) {
+  for (const WalRecord& record : records) {
     EXPECT_TRUE((*writer)->Append(record).ok());
   }
   writer->reset();
   return ReadFile(path);
+}
+
+std::string WriteAllRecordTypes(const std::string& path) {
+  return WriteRecords(path, AllRecordTypes());
 }
 
 /// Offsets where the header and then each frame of `log` end, read from
@@ -1023,7 +981,28 @@ TEST(WalCompatTest, EarlierLogRecoversAndReencodesIdentically) {
   ASSERT_EQ(state.rollouts.size(), 1u);
   ExpectRolloutsEqual(state.rollouts[0], SampleRollout());
 
-  EXPECT_EQ(WriteAllRecordTypes(MakeTempDir() + "/wal.log"), log);
+  // The earlier log predates ACCESS_CONTROL records; the other twelve
+  // types still encode byte for byte as it does.
+  std::vector<WalRecord> earlier_types;
+  for (WalRecord& record : AllRecordTypes()) {
+    if (record.type != WalRecordType::kAccessControl) {
+      earlier_types.push_back(std::move(record));
+    }
+  }
+  EXPECT_EQ(WriteRecords(MakeTempDir() + "/wal.log", earlier_types), log);
+}
+
+TEST(WalReplayTest, AccessListReplaysBetweenDeployAndDrop) {
+  std::string dir = MakeTempDir();
+  WriteAllRecordTypes(dir + "/wal.log");
+  ReplayedState state;
+  auto recovered = state.Recover(dir);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(recovered->wal_records_replayed, AllRecordTypes().size());
+  EXPECT_EQ(state.model_calls,
+            (std::vector<std::string>{"deploy churn pipe-bytes alice train.py",
+                                      "acl churn alice bob",
+                                      "drop churn bob"}));
 }
 
 TEST(WalCompatTest, EarlierSnapshotRestoresAndReencodesIdentically) {
@@ -1125,6 +1104,10 @@ std::vector<HugeCountCase> HugeCountCases() {
   storage::SerializeSchema(TwoColSchema(), &rest);
   storage::PutU64(&rest, uint64_t{1} << 40);  // batch row count
   cases.push_back({"Batch", record(body(WalRecordType::kAppendBatch, rest))});
+  rest.clear();
+  storage::PutU32(&rest, kHuge);  // allowed principals
+  cases.push_back({"AccessControl",
+                   record(body(WalRecordType::kAccessControl, rest))});
 
   const char* sections[] = {"SnapshotTables",   "SnapshotModels",
                             "SnapshotAudit",    "SnapshotTimeline",
