@@ -195,7 +195,6 @@ void BM_SqlFilterQuery(benchmark::State& state) {
   }();
   flock::sql::EngineOptions options;
   options.num_threads = 1;
-  options.keep_query_log = false;
   flock::sql::SqlEngine engine(db, options);
   for (auto _ : state) {
     auto result =

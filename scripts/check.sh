@@ -4,11 +4,12 @@
 # running every test (catches the memory bugs morsel-parallel execution can
 # hide), then a ThreadSanitizer build running the concurrency-sensitive
 # suites — the serving layer's sessions/admission/plan-cache paths, the
-# thread pool and the compiled filter predicates the morsel workers
-# share, plus the whole of each suite labelled `obs`, `storage`,
-# `repl`, `kernel`, `cancel` and `lifecycle` (data races in the
-# shared-engine serving path only show up under TSan with genuinely
-# concurrent sessions) — and finally a dedicated recovery stage: the WAL
+# thread pool, the compiled filter predicates the morsel workers
+# share and the catalog views read under the shared lock while PREDICT
+# sessions append audit events, plus the whole of each suite labelled
+# `obs`, `storage`, `repl`, `kernel`, `cancel` and `lifecycle` (data
+# races in the shared-engine serving path only show up under TSan with
+# genuinely concurrent sessions) — and finally a dedicated recovery stage: the WAL
 # group-commit tests under TSan (the one writer path with a genuinely
 # concurrent background flusher), plus the crash matrix (fault-injected
 # child processes) under ASan when the full ASan stage did not run — and
@@ -75,16 +76,17 @@ if [[ "$RUN_TSAN" == 1 ]]; then
   echo "== TSan build + concurrent-suite ctest =="
   cmake -B build-tsan -S . -DFLOCK_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j "$JOBS" --target serve_test common_test \
-    parallel_differential_test obs_test sql_evaluator_test
+    parallel_differential_test obs_test sql_evaluator_test flock_catalog_test
   # Concurrency-sensitive suites only: serving (concurrent sessions over
   # one shared engine), the thread pool, the morsel-parallel executor
   # (its filter cases share one compiled PredicateProgram read-only
   # across every morsel worker), the compiled-predicate differential
   # suite, and the observability primitives hit from every serving thread
   # (metrics registry, slow log, admission drain; the histogram suites
-  # run in the `obs` label stage below).
+  # run in the `obs` label stage below), and the catalog-view snapshot
+  # (a flock_audit reader copying the audit trail while scorers append).
   ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-    -R 'Serve|SessionManager|AdmissionController|ThreadPool|ParallelDifferential|PredicateProgramDifferential|MetricsRegistry|SlowQueryLog|ObsEngine'
+    -R 'Serve|SessionManager|AdmissionController|ThreadPool|ParallelDifferential|PredicateProgramDifferential|MetricsRegistry|SlowQueryLog|ObsEngine|CatalogViewConcurrency'
 
   echo "== TSan label stages: obs storage repl kernel cancel lifecycle =="
   # Each label is a whole suite whose code runs on several threads at once:

@@ -37,6 +37,63 @@ const char* AuditKindName(AuditEvent::Kind kind) {
   return "?";
 }
 
+/// The catalog view `name` names, snapshotted for one statement, or
+/// nullptr when it names none. `flock_models` has one row per user-visible
+/// model (latest version): entries are freed only under the engine's
+/// exclusive lock, so reading them under the shared one is safe.
+/// `flock_audit` is the audit trail, copied under the registry's lock, so
+/// scorers appending meanwhile only add rows a later read sees.
+StatusOr<storage::TablePtr> CatalogView(const ModelRegistry& models,
+                                        const std::string& name) {
+  using storage::ColumnDef;
+  using storage::DataType;
+  using storage::Value;
+  storage::RecordBatch rows;
+  if (EqualsIgnoreCase(name, "flock_models")) {
+    rows = storage::RecordBatch(
+        storage::Schema({ColumnDef{"name", DataType::kString, false},
+                         ColumnDef{"version", DataType::kInt64, false},
+                         ColumnDef{"created_by", DataType::kString, false},
+                         ColumnDef{"lineage", DataType::kString, true},
+                         ColumnDef{"model_type", DataType::kString, false},
+                         ColumnDef{"num_inputs", DataType::kInt64, false},
+                         ColumnDef{"tree_nodes", DataType::kInt64, false},
+                         ColumnDef{"restricted", DataType::kBool, false}}));
+    for (const std::string& model : models.ListModels()) {
+      FLOCK_ASSIGN_OR_RETURN(const ModelEntry* entry, models.Get(model));
+      FLOCK_RETURN_NOT_OK(rows.AppendRow(
+          {Value::String(entry->name),
+           Value::Int(static_cast<int64_t>(entry->version)),
+           Value::String(entry->created_by), Value::String(entry->lineage),
+           Value::String(ModelTypeName(entry->pipeline.model_type())),
+           Value::Int(static_cast<int64_t>(entry->pipeline.num_inputs())),
+           Value::Int(static_cast<int64_t>(entry->graph.TotalTreeNodes())),
+           Value::Bool(!entry->allowed_principals.empty())}));
+    }
+  } else if (EqualsIgnoreCase(name, "flock_audit")) {
+    rows = storage::RecordBatch(
+        storage::Schema({ColumnDef{"seq", DataType::kInt64, false},
+                         ColumnDef{"kind", DataType::kString, false},
+                         ColumnDef{"model", DataType::kString, false},
+                         ColumnDef{"principal", DataType::kString, false},
+                         ColumnDef{"version", DataType::kInt64, false},
+                         ColumnDef{"rows_scored", DataType::kInt64, false}}));
+    int64_t seq = 0;
+    for (const AuditEvent& event : models.audit_log()) {
+      FLOCK_RETURN_NOT_OK(rows.AppendRow(
+          {Value::Int(seq++), Value::String(AuditKindName(event.kind)),
+           Value::String(event.model), Value::String(event.principal),
+           Value::Int(static_cast<int64_t>(event.version)),
+           Value::Int(static_cast<int64_t>(event.rows))}));
+    }
+  } else {
+    return storage::TablePtr();
+  }
+  auto table = std::make_shared<storage::Table>(ToLower(name), rows.schema());
+  FLOCK_RETURN_NOT_OK(table->AppendBatch(rows));
+  return table;
+}
+
 }  // namespace
 
 std::string RolloutCandidateKey(const std::string& model) {
@@ -53,6 +110,10 @@ FlockEngine::FlockEngine(FlockEngineOptions options)
   sql_engine_.set_plan_rewriter([this](sql::PlanPtr* plan) -> Status {
     if (!enable_cross_optimizer_) return Status::OK();
     return cross_optimizer_.Rewrite(plan);
+  });
+
+  sql_engine_.set_view_resolver([this](const std::string& name) {
+    return CatalogView(models_, name);
   });
 
   sql_engine_.set_model_ddl_handler(
@@ -96,7 +157,7 @@ Status FlockEngine::OpenAsReplica(FlockDurabilityConfig config) {
   replica_catalog_ = config.catalog;
   replica_policy_ = config.policy;
   replica_adapter_ = BuildStateAdapter();
-  return RefreshCatalogTablesLocked();
+  return Status::OK();
 }
 
 wal::WalReplayTarget FlockEngine::ReplicaTarget() const {
@@ -126,7 +187,7 @@ Status FlockEngine::InstallReplicaSnapshot(
   FLOCK_RETURN_NOT_OK(
       wal::RestoreSnapshotState(ReplicaTarget(), snapshot));
   sql_engine_.plan_cache()->Clear();
-  return RefreshCatalogTablesLocked();
+  return Status::OK();
 }
 
 Status FlockEngine::ApplyReplicated(const wal::WalRecord& record) {
@@ -259,9 +320,6 @@ Status FlockEngine::OpenLocked(const std::string& data_dir,
   wal::DurabilityOptions options;
   options.fsync_policy = config.fsync_policy;
   options.initial_epoch = initial_epoch;
-  // Derived catalog views are rebuilt from the registry on demand; they
-  // must not be logged or snapshotted.
-  options.skip_tables = {"flock_models", "flock_audit"};
 
   FLOCK_ASSIGN_OR_RETURN(
       durability_,
@@ -269,9 +327,9 @@ Status FlockEngine::OpenLocked(const std::string& data_dir,
                                    config.policy, BuildStateAdapter(),
                                    std::move(options)));
   // Recovery mutated tables and models behind the SQL layer's back; any
-  // cached plan or stale catalog view would serve pre-recovery state.
+  // cached plan would serve pre-recovery state.
   sql_engine_.plan_cache()->Clear();
-  return RefreshCatalogTablesLocked();
+  return Status::OK();
 }
 
 Status FlockEngine::Checkpoint() {
@@ -294,127 +352,43 @@ Status FlockEngine::Checkpoint() {
 StatusOr<sql::QueryResult> FlockEngine::Execute(
     const std::string& sql, const sql::ExecOptions& exec_opts) {
   FLOCK_ASSIGN_OR_RETURN(sql::LexedStatement stmt, sql::LexStatement(sql));
-  FLOCK_RETURN_NOT_OK(CheckReplicaServes(stmt));
-  const bool names_catalog = NamesCatalogView(stmt);
-  if (!stmt.read_only || names_catalog) {
-    std::unique_lock<std::shared_mutex> lock(engine_mu_);
-    if (names_catalog) FLOCK_RETURN_NOT_OK(RefreshCatalogTablesLocked());
-    return GuardDurable(sql_engine_.Execute(stmt, exec_opts));
-  }
-  std::shared_lock<std::shared_mutex> lock(engine_mu_);
-  return sql_engine_.Execute(stmt, exec_opts);
-}
-
-StatusOr<sql::QueryResult> FlockEngine::GuardDurable(
-    StatusOr<sql::QueryResult> result) {
-  if (durability_ != nullptr) {
-    FLOCK_RETURN_NOT_OK(durability_->health());
-  }
-  return result;
-}
-
-Status FlockEngine::CheckReplicaServes(const sql::LexedStatement& stmt) const {
-  if (replica_ && !stmt.read_only) {
-    return Status::Redirect(
-        "replica is read-only; send writes and DDL to the primary");
-  }
-  return Status::OK();
-}
-
-bool FlockEngine::NamesCatalogView(const sql::LexedStatement& stmt) {
-  for (const sql::Token& token : stmt.tokens) {
-    if (token.type == sql::TokenType::kIdentifier &&
-        (EqualsIgnoreCase(token.text, "flock_models") ||
-         EqualsIgnoreCase(token.text, "flock_audit"))) {
-      return true;
-    }
-  }
-  return false;
-}
-
-Status FlockEngine::RefreshCatalogTables() {
-  std::unique_lock<std::shared_mutex> lock(engine_mu_);
-  return RefreshCatalogTablesLocked();
-}
-
-Status FlockEngine::RefreshCatalogTablesLocked() {
-  // The catalog tables are dropped and recreated, so any cached plan
-  // scanning them holds a dead table handle.
-  sql_engine_.plan_cache()->Clear();
-  using storage::ColumnDef;
-  using storage::DataType;
-  using storage::Schema;
-  using storage::Value;
-
-  // flock_models: one row per user-visible model (latest version).
-  if (db_.HasTable("flock_models")) {
-    FLOCK_RETURN_NOT_OK(db_.DropTable("flock_models"));
-  }
-  Schema models_schema({ColumnDef{"name", DataType::kString, false},
-                        ColumnDef{"version", DataType::kInt64, false},
-                        ColumnDef{"created_by", DataType::kString, false},
-                        ColumnDef{"lineage", DataType::kString, true},
-                        ColumnDef{"model_type", DataType::kString, false},
-                        ColumnDef{"num_inputs", DataType::kInt64, false},
-                        ColumnDef{"tree_nodes", DataType::kInt64, false},
-                        ColumnDef{"restricted", DataType::kBool, false}});
-  FLOCK_RETURN_NOT_OK(db_.CreateTable("flock_models", models_schema));
-  {
-    FLOCK_ASSIGN_OR_RETURN(storage::TablePtr table,
-                           db_.GetTable("flock_models"));
-    storage::RecordBatch rows(models_schema);
-    for (const std::string& name : models_.ListModels()) {
-      FLOCK_ASSIGN_OR_RETURN(const ModelEntry* entry, models_.Get(name));
-      FLOCK_RETURN_NOT_OK(rows.AppendRow(
-          {Value::String(entry->name),
-           Value::Int(static_cast<int64_t>(entry->version)),
-           Value::String(entry->created_by), Value::String(entry->lineage),
-           Value::String(ModelTypeName(entry->pipeline.model_type())),
-           Value::Int(static_cast<int64_t>(entry->pipeline.num_inputs())),
-           Value::Int(static_cast<int64_t>(entry->graph.TotalTreeNodes())),
-           Value::Bool(!entry->allowed_principals.empty())}));
-    }
-    FLOCK_RETURN_NOT_OK(table->AppendBatch(rows));
-  }
-
-  // flock_audit: the registry's audit trail.
-  if (db_.HasTable("flock_audit")) {
-    FLOCK_RETURN_NOT_OK(db_.DropTable("flock_audit"));
-  }
-  Schema audit_schema({ColumnDef{"seq", DataType::kInt64, false},
-                       ColumnDef{"kind", DataType::kString, false},
-                       ColumnDef{"model", DataType::kString, false},
-                       ColumnDef{"principal", DataType::kString, false},
-                       ColumnDef{"version", DataType::kInt64, false},
-                       ColumnDef{"rows_scored", DataType::kInt64, false}});
-  FLOCK_RETURN_NOT_OK(db_.CreateTable("flock_audit", audit_schema));
-  {
-    FLOCK_ASSIGN_OR_RETURN(storage::TablePtr table,
-                           db_.GetTable("flock_audit"));
-    storage::RecordBatch rows(audit_schema);
-    int64_t seq = 0;
-    for (const AuditEvent& event : models_.audit_log()) {
-      FLOCK_RETURN_NOT_OK(rows.AppendRow(
-          {Value::Int(seq++), Value::String(AuditKindName(event.kind)),
-           Value::String(event.model), Value::String(event.principal),
-           Value::Int(static_cast<int64_t>(event.version)),
-           Value::Int(static_cast<int64_t>(event.rows))}));
-    }
-    FLOCK_RETURN_NOT_OK(table->AppendBatch(rows));
-  }
-  return Status::OK();
+  return ExecuteLexed(stmt, exec_opts);
 }
 
 StatusOr<sql::QueryResult> FlockEngine::ExecuteScript(
-    const std::string& sql) {
+    const std::string& sql, const sql::ExecOptions& exec_opts) {
   if (replica_) {
     // Scripts may interleave DDL/DML; a replica rejects them wholesale
     // rather than partially applying the read-only prefix.
     return Status::Redirect(
         "replica is read-only; send scripts to the primary");
   }
+  FLOCK_ASSIGN_OR_RETURN(std::vector<sql::LexedStatement> stmts,
+                         sql::LexScript(sql));
+  sql::QueryResult last;
+  for (const sql::LexedStatement& stmt : stmts) {
+    FLOCK_ASSIGN_OR_RETURN(last, ExecuteLexed(stmt, exec_opts));
+  }
+  return last;
+}
+
+StatusOr<sql::QueryResult> FlockEngine::ExecuteLexed(
+    const sql::LexedStatement& stmt, const sql::ExecOptions& exec_opts) {
+  if (stmt.read_only) {
+    std::shared_lock<std::shared_mutex> lock(engine_mu_);
+    return sql_engine_.Execute(stmt, exec_opts);
+  }
+  if (replica_) {  // a replica serves only SELECT and EXPLAIN
+    return Status::Redirect(
+        "replica is read-only; send writes and DDL to the primary");
+  }
   std::unique_lock<std::shared_mutex> lock(engine_mu_);
-  return GuardDurable(sql_engine_.ExecuteScript(sql));
+  StatusOr<sql::QueryResult> result = sql_engine_.Execute(stmt, exec_opts);
+  // Commit point: a statement whose WAL append failed must not be
+  // acknowledged, though its in-memory mutation happened (the log is
+  // wedged; health() is sticky).
+  if (durability_ != nullptr) FLOCK_RETURN_NOT_OK(durability_->health());
+  return result;
 }
 
 Status FlockEngine::DeployModel(const std::string& name,

@@ -61,39 +61,32 @@ struct FlockEngineOptions {
 /// ## Locking contract (concurrent Execute)
 ///
 /// Execute is safe to call from any number of threads. It lexes the
-/// statement once (sql::LexStatement) before taking any lock, and decides
-/// everything below from its token classes, never from its characters;
-/// text that does not lex fails with ParseError before any lock. The
-/// principal rides each request (sql::ExecOptions::principal), so it
-/// never decides the lock mode. A single reader/writer lock
-/// (`engine_mu_`) arbitrates:
+/// statement once (sql::LexStatement) before taking any lock; text that
+/// does not lex fails with ParseError. A single reader/writer lock
+/// (`engine_mu_`) arbitrates, and the first token alone
+/// (LexedStatement::read_only) picks the mode:
 ///
-///  * **Shared (many concurrent holders):** statements whose first token
-///    is the keyword SELECT or EXPLAIN (LexedStatement::read_only) and
-///    none of whose identifier tokens is `flock_models` or `flock_audit`
-///    (any case, quoted or not; the words inside a string literal or a
-///    comment are no identifier tokens). Scoring, plan-cache lookups,
-///    the cross-optimizer and the model registry are all individually
-///    thread-safe under the shared lock, and each execution lowers its
-///    own physical plan, so queries never share mutable operator state.
-///  * **Exclusive (single holder, no readers):** everything that mutates
-///    shared engine state — every statement whose first token is not
-///    SELECT/EXPLAIN (DDL: CREATE/DROP TABLE, CREATE/DROP MODEL; DML
-///    writes: INSERT/UPDATE/DELETE, as storage tables are not safe for
-///    concurrent mutation), catalog-view refresh (a read naming
-///    `flock_models` / `flock_audit` as an identifier rebuilds those
-///    tables first), ExecuteScript, DeployModel /
+///  * **Shared:** statements whose first token is the keyword SELECT or
+///    EXPLAIN, whoever runs them and whatever they read. Scoring, the
+///    plan cache, the cross-optimizer and the model registry are each
+///    thread-safe, and each execution lowers its own physical plan. A
+///    read of the catalog views `flock_models` / `flock_audit` scans a
+///    snapshot built for that statement; it is never cached.
+///  * **Exclusive:** every other statement (CREATE/DROP TABLE and MODEL,
+///    INSERT/UPDATE/DELETE), plus the API mutators DeployModel /
 ///    DeployTransaction::Commit, SetAccessControl and UpdateRolloutState.
 ///
 /// The first token decides because Execute parses exactly one statement:
-/// `SELECT 1; DROP TABLE t` is a parse error, not a read.
+/// `SELECT 1; DROP TABLE t` is a parse error, not a read. ExecuteScript
+/// cuts a script at its `;` tokens (sql::LexScript) and runs each
+/// statement through this same path.
 ///
 /// Model entries returned by the registry are only freed by DROP/redeploy,
 /// which require the exclusive lock — so a scoring query holding the
 /// shared lock can never observe a dangling ModelEntry. The SQL plan
-/// cache is invalidated under the exclusive lock by every DDL statement,
-/// model (re)deploy, and catalog refresh; stale plans (dropped tables,
-/// superseded model specializations) are therefore unreachable.
+/// cache is invalidated under the exclusive lock by every DDL statement
+/// and model (re)deploy; stale plans (dropped tables, superseded model
+/// specializations) are therefore unreachable.
 ///
 /// The non-Execute accessors (database(), sql(), models(), ...) are for
 /// single-threaded setup/inspection and do not take the lock.
@@ -108,8 +101,8 @@ class FlockEngine {
   /// snapshot + WAL into the engine (tables, models, audit log, and the
   /// configured catalog/policy components), then logs every subsequent
   /// committed mutation. Call once, before serving traffic; takes the
-  /// exclusive lock. Derived state (plan cache, catalog views) is
-  /// rebuilt, not recovered.
+  /// exclusive lock. Derived state (the plan cache) is rebuilt, not
+  /// recovered.
   Status Open(const std::string& data_dir,
               FlockDurabilityConfig config = {});
 
@@ -150,10 +143,10 @@ class FlockEngine {
   bool durable() const { return durability_ != nullptr; }
   wal::DurabilityManager* durability() { return durability_.get(); }
 
-  /// Executes one SQL statement (including CREATE/DROP MODEL). Queries
-  /// naming the model catalog views (`flock_models`, `flock_audit`) as
-  /// identifiers see a snapshot refreshed at statement start — models
-  /// are data, so they are queryable like any other table:
+  /// Executes one SQL statement (including CREATE/DROP MODEL). A FROM or
+  /// JOIN naming a model catalog view (`flock_models`, `flock_audit`)
+  /// scans a snapshot taken for this statement — models are data, so they
+  /// are queryable like any other table, and read-only:
   ///
   ///   SELECT name, version, created_by FROM flock_models;
   ///   SELECT principal, COUNT(*) FROM flock_audit GROUP BY principal;
@@ -164,14 +157,12 @@ class FlockEngine {
   StatusOr<sql::QueryResult> Execute(const std::string& sql,
                                      const sql::ExecOptions& exec_opts = {});
 
-  /// Rebuilds the `flock_models` / `flock_audit` catalog tables from the
-  /// registry (Execute calls this lazily; exposed for tests). Takes the
-  /// exclusive lock.
-  Status RefreshCatalogTables();
-
-  /// Executes a ';'-separated script, returning the last result. Takes
-  /// the exclusive lock (scripts may contain DDL/DML).
-  StatusOr<sql::QueryResult> ExecuteScript(const std::string& sql);
+  /// Executes a ';'-separated script, lexed once, returning the last
+  /// statement's result. Each statement runs as Execute runs it, with
+  /// `exec_opts` and its own lock; the first failure stops the script
+  /// (earlier statements stay applied). A replica rejects every script.
+  StatusOr<sql::QueryResult> ExecuteScript(
+      const std::string& sql, const sql::ExecOptions& exec_opts = {});
 
   /// Registers a trained pipeline under `name` (API-level deployment).
   Status DeployModel(const std::string& name, ml::Pipeline pipeline,
@@ -228,14 +219,10 @@ class FlockEngine {
   bool enable_cross_optimizer() const { return enable_cross_optimizer_; }
 
  private:
-  /// Redirect on a replica unless `stmt` is read-only (its first token
-  /// is SELECT or EXPLAIN), the only statements a replica serves.
-  Status CheckReplicaServes(const sql::LexedStatement& stmt) const;
-
-  /// True when an identifier token of `stmt` is `flock_models` or
-  /// `flock_audit` (any case): the statement reads a catalog view, whose
-  /// refresh drops and recreates tables under the exclusive lock.
-  static bool NamesCatalogView(const sql::LexedStatement& stmt);
+  /// Runs `stmt` under the lock its first token picks; on a replica,
+  /// anything but SELECT/EXPLAIN fails with Redirect.
+  StatusOr<sql::QueryResult> ExecuteLexed(const sql::LexedStatement& stmt,
+                                          const sql::ExecOptions& exec_opts);
 
   /// Builds the adapter recovery and replication use to reach the model
   /// registry (snapshot/restore/replay hooks).
@@ -249,8 +236,6 @@ class FlockEngine {
   /// Replay target for streamed records (replica mode).
   wal::WalReplayTarget ReplicaTarget() const;
 
-  Status RefreshCatalogTablesLocked();
-
   /// Shared body of UpdateRolloutState, WAL replay, and snapshot restore:
   /// stores the rollout and (de)installs the candidate specialization.
   /// Caller holds the exclusive lock; does not WAL-log.
@@ -258,12 +243,6 @@ class FlockEngine {
 
   /// WAL-logs `record` when the engine is durable; OK otherwise.
   Status Log(const wal::WalRecord& record);
-
-  /// Commit-point check for exclusive statements: a statement whose WAL
-  /// append failed must not be acknowledged, even though the in-memory
-  /// mutation happened (the log is wedged; health() is sticky).
-  StatusOr<sql::QueryResult> GuardDurable(
-      StatusOr<sql::QueryResult> result);
 
   storage::Database db_;
   ModelRegistry models_;
@@ -280,8 +259,8 @@ class FlockEngine {
   prov::Catalog* replica_catalog_ = nullptr;
   policy::PolicyEngine* replica_policy_ = nullptr;
   wal::EngineStateAdapter replica_adapter_;
-  /// Shared: concurrent queries. Exclusive: DDL/DML/catalog refresh/
-  /// model changes. See the class-level locking contract.
+  /// Shared: SELECT/EXPLAIN. Exclusive: DDL/DML/model changes. See the
+  /// class-level locking contract.
   mutable std::shared_mutex engine_mu_;
 };
 

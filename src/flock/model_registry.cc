@@ -89,6 +89,11 @@ void ModelRegistry::RestoreAuditLog(std::vector<AuditEvent> events) {
   audit_log_ = std::move(events);
 }
 
+std::vector<AuditEvent> ModelRegistry::audit_log() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return audit_log_;
+}
+
 void ModelRegistry::Reset() {
   std::lock_guard<std::mutex> lock(mu_);
   models_.clear();

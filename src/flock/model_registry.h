@@ -165,7 +165,9 @@ class ModelRegistry {
   void ClearSpecializations();
   size_t num_specializations() const;
 
-  const std::vector<AuditEvent>& audit_log() const { return audit_log_; }
+  /// A copy of the audit trail, taken under the registry's lock, so it is
+  /// safe while scorers append.
+  std::vector<AuditEvent> audit_log() const;
 
   /// Fills `entry`'s precomputed scoring metadata (compiled kernel, tree
   /// node index, training profile). InvalidArgument when the graph is not

@@ -79,10 +79,11 @@ void RegisterPredictFunctions(sql::FunctionRegistry* functions,
                               ModelRegistry* models,
                               std::shared_ptr<ScoringContext> context) {
   auto register_fn = [&](const std::string& name, DataType return_type,
-                         size_t min_args, std::optional<ThresholdOp> op) {
+                         std::optional<ThresholdOp> op) {
     sql::ScalarFunction fn;
     fn.return_type = return_type;
-    fn.min_args = min_args;
+    fn.constant_args = op.has_value() ? 2 : 1;
+    fn.min_args = fn.constant_args;
     fn.bind = [models, context, op](const std::vector<ColumnVectorPtr>& args,
                                     size_t num_rows,
                                     const std::string& principal)
@@ -110,12 +111,12 @@ void RegisterPredictFunctions(sql::FunctionRegistry* functions,
     };
     functions->Register(name, fn);
   };
-  register_fn("PREDICT", DataType::kDouble, 1, std::nullopt);
+  register_fn("PREDICT", DataType::kDouble, std::nullopt);
   // Threshold push-up targets: PREDICT_GT(model, threshold, features...).
-  register_fn("PREDICT_GT", DataType::kBool, 2, ThresholdOp::kGt);
-  register_fn("PREDICT_GE", DataType::kBool, 2, ThresholdOp::kGe);
-  register_fn("PREDICT_LT", DataType::kBool, 2, ThresholdOp::kLt);
-  register_fn("PREDICT_LE", DataType::kBool, 2, ThresholdOp::kLe);
+  register_fn("PREDICT_GT", DataType::kBool, ThresholdOp::kGt);
+  register_fn("PREDICT_GE", DataType::kBool, ThresholdOp::kGe);
+  register_fn("PREDICT_LT", DataType::kBool, ThresholdOp::kLt);
+  register_fn("PREDICT_LE", DataType::kBool, ThresholdOp::kLe);
 }
 
 }  // namespace flock::flock

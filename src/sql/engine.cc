@@ -89,7 +89,6 @@ StatusOr<QueryResult> SqlEngine::Execute(const std::string& sql,
 
 StatusOr<QueryResult> SqlEngine::Execute(const LexedStatement& lexed,
                                          const ExecOptions& exec_opts) {
-  const std::string& sql = lexed.sql;
   Stopwatch timer;
   // A request that spent its whole deadline in the admission queue (or
   // was killed before a worker picked it up) stops here, before parsing.
@@ -115,36 +114,31 @@ StatusOr<QueryResult> SqlEngine::Execute(const LexedStatement& lexed,
   // every parsed statement (eager provenance capture).
   const bool use_cache =
       options_.enable_plan_cache && statement_observer_ == nullptr;
+  PlanPtr cached;
   if (use_cache) {
-    PlanPtr cached;
+    obs::ScopedSpan span("plan_cache.lookup");
+    cached = plan_cache_.Lookup(lexed.key);
+  }
+  QueryResult result;
+  StatementPtr stmt;  // parsed on a cache miss only
+  if (cached != nullptr) {
+    FLOCK_ASSIGN_OR_RETURN(result, LowerAndExecute(*cached, exec_opts));
+    result.from_plan_cache = true;
+  } else {
     {
-      obs::ScopedSpan span("plan_cache.lookup");
-      cached = plan_cache_.Lookup(lexed.key);
+      obs::ScopedSpan span("parse");
+      FLOCK_ASSIGN_OR_RETURN(stmt, Parser::Parse(lexed.tokens));
     }
-    if (cached != nullptr) {
-      FLOCK_ASSIGN_OR_RETURN(QueryResult result,
-                             LowerAndExecute(*cached, exec_opts));
-      result.from_plan_cache = true;
-      result.elapsed_ms = timer.ElapsedMillis();
-      if (recorder.has_value()) result.trace = recorder->Snapshot();
-      MaybeRecordSlowQuery(result, lexed.key);
-      if (options_.keep_query_log) AppendQueryLog(sql);
-      return result;
-    }
+    FLOCK_ASSIGN_OR_RETURN(
+        result,
+        ExecuteStatement(*stmt, use_cache ? &lexed.key : nullptr, exec_opts));
   }
-  StatementPtr stmt;
-  {
-    obs::ScopedSpan span("parse");
-    FLOCK_ASSIGN_OR_RETURN(stmt, Parser::Parse(lexed.tokens));
-  }
-  FLOCK_ASSIGN_OR_RETURN(
-      QueryResult result,
-      ExecuteStatement(*stmt, use_cache ? &lexed.key : nullptr, exec_opts));
   result.elapsed_ms = timer.ElapsedMillis();
   if (recorder.has_value()) result.trace = recorder->Snapshot();
   MaybeRecordSlowQuery(result, lexed.key);
-  if (options_.keep_query_log) AppendQueryLog(sql);
-  if (statement_observer_) statement_observer_(sql, *stmt);
+  if (stmt != nullptr && statement_observer_) {
+    statement_observer_(lexed.sql, *stmt);
+  }
   return result;
 }
 
@@ -215,21 +209,6 @@ void SqlEngine::MaybeRecordSlowQuery(const QueryResult& result,
   slow_log_.Record(std::move(entry));
 }
 
-void SqlEngine::AppendQueryLog(const std::string& sql) {
-  std::lock_guard<std::mutex> lock(query_log_mu_);
-  query_log_.push_back(sql);
-}
-
-StatusOr<QueryResult> SqlEngine::ExecuteScript(const std::string& sql) {
-  FLOCK_ASSIGN_OR_RETURN(std::vector<StatementPtr> stmts,
-                         Parser::ParseScript(sql));
-  QueryResult last;
-  for (const auto& stmt : stmts) {
-    FLOCK_ASSIGN_OR_RETURN(last, ExecuteStatement(*stmt, nullptr, {}));
-  }
-  return last;
-}
-
 StatusOr<QueryResult> SqlEngine::ExecuteStatement(
     const Statement& stmt, const std::string* cache_key,
     const ExecOptions& exec_opts) {
@@ -250,6 +229,14 @@ StatusOr<QueryResult> SqlEngine::ExecuteStatement(
       return ExecuteDelete(static_cast<const DeleteStatement&>(stmt));
     case StatementKind::kCreateTable: {
       const auto& create = static_cast<const CreateTableStatement&>(stmt);
+      if (view_resolver_) {
+        // No table may take a view's name.
+        FLOCK_ASSIGN_OR_RETURN(TablePtr view,
+                               view_resolver_(create.table_name));
+        if (view != nullptr) {
+          return Status::AlreadyExists(create.table_name + " is a view");
+        }
+      }
       FLOCK_RETURN_NOT_OK(db_->CreateTable(create.table_name,
                                            create.schema));
       plan_cache_.Clear();  // cached plans hold resolved table handles
@@ -337,9 +324,12 @@ StatusOr<QueryResult> SqlEngine::ExecuteStatement(
   return Status::Internal("unhandled statement kind");
 }
 
-StatusOr<PlanPtr> SqlEngine::PlanQuery(const SelectStatement& stmt) {
-  Planner planner(db_, &registry_);
-  return planner.PlanSelect(stmt);
+StatusOr<PlanPtr> SqlEngine::PlanQuery(const SelectStatement& stmt,
+                                       bool* reads_view) {
+  Planner planner(db_, &registry_, &view_resolver_);
+  FLOCK_ASSIGN_OR_RETURN(PlanPtr plan, planner.PlanSelect(stmt));
+  if (reads_view != nullptr) *reads_view = planner.reads_view();
+  return plan;
 }
 
 Status SqlEngine::OptimizePlan(PlanPtr* plan) {
@@ -381,12 +371,15 @@ StatusOr<QueryResult> SqlEngine::ExecuteSelect(
     const SelectStatement& stmt, const std::string* cache_key,
     const ExecOptions& exec_opts) {
   PlanPtr plan;
+  bool reads_view = false;
   {
     obs::ScopedSpan span("plan");
-    FLOCK_ASSIGN_OR_RETURN(plan, PlanQuery(stmt));
+    FLOCK_ASSIGN_OR_RETURN(plan, PlanQuery(stmt, &reads_view));
   }
   FLOCK_RETURN_NOT_OK(OptimizePlan(&plan));
-  if (cache_key != nullptr) {
+  // A view's plan scans the snapshot taken for this statement; reusing it
+  // would serve that moment again.
+  if (cache_key != nullptr && !reads_view) {
     plan_cache_.Insert(*cache_key, plan->Clone());
   }
   return LowerAndExecute(*plan, exec_opts);

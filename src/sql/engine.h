@@ -4,7 +4,6 @@
 #include <atomic>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -21,6 +20,7 @@
 #include "sql/optimizer.h"
 #include "sql/physical_plan.h"
 #include "sql/plan_cache.h"
+#include "sql/planner.h"
 #include "storage/database.h"
 
 namespace flock::sql {
@@ -74,8 +74,6 @@ struct EngineOptions {
   size_t morsel_size = storage::RecordBatch::kDefaultBatchSize;
   /// Built-in relational optimizations (folding, pushdown, pruning).
   bool enable_optimizer = true;
-  /// Record every executed statement for lazy provenance capture.
-  bool keep_query_log = true;
   /// Prepared-statement plan cache keyed on the lexed statement key: SELECT
   /// executions reuse the optimized logical plan, skipping
   /// parse/plan/optimize. Invalidated on any DDL. Bypassed while a
@@ -102,6 +100,8 @@ struct EngineOptions {
 ///  * `set_plan_rewriter` — the SQLxML cross-optimizer hook, invoked after
 ///    built-in optimization and before execution;
 ///  * `set_model_ddl_handler` — CREATE/DROP MODEL delegation;
+///  * `set_view_resolver` — read-only views (the model catalog) that
+///    FROM/JOIN resolve to per-statement snapshots;
 ///  * `set_statement_observer` — eager provenance capture taps each
 ///    successfully executed statement.
 class SqlEngine {
@@ -129,11 +129,10 @@ class SqlEngine {
   StatusOr<QueryResult> Execute(const LexedStatement& lexed,
                                 const ExecOptions& exec_opts = {});
 
-  /// Executes a ';'-separated script; returns the last statement's result.
-  StatusOr<QueryResult> ExecuteScript(const std::string& sql);
-
-  /// Plans (and binds) a SELECT without executing it.
-  StatusOr<PlanPtr> PlanQuery(const SelectStatement& stmt);
+  /// Plans (and binds) a SELECT without executing it. `reads_view`, when
+  /// given, is set to whether the plan scans a view snapshot.
+  StatusOr<PlanPtr> PlanQuery(const SelectStatement& stmt,
+                              bool* reads_view = nullptr);
 
   /// Runs the built-in optimizer, then the plan rewriter if set.
   Status OptimizePlan(PlanPtr* plan);
@@ -184,18 +183,15 @@ class SqlEngine {
   void set_statement_observer(StatementObserver observer) {
     statement_observer_ = std::move(observer);
   }
-
-  /// Not synchronized with concurrent Execute calls; read only while the
-  /// engine is quiescent (tests, provenance capture).
-  const std::vector<std::string>& query_log() const { return query_log_; }
-  void ClearQueryLog() {
-    std::lock_guard<std::mutex> lock(query_log_mu_);
-    query_log_.clear();
+  /// Views resolve to snapshots each statement builds for itself: a plan
+  /// that scans one is never cached, and no table may take a view's name.
+  void set_view_resolver(ViewResolver resolver) {
+    view_resolver_ = std::move(resolver);
   }
 
  private:
   /// `cache_key` is the lexed key to cache an optimized SELECT plan
-  /// under, or nullptr to skip caching (scripts, subqueries).
+  /// under, or nullptr to skip caching (INSERT ... SELECT).
   StatusOr<QueryResult> ExecuteStatement(const Statement& stmt,
                                          const std::string* cache_key,
                                          const ExecOptions& exec_opts);
@@ -218,7 +214,6 @@ class SqlEngine {
   /// trace) and the plan digest.
   Status ExecuteLowered(PhysicalOperator* root, const ExecOptions& exec_opts,
                         QueryResult* result);
-  void AppendQueryLog(const std::string& sql);
   /// Folds scan segment counters from one statement's operator metrics
   /// into the engine-lifetime totals.
   void AccumulateScanMetrics(
@@ -234,8 +229,6 @@ class SqlEngine {
   std::unique_ptr<ThreadPool> pool_;
   PlanCache plan_cache_;
   obs::SlowQueryLog slow_log_;
-  std::mutex query_log_mu_;
-  std::vector<std::string> query_log_;
   std::atomic<uint64_t> segments_scanned_total_{0};
   std::atomic<uint64_t> segments_pruned_total_{0};
   std::atomic<uint64_t> blocks_scanned_total_{0};
@@ -245,6 +238,7 @@ class SqlEngine {
   CreateModelHandler create_model_handler_;
   DropModelHandler drop_model_handler_;
   StatementObserver statement_observer_;
+  ViewResolver view_resolver_;
 };
 
 }  // namespace flock::sql

@@ -335,7 +335,13 @@ StatusOr<ColumnVectorPtr> EvaluateExpr(const Expr& expr,
     case ExprKind::kFunction: {
       std::vector<ColumnVectorPtr> args;
       FLOCK_ASSIGN_OR_RETURN(const ScalarFunction* fn,
-                             EvaluateCallArgs(expr, input, registry, &args));
+                             EvaluateCallConstants(expr, registry, &args));
+      for (size_t i = args.size(); i < expr.children.size(); ++i) {
+        FLOCK_ASSIGN_OR_RETURN(
+            ColumnVectorPtr arg,
+            EvaluateExpr(*expr.children[i], input, registry));
+        args.push_back(std::move(arg));
+      }
       if (!fn->bind) return fn->kernel(args, n);
       // A scoring call outside a PredictScore operator binds per
       // evaluation; no rows, no binding.
@@ -554,9 +560,9 @@ StatusOr<DataType> InferExprType(const Expr& expr,
   return Status::Internal("unhandled kind in type inference");
 }
 
-StatusOr<const ScalarFunction*> EvaluateCallArgs(
-    const Expr& call, const RecordBatch& input,
-    const FunctionRegistry* registry, std::vector<ColumnVectorPtr>* args) {
+StatusOr<const ScalarFunction*> EvaluateCallConstants(
+    const Expr& call, const FunctionRegistry* registry,
+    std::vector<ColumnVectorPtr>* args) {
   if (IsAggregateFunction(call.function_name)) {
     return Status::Internal("aggregate function reached scalar evaluator: " +
                             call.function_name);
@@ -573,10 +579,13 @@ StatusOr<const ScalarFunction*> EvaluateCallArgs(
   }
   args->clear();
   args->reserve(call.children.size());
-  for (const auto& child : call.children) {
-    FLOCK_ASSIGN_OR_RETURN(ColumnVectorPtr arg,
-                           EvaluateExpr(*child, input, registry));
-    args->push_back(std::move(arg));
+  for (size_t i = 0; i < fn->constant_args && i < call.children.size(); ++i) {
+    FLOCK_ASSIGN_OR_RETURN(Value value,
+                           EvaluateConstant(*call.children[i], registry));
+    auto col = std::make_shared<ColumnVector>(
+        value.is_null() ? DataType::kInt64 : value.type());
+    FLOCK_RETURN_NOT_OK(col->AppendValue(value));
+    args->push_back(std::move(col));
   }
   return fn;
 }

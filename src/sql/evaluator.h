@@ -19,10 +19,11 @@ StatusOr<storage::ColumnVectorPtr> EvaluateExpr(
     const FunctionRegistry* registry);
 
 /// Looks up function call `call`, checks its arity and evaluates its
-/// argument columns over `input` into `args`.
-StatusOr<const ScalarFunction*> EvaluateCallArgs(
-    const Expr& call, const storage::RecordBatch& input,
-    const FunctionRegistry* registry,
+/// leading ScalarFunction::constant_args arguments into `args` as one-row
+/// columns (InvalidArgument when one is not a constant); the caller
+/// evaluates the rest.
+StatusOr<const ScalarFunction*> EvaluateCallConstants(
+    const Expr& call, const FunctionRegistry* registry,
     std::vector<storage::ColumnVectorPtr>* args);
 
 /// The one SQL comparison routine, shared by EvaluateExpr and the

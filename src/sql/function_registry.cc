@@ -32,13 +32,6 @@ bool FunctionRegistry::IsScoringFunction(const std::string& name) const {
   return it != functions_.end() && it->second.bind;
 }
 
-std::vector<std::string> FunctionRegistry::ListFunctions() const {
-  std::vector<std::string> out;
-  out.reserve(functions_.size());
-  for (const auto& [name, fn] : functions_) out.push_back(name);
-  return out;
-}
-
 namespace {
 const std::string kDefaultPrincipal = "system";
 thread_local const std::string* current_principal = &kDefaultPrincipal;

@@ -17,10 +17,12 @@ namespace flock::sql {
 using ScalarKernel = std::function<StatusOr<storage::ColumnVectorPtr>(
     const std::vector<storage::ColumnVectorPtr>& args, size_t num_rows)>;
 
-/// Binds one model-scoring call site for `principal` from its first
-/// argument columns with rows (`num_rows` > 0, model name first): the
-/// returned kernel scores that and every later morsel of the execution,
-/// from any number of workers at once. Destroying it closes the binding.
+/// Binds one model-scoring call site for `principal` from its one-row
+/// constant argument columns (model name first) on its first morsel with
+/// rows (`num_rows` > 0): the returned kernel scores that and every later
+/// morsel of the execution, from any number of workers at once, taking
+/// the same constant columns ahead of the per-row ones. Destroying it
+/// closes the binding.
 using ScoringBinder = std::function<StatusOr<ScalarKernel>(
     const std::vector<storage::ColumnVectorPtr>& args, size_t num_rows,
     const std::string& principal)>;
@@ -31,6 +33,9 @@ struct ScalarFunction {
   storage::DataType return_type = storage::DataType::kDouble;
   size_t min_args = 0;
   size_t max_args = 64;
+  /// Leading arguments that must be constants, evaluated once per call
+  /// site as one-row columns (a model name; a PREDICT_GT/.. threshold).
+  size_t constant_args = 0;
   /// Set on model-scoring functions (the PREDICT family). The physical
   /// planner hoists their calls into a PredictScore operator, which binds
   /// each call once per execution, shows it in EXPLAIN and reports its own
@@ -77,8 +82,6 @@ class FunctionRegistry {
 
   /// True when `name` is registered with a scoring binder.
   bool IsScoringFunction(const std::string& name) const;
-
-  std::vector<std::string> ListFunctions() const;
 
   /// Installs the standard math/string built-ins into `registry`.
   static void RegisterBuiltins(FunctionRegistry* registry);

@@ -183,23 +183,25 @@ StatusOr<std::vector<Token>> Tokenize(const std::string& sql) {
   return tokens;
 }
 
-StatusOr<LexedStatement> LexStatement(const std::string& sql) {
-  LexedStatement lexed;
-  FLOCK_ASSIGN_OR_RETURN(lexed.tokens, Tokenize(sql));
-  lexed.sql = sql;
-  const std::vector<Token>& tokens = lexed.tokens;
+namespace {
+
+/// Derives the key and the statement-class flags from `lexed->tokens`,
+/// whose spans index `lexed->sql`.
+void DeriveStatementFields(LexedStatement* lexed) {
+  const std::string& sql = lexed->sql;
+  const std::vector<Token>& tokens = lexed->tokens;
   size_t last = tokens.size() - 1;  // the kEof token
   while (last > 0 && tokens[last - 1].type == TokenType::kSemicolon) --last;
-  lexed.key.reserve(sql.size());
+  lexed->key.reserve(sql.size());
   for (size_t t = 0; t < last; ++t) {
     const Token& tok = tokens[t];
-    if (t > 0 && tok.offset > tokens[t - 1].end) lexed.key += ' ';
+    if (t > 0 && tok.offset > tokens[t - 1].end) lexed->key += ' ';
     if (tok.type == TokenType::kString) {
-      lexed.key.append(sql, tok.offset, tok.end - tok.offset);
+      lexed->key.append(sql, tok.offset, tok.end - tok.offset);
       continue;
     }
     for (size_t c = tok.offset; c < tok.end; ++c) {
-      lexed.key += static_cast<char>(
+      lexed->key += static_cast<char>(
           std::tolower(static_cast<unsigned char>(sql[c])));
     }
   }
@@ -207,9 +209,49 @@ StatusOr<LexedStatement> LexStatement(const std::string& sql) {
     return t < tokens.size() && tokens[t].type == TokenType::kKeyword &&
            tokens[t].text == kw;
   };
-  lexed.read_only = is_keyword(0, "SELECT") || is_keyword(0, "EXPLAIN");
-  lexed.explain_analyze = is_keyword(0, "EXPLAIN") && is_keyword(1, "ANALYZE");
+  lexed->read_only = is_keyword(0, "SELECT") || is_keyword(0, "EXPLAIN");
+  lexed->explain_analyze =
+      is_keyword(0, "EXPLAIN") && is_keyword(1, "ANALYZE");
+}
+
+}  // namespace
+
+StatusOr<LexedStatement> LexStatement(const std::string& sql) {
+  LexedStatement lexed;
+  FLOCK_ASSIGN_OR_RETURN(lexed.tokens, Tokenize(sql));
+  lexed.sql = sql;
+  DeriveStatementFields(&lexed);
   return lexed;
+}
+
+StatusOr<std::vector<LexedStatement>> LexScript(const std::string& script) {
+  FLOCK_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(script));
+  std::vector<LexedStatement> out;
+  size_t first = 0;  // first token of the current statement
+  for (size_t t = 0; t < tokens.size(); ++t) {
+    if (tokens[t].type != TokenType::kSemicolon &&
+        tokens[t].type != TokenType::kEof) {
+      continue;
+    }
+    if (t > first) {
+      // Re-base the tokens onto the statement's own text; a kEof ends them.
+      LexedStatement lexed;
+      const size_t begin = tokens[first].offset;
+      lexed.sql = script.substr(begin, tokens[t - 1].end - begin);
+      lexed.tokens.assign(tokens.begin() + first, tokens.begin() + t);
+      for (Token& tok : lexed.tokens) {
+        tok.offset -= begin;
+        tok.end -= begin;
+      }
+      Token eof;
+      eof.offset = eof.end = lexed.sql.size();
+      lexed.tokens.push_back(std::move(eof));
+      DeriveStatementFields(&lexed);
+      out.push_back(std::move(lexed));
+    }
+    first = t + 1;
+  }
+  return out;
 }
 
 }  // namespace flock::sql

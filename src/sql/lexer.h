@@ -17,9 +17,10 @@ bool IsKeyword(const std::string& upper);
 StatusOr<std::vector<Token>> Tokenize(const std::string& sql);
 
 /// One statement, tokenized once. Every decision the engine makes about
-/// a statement before parsing it (replica gate, lock mode, catalog-view
-/// refresh, tracing, plan-cache key, rollout routing) reads these
-/// fields, and on a plan-cache miss the parser consumes `tokens`.
+/// a statement before parsing it (replica gate, lock mode, tracing,
+/// plan-cache key, rollout routing) reads these fields, and on a
+/// plan-cache miss the parser consumes `tokens`. A script is a run of
+/// them (LexScript).
 struct LexedStatement {
   std::string sql;            // the source text; token spans index it
   std::vector<Token> tokens;  // ends with kEof
@@ -44,6 +45,12 @@ struct LexedStatement {
 /// Tokenizes `sql` and derives the LexedStatement fields from the tokens.
 /// Fails with the tokenizer's ParseError.
 StatusOr<LexedStatement> LexStatement(const std::string& sql);
+
+/// Tokenizes a script once and cuts it at its `;` tokens (a ';' in a
+/// literal, quoted name or comment is none) into statements, skipping
+/// empty ones. Each `sql` runs from the statement's first token to its
+/// last. Fails with the tokenizer's ParseError.
+StatusOr<std::vector<LexedStatement>> LexScript(const std::string& script);
 
 }  // namespace flock::sql
 

@@ -27,19 +27,6 @@ StatusOr<StatementPtr> Parser::Parse(const std::vector<Token>& tokens) {
   return stmt;
 }
 
-StatusOr<std::vector<StatementPtr>> Parser::ParseScript(
-    const std::string& sql) {
-  FLOCK_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(sql));
-  Parser parser(tokens);
-  std::vector<StatementPtr> out;
-  while (!parser.Check(TokenType::kEof)) {
-    if (parser.Match(TokenType::kSemicolon)) continue;
-    FLOCK_ASSIGN_OR_RETURN(StatementPtr stmt, parser.ParseStatement());
-    out.push_back(std::move(stmt));
-  }
-  return out;
-}
-
 StatusOr<ExprPtr> Parser::ParseExpression(const std::string& text) {
   FLOCK_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(text));
   Parser parser(tokens);

@@ -27,10 +27,6 @@ class Parser {
   /// kEof), so a caller that lexed the statement does not lex it again.
   static StatusOr<StatementPtr> Parse(const std::vector<Token>& tokens);
 
-  /// Parses a ';'-separated script into a statement list.
-  static StatusOr<std::vector<StatementPtr>> ParseScript(
-      const std::string& sql);
-
   /// Parses a standalone scalar expression (used in tests and by the policy
   /// engine's condition language).
   static StatusOr<ExprPtr> ParseExpression(const std::string& text);

@@ -347,6 +347,7 @@ PredictScoreOp::PredictScoreOp(PhysicalOperatorPtr child,
                                std::vector<ExprPtr> calls, Schema schema)
     : PhysicalOperator(Kind::kPredictScore, std::move(schema)),
       calls(std::move(calls)),
+      constants_(this->calls.size()),
       bound_(this->calls.size()) {
   children.push_back(std::move(child));
 }
@@ -363,12 +364,8 @@ StatusOr<RecordBatch> PredictScoreOp::ProcessMorsel(const ExecContext& ctx,
   for (size_t c = 0; c < child_width; ++c) {
     out.SetColumn(c, input.column(c));
   }
-  std::vector<ColumnVectorPtr> args;
   for (size_t i = 0; i < calls.size(); ++i) {
     const DataType type = output_schema().column(child_width + i).type;
-    FLOCK_ASSIGN_OR_RETURN(
-        const ScalarFunction* fn,
-        EvaluateCallArgs(*calls[i], input, ctx.registry, &args));
     ColumnVectorPtr col;
     if (num_rows == 0) {
       col = std::make_shared<ColumnVector>(type);  // nothing to bind
@@ -377,9 +374,22 @@ StatusOr<RecordBatch> PredictScoreOp::ProcessMorsel(const ExecContext& ctx,
         // The first morsel with rows binds the call for every worker; a
         // refusal is kept, so later morsels fail without a second check.
         std::lock_guard<std::mutex> lock(bind_mu_);
-        if (!bound_[i]) bound_[i] = fn->bind(args, num_rows, ctx.principal);
+        if (!bound_[i]) {
+          StatusOr<const ScalarFunction*> fn =
+              EvaluateCallConstants(*calls[i], ctx.registry, &constants_[i]);
+          bound_[i] = fn.ok() ? (*fn)->bind(constants_[i], num_rows,
+                                            ctx.principal)
+                              : StatusOr<ScalarKernel>(fn.status());
+        }
       }
       FLOCK_RETURN_NOT_OK(bound_[i]->status());
+      std::vector<ColumnVectorPtr> args = constants_[i];
+      for (size_t a = args.size(); a < calls[i]->children.size(); ++a) {
+        FLOCK_ASSIGN_OR_RETURN(
+            ColumnVectorPtr arg,
+            EvaluateExpr(*calls[i]->children[a], input, ctx.registry));
+        args.push_back(std::move(arg));
+      }
       FLOCK_ASSIGN_OR_RETURN(col, (**bound_[i])(args, num_rows));
       FLOCK_ASSIGN_OR_RETURN(col, NormalizeType(std::move(col), type));
     }

@@ -333,9 +333,10 @@ class ProjectOp : public PhysicalOperator {
 /// Hoisting scoring out of scalar-expression evaluation gives it its own
 /// EXPLAIN line and OperatorMetrics, and keeps threshold push-up intact
 /// (PREDICT_GT & friends are just calls with a bool output column).
-/// Each call binds (ScalarFunction::bind) on its first morsel with rows,
-/// for ExecContext::principal, and every worker scores through that
-/// binding until the operator, lowered per execution, is destroyed.
+/// Each call evaluates its constant arguments and binds
+/// (ScalarFunction::bind) once, on its first morsel with rows, for
+/// ExecContext::principal; every worker scores through that binding until
+/// the operator, lowered per execution, is destroyed.
 class PredictScoreOp : public PhysicalOperator {
  public:
   PredictScoreOp(PhysicalOperatorPtr child, std::vector<ExprPtr> calls,
@@ -351,7 +352,10 @@ class PredictScoreOp : public PhysicalOperator {
 
  private:
   std::mutex bind_mu_;
-  std::vector<std::optional<StatusOr<ScalarKernel>>> bound_;  // per call
+  // Per call, set together under bind_mu_: its constant argument columns
+  // (one row each) and the kernel they bound.
+  std::vector<std::vector<storage::ColumnVectorPtr>> constants_;
+  std::vector<std::optional<StatusOr<ScalarKernel>>> bound_;
 };
 
 // ---------------------------------------------------------------------------

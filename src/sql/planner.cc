@@ -162,8 +162,18 @@ StatusOr<Planner::Scope> Planner::BuildFromScope(const SelectStatement& stmt,
     *plan_out = nullptr;
     return scope;
   }
+  auto resolve = [&](const std::string& name) -> StatusOr<storage::TablePtr> {
+    if (views_ != nullptr && *views_) {
+      FLOCK_ASSIGN_OR_RETURN(storage::TablePtr view, (*views_)(name));
+      if (view != nullptr) {
+        reads_view_ = true;
+        return view;
+      }
+    }
+    return db_->GetTable(name);
+  };
   FLOCK_ASSIGN_OR_RETURN(storage::TablePtr table,
-                         db_->GetTable(stmt.from->table_name));
+                         resolve(stmt.from->table_name));
   PlanPtr plan = LogicalPlan::MakeScan(stmt.from->table_name, table);
   std::string base_name = stmt.from->alias.empty() ? stmt.from->table_name
                                                    : stmt.from->alias;
@@ -173,7 +183,7 @@ StatusOr<Planner::Scope> Planner::BuildFromScope(const SelectStatement& stmt,
 
   for (const auto& join : stmt.joins) {
     FLOCK_ASSIGN_OR_RETURN(storage::TablePtr right,
-                           db_->GetTable(join.table.table_name));
+                           resolve(join.table.table_name));
     std::string right_name = join.table.alias.empty()
                                  ? join.table.table_name
                                  : join.table.alias;

@@ -1,6 +1,7 @@
 #ifndef FLOCK_SQL_PLANNER_H_
 #define FLOCK_SQL_PLANNER_H_
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -12,6 +13,13 @@
 
 namespace flock::sql {
 
+/// Resolves a FROM/JOIN name to a read-only view: a table snapshotted for
+/// the statement being planned, or nullptr when `name` names no view. A
+/// view is no table of the database, so no write, WAL record or
+/// checkpoint sees it.
+using ViewResolver =
+    std::function<StatusOr<storage::TablePtr>(const std::string& name)>;
+
 /// Binds a parsed SELECT against the catalog and produces a logical plan.
 ///
 /// Binding resolves every column reference to an index in its node's input
@@ -20,10 +28,15 @@ namespace flock::sql {
 /// the SELECT/HAVING/ORDER BY expressions are rewritten to reference.
 class Planner {
  public:
-  Planner(const storage::Database* db, const FunctionRegistry* registry)
-      : db_(db), registry_(registry) {}
+  /// `views` (optional) resolves FROM/JOIN names before the database.
+  Planner(const storage::Database* db, const FunctionRegistry* registry,
+          const ViewResolver* views = nullptr)
+      : db_(db), registry_(registry), views_(views) {}
 
   StatusOr<PlanPtr> PlanSelect(const SelectStatement& stmt);
+
+  /// True once a plan this planner built scans a view snapshot.
+  bool reads_view() const { return reads_view_; }
 
   /// Binds a DML WHERE or SET expression against the one table the
   /// statement names, by the rules of a single-table SELECT: a qualifier
@@ -57,6 +70,8 @@ class Planner {
 
   const storage::Database* db_;
   const FunctionRegistry* registry_;
+  const ViewResolver* views_;
+  bool reads_view_ = false;
 };
 
 }  // namespace flock::sql

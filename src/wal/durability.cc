@@ -5,7 +5,6 @@
 #include <cerrno>
 #include <cstring>
 
-#include "common/string_util.h"
 #include "obs/trace.h"
 #include "wal/checkpoint.h"
 #include "wal/fault_injector.h"
@@ -84,10 +83,6 @@ DurabilityManager::~DurabilityManager() {
   if (policy_ != nullptr) policy_->set_timeline_listener(nullptr);
 }
 
-bool DurabilityManager::Skip(const std::string& table) const {
-  return options_.skip_tables.count(flock::ToLower(table)) > 0;
-}
-
 Status DurabilityManager::Log(const WalRecord& record) {
   // Appends happen on the request thread, so a traced request sees its
   // own WAL appends as spans (no-op when tracing is off).
@@ -124,7 +119,6 @@ SnapshotData DurabilityManager::BuildSnapshot(uint64_t epoch) const {
   SnapshotData data;
   data.epoch = epoch;
   for (const std::string& name : db_->ListTables()) {
-    if (Skip(name)) continue;
     auto table = db_->GetTable(name);
     if (!table.ok()) continue;  // dropped between list and get
     TableSnapshot t;
@@ -171,24 +165,20 @@ Status DurabilityManager::Checkpoint() {
 
 void DurabilityManager::OnCreateTable(const std::string& name,
                                       const storage::Schema& schema) {
-  if (Skip(name)) return;
   (void)Log(WalRecord::CreateTable(name, schema));
 }
 
 void DurabilityManager::OnDropTable(const std::string& name) {
-  if (Skip(name)) return;
   (void)Log(WalRecord::DropTable(name));
 }
 
 void DurabilityManager::OnAppendBatch(const storage::Table& table,
                                       const storage::RecordBatch& batch) {
-  if (Skip(table.name())) return;
   (void)Log(WalRecord::AppendBatch(table.name(), batch));
 }
 
 void DurabilityManager::OnAppendRow(const storage::Table& table,
                                     const std::vector<storage::Value>& row) {
-  if (Skip(table.name())) return;
   storage::RecordBatch batch(table.schema());
   Status s = batch.AppendRow(row);
   if (!s.ok()) {
@@ -203,7 +193,6 @@ void DurabilityManager::OnUpdateColumn(
     const storage::Table& table, size_t col,
     const std::vector<uint32_t>& rows,
     const std::vector<storage::Value>& values) {
-  if (Skip(table.name())) return;
   (void)Log(WalRecord::UpdateColumn(
       table.name(), static_cast<uint32_t>(col), rows, values));
 }
@@ -211,7 +200,6 @@ void DurabilityManager::OnUpdateColumn(
 void DurabilityManager::OnDeleteRows(const storage::Table& table,
                                      const std::vector<bool>& keep,
                                      size_t removed) {
-  if (Skip(table.name())) return;
   (void)removed;
   std::vector<uint8_t> bitmap(keep.size());
   for (size_t i = 0; i < keep.size(); ++i) bitmap[i] = keep[i] ? 1 : 0;

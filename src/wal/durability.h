@@ -2,7 +2,6 @@
 #define FLOCK_WAL_DURABILITY_H_
 
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -19,9 +18,6 @@ namespace flock::wal {
 
 struct DurabilityOptions {
   FsyncPolicy fsync_policy = FsyncPolicy::kEveryRecord;
-  /// Tables excluded from logging and snapshots (derived catalog tables
-  /// the engine rebuilds itself, e.g. flock_models / flock_audit).
-  std::set<std::string> skip_tables;
   /// Epoch stamped into a *freshly created* log (ignored when recovery
   /// finds existing state). Replication failover seeds this above the old
   /// primary's epoch so the promoted replica fences its predecessor.
@@ -121,7 +117,6 @@ class DurabilityManager : public storage::DatabaseObserver,
                     prov::Catalog* catalog, policy::PolicyEngine* policy,
                     EngineStateAdapter adapter, DurabilityOptions options);
 
-  bool Skip(const std::string& table) const;
   SnapshotData BuildSnapshot(uint64_t epoch) const;
 
   std::string dir_;

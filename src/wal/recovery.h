@@ -59,9 +59,8 @@ Status RestoreSnapshotState(const WalReplayTarget& target,
 /// earlier epoch is a leftover already covered by the snapshot and is
 /// discarded instead of double-replayed.
 ///
-/// Derived state (plan caches, catalog tables, optimizer
-/// specializations) is NOT rebuilt here; the engine does that after
-/// recovery returns.
+/// Derived state (plan caches, optimizer specializations) is NOT
+/// rebuilt here; the engine does that after recovery returns.
 class RecoveryManager {
  public:
   RecoveryManager(std::string dir, storage::Database* db,

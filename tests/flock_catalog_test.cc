@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
 #include "flock/flock_engine.h"
 #include "ml/linear.h"
 
@@ -158,12 +162,202 @@ TEST_F(CatalogTablesTest, CatalogNameInALiteralIsNoCatalogQuery) {
     EXPECT_EQ(r->from_plan_cache, run > 0) << "run " << run;
   }
   EXPECT_EQ(cache->stats().invalidations, invalidations);
-  // A name token does refresh the view (and drops the cached plan), in
-  // any case and quoted.
-  auto models = engine_.Execute("SELECT name FROM \"FLOCK_MODELS\"");
-  ASSERT_TRUE(models.ok()) << models.status().ToString();
+  // A name token reads the view, in any case and quoted: its plan scans
+  // this statement's snapshot, so it is never cached, and nothing cached
+  // is dropped.
+  for (int run = 0; run < 2; ++run) {
+    auto models = engine_.Execute("SELECT name FROM \"FLOCK_MODELS\"");
+    ASSERT_TRUE(models.ok()) << models.status().ToString();
+    ASSERT_EQ(models->batch.num_rows(), 1u);
+    EXPECT_FALSE(models->from_plan_cache);
+  }
+  EXPECT_EQ(cache->stats().invalidations, invalidations);
+  auto cached = engine_.Execute(
+      "SELECT x FROM pts WHERE 'flock_audit' = 'flock_audit'");
+  ASSERT_TRUE(cached.ok());
+  EXPECT_TRUE(cached->from_plan_cache);
+}
+
+TEST_F(CatalogTablesTest, ViewsJoinTablesAndEachReadIsFresh) {
+  ASSERT_TRUE(engine_.Execute("CREATE TABLE owners (name VARCHAR, team "
+                              "VARCHAR)")
+                  .ok());
+  ASSERT_TRUE(
+      engine_.Execute("INSERT INTO owners VALUES ('scorer', 'risk')").ok());
+  const std::string join =
+      "SELECT o.team, m.version FROM owners o JOIN flock_models m "
+      "ON o.name = m.name";
+  auto before = engine_.Execute(join);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  ASSERT_EQ(before->batch.num_rows(), 1u);
+  EXPECT_EQ(before->batch.column(0)->string_at(0), "risk");
+  EXPECT_EQ(before->batch.column(1)->int_at(0), 1);
+  ASSERT_TRUE(engine_.DeployModel("scorer", TinyPipeline()).ok());
+  auto after = engine_.Execute(join);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  ASSERT_EQ(after->batch.num_rows(), 1u);
+  EXPECT_EQ(after->batch.column(1)->int_at(0), 2);
+}
+
+TEST_F(CatalogTablesTest, WritesToViewNamesFailAndLeaveTheViewsIntact) {
+  (void)engine_.Execute("SELECT PREDICT(scorer, x, y) FROM pts");
+  auto audit_rows = [&] {
+    auto r = engine_.Execute("SELECT COUNT(*) FROM flock_audit");
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    return r.ok() ? r->batch.column(0)->int_at(0) : -1;
+  };
+  const int64_t audited = audit_rows();
+  ASSERT_GT(audited, 0);
+  for (const char* sql :
+       {"INSERT INTO flock_audit VALUES (99, 'SCORE', 'scorer', 'eve', 1, "
+        "7)",
+        "UPDATE flock_audit SET rows_scored = 0",
+        "DELETE FROM FLOCK_AUDIT", "DROP TABLE flock_audit",
+        "DROP TABLE flock_models",
+        "CREATE TABLE flock_models (name VARCHAR)",
+        "CREATE TABLE \"Flock_Audit\" (seq INT)"}) {
+    auto r = engine_.Execute(sql);
+    ASSERT_FALSE(r.ok()) << sql;
+    // No table may take a view's name; other writes find no table by it.
+    EXPECT_EQ(r.status().code(), std::string(sql).rfind("CREATE", 0) == 0
+                                     ? StatusCode::kAlreadyExists
+                                     : StatusCode::kNotFound)
+        << sql;
+  }
+  EXPECT_FALSE(engine_.database()->HasTable("flock_models"));
+  EXPECT_FALSE(engine_.database()->HasTable("flock_audit"));
+  EXPECT_EQ(audit_rows(), audited);
+  auto models = engine_.Execute("SELECT name FROM flock_models");
+  ASSERT_TRUE(models.ok());
   ASSERT_EQ(models->batch.num_rows(), 1u);
-  EXPECT_GT(cache->stats().invalidations, invalidations);
+  EXPECT_EQ(models->batch.column(0)->string_at(0), "scorer");
+}
+
+TEST_F(CatalogTablesTest, ConstantPredictArgumentsMustBeConstants) {
+  // A column threshold used to read row 0 of each morsel; it is refused.
+  for (const char* sql :
+       {"SELECT COUNT(*) FROM pts WHERE PREDICT_GT(scorer, x, x, y)",
+        "SELECT PREDICT_LE(scorer, y, x, y) FROM pts",
+        "UPDATE pts SET flagged = 1 WHERE PREDICT_GE(scorer, x, x, y)"}) {
+    auto r = engine_.Execute(sql);
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << sql;
+  }
+  // A constant expression is a constant.
+  auto folded = engine_.Execute(
+      "SELECT COUNT(*) FROM pts WHERE PREDICT_GT(scorer, 0.25 + 0.25, x, y)");
+  ASSERT_TRUE(folded.ok()) << folded.status().ToString();
+  EXPECT_EQ(folded->batch.column(0)->int_at(0), 2);
+}
+
+// --- scripts: a run of ordinary statements -----------------------------
+
+TEST_F(CatalogTablesTest, ScriptCreateModelRecordsTheCaller) {
+  sql::ExecOptions alice;
+  alice.principal = "alice";
+  auto r = engine_.ExecuteScript(
+      "CREATE MODEL second FROM '" + TinyPipeline().Serialize() +
+          "'; SELECT created_by FROM flock_models WHERE name = 'second'",
+      alice);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->batch.num_rows(), 1u);
+  EXPECT_EQ(r->batch.column(0)->string_at(0), "alice");
+}
+
+TEST_F(CatalogTablesTest, ScriptPredictIsCheckedForTheCaller) {
+  ASSERT_TRUE(engine_.SetAccessControl("scorer", {"alice"}).ok());
+  const std::string script =
+      "CREATE TABLE seen (s DOUBLE); "
+      "INSERT INTO seen SELECT PREDICT(scorer, x, y) FROM pts; "
+      "SELECT COUNT(*) FROM seen";
+  sql::ExecOptions mallory;
+  mallory.principal = "mallory";
+  auto denied = engine_.ExecuteScript(script, mallory);
+  ASSERT_FALSE(denied.ok());
+  EXPECT_EQ(denied.status().code(), StatusCode::kPermissionDenied);
+  auto denials = engine_.Execute(
+      "SELECT COUNT(*) FROM flock_audit WHERE kind = 'DENIED' AND "
+      "principal = 'mallory'");
+  ASSERT_TRUE(denials.ok());
+  EXPECT_EQ(denials->batch.column(0)->int_at(0), 1);
+  // The statements before the refused one stay applied; alice's run of
+  // the rest succeeds.
+  sql::ExecOptions alice;
+  alice.principal = "alice";
+  auto allowed = engine_.ExecuteScript(
+      "INSERT INTO seen SELECT PREDICT(scorer, x, y) FROM pts; "
+      "SELECT COUNT(*) FROM seen",
+      alice);
+  ASSERT_TRUE(allowed.ok()) << allowed.status().ToString();
+  EXPECT_EQ(allowed->batch.column(0)->int_at(0), 4);
+}
+
+TEST_F(CatalogTablesTest, ScriptSeesFreshViews) {
+  const std::string script =
+      "CREATE MODEL second FROM '" + TinyPipeline().Serialize() +
+      "'; SELECT name FROM flock_models ORDER BY name";
+  auto r = engine_.ExecuteScript(script);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  auto direct = engine_.Execute("SELECT name FROM flock_models ORDER BY name");
+  ASSERT_TRUE(direct.ok());
+  ASSERT_EQ(direct->batch.num_rows(), 2u);
+  EXPECT_EQ(r->batch.ToString(10), direct->batch.ToString(10));
+}
+
+// --- views under concurrent scoring ------------------------------------
+
+TEST(CatalogViewConcurrencyTest, AuditSumNeverDecreasesWhileScoring) {
+  FlockEngine engine;
+  ASSERT_TRUE(engine.Execute("CREATE TABLE pts (x DOUBLE, y DOUBLE)").ok());
+  std::string insert = "INSERT INTO pts VALUES ";
+  constexpr int kRows = 3000;
+  for (int i = 0; i < kRows; ++i) {
+    if (i > 0) insert += ", ";
+    insert += "(" + std::to_string(i % 17 - 8) + ", " +
+              std::to_string(i % 5) + ")";
+  }
+  ASSERT_TRUE(engine.Execute(insert).ok());
+  ASSERT_TRUE(engine.DeployModel("scorer", TinyPipeline()).ok());
+
+  constexpr int kScorers = 3;
+  constexpr int kStatementsEach = 20;
+  std::atomic<int> scorers_left{kScorers};
+  std::atomic<bool> failed{false};
+  std::vector<std::thread> scorers;
+  for (int t = 0; t < kScorers; ++t) {
+    scorers.emplace_back([&, t] {
+      sql::ExecOptions opts;
+      opts.principal = "scorer-" + std::to_string(t);
+      for (int i = 0; i < kStatementsEach; ++i) {
+        if (!engine.Execute("SELECT PREDICT(scorer, x, y) FROM pts", opts)
+                 .ok()) {
+          failed = true;
+        }
+      }
+      scorers_left.fetch_sub(1);
+    });
+  }
+  const std::string sum = "SELECT SUM(rows_scored) FROM flock_audit";
+  auto read_sum = [&]() -> double {
+    auto r = engine.Execute(sum);
+    if (!r.ok()) return -1;
+    // SUM over no scored rows is 0, not NULL: the REGISTER row counts 0.
+    return r->batch.column(0)->AsDouble(0);
+  };
+  double last = 0;
+  int reads = 0;
+  int decreases = 0;
+  while (scorers_left.load() > 0) {
+    const double now = read_sum();
+    if (now < last) ++decreases;
+    last = now;
+    ++reads;
+  }
+  for (std::thread& t : scorers) t.join();
+  EXPECT_EQ(decreases, 0) << "over " << reads << " reads";
+  EXPECT_FALSE(failed.load());
+  EXPECT_EQ(read_sum(), double{kScorers} * kStatementsEach * kRows);
+  EXPECT_GT(reads, 0);
 }
 
 }  // namespace

@@ -654,7 +654,6 @@ TEST(DifferentialRestartTest, ServerServesIdenticalResultsAfterRestart) {
     workload::TpchWorkload loader(42);
     ASSERT_TRUE(loader.CreateSchema(engine.database()).ok());
     ASSERT_TRUE(loader.PopulateData(engine.database(), 8).ok());
-    ASSERT_TRUE(engine.RefreshCatalogTables().ok());
 
     serve::PredictionServer server(&engine);
     serve::LoopbackClient client(&server);

@@ -150,7 +150,6 @@ TEST(ReplDifferentialTest, TpchAndPredictCorpusByteIdenticalOnReplica) {
   workload::TpchWorkload tpch(42);
   tpch.CreateSchema(primary.database());
   tpch.PopulateData(primary.database(), 8);
-  ASSERT_TRUE(primary.RefreshCatalogTables().ok());
   BuildUsersAndChurn(&primary, 300);
   ASSERT_TRUE(primary.Checkpoint().ok());
   // Post-checkpoint writes stream through the log, not the snapshot.

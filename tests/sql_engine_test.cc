@@ -365,13 +365,6 @@ TEST_F(SqlEngineTest, AmbiguousColumnRejected) {
   EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST_F(SqlEngineTest, QueryLogRecordsStatements) {
-  size_t before = engine_.query_log().size();
-  Exec("SELECT 1");
-  EXPECT_EQ(engine_.query_log().size(), before + 1);
-  EXPECT_EQ(engine_.query_log().back(), "SELECT 1");
-}
-
 TEST_F(SqlEngineTest, SelectWithoutFrom) {
   auto r = Exec("SELECT 1 + 2 AS three, 'x'");
   ASSERT_EQ(r.batch.num_rows(), 1u);
@@ -402,13 +395,6 @@ TEST_F(SqlEngineTest, ParallelMatchesSerialOnLargeScan) {
 }
 
 // --- parser-level checks -------------------------------------------------
-
-TEST(ParserTest, ParseScriptSplitsStatements) {
-  auto stmts = Parser::ParseScript(
-      "CREATE TABLE t (a INT); INSERT INTO t VALUES (1); SELECT * FROM t;");
-  ASSERT_TRUE(stmts.ok());
-  EXPECT_EQ(stmts->size(), 3u);
-}
 
 TEST(ParserTest, PredictParsesAsFunction) {
   auto stmt = Parser::Parse(
@@ -510,6 +496,45 @@ TEST(LexStatementTest, TokenSpansIndexTheSource) {
   EXPECT_EQ(lexed->tokens[3].text, "Q");
   EXPECT_EQ(lexed->tokens.back().type, TokenType::kEof);
   EXPECT_EQ(lexed->tokens.back().offset, sql.size());
+}
+
+TEST(LexScriptTest, CutsAtSemicolonTokensOnly) {
+  const std::string script =
+      "CREATE TABLE t (a INT, s VARCHAR);\n"
+      "INSERT INTO t VALUES (1, 'x;y') -- one; two\n;;"
+      "  SELECT \"a;b\" FROM t ; explain analyze SELECT s FROM T";
+  auto stmts = LexScript(script);
+  ASSERT_TRUE(stmts.ok()) << stmts.status().ToString();
+  ASSERT_EQ(stmts->size(), 4u);
+  EXPECT_EQ((*stmts)[0].sql, "CREATE TABLE t (a INT, s VARCHAR)");
+  EXPECT_EQ((*stmts)[1].sql, "INSERT INTO t VALUES (1, 'x;y')");
+  EXPECT_EQ((*stmts)[2].sql, "SELECT \"a;b\" FROM t");
+  EXPECT_EQ((*stmts)[3].sql, "explain analyze SELECT s FROM T");
+  // Each statement lexes as LexStatement would lex its text alone, so its
+  // spans index its own text and the parser sees one statement.
+  for (const LexedStatement& stmt : *stmts) {
+    auto alone = LexStatement(stmt.sql);
+    ASSERT_TRUE(alone.ok()) << stmt.sql;
+    EXPECT_EQ(stmt.key, alone->key);
+    EXPECT_EQ(stmt.read_only, alone->read_only) << stmt.sql;
+    EXPECT_EQ(stmt.explain_analyze, alone->explain_analyze) << stmt.sql;
+    ASSERT_EQ(stmt.tokens.size(), alone->tokens.size()) << stmt.sql;
+    for (size_t t = 0; t < stmt.tokens.size(); ++t) {
+      EXPECT_EQ(stmt.tokens[t].type, alone->tokens[t].type);
+      EXPECT_EQ(stmt.tokens[t].offset, alone->tokens[t].offset);
+      EXPECT_EQ(stmt.tokens[t].end, alone->tokens[t].end);
+    }
+    EXPECT_TRUE(Parser::Parse(stmt.tokens).ok()) << stmt.sql;
+  }
+  EXPECT_FALSE((*stmts)[1].read_only);
+  EXPECT_TRUE((*stmts)[3].explain_analyze);
+  // Nothing but separators and comments is no statement; text that does
+  // not lex fails before any statement is returned.
+  auto empty = LexScript(" ; -- nothing\n;");
+  ASSERT_TRUE(empty.ok());
+  EXPECT_TRUE(empty->empty());
+  EXPECT_EQ(LexScript("SELECT 1; SELECT 'open").status().code(),
+            StatusCode::kParseError);
 }
 
 TEST(PlanCacheTest, LruEvictionAtCapacity) {
