@@ -14,8 +14,11 @@
 # concurrent background flusher), plus the crash matrix (fault-injected
 # child processes) under ASan when the full ASan stage did not run — and
 # an UndefinedBehaviorSanitizer build running the scoring-kernel, ML
-# property, graph/pipeline and mutation (`fuzz`) suites. The `--*-only`
-# modes skip the UBSan stage.
+# property, graph/pipeline, mutation (`fuzz`) and key-index (`keys`)
+# suites. The ASan stage runs every suite, the key-index differential
+# suite included. Sanitizer builds keep FLOCK_DCHECK live, so a mistyped
+# ColumnVector read fails there. The `--*-only` modes skip the UBSan
+# stage.
 #
 # Usage: scripts/check.sh
 #          [--asan-only|--no-asan|--tsan-only|--no-tsan|--recovery-only]
@@ -66,8 +69,8 @@ if [[ "$RUN_ASAN" == 1 ]]; then
   # (`storage`), snapshot/record round-trips (`repl`), the kernel's
   # ping-pong scratch and the coalescer's hand-off buffers (`kernel`), the
   # abandon paths a kill creates (`cancel`), rollout state round-trips
-  # (`lifecycle`) and the seeded SQL-text and WAL-record mutation
-  # campaigns (`fuzz`).
+  # (`lifecycle`), the seeded SQL-text and WAL-record mutation
+  # campaigns (`fuzz`) and the key-index differential suite (`keys`).
   ASAN_OPTIONS=detect_leaks=0 \
     ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 fi
@@ -148,12 +151,14 @@ if [[ "$RUN_UBSAN" == 1 ]]; then
   # build adds float-cast-overflow, so a categorical value outside int64
   # reaching a one-hot encoder fails too. The mutation campaigns feed
   # damaged SQL text and WAL record bodies to the lexer, parser and
-  # record decoder. halt_on_error turns the first signed overflow, bad
-  # float conversion or out-of-range index into a failed test instead of
-  # a printed warning.
+  # record decoder. The key-index suite hashes and compares -0.0, NaN and
+  # mixed BIGINT/DOUBLE keys and sums BIGINTs up to overflow.
+  # halt_on_error turns the first signed overflow, bad float conversion
+  # or out-of-range index into a failed test instead of a printed warning.
   cmake -B build-ubsan -S . -DFLOCK_SANITIZE=undefined >/dev/null
   cmake --build build-ubsan -j "$JOBS" \
-    --target kernel_test ml_property_test ml_test sql_fuzz_test wal_fuzz_test
+    --target kernel_test ml_property_test ml_test sql_fuzz_test wal_fuzz_test \
+    key_index_test
   UBSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir build-ubsan --output-on-failure -j "$JOBS" -L kernel
   UBSAN_OPTIONS=halt_on_error=1 \
@@ -161,6 +166,8 @@ if [[ "$RUN_UBSAN" == 1 ]]; then
     -R 'PipelineEquivalenceTest|TrainerQualityTest|GraphTest|PipelineTest'
   UBSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir build-ubsan --output-on-failure -j "$JOBS" -L fuzz
+  UBSAN_OPTIONS=halt_on_error=1 \
+    ctest --test-dir build-ubsan --output-on-failure -j "$JOBS" -L keys
 fi
 
 echo "All checks passed."

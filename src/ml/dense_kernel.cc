@@ -146,20 +146,34 @@ bool DenseKernel::Forest::Append(const Tree& tree) {
   return true;
 }
 
+template <size_t kFixed>
+void DenseKernel::Forest::Walk(size_t t, const double* const* x,
+                               double* const* acc, size_t lanes) const {
+  const size_t n = kFixed > 0 ? kFixed : lanes;
+  int32_t at[kLanes];
+  for (size_t k = 0; k < n; ++k) at[k] = root[t];
+  const Node* node = nodes.data();
+  for (int32_t d = 0; d < depth[t]; ++d) {
+    for (size_t k = 0; k < n; ++k) {
+      const Node& nd = node[at[k]];
+      at[k] = nd.child + !(x[k][nd.feature] < nd.threshold);
+    }
+  }
+  for (size_t k = 0; k < n; ++k) {
+    *acc[k] += value[static_cast<size_t>(at[k])];
+  }
+}
+
 void DenseKernel::Forest::Accumulate(size_t t, const double* const* x,
                                      double* const* acc,
                                      size_t lanes) const {
-  int32_t at[kLanes];
-  for (size_t k = 0; k < lanes; ++k) at[k] = root[t];
-  const Node* node = nodes.data();
-  for (int32_t d = 0; d < depth[t]; ++d) {
-    for (size_t k = 0; k < lanes; ++k) {
-      const Node& n = node[at[k]];
-      at[k] = n.child + !(x[k][n.feature] < n.threshold);
-    }
-  }
-  for (size_t k = 0; k < lanes; ++k) {
-    *acc[k] += value[static_cast<size_t>(at[k])];
+  // A full group walks a fixed lane count. A short one (ScoreRow's single
+  // row, a block's tail, the rows ScoreThreshold has not decided) walks
+  // only its own rows rather than repeating one.
+  if (lanes == kLanes) {
+    Walk<kLanes>(t, x, acc, lanes);
+  } else {
+    Walk<0>(t, x, acc, lanes);
   }
 }
 

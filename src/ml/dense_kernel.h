@@ -128,11 +128,16 @@ class DenseKernel {
     /// row's leaf value to *acc[k]; lanes <= kLanes.
     void Accumulate(size_t t, const double* const* x, double* const* acc,
                     size_t lanes) const;
+    /// Accumulate over kFixed lanes when kFixed > 0 (a compile-time count,
+    /// so the lane loop unrolls), else over `lanes`.
+    template <size_t kFixed>
+    void Walk(size_t t, const double* const* x, double* const* acc,
+              size_t lanes) const;
   };
 
   /// Rows one `Forest::Accumulate` walks at once: independent load chains
   /// that hide each other's cache latency.
-  static constexpr size_t kLanes = 8;
+  static constexpr size_t kLanes = 16;
 
   struct Step {
     OpType op = OpType::kInput;

@@ -482,6 +482,16 @@ StatusOr<ColumnVectorPtr> EvaluateExpr(const Expr& expr,
   return Status::Internal("unhandled expression kind");
 }
 
+StatusOr<ColumnVectorPtr> NormalizeType(ColumnVectorPtr col, DataType want) {
+  if (col->type() == want) return col;
+  auto cast = std::make_shared<ColumnVector>(want);
+  cast->Reserve(col->size());
+  for (size_t r = 0; r < col->size(); ++r) {
+    FLOCK_RETURN_NOT_OK(cast->AppendValue(col->GetValue(r)));
+  }
+  return ColumnVectorPtr(std::move(cast));
+}
+
 StatusOr<DataType> InferExprType(const Expr& expr,
                                  const storage::Schema& schema,
                                  const FunctionRegistry* registry) {
@@ -526,6 +536,14 @@ StatusOr<DataType> InferExprType(const Expr& expr,
     case ExprKind::kFunction: {
       const std::string& fn = expr.function_name;
       if (fn == "COUNT") return DataType::kInt64;
+      if (fn == "SUM" && !expr.children.empty() &&
+          expr.children[0]->kind != ExprKind::kStar) {
+        // An INT64 sum stays exact: it fails with OutOfRange rather than
+        // round.
+        FLOCK_ASSIGN_OR_RETURN(
+            DataType arg, InferExprType(*expr.children[0], schema, registry));
+        return arg == DataType::kInt64 ? DataType::kInt64 : DataType::kDouble;
+      }
       if (fn == "SUM" || fn == "AVG") return DataType::kDouble;
       if (fn == "MIN" || fn == "MAX") {
         if (expr.children.empty() ||

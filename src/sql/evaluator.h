@@ -79,6 +79,11 @@ bool IsComparison(BinaryOp op);
 /// (`a < b` == `b > a`); = and <> map to themselves.
 BinaryOp FlipComparison(BinaryOp op);
 
+/// Casts an evaluated column to `want` when its type differs (e.g. an int
+/// literal feeding a double column); returns `col` itself otherwise.
+StatusOr<storage::ColumnVectorPtr> NormalizeType(storage::ColumnVectorPtr col,
+                                                 storage::DataType want);
+
 /// Computes the static result type of `expr` against `schema`.
 StatusOr<storage::DataType> InferExprType(const Expr& expr,
                                           const storage::Schema& schema,

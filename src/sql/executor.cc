@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
-#include <set>
-#include <unordered_map>
+#include <cstdint>
+#include <optional>
 
 #include "common/logging.h"
 #include "obs/trace.h"
 #include "sql/evaluator.h"
+#include "sql/key_index.h"
 
 namespace flock::sql {
 
@@ -86,104 +87,105 @@ class Executor::CollectSink : public Executor::PipelineSink {
 };
 
 /// Thread-local hash aggregation: every task folds its morsels into a
-/// private group table; Finish merges the partial states (count/sum/min/
-/// max/distinct-set union) in task order and emits the final rows.
+/// private group table keyed by a KeyIndex; Finish merges the partial
+/// states in task order and emits one row per group, in first-seen order.
 class Executor::AggregateSink : public Executor::PipelineSink {
  public:
   AggregateSink(HashAggregateOp* op, const ExecContext& ctx)
       : op_(op), ctx_(ctx) {}
 
   Status Init() {
+    const Schema& out = op_->output_schema();
+    for (size_t g = 0; g < op_->group_by.size(); ++g) {
+      key_types_.push_back(out.column(g).type);
+    }
     for (const auto& agg : op_->aggregates) {
-      if (agg->distinct && agg->function_name != "COUNT") {
+      const std::string& fn = agg->function_name;
+      AggSpec spec;
+      if (fn == "COUNT") {
+        spec.fn = agg->distinct ? Fn::kCountDistinct : Fn::kCount;
+      } else if (agg->distinct) {
         return Status::NotSupported(
             "DISTINCT is only supported for COUNT aggregates");
-      }
-      AggSpec spec;
-      spec.fn = agg->function_name;
-      spec.distinct = agg->distinct;
-      if (agg->children.empty() ||
-          agg->children[0]->kind == ExprKind::kStar) {
-        spec.star = true;
+      } else if (fn == "SUM") {
+        spec.fn = out.column(key_types_.size() + specs_.size()).type ==
+                          DataType::kInt64
+                      ? Fn::kIntSum
+                      : Fn::kSum;
+      } else if (fn == "AVG") {
+        spec.fn = Fn::kAvg;
+      } else if (fn == "MIN") {
+        spec.fn = Fn::kMin;
+      } else if (fn == "MAX") {
+        spec.fn = Fn::kMax;
       } else {
+        return Status::Internal("unknown aggregate: " + fn);
+      }
+      if (!agg->children.empty() &&
+          agg->children[0]->kind != ExprKind::kStar) {
         spec.arg = agg->children[0].get();
+      } else if (spec.fn != Fn::kCount) {
+        return Status::NotSupported(fn + " needs an argument other than *");
       }
       specs_.push_back(spec);
     }
     return Status::OK();
   }
 
-  void MakeLocals(size_t n) override { locals_.resize(n); }
+  void MakeLocals(size_t n) override {
+    locals_.clear();
+    for (size_t i = 0; i < n; ++i) {
+      locals_.push_back(std::make_unique<GroupTable>(key_types_, specs_));
+    }
+  }
 
   Status Consume(size_t local, RecordBatch morsel) override {
     const size_t n = morsel.num_rows();
     const auto start = Clock::now();
-    LocalState& state = locals_[local];
+    GroupTable& table = *locals_[local];
 
-    // Vectorized: evaluate group keys and aggregate arguments per morsel.
-    std::vector<ColumnVectorPtr> key_cols;
-    key_cols.reserve(op_->group_by.size());
-    for (const auto& g : op_->group_by) {
-      FLOCK_ASSIGN_OR_RETURN(ColumnVectorPtr col,
-                             EvaluateExpr(*g, morsel, ctx_.registry));
-      key_cols.push_back(std::move(col));
-    }
-    std::vector<ColumnVectorPtr> arg_cols(specs_.size());
-    for (size_t a = 0; a < specs_.size(); ++a) {
-      if (specs_[a].star) continue;
+    KeyColumns keys;
+    keys.reserve(key_types_.size());
+    for (size_t g = 0; g < key_types_.size(); ++g) {
       FLOCK_ASSIGN_OR_RETURN(
-          arg_cols[a], EvaluateExpr(*specs_[a].arg, morsel, ctx_.registry));
+          ColumnVectorPtr col,
+          EvaluateExpr(*op_->group_by[g], morsel, ctx_.registry));
+      FLOCK_ASSIGN_OR_RETURN(col, NormalizeType(std::move(col), key_types_[g]));
+      keys.push_back(std::move(col));
     }
-
-    std::string key;
+    std::vector<uint64_t> hashes;
+    HashKeys(keys, n, &hashes);
+    std::vector<uint32_t> group(n);
+    bool inserted;
     for (size_t r = 0; r < n; ++r) {
-      Group* g;
-      if (op_->group_by.empty()) {
-        if (state.groups.empty()) state.groups.emplace_back(specs_.size());
-        g = &state.groups[0];
-      } else {
-        key.clear();
-        AppendRowKey(key_cols, r, &key);
-        auto [it, inserted] =
-            state.index.try_emplace(key, state.groups.size());
-        if (inserted) {
-          Group fresh(specs_.size());
-          fresh.key = key;
-          for (const auto& col : key_cols) {
-            fresh.keys.push_back(col->GetValue(r));
-          }
-          state.groups.push_back(std::move(fresh));
-        }
-        g = &state.groups[it->second];
+      group[r] = table.groups.FindOrInsert(keys, r, hashes[r], &inserted);
+    }
+    table.Resize(table.groups.size());
+
+    ColumnVectorPtr group_col;  // `group` as a column, for COUNT(DISTINCT)
+    for (size_t a = 0; a < specs_.size(); ++a) {
+      const AggSpec& spec = specs_[a];
+      AggState& s = table.aggs[a];
+      if (spec.arg == nullptr) {  // COUNT(*)
+        for (size_t r = 0; r < n; ++r) ++s.count[group[r]];
+        continue;
       }
-      for (size_t a = 0; a < specs_.size(); ++a) {
-        const AggSpec& spec = specs_[a];
-        AggState& s = g->states[a];
-        if (spec.star) {
-          ++s.count;
-          continue;
+      FLOCK_ASSIGN_OR_RETURN(ColumnVectorPtr arg,
+                             EvaluateExpr(*spec.arg, morsel, ctx_.registry));
+      if (spec.fn == Fn::kCountDistinct) {
+        if (group_col == nullptr) {
+          group_col = std::make_shared<ColumnVector>(DataType::kInt64);
+          group_col->Reserve(n);
+          for (uint32_t g : group) group_col->AppendInt(g);
         }
-        const ColumnVector& arg = *arg_cols[a];
-        if (arg.IsNull(r)) continue;
-        if (spec.distinct) {
-          std::string dkey;
-          std::vector<ColumnVectorPtr> one = {arg_cols[a]};
-          AppendRowKey(one, r, &dkey);
-          s.distinct_keys.insert(std::move(dkey));
-          continue;
-        }
-        ++s.count;
-        s.sum += arg.AsDouble(r);
-        Value v = arg.GetValue(r);
-        if (!s.has_value) {
-          s.min = v;
-          s.max = v;
-          s.has_value = true;
-        } else {
-          if (v.Compare(s.min) < 0) s.min = v;
-          if (v.Compare(s.max) > 0) s.max = std::move(v);
-        }
+        FLOCK_RETURN_NOT_OK(InsertDistinct(group_col, std::move(arg), &s));
+        continue;
       }
+      if (spec.fn == Fn::kIntSum) {
+        FLOCK_ASSIGN_OR_RETURN(arg,
+                               NormalizeType(std::move(arg), DataType::kInt64));
+      }
+      Accumulate(*arg, group, &s);
     }
     op_->metrics.Record(n, 0, NanosSince(start));
     return Status::OK();
@@ -191,116 +193,271 @@ class Executor::AggregateSink : public Executor::PipelineSink {
 
   StatusOr<RecordBatch> Finish() {
     const auto start = Clock::now();
-    // Merge thread-local tables in task order: group output order is then
-    // first-seen order across tasks, deterministic for a fixed task count.
-    std::unordered_map<std::string, size_t> index;
-    std::vector<Group> groups;
-    for (auto& local : locals_) {
-      for (size_t li = 0; li < local.groups.size(); ++li) {
-        Group& src = local.groups[li];
-        size_t gi;
-        if (op_->group_by.empty()) {
-          if (groups.empty()) groups.emplace_back(specs_.size());
-          gi = 0;
-        } else {
-          auto [it, inserted] = index.try_emplace(src.key, groups.size());
-          if (inserted) {
-            Group fresh(specs_.size());
-            fresh.key = src.key;
-            fresh.keys = src.keys;
-            groups.push_back(std::move(fresh));
-          }
-          gi = it->second;
-        }
-        Group& dst = groups[gi];
-        for (size_t a = 0; a < specs_.size(); ++a) {
-          AggState& from = src.states[a];
-          AggState& to = dst.states[a];
-          to.count += from.count;
-          to.sum += from.sum;
-          if (from.has_value) {
-            if (!to.has_value) {
-              to.min = from.min;
-              to.max = from.max;
-              to.has_value = true;
-            } else {
-              if (from.min.Compare(to.min) < 0) to.min = from.min;
-              if (from.max.Compare(to.max) > 0) to.max = from.max;
-            }
-          }
-          to.distinct_keys.merge(from.distinct_keys);
-        }
+    // Merge the task-local tables in task order. Each task read a
+    // contiguous run of morsels, so groups keep their first-seen order.
+    GroupTable merged(key_types_, specs_);
+    std::vector<uint64_t> hashes;
+    std::vector<uint32_t> to;  // local group -> merged group
+    for (const auto& local : locals_) {
+      const KeyIndex& groups = local->groups;
+      HashKeys(groups.keys(), groups.size(), &hashes);
+      to.resize(groups.size());
+      bool inserted;
+      for (size_t e = 0; e < groups.size(); ++e) {
+        to[e] = merged.groups.FindOrInsert(groups.keys(), e, hashes[e],
+                                           &inserted);
+      }
+      merged.Resize(merged.groups.size());
+      for (size_t a = 0; a < specs_.size(); ++a) {
+        FLOCK_RETURN_NOT_OK(Merge(local->aggs[a], to, &merged.aggs[a]));
       }
     }
-    if (op_->group_by.empty() && groups.empty()) {
-      // Global aggregate: exactly one group, even over zero rows.
-      groups.emplace_back(specs_.size());
-    }
+    // A global aggregate has exactly one group, even over zero rows.
+    const size_t num_groups =
+        key_types_.empty() ? 1 : merged.groups.size();
+    merged.Resize(num_groups);
 
     RecordBatch out(op_->output_schema());
-    for (const Group& g : groups) {
-      std::vector<Value> row;
-      row.reserve(op_->output_schema().num_columns());
-      for (const Value& k : g.keys) row.push_back(k);
-      for (size_t a = 0; a < specs_.size(); ++a) {
-        const AggState& s = g.states[a];
-        const std::string& fn = specs_[a].fn;
-        if (fn == "COUNT") {
-          row.push_back(Value::Int(
-              specs_[a].distinct
-                  ? static_cast<int64_t>(s.distinct_keys.size())
-                  : s.count));
-        } else if (fn == "SUM") {
-          row.push_back(s.count > 0 ? Value::Double(s.sum)
-                                    : Value::Null(DataType::kDouble));
-        } else if (fn == "AVG") {
-          row.push_back(s.count > 0
-                            ? Value::Double(s.sum /
-                                            static_cast<double>(s.count))
-                            : Value::Null(DataType::kDouble));
-        } else if (fn == "MIN") {
-          row.push_back(s.has_value ? s.min : Value::Null());
-        } else if (fn == "MAX") {
-          row.push_back(s.has_value ? s.max : Value::Null());
-        } else {
-          return Status::Internal("unknown aggregate: " + fn);
-        }
-      }
-      FLOCK_RETURN_NOT_OK(out.AppendRow(row));
+    for (size_t k = 0; k < key_types_.size(); ++k) {
+      out.SetColumn(k, merged.groups.keys()[k]);
+    }
+    for (size_t a = 0; a < specs_.size(); ++a) {
+      FLOCK_RETURN_NOT_OK(Emit(merged.aggs[a], num_groups,
+                               out.mutable_column(key_types_.size() + a)));
     }
     op_->metrics.Record(0, out.num_rows(), NanosSince(start));
     return out;
   }
 
  private:
+  enum class Fn { kCount, kCountDistinct, kSum, kIntSum, kAvg, kMin, kMax };
   struct AggSpec {
-    std::string fn;        // COUNT/SUM/AVG/MIN/MAX
-    bool star = false;     // COUNT(*)
-    bool distinct = false;
-    const Expr* arg = nullptr;  // null when star
+    Fn fn = Fn::kCount;
+    const Expr* arg = nullptr;  // null for COUNT(*)
   };
+  /// One aggregate's state, one slot per group; each function keeps only
+  /// what it reads.
   struct AggState {
-    int64_t count = 0;
-    double sum = 0.0;
-    bool has_value = false;
-    Value min, max;
-    std::set<std::string> distinct_keys;  // COUNT(DISTINCT x) only
+    explicit AggState(Fn fn) : fn(fn) {}
+
+    void Resize(size_t groups) {
+      switch (fn) {
+        case Fn::kMin:
+        case Fn::kMax:
+          best.resize(groups);
+          return;
+        case Fn::kIntSum:
+          int_sum.resize(groups);
+          break;
+        case Fn::kSum:
+        case Fn::kAvg:
+          sum.resize(groups);
+          break;
+        case Fn::kCount:
+        case Fn::kCountDistinct:
+          break;
+      }
+      count.resize(groups);
+    }
+
+    Fn fn;
+    std::vector<int64_t> count;     // every function but MIN/MAX
+    std::vector<double> sum;        // SUM over non-INT64, AVG
+    std::vector<__int128> int_sum;  // SUM over INT64: exact until Emit
+    std::vector<Value> best;        // MIN/MAX; NULL until a value
+    /// COUNT(DISTINCT): the (group, value) pairs seen.
+    std::optional<KeyIndex> distinct;
   };
-  struct Group {
-    explicit Group(size_t num_specs) { states.resize(num_specs); }
-    std::string key;            // serialized group key bytes
-    std::vector<Value> keys;    // boxed key values for output
-    std::vector<AggState> states;
+  /// A task's (or the merged) groups: their keys and every aggregate.
+  struct GroupTable {
+    GroupTable(const std::vector<DataType>& key_types,
+               const std::vector<AggSpec>& specs)
+        : groups(key_types) {
+      for (const AggSpec& spec : specs) aggs.emplace_back(spec.fn);
+    }
+
+    void Resize(size_t num_groups) {
+      for (AggState& s : aggs) s.Resize(num_groups);
+    }
+
+    KeyIndex groups;
+    std::vector<AggState> aggs;
   };
-  struct LocalState {
-    std::unordered_map<std::string, size_t> index;
-    std::vector<Group> groups;
-  };
+
+  /// True when MIN/MAX `fn` should replace `best` (NULL: none yet) by `v`.
+  static bool Better(Fn fn, const Value& v, const Value& best) {
+    if (best.is_null()) return true;
+    const int cmp = v.Compare(best);
+    return fn == Fn::kMin ? cmp < 0 : cmp > 0;
+  }
+
+  /// Folds the non-NULL rows of `arg` into their groups' state (every
+  /// function but COUNT(*) and COUNT(DISTINCT)). Sums add in row order.
+  static void Accumulate(const ColumnVector& arg,
+                         const std::vector<uint32_t>& group, AggState* s) {
+    const size_t n = group.size();
+    switch (s->fn) {
+      case Fn::kCount:
+        for (size_t r = 0; r < n; ++r) {
+          if (!arg.IsNull(r)) ++s->count[group[r]];
+        }
+        break;
+      case Fn::kIntSum: {
+        const int64_t* v = arg.ints().data();
+        for (size_t r = 0; r < n; ++r) {
+          if (arg.IsNull(r)) continue;
+          ++s->count[group[r]];
+          s->int_sum[group[r]] += v[r];
+        }
+        break;
+      }
+      case Fn::kSum:
+      case Fn::kAvg:
+        if (arg.type() == DataType::kDouble) {
+          const double* v = arg.doubles().data();
+          for (size_t r = 0; r < n; ++r) {
+            if (arg.IsNull(r)) continue;
+            ++s->count[group[r]];
+            s->sum[group[r]] += v[r];
+          }
+        } else {
+          for (size_t r = 0; r < n; ++r) {
+            if (arg.IsNull(r)) continue;
+            ++s->count[group[r]];
+            s->sum[group[r]] += arg.AsDouble(r);
+          }
+        }
+        break;
+      case Fn::kMin:
+      case Fn::kMax: {
+        for (size_t r = 0; r < n; ++r) {
+          if (arg.IsNull(r)) continue;
+          Value v = arg.GetValue(r);
+          Value& best = s->best[group[r]];
+          if (Better(s->fn, v, best)) best = std::move(v);
+        }
+        break;
+      }
+      case Fn::kCountDistinct:
+        break;  // InsertDistinct
+    }
+  }
+
+  /// Adds the (group, value) pairs of the rows whose value is not NULL to
+  /// `s->distinct` (typed after the first values seen) and counts each new
+  /// pair for its group.
+  static Status InsertDistinct(const ColumnVectorPtr& group,
+                               ColumnVectorPtr value, AggState* s) {
+    if (!s->distinct) {
+      s->distinct.emplace(std::vector<DataType>{DataType::kInt64,
+                                                value->type()});
+    }
+    FLOCK_ASSIGN_OR_RETURN(
+        value, NormalizeType(std::move(value), s->distinct->keys()[1]->type()));
+    const KeyColumns pair = {group, value};
+    std::vector<uint64_t> hashes;
+    HashKeys(pair, value->size(), &hashes);
+    bool inserted;
+    for (size_t r = 0; r < value->size(); ++r) {
+      if (value->IsNull(r)) continue;
+      s->distinct->FindOrInsert(pair, r, hashes[r], &inserted);
+      if (inserted) ++s->count[static_cast<size_t>(group->int_at(r))];
+    }
+    return Status::OK();
+  }
+
+  /// Folds a task-local state into the merged one; `to` maps local groups
+  /// to merged groups.
+  static Status Merge(const AggState& from, const std::vector<uint32_t>& to,
+                      AggState* into) {
+    switch (into->fn) {
+      case Fn::kCount:
+        for (size_t e = 0; e < to.size(); ++e) {
+          into->count[to[e]] += from.count[e];
+        }
+        break;
+      case Fn::kIntSum:
+        for (size_t e = 0; e < to.size(); ++e) {
+          into->count[to[e]] += from.count[e];
+          into->int_sum[to[e]] += from.int_sum[e];
+        }
+        break;
+      case Fn::kSum:
+      case Fn::kAvg:
+        for (size_t e = 0; e < to.size(); ++e) {
+          into->count[to[e]] += from.count[e];
+          into->sum[to[e]] += from.sum[e];
+        }
+        break;
+      case Fn::kMin:
+      case Fn::kMax: {
+        for (size_t e = 0; e < to.size(); ++e) {
+          const Value& v = from.best[e];
+          Value& best = into->best[to[e]];
+          if (!v.is_null() && Better(into->fn, v, best)) best = v;
+        }
+        break;
+      }
+      case Fn::kCountDistinct: {
+        if (!from.distinct) break;
+        // Re-key the local pairs by merged group; only a pair new to the
+        // merged index counts (the local counts would count it per task).
+        const KeyIndex& pairs = *from.distinct;
+        auto group = std::make_shared<ColumnVector>(DataType::kInt64);
+        group->Reserve(pairs.size());
+        for (size_t e = 0; e < pairs.size(); ++e) {
+          group->AppendInt(to[static_cast<size_t>(pairs.keys()[0]->int_at(e))]);
+        }
+        FLOCK_RETURN_NOT_OK(InsertDistinct(group, pairs.keys()[1], into));
+        break;
+      }
+    }
+    return Status::OK();
+  }
+
+  /// Appends each group's result to `out`, whose type the planner chose.
+  static Status Emit(const AggState& s, size_t num_groups, ColumnVector* out) {
+    out->Reserve(num_groups);
+    for (size_t g = 0; g < num_groups; ++g) {
+      switch (s.fn) {
+        case Fn::kCount:
+        case Fn::kCountDistinct:
+          FLOCK_RETURN_NOT_OK(out->AppendValue(Value::Int(s.count[g])));
+          break;
+        case Fn::kIntSum:
+          if (s.count[g] == 0) {
+            out->AppendNull();
+          } else if (s.int_sum[g] > INT64_MAX || s.int_sum[g] < INT64_MIN) {
+            return Status::OutOfRange("SUM overflows BIGINT");
+          } else {
+            FLOCK_RETURN_NOT_OK(out->AppendValue(
+                Value::Int(static_cast<int64_t>(s.int_sum[g]))));
+          }
+          break;
+        case Fn::kSum:
+          FLOCK_RETURN_NOT_OK(out->AppendValue(
+              s.count[g] > 0 ? Value::Double(s.sum[g]) : Value::Null()));
+          break;
+        case Fn::kAvg:
+          FLOCK_RETURN_NOT_OK(out->AppendValue(
+              s.count[g] > 0
+                  ? Value::Double(s.sum[g] / static_cast<double>(s.count[g]))
+                  : Value::Null()));
+          break;
+        case Fn::kMin:
+        case Fn::kMax:
+          FLOCK_RETURN_NOT_OK(out->AppendValue(s.best[g]));
+          break;
+      }
+    }
+    return Status::OK();
+  }
 
   HashAggregateOp* op_;
   ExecContext ctx_;
+  std::vector<DataType> key_types_;  // the output's group-key types
   std::vector<AggSpec> specs_;
-  std::vector<LocalState> locals_;
+  std::vector<std::unique_ptr<GroupTable>> locals_;
 };
 
 // ---------------------------------------------------------------------------
@@ -361,30 +518,17 @@ Status Executor::PrepareHashJoin(HashJoinProbeOp* probe) {
   FLOCK_ASSIGN_OR_RETURN(RecordBatch rows, Run(build->children[0].get()));
   const auto start = Clock::now();
 
-  auto table = std::make_shared<JoinHashTable>();
-  std::vector<ColumnVectorPtr> key_cols;
+  KeyColumns key_cols;
   key_cols.reserve(build->keys.size());
   for (const auto& e : build->keys) {
     FLOCK_ASSIGN_OR_RETURN(ColumnVectorPtr col,
                            EvaluateExpr(*e, rows, registry_));
     key_cols.push_back(std::move(col));
   }
-  table->index.reserve(rows.num_rows());
-  std::string key;
-  size_t indexed = 0;
-  for (size_t r = 0; r < rows.num_rows(); ++r) {
-    bool any_null = false;
-    for (const auto& col : key_cols) {
-      if (col->IsNull(r)) any_null = true;
-    }
-    if (any_null) continue;  // nulls never join
-    key.clear();
-    AppendRowKey(key_cols, r, &key);
-    table->index[key].push_back(static_cast<uint32_t>(r));
-    ++indexed;
-  }
-  build->metrics.Record(rows.num_rows(), indexed, NanosSince(start));
-  table->rows = std::move(rows);
+  const size_t num_rows = rows.num_rows();
+  auto table = std::make_shared<JoinHashTable>(
+      JoinHashTable{std::move(rows), KeyIndex(std::move(key_cols))});
+  build->metrics.Record(num_rows, table->index.size(), NanosSince(start));
   build->table = std::move(table);
   return Status::OK();
 }
@@ -604,19 +748,20 @@ StatusOr<RecordBatch> Executor::RunSort(SortOp* op) {
 StatusOr<RecordBatch> Executor::RunDistinct(DistinctOp* op) {
   FLOCK_ASSIGN_OR_RETURN(RecordBatch input, Run(op->children[0].get()));
   const auto start = Clock::now();
-  std::vector<ColumnVectorPtr> cols;
+  KeyColumns cols;
+  std::vector<DataType> types;
   for (size_t c = 0; c < input.num_columns(); ++c) {
     cols.push_back(input.column(c));
+    types.push_back(input.column(c)->type());
   }
-  std::unordered_map<std::string, bool> seen;
+  std::vector<uint64_t> hashes;
+  HashKeys(cols, input.num_rows(), &hashes);
+  KeyIndex seen(types);
   std::vector<uint32_t> sel;
-  std::string key;
+  bool inserted;
   for (size_t r = 0; r < input.num_rows(); ++r) {
-    key.clear();
-    AppendRowKey(cols, r, &key);
-    if (seen.try_emplace(key, true).second) {
-      sel.push_back(static_cast<uint32_t>(r));
-    }
+    seen.FindOrInsert(cols, r, hashes[r], &inserted);
+    if (inserted) sel.push_back(static_cast<uint32_t>(r));
   }
   RecordBatch out = input.Select(sel);
   op->metrics.Record(input.num_rows(), out.num_rows(), NanosSince(start));

@@ -14,39 +14,6 @@ using storage::DataType;
 using storage::RecordBatch;
 using storage::Schema;
 
-void AppendRowKey(const std::vector<ColumnVectorPtr>& cols, size_t r,
-                  std::string* key) {
-  for (const auto& col : cols) {
-    if (col->IsNull(r)) {
-      key->push_back('\0');
-      continue;
-    }
-    key->push_back('\1');
-    switch (col->type()) {
-      case DataType::kBool:
-        key->push_back(col->bool_at(r) ? '1' : '0');
-        break;
-      case DataType::kInt64: {
-        int64_t v = col->int_at(r);
-        key->append(reinterpret_cast<const char*>(&v), sizeof(v));
-        break;
-      }
-      case DataType::kDouble: {
-        double v = col->double_at(r);
-        key->append(reinterpret_cast<const char*>(&v), sizeof(v));
-        break;
-      }
-      case DataType::kString: {
-        const std::string& s = col->string_at(r);
-        uint32_t len = static_cast<uint32_t>(s.size());
-        key->append(reinterpret_cast<const char*>(&len), sizeof(len));
-        key->append(s);
-        break;
-      }
-    }
-  }
-}
-
 namespace {
 
 std::string JoinExprs(const std::vector<ExprPtr>& exprs) {
@@ -58,24 +25,35 @@ std::string JoinExprs(const std::vector<ExprPtr>& exprs) {
   return out;
 }
 
-/// Widens an evaluated column to the declared schema type when needed
-/// (e.g. an int literal feeding a double column).
-StatusOr<ColumnVectorPtr> NormalizeType(ColumnVectorPtr col,
-                                        DataType want) {
-  if (col->type() == want) return col;
-  auto cast = std::make_shared<ColumnVector>(want);
-  cast->Reserve(col->size());
-  for (size_t r = 0; r < col->size(); ++r) {
-    FLOCK_RETURN_NOT_OK(cast->AppendValue(col->GetValue(r)));
+/// Gathers a join's output: probe row lsel[i] beside build row rsel[i],
+/// where an rsel of ColumnVector::kNullRow pads the build columns with NULL
+/// (an unmatched LEFT JOIN row). Each column is gathered once.
+RecordBatch GatherJoinOutput(const Schema& schema, const RecordBatch& probe,
+                             const std::vector<uint32_t>& lsel,
+                             const RecordBatch& build,
+                             const std::vector<uint32_t>& rsel,
+                             JoinType join_type) {
+  RecordBatch out(schema);
+  const size_t probe_width = probe.num_columns();
+  for (size_t c = 0; c < probe_width; ++c) {
+    out.mutable_column(c)->AppendSelected(*probe.column(c), lsel);
   }
-  return ColumnVectorPtr(std::move(cast));
+  for (size_t c = 0; c < build.num_columns(); ++c) {
+    ColumnVector* dst = out.mutable_column(probe_width + c);
+    if (join_type == JoinType::kLeft) {
+      dst->AppendSelectedOrNull(*build.column(c), rsel);
+    } else {
+      dst->AppendSelected(*build.column(c), rsel);
+    }
+  }
+  return out;
 }
 
 /// Filters a join's output with `program`; for a LEFT join the residual
-/// only filters matched rows, so null-padded rows (rsel < 0) always survive.
+/// only filters matched rows, so null-padded rows always survive.
 StatusOr<RecordBatch> FilterJoinOutput(const PredicateProgram& program,
                                        JoinType join_type,
-                                       const std::vector<int64_t>& rsel,
+                                       const std::vector<uint32_t>& rsel,
                                        const ExecContext& ctx,
                                        RecordBatch out) {
   FLOCK_ASSIGN_OR_RETURN(std::vector<uint32_t> sel,
@@ -87,7 +65,9 @@ StatusOr<RecordBatch> FilterJoinOutput(const PredicateProgram& program,
     for (size_t i = 0; i < out.num_rows(); ++i) {
       const bool passed = next < sel.size() && sel[next] == i;
       if (passed) ++next;
-      if (passed || rsel[i] < 0) keep.push_back(static_cast<uint32_t>(i));
+      if (passed || rsel[i] == ColumnVector::kNullRow) {
+        keep.push_back(static_cast<uint32_t>(i));
+      }
     }
     sel = std::move(keep);
   }
@@ -447,10 +427,9 @@ std::string HashJoinProbeOp::label() const {
 StatusOr<RecordBatch> HashJoinProbeOp::ProcessMorsel(const ExecContext& ctx,
                                                      RecordBatch input) {
   const JoinHashTable& ht = *build()->table;
-  const size_t probe_width = input.num_columns();
 
   // Evaluate probe-side key expressions over the (dense) morsel.
-  std::vector<ColumnVectorPtr> probe_keys;
+  KeyColumns probe_keys;
   probe_keys.reserve(keys.size());
   for (const auto& e : keys) {
     FLOCK_ASSIGN_OR_RETURN(ColumnVectorPtr col,
@@ -458,51 +437,33 @@ StatusOr<RecordBatch> HashJoinProbeOp::ProcessMorsel(const ExecContext& ctx,
     probe_keys.push_back(std::move(col));
   }
 
-  // All workers probe the shared read-only hash table concurrently.
+  // All workers probe the shared read-only index concurrently. Each probe
+  // row's matches come in build-row order.
+  std::vector<uint64_t> hashes;
+  HashKeys(probe_keys, input.num_rows(), &hashes);
   std::vector<uint32_t> lsel;
-  std::vector<int64_t> rsel;  // -1 = null-padded (left join, no match)
-  std::string key;
+  std::vector<uint32_t> rsel;  // kNullRow = null-padded (left join)
   for (size_t l = 0; l < input.num_rows(); ++l) {
     bool any_null = false;
-    for (const auto& col : probe_keys) {
-      if (col->IsNull(l)) any_null = true;
-    }
+    for (const auto& col : probe_keys) any_null |= col->IsNull(l);
     bool matched = false;
     if (!any_null) {
-      key.clear();
-      AppendRowKey(probe_keys, l, &key);
-      auto it = ht.index.find(key);
-      if (it != ht.index.end()) {
-        for (uint32_t r : it->second) {
-          lsel.push_back(static_cast<uint32_t>(l));
-          rsel.push_back(r);
-          matched = true;
-        }
+      for (uint32_t r = ht.index.Match(probe_keys, l, hashes[l]);
+           r != KeyIndex::kNone;
+           r = ht.index.Match(probe_keys, l, hashes[l], r)) {
+        lsel.push_back(static_cast<uint32_t>(l));
+        rsel.push_back(r);
+        matched = true;
       }
     }
     if (!matched && join_type == JoinType::kLeft) {
       lsel.push_back(static_cast<uint32_t>(l));
-      rsel.push_back(-1);
+      rsel.push_back(ColumnVector::kNullRow);
     }
   }
 
-  RecordBatch out(output_schema());
-  for (size_t c = 0; c < probe_width; ++c) {
-    out.mutable_column(c)->AppendSelected(*input.column(c), lsel);
-  }
-  for (size_t c = 0; c < ht.rows.num_columns(); ++c) {
-    ColumnVector* dst = out.mutable_column(probe_width + c);
-    const ColumnVector& src = *ht.rows.column(c);
-    for (int64_t r : rsel) {
-      if (r < 0) {
-        dst->AppendNull();
-      } else {
-        dst->AppendRange(src, static_cast<size_t>(r),
-                         static_cast<size_t>(r) + 1);
-      }
-    }
-  }
-
+  RecordBatch out = GatherJoinOutput(output_schema(), input, lsel, ht.rows,
+                                     rsel, join_type);
   if (!residual_program_) return out;
   return FilterJoinOutput(*residual_program_, join_type, rsel, ctx,
                           std::move(out));
@@ -543,11 +504,10 @@ std::string NestedLoopJoinOp::label() const {
 StatusOr<RecordBatch> NestedLoopJoinOp::ProcessMorsel(const ExecContext& ctx,
                                                       RecordBatch input) {
   const RecordBatch& right = *right_rows;
-  const size_t left_width = input.num_columns();
   const size_t nr = right.num_rows();
 
   std::vector<uint32_t> lsel;
-  std::vector<int64_t> rsel;
+  std::vector<uint32_t> rsel;  // kNullRow = null-padded (left join)
   for (size_t l = 0; l < input.num_rows(); ++l) {
     // One left row fans out to the whole right side, so a cross-join
     // morsel is unbounded in the morsel size; poll per left row to keep
@@ -556,33 +516,18 @@ StatusOr<RecordBatch> NestedLoopJoinOp::ProcessMorsel(const ExecContext& ctx,
     if (nr == 0) {
       if (join_type == JoinType::kLeft) {
         lsel.push_back(static_cast<uint32_t>(l));
-        rsel.push_back(-1);
+        rsel.push_back(ColumnVector::kNullRow);
       }
       continue;
     }
     for (size_t r = 0; r < nr; ++r) {
       lsel.push_back(static_cast<uint32_t>(l));
-      rsel.push_back(static_cast<int64_t>(r));
+      rsel.push_back(static_cast<uint32_t>(r));
     }
   }
 
-  RecordBatch out(output_schema());
-  for (size_t c = 0; c < left_width; ++c) {
-    out.mutable_column(c)->AppendSelected(*input.column(c), lsel);
-  }
-  for (size_t c = 0; c < right.num_columns(); ++c) {
-    ColumnVector* dst = out.mutable_column(left_width + c);
-    const ColumnVector& src = *right.column(c);
-    for (int64_t r : rsel) {
-      if (r < 0) {
-        dst->AppendNull();
-      } else {
-        dst->AppendRange(src, static_cast<size_t>(r),
-                         static_cast<size_t>(r) + 1);
-      }
-    }
-  }
-
+  RecordBatch out =
+      GatherJoinOutput(output_schema(), input, lsel, right, rsel, join_type);
   if (!condition_program_) return out;
   return FilterJoinOutput(*condition_program_, join_type, rsel, ctx,
                           std::move(out));

@@ -7,7 +7,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/cancel.h"
@@ -15,6 +14,7 @@
 #include "common/thread_pool.h"
 #include "sql/ast.h"
 #include "sql/function_registry.h"
+#include "sql/key_index.h"
 #include "sql/logical_plan.h"
 #include "sql/predicate_program.h"
 #include "storage/record_batch.h"
@@ -364,8 +364,8 @@ class PredictScoreOp : public PhysicalOperator {
 
 /// The hash table shared (read-only) by all probe workers.
 struct JoinHashTable {
-  std::unordered_map<std::string, std::vector<uint32_t>> index;
   storage::RecordBatch rows;  // dense materialized build side
+  KeyIndex index;             // the build keys, evaluated over `rows`
 };
 
 /// Build side of a hash join: a pipeline breaker that materializes its
@@ -476,11 +476,6 @@ class LimitOp : public PhysicalOperator {
   int64_t limit = -1;  // -1 = unbounded
   int64_t offset = 0;
 };
-
-/// Serializes row `r` of `cols` into a byte-key for hash tables (join keys,
-/// group keys, DISTINCT). Shared by the executor and operator kernels.
-void AppendRowKey(const std::vector<storage::ColumnVectorPtr>& cols,
-                  size_t r, std::string* key);
 
 }  // namespace flock::sql
 

@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "sql/evaluator.h"
 #include "sql/optimizer.h"
 
 namespace flock::sql {
@@ -20,13 +21,28 @@ struct JoinKeys {
   std::vector<ExprPtr> residual;  // bound against joined row (left++right)
 };
 
-JoinKeys ExtractJoinKeys(const Expr* condition, size_t left_width) {
+/// True when `a = b` over `joined` (left ++ right) compares as the key
+/// index does. A string against a number compares renderings instead, so
+/// that conjunct stays a residual.
+bool HashableEquality(const Expr& a, const Expr& b, const Schema& joined,
+                      const FunctionRegistry* registry) {
+  StatusOr<DataType> ta = InferExprType(a, joined, registry);
+  StatusOr<DataType> tb = InferExprType(b, joined, registry);
+  return ta.ok() && tb.ok() &&
+         (*ta == DataType::kString) == (*tb == DataType::kString);
+}
+
+JoinKeys ExtractJoinKeys(const Expr* condition, size_t left_width,
+                         const Schema& joined,
+                         const FunctionRegistry* registry) {
   JoinKeys keys;
   if (condition == nullptr) return keys;
   std::vector<ExprPtr> conjuncts = SplitConjuncts(condition->Clone());
   for (auto& conjunct : conjuncts) {
     if (conjunct->kind == ExprKind::kBinary &&
-        conjunct->bin_op == BinaryOp::kEq) {
+        conjunct->bin_op == BinaryOp::kEq &&
+        HashableEquality(*conjunct->children[0], *conjunct->children[1],
+                         joined, registry)) {
       Expr* a = conjunct->children[0].get();
       Expr* b = conjunct->children[1].get();
       auto side = [&](const Expr& e) -> int {
@@ -255,7 +271,8 @@ StatusOr<PhysicalOperatorPtr> PhysicalPlanner::LowerJoin(
   FLOCK_ASSIGN_OR_RETURN(PhysicalOperatorPtr right, Lower(*plan.children[1]));
   const size_t left_width = left->output_schema().num_columns();
 
-  JoinKeys keys = ExtractJoinKeys(plan.join_condition.get(), left_width);
+  JoinKeys keys = ExtractJoinKeys(plan.join_condition.get(), left_width,
+                                  plan.output_schema, registry_);
   if (!keys.left.empty()) {
     auto build = std::make_unique<HashJoinBuildOp>(std::move(right),
                                                    std::move(keys.right));

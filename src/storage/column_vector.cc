@@ -151,27 +151,56 @@ void ColumnVector::AppendRange(const ColumnVector& src, size_t begin,
   }
 }
 
-void ColumnVector::AppendSelected(const ColumnVector& src,
-                                  const std::vector<uint32_t>& sel) {
-  FLOCK_DCHECK(src.type_ == type_);
-  Reserve(size() + sel.size());
+namespace {
+
+/// dst[old size + i] = src[sel[i]], or T{} where `pad` and sel[i] is
+/// ColumnVector::kNullRow.
+template <bool kPad, typename T>
+void Gather(std::vector<T>* dst, const std::vector<T>& src,
+            const std::vector<uint32_t>& sel) {
+  size_t at = dst->size();
+  dst->resize(at + sel.size());
+  T* out = dst->data() + at;
   for (uint32_t idx : sel) {
-    validity_.push_back(src.validity_[idx]);
-    switch (type_) {
-      case DataType::kBool:
-        bools_.push_back(src.bools_[idx]);
-        break;
-      case DataType::kInt64:
-        ints_.push_back(src.ints_[idx]);
-        break;
-      case DataType::kDouble:
-        doubles_.push_back(src.doubles_[idx]);
-        break;
-      case DataType::kString:
-        strings_.push_back(src.strings_[idx]);
-        break;
+    if constexpr (kPad) {
+      *out++ = idx == ColumnVector::kNullRow ? T{} : src[idx];
+    } else {
+      *out++ = src[idx];
     }
   }
+}
+
+}  // namespace
+
+template <bool kPad>
+void ColumnVector::GatherFrom(const ColumnVector& src,
+                              const std::vector<uint32_t>& sel) {
+  FLOCK_DCHECK(src.type_ == type_);
+  Gather<kPad>(&validity_, src.validity_, sel);
+  switch (type_) {
+    case DataType::kBool:
+      Gather<kPad>(&bools_, src.bools_, sel);
+      break;
+    case DataType::kInt64:
+      Gather<kPad>(&ints_, src.ints_, sel);
+      break;
+    case DataType::kDouble:
+      Gather<kPad>(&doubles_, src.doubles_, sel);
+      break;
+    case DataType::kString:
+      Gather<kPad>(&strings_, src.strings_, sel);
+      break;
+  }
+}
+
+void ColumnVector::AppendSelected(const ColumnVector& src,
+                                  const std::vector<uint32_t>& sel) {
+  GatherFrom<false>(src, sel);
+}
+
+void ColumnVector::AppendSelectedOrNull(const ColumnVector& src,
+                                        const std::vector<uint32_t>& sel) {
+  GatherFrom<true>(src, sel);
 }
 
 }  // namespace flock::storage

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/status.h"
 #include "storage/value.h"
 
@@ -26,11 +27,24 @@ class ColumnVector {
 
   bool IsNull(size_t i) const { return validity_[i] == 0; }
 
-  // Typed accessors. Caller must respect type() and IsNull().
-  bool bool_at(size_t i) const { return bools_[i] != 0; }
-  int64_t int_at(size_t i) const { return ints_[i]; }
-  double double_at(size_t i) const { return doubles_[i]; }
-  const std::string& string_at(size_t i) const { return strings_[i]; }
+  // Typed accessors. Caller must respect type() (checked in debug and
+  // sanitizer builds) and IsNull().
+  bool bool_at(size_t i) const {
+    FLOCK_DCHECK(type_ == DataType::kBool);
+    return bools_[i] != 0;
+  }
+  int64_t int_at(size_t i) const {
+    FLOCK_DCHECK(type_ == DataType::kInt64);
+    return ints_[i];
+  }
+  double double_at(size_t i) const {
+    FLOCK_DCHECK(type_ == DataType::kDouble);
+    return doubles_[i];
+  }
+  const std::string& string_at(size_t i) const {
+    FLOCK_DCHECK(type_ == DataType::kString);
+    return strings_[i];
+  }
 
   /// Raw dense arrays for kernel loops (valid entries only meaningful).
   const std::vector<double>& doubles() const { return doubles_; }
@@ -62,7 +76,16 @@ class ColumnVector {
   void AppendSelected(const ColumnVector& src,
                       const std::vector<uint32_t>& sel);
 
+  /// Like AppendSelected, but an index of kNullRow appends NULL (the
+  /// padding of an unmatched LEFT JOIN row).
+  static constexpr uint32_t kNullRow = UINT32_MAX;
+  void AppendSelectedOrNull(const ColumnVector& src,
+                            const std::vector<uint32_t>& sel);
+
  private:
+  template <bool kPad>
+  void GatherFrom(const ColumnVector& src, const std::vector<uint32_t>& sel);
+
   DataType type_;
   std::vector<uint8_t> validity_;  // 1 = valid, 0 = null
   std::vector<uint8_t> bools_;

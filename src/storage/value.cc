@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "common/hash.h"
 #include "common/string_util.h"
 
 namespace flock::storage {
@@ -102,6 +101,10 @@ int Value::Compare(const Value& other) const {
   if (type_ == DataType::kString && other.type_ == DataType::kString) {
     return string_value().compare(other.string_value());
   }
+  if (type_ == DataType::kInt64 && other.type_ == DataType::kInt64) {
+    return (int_value() > other.int_value()) -
+           (int_value() < other.int_value());
+  }
   double a = AsDouble();
   double b = other.AsDouble();
   if (a < b) return -1;
@@ -110,30 +113,6 @@ int Value::Compare(const Value& other) const {
   // itself, so the order stays total and MIN/MAX/ORDER BY do not depend on
   // the order rows arrive in.
   return static_cast<int>(std::isnan(a)) - static_cast<int>(std::isnan(b));
-}
-
-uint64_t Value::Hash() const {
-  if (is_null_) return 0x6E756C6CULL;  // "null"
-  switch (type_) {
-    case DataType::kBool:
-      return HashInt64(bool_value() ? 1 : 0);
-    case DataType::kInt64:
-      return HashInt64(int_value());
-    case DataType::kDouble: {
-      double d = double_value();
-      // Hash integral doubles like their int64 counterpart so mixed-type
-      // join keys (42 vs 42.0) collide as expected.
-      int64_t as_int = static_cast<int64_t>(d);
-      if (static_cast<double>(as_int) == d) return HashInt64(as_int);
-      uint64_t bits;
-      static_assert(sizeof(bits) == sizeof(d));
-      __builtin_memcpy(&bits, &d, sizeof(d));
-      return HashInt64(static_cast<int64_t>(bits));
-    }
-    case DataType::kString:
-      return HashString(string_value());
-  }
-  return 0;
 }
 
 std::string Value::ToString() const {

@@ -56,17 +56,16 @@ class Value {
   StatusOr<Value> CastTo(DataType target) const;
 
   /// SQL semantics: NULL != NULL (use is_null() for that); this is *storage*
-  /// equality where two NULLs of any type compare equal (used by hash keys).
+  /// equality where two NULLs of any type compare equal.
   bool operator==(const Value& other) const;
   bool operator!=(const Value& other) const { return !(*this == other); }
 
   /// Three-way storage comparison; NULL sorts first and NaN after every
-  /// other number. Requires comparable types (numeric vs numeric, string
-  /// vs string, bool vs bool).
+  /// other number. Two INT64s compare exactly; other numeric pairs compare
+  /// as doubles (so -0.0 equals 0.0 and NaN equals NaN). Requires
+  /// comparable types (numeric vs numeric, string vs string, bool vs bool).
+  /// Join, GROUP BY and DISTINCT keys are equal exactly when this is 0.
   int Compare(const Value& other) const;
-
-  /// Hash for join/aggregate keys.
-  uint64_t Hash() const;
 
   /// SQL-literal rendering: NULL, true, 42, 1.5, 'text'.
   std::string ToString() const;

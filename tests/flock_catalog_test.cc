@@ -338,17 +338,18 @@ TEST(CatalogViewConcurrencyTest, AuditSumNeverDecreasesWhileScoring) {
     });
   }
   const std::string sum = "SELECT SUM(rows_scored) FROM flock_audit";
-  auto read_sum = [&]() -> double {
+  auto read_sum = [&]() -> int64_t {
     auto r = engine.Execute(sum);
     if (!r.ok()) return -1;
     // SUM over no scored rows is 0, not NULL: the REGISTER row counts 0.
-    return r->batch.column(0)->AsDouble(0);
+    // A BIGINT column sums to a BIGINT.
+    return r->batch.column(0)->int_at(0);
   };
-  double last = 0;
+  int64_t last = 0;
   int reads = 0;
   int decreases = 0;
   while (scorers_left.load() > 0) {
-    const double now = read_sum();
+    const int64_t now = read_sum();
     if (now < last) ++decreases;
     last = now;
     ++reads;
@@ -356,7 +357,7 @@ TEST(CatalogViewConcurrencyTest, AuditSumNeverDecreasesWhileScoring) {
   for (std::thread& t : scorers) t.join();
   EXPECT_EQ(decreases, 0) << "over " << reads << " reads";
   EXPECT_FALSE(failed.load());
-  EXPECT_EQ(read_sum(), double{kScorers} * kStatementsEach * kRows);
+  EXPECT_EQ(read_sum(), int64_t{kScorers} * kStatementsEach * kRows);
   EXPECT_GT(reads, 0);
 }
 

@@ -577,7 +577,7 @@ TEST_F(ServeTest, DdlInvalidatesCachedPlansAcrossSessions) {
   const std::string sum = "SELECT SUM(x) FROM kv";
   auto before = client.Execute(sum);
   ASSERT_TRUE(before.ok());
-  EXPECT_EQ(before->batch.column(0)->GetValue(0).double_value(), 3.0);
+  EXPECT_EQ(before->batch.column(0)->int_at(0), 3);
   ASSERT_TRUE(client.Execute(sum).ok());  // cached now
 
   ASSERT_TRUE(client.Execute("DROP TABLE kv").ok());
@@ -588,7 +588,7 @@ TEST_F(ServeTest, DdlInvalidatesCachedPlansAcrossSessions) {
   ASSERT_TRUE(client.Execute("INSERT INTO kv VALUES (10), (20), (30)").ok());
   auto after = client.Execute(sum);
   ASSERT_TRUE(after.ok());
-  EXPECT_EQ(after->batch.column(0)->GetValue(0).double_value(), 60.0);
+  EXPECT_EQ(after->batch.column(0)->int_at(0), 60);
 }
 
 TEST_F(ServeTest, ModelRedeployAndDropInvalidateCachedPredictPlans) {

@@ -590,7 +590,7 @@ TEST_F(SqlEngineTest, DdlInvalidatesPlanCache) {
   Exec("CREATE TABLE tmp (x INT)");
   Exec("INSERT INTO tmp VALUES (1), (2)");
   QueryResult sum = Exec("SELECT SUM(x) FROM tmp");
-  EXPECT_EQ(sum.batch.column(0)->GetValue(0).double_value(), 3.0);
+  EXPECT_EQ(sum.batch.column(0)->int_at(0), 3);
   Exec("SELECT SUM(x) FROM tmp");  // now cached
   Exec("DROP TABLE tmp");
   EXPECT_FALSE(engine_.Execute("SELECT SUM(x) FROM tmp").ok())
@@ -599,7 +599,7 @@ TEST_F(SqlEngineTest, DdlInvalidatesPlanCache) {
   Exec("INSERT INTO tmp VALUES (10), (20), (30)");
   QueryResult fresh = Exec("SELECT SUM(x) FROM tmp");
   EXPECT_FALSE(fresh.from_plan_cache);
-  EXPECT_EQ(fresh.batch.column(0)->GetValue(0).double_value(), 60.0);
+  EXPECT_EQ(fresh.batch.column(0)->int_at(0), 60);
 }
 
 TEST_F(SqlEngineTest, QuotedIdentifiersWithDashesKeepDistinctPlans) {

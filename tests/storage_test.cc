@@ -63,10 +63,16 @@ TEST(ValueTest, CastRoundTrips) {
   EXPECT_TRUE(null_cast->is_null());
 }
 
-TEST(ValueTest, HashEqualValuesCollide) {
-  EXPECT_EQ(Value::Int(5).Hash(), Value::Double(5.0).Hash());
-  EXPECT_EQ(Value::String("abc").Hash(), Value::String("abc").Hash());
-  EXPECT_NE(Value::String("abc").Hash(), Value::String("abd").Hash());
+TEST(ValueTest, CompareIsKeyEquality) {
+  EXPECT_EQ(Value::Int(5).Compare(Value::Double(5.0)), 0);
+  EXPECT_EQ(Value::Double(-0.0).Compare(Value::Double(0.0)), 0);
+  EXPECT_EQ(Value::Double(NAN).Compare(Value::Double(-NAN)), 0);
+  EXPECT_GT(Value::Double(NAN).Compare(Value::Int(5)), 0);
+  // Two BIGINTs compare exactly, even where their doubles are equal.
+  const int64_t big = int64_t{1} << 53;
+  EXPECT_LT(Value::Int(big).Compare(Value::Int(big + 1)), 0);
+  EXPECT_EQ(Value::String("abc").Compare(Value::String("abc")), 0);
+  EXPECT_LT(Value::String("abc").Compare(Value::String("abd")), 0);
 }
 
 TEST(DataTypeTest, ParseNames) {
