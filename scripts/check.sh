@@ -14,11 +14,15 @@
 # concurrent background flusher), plus the crash matrix (fault-injected
 # child processes) under ASan when the full ASan stage did not run — and
 # an UndefinedBehaviorSanitizer build running the scoring-kernel, ML
-# property, graph/pipeline, mutation (`fuzz`) and key-index (`keys`)
-# suites. The ASan stage runs every suite, the key-index differential
-# suite included. Sanitizer builds keep FLOCK_DCHECK live, so a mistyped
-# ColumnVector read fails there. The `--*-only` modes skip the UBSan
-# stage.
+# property, graph/pipeline, mutation (`fuzz`), key-index (`keys`, which
+# holds the BIGINT comparison and overflow tests) and plan-cache
+# (`plancache`) suites. The ASan stage runs every suite, the key-index differential
+# suite included. The parameterized plan-cache suite (`plancache`) runs in
+# all three sanitizer stages: under ASan with every suite, under TSan as a
+# label stage (serving workers bind literals into clones of one cached
+# plan at once), and under UBSan. Sanitizer builds keep FLOCK_DCHECK live,
+# so a mistyped ColumnVector read fails there. The `--*-only` modes skip
+# the UBSan stage.
 #
 # Usage: scripts/check.sh
 #          [--asan-only|--no-asan|--tsan-only|--no-tsan|--recovery-only]
@@ -70,7 +74,8 @@ if [[ "$RUN_ASAN" == 1 ]]; then
   # ping-pong scratch and the coalescer's hand-off buffers (`kernel`), the
   # abandon paths a kill creates (`cancel`), rollout state round-trips
   # (`lifecycle`), the seeded SQL-text and WAL-record mutation
-  # campaigns (`fuzz`) and the key-index differential suite (`keys`).
+  # campaigns (`fuzz`), the key-index differential suite (`keys`) and the
+  # parameterized plan-cache suite (`plancache`).
   ASAN_OPTIONS=detect_leaks=0 \
     ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 fi
@@ -91,7 +96,7 @@ if [[ "$RUN_TSAN" == 1 ]]; then
   ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
     -R 'Serve|SessionManager|AdmissionController|ThreadPool|ParallelDifferential|PredicateProgramDifferential|MetricsRegistry|SlowQueryLog|ObsEngine|CatalogViewConcurrency'
 
-  echo "== TSan label stages: obs storage repl kernel cancel lifecycle =="
+  echo "== TSan label stages: obs storage repl kernel cancel lifecycle plancache =="
   # Each label is a whole suite whose code runs on several threads at once:
   #   obs       tracing's thread-local recorders on the serving workers
   #             and concurrent obs::Histogram records and snapshots;
@@ -104,13 +109,15 @@ if [[ "$RUN_TSAN" == 1 ]]; then
   #   cancel    a kill flipping the token while morsel workers, batch
   #             waiters and the retry loop poll it;
   #   lifecycle guard-breach rollback through DeployTransaction racing the
-  #             interceptor on serve worker threads.
+  #             interceptor on serve worker threads;
+  #   plancache serving workers looking up one cached plan and binding
+  #             their own literals into private clones.
   # flock_test adds the deploy race test that vets Commit's undo path
   # against concurrent scorers.
   cmake --build build-tsan -j "$JOBS" --target obs_test storage_test \
     pruning_differential_test repl_test repl_differential_test kernel_test \
-    cancel_test lifecycle_test flock_test
-  for label in obs storage repl kernel cancel lifecycle; do
+    cancel_test lifecycle_test flock_test plan_cache_test
+  for label in obs storage repl kernel cancel lifecycle plancache; do
     ctest --test-dir build-tsan --output-on-failure -j "$JOBS" -L "$label"
   done
   ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
@@ -152,13 +159,15 @@ if [[ "$RUN_UBSAN" == 1 ]]; then
   # reaching a one-hot encoder fails too. The mutation campaigns feed
   # damaged SQL text and WAL record bodies to the lexer, parser and
   # record decoder. The key-index suite hashes and compares -0.0, NaN and
-  # mixed BIGINT/DOUBLE keys and sums BIGINTs up to overflow.
+  # mixed BIGINT/DOUBLE keys, sums BIGINTs up to overflow and runs BIGINT
+  # `x * x` past 2^63 through SQL. The plan-cache suite binds literals
+  # into cached plans and folds and compares them.
   # halt_on_error turns the first signed overflow, bad float conversion
   # or out-of-range index into a failed test instead of a printed warning.
   cmake -B build-ubsan -S . -DFLOCK_SANITIZE=undefined >/dev/null
   cmake --build build-ubsan -j "$JOBS" \
     --target kernel_test ml_property_test ml_test sql_fuzz_test wal_fuzz_test \
-    key_index_test
+    key_index_test plan_cache_test
   UBSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir build-ubsan --output-on-failure -j "$JOBS" -L kernel
   UBSAN_OPTIONS=halt_on_error=1 \
@@ -168,6 +177,8 @@ if [[ "$RUN_UBSAN" == 1 ]]; then
     ctest --test-dir build-ubsan --output-on-failure -j "$JOBS" -L fuzz
   UBSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir build-ubsan --output-on-failure -j "$JOBS" -L keys
+  UBSAN_OPTIONS=halt_on_error=1 \
+    ctest --test-dir build-ubsan --output-on-failure -j "$JOBS" -L plancache
 fi
 
 echo "All checks passed."

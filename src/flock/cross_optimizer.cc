@@ -5,9 +5,11 @@
 #include <cmath>
 #include <cstdio>
 #include <functional>
+#include <optional>
 
 #include "common/hash.h"
 #include "ml/graph.h"
+#include "sql/ast.h"
 #include "sql/evaluator.h"
 #include "sql/optimizer.h"
 #include "sql/physical_plan.h"
@@ -289,6 +291,7 @@ Status CrossOptimizer::PruneFeatures(LogicalPlan* plan) {
       std::string key = name + "#p" + MaskKey(used);
       if (!models_->HasSpecialization(key)) {
         ModelEntry spec = DeriveSpecialization(*entry, name, key);
+        ++stats_.models_copied;
         FLOCK_RETURN_NOT_OK(spec.graph.CompactInputs(used));
         spec.input_mapping.clear();
         for (size_t c = 0; c < used.size(); ++c) {
@@ -325,38 +328,25 @@ Status CrossOptimizer::CompressModels(LogicalPlan* plan) {
     FLOCK_RETURN_NOT_OK(CompressModels(child.get()));
   }
   if (plan->children.empty()) return Status::OK();
-  LogicalPlan* scan = UnderlyingScan(plan->children[0].get());
-  if (scan == nullptr || scan->table == nullptr) return Status::OK();
-  const storage::Table& table = *scan->table;
-
   // The filters between this node and the scan, read as scan pruning reads
-  // them. No row of a segment they disprove reaches the model, so the
-  // envelopes below fold only the surviving segments' zone maps.
-  std::vector<sql::ScanPruneConjunct> conjuncts;
-  for (const LogicalPlan* node = plan->children[0].get();
-       node->kind == PlanKind::kFilter; node = node->children[0].get()) {
-    sql::AppendPruneConjuncts(*node->predicate, scan->output_schema, table,
-                              scan->projection, &conjuncts);
-  }
-  std::vector<size_t> surviving;
-  for (size_t s = 0; s < table.num_segments(); ++s) {
-    if (table.segment_rows(s) > 0 &&
-        !sql::ZoneMapsDisprove(conjuncts, [&](size_t c) -> const auto& {
-          return table.segment_zone_map(s, c);
-        })) {
-      surviving.push_back(s);
-    }
-  }
-  // No rows reach the model: nothing to specialize.
-  if (surviving.empty()) return Status::OK();
+  // them (taken once, by the first call that needs them). No row of a
+  // segment they disprove reaches the model, so the envelopes below fold
+  // only the standing segments' zone maps.
+  std::optional<sql::ScanProof> proof;
+  auto prove = [&]() -> const sql::ScanProof& {
+    if (!proof.has_value()) proof = sql::ProveScan(*plan->children[0]);
+    return *proof;
+  };
 
   // [min, max] of table column `col` over the rows that reach the model:
-  // the surviving segments' zone maps, narrowed by the comparisons (`>`
+  // the standing segments' zone maps, narrowed by the comparisons (`>`
   // and `>=` raise min, `<` and `<=` lower max, `=` sets both). A NaN
-  // literal bounds nothing; every row compares false against it.
-  auto envelope = [&](size_t col) {
+  // literal bounds nothing; every row compares false against it. A
+  // comparison read here shapes the compressed model, so its literal is
+  // pinned: a cached plan serves only that value.
+  auto envelope = [&](const storage::Table& table, size_t col) {
     ml::ColumnRange range;
-    for (size_t s : surviving) {
+    for (size_t s : proof->standing) {
       const storage::ColumnStats& zm = table.segment_zone_map(s, col);
       if (!zm.numeric || !zm.has_range) continue;
       range.min = range.known ? std::min(range.min, zm.min) : zm.min;
@@ -364,11 +354,12 @@ Status CrossOptimizer::CompressModels(LogicalPlan* plan) {
       range.known = true;
     }
     if (!range.known) return range;  // no survivor holds a number here
-    for (const sql::ScanPruneConjunct& c : conjuncts) {
+    for (const sql::ScanPruneConjunct& c : proof->conjuncts) {
       if (c.kind != sql::ScanPruneConjunct::Kind::kCompare ||
           c.table_column != col || std::isnan(c.literal)) {
         continue;
       }
+      sql::PinSlot(c.param_slot);
       if (c.op == BinaryOp::kGt || c.op == BinaryOp::kGtEq ||
           c.op == BinaryOp::kEq) {
         range.min = std::max(range.min, c.literal);
@@ -396,6 +387,18 @@ Status CrossOptimizer::CompressModels(LogicalPlan* plan) {
       size_t width = call->children.size() - offset;
       if (width != entry->graph.input_cols()) return Status::OK();
 
+      if (prove().scan == nullptr) return Status::OK();
+      LogicalPlan* scan = UnderlyingScan(plan->children[0].get());
+      const storage::Table& table = *scan->table;
+      // From here the outcome depends on which segments stand and on
+      // their zone maps: a cached copy of this plan holds only while its
+      // bound literals leave the same segments standing, and is stale
+      // after any DML.
+      plan->standing_segments = proof->standing;
+      scan->stats_version = table.current_version();
+      // No rows reach the model: nothing to specialize.
+      if (proof->standing.empty()) return Status::OK();
+
       std::vector<ml::ColumnRange> ranges(width);
       bool any_known = false;
       for (size_t i = 0; i < width; ++i) {
@@ -416,7 +419,7 @@ Status CrossOptimizer::CompressModels(LogicalPlan* plan) {
         const int col = sql::ScanOutputToTableColumn(
             table, scan->projection, arg.column_index);
         if (col < 0) continue;
-        ranges[i] = envelope(static_cast<size_t>(col));
+        ranges[i] = envelope(table, static_cast<size_t>(col));
         if (!ranges[i].known) continue;
         if (ranges[i].min > ranges[i].max) {
           // Contradictory predicates: no rows survive anyway; skip.
@@ -428,18 +431,20 @@ Status CrossOptimizer::CompressModels(LogicalPlan* plan) {
 
       const std::string key = CompressionKey(name, ranges);
       if (!models_->HasSpecialization(key)) {
+        // Count on the deployed graph first: most range sets fold nothing,
+        // and then no copy of the model is made.
+        if (ml::CountFoldableTreeNodes(entry->graph, ranges) == 0) {
+          return Status::OK();
+        }
         ModelEntry spec = DeriveSpecialization(*entry, name, key);
+        ++stats_.models_copied;
         size_t removed = ml::CompressTreesWithRanges(&spec.graph, ranges);
-        if (removed == 0) return Status::OK();
         stats_.tree_nodes_compressed += removed;
         FLOCK_RETURN_NOT_OK(spec.graph.Finalize());
         FLOCK_RETURN_NOT_OK(
             models_->RegisterSpecialization(key, std::move(spec)));
       }
       call->children[0] = Expr::MakeLiteral(Value::String(key));
-      // The compressed graph holds only for the data these zone maps
-      // describe; a cached copy of this plan is stale after any DML.
-      scan->stats_version = table.current_version();
       return Status::OK();
     });
   });

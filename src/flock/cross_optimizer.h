@@ -33,7 +33,13 @@ namespace flock::flock {
 ///     maps of the segments sql::ZoneMapsDisprove keeps, narrowed by the
 ///     filters' comparisons. The specialization key spells out the exact
 ///     ranges, and the plan's scan records the table version the zone
-///     maps describe, so a cached plan is re-planned after DML.
+///     maps describe, so a cached plan is re-planned after DML. The rule
+///     also pins the literals of the comparisons it read for a feature
+///     (sql::PinScope) and records on the calling node the segments the
+///     filters left standing (LogicalPlan::standing_segments), so a plan
+///     cached under the statement's shape serves other literals only when
+///     the same segments stand and no feature range moves. A range set
+///     that folds no tree node makes no copy of the model.
 ///
 /// Rules 3-4 register internal specializations in the ModelRegistry under
 /// names like `churn#p1a2b#c<ranges>`; those names never leave the
@@ -68,6 +74,9 @@ class CrossOptimizer {
     size_t predicates_pushed_up = 0;
     size_t features_pruned = 0;
     size_t tree_nodes_compressed = 0;
+    /// Copies of a model made to build a specialization (feature pruning
+    /// or compression); a range set that folds nothing makes none.
+    size_t models_copied = 0;
   };
   const Stats& stats() const { return stats_; }
 

@@ -348,6 +348,18 @@ std::vector<ColumnRange> PropagateRanges(
 
 namespace {
 
+/// The child of split `n` that every value in `ranges` routes to, or -1
+/// when the data can take both branches.
+int32_t DecidedChild(const TreeNode& n,
+                     const std::vector<ColumnRange>& ranges) {
+  const ColumnRange& r = ranges[static_cast<size_t>(n.feature)];
+  if (r.known) {
+    if (r.max < n.threshold) return n.left;  // every value routes left
+    if (r.min >= n.threshold) return n.right;
+  }
+  return -1;
+}
+
 /// Rebuilds `tree` with statically-decidable branches folded; appends nodes
 /// into `out` and returns the new index of the subtree rooted at `idx`.
 int32_t PruneSubtree(const Tree& tree, int32_t idx,
@@ -358,16 +370,8 @@ int32_t PruneSubtree(const Tree& tree, int32_t idx,
     out->push_back(n);
     return static_cast<int32_t>(out->size() - 1);
   }
-  const ColumnRange& r = ranges[static_cast<size_t>(n.feature)];
-  if (r.known) {
-    if (r.max < n.threshold) {
-      // Every value routes left.
-      return PruneSubtree(tree, n.left, ranges, out);
-    }
-    if (r.min >= n.threshold) {
-      return PruneSubtree(tree, n.right, ranges, out);
-    }
-  }
+  const int32_t decided = DecidedChild(n, ranges);
+  if (decided >= 0) return PruneSubtree(tree, decided, ranges, out);
   // Keep the split; reserve a slot, then emit children.
   out->push_back(n);
   size_t slot = out->size() - 1;
@@ -378,7 +382,35 @@ int32_t PruneSubtree(const Tree& tree, int32_t idx,
   return static_cast<int32_t>(slot);
 }
 
+/// The number of nodes PruneSubtree keeps of the subtree at `idx`.
+size_t CountKept(const Tree& tree, int32_t idx,
+                 const std::vector<ColumnRange>& ranges) {
+  const TreeNode& n = tree.nodes[static_cast<size_t>(idx)];
+  if (n.is_leaf()) return 1;
+  const int32_t decided = DecidedChild(n, ranges);
+  if (decided >= 0) return CountKept(tree, decided, ranges);
+  return 1 + CountKept(tree, n.left, ranges) +
+         CountKept(tree, n.right, ranges);
+}
+
 }  // namespace
+
+size_t CountFoldableTreeNodes(const ModelGraph& graph,
+                              const std::vector<ColumnRange>& input_ranges) {
+  size_t foldable = 0;
+  const std::vector<GraphNode>& nodes = graph.nodes();
+  for (size_t i = 1; i < nodes.size(); ++i) {
+    const GraphNode& node = nodes[i];
+    if (node.op != OpType::kTreeEnsemble || node.trees.empty()) continue;
+    std::vector<ColumnRange> feature_ranges = PropagateRanges(
+        graph, static_cast<int>(i) - 1, input_ranges);
+    if (feature_ranges.empty()) continue;
+    for (const Tree& tree : node.trees) {
+      foldable += tree.nodes.size() - CountKept(tree, 0, feature_ranges);
+    }
+  }
+  return foldable;
+}
 
 size_t CompressTreesWithRanges(ModelGraph* graph,
                                const std::vector<ColumnRange>& input_ranges) {

@@ -162,6 +162,11 @@ std::vector<ColumnRange> PropagateRanges(
 size_t CompressTreesWithRanges(ModelGraph* graph,
                                const std::vector<ColumnRange>& input_ranges);
 
+/// The number of tree nodes CompressTreesWithRanges(graph, input_ranges)
+/// would remove, counted on the graph as it is (no copy).
+size_t CountFoldableTreeNodes(const ModelGraph& graph,
+                              const std::vector<ColumnRange>& input_ranges);
+
 }  // namespace flock::ml
 
 #endif  // FLOCK_ML_GRAPH_H_

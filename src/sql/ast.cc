@@ -42,6 +42,7 @@ ExprPtr Expr::Clone() const {
   auto out = std::make_unique<Expr>();
   out->kind = kind;
   out->literal = literal;
+  out->param_slot = param_slot;
   out->table_name = table_name;
   out->column_name = column_name;
   out->column_index = column_index;
@@ -130,6 +131,11 @@ bool Expr::Equals(const Expr& other) const {
   if (kind != other.kind) return false;
   switch (kind) {
     case ExprKind::kLiteral:
+      // The outcome depends on both values unless both are one slot.
+      if (param_slot < 0 || param_slot != other.param_slot) {
+        PinSlot(param_slot);
+        PinSlot(other.param_slot);
+      }
       if (literal.is_null() != other.literal.is_null()) return false;
       if (!literal.is_null() && !(literal == other.literal)) return false;
       break;
@@ -231,6 +237,33 @@ ExprPtr Expr::MakeIsNull(ExprPtr operand, bool negated) {
   e->negated = negated;
   e->children.push_back(std::move(operand));
   return e;
+}
+
+namespace {
+thread_local PinScope* current_pins = nullptr;
+}  // namespace
+
+PinScope::PinScope(size_t num_slots)
+    : pinned_(num_slots, false), outer_(current_pins) {
+  current_pins = this;
+}
+
+PinScope::~PinScope() { current_pins = outer_; }
+
+void PinSlot(int slot) {
+  PinScope* scope = current_pins;
+  if (scope == nullptr || slot < 0 ||
+      static_cast<size_t>(slot) >= scope->pinned_.size()) {
+    return;
+  }
+  scope->pinned_[static_cast<size_t>(slot)] = true;
+}
+
+void PinLiterals(const Expr& e) {
+  if (current_pins == nullptr) return;
+  VisitExpr(e, [](const Expr& node) {
+    if (node.kind == ExprKind::kLiteral) PinSlot(node.param_slot);
+  });
 }
 
 bool IsAggregateFunction(const std::string& upper_name) {

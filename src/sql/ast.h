@@ -65,6 +65,12 @@ struct Expr {
 
   // kLiteral
   storage::Value literal;
+  /// The statement parameter this literal was written as (its index among
+  /// the statement's number and string literals, LexedStatement::params),
+  /// or -1 when no literal of the statement text is its source (NULL,
+  /// TRUE, a folded constant, a name a rewrite wrote). Clone keeps it, so
+  /// a cached plan can take new values wherever a rewrite moved it.
+  int param_slot = -1;
 
   // kColumnRef
   std::string table_name;   // optional qualifier
@@ -94,7 +100,9 @@ struct Expr {
   ExprPtr Clone() const;
   std::string ToString() const;
 
-  /// Structural equality (ignores resolved column indexes).
+  /// Structural equality (ignores resolved column indexes). Comparing two
+  /// literals reads their values, so it pins their slots (PinScope) unless
+  /// both are the same slot.
   bool Equals(const Expr& other) const;
 
   // -- constructors ---------------------------------------------------------
@@ -107,6 +115,41 @@ struct Expr {
   static ExprPtr MakeCast(ExprPtr operand, storage::DataType type);
   static ExprPtr MakeIsNull(ExprPtr operand, bool negated);
 };
+
+/// Records which statement parameters (Expr::param_slot) the planning of
+/// one statement on this thread read the value of. A plan cached under the
+/// statement's shape key (LexedStatement::key) holds for other values of
+/// the unpinned slots only: every plan-time step whose outcome depends on
+/// a literal's value pins its slot (constant folding, a model named by a
+/// string, LIMIT/OFFSET, a column name spelled from literal text, Equals
+/// between literals, compression narrowing a feature's range). Steps that
+/// run at each execution (lowering, filtering, scoring) read the bound
+/// values and pin nothing. Scopes nest; with none installed, pinning is a
+/// no-op.
+class PinScope {
+ public:
+  /// Installs a scope for a statement with `num_slots` parameters.
+  explicit PinScope(size_t num_slots);
+  ~PinScope();
+
+  PinScope(const PinScope&) = delete;
+  PinScope& operator=(const PinScope&) = delete;
+
+  /// One flag per slot: true when a step read its value.
+  const std::vector<bool>& pinned() const { return pinned_; }
+
+ private:
+  friend void PinSlot(int slot);
+
+  std::vector<bool> pinned_;
+  PinScope* outer_;
+};
+
+/// Pins `slot` in the current thread's PinScope; -1 (no slot) is ignored.
+void PinSlot(int slot);
+
+/// Pins the slot of every literal in `e`.
+void PinLiterals(const Expr& e);
 
 /// True if `name` is one of COUNT/SUM/AVG/MIN/MAX.
 bool IsAggregateFunction(const std::string& upper_name);
@@ -180,6 +223,9 @@ struct SelectStatement : Statement {
   std::vector<OrderByItem> order_by;
   std::optional<int64_t> limit;
   std::optional<int64_t> offset;
+  /// The parameter slots LIMIT and OFFSET were written as (-1 = none).
+  int limit_slot = -1;
+  int offset_slot = -1;
 };
 
 struct InsertStatement : Statement {

@@ -108,16 +108,17 @@ StatusOr<QueryResult> SqlEngine::Execute(const LexedStatement& lexed,
     recorder.emplace();
     trace_scope.emplace(&*recorder);
   }
-  // Prepared-statement fast path: a hit on the lexed key returns a
-  // private clone of the optimized plan and skips parse/plan/optimize
-  // entirely. Bypassed while an observer is set — observers must see
-  // every parsed statement (eager provenance capture).
+  // Prepared-statement fast path: a hit on the statement's shape returns
+  // a private clone of the optimized plan with this statement's literals
+  // bound into it, and skips parse/plan/optimize entirely. Bypassed while
+  // an observer is set — observers must see every parsed statement (eager
+  // provenance capture).
   const bool use_cache =
       options_.enable_plan_cache && statement_observer_ == nullptr;
   PlanPtr cached;
   if (use_cache) {
     obs::ScopedSpan span("plan_cache.lookup");
-    cached = plan_cache_.Lookup(lexed.key);
+    cached = plan_cache_.Lookup(lexed.key, lexed.params);
   }
   QueryResult result;
   StatementPtr stmt;  // parsed on a cache miss only
@@ -131,7 +132,7 @@ StatusOr<QueryResult> SqlEngine::Execute(const LexedStatement& lexed,
     }
     FLOCK_ASSIGN_OR_RETURN(
         result,
-        ExecuteStatement(*stmt, use_cache ? &lexed.key : nullptr, exec_opts));
+        ExecuteStatement(*stmt, use_cache ? &lexed : nullptr, exec_opts));
   }
   result.elapsed_ms = timer.ElapsedMillis();
   if (recorder.has_value()) result.trace = recorder->Snapshot();
@@ -210,7 +211,7 @@ void SqlEngine::MaybeRecordSlowQuery(const QueryResult& result,
 }
 
 StatusOr<QueryResult> SqlEngine::ExecuteStatement(
-    const Statement& stmt, const std::string* cache_key,
+    const Statement& stmt, const LexedStatement* cache_as,
     const ExecOptions& exec_opts) {
   // DML/DDL mutate in place and are not interruptible mid-statement
   // (see DESIGN.md "Cancellation contract"); the check here covers the
@@ -219,7 +220,7 @@ StatusOr<QueryResult> SqlEngine::ExecuteStatement(
   switch (stmt.kind()) {
     case StatementKind::kSelect:
       return ExecuteSelect(static_cast<const SelectStatement&>(stmt),
-                           cache_key, exec_opts);
+                           cache_as, exec_opts);
     case StatementKind::kInsert:
       return ExecuteInsert(static_cast<const InsertStatement&>(stmt),
                            exec_opts);
@@ -368,19 +369,27 @@ StatusOr<RecordBatch> SqlEngine::ExecutePhysical(
 }
 
 StatusOr<QueryResult> SqlEngine::ExecuteSelect(
-    const SelectStatement& stmt, const std::string* cache_key,
+    const SelectStatement& stmt, const LexedStatement* cache_as,
     const ExecOptions& exec_opts) {
   PlanPtr plan;
   bool reads_view = false;
+  std::vector<bool> pinned;
   {
-    obs::ScopedSpan span("plan");
-    FLOCK_ASSIGN_OR_RETURN(plan, PlanQuery(stmt, &reads_view));
+    // Planning records which literals' values it read; the cached plan
+    // holds only for those values.
+    PinScope pins(cache_as != nullptr ? cache_as->params.size() : 0);
+    {
+      obs::ScopedSpan span("plan");
+      FLOCK_ASSIGN_OR_RETURN(plan, PlanQuery(stmt, &reads_view));
+    }
+    FLOCK_RETURN_NOT_OK(OptimizePlan(&plan));
+    pinned = pins.pinned();
   }
-  FLOCK_RETURN_NOT_OK(OptimizePlan(&plan));
   // A view's plan scans the snapshot taken for this statement; reusing it
   // would serve that moment again.
-  if (cache_key != nullptr && !reads_view) {
-    plan_cache_.Insert(*cache_key, plan->Clone());
+  if (cache_as != nullptr && !reads_view) {
+    plan_cache_.Insert(cache_as->key, plan->Clone(), cache_as->params,
+                       std::move(pinned));
   }
   return LowerAndExecute(*plan, exec_opts);
 }

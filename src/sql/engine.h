@@ -74,8 +74,9 @@ struct EngineOptions {
   size_t morsel_size = storage::RecordBatch::kDefaultBatchSize;
   /// Built-in relational optimizations (folding, pushdown, pruning).
   bool enable_optimizer = true;
-  /// Prepared-statement plan cache keyed on the lexed statement key: SELECT
-  /// executions reuse the optimized logical plan, skipping
+  /// Prepared-statement plan cache keyed on the statement's shape (the
+  /// lexed key, literals as slots): SELECT executions reuse the optimized
+  /// logical plan with their own literals bound in, skipping
   /// parse/plan/optimize. Invalidated on any DDL. Bypassed while a
   /// statement observer is set (observers must see every parsed
   /// statement).
@@ -124,8 +125,9 @@ class SqlEngine {
                                 const ExecOptions& exec_opts = {});
 
   /// Executes one already-lexed statement: its key is the plan-cache
-  /// key and the slow-log text, `explain_analyze` turns tracing on, and
-  /// on a cache miss the parser consumes its tokens.
+  /// key and the slow-log text, its params bind into a cached plan,
+  /// `explain_analyze` turns tracing on, and on a cache miss the parser
+  /// consumes its tokens.
   StatusOr<QueryResult> Execute(const LexedStatement& lexed,
                                 const ExecOptions& exec_opts = {});
 
@@ -190,13 +192,14 @@ class SqlEngine {
   }
 
  private:
-  /// `cache_key` is the lexed key to cache an optimized SELECT plan
-  /// under, or nullptr to skip caching (INSERT ... SELECT).
+  /// `cache_as` is the lexed statement whose key and parameters an
+  /// optimized SELECT plan is cached under, or nullptr to skip caching
+  /// (INSERT ... SELECT).
   StatusOr<QueryResult> ExecuteStatement(const Statement& stmt,
-                                         const std::string* cache_key,
+                                         const LexedStatement* cache_as,
                                          const ExecOptions& exec_opts);
   StatusOr<QueryResult> ExecuteSelect(const SelectStatement& stmt,
-                                      const std::string* cache_key,
+                                      const LexedStatement* cache_as,
                                       const ExecOptions& exec_opts);
   StatusOr<QueryResult> ExecuteInsert(const InsertStatement& stmt,
                                       const ExecOptions& exec_opts);

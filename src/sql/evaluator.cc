@@ -1,6 +1,7 @@
 #include "sql/evaluator.h"
 
 #include <cmath>
+#include <limits>
 
 #include "common/logging.h"
 
@@ -44,25 +45,31 @@ StatusOr<ColumnVectorPtr> EvaluateArithmetic(BinaryOp op,
       int64_t a = lhs.int_at(i);
       int64_t b = rhs.int_at(i);
       int64_t r = 0;
+      bool overflow = false;
       switch (op) {
         case BinaryOp::kAdd:
-          r = a + b;
+          overflow = __builtin_add_overflow(a, b, &r);
           break;
         case BinaryOp::kSub:
-          r = a - b;
+          overflow = __builtin_sub_overflow(a, b, &r);
           break;
         case BinaryOp::kMul:
-          r = a * b;
+          overflow = __builtin_mul_overflow(a, b, &r);
           break;
         case BinaryOp::kMod:
           if (b == 0) {
             out->AppendNull();
             continue;
           }
-          r = a % b;
+          r = b == -1 ? 0 : a % b;  // INT64_MIN % -1 overflows
           break;
         default:
           return Status::Internal("bad arithmetic op");
+      }
+      if (overflow) {
+        return Status::OutOfRange(std::string("BIGINT ") + BinaryOpName(op) +
+                                  " overflows: " + std::to_string(a) + " " +
+                                  BinaryOpName(op) + " " + std::to_string(b));
       }
       out->AppendInt(r);
     }
@@ -117,6 +124,9 @@ StatusOr<ColumnVectorPtr> EvaluateComparison(BinaryOp op,
   bool string_cmp =
       lhs.type() == DataType::kString && rhs.type() == DataType::kString;
   bool numeric_cmp = IsNumeric(lhs.type()) && IsNumeric(rhs.type());
+  // Two BIGINTs compare exactly; through doubles, 2^53 + 1 = 2^53.
+  bool int_cmp =
+      lhs.type() == DataType::kInt64 && rhs.type() == DataType::kInt64;
   if (!string_cmp && !numeric_cmp) {
     // Mixed string/number comparison: compare via string rendering for
     // equality, otherwise fail loudly.
@@ -135,6 +145,8 @@ StatusOr<ColumnVectorPtr> EvaluateComparison(BinaryOp op,
       bool r;
       if (string_cmp) {
         r = Compare<kOp>(lhs.string_at(i), rhs.string_at(i));
+      } else if (int_cmp) {
+        r = Compare<kOp>(lhs.int_at(i), rhs.int_at(i));
       } else if (numeric_cmp) {
         r = Compare<kOp>(lhs.AsDouble(i), rhs.AsDouble(i));
       } else {
@@ -325,7 +337,12 @@ StatusOr<ColumnVectorPtr> EvaluateExpr(const Expr& expr,
         if (operand->IsNull(i)) {
           out->AppendNull();
         } else if (t == DataType::kInt64) {
-          out->AppendInt(-operand->int_at(i));
+          const int64_t v = operand->int_at(i);
+          if (v == std::numeric_limits<int64_t>::min()) {
+            return Status::OutOfRange("BIGINT negation overflows: " +
+                                      std::to_string(v));
+          }
+          out->AppendInt(-v);
         } else {
           out->AppendDouble(-operand->AsDouble(i));
         }
@@ -431,6 +448,9 @@ StatusOr<ColumnVectorPtr> EvaluateExpr(const Expr& expr,
       auto out = std::make_shared<ColumnVector>(DataType::kBool);
       out->Reserve(n);
       bool strings = v->type() == DataType::kString;
+      bool ints = v->type() == DataType::kInt64 &&
+                  lo->type() == DataType::kInt64 &&
+                  hi->type() == DataType::kInt64;
       for (size_t i = 0; i < n; ++i) {
         if (v->IsNull(i) || lo->IsNull(i) || hi->IsNull(i)) {
           out->AppendNull();
@@ -441,6 +461,9 @@ StatusOr<ColumnVectorPtr> EvaluateExpr(const Expr& expr,
           const std::string& s = v->string_at(i);
           in_range = s >= lo->GetValue(i).ToString() &&
                      s <= hi->GetValue(i).ToString();
+        } else if (ints) {
+          const int64_t x = v->int_at(i);
+          in_range = x >= lo->int_at(i) && x <= hi->int_at(i);
         } else {
           double d = v->AsDouble(i);
           in_range = d >= lo->AsDouble(i) && d <= hi->AsDouble(i);

@@ -27,9 +27,10 @@ StatusOr<const ScalarFunction*> EvaluateCallConstants(
     std::vector<storage::ColumnVectorPtr>* args);
 
 /// The one SQL comparison routine, shared by EvaluateExpr and the
-/// compiled predicate kernels: `a OP b` for OP in = <> < <= > >=. Numbers
-/// compare as IEEE doubles, so every comparison against NaN is false
-/// except <>, which is true; strings compare bytewise.
+/// compiled predicate kernels: `a OP b` for OP in = <> < <= > >=. Two
+/// BIGINTs compare as integers, exactly; other numbers compare as IEEE
+/// doubles, so every comparison against NaN is false except <>, which is
+/// true; strings compare bytewise.
 template <BinaryOp Op, typename T>
 inline bool Compare(const T& a, const T& b) {
   static_assert(Op == BinaryOp::kEq || Op == BinaryOp::kNotEq ||

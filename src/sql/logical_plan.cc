@@ -11,6 +11,7 @@ PlanPtr LogicalPlan::Clone() const {
   out->table = table;
   out->projection = projection;
   out->stats_version = stats_version;
+  out->standing_segments = standing_segments;
   out->predicate = predicate ? predicate->Clone() : nullptr;
   out->exprs.reserve(exprs.size());
   for (const auto& e : exprs) out->exprs.push_back(e->Clone());

@@ -50,6 +50,11 @@ struct LogicalPlan {
   /// maps): the table version those statistics describe. A cached plan
   /// whose scan no longer matches its table's version is stale.
   std::optional<uint64_t> stats_version;
+  /// Set on a node by a rewrite whose result depends on which segments of
+  /// the scan under the node's first child the filters between them leave
+  /// standing (sql::ProveScan): those segments. A cached plan whose newly
+  /// bound literals leave another set standing is re-planned.
+  std::optional<std::vector<size_t>> standing_segments;
 
   // kFilter
   ExprPtr predicate;

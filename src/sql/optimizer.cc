@@ -63,6 +63,8 @@ Status FoldExpr(ExprPtr* e, const FunctionRegistry* registry) {
     }
   });
   if (scores) return Status::OK();
+  // The folded value (or the failure to fold) depends on every literal.
+  PinLiterals(**e);
   auto folded = EvaluateConstant(**e, registry);
   if (!folded.ok()) return Status::OK();  // fold opportunistically
   *e = Expr::MakeLiteral(std::move(folded).value());

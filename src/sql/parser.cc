@@ -22,7 +22,7 @@ StatusOr<StatementPtr> Parser::Parse(const std::vector<Token>& tokens) {
   parser.Match(TokenType::kSemicolon);
   if (!parser.Check(TokenType::kEof)) {
     return Status::ParseError("trailing input after statement near '" +
-                              parser.Peek().text + "'");
+                              TokenSpelling(parser.Peek()) + "'");
   }
   return stmt;
 }
@@ -73,8 +73,9 @@ bool Parser::Match(TokenType t) {
 
 Status Parser::Expect(TokenType t, const std::string& what) {
   if (!Check(t)) {
-    return Status::ParseError("expected " + what + " near '" + Peek().text +
-                              "' at offset " + std::to_string(Peek().offset));
+    return Status::ParseError("expected " + what + " near '" +
+                              TokenSpelling(Peek()) + "' at offset " +
+                              std::to_string(Peek().offset));
   }
   Advance();
   return Status::OK();
@@ -82,8 +83,8 @@ Status Parser::Expect(TokenType t, const std::string& what) {
 
 Status Parser::ExpectKeyword(const std::string& kw) {
   if (!CheckKeyword(kw)) {
-    return Status::ParseError("expected " + kw + " near '" + Peek().text +
-                              "'");
+    return Status::ParseError("expected " + kw + " near '" +
+                              TokenSpelling(Peek()) + "'");
   }
   Advance();
   return Status::OK();
@@ -113,7 +114,7 @@ StatusOr<StatementPtr> Parser::ParseStatement() {
   if (CheckKeyword("CREATE")) return ParseCreate();
   if (CheckKeyword("DROP")) return ParseDrop();
   return Status::ParseError("unexpected start of statement: '" +
-                            Peek().text + "'");
+                            TokenSpelling(Peek()) + "'");
 }
 
 StatusOr<std::unique_ptr<SelectStatement>> Parser::ParseSelect() {
@@ -219,25 +220,38 @@ StatusOr<std::unique_ptr<SelectStatement>> Parser::ParseSelect() {
   }
 
   if (MatchKeyword("LIMIT")) {
-    if (!Check(TokenType::kNumber)) {
-      return Status::ParseError("expected number after LIMIT");
-    }
-    stmt->limit = static_cast<int64_t>(Advance().number);
+    FLOCK_RETURN_NOT_OK(ParseCount("LIMIT", &stmt->limit, &stmt->limit_slot));
   }
   if (MatchKeyword("OFFSET")) {
-    if (!Check(TokenType::kNumber)) {
-      return Status::ParseError("expected number after OFFSET");
-    }
-    stmt->offset = static_cast<int64_t>(Advance().number);
+    FLOCK_RETURN_NOT_OK(
+        ParseCount("OFFSET", &stmt->offset, &stmt->offset_slot));
   }
 
   return stmt;
 }
 
+Status Parser::ParseCount(const char* clause, std::optional<int64_t>* value,
+                          int* slot) {
+  if (!Check(TokenType::kNumber)) {
+    return Status::ParseError(std::string("expected number after ") +
+                              clause);
+  }
+  const Token& tok = Advance();
+  if (tok.is_integer) {
+    *value = tok.integer;
+  } else if (tok.number >= -9.2e18 && tok.number <= 9.2e18) {
+    *value = static_cast<int64_t>(tok.number);
+  } else {
+    return Status::ParseError(std::string(clause) + " out of range");
+  }
+  *slot = static_cast<int>(tok.slot);
+  return Status::OK();
+}
+
 StatusOr<TableRef> Parser::ParseTableRef() {
   if (!Check(TokenType::kIdentifier)) {
-    return Status::ParseError("expected table name near '" + Peek().text +
-                              "'");
+    return Status::ParseError("expected table name near '" +
+                              TokenSpelling(Peek()) + "'");
   }
   TableRef ref;
   ref.table_name = Advance().text;
@@ -365,7 +379,7 @@ StatusOr<StatementPtr> Parser::ParseCreate() {
     } else {
       if (!Check(TokenType::kIdentifier)) {
         return Status::ParseError("expected column name near '" +
-                                  Peek().text + "'");
+                                  TokenSpelling(Peek()) + "'");
       }
       storage::ColumnDef def;
       def.name = Advance().text;
@@ -568,17 +582,15 @@ StatusOr<ExprPtr> Parser::ParseUnary() {
 StatusOr<ExprPtr> Parser::ParsePrimary() {
   const Token& tok = Peek();
   switch (tok.type) {
-    case TokenType::kNumber: {
-      Advance();
-      if (tok.is_integer) {
-        return Expr::MakeLiteral(
-            Value::Int(static_cast<int64_t>(tok.number)));
-      }
-      return Expr::MakeLiteral(Value::Double(tok.number));
-    }
+    case TokenType::kNumber:
     case TokenType::kString: {
       Advance();
-      return Expr::MakeLiteral(Value::String(tok.text));
+      ExprPtr literal = Expr::MakeLiteral(
+          tok.type == TokenType::kString ? Value::String(tok.text)
+          : tok.is_integer              ? Value::Int(tok.integer)
+                                        : Value::Double(tok.number));
+      literal->param_slot = static_cast<int>(tok.slot);
+      return literal;
     }
     case TokenType::kLParen: {
       Advance();
@@ -650,7 +662,7 @@ StatusOr<ExprPtr> Parser::ParsePrimary() {
         FLOCK_RETURN_NOT_OK(Expect(TokenType::kRParen, "')'"));
         return Expr::MakeFunction("PREDICT", std::move(args));
       }
-      return Status::ParseError("unexpected keyword '" + tok.text +
+      return Status::ParseError("unexpected keyword '" + TokenSpelling(tok) +
                                 "' in expression");
     }
     case TokenType::kStar:
@@ -699,7 +711,7 @@ StatusOr<ExprPtr> Parser::ParsePrimary() {
       return Expr::MakeColumnRef("", first);
     }
     default:
-      return Status::ParseError("unexpected token '" + tok.text +
+      return Status::ParseError("unexpected token '" + TokenSpelling(tok) +
                                 "' in expression");
   }
 }

@@ -2,6 +2,7 @@
 #define FLOCK_SQL_PARSER_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -52,6 +53,9 @@ class Parser {
   StatusOr<StatementPtr> ParseDrop();
 
   StatusOr<TableRef> ParseTableRef();
+  /// Reads the number after LIMIT or OFFSET (`clause`) and its slot.
+  Status ParseCount(const char* clause, std::optional<int64_t>* value,
+                    int* slot);
 
   // Expression precedence ladder.
   StatusOr<ExprPtr> ParseExpr();          // OR

@@ -1,6 +1,7 @@
 #include "sql/physical_plan.h"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 
 #include "sql/evaluator.h"
@@ -213,21 +214,55 @@ void AppendPruneConjuncts(const Expr& predicate,
         if (shape.negated || shape.strings) break;
         prune.op = BinaryOp::kGtEq;
         prune.literal = shape.literals[0].AsDouble();
+        prune.param_slot = shape.slots[0];
         out->push_back(prune);
         prune.op = BinaryOp::kLtEq;
         prune.literal = shape.literals[1].AsDouble();
+        prune.param_slot = shape.slots[1];
         out->push_back(prune);
         break;
       case ConjunctShape::Kind::kCompareLiteral:
         if (shape.strings || shape.op == BinaryOp::kNotEq) break;
         prune.op = shape.op;
         prune.literal = shape.literals[0].AsDouble();
+        prune.param_slot = shape.slots[0];
+        // A BIGINT column compares to a BIGINT literal exactly, while zone
+        // maps hold doubles. Rounding is monotone, so `x < L` still implies
+        // double(x) <= double(L); it implies double(x) < double(L) only
+        // while |L| < 2^53, where no two integers share a double.
+        if (shape.literals[0].type() == DataType::kInt64 &&
+            std::fabs(prune.literal) >= 9007199254740992.0) {
+          if (prune.op == BinaryOp::kLt) prune.op = BinaryOp::kLtEq;
+          if (prune.op == BinaryOp::kGt) prune.op = BinaryOp::kGtEq;
+        }
         out->push_back(prune);
         break;
       default:
         break;
     }
   }
+}
+
+ScanProof ProveScan(const LogicalPlan& top) {
+  ScanProof proof;
+  const LogicalPlan* node = &top;
+  while (node->kind == PlanKind::kFilter) node = node->children[0].get();
+  if (node->kind != PlanKind::kScan || node->table == nullptr) return proof;
+  proof.scan = node;
+  const storage::Table& table = *node->table;
+  for (const LogicalPlan* f = &top; f != node; f = f->children[0].get()) {
+    AppendPruneConjuncts(*f->predicate, node->output_schema, table,
+                         node->projection, &proof.conjuncts);
+  }
+  for (size_t s = 0; s < table.num_segments(); ++s) {
+    if (table.segment_rows(s) > 0 &&
+        !ZoneMapsDisprove(proof.conjuncts, [&](size_t c) -> const auto& {
+          return table.segment_zone_map(s, c);
+        })) {
+      proof.standing.push_back(s);
+    }
+  }
+  return proof;
 }
 
 bool TableScanOp::CanSkipSegment(size_t segment) const {

@@ -182,6 +182,7 @@ struct ScanPruneConjunct {
   size_t table_column = 0;
   BinaryOp op = BinaryOp::kEq;  // kCompare only: col OP literal
   double literal = 0.0;         // kCompare only
+  int param_slot = -1;          // kCompare only: the literal's slot
 };
 
 /// Maps a column index of a scan's output through the scan's `projection`
@@ -252,6 +253,20 @@ bool ZoneMapsDisprove(const std::vector<ScanPruneConjunct>& conjuncts,
   }
   return false;
 }
+
+/// What the chain of Filter nodes from `top` down to the table scan it
+/// ends in proves about the scan's segments, read as scan pruning reads
+/// it: the chain's prune conjuncts and the non-empty segments none of them
+/// disproves, ascending. `scan` is null when `top` is no such chain (a
+/// Filter-only path to a scan of a resolved table). Model compression
+/// folds the standing segments' zone maps, and the plan cache re-derives
+/// the set from a cached plan's newly bound literals with this one proof.
+struct ScanProof {
+  const LogicalPlan* scan = nullptr;
+  std::vector<ScanPruneConjunct> conjuncts;
+  std::vector<size_t> standing;
+};
+ScanProof ProveScan(const LogicalPlan& top);
 
 class TableScanOp : public PhysicalOperator {
  public:

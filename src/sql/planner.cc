@@ -76,6 +76,8 @@ Status Planner::BindExpr(Expr* e, const Scope& scope) {
       e->children[0] = Expr::MakeLiteral(
           storage::Value::String(e->children[0]->column_name));
     }
+    // A model named by a string literal: the plan is bound to that model.
+    PinSlot(e->children[0]->param_slot);
     for (size_t i = 1; i < e->children.size(); ++i) {
       FLOCK_RETURN_NOT_OK(BindExpr(e->children[i].get(), scope));
     }
@@ -300,7 +302,10 @@ StatusOr<PlanPtr> Planner::PlanSelect(const SelectStatement& stmt) {
     }
 
     Schema agg_schema;
+    // The output columns are named by the keys' and calls' text, so the
+    // literals in them are part of the plan.
     for (size_t i = 0; i < agg->group_by.size(); ++i) {
+      PinLiterals(*agg->group_by[i]);
       FLOCK_ASSIGN_OR_RETURN(
           DataType t, InferExprType(*agg->group_by[i], scope.schema,
                                     registry_));
@@ -309,6 +314,7 @@ StatusOr<PlanPtr> Planner::PlanSelect(const SelectStatement& stmt) {
     }
     for (const Expr* call : agg_calls) {
       ExprPtr copy = call->Clone();
+      PinLiterals(*copy);
       FLOCK_ASSIGN_OR_RETURN(
           DataType t, InferExprType(*copy, scope.schema, registry_));
       agg_schema.AddColumn(storage::ColumnDef{copy->ToString(), t, true});
@@ -441,6 +447,8 @@ StatusOr<PlanPtr> Planner::PlanSelect(const SelectStatement& stmt) {
   }
 
   if (stmt.limit.has_value() || stmt.offset.has_value()) {
+    PinSlot(stmt.limit_slot);
+    PinSlot(stmt.offset_slot);
     plan = LogicalPlan::MakeLimit(std::move(plan),
                                   stmt.limit.value_or(-1),
                                   stmt.offset.value_or(0));

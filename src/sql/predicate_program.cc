@@ -47,7 +47,8 @@ bool CanFailPerRow(const Expr& e) {
 
 // --- Typed column readers -------------------------------------------------
 // A numeric column reads as double at a physical row, exactly as
-// ColumnVector::AsDouble does for a non-null entry.
+// ColumnVector::AsDouble does for a non-null entry. Kernels that compare a
+// BIGINT column to BIGINT operands read its int64 values instead.
 
 struct IntReader {
   const int64_t* v;
@@ -190,6 +191,7 @@ ConjunctShape ClassifyConjunct(const Expr& e, const Schema& schema) {
         shape.negated = e.negated;
         shape.strings = type == DataType::kString;
         shape.literals = {e.children[1]->literal, e.children[2]->literal};
+        shape.slots = {e.children[1]->param_slot, e.children[2]->param_slot};
       }
       return shape;
     case ExprKind::kIn: {
@@ -238,6 +240,7 @@ ConjunctShape ClassifyConjunct(const Expr& e, const Schema& schema) {
       shape.op = a_col ? e.bin_op : FlipComparison(e.bin_op);
       shape.strings = col_string;
       shape.literals = {lit.literal};
+      shape.slots = {lit.param_slot};
       return shape;
     }
     default:
@@ -255,6 +258,10 @@ struct PredicateProgram::Conjunct {
   bool can_fail_per_row = false;   // residuals only
   // Literals hoisted once, in the form the kernel compares against.
   double lo = 0.0, hi = 0.0;       // BETWEEN bounds; compare literal in lo
+  // The same when every literal is a BIGINT: a BIGINT column compares to
+  // them exactly, as EvaluateExpr does.
+  bool int_literals = false;
+  int64_t int_lo = 0, int_hi = 0;
   std::string str_lo, str_hi;      // the same, string kernels
   std::vector<int64_t> in_ints;    // IN: BIGINT options, exact vs BIGINT
   std::vector<double> in_others;   // IN: DOUBLE/BOOL options as doubles
@@ -285,6 +292,12 @@ PredicateProgram::PredicateProgram(const Expr& predicate,
         } else {
           c.lo = lits.front().AsDouble();
           c.hi = lits.back().AsDouble();
+          c.int_literals = lits.front().type() == DataType::kInt64 &&
+                           lits.back().type() == DataType::kInt64;
+          if (c.int_literals) {
+            c.int_lo = lits.front().int_value();
+            c.int_hi = lits.back().int_value();
+          }
         }
         break;
       case ConjunctShape::Kind::kIn:
@@ -356,6 +369,14 @@ bool PredicateProgram::RunKernel(const Conjunct& c, const RecordBatch& input,
           });
           return;
         }
+        if (c.int_literals && col.type() == DataType::kInt64) {
+          const int64_t* ints = col.ints().data();
+          const int64_t lit = c.int_lo;
+          Narrow(input, all, sel, [&](uint32_t p) {
+            return valid(p) & Compare<kOp>(ints[p], lit);
+          });
+          return;
+        }
         const double lit = c.lo;
         WithNumericReader(col, [&](auto read) {
           Narrow(input, all, sel, [&](uint32_t p) {
@@ -381,6 +402,15 @@ bool PredicateProgram::RunKernel(const Conjunct& c, const RecordBatch& input,
           });
           return;
         }
+        if (col.type() == DataType::kInt64 &&
+            other.type() == DataType::kInt64) {
+          const int64_t* a = col.ints().data();
+          const int64_t* b = other.ints().data();
+          Narrow(input, all, sel, [&](uint32_t p) {
+            return valid(p) & !other.IsNull(p) & Compare<kOp>(a[p], b[p]);
+          });
+          return;
+        }
         WithNumericReader(col, [&](auto read_a) {
           WithNumericReader(other, [&](auto read_b) {
             Narrow(input, all, sel, [&](uint32_t p) {
@@ -399,6 +429,16 @@ bool PredicateProgram::RunKernel(const Conjunct& c, const RecordBatch& input,
           if (!valid(p)) return false;
           const std::string& v = col.string_at(p);
           return (v >= c.str_lo && v <= c.str_hi) != s.negated;
+        });
+        return true;
+      }
+      if (c.int_literals && col.type() == DataType::kInt64) {
+        const int64_t* ints = col.ints().data();
+        const int64_t lo = c.int_lo, hi = c.int_hi;
+        const bool negated = s.negated;
+        Narrow(input, all, sel, [&](uint32_t p) {
+          const int64_t v = ints[p];
+          return valid(p) & (((v >= lo) & (v <= hi)) != negated);
         });
         return true;
       }

@@ -40,6 +40,8 @@ struct ConjunctShape {
   bool strings = false;
   /// kCompareLiteral: {literal}; kBetween: {low, high}; kIn: the list.
   std::vector<storage::Value> literals;
+  /// kCompareLiteral, kBetween: the Expr::param_slot of each literal.
+  std::vector<int> slots;
 };
 
 /// Classifies `conjunct` against the schema its column references are

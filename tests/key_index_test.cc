@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -548,6 +549,109 @@ TEST(IntSumTest, ExactAboveTwoToTheFiftyThreeAndOverflowFails) {
               StatusCode::kNotSupported)
         << fn;
   }
+}
+
+// ---------------------------------------------------------------------------
+// BIGINT comparison and arithmetic
+// ---------------------------------------------------------------------------
+
+// Two BIGINTs compare exactly in WHERE, as keys do: through doubles,
+// 2^53 + 1 would equal 2^53. One row per segment, so zone-map pruning
+// (which keeps its proof in doubles) decides every row on its own.
+TEST(IntExactTest, WhereComparesBigintsExactlyInFilterAndPruning) {
+  Database db;
+  db.set_default_segment_capacity(1);
+  Schema s;
+  s.AddColumn(ColumnDef{"k", DataType::kInt64, true});
+  s.AddColumn(ColumnDef{"j", DataType::kInt64, true});
+  const int64_t big = int64_t{1} << 53;
+  CreateTable(&db, "t", s,
+              {{Value::Int(big - 1), Value::Int(big - 1)},
+               {Value::Int(big), Value::Int(big)},
+               {Value::Int(big + 1), Value::Int(big)},
+               {Value::Int(big + 2), Value::Int(big + 2)}});
+  EngineOptions pruned;
+  pruned.num_threads = 1;
+  EngineOptions full = pruned;
+  full.enable_zone_map_pruning = false;
+  SqlEngine with_pruning(&db, pruned);
+  SqlEngine without_pruning(&db, full);
+  const std::string b1 = std::to_string(big + 1);
+  const std::string b0 = std::to_string(big);
+  const struct {
+    std::string where;
+    std::vector<int64_t> keys;
+  } kCases[] = {
+      // Compiled kernels.
+      {"k = " + b1, {big + 1}},
+      {"k <> " + b1, {big - 1, big, big + 2}},
+      {"k < " + b1, {big - 1, big}},
+      {"k <= " + b0, {big - 1, big}},
+      {"k > " + b0, {big + 1, big + 2}},
+      {"k >= " + b1, {big + 1, big + 2}},
+      {"k BETWEEN " + b1 + " AND " + b1, {big + 1}},
+      {"k NOT BETWEEN " + b0 + " AND " + b1, {big - 1, big + 2}},
+      {"k IN (" + b1 + ")", {big + 1}},
+      {"k = j", {big - 1, big, big + 2}},
+      {"k > j", {big + 1}},
+      // EvaluateExpr (a NOT over the comparison is a residual).
+      {"NOT (k <> " + b1 + ")", {big + 1}},
+      {"NOT (k >= " + b1 + ")", {big - 1, big}},
+      {"NOT (k <> j)", {big - 1, big, big + 2}},
+      {"NOT (k NOT BETWEEN " + b1 + " AND " + b1 + ")", {big + 1}},
+  };
+  for (const auto& c : kCases) {
+    const std::string sql = "SELECT k FROM t WHERE " + c.where;
+    for (SqlEngine* engine : {&with_pruning, &without_pruning}) {
+      auto result = engine->Execute(sql);
+      ASSERT_TRUE(result.ok()) << sql << ": " << result.status().ToString();
+      std::vector<int64_t> keys;
+      for (size_t r = 0; r < result->batch.num_rows(); ++r) {
+        keys.push_back(result->batch.column(0)->int_at(r));
+      }
+      std::sort(keys.begin(), keys.end());
+      EXPECT_EQ(keys, c.keys)
+          << sql << (engine == &with_pruning ? " (pruning)" : "");
+    }
+  }
+}
+
+// BIGINT + - * that leave the range fail with OutOfRange rather than wrap
+// (check.sh runs this suite under UBSan, which traps signed overflow).
+TEST(IntExactTest, ArithmeticOverflowIsOutOfRange) {
+  Database db;
+  Schema s;
+  s.AddColumn(ColumnDef{"x", DataType::kInt64, true});
+  CreateTable(&db, "t", s,
+              {{Value::Int(int64_t{1} << 32)},
+               {Value::Int(3037000499)},
+               {Value::Int(INT64_MIN)}});
+  EngineOptions options;
+  options.num_threads = 1;
+  SqlEngine engine(&db, options);
+  auto squared = engine.Execute(
+      "SELECT x * x FROM t WHERE x BETWEEN 0 AND 4000000000");
+  ASSERT_TRUE(squared.ok()) << squared.status().ToString();
+  ASSERT_EQ(squared->batch.num_rows(), 1u);
+  // 3037000499^2 is the largest square below 2^63.
+  EXPECT_EQ(squared->batch.column(0)->int_at(0), 9223372030926249001LL);
+  for (const char* sql :
+       {"SELECT x * x FROM t WHERE x > 4000000000",
+        "SELECT x + 9223372036854775807 FROM t WHERE x > 0",
+        "SELECT x - 1 FROM t WHERE x < 0",
+        "SELECT 0 - x FROM t WHERE x < 0",
+        "SELECT -x FROM t WHERE x < 0"}) {
+    auto result = engine.Execute(sql);
+    ASSERT_FALSE(result.ok()) << sql;
+    EXPECT_EQ(result.status().code(), StatusCode::kOutOfRange) << sql;
+  }
+  // In range, and INT64_MIN % -1 (0, not a trap).
+  auto mod = engine.Execute("SELECT x % -1 FROM t WHERE x < 0");
+  ASSERT_TRUE(mod.ok()) << mod.status().ToString();
+  EXPECT_EQ(mod->batch.column(0)->int_at(0), 0);
+  auto sum = engine.Execute("SELECT x + x FROM t WHERE x > 0");
+  ASSERT_TRUE(sum.ok()) << sum.status().ToString();
+  EXPECT_EQ(sum->batch.column(0)->int_at(0), int64_t{1} << 33);
 }
 
 // ---------------------------------------------------------------------------

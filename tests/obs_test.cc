@@ -203,16 +203,24 @@ TEST(NormalizeSql, EquivalenceCorpus) {
 }
 
 TEST(NormalizeSql, DistinctStatementsStayDistinct) {
-  // String literals keep their case and content.
-  EXPECT_NE(sql::NormalizeSql("SELECT 'A' FROM t"),
+  // String literals are slots: their case and content are parameters,
+  // not part of the shape.
+  EXPECT_EQ(sql::NormalizeSql("SELECT 'A' FROM t"),
             sql::NormalizeSql("SELECT 'a' FROM t"));
+  EXPECT_NE(sql::LexStatement("SELECT 'A' FROM t")->params,
+            sql::LexStatement("SELECT 'a' FROM t")->params);
   // An escaped quote must not end the literal early: if it did, the
   // remainder of the statement would be case-folded differently.
-  EXPECT_NE(sql::NormalizeSql("SELECT 'don''t', X FROM t"),
-            sql::NormalizeSql("SELECT 'don''u', X FROM t"));
+  EXPECT_EQ(sql::NormalizeSql("SELECT 'don''t', X FROM t"),
+            "select ?s, x from t");
+  EXPECT_EQ(sql::LexStatement("SELECT 'don''t', X FROM t")->params,
+            std::vector<storage::Value>{storage::Value::String("don't")});
   // '--' inside a string literal is content, not a comment.
   EXPECT_EQ(sql::NormalizeSql("SELECT '--not a comment' FROM t"),
-            "select '--not a comment' from t");
+            "select ?s from t");
+  // Integers and other numbers are distinct slots.
+  EXPECT_NE(sql::NormalizeSql("SELECT a FROM t WHERE b = 5"),
+            sql::NormalizeSql("SELECT a FROM t WHERE b = 5.0"));
 }
 
 TEST(NormalizeSql, CommentDoesNotGlueTokens) {
@@ -620,7 +628,8 @@ TEST_F(ObsEngineTest, SlowLogCapturesOutliersWithDigestAndNormalizedSql) {
   ASSERT_GE(log->total_recorded(), 1u);
   std::vector<SlowQueryEntry> entries = log->Dump();
   const SlowQueryEntry& last = entries.back();
-  EXPECT_EQ(last.sql, "select a from t where b > 2");
+  // Outliers group by statement shape: literals are slots.
+  EXPECT_EQ(last.sql, "select a from t where b > ?i");
   EXPECT_EQ(last.plan_digest.size(), 16u);
   EXPECT_GE(last.elapsed_ms, 0.0);
 }

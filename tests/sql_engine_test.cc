@@ -432,12 +432,53 @@ TEST(PlanCacheTest, NormalizeSqlCollapsesLayoutAndCase) {
             "select id from emp");
   EXPECT_EQ(NormalizeSql("SELECT id FROM EMP"),
             NormalizeSql("select id from emp"));
-  // String literals keep their case and inner spacing.
-  EXPECT_EQ(NormalizeSql("SELECT 'It  IS' FROM emp"),
-            "select 'It  IS' from emp");
-  // Different literals stay different keys.
-  EXPECT_NE(NormalizeSql("SELECT * FROM emp WHERE name = 'a'"),
+  // A string literal is a slot; its text, case and inner spacing kept, is
+  // the slot's parameter.
+  EXPECT_EQ(NormalizeSql("SELECT 'It  IS' FROM emp"), "select ?s from emp");
+  EXPECT_EQ(LexStatement("SELECT 'It  IS' FROM emp")->params,
+            std::vector<Value>{Value::String("It  IS")});
+  // Different literals share the shape and differ in parameters.
+  EXPECT_EQ(NormalizeSql("SELECT * FROM emp WHERE name = 'a'"),
             NormalizeSql("SELECT * FROM emp WHERE name = 'b'"));
+}
+
+TEST(LexStatementTest, LiteralsBecomeTypedSlots) {
+  auto lexed = LexStatement(
+      "SELECT x FROM t WHERE id=5 AND y = 5.0 AND s = 'a''b' AND z IN "
+      "(1, 2.5e1) LIMIT 10");
+  ASSERT_TRUE(lexed.ok()) << lexed.status().ToString();
+  EXPECT_EQ(lexed->key,
+            "select x from t where id=?i and y = ?d and s = ?s and z in "
+            "(?i, ?d) limit ?i");
+  const std::vector<Value> params = {Value::Int(5),      Value::Double(5.0),
+                                     Value::String("a'b"), Value::Int(1),
+                                     Value::Double(25.0), Value::Int(10)};
+  EXPECT_EQ(lexed->params, params);
+  for (const Token& token : lexed->tokens) {
+    if (token.type == TokenType::kNumber ||
+        token.type == TokenType::kString) {
+      EXPECT_EQ(lexed->params[token.slot].ToString(),
+                token.type == TokenType::kString
+                    ? token.text
+                    : params[token.slot].ToString());
+    }
+  }
+  // An IN list of another length is another shape.
+  EXPECT_NE(NormalizeSql("SELECT x FROM t WHERE z IN (1, 2)"),
+            NormalizeSql("SELECT x FROM t WHERE z IN (1, 2, 3)"));
+  // Integers are exact; one beyond BIGINT is a DOUBLE.
+  auto big = LexStatement("SELECT 9007199254740993, 9223372036854775808");
+  ASSERT_TRUE(big.ok());
+  EXPECT_EQ(big->key, "select ?i, ?d");
+  EXPECT_EQ(big->params[0].int_value(), 9007199254740993LL);
+  EXPECT_EQ(big->params[1].double_value(), 9223372036854775808.0);
+  // A script numbers each statement's slots from 0.
+  auto script = LexScript("SELECT 1, 'x'; SELECT 2");
+  ASSERT_TRUE(script.ok());
+  ASSERT_EQ(script->size(), 2u);
+  EXPECT_EQ((*script)[1].key, "select ?i");
+  EXPECT_EQ((*script)[1].tokens[1].slot, 0u);
+  EXPECT_EQ((*script)[1].params, std::vector<Value>{Value::Int(2)});
 }
 
 TEST(LexStatementTest, KeyJoinsTokenTextsAtTheirSourceBoundaries) {

@@ -6,14 +6,17 @@
 //
 //  * every entry point returns (a Status or a string), with no crash,
 //    UB or hang — the sanitizer builds check the "no UB" part;
-//  * a statement that lexes has a key that lexes back to the same
-//    tokens (names up to case; a trailing ';' is not part of the key);
+//  * a statement that lexes has a key that, with its parameters written
+//    back into its slots, lexes back to the same tokens (names up to
+//    case, numbers by value; a trailing ';' is not part of the key);
 //  * RewritePredictCalls changes only model-argument tokens.
 //
 // Carries the `fuzz` ctest label (scripts/check.sh runs it under ASan).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
@@ -82,11 +85,70 @@ const std::vector<std::string>& Corpus() {
   return *corpus;
 }
 
-/// Equal up to the case of names: string literals compare exactly.
+/// Equal up to the case of names: string literals compare exactly,
+/// numbers by type and value (bitwise).
 bool SameToken(const Token& a, const Token& b) {
   if (a.type != b.type) return false;
   if (a.type == TokenType::kString) return a.text == b.text;
+  if (a.type == TokenType::kNumber) {
+    return a.is_integer == b.is_integer &&
+           (a.is_integer ? a.integer == b.integer
+                         : std::bit_cast<uint64_t>(a.number) ==
+                               std::bit_cast<uint64_t>(b.number));
+  }
   return EqualsIgnoreCase(a.text, b.text);
+}
+
+/// `v` spelled as a SQL literal that lexes back to it. A DOUBLE is written
+/// `.<17 digits>e<exp>`: it starts with '.' and ends in its exponent, so
+/// it never runs into a neighbouring number the way the original text
+/// did not.
+std::string Literal(const storage::Value& v) {
+  if (v.type() == storage::DataType::kInt64) {
+    return std::to_string(v.int_value());
+  }
+  if (v.type() == storage::DataType::kDouble) {
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%.16e", v.double_value());
+    const std::string s = buf;  // d.dddde+XX
+    const size_t e = s.find('e');
+    return "." + s.substr(0, 1) + s.substr(2, e - 2) + "e" +
+           std::to_string(std::atoi(s.c_str() + e + 1) + 1);
+  }
+  std::string out = "'";
+  for (char c : v.string_value()) {
+    out += c;
+    if (c == '\'') out += '\'';
+  }
+  return out + "'";
+}
+
+/// `key` with each slot (`?i`, `?d`, `?s` outside a quoted name) replaced
+/// by its parameter; "" when the slots and `params` do not line up.
+std::string WithParams(const std::string& key,
+                       const std::vector<storage::Value>& params) {
+  std::string out;
+  size_t next = 0;
+  for (size_t i = 0; i < key.size(); ++i) {
+    if (key[i] == '"') {
+      const size_t close = key.find('"', i + 1);
+      if (close == std::string::npos) return "";
+      out.append(key, i, close - i + 1);
+      i = close;
+    } else if (key[i] == '?') {
+      if (i + 1 >= key.size() || next >= params.size()) return "";
+      const char kind = key[++i];
+      const storage::DataType want =
+          kind == 'i'   ? storage::DataType::kInt64
+          : kind == 'd' ? storage::DataType::kDouble
+                        : storage::DataType::kString;
+      if (params[next].type() != want) return "";
+      out += Literal(params[next++]);
+    } else {
+      out += key[i];
+    }
+  }
+  return next == params.size() ? out : "";
 }
 
 std::string Escaped(const std::string& text) {
@@ -103,13 +165,18 @@ std::string Escaped(const std::string& text) {
   return out;
 }
 
-/// The key of a lexable statement lexes back to its tokens.
+/// The key of a lexable statement, its parameters written back, lexes
+/// back to its tokens.
 std::string CheckKeyRoundTrip(const LexedStatement& lexed) {
   size_t kept = lexed.tokens.size() - 1;  // without kEof
   while (kept > 0 && lexed.tokens[kept - 1].type == TokenType::kSemicolon) {
     --kept;
   }
-  StatusOr<LexedStatement> again = LexStatement(lexed.key);
+  const std::string text = WithParams(lexed.key, lexed.params);
+  if (text.empty() && !lexed.key.empty()) {
+    return "key slots do not match the parameters: " + Escaped(lexed.key);
+  }
+  StatusOr<LexedStatement> again = LexStatement(text);
   if (!again.ok()) return "key does not lex: " + again.status().ToString();
   if (again->tokens.size() != kept + 1) return "key lexes to a new count";
   for (size_t t = 0; t < kept; ++t) {
