@@ -19,7 +19,9 @@ using flock::flock::FlockEngineOptions;
 
 std::string TheQuery() {
   std::string args;
-  for (int c = 0; c < 27; ++c) args += "f" + std::to_string(c) + ", ";
+  for (int c = 0; c < 27; ++c) {
+    args += flock::StrCat("f", std::to_string(c), ", ");
+  }
   args += "segment";
   return "SELECT COUNT(*) FROM clickstream WHERE f0 > 0.2 AND "
          "PREDICT(ctr, " + args + ") > 0.8";

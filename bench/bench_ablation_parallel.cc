@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "common/stopwatch.h"
+#include "common/string_util.h"
 #include "flock/flock_engine.h"
 #include "workload/synthetic.h"
 
@@ -14,7 +15,9 @@ namespace {
 
 std::string TheQuery() {
   std::string args;
-  for (int c = 0; c < 27; ++c) args += "f" + std::to_string(c) + ", ";
+  for (int c = 0; c < 27; ++c) {
+    args += flock::StrCat("f", std::to_string(c), ", ");
+  }
   args += "segment";
   return "SELECT COUNT(*) FROM clickstream WHERE PREDICT(ctr, " + args +
          ") > 0.8";

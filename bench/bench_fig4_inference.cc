@@ -48,7 +48,8 @@ constexpr double kDataThreshold = 0.2;
 std::string PredictArgs() {
   std::string args;
   for (int c = 0; c < 27; ++c) {
-    args += "f" + std::to_string(c) + ", ";
+    args += 'f';
+    args += std::to_string(c) + ", ";
   }
   args += "segment";
   return args;
@@ -117,7 +118,10 @@ flock::ml::Matrix ExportFeatures(FlockEngine* engine,
                                  double* export_millis) {
   Stopwatch timer;
   std::string columns;
-  for (int c = 0; c < 27; ++c) columns += "f" + std::to_string(c) + ", ";
+  for (int c = 0; c < 27; ++c) {
+    columns += 'f';
+    columns += std::to_string(c) + ", ";
+  }
   columns += "segment";
   auto result =
       engine->Execute("SELECT " + columns + " FROM clickstream");
@@ -150,7 +154,8 @@ flock::ml::Matrix ExportFeatures(FlockEngine* engine,
 /// (named-feature rows through dynamically dispatched steps), then the
 /// predicate applied client-side.
 Config RunSklearn(FlockEngine* engine, const InferenceWorkload& workload) {
-  Config out{"scikit-learn (export + rows)"};
+  Config out;
+  out.name = "scikit-learn (export + rows)";
   flock::ml::Matrix raw =
       ExportFeatures(engine, workload, &out.export_millis);
   flock::ml::RowScorer scorer(workload.pipeline);
@@ -172,7 +177,8 @@ Config RunSklearn(FlockEngine* engine, const InferenceWorkload& workload) {
 /// in 8K-row batches (the way a standalone runtime consumes exported
 /// data), then the predicate applied client-side.
 Config RunOrt(FlockEngine* engine, const InferenceWorkload& workload) {
-  Config out{"ORT standalone (export + graph)"};
+  Config out;
+  out.name = "ORT standalone (export + graph)";
   flock::ml::Matrix raw =
       ExportFeatures(engine, workload, &out.export_millis);
   auto graph = workload.pipeline.Compile();
@@ -218,7 +224,8 @@ Config RunInDb(FlockEngine* engine, bool cross_optimizer,
                  warm.status().ToString().c_str());
     std::exit(1);
   }
-  Config out{label};
+  Config out;
+  out.name = label;
   Stopwatch timer;
   auto result = engine->Execute(query);
   out.score_millis = timer.ElapsedMillis();

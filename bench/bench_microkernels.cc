@@ -17,6 +17,7 @@
 
 #include "common/random.h"
 #include "common/stopwatch.h"
+#include "common/string_util.h"
 #include "flock/model_registry.h"
 #include "flock/scoring.h"
 #include "ml/dense_kernel.h"
@@ -56,8 +57,10 @@ struct Fixture {
     }
     std::vector<flock::ml::FeatureSpec> specs;
     for (size_t c = 0; c < features; ++c) {
-      specs.push_back(flock::ml::FeatureSpec{
-          "f" + std::to_string(c), flock::ml::FeatureKind::kNumeric, {}});
+      specs.push_back(
+          flock::ml::FeatureSpec{flock::StrCat("f", std::to_string(c)),
+                                 flock::ml::FeatureKind::kNumeric,
+                                 {}});
     }
     pipeline.SetInputs(std::move(specs));
     pipeline.FitFeaturizers(data.x, true, true);
@@ -187,7 +190,7 @@ void BM_SqlFilterQuery(benchmark::State& state) {
     std::string insert = "INSERT INTO t VALUES ";
     for (int i = 0; i < 2000; ++i) {
       if (i > 0) insert += ", ";
-      insert += "(" + std::to_string(i % 97) + ".5, " +
+      insert += flock::StrCat("(", std::to_string(i % 97)) + ".5, " +
                 std::to_string(i % 31) + ".25)";
     }
     (void)setup.Execute(insert);

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/stopwatch.h"
+#include "common/string_util.h"
 #include "sql/engine.h"
 #include "workload/tpch.h"
 
@@ -120,8 +121,9 @@ bool RunPruningBench(std::vector<PruningRun>* out) {
       int id = base + i;
       if (i > 0) insert += ", ";
       // ts tracks insertion order (a timestamp); val is scrambled.
-      insert += "(" + std::to_string(id) + ", " + std::to_string(id) +
-                ".0, " + std::to_string((id * 37) % 1000) + ".5)";
+      insert += flock::StrCat("(", std::to_string(id), ", ",
+                              std::to_string(id), ".0, ",
+                              std::to_string((id * 37) % 1000), ".5)");
     }
     if (!setup.Execute(insert).ok()) return false;
   }

@@ -72,7 +72,7 @@ int main() {
   std::string insert = "INSERT INTO applications VALUES ";
   for (int i = 0; i < 200; ++i) {
     if (i > 0) insert += ", ";
-    insert += "(" + std::to_string(i) + ", " +
+    insert += flock::StrCat("(", std::to_string(i)) + ", " +
               std::to_string(rng.UniformInt(5, 900) * 1000) + ", " +
               std::to_string(rng.UniformInt(25, 250)) + ", " +
               flock::FormatDouble(rng.UniformDouble(0.05, 0.9), 2) + ", " +

@@ -36,7 +36,7 @@ int main() {
   std::string insert = "INSERT INTO jobs VALUES ";
   for (int i = 0; i < 400; ++i) {
     if (i > 0) insert += ", ";
-    insert += "(" + std::to_string(i) + ", " +
+    insert += flock::StrCat("(", std::to_string(i)) + ", " +
               flock::FormatDouble(rng.UniformDouble(1, 2000), 1) + ", " +
               std::to_string(rng.UniformInt(1, 40)) + ", " +
               flock::FormatDouble(rng.UniformDouble(0.5, 8.0), 2) + ", " +

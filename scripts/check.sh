@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Full verification: regular build + tests and a build of the perfbench
+# Full verification: regular build (from clean; any compiler warning fails
+# it) + tests and a build of the perfbench
 # program against the same sources, then an AddressSanitizer build
 # running every test (catches the memory bugs morsel-parallel execution can
 # hide), then a ThreadSanitizer build running the concurrency-sensitive
@@ -19,8 +20,8 @@
 # (`plancache`) suites. The ASan stage runs every suite, the key-index differential
 # suite included. The parameterized plan-cache suite (`plancache`) runs in
 # all three sanitizer stages: under ASan with every suite, under TSan as a
-# label stage (serving workers bind literals into clones of one cached
-# plan at once), and under UBSan. Sanitizer builds keep FLOCK_DCHECK live,
+# label stage (concurrent executions run one cached lowered plan, each
+# with its own parameters and state), and under UBSan. Sanitizer builds keep FLOCK_DCHECK live,
 # so a mistyped ColumnVector read fails there. The `--*-only` modes skip
 # the UBSan stage.
 #
@@ -51,9 +52,16 @@ esac
 JOBS="$(nproc 2>/dev/null || echo 4)"
 
 if [[ "$RUN_PLAIN" == 1 ]]; then
-  echo "== plain build + ctest =="
+  echo "== plain build (clean, zero warnings) + ctest =="
+  # Built from clean so every file compiles, and so reports its warnings,
+  # every time: any `warning:` in the Release build fails the check.
   cmake -B build -S . >/dev/null
-  cmake --build build -j "$JOBS"
+  cmake --build build -j "$JOBS" --clean-first 2>&1 | tee build/build.log
+  if grep -q "warning:" build/build.log; then
+    echo "the Release build printed warnings:" >&2
+    grep "warning:" build/build.log >&2
+    exit 1
+  fi
   ctest --test-dir build --output-on-failure -j "$JOBS"
 
   echo "== perfbench build =="
@@ -110,13 +118,14 @@ if [[ "$RUN_TSAN" == 1 ]]; then
   #             waiters and the retry loop poll it;
   #   lifecycle guard-breach rollback through DeployTransaction racing the
   #             interceptor on serve worker threads;
-  #   plancache serving workers looking up one cached plan and binding
-  #             their own literals into private clones.
+  #   plancache serving workers, and eight threads over four shapes,
+  #             running one cached lowered plan at once, each execution
+  #             with its own parameters, operator state and counters.
   # flock_test adds the deploy race test that vets Commit's undo path
   # against concurrent scorers.
   cmake --build build-tsan -j "$JOBS" --target obs_test storage_test \
     pruning_differential_test repl_test repl_differential_test kernel_test \
-    cancel_test lifecycle_test flock_test plan_cache_test
+    cancel_test lifecycle_test flock_test plan_cache_test shared_plan_test
   for label in obs storage repl kernel cancel lifecycle plancache; do
     ctest --test-dir build-tsan --output-on-failure -j "$JOBS" -L "$label"
   done
@@ -160,14 +169,14 @@ if [[ "$RUN_UBSAN" == 1 ]]; then
   # damaged SQL text and WAL record bodies to the lexer, parser and
   # record decoder. The key-index suite hashes and compares -0.0, NaN and
   # mixed BIGINT/DOUBLE keys, sums BIGINTs up to overflow and runs BIGINT
-  # `x * x` past 2^63 through SQL. The plan-cache suite binds literals
-  # into cached plans and folds and compares them.
+  # `x * x` past 2^63 through SQL. The plan-cache suites run cached plans
+  # with other parameters bound, and fold and compare literals.
   # halt_on_error turns the first signed overflow, bad float conversion
   # or out-of-range index into a failed test instead of a printed warning.
   cmake -B build-ubsan -S . -DFLOCK_SANITIZE=undefined >/dev/null
   cmake --build build-ubsan -j "$JOBS" \
     --target kernel_test ml_property_test ml_test sql_fuzz_test wal_fuzz_test \
-    key_index_test plan_cache_test
+    key_index_test plan_cache_test shared_plan_test
   UBSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir build-ubsan --output-on-failure -j "$JOBS" -L kernel
   UBSAN_OPTIONS=halt_on_error=1 \

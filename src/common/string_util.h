@@ -36,6 +36,17 @@ std::string FormatDouble(double v, int precision);
 /// Formats a count with thousands separators, e.g. 22330 -> "22,330".
 std::string FormatWithCommas(long long v);
 
+/// Concatenates `parts` (strings, string views, C strings or chars) by
+/// appending into one string. Use it where a chain would start with a
+/// literal (`"(" + std::to_string(i)`): GCC 12 reports -Wrestrict false
+/// positives (GCC bug 105651) on those.
+template <typename... Parts>
+std::string StrCat(const Parts&... parts) {
+  std::string out;
+  ((out += parts), ...);
+  return out;
+}
+
 }  // namespace flock
 
 #endif  // FLOCK_COMMON_STRING_UTIL_H_

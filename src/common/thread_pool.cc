@@ -19,39 +19,48 @@ ThreadPool::~ThreadPool() {
   {
     std::unique_lock<std::mutex> lock(mu_);
     shutdown_ = true;
+    for (std::condition_variable* wake : idle_) wake->notify_one();
+    idle_.clear();
   }
-  cv_task_.notify_all();
   for (auto& w : workers_) {
     if (w.joinable()) w.join();
   }
 }
 
-void ThreadPool::Submit(std::function<void()> task) {
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    tasks_.push(std::move(task));
-    ++in_flight_;
+void ThreadPool::PushLocked(std::function<void()> task) {
+  tasks_.push(std::move(task));
+  ++in_flight_;
+  // Notified under the lock: a parked worker's variable lives on its own
+  // stack, valid only while it is in idle_.
+  if (!idle_.empty()) {
+    idle_.back()->notify_one();
+    idle_.pop_back();
   }
-  cv_task_.notify_one();
+}
+
+void ThreadPool::Submit(std::function<void()> task) {
+  std::unique_lock<std::mutex> lock(mu_);
+  PushLocked(std::move(task));
 }
 
 bool ThreadPool::TrySubmit(std::function<void()> task) {
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (shutdown_) return false;
-    if (max_queue_depth_ != 0 && tasks_.size() >= max_queue_depth_) {
-      return false;
-    }
-    tasks_.push(std::move(task));
-    ++in_flight_;
+  std::unique_lock<std::mutex> lock(mu_);
+  if (shutdown_) return false;
+  if (max_queue_depth_ != 0 && tasks_.size() >= max_queue_depth_) {
+    return false;
   }
-  cv_task_.notify_one();
+  PushLocked(std::move(task));
   return true;
 }
 
 size_t ThreadPool::queue_depth() const {
   std::unique_lock<std::mutex> lock(mu_);
   return tasks_.size();
+}
+
+size_t ThreadPool::idle_workers() const {
+  std::unique_lock<std::mutex> lock(mu_);
+  return idle_.size();
 }
 
 void ThreadPool::WaitIdle() {
@@ -74,21 +83,27 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
 }
 
 void ThreadPool::WorkerLoop() {
+  std::condition_variable wake;
+  std::unique_lock<std::mutex> lock(mu_);
   while (true) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_task_.wait(lock, [this] { return shutdown_ || !tasks_.empty(); });
-      if (shutdown_ && tasks_.empty()) return;
-      task = std::move(tasks_.front());
-      tasks_.pop();
+    if (tasks_.empty()) {
+      if (shutdown_) return;
+      idle_.push_back(&wake);
+      wake.wait(lock);
+      // A spurious wake-up leaves this worker listed; no one else will
+      // unlist it.
+      auto self = std::find(idle_.begin(), idle_.end(), &wake);
+      if (self != idle_.end()) idle_.erase(self);
+      continue;
     }
+    std::function<void()> task = std::move(tasks_.front());
+    tasks_.pop();
+    lock.unlock();
     task();
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      --in_flight_;
-      if (in_flight_ == 0) cv_idle_.notify_all();
-    }
+    task = nullptr;  // captures die outside the lock
+    lock.lock();
+    --in_flight_;
+    if (in_flight_ == 0) cv_idle_.notify_all();
   }
 }
 

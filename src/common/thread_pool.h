@@ -17,6 +17,12 @@ namespace flock {
 /// chopped into morsels and each worker pulls batches through its pipeline.
 /// This is the mechanism behind the paper's "automatic parallelization of the
 /// inference task in SQL Server" (Figure 4, up to 5.5x over standalone ORT).
+///
+/// Each idle worker parks on its own condition variable, in a LIFO list: a
+/// submission wakes the worker that went idle last, whose stack and
+/// caches are the warmest. Under a light, steady load (a serving pool at a
+/// few hundred requests/s) one worker then serves request after request
+/// instead of every worker waking in turn.
 class ThreadPool {
  public:
   /// Creates `num_threads` workers (>= 1; 0 means hardware concurrency).
@@ -47,18 +53,24 @@ class ThreadPool {
   /// Tasks enqueued but not yet picked up by a worker.
   size_t queue_depth() const;
 
+  /// Workers parked waiting for a task.
+  size_t idle_workers() const;
+
   /// Runs `fn(i)` for i in [0, n) across the pool and waits for completion.
   /// Work is divided into contiguous chunks, one per worker.
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
  private:
   void WorkerLoop();
+  /// Enqueues `task` and wakes the most recently idle worker; mu_ held.
+  void PushLocked(std::function<void()> task);
 
   std::vector<std::thread> workers_;
   std::queue<std::function<void()>> tasks_;
   size_t max_queue_depth_ = 0;  // 0 = unbounded (TrySubmit only)
   mutable std::mutex mu_;
-  std::condition_variable cv_task_;
+  /// Parked workers' wake-up variables; back = the last to park.
+  std::vector<std::condition_variable*> idle_;
   std::condition_variable cv_idle_;
   size_t in_flight_ = 0;
   bool shutdown_ = false;

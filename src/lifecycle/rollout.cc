@@ -394,7 +394,7 @@ StatusOr<sql::QueryResult> RolloutManager::Intercept(
       }
       std::string rw = RewritePredictCalls(
           sql, candidate->model,
-          "'" + flock::RolloutCandidateKey(candidate->model) + "'");
+          StrCat("'", flock::RolloutCandidateKey(candidate->model)) + "'");
       if (rw != sql) {
         rollout = candidate;
         rewritten = std::move(rw);

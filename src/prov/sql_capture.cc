@@ -221,7 +221,7 @@ Status SqlCaptureModule::CaptureLog(const std::vector<std::string>& log) {
 Status SqlCaptureModule::Ingest(const std::string& sql,
                                 const CapturedStatement& info) {
   uint64_t query = catalog_->GetOrCreate(
-      EntityType::kQuery, "q" + std::to_string(query_counter_++));
+      EntityType::kQuery, StrCat("q", std::to_string(query_counter_++)));
   FLOCK_RETURN_NOT_OK(catalog_->SetProperty(query, "sql", sql));
   FLOCK_RETURN_NOT_OK(catalog_->SetProperty(query, "kind", info.kind));
 

@@ -66,24 +66,24 @@ std::string Expr::ToString() const {
     case ExprKind::kLiteral:
       if (!literal.is_null() &&
           literal.type() == storage::DataType::kString) {
-        return "'" + literal.string_value() + "'";
+        return StrCat("'", literal.string_value(), "'");
       }
       return literal.ToString();
     case ExprKind::kColumnRef:
       return table_name.empty() ? column_name
-                                : table_name + "." + column_name;
+                                : StrCat(table_name, ".", column_name);
     case ExprKind::kStar:
       return "*";
     case ExprKind::kBinary:
-      return "(" + children[0]->ToString() + " " + BinaryOpName(bin_op) +
-             " " + children[1]->ToString() + ")";
+      return StrCat("(", children[0]->ToString(), " ",
+                    BinaryOpName(bin_op), " ", children[1]->ToString(), ")");
     case ExprKind::kUnary:
       // Parenthesized so nested negation never prints "--" (a comment).
-      return std::string(un_op == UnaryOp::kNeg ? "(-" : "(NOT ") +
-             children[0]->ToString() + ")";
+      return StrCat(un_op == UnaryOp::kNeg ? "(-" : "(NOT ",
+                    children[0]->ToString(), ")");
     case ExprKind::kFunction: {
-      std::string out = function_name + "(";
-      if (distinct) out += "DISTINCT ";
+      std::string out =
+          StrCat(function_name, distinct ? "(DISTINCT " : "(");
       for (size_t i = 0; i < children.size(); ++i) {
         if (i > 0) out += ", ";
         out += children[i]->ToString();
@@ -96,16 +96,16 @@ std::string Expr::ToString() const {
       for (size_t i = 0; i + 1 < pairs + 1 && i + 1 < children.size();
            i += 2) {
         if (i + 1 >= pairs && has_else) break;
-        out += " WHEN " + children[i]->ToString() + " THEN " +
-               children[i + 1]->ToString();
+        out += StrCat(" WHEN ", children[i]->ToString(), " THEN ",
+                      children[i + 1]->ToString());
       }
-      if (has_else) out += " ELSE " + children.back()->ToString();
+      if (has_else) out += StrCat(" ELSE ", children.back()->ToString());
       return out + " END";
     }
     case ExprKind::kIn: {
       // Parenthesized so the whole test can appear as an operand.
-      std::string out = "(" + children[0]->ToString();
-      out += negated ? " NOT IN (" : " IN (";
+      std::string out = StrCat("(", children[0]->ToString(),
+                               negated ? " NOT IN (" : " IN (");
       for (size_t i = 1; i < children.size(); ++i) {
         if (i > 1) out += ", ";
         out += children[i]->ToString();
@@ -113,16 +113,16 @@ std::string Expr::ToString() const {
       return out + "))";
     }
     case ExprKind::kBetween:
-      return "(" + children[0]->ToString() +
-             (negated ? " NOT BETWEEN " : " BETWEEN ") +
-             children[1]->ToString() + " AND " + children[2]->ToString() +
-             ")";
+      return StrCat("(", children[0]->ToString(),
+                    negated ? " NOT BETWEEN " : " BETWEEN ",
+                    children[1]->ToString(), " AND ",
+                    children[2]->ToString(), ")");
     case ExprKind::kCast:
-      return "CAST(" + children[0]->ToString() + " AS " +
-             storage::DataTypeName(cast_type) + ")";
+      return StrCat("CAST(", children[0]->ToString(), " AS ",
+                    storage::DataTypeName(cast_type), ")");
     case ExprKind::kIsNull:
-      return "(" + children[0]->ToString() +
-             (negated ? " IS NOT NULL)" : " IS NULL)");
+      return StrCat("(", children[0]->ToString(),
+                    negated ? " IS NOT NULL)" : " IS NULL)");
   }
   return "?";
 }

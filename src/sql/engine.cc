@@ -4,7 +4,6 @@
 #include <optional>
 #include <thread>
 
-#include "common/hash.h"
 #include "common/stopwatch.h"
 #include "sql/evaluator.h"
 #include "sql/parser.h"
@@ -52,23 +51,9 @@ using storage::Schema;
 using storage::TablePtr;
 using storage::Value;
 
-std::string PlanDigest(
-    const std::vector<OperatorMetricsSnapshot>& operator_metrics) {
-  if (operator_metrics.empty()) return "";
-  uint64_t h = 0xCBF29CE484222325ULL;
-  for (const auto& op : operator_metrics) {
-    h = HashCombine(h, HashString(op.name));
-    h = HashCombine(h, HashInt64(op.depth));
-  }
-  char hex[17];
-  std::snprintf(hex, sizeof(hex), "%016llx",
-                static_cast<unsigned long long>(h));
-  return hex;
-}
-
 SqlEngine::SqlEngine(storage::Database* db, EngineOptions options)
     : db_(db), options_(options),
-      plan_cache_(options.plan_cache_capacity),
+      plan_cache_(options.plan_cache_capacity, &registry_),
       slow_log_(options.slow_log_capacity,
                 options.slow_query_threshold_ms) {
   if (options_.num_threads == 0) {
@@ -109,21 +94,21 @@ StatusOr<QueryResult> SqlEngine::Execute(const LexedStatement& lexed,
     trace_scope.emplace(&*recorder);
   }
   // Prepared-statement fast path: a hit on the statement's shape returns
-  // a private clone of the optimized plan with this statement's literals
-  // bound into it, and skips parse/plan/optimize entirely. Bypassed while
-  // an observer is set — observers must see every parsed statement (eager
-  // provenance capture).
+  // the lowered plan cached for it, which runs with this statement's
+  // parameters: parse, plan, optimize and lowering are skipped. Bypassed
+  // while an observer is set — observers must see every parsed statement
+  // (eager provenance capture).
   const bool use_cache =
       options_.enable_plan_cache && statement_observer_ == nullptr;
-  PlanPtr cached;
+  std::shared_ptr<const PhysicalPlan> cached;
   if (use_cache) {
     obs::ScopedSpan span("plan_cache.lookup");
-    cached = plan_cache_.Lookup(lexed.key, lexed.params);
+    cached = plan_cache_.Find(lexed.key, lexed.params);
   }
   QueryResult result;
   StatementPtr stmt;  // parsed on a cache miss only
   if (cached != nullptr) {
-    FLOCK_ASSIGN_OR_RETURN(result, LowerAndExecute(*cached, exec_opts));
+    FLOCK_RETURN_NOT_OK(Run(*cached, &lexed.params, exec_opts, &result));
     result.from_plan_cache = true;
   } else {
     {
@@ -143,34 +128,43 @@ StatusOr<QueryResult> SqlEngine::Execute(const LexedStatement& lexed,
   return result;
 }
 
-StatusOr<QueryResult> SqlEngine::LowerAndExecute(
-    const LogicalPlan& plan, const ExecOptions& exec_opts) {
-  FLOCK_ASSIGN_OR_RETURN(PhysicalOperatorPtr root, LowerPlan(plan));
-  QueryResult result;
-  FLOCK_RETURN_NOT_OK(ExecuteLowered(root.get(), exec_opts, &result));
-  return result;
-}
-
-StatusOr<PhysicalOperatorPtr> SqlEngine::LowerPlan(const LogicalPlan& plan) {
+StatusOr<PhysicalPlanPtr> SqlEngine::LowerPlan(const LogicalPlan& plan) {
   obs::ScopedSpan span("lower");
   return PhysicalPlanner(&registry_).Lower(plan);
 }
 
-Status SqlEngine::ExecuteLowered(PhysicalOperator* root,
-                                 const ExecOptions& exec_opts,
-                                 QueryResult* result) {
+StatusOr<RecordBatch> SqlEngine::RunExecutor(
+    const PhysicalPlan& plan, const std::vector<Value>* params,
+    const ExecOptions& exec_opts,
+    std::vector<OperatorMetricsSnapshot>* metrics) {
+  ExecContext ctx;
+  ctx.registry = &registry_;
+  ctx.pool = pool_.get();
+  ctx.num_threads = pool_ ? std::max<size_t>(1, options_.num_threads) : 1;
+  ctx.morsel_size = options_.morsel_size;
+  ctx.enable_zone_map_pruning = options_.enable_zone_map_pruning;
+  ctx.cancel = exec_opts.cancel;
+  ctx.principal = exec_opts.principal;
+  ctx.params = params;
+  return Executor(std::move(ctx)).Execute(plan, metrics);
+}
+
+Status SqlEngine::Run(const PhysicalPlan& plan,
+                      const std::vector<Value>* params,
+                      const ExecOptions& exec_opts, QueryResult* result) {
   size_t execute_span = 0;
   {
     obs::ScopedSpan span("execute");
     execute_span = span.index();
-    FLOCK_ASSIGN_OR_RETURN(result->batch, ExecutePhysical(root, exec_opts));
-    root->CollectMetrics(&result->operator_metrics);
+    FLOCK_ASSIGN_OR_RETURN(
+        result->batch,
+        RunExecutor(plan, params, exec_opts, &result->operator_metrics));
   }
   AccumulateScanMetrics(result->operator_metrics);
   if (auto* rec = obs::TraceRecorder::Current()) {
     GraftExecutionSpans(rec, execute_span, result->operator_metrics);
   }
-  result->plan_digest = PlanDigest(result->operator_metrics);
+  result->plan_digest = plan.digest();
   return Status::OK();
 }
 
@@ -285,17 +279,19 @@ StatusOr<QueryResult> SqlEngine::ExecuteStatement(
         FLOCK_ASSIGN_OR_RETURN(plan, PlanQuery(select));
       }
       FLOCK_RETURN_NOT_OK(OptimizePlan(&plan));
-      FLOCK_ASSIGN_OR_RETURN(PhysicalOperatorPtr root, LowerPlan(*plan));
+      FLOCK_ASSIGN_OR_RETURN(PhysicalPlanPtr physical, LowerPlan(*plan));
       QueryResult result;
       if (explain.analyze) {
         // EXPLAIN ANALYZE: execute, then render the plan with the
         // per-operator counters the run recorded (the rows are replaced
         // by the rendered plan below).
-        FLOCK_RETURN_NOT_OK(ExecuteLowered(root.get(), exec_opts, &result));
+        FLOCK_RETURN_NOT_OK(Run(*physical, nullptr, exec_opts, &result));
       }
-      result.plan_text = "== Logical Plan ==\n" + plan->ToString() +
-                         "== Physical Plan ==\n" +
-                         root->ToString(0, explain.analyze);
+      result.plan_text =
+          "== Logical Plan ==\n" + plan->ToString() +
+          "== Physical Plan ==\n" +
+          physical->ToString(explain.analyze ? &result.operator_metrics
+                                             : nullptr);
       if (explain.analyze) {
         // Surface plan-cache effectiveness next to the operator counters.
         PlanCacheStats cache = plan_cache_.stats();
@@ -357,15 +353,9 @@ Status SqlEngine::OptimizePlan(PlanPtr* plan) {
 }
 
 StatusOr<RecordBatch> SqlEngine::ExecutePhysical(
-    PhysicalOperator* root, const ExecOptions& exec_opts) {
-  ExecutorOptions exec_options;
-  exec_options.num_threads = options_.num_threads;
-  exec_options.morsel_size = options_.morsel_size;
-  exec_options.enable_zone_map_pruning = options_.enable_zone_map_pruning;
-  exec_options.cancel = exec_opts.cancel;
-  exec_options.principal = exec_opts.principal;
-  Executor executor(&registry_, pool_.get(), exec_options);
-  return executor.Execute(root);
+    PhysicalPlan* plan, const ExecOptions& exec_opts) {
+  plan->last_run_.clear();
+  return RunExecutor(*plan, nullptr, exec_opts, &plan->last_run_);
 }
 
 StatusOr<QueryResult> SqlEngine::ExecuteSelect(
@@ -374,24 +364,30 @@ StatusOr<QueryResult> SqlEngine::ExecuteSelect(
   PlanPtr plan;
   bool reads_view = false;
   std::vector<bool> pinned;
+  std::shared_ptr<const PhysicalPlan> physical;
   {
-    // Planning records which literals' values it read; the cached plan
-    // holds only for those values.
+    // Planning and lowering record which literals' values they read; the
+    // cached plan holds only for those values.
     PinScope pins(cache_as != nullptr ? cache_as->params.size() : 0);
     {
       obs::ScopedSpan span("plan");
       FLOCK_ASSIGN_OR_RETURN(plan, PlanQuery(stmt, &reads_view));
     }
     FLOCK_RETURN_NOT_OK(OptimizePlan(&plan));
+    FLOCK_ASSIGN_OR_RETURN(physical, LowerPlan(*plan));
     pinned = pins.pinned();
   }
+  const std::vector<Value>* params =
+      cache_as != nullptr ? &cache_as->params : nullptr;
   // A view's plan scans the snapshot taken for this statement; reusing it
   // would serve that moment again.
   if (cache_as != nullptr && !reads_view) {
-    plan_cache_.Insert(cache_as->key, plan->Clone(), cache_as->params,
-                       std::move(pinned));
+    plan_cache_.Insert(cache_as->key, std::move(plan), physical,
+                       cache_as->params, std::move(pinned));
   }
-  return LowerAndExecute(*plan, exec_opts);
+  QueryResult result;
+  FLOCK_RETURN_NOT_OK(Run(*physical, params, exec_opts, &result));
+  return result;
 }
 
 StatusOr<QueryResult> SqlEngine::ExecuteInsert(const InsertStatement& stmt,

@@ -41,7 +41,7 @@ struct QueryResult {
   /// tracing on (ExecOptions::trace or EXPLAIN ANALYZE). Empty otherwise.
   std::vector<obs::SpanSnapshot> trace;
   /// Stable 16-hex-digit digest of the executed physical plan shape
-  /// (operator names + depths). Empty for DML/DDL.
+  /// (PhysicalPlan::digest). Empty for DML/DDL.
   std::string plan_digest;
 };
 
@@ -61,13 +61,6 @@ struct ExecOptions {
   std::string principal = "system";
 };
 
-/// Stable digest of a physical plan's shape: a 16-hex-digit hash over
-/// the pre-order operator names and depths. Two executions of the same
-/// (optimized) statement produce the same digest regardless of row
-/// counts, so the slow-query log can group outliers by plan.
-std::string PlanDigest(
-    const std::vector<OperatorMetricsSnapshot>& operator_metrics);
-
 struct EngineOptions {
   /// Intra-query parallelism. 0 = hardware concurrency.
   size_t num_threads = 0;
@@ -75,9 +68,9 @@ struct EngineOptions {
   /// Built-in relational optimizations (folding, pushdown, pruning).
   bool enable_optimizer = true;
   /// Prepared-statement plan cache keyed on the statement's shape (the
-  /// lexed key, literals as slots): SELECT executions reuse the optimized
-  /// logical plan with their own literals bound in, skipping
-  /// parse/plan/optimize. Invalidated on any DDL. Bypassed while a
+  /// lexed key, literals as slots): SELECT executions run the lowered plan
+  /// cached for it with their own parameters, skipping
+  /// parse/plan/optimize/lower. Invalidated on any DDL. Bypassed while a
   /// statement observer is set (observers must see every parsed
   /// statement).
   bool enable_plan_cache = true;
@@ -139,10 +132,11 @@ class SqlEngine {
   /// Runs the built-in optimizer, then the plan rewriter if set.
   Status OptimizePlan(PlanPtr* plan);
 
-  /// Executes an already-lowered physical plan; metrics accumulate into
-  /// the operator tree.
+  /// Executes a physical plan its caller lowered (PhysicalPlanner::Lower)
+  /// and owns, with its literals as planned; the run's per-operator
+  /// counters are then read with plan->CollectMetrics.
   StatusOr<storage::RecordBatch> ExecutePhysical(
-      PhysicalOperator* root, const ExecOptions& exec_opts = {});
+      PhysicalPlan* plan, const ExecOptions& exec_opts = {});
 
   storage::Database* database() { return db_; }
   FunctionRegistry* functions() { return &registry_; }
@@ -206,17 +200,22 @@ class SqlEngine {
   StatusOr<QueryResult> ExecuteUpdate(const UpdateStatement& stmt);
   StatusOr<QueryResult> ExecuteDelete(const DeleteStatement& stmt);
 
-  /// Lowers and runs `plan`; the physical plan, and the scoring bindings
-  /// it holds, are released before this returns.
-  StatusOr<QueryResult> LowerAndExecute(const LogicalPlan& plan,
-                                        const ExecOptions& exec_opts);
   /// Lowers `plan` under the "lower" span.
-  StatusOr<PhysicalOperatorPtr> LowerPlan(const LogicalPlan& plan);
-  /// Runs a lowered plan under the "execute" span into `result`: rows,
-  /// operator metrics (folded into the scan totals and grafted into the
-  /// trace) and the plan digest.
-  Status ExecuteLowered(PhysicalOperator* root, const ExecOptions& exec_opts,
-                        QueryResult* result);
+  StatusOr<PhysicalPlanPtr> LowerPlan(const LogicalPlan& plan);
+  /// One execution of `plan` with the statement parameters `params`
+  /// (null: literals as planned); `metrics` receives its counters. The
+  /// execution's state, and the scoring bindings it holds, are released
+  /// before this returns.
+  StatusOr<storage::RecordBatch> RunExecutor(
+      const PhysicalPlan& plan, const std::vector<storage::Value>* params,
+      const ExecOptions& exec_opts,
+      std::vector<OperatorMetricsSnapshot>* metrics);
+  /// Runs `plan` under the "execute" span into `result`: rows, operator
+  /// metrics (folded into the scan totals and grafted into the trace) and
+  /// the plan digest.
+  Status Run(const PhysicalPlan& plan,
+             const std::vector<storage::Value>* params,
+             const ExecOptions& exec_opts, QueryResult* result);
   /// Folds scan segment counters from one statement's operator metrics
   /// into the engine-lifetime totals.
   void AccumulateScanMetrics(

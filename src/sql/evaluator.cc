@@ -208,16 +208,17 @@ bool LikeMatch(const std::string& text, const std::string& pattern) {
 
 StatusOr<ColumnVectorPtr> EvaluateExpr(const Expr& expr,
                                        const RecordBatch& input,
-                                       const FunctionRegistry* registry) {
+                                       const FunctionRegistry* registry,
+                                       const std::vector<Value>* params) {
   const size_t n = input.num_rows();
   switch (expr.kind) {
     case ExprKind::kLiteral: {
-      DataType t = expr.literal.is_null() ? DataType::kInt64
-                                          : expr.literal.type();
+      const Value& literal = LiteralValue(expr, params);
+      DataType t = literal.is_null() ? DataType::kInt64 : literal.type();
       auto out = std::make_shared<ColumnVector>(t);
       out->Reserve(n);
       for (size_t i = 0; i < n; ++i) {
-        FLOCK_RETURN_NOT_OK(out->AppendValue(expr.literal));
+        FLOCK_RETURN_NOT_OK(out->AppendValue(literal));
       }
       return out;
     }
@@ -243,10 +244,10 @@ StatusOr<ColumnVectorPtr> EvaluateExpr(const Expr& expr,
       if (expr.bin_op == BinaryOp::kAnd || expr.bin_op == BinaryOp::kOr) {
         FLOCK_ASSIGN_OR_RETURN(ColumnVectorPtr lhs,
                                EvaluateExpr(*expr.children[0], input,
-                                            registry));
+                                            registry, params));
         FLOCK_ASSIGN_OR_RETURN(ColumnVectorPtr rhs,
                                EvaluateExpr(*expr.children[1], input,
-                                            registry));
+                                            registry, params));
         auto out = std::make_shared<ColumnVector>(DataType::kBool);
         out->Reserve(n);
         bool is_and = expr.bin_op == BinaryOp::kAnd;
@@ -277,10 +278,10 @@ StatusOr<ColumnVectorPtr> EvaluateExpr(const Expr& expr,
       }
       FLOCK_ASSIGN_OR_RETURN(
           ColumnVectorPtr lhs,
-          EvaluateExpr(*expr.children[0], input, registry));
+          EvaluateExpr(*expr.children[0], input, registry, params));
       FLOCK_ASSIGN_OR_RETURN(
           ColumnVectorPtr rhs,
-          EvaluateExpr(*expr.children[1], input, registry));
+          EvaluateExpr(*expr.children[1], input, registry, params));
       switch (expr.bin_op) {
         case BinaryOp::kAdd:
         case BinaryOp::kSub:
@@ -315,7 +316,7 @@ StatusOr<ColumnVectorPtr> EvaluateExpr(const Expr& expr,
     case ExprKind::kUnary: {
       FLOCK_ASSIGN_OR_RETURN(
           ColumnVectorPtr operand,
-          EvaluateExpr(*expr.children[0], input, registry));
+          EvaluateExpr(*expr.children[0], input, registry, params));
       if (expr.un_op == UnaryOp::kNot) {
         auto out = std::make_shared<ColumnVector>(DataType::kBool);
         out->Reserve(n);
@@ -351,12 +352,13 @@ StatusOr<ColumnVectorPtr> EvaluateExpr(const Expr& expr,
     }
     case ExprKind::kFunction: {
       std::vector<ColumnVectorPtr> args;
-      FLOCK_ASSIGN_OR_RETURN(const ScalarFunction* fn,
-                             EvaluateCallConstants(expr, registry, &args));
+      FLOCK_ASSIGN_OR_RETURN(
+          const ScalarFunction* fn,
+          EvaluateCallConstants(expr, registry, &args, params));
       for (size_t i = args.size(); i < expr.children.size(); ++i) {
         FLOCK_ASSIGN_OR_RETURN(
             ColumnVectorPtr arg,
-            EvaluateExpr(*expr.children[i], input, registry));
+            EvaluateExpr(*expr.children[i], input, registry, params));
         args.push_back(std::move(arg));
       }
       if (!fn->bind) return fn->kernel(args, n);
@@ -372,15 +374,17 @@ StatusOr<ColumnVectorPtr> EvaluateExpr(const Expr& expr,
       std::vector<ColumnVectorPtr> whens(num_pairs), thens(num_pairs);
       for (size_t p = 0; p < num_pairs; ++p) {
         FLOCK_ASSIGN_OR_RETURN(
-            whens[p], EvaluateExpr(*expr.children[2 * p], input, registry));
+            whens[p],
+            EvaluateExpr(*expr.children[2 * p], input, registry, params));
         FLOCK_ASSIGN_OR_RETURN(
             thens[p],
-            EvaluateExpr(*expr.children[2 * p + 1], input, registry));
+            EvaluateExpr(*expr.children[2 * p + 1], input, registry, params));
       }
       ColumnVectorPtr else_col;
       if (expr.has_else) {
         FLOCK_ASSIGN_OR_RETURN(
-            else_col, EvaluateExpr(*expr.children.back(), input, registry));
+            else_col,
+            EvaluateExpr(*expr.children.back(), input, registry, params));
       }
       // Output type: first THEN branch's type.
       DataType t = num_pairs > 0 ? thens[0]->type() : DataType::kInt64;
@@ -408,12 +412,12 @@ StatusOr<ColumnVectorPtr> EvaluateExpr(const Expr& expr,
     case ExprKind::kIn: {
       FLOCK_ASSIGN_OR_RETURN(
           ColumnVectorPtr needle,
-          EvaluateExpr(*expr.children[0], input, registry));
+          EvaluateExpr(*expr.children[0], input, registry, params));
       std::vector<ColumnVectorPtr> options;
       for (size_t c = 1; c < expr.children.size(); ++c) {
         FLOCK_ASSIGN_OR_RETURN(
             ColumnVectorPtr option,
-            EvaluateExpr(*expr.children[c], input, registry));
+            EvaluateExpr(*expr.children[c], input, registry, params));
         options.push_back(std::move(option));
       }
       auto out = std::make_shared<ColumnVector>(DataType::kBool);
@@ -438,13 +442,13 @@ StatusOr<ColumnVectorPtr> EvaluateExpr(const Expr& expr,
     case ExprKind::kBetween: {
       FLOCK_ASSIGN_OR_RETURN(
           ColumnVectorPtr v, EvaluateExpr(*expr.children[0], input,
-                                          registry));
+                                          registry, params));
       FLOCK_ASSIGN_OR_RETURN(
           ColumnVectorPtr lo, EvaluateExpr(*expr.children[1], input,
-                                           registry));
+                                           registry, params));
       FLOCK_ASSIGN_OR_RETURN(
           ColumnVectorPtr hi, EvaluateExpr(*expr.children[2], input,
-                                           registry));
+                                           registry, params));
       auto out = std::make_shared<ColumnVector>(DataType::kBool);
       out->Reserve(n);
       bool strings = v->type() == DataType::kString;
@@ -475,7 +479,7 @@ StatusOr<ColumnVectorPtr> EvaluateExpr(const Expr& expr,
     case ExprKind::kCast: {
       FLOCK_ASSIGN_OR_RETURN(
           ColumnVectorPtr operand,
-          EvaluateExpr(*expr.children[0], input, registry));
+          EvaluateExpr(*expr.children[0], input, registry, params));
       auto out = std::make_shared<ColumnVector>(expr.cast_type);
       out->Reserve(n);
       for (size_t i = 0; i < n; ++i) {
@@ -492,7 +496,7 @@ StatusOr<ColumnVectorPtr> EvaluateExpr(const Expr& expr,
     case ExprKind::kIsNull: {
       FLOCK_ASSIGN_OR_RETURN(
           ColumnVectorPtr operand,
-          EvaluateExpr(*expr.children[0], input, registry));
+          EvaluateExpr(*expr.children[0], input, registry, params));
       auto out = std::make_shared<ColumnVector>(DataType::kBool);
       out->Reserve(n);
       for (size_t i = 0; i < n; ++i) {
@@ -603,7 +607,7 @@ StatusOr<DataType> InferExprType(const Expr& expr,
 
 StatusOr<const ScalarFunction*> EvaluateCallConstants(
     const Expr& call, const FunctionRegistry* registry,
-    std::vector<ColumnVectorPtr>* args) {
+    std::vector<ColumnVectorPtr>* args, const std::vector<Value>* params) {
   if (IsAggregateFunction(call.function_name)) {
     return Status::Internal("aggregate function reached scalar evaluator: " +
                             call.function_name);
@@ -622,7 +626,8 @@ StatusOr<const ScalarFunction*> EvaluateCallConstants(
   args->reserve(call.children.size());
   for (size_t i = 0; i < fn->constant_args && i < call.children.size(); ++i) {
     FLOCK_ASSIGN_OR_RETURN(Value value,
-                           EvaluateConstant(*call.children[i], registry));
+                           EvaluateConstant(*call.children[i], registry,
+                                            params));
     auto col = std::make_shared<ColumnVector>(
         value.is_null() ? DataType::kInt64 : value.type());
     FLOCK_RETURN_NOT_OK(col->AppendValue(value));
@@ -646,7 +651,8 @@ bool IsConstantExpr(const Expr& expr) {
 }
 
 StatusOr<Value> EvaluateConstant(const Expr& expr,
-                                 const FunctionRegistry* registry) {
+                                 const FunctionRegistry* registry,
+                                 const std::vector<Value>* params) {
   if (!IsConstantExpr(expr)) {
     return Status::InvalidArgument("expression is not constant: " +
                                    expr.ToString());
@@ -657,17 +663,9 @@ StatusOr<Value> EvaluateConstant(const Expr& expr,
   RecordBatch batch(schema);
   FLOCK_RETURN_NOT_OK(batch.AppendRow({Value::Int(0)}));
   FLOCK_ASSIGN_OR_RETURN(ColumnVectorPtr col,
-                         EvaluateExpr(expr, batch, registry));
+                         EvaluateExpr(expr, batch, registry, params));
   if (col->size() != 1) return Status::Internal("constant eval row count");
   return col->GetValue(0);
-}
-
-void CollectColumnIndexes(const Expr& expr, std::vector<int>* indexes) {
-  VisitExpr(expr, [indexes](const Expr& e) {
-    if (e.kind == ExprKind::kColumnRef && e.column_index >= 0) {
-      indexes->push_back(e.column_index);
-    }
-  });
 }
 
 }  // namespace flock::sql

@@ -11,12 +11,28 @@
 
 namespace flock::sql {
 
+/// The value literal `e` takes in an execution with the statement
+/// parameters `params` (LexedStatement::params): the parameter its slot
+/// names, or the value it was planned with when it has no slot or there
+/// are no parameters. Every reader of a literal in a lowered plan goes
+/// through this, so one plan serves every value of its free slots.
+inline const storage::Value& LiteralValue(
+    const Expr& e, const std::vector<storage::Value>* params) {
+  if (params != nullptr && e.param_slot >= 0 &&
+      static_cast<size_t>(e.param_slot) < params->size()) {
+    return (*params)[static_cast<size_t>(e.param_slot)];
+  }
+  return e.literal;
+}
+
 /// Evaluates a bound expression (all column refs resolved to indexes in
 /// `input`'s schema) over a batch, producing one column of
 /// `input.num_rows()` entries. Vectorized: kernels loop over dense arrays.
+/// Literals read `params` (LiteralValue).
 StatusOr<storage::ColumnVectorPtr> EvaluateExpr(
     const Expr& expr, const storage::RecordBatch& input,
-    const FunctionRegistry* registry);
+    const FunctionRegistry* registry,
+    const std::vector<storage::Value>* params = nullptr);
 
 /// Looks up function call `call`, checks its arity and evaluates its
 /// leading ScalarFunction::constant_args arguments into `args` as one-row
@@ -24,7 +40,8 @@ StatusOr<storage::ColumnVectorPtr> EvaluateExpr(
 /// evaluates the rest.
 StatusOr<const ScalarFunction*> EvaluateCallConstants(
     const Expr& call, const FunctionRegistry* registry,
-    std::vector<storage::ColumnVectorPtr>* args);
+    std::vector<storage::ColumnVectorPtr>* args,
+    const std::vector<storage::Value>* params = nullptr);
 
 /// The one SQL comparison routine, shared by EvaluateExpr and the
 /// compiled predicate kernels: `a OP b` for OP in = <> < <= > >=. Two
@@ -92,14 +109,12 @@ StatusOr<storage::DataType> InferExprType(const Expr& expr,
 
 /// Evaluates an expression with no column references to a single Value
 /// (constant folding, literal INSERT rows, policy thresholds).
-StatusOr<storage::Value> EvaluateConstant(const Expr& expr,
-                                          const FunctionRegistry* registry);
+StatusOr<storage::Value> EvaluateConstant(
+    const Expr& expr, const FunctionRegistry* registry,
+    const std::vector<storage::Value>* params = nullptr);
 
 /// True when the tree has no column references, stars, or aggregates.
 bool IsConstantExpr(const Expr& expr);
-
-/// Appends the indexes of every resolved column reference in `expr`.
-void CollectColumnIndexes(const Expr& expr, std::vector<int>* indexes);
 
 /// SQL LIKE with % and _ wildcards.
 bool LikeMatch(const std::string& text, const std::string& pattern);

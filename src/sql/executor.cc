@@ -91,15 +91,15 @@ class Executor::CollectSink : public Executor::PipelineSink {
 /// states in task order and emits one row per group, in first-seen order.
 class Executor::AggregateSink : public Executor::PipelineSink {
  public:
-  AggregateSink(HashAggregateOp* op, const ExecContext& ctx)
+  AggregateSink(const HashAggregateOp& op, const ExecContext& ctx)
       : op_(op), ctx_(ctx) {}
 
   Status Init() {
-    const Schema& out = op_->output_schema();
-    for (size_t g = 0; g < op_->group_by.size(); ++g) {
+    const Schema& out = op_.output_schema();
+    for (size_t g = 0; g < op_.group_by.size(); ++g) {
       key_types_.push_back(out.column(g).type);
     }
-    for (const auto& agg : op_->aggregates) {
+    for (const auto& agg : op_.aggregates) {
       const std::string& fn = agg->function_name;
       AggSpec spec;
       if (fn == "COUNT") {
@@ -147,9 +147,9 @@ class Executor::AggregateSink : public Executor::PipelineSink {
     KeyColumns keys;
     keys.reserve(key_types_.size());
     for (size_t g = 0; g < key_types_.size(); ++g) {
-      FLOCK_ASSIGN_OR_RETURN(
-          ColumnVectorPtr col,
-          EvaluateExpr(*op_->group_by[g], morsel, ctx_.registry));
+      FLOCK_ASSIGN_OR_RETURN(ColumnVectorPtr col,
+                             EvaluateExpr(*op_.group_by[g], morsel,
+                                          ctx_.registry, ctx_.params));
       FLOCK_ASSIGN_OR_RETURN(col, NormalizeType(std::move(col), key_types_[g]));
       keys.push_back(std::move(col));
     }
@@ -170,8 +170,9 @@ class Executor::AggregateSink : public Executor::PipelineSink {
         for (size_t r = 0; r < n; ++r) ++s.count[group[r]];
         continue;
       }
-      FLOCK_ASSIGN_OR_RETURN(ColumnVectorPtr arg,
-                             EvaluateExpr(*spec.arg, morsel, ctx_.registry));
+      FLOCK_ASSIGN_OR_RETURN(
+          ColumnVectorPtr arg,
+          EvaluateExpr(*spec.arg, morsel, ctx_.registry, ctx_.params));
       if (spec.fn == Fn::kCountDistinct) {
         if (group_col == nullptr) {
           group_col = std::make_shared<ColumnVector>(DataType::kInt64);
@@ -187,7 +188,7 @@ class Executor::AggregateSink : public Executor::PipelineSink {
       }
       Accumulate(*arg, group, &s);
     }
-    op_->metrics.Record(n, 0, NanosSince(start));
+    ctx_.metrics_of(op_).Record(n, 0, NanosSince(start));
     return Status::OK();
   }
 
@@ -217,7 +218,7 @@ class Executor::AggregateSink : public Executor::PipelineSink {
         key_types_.empty() ? 1 : merged.groups.size();
     merged.Resize(num_groups);
 
-    RecordBatch out(op_->output_schema());
+    RecordBatch out(op_.output_schema());
     for (size_t k = 0; k < key_types_.size(); ++k) {
       out.SetColumn(k, merged.groups.keys()[k]);
     }
@@ -225,7 +226,7 @@ class Executor::AggregateSink : public Executor::PipelineSink {
       FLOCK_RETURN_NOT_OK(Emit(merged.aggs[a], num_groups,
                                out.mutable_column(key_types_.size() + a)));
     }
-    op_->metrics.Record(0, out.num_rows(), NanosSince(start));
+    ctx_.metrics_of(op_).Record(0, out.num_rows(), NanosSince(start));
     return out;
   }
 
@@ -453,8 +454,8 @@ class Executor::AggregateSink : public Executor::PipelineSink {
     return Status::OK();
   }
 
-  HashAggregateOp* op_;
-  ExecContext ctx_;
+  const HashAggregateOp& op_;
+  const ExecContext& ctx_;
   std::vector<DataType> key_types_;  // the output's group-key types
   std::vector<AggSpec> specs_;
   std::vector<std::unique_ptr<GroupTable>> locals_;
@@ -464,85 +465,87 @@ class Executor::AggregateSink : public Executor::PipelineSink {
 // Executor
 // ---------------------------------------------------------------------------
 
-ExecContext Executor::MakeContext() const {
-  ExecContext ctx;
-  ctx.registry = registry_;
-  ctx.pool = pool_;
-  ctx.num_threads = pool_ ? std::max<size_t>(1, options_.num_threads) : 1;
-  ctx.morsel_size = options_.morsel_size;
-  ctx.cancel = options_.cancel;
-  ctx.principal = options_.principal;
-  return ctx;
+StatusOr<RecordBatch> Executor::Execute(
+    const PhysicalPlan& plan, std::vector<OperatorMetricsSnapshot>* metrics) {
+  const size_t num_ops = plan.operators().size();
+  ctx_.metrics = std::make_unique<OperatorMetrics[]>(num_ops);
+  ctx_.states.resize(num_ops);
+  for (const PhysicalOperator* op : plan.operators()) {
+    ctx_.states[op->id()] = op->MakeState(ctx_);
+  }
+  StatusOr<RecordBatch> out = Run(plan.root());
+  if (metrics != nullptr) *metrics = plan.Snapshot(ctx_.metrics.get());
+  // Ends the execution: scoring bindings close (and audit) here.
+  ctx_.states.clear();
+  return out;
 }
 
-StatusOr<RecordBatch> Executor::Execute(PhysicalOperator* root) {
-  return Run(root);
-}
-
-StatusOr<RecordBatch> Executor::Run(PhysicalOperator* op) {
+StatusOr<RecordBatch> Executor::Run(const PhysicalOperator& op) {
   // Every pipeline breaker and recursive materialization passes through
   // here, so one check covers sort/distinct/limit/build-side entry.
-  FLOCK_RETURN_NOT_OK(CheckCancel(options_.cancel, "executor.run"));
-  switch (op->kind()) {
+  FLOCK_RETURN_NOT_OK(CheckCancel(ctx_.cancel, "executor.run"));
+  switch (op.kind()) {
     case PhysicalOperator::Kind::kTableScan:
     case PhysicalOperator::Kind::kFilter:
     case PhysicalOperator::Kind::kProject:
     case PhysicalOperator::Kind::kPredictScore:
     case PhysicalOperator::Kind::kHashJoinProbe:
     case PhysicalOperator::Kind::kNestedLoopJoin: {
-      CollectSink sink(op->output_schema());
+      CollectSink sink(op.output_schema());
       FLOCK_RETURN_NOT_OK(RunPipeline(op, &sink));
       return sink.Finish();
     }
     case PhysicalOperator::Kind::kHashAggregate: {
-      auto* agg = static_cast<HashAggregateOp*>(op);
-      AggregateSink sink(agg, MakeContext());
+      const auto& agg = static_cast<const HashAggregateOp&>(op);
+      AggregateSink sink(agg, ctx_);
       FLOCK_RETURN_NOT_OK(sink.Init());
-      FLOCK_RETURN_NOT_OK(RunPipeline(agg->children[0].get(), &sink));
+      FLOCK_RETURN_NOT_OK(RunPipeline(*agg.children[0], &sink));
       return sink.Finish();
     }
     case PhysicalOperator::Kind::kSort:
-      return RunSort(static_cast<SortOp*>(op));
+      return RunSort(static_cast<const SortOp&>(op));
     case PhysicalOperator::Kind::kDistinct:
-      return RunDistinct(static_cast<DistinctOp*>(op));
+      return RunDistinct(static_cast<const DistinctOp&>(op));
     case PhysicalOperator::Kind::kLimit:
-      return RunLimit(static_cast<LimitOp*>(op));
+      return RunLimit(static_cast<const LimitOp&>(op));
     case PhysicalOperator::Kind::kHashJoinBuild:
       return Status::Internal("HashJoinBuild cannot be executed standalone");
   }
   return Status::Internal("unknown physical operator kind");
 }
 
-Status Executor::PrepareHashJoin(HashJoinProbeOp* probe) {
-  HashJoinBuildOp* build = probe->build();
-  FLOCK_ASSIGN_OR_RETURN(RecordBatch rows, Run(build->children[0].get()));
+Status Executor::PrepareHashJoin(const HashJoinProbeOp& probe) {
+  const HashJoinBuildOp& build = probe.build();
+  FLOCK_ASSIGN_OR_RETURN(RecordBatch rows, Run(*build.children[0]));
   const auto start = Clock::now();
 
   KeyColumns key_cols;
-  key_cols.reserve(build->keys.size());
-  for (const auto& e : build->keys) {
+  key_cols.reserve(build.keys.size());
+  for (const auto& e : build.keys) {
     FLOCK_ASSIGN_OR_RETURN(ColumnVectorPtr col,
-                           EvaluateExpr(*e, rows, registry_));
+                           EvaluateExpr(*e, rows, ctx_.registry, ctx_.params));
     key_cols.push_back(std::move(col));
   }
   const size_t num_rows = rows.num_rows();
   auto table = std::make_shared<JoinHashTable>(
       JoinHashTable{std::move(rows), KeyIndex(std::move(key_cols))});
-  build->metrics.Record(num_rows, table->index.size(), NanosSince(start));
-  build->table = std::move(table);
+  ctx_.metrics_of(build).Record(num_rows, table->index.size(),
+                                NanosSince(start));
+  ctx_.state_of<HashJoinBuildOp::State>(build)->table = std::move(table);
   return Status::OK();
 }
 
-Status Executor::PrepareNestedLoop(NestedLoopJoinOp* join) {
-  FLOCK_ASSIGN_OR_RETURN(RecordBatch rows, Run(join->children[1].get()));
-  join->right_rows = std::make_shared<RecordBatch>(std::move(rows));
+Status Executor::PrepareNestedLoop(const NestedLoopJoinOp& join) {
+  FLOCK_ASSIGN_OR_RETURN(RecordBatch rows, Run(*join.children[1]));
+  ctx_.state_of<NestedLoopJoinOp::State>(join)->right_rows =
+      std::make_shared<RecordBatch>(std::move(rows));
   return Status::OK();
 }
 
-Status Executor::RunPipeline(PhysicalOperator* top, PipelineSink* sink) {
+Status Executor::RunPipeline(const PhysicalOperator& top, PipelineSink* sink) {
   // Walk down the streaming chain to the pipeline source.
-  std::vector<PhysicalOperator*> chain;  // top-down
-  PhysicalOperator* node = top;
+  std::vector<const PhysicalOperator*> chain;  // top-down
+  const PhysicalOperator* node = &top;
   while (node->IsStreaming()) {
     chain.push_back(node);
     node = node->children[0].get();
@@ -550,72 +553,82 @@ Status Executor::RunPipeline(PhysicalOperator* top, PipelineSink* sink) {
 
   // Materialize join build sides up front: ParallelFor must never nest, so
   // all blocking child work happens before this pipeline's workers start.
-  for (PhysicalOperator* op : chain) {
+  for (const PhysicalOperator* op : chain) {
     if (op->kind() == PhysicalOperator::Kind::kHashJoinProbe) {
       FLOCK_RETURN_NOT_OK(
-          PrepareHashJoin(static_cast<HashJoinProbeOp*>(op)));
+          PrepareHashJoin(static_cast<const HashJoinProbeOp&>(*op)));
     } else if (op->kind() == PhysicalOperator::Kind::kNestedLoopJoin) {
       FLOCK_RETURN_NOT_OK(
-          PrepareNestedLoop(static_cast<NestedLoopJoinOp*>(op)));
+          PrepareNestedLoop(static_cast<const NestedLoopJoinOp&>(*op)));
     }
   }
 
-  const ExecContext ctx = MakeContext();
-
   // The source: either a parallel table scan or a materialized child.
-  TableScanOp* scan = nullptr;
+  const TableScanOp* scan = nullptr;
   RecordBatch mat;
   if (node->kind() == PhysicalOperator::Kind::kTableScan) {
-    scan = static_cast<TableScanOp*>(node);
+    scan = static_cast<const TableScanOp*>(node);
   } else {
-    FLOCK_ASSIGN_OR_RETURN(mat, Run(node));
+    FLOCK_ASSIGN_OR_RETURN(mat, Run(*node));
   }
 
   // Build the morsel work list. For a scan, morsels never straddle
   // segments (so each is a zero-copy view over one segment's columns),
   // and zone-map pruning drops whole segments here, then every morsel
   // whose blocks the block maps all disprove — an execution-time decision
-  // against live statistics, which is why cached plans stay valid across
-  // DML.
+  // against live statistics and this execution's parameters, which is why
+  // cached plans stay valid across DML and literal values.
   struct Morsel {
     size_t segment;  // kNoSegment for materialized sources
     size_t begin;
     size_t end;
   };
   constexpr size_t kNoSegment = static_cast<size_t>(-1);
+  const size_t morsel_size = ctx_.morsel_size;
   std::vector<Morsel> work;
   if (scan != nullptr) {
+    const storage::Table& table = *scan->table;
     const bool prune =
-        options_.enable_zone_map_pruning && !scan->prune_conjuncts.empty();
+        ctx_.enable_zone_map_pruning && !scan->prune_conjuncts.empty();
+    const std::vector<ScanPruneConjunct> conjuncts =
+        prune ? BindPruneConjuncts(scan->prune_conjuncts, ctx_.params)
+              : std::vector<ScanPruneConjunct>();
     constexpr size_t kBlockRows = storage::Table::kBlockRows;
     uint64_t scanned = 0, pruned = 0;
     uint64_t blocks_scanned = 0, blocks_pruned = 0;
     std::vector<char> block_disproved;  // per block of the current segment
-    const size_t num_segments = scan->table->num_segments();
+    const size_t num_segments = table.num_segments();
     for (size_t s = 0; s < num_segments; ++s) {
-      const size_t rows = scan->table->segment_rows(s);
+      const size_t rows = table.segment_rows(s);
       if (rows == 0) continue;
-      if (prune && scan->CanSkipSegment(s)) {
+      if (prune && ZoneMapsDisprove(conjuncts, [&](size_t c) -> const auto& {
+            return table.segment_zone_map(s, c);
+          })) {
         ++pruned;
         continue;
       }
       ++scanned;
       // A one-block segment's block map is its segment map: already
       // checked above.
-      const size_t num_blocks = scan->table->segment_blocks(s);
+      const size_t num_blocks = table.segment_blocks(s);
       const bool prune_blocks = prune && num_blocks > 1;
       if (prune_blocks) {
         block_disproved.resize(num_blocks);
         for (size_t b = 0; b < num_blocks; ++b) {
-          block_disproved[b] = scan->CanSkipBlock(s, b) ? 1 : 0;
+          block_disproved[b] =
+              ZoneMapsDisprove(conjuncts, [&](size_t c) -> const auto& {
+                return table.block_zone_map(s, c, b);
+              })
+                  ? 1
+                  : 0;
         }
       }
       // A morsel is skipped only when every block it overlaps is
       // disproved, so any morsel size stays correct. A block counts as
       // scanned when any morsel reading its rows is kept.
       size_t next_unread_block = 0, read_blocks = 0;
-      for (size_t begin = 0; begin < rows; begin += options_.morsel_size) {
-        const size_t end = std::min(rows, begin + options_.morsel_size);
+      for (size_t begin = 0; begin < rows; begin += morsel_size) {
+        const size_t end = std::min(rows, begin + morsel_size);
         const size_t first = begin / kBlockRows;
         const size_t last = (end - 1) / kBlockRows;
         if (prune_blocks &&
@@ -631,13 +644,14 @@ Status Executor::RunPipeline(PhysicalOperator* top, PipelineSink* sink) {
       blocks_scanned += read_blocks;
       blocks_pruned += num_blocks - read_blocks;
     }
-    scan->metrics.RecordSegments(scanned, pruned);
-    scan->metrics.RecordBlocks(blocks_scanned, blocks_pruned);
+    OperatorMetrics& metrics = ctx_.metrics_of(*scan);
+    metrics.RecordSegments(scanned, pruned);
+    metrics.RecordBlocks(blocks_scanned, blocks_pruned);
   } else {
     const size_t total = mat.num_rows();
-    for (size_t begin = 0; begin < total; begin += options_.morsel_size) {
-      work.push_back(Morsel{kNoSegment, begin,
-                            std::min(total, begin + options_.morsel_size)});
+    for (size_t begin = 0; begin < total; begin += morsel_size) {
+      work.push_back(
+          Morsel{kNoSegment, begin, std::min(total, begin + morsel_size)});
     }
   }
 
@@ -645,8 +659,8 @@ Status Executor::RunPipeline(PhysicalOperator* top, PipelineSink* sink) {
     if (scan != nullptr) {
       const auto start = Clock::now();
       RecordBatch batch = scan->ScanMorsel(m.segment, m.begin, m.end);
-      scan->metrics.Record(m.end - m.begin, batch.num_rows(),
-                           NanosSince(start));
+      ctx_.metrics_of(*scan).Record(m.end - m.begin, batch.num_rows(),
+                                    NanosSince(start));
       return batch;
     }
     std::vector<uint32_t> sel(m.end - m.begin);
@@ -660,24 +674,24 @@ Status Executor::RunPipeline(PhysicalOperator* top, PipelineSink* sink) {
   // per-morsel poll is the executor's main cancellation point: a kill or
   // deadline expiry stops the query within one morsel's worth of work.
   auto drive = [&](size_t local, const Morsel& morsel) -> Status {
-    FLOCK_RETURN_NOT_OK(CheckCancel(options_.cancel, "executor.morsel"));
+    FLOCK_RETURN_NOT_OK(CheckCancel(ctx_.cancel, "executor.morsel"));
     RecordBatch m = make_morsel(morsel);
     for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-      PhysicalOperator* op = *it;
-      if (op->NeedsDenseInput() && m.has_selection()) m = m.Materialize();
+      const PhysicalOperator& op = **it;
+      if (op.NeedsDenseInput() && m.has_selection()) m = m.Materialize();
       const uint64_t in_rows = m.num_rows();
       const auto start = Clock::now();
-      FLOCK_ASSIGN_OR_RETURN(m, op->ProcessMorsel(ctx, std::move(m)));
-      op->metrics.Record(in_rows, m.num_rows(), NanosSince(start));
+      FLOCK_ASSIGN_OR_RETURN(m, op.ProcessMorsel(ctx_, std::move(m)));
+      ctx_.metrics_of(op).Record(in_rows, m.num_rows(), NanosSince(start));
     }
     return sink->Consume(local, std::move(m));
   };
 
-  size_t threads = pool_ ? std::max<size_t>(1, options_.num_threads) : 1;
+  const size_t threads = ctx_.num_threads;
   if (threads == 1 || work.size() < 2) {
     // Install the token and principal thread-locally so layers reached
     // without a context parameter (scoring, the coalescer) see them too.
-    RequestScope request_scope(options_.cancel, options_.principal);
+    RequestScope request_scope(ctx_.cancel, ctx_.principal);
     sink->MakeLocals(1);
     for (const Morsel& morsel : work) {
       FLOCK_RETURN_NOT_OK(drive(0, morsel));
@@ -694,12 +708,12 @@ Status Executor::RunPipeline(PhysicalOperator* top, PipelineSink* sink) {
 
   sink->MakeLocals(num_tasks);
   std::vector<Status> statuses(num_tasks, Status::OK());
-  pool_->ParallelFor(num_tasks, [&](size_t t) {
+  ctx_.pool->ParallelFor(num_tasks, [&](size_t t) {
     // Each worker re-installs the request on its own thread (thread-local
     // state does not cross ParallelFor). Workers observe a kill at their
     // next morsel boundary and drain normally — no detached threads, so
     // ParallelFor's join is the leak-freedom guarantee.
-    RequestScope request_scope(options_.cancel, options_.principal);
+    RequestScope request_scope(ctx_.cancel, ctx_.principal);
     size_t begin = t * chunk;
     size_t end = std::min(work.size(), begin + chunk);
     for (size_t m = begin; m < end; ++m) {
@@ -716,14 +730,15 @@ Status Executor::RunPipeline(PhysicalOperator* top, PipelineSink* sink) {
   return Status::OK();
 }
 
-StatusOr<RecordBatch> Executor::RunSort(SortOp* op) {
-  FLOCK_ASSIGN_OR_RETURN(RecordBatch input, Run(op->children[0].get()));
+StatusOr<RecordBatch> Executor::RunSort(const SortOp& op) {
+  FLOCK_ASSIGN_OR_RETURN(RecordBatch input, Run(*op.children[0]));
   const auto start = Clock::now();
   std::vector<ColumnVectorPtr> key_cols;
   std::vector<bool> ascending;
-  for (const auto& k : op->keys) {
-    FLOCK_ASSIGN_OR_RETURN(ColumnVectorPtr col,
-                           EvaluateExpr(*k.expr, input, registry_));
+  for (const auto& k : op.keys) {
+    FLOCK_ASSIGN_OR_RETURN(
+        ColumnVectorPtr col,
+        EvaluateExpr(*k.expr, input, ctx_.registry, ctx_.params));
     key_cols.push_back(std::move(col));
     ascending.push_back(k.ascending);
   }
@@ -741,12 +756,13 @@ StatusOr<RecordBatch> Executor::RunSort(SortOp* op) {
     return false;
   });
   RecordBatch out = input.Select(order);
-  op->metrics.Record(input.num_rows(), out.num_rows(), NanosSince(start));
+  ctx_.metrics_of(op).Record(input.num_rows(), out.num_rows(),
+                             NanosSince(start));
   return out;
 }
 
-StatusOr<RecordBatch> Executor::RunDistinct(DistinctOp* op) {
-  FLOCK_ASSIGN_OR_RETURN(RecordBatch input, Run(op->children[0].get()));
+StatusOr<RecordBatch> Executor::RunDistinct(const DistinctOp& op) {
+  FLOCK_ASSIGN_OR_RETURN(RecordBatch input, Run(*op.children[0]));
   const auto start = Clock::now();
   KeyColumns cols;
   std::vector<DataType> types;
@@ -764,18 +780,19 @@ StatusOr<RecordBatch> Executor::RunDistinct(DistinctOp* op) {
     if (inserted) sel.push_back(static_cast<uint32_t>(r));
   }
   RecordBatch out = input.Select(sel);
-  op->metrics.Record(input.num_rows(), out.num_rows(), NanosSince(start));
+  ctx_.metrics_of(op).Record(input.num_rows(), out.num_rows(),
+                             NanosSince(start));
   return out;
 }
 
-StatusOr<RecordBatch> Executor::RunLimit(LimitOp* op) {
-  FLOCK_ASSIGN_OR_RETURN(RecordBatch input, Run(op->children[0].get()));
+StatusOr<RecordBatch> Executor::RunLimit(const LimitOp& op) {
+  FLOCK_ASSIGN_OR_RETURN(RecordBatch input, Run(*op.children[0]));
   const auto start = Clock::now();
-  size_t begin = std::min<size_t>(static_cast<size_t>(op->offset),
+  size_t begin = std::min<size_t>(static_cast<size_t>(op.offset),
                                   input.num_rows());
   size_t end = input.num_rows();
-  if (op->limit >= 0) {
-    end = std::min(end, begin + static_cast<size_t>(op->limit));
+  if (op.limit >= 0) {
+    end = std::min(end, begin + static_cast<size_t>(op.limit));
   }
   std::vector<uint32_t> sel;
   sel.reserve(end - begin);
@@ -783,7 +800,8 @@ StatusOr<RecordBatch> Executor::RunLimit(LimitOp* op) {
     sel.push_back(static_cast<uint32_t>(i));
   }
   RecordBatch out = input.Select(sel);
-  op->metrics.Record(input.num_rows(), out.num_rows(), NanosSince(start));
+  ctx_.metrics_of(op).Record(input.num_rows(), out.num_rows(),
+                             NanosSince(start));
   return out;
 }
 

@@ -15,23 +15,6 @@
 
 namespace flock::sql {
 
-struct ExecutorOptions {
-  /// Degree of intra-query parallelism. 1 = serial.
-  size_t num_threads = 1;
-  /// Rows per morsel flowing through a pipeline.
-  size_t morsel_size = storage::RecordBatch::kDefaultBatchSize;
-  /// Skip segments whose zone maps disprove the scan's pushed-down
-  /// conjuncts. Off switches the decision only — plans are identical, so
-  /// differential tests can compare pruned vs unpruned execution.
-  bool enable_zone_map_pruning = true;
-  /// Cooperative cancellation: polled at every morsel boundary (serial
-  /// and parallel paths), before each pipeline breaker, and inside
-  /// operators with unbounded per-morsel fan-out. A null token (the
-  /// default) never fires.
-  CancelToken cancel;
-  std::string principal = "system";  // who scoring binds for
-};
-
 /// Drives physical plans as morsel-driven push pipelines.
 ///
 /// Each maximal chain of streaming operators (scan / filter / project /
@@ -45,16 +28,21 @@ struct ExecutorOptions {
 /// parallelization" advantage over standalone scoring (paper Figure 4).
 ///
 /// The executor runs physical plans only; PhysicalPlanner lowers a
-/// LogicalPlan first.
+/// LogicalPlan first. The plan is never written: an executor holds one
+/// execution's ExecContext and releases its operator state before Execute
+/// returns, so one plan may run on many executors at once.
 class Executor {
  public:
-  Executor(const FunctionRegistry* registry, ThreadPool* pool,
-           ExecutorOptions options)
-      : registry_(registry), pool_(pool), options_(options) {}
+  /// `ctx` describes the execution: registry, pool, degree of
+  /// parallelism, morsel size, pruning switch, cancel token, principal and
+  /// parameters. Execute adds the counters and operator state.
+  explicit Executor(ExecContext ctx) : ctx_(std::move(ctx)) {}
 
-  /// Executes an already-lowered plan. Operator metrics accumulate into
-  /// the tree (call root->ResetMetrics() to re-run fresh).
-  StatusOr<storage::RecordBatch> Execute(PhysicalOperator* root);
+  /// Runs `plan` once. `metrics`, when given, receives the execution's
+  /// per-operator counters in plan order.
+  StatusOr<storage::RecordBatch> Execute(
+      const PhysicalPlan& plan,
+      std::vector<OperatorMetricsSnapshot>* metrics = nullptr);
 
  private:
   class PipelineSink;
@@ -62,26 +50,22 @@ class Executor {
   class AggregateSink;
 
   /// Recursively executes `op`, materializing its full result.
-  StatusOr<storage::RecordBatch> Run(PhysicalOperator* op);
+  StatusOr<storage::RecordBatch> Run(const PhysicalOperator& op);
 
   /// Runs the streaming chain rooted at `top` (ending at a TableScan or a
   /// materialized blocking child), pushing every morsel into `sink`.
-  Status RunPipeline(PhysicalOperator* top, PipelineSink* sink);
+  Status RunPipeline(const PhysicalOperator& top, PipelineSink* sink);
 
   /// Materializes the build side of each join in a pipeline chain before
   /// the pipeline itself starts (so ParallelFor never nests).
-  Status PrepareHashJoin(HashJoinProbeOp* probe);
-  Status PrepareNestedLoop(NestedLoopJoinOp* join);
+  Status PrepareHashJoin(const HashJoinProbeOp& probe);
+  Status PrepareNestedLoop(const NestedLoopJoinOp& join);
 
-  StatusOr<storage::RecordBatch> RunSort(SortOp* op);
-  StatusOr<storage::RecordBatch> RunDistinct(DistinctOp* op);
-  StatusOr<storage::RecordBatch> RunLimit(LimitOp* op);
+  StatusOr<storage::RecordBatch> RunSort(const SortOp& op);
+  StatusOr<storage::RecordBatch> RunDistinct(const DistinctOp& op);
+  StatusOr<storage::RecordBatch> RunLimit(const LimitOp& op);
 
-  ExecContext MakeContext() const;
-
-  const FunctionRegistry* registry_;
-  ThreadPool* pool_;  // may be null when num_threads == 1
-  ExecutorOptions options_;
+  ExecContext ctx_;
 };
 
 }  // namespace flock::sql

@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <iomanip>
+#include <mutex>
 #include <sstream>
 
+#include "common/hash.h"
 #include "sql/evaluator.h"
 #include "sql/optimizer.h"
 
@@ -57,8 +61,9 @@ StatusOr<RecordBatch> FilterJoinOutput(const PredicateProgram& program,
                                        const std::vector<uint32_t>& rsel,
                                        const ExecContext& ctx,
                                        RecordBatch out) {
-  FLOCK_ASSIGN_OR_RETURN(std::vector<uint32_t> sel,
-                         EvaluatePredicate(program, out, ctx.registry));
+  FLOCK_ASSIGN_OR_RETURN(
+      std::vector<uint32_t> sel,
+      EvaluatePredicate(program, out, ctx.registry, ctx.params));
   if (join_type == JoinType::kLeft) {
     std::vector<uint32_t> keep;
     keep.reserve(out.num_rows());
@@ -73,8 +78,38 @@ StatusOr<RecordBatch> FilterJoinOutput(const PredicateProgram& program,
     sel = std::move(keep);
   }
   if (sel.size() == out.num_rows()) return out;
-  return out.SelectView(std::move(sel));
+  return std::move(out).SelectView(std::move(sel));
 }
+
+/// `program` bound to the parameters of the execution `ctx` describes, or
+/// nullopt when the program runs as compiled.
+std::optional<PredicateProgram> BindProgram(const PredicateProgram& program,
+                                            const ExecContext& ctx) {
+  if (ctx.params == nullptr) return std::nullopt;
+  return program.Bind(*ctx.params);
+}
+
+/// The state of an operator that filters with one predicate program: the
+/// program bound to the execution's parameters, when they reach it.
+struct BoundProgram : OperatorState {
+  static std::unique_ptr<OperatorState> Make(const PredicateProgram* program,
+                                             const ExecContext& ctx) {
+    std::optional<PredicateProgram> bound;
+    if (program != nullptr) bound = BindProgram(*program, ctx);
+    if (!bound.has_value()) return nullptr;
+    return std::make_unique<BoundProgram>(std::move(*bound));
+  }
+  /// The program `op`, which compiled `own`, runs in the execution `ctx`.
+  static const PredicateProgram& Of(const PredicateProgram& own,
+                                    const PhysicalOperator& op,
+                                    const ExecContext& ctx) {
+    const BoundProgram* bound = ctx.state_of<BoundProgram>(op);
+    return bound != nullptr ? bound->program : own;
+  }
+
+  explicit BoundProgram(PredicateProgram p) : program(std::move(p)) {}
+  PredicateProgram program;
+};
 
 }  // namespace
 
@@ -82,75 +117,89 @@ StatusOr<RecordBatch> FilterJoinOutput(const PredicateProgram& program,
 // PhysicalOperator
 // ---------------------------------------------------------------------------
 
+std::unique_ptr<OperatorState> PhysicalOperator::MakeState(
+    const ExecContext&) const {
+  return nullptr;
+}
+
 StatusOr<RecordBatch> PhysicalOperator::ProcessMorsel(const ExecContext&,
-                                                      RecordBatch) {
+                                                      RecordBatch) const {
   return Status::Internal("operator '" + label() + "' is not streaming");
 }
 
-std::string PhysicalOperator::ToString(int indent, bool analyze) const {
-  std::ostringstream out;
-  out << std::string(static_cast<size_t>(indent) * 2, ' ') << label()
-      << " width=" << output_schema_.num_columns();
-  if (analyze) {
-    char buf[224];
-    uint64_t scanned =
-        metrics.segments_scanned.load(std::memory_order_relaxed);
-    uint64_t pruned = metrics.segments_pruned.load(std::memory_order_relaxed);
-    if (scanned + pruned > 0) {
-      std::snprintf(
-          buf, sizeof(buf),
-          " [in=%llu out=%llu time=%.3fms segments=%llu pruned=%llu "
-          "blocks=%llu pruned=%llu",
-          static_cast<unsigned long long>(
-              metrics.rows_in.load(std::memory_order_relaxed)),
-          static_cast<unsigned long long>(
-              metrics.rows_out.load(std::memory_order_relaxed)),
-          metrics.millis(), static_cast<unsigned long long>(scanned),
-          static_cast<unsigned long long>(pruned),
-          static_cast<unsigned long long>(
-              metrics.blocks_scanned.load(std::memory_order_relaxed)),
-          static_cast<unsigned long long>(
-              metrics.blocks_pruned.load(std::memory_order_relaxed)));
-    } else {
-      std::snprintf(buf, sizeof(buf), " [in=%llu out=%llu time=%.3fms",
-                    static_cast<unsigned long long>(
-                        metrics.rows_in.load(std::memory_order_relaxed)),
-                    static_cast<unsigned long long>(
-                        metrics.rows_out.load(std::memory_order_relaxed)),
-                    metrics.millis());
+// ---------------------------------------------------------------------------
+// PhysicalPlan
+// ---------------------------------------------------------------------------
+
+PhysicalPlan::PhysicalPlan(PhysicalOperatorPtr root) : root_(std::move(root)) {
+  struct Walk {
+    PhysicalPlan* plan;
+    void operator()(PhysicalOperator* op, int depth) {
+      op->id_ = plan->operators_.size();
+      plan->operators_.push_back(op);
+      plan->labels_.push_back(op->label());
+      plan->depths_.push_back(depth);
+      for (const auto& child : op->children) (*this)(child.get(), depth + 1);
     }
-    out << buf << AnalyzeDetail() << "]";
+  };
+  Walk{this}(root_.get(), 0);
+  uint64_t h = 0xCBF29CE484222325ULL;
+  for (size_t i = 0; i < labels_.size(); ++i) {
+    h = HashCombine(h, HashString(labels_[i]));
+    h = HashCombine(h, HashInt64(depths_[i]));
   }
-  out << "\n";
-  for (const auto& child : children) {
-    out << child->ToString(indent + 1, analyze);
+  char hex[17];
+  std::snprintf(hex, sizeof(hex), "%016llx",
+                static_cast<unsigned long long>(h));
+  digest_ = hex;
+}
+
+std::vector<OperatorMetricsSnapshot> PhysicalPlan::Snapshot(
+    const OperatorMetrics* metrics) const {
+  std::vector<OperatorMetricsSnapshot> out(operators_.size());
+  for (size_t i = 0; i < operators_.size(); ++i) {
+    const OperatorMetrics& m = metrics[i];
+    OperatorMetricsSnapshot& snap = out[i];
+    snap.name = labels_[i];
+    snap.depth = depths_[i];
+    snap.rows_in = m.rows_in.load(std::memory_order_relaxed);
+    snap.rows_out = m.rows_out.load(std::memory_order_relaxed);
+    snap.wall_ms =
+        static_cast<double>(m.nanos.load(std::memory_order_relaxed)) / 1e6;
+    snap.segments_scanned = m.segments_scanned.load(std::memory_order_relaxed);
+    snap.segments_pruned = m.segments_pruned.load(std::memory_order_relaxed);
+    snap.blocks_scanned = m.blocks_scanned.load(std::memory_order_relaxed);
+    snap.blocks_pruned = m.blocks_pruned.load(std::memory_order_relaxed);
+  }
+  return out;
+}
+
+std::string PhysicalPlan::ToString(
+    const std::vector<OperatorMetricsSnapshot>* metrics) const {
+  std::ostringstream out;
+  for (size_t i = 0; i < operators_.size(); ++i) {
+    out << std::string(static_cast<size_t>(depths_[i]) * 2, ' ')
+        << labels_[i] << " width="
+        << operators_[i]->output_schema().num_columns();
+    if (metrics != nullptr && i < metrics->size()) {
+      const OperatorMetricsSnapshot& m = (*metrics)[i];
+      out << " [in=" << m.rows_in << " out=" << m.rows_out << " time="
+          << std::fixed << std::setprecision(3) << m.wall_ms << "ms";
+      if (m.segments_scanned + m.segments_pruned > 0) {
+        out << " segments=" << m.segments_scanned << " pruned="
+            << m.segments_pruned << " blocks=" << m.blocks_scanned
+            << " pruned=" << m.blocks_pruned;
+      }
+      out << operators_[i]->AnalyzeDetail() << "]";
+    }
+    out << "\n";
   }
   return out.str();
 }
 
-void PhysicalOperator::CollectMetrics(std::vector<OperatorMetricsSnapshot>* out,
-                                      int depth) const {
-  OperatorMetricsSnapshot snap;
-  snap.name = label();
-  snap.depth = depth;
-  snap.rows_in = metrics.rows_in.load(std::memory_order_relaxed);
-  snap.rows_out = metrics.rows_out.load(std::memory_order_relaxed);
-  snap.wall_ms = metrics.millis();
-  snap.segments_scanned =
-      metrics.segments_scanned.load(std::memory_order_relaxed);
-  snap.segments_pruned =
-      metrics.segments_pruned.load(std::memory_order_relaxed);
-  snap.blocks_scanned = metrics.blocks_scanned.load(std::memory_order_relaxed);
-  snap.blocks_pruned = metrics.blocks_pruned.load(std::memory_order_relaxed);
-  out->push_back(std::move(snap));
-  for (const auto& child : children) {
-    child->CollectMetrics(out, depth + 1);
-  }
-}
-
-void PhysicalOperator::ResetMetrics() {
-  metrics.Reset();
-  for (const auto& child : children) child->ResetMetrics();
+void PhysicalPlan::CollectMetrics(
+    std::vector<OperatorMetricsSnapshot>* out) const {
+  out->insert(out->end(), last_run_.begin(), last_run_.end());
 }
 
 // ---------------------------------------------------------------------------
@@ -173,9 +222,27 @@ std::string TableScanOp::label() const {
 
 RecordBatch TableScanOp::ScanMorsel(size_t segment, size_t begin,
                                     size_t end) const {
-  RecordBatch batch = table->ScanSegment(segment, begin, end);
-  if (!projection.empty()) batch = batch.Project(projection);
-  return batch;
+  return table->ScanSegment(segment, begin, end, projection, output_schema());
+}
+
+void ScanPruneConjunct::SetLiteral(const storage::Value& value) {
+  literal = value.AsDouble();
+  strict_exact = value.type() != DataType::kInt64 ||
+                 std::fabs(literal) < 9007199254740992.0;
+}
+
+std::vector<ScanPruneConjunct> BindPruneConjuncts(
+    const std::vector<ScanPruneConjunct>& conjuncts,
+    const std::vector<storage::Value>* params) {
+  std::vector<ScanPruneConjunct> bound = conjuncts;
+  if (params == nullptr) return bound;
+  for (ScanPruneConjunct& c : bound) {
+    const int slot = c.param_slot;
+    if (slot >= 0 && static_cast<size_t>(slot) < params->size()) {
+      c.SetLiteral((*params)[static_cast<size_t>(slot)]);
+    }
+  }
+  return bound;
 }
 
 int ScanOutputToTableColumn(const storage::Table& table,
@@ -213,28 +280,19 @@ void AppendPruneConjuncts(const Expr& predicate,
       case ConjunctShape::Kind::kBetween:
         if (shape.negated || shape.strings) break;
         prune.op = BinaryOp::kGtEq;
-        prune.literal = shape.literals[0].AsDouble();
+        prune.SetLiteral(shape.literals[0]);
         prune.param_slot = shape.slots[0];
         out->push_back(prune);
         prune.op = BinaryOp::kLtEq;
-        prune.literal = shape.literals[1].AsDouble();
+        prune.SetLiteral(shape.literals[1]);
         prune.param_slot = shape.slots[1];
         out->push_back(prune);
         break;
       case ConjunctShape::Kind::kCompareLiteral:
         if (shape.strings || shape.op == BinaryOp::kNotEq) break;
         prune.op = shape.op;
-        prune.literal = shape.literals[0].AsDouble();
+        prune.SetLiteral(shape.literals[0]);
         prune.param_slot = shape.slots[0];
-        // A BIGINT column compares to a BIGINT literal exactly, while zone
-        // maps hold doubles. Rounding is monotone, so `x < L` still implies
-        // double(x) <= double(L); it implies double(x) < double(L) only
-        // while |L| < 2^53, where no two integers share a double.
-        if (shape.literals[0].type() == DataType::kInt64 &&
-            std::fabs(prune.literal) >= 9007199254740992.0) {
-          if (prune.op == BinaryOp::kLt) prune.op = BinaryOp::kLtEq;
-          if (prune.op == BinaryOp::kGt) prune.op = BinaryOp::kGtEq;
-        }
         out->push_back(prune);
         break;
       default:
@@ -254,27 +312,23 @@ ScanProof ProveScan(const LogicalPlan& top) {
     AppendPruneConjuncts(*f->predicate, node->output_schema, table,
                          node->projection, &proof.conjuncts);
   }
-  for (size_t s = 0; s < table.num_segments(); ++s) {
-    if (table.segment_rows(s) > 0 &&
-        !ZoneMapsDisprove(proof.conjuncts, [&](size_t c) -> const auto& {
-          return table.segment_zone_map(s, c);
-        })) {
-      proof.standing.push_back(s);
-    }
-  }
+  proof.standing = StandingSegments(table, proof.conjuncts);
   return proof;
 }
 
-bool TableScanOp::CanSkipSegment(size_t segment) const {
-  return ZoneMapsDisprove(prune_conjuncts, [&](size_t c) -> const auto& {
-    return table->segment_zone_map(segment, c);
-  });
-}
-
-bool TableScanOp::CanSkipBlock(size_t segment, size_t block) const {
-  return ZoneMapsDisprove(prune_conjuncts, [&](size_t c) -> const auto& {
-    return table->block_zone_map(segment, c, block);
-  });
+std::vector<size_t> StandingSegments(
+    const storage::Table& table,
+    const std::vector<ScanPruneConjunct>& conjuncts) {
+  std::vector<size_t> standing;
+  for (size_t s = 0; s < table.num_segments(); ++s) {
+    if (table.segment_rows(s) > 0 &&
+        !ZoneMapsDisprove(conjuncts, [&](size_t c) -> const auto& {
+          return table.segment_zone_map(s, c);
+        })) {
+      standing.push_back(s);
+    }
+  }
+  return standing;
 }
 
 // ---------------------------------------------------------------------------
@@ -297,14 +351,21 @@ std::string FilterOp::AnalyzeDetail() const {
          " residual=" + std::to_string(program.num_residual());
 }
 
+std::unique_ptr<OperatorState> FilterOp::MakeState(
+    const ExecContext& ctx) const {
+  return BoundProgram::Make(&program, ctx);
+}
+
 StatusOr<RecordBatch> FilterOp::ProcessMorsel(const ExecContext& ctx,
-                                              RecordBatch input) {
-  FLOCK_ASSIGN_OR_RETURN(std::vector<uint32_t> sel,
-                         EvaluatePredicate(program, input, ctx.registry));
+                                              RecordBatch input) const {
+  FLOCK_ASSIGN_OR_RETURN(
+      std::vector<uint32_t> sel,
+      EvaluatePredicate(BoundProgram::Of(program, *this, ctx), input,
+                        ctx.registry, ctx.params));
   if (sel.size() == input.num_rows()) return input;
   // Zero-copy: record the survivors as a selection vector; the gather
   // happens at the first operator that needs dense columns.
-  return input.SelectView(std::move(sel));
+  return std::move(input).SelectView(std::move(sel));
 }
 
 // ---------------------------------------------------------------------------
@@ -336,7 +397,7 @@ std::string ProjectOp::label() const {
 }
 
 StatusOr<RecordBatch> ProjectOp::ProcessMorsel(const ExecContext& ctx,
-                                               RecordBatch input) {
+                                               RecordBatch input) const {
   if (is_passthrough_) {
     // Pure column shuffle: share column data, keep any selection vector.
     return input.Project(passthrough_);
@@ -344,8 +405,9 @@ StatusOr<RecordBatch> ProjectOp::ProcessMorsel(const ExecContext& ctx,
   RecordBatch out(output_schema());
   if (input.num_rows() > 0) {
     for (size_t i = 0; i < exprs.size(); ++i) {
-      FLOCK_ASSIGN_OR_RETURN(ColumnVectorPtr col,
-                             EvaluateExpr(*exprs[i], input, ctx.registry));
+      FLOCK_ASSIGN_OR_RETURN(
+          ColumnVectorPtr col,
+          EvaluateExpr(*exprs[i], input, ctx.registry, ctx.params));
       FLOCK_ASSIGN_OR_RETURN(
           col, NormalizeType(std::move(col), output_schema().column(i).type));
       out.SetColumn(i, std::move(col));
@@ -361,9 +423,7 @@ StatusOr<RecordBatch> ProjectOp::ProcessMorsel(const ExecContext& ctx,
 PredictScoreOp::PredictScoreOp(PhysicalOperatorPtr child,
                                std::vector<ExprPtr> calls, Schema schema)
     : PhysicalOperator(Kind::kPredictScore, std::move(schema)),
-      calls(std::move(calls)),
-      constants_(this->calls.size()),
-      bound_(this->calls.size()) {
+      calls(std::move(calls)) {
   children.push_back(std::move(child));
 }
 
@@ -371,13 +431,36 @@ std::string PredictScoreOp::label() const {
   return "PredictScore(" + JoinExprs(calls) + ")";
 }
 
+namespace {
+
+/// One execution's bindings of a PredictScoreOp's calls.
+struct PredictBindings : OperatorState {
+  explicit PredictBindings(size_t num_calls)
+      : constants(num_calls), bound(num_calls) {}
+
+  std::mutex mu;
+  // Per call, set together under mu: its constant argument columns (one
+  // row each) and the kernel they bound.
+  std::vector<std::vector<ColumnVectorPtr>> constants;
+  std::vector<std::optional<StatusOr<ScalarKernel>>> bound;
+};
+
+}  // namespace
+
+std::unique_ptr<OperatorState> PredictScoreOp::MakeState(
+    const ExecContext&) const {
+  return std::make_unique<PredictBindings>(calls.size());
+}
+
 StatusOr<RecordBatch> PredictScoreOp::ProcessMorsel(const ExecContext& ctx,
-                                                    RecordBatch input) {
+                                                    RecordBatch input) const {
+  PredictBindings& state = *ctx.state_of<PredictBindings>(*this);
   const size_t child_width = input.num_columns();
   const size_t num_rows = input.num_rows();
-  RecordBatch out(output_schema());
+  std::vector<ColumnVectorPtr> columns;
+  columns.reserve(child_width + calls.size());
   for (size_t c = 0; c < child_width; ++c) {
-    out.SetColumn(c, input.column(c));
+    columns.push_back(input.column(c));
   }
   for (size_t i = 0; i < calls.size(); ++i) {
     const DataType type = output_schema().column(child_width + i).type;
@@ -385,32 +468,38 @@ StatusOr<RecordBatch> PredictScoreOp::ProcessMorsel(const ExecContext& ctx,
     if (num_rows == 0) {
       col = std::make_shared<ColumnVector>(type);  // nothing to bind
     } else {
+      const ScalarKernel* kernel = nullptr;
+      const std::vector<ColumnVectorPtr>* constants = nullptr;
       {
         // The first morsel with rows binds the call for every worker; a
         // refusal is kept, so later morsels fail without a second check.
-        std::lock_guard<std::mutex> lock(bind_mu_);
-        if (!bound_[i]) {
-          StatusOr<const ScalarFunction*> fn =
-              EvaluateCallConstants(*calls[i], ctx.registry, &constants_[i]);
-          bound_[i] = fn.ok() ? (*fn)->bind(constants_[i], num_rows,
-                                            ctx.principal)
-                              : StatusOr<ScalarKernel>(fn.status());
+        std::lock_guard<std::mutex> lock(state.mu);
+        std::optional<StatusOr<ScalarKernel>>& bound = state.bound[i];
+        if (!bound) {
+          StatusOr<const ScalarFunction*> fn = EvaluateCallConstants(
+              *calls[i], ctx.registry, &state.constants[i], ctx.params);
+          bound = fn.ok() ? (*fn)->bind(state.constants[i], num_rows,
+                                        ctx.principal)
+                          : StatusOr<ScalarKernel>(fn.status());
         }
+        FLOCK_RETURN_NOT_OK(bound->status());
+        kernel = &**bound;
+        constants = &state.constants[i];
       }
-      FLOCK_RETURN_NOT_OK(bound_[i]->status());
-      std::vector<ColumnVectorPtr> args = constants_[i];
+      std::vector<ColumnVectorPtr> args = *constants;
       for (size_t a = args.size(); a < calls[i]->children.size(); ++a) {
         FLOCK_ASSIGN_OR_RETURN(
             ColumnVectorPtr arg,
-            EvaluateExpr(*calls[i]->children[a], input, ctx.registry));
+            EvaluateExpr(*calls[i]->children[a], input, ctx.registry,
+                         ctx.params));
         args.push_back(std::move(arg));
       }
-      FLOCK_ASSIGN_OR_RETURN(col, (**bound_[i])(args, num_rows));
+      FLOCK_ASSIGN_OR_RETURN(col, (*kernel)(args, num_rows));
       FLOCK_ASSIGN_OR_RETURN(col, NormalizeType(std::move(col), type));
     }
-    out.SetColumn(child_width + i, std::move(col));
+    columns.push_back(std::move(col));
   }
-  return out;
+  return RecordBatch(output_schema(), std::move(columns));
 }
 
 // ---------------------------------------------------------------------------
@@ -426,6 +515,11 @@ HashJoinBuildOp::HashJoinBuildOp(PhysicalOperatorPtr child,
 
 std::string HashJoinBuildOp::label() const {
   return "HashJoinBuild(keys=[" + JoinExprs(keys) + "])";
+}
+
+std::unique_ptr<OperatorState> HashJoinBuildOp::MakeState(
+    const ExecContext&) const {
+  return std::make_unique<State>();
 }
 
 HashJoinProbeOp::HashJoinProbeOp(PhysicalOperatorPtr probe,
@@ -459,16 +553,23 @@ std::string HashJoinProbeOp::label() const {
   return out;
 }
 
+std::unique_ptr<OperatorState> HashJoinProbeOp::MakeState(
+    const ExecContext& ctx) const {
+  return BoundProgram::Make(
+      residual_program_ ? &*residual_program_ : nullptr, ctx);
+}
+
 StatusOr<RecordBatch> HashJoinProbeOp::ProcessMorsel(const ExecContext& ctx,
-                                                     RecordBatch input) {
-  const JoinHashTable& ht = *build()->table;
+                                                     RecordBatch input) const {
+  const JoinHashTable& ht =
+      *ctx.state_of<HashJoinBuildOp::State>(build())->table;
 
   // Evaluate probe-side key expressions over the (dense) morsel.
   KeyColumns probe_keys;
   probe_keys.reserve(keys.size());
   for (const auto& e : keys) {
     FLOCK_ASSIGN_OR_RETURN(ColumnVectorPtr col,
-                           EvaluateExpr(*e, input, ctx.registry));
+                           EvaluateExpr(*e, input, ctx.registry, ctx.params));
     probe_keys.push_back(std::move(col));
   }
 
@@ -500,8 +601,8 @@ StatusOr<RecordBatch> HashJoinProbeOp::ProcessMorsel(const ExecContext& ctx,
   RecordBatch out = GatherJoinOutput(output_schema(), input, lsel, ht.rows,
                                      rsel, join_type);
   if (!residual_program_) return out;
-  return FilterJoinOutput(*residual_program_, join_type, rsel, ctx,
-                          std::move(out));
+  return FilterJoinOutput(BoundProgram::Of(*residual_program_, *this, ctx),
+                          join_type, rsel, ctx, std::move(out));
 }
 
 NestedLoopJoinOp::NestedLoopJoinOp(PhysicalOperatorPtr left,
@@ -536,9 +637,19 @@ std::string NestedLoopJoinOp::label() const {
   return out;
 }
 
-StatusOr<RecordBatch> NestedLoopJoinOp::ProcessMorsel(const ExecContext& ctx,
-                                                      RecordBatch input) {
-  const RecordBatch& right = *right_rows;
+std::unique_ptr<OperatorState> NestedLoopJoinOp::MakeState(
+    const ExecContext& ctx) const {
+  auto state = std::make_unique<State>();
+  if (condition_program_) {
+    state->condition = BindProgram(*condition_program_, ctx);
+  }
+  return state;
+}
+
+StatusOr<RecordBatch> NestedLoopJoinOp::ProcessMorsel(
+    const ExecContext& ctx, RecordBatch input) const {
+  const State& state = *ctx.state_of<State>(*this);
+  const RecordBatch& right = *state.right_rows;
   const size_t nr = right.num_rows();
 
   std::vector<uint32_t> lsel;
@@ -564,8 +675,9 @@ StatusOr<RecordBatch> NestedLoopJoinOp::ProcessMorsel(const ExecContext& ctx,
   RecordBatch out =
       GatherJoinOutput(output_schema(), input, lsel, right, rsel, join_type);
   if (!condition_program_) return out;
-  return FilterJoinOutput(*condition_program_, join_type, rsel, ctx,
-                          std::move(out));
+  return FilterJoinOutput(state.condition ? *state.condition
+                                          : *condition_program_,
+                          join_type, rsel, ctx, std::move(out));
 }
 
 // ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -21,20 +20,6 @@
 #include "storage/table.h"
 
 namespace flock::sql {
-
-/// Shared read-only state for one physical-plan execution.
-struct ExecContext {
-  const FunctionRegistry* registry = nullptr;
-  ThreadPool* pool = nullptr;  // may be null (serial execution)
-  size_t num_threads = 1;
-  size_t morsel_size = storage::RecordBatch::kDefaultBatchSize;
-  /// The request's cancellation token. Operators whose per-morsel work is
-  /// unbounded in the morsel size (nested-loop join: morsel x entire
-  /// right side) must poll it inside their row loops; everything else is
-  /// covered by the executor's per-morsel check.
-  CancelToken cancel;
-  std::string principal = "system";  // who PredictScore binds for
-};
 
 /// Per-operator execution counters, accumulated across all worker threads
 /// (wall time is therefore cumulative thread time, like EXPLAIN ANALYZE's
@@ -63,18 +48,6 @@ struct OperatorMetrics {
     blocks_scanned.fetch_add(scanned, std::memory_order_relaxed);
     blocks_pruned.fetch_add(pruned, std::memory_order_relaxed);
   }
-  void Reset() {
-    rows_in.store(0, std::memory_order_relaxed);
-    rows_out.store(0, std::memory_order_relaxed);
-    nanos.store(0, std::memory_order_relaxed);
-    segments_scanned.store(0, std::memory_order_relaxed);
-    segments_pruned.store(0, std::memory_order_relaxed);
-    blocks_scanned.store(0, std::memory_order_relaxed);
-    blocks_pruned.store(0, std::memory_order_relaxed);
-  }
-  double millis() const {
-    return static_cast<double>(nanos.load(std::memory_order_relaxed)) / 1e6;
-  }
 };
 
 /// A flattened, copyable view of one operator's metrics, in plan order
@@ -93,11 +66,55 @@ struct OperatorMetricsSnapshot {
 };
 
 class PhysicalOperator;
+
+/// The runtime state one operator keeps for one execution: a join's hash
+/// table, PREDICT's bound kernels, a predicate re-read for the execution's
+/// parameters. Each kind that keeps one derives its own.
+struct OperatorState {
+  virtual ~OperatorState() = default;
+};
+
+/// One execution of a physical plan: what it runs with (options, the
+/// principal, the statement's parameters) and everything it changes while
+/// it runs (each operator's counters and state). Operators are immutable
+/// once lowered, so any number of executions may run one plan at once,
+/// each with its own context. The Executor builds one per execution and
+/// releases it, and the scoring bindings it holds, before it returns.
+struct ExecContext {
+  const FunctionRegistry* registry = nullptr;
+  ThreadPool* pool = nullptr;  // may be null (serial execution)
+  size_t num_threads = 1;
+  size_t morsel_size = storage::RecordBatch::kDefaultBatchSize;
+  bool enable_zone_map_pruning = true;
+  /// The request's cancellation token. Operators whose per-morsel work is
+  /// unbounded in the morsel size (nested-loop join: morsel x entire
+  /// right side) must poll it inside their row loops; everything else is
+  /// covered by the executor's per-morsel check.
+  CancelToken cancel;
+  std::string principal = "system";  // who PredictScore binds for
+  /// The statement's parameter values (LexedStatement::params). Every
+  /// literal with a slot reads its value here (LiteralValue); null reads
+  /// every literal as planned.
+  const std::vector<storage::Value>* params = nullptr;
+  /// Per operator, indexed by PhysicalOperator::id().
+  std::unique_ptr<OperatorMetrics[]> metrics;
+  std::vector<std::unique_ptr<OperatorState>> states;  // null: none kept
+
+  OperatorMetrics& metrics_of(const PhysicalOperator& op) const;
+  /// `op`'s state for this execution, as the kind it made (MakeState).
+  template <typename State>
+  State* state_of(const PhysicalOperator& op) const;
+};
+
 using PhysicalOperatorPtr = std::unique_ptr<PhysicalOperator>;
 
 /// One node of the executable plan. The PhysicalPlanner lowers every
 /// LogicalPlan into a tree of these; the Executor drives them as
 /// morsel-parallel push pipelines.
+///
+/// Operators are immutable once lowered: everything an execution changes
+/// lives in its ExecContext (counters, and the state MakeState returns),
+/// so one tree can run many executions at once.
 ///
 /// Streaming operators (Filter, Project, PredictScore, HashJoinProbe,
 /// NestedLoopJoin) transform one morsel at a time via ProcessMorsel and
@@ -129,6 +146,9 @@ class PhysicalOperator {
 
   Kind kind() const { return kind_; }
   const storage::Schema& output_schema() const { return output_schema_; }
+  /// Pre-order position in its PhysicalPlan, which an execution's
+  /// counters and state are indexed by.
+  size_t id() const { return id_; }
 
   /// Operator name + salient parameters, e.g. "Filter(salary > 100)".
   virtual std::string label() const = 0;
@@ -144,26 +164,79 @@ class PhysicalOperator {
   /// expressions) need their input selection resolved first.
   virtual bool NeedsDenseInput() const { return false; }
 
+  /// The state this operator keeps for the execution `ctx` describes,
+  /// made once before the execution starts; null when it keeps none.
+  virtual std::unique_ptr<OperatorState> MakeState(
+      const ExecContext& ctx) const;
+
   /// Transforms one morsel. Only called when IsStreaming().
   virtual StatusOr<storage::RecordBatch> ProcessMorsel(
-      const ExecContext& ctx, storage::RecordBatch input);
-
-  /// Indented rendering; with `analyze`, appends per-operator metrics.
-  std::string ToString(int indent = 0, bool analyze = false) const;
-
-  /// Pre-order flatten of the subtree's metrics.
-  void CollectMetrics(std::vector<OperatorMetricsSnapshot>* out,
-                      int depth = 0) const;
-
-  void ResetMetrics();
+      const ExecContext& ctx, storage::RecordBatch input) const;
 
   std::vector<PhysicalOperatorPtr> children;
-  mutable OperatorMetrics metrics;
 
  private:
+  friend class PhysicalPlan;
+
   Kind kind_;
   storage::Schema output_schema_;
+  size_t id_ = 0;
 };
+
+inline OperatorMetrics& ExecContext::metrics_of(
+    const PhysicalOperator& op) const {
+  return metrics[op.id()];
+}
+
+template <typename State>
+State* ExecContext::state_of(const PhysicalOperator& op) const {
+  return static_cast<State*>(states[op.id()].get());
+}
+
+/// A lowered plan: the operator tree PhysicalPlanner::Lower built, with
+/// each operator's id, label and depth, and the plan's digest, computed
+/// once. Immutable, so the plan cache shares one per statement shape and
+/// every execution of that shape runs it, each with its own ExecContext.
+class PhysicalPlan {
+ public:
+  explicit PhysicalPlan(PhysicalOperatorPtr root);
+
+  const PhysicalOperator& root() const { return *root_; }
+  /// Every operator, in pre-order (index = id()).
+  const std::vector<const PhysicalOperator*>& operators() const {
+    return operators_;
+  }
+  /// Stable 16-hex-digit digest of the plan's shape: a hash over the
+  /// pre-order operator labels and depths, so the slow-query log can
+  /// group outliers by plan.
+  const std::string& digest() const { return digest_; }
+
+  /// One execution's counters (`metrics`, indexed by operator id) as
+  /// snapshots in plan order.
+  std::vector<OperatorMetricsSnapshot> Snapshot(
+      const OperatorMetrics* metrics) const;
+
+  /// Indented rendering; with `metrics` (one execution's Snapshot),
+  /// every operator's counters too (EXPLAIN ANALYZE).
+  std::string ToString(
+      const std::vector<OperatorMetricsSnapshot>* metrics = nullptr) const;
+
+  /// Appends the counters of this plan's last SqlEngine::ExecutePhysical
+  /// run (a plan its caller lowered and owns; shared plans report each
+  /// execution's counters in its QueryResult instead).
+  void CollectMetrics(std::vector<OperatorMetricsSnapshot>* out) const;
+
+ private:
+  friend class SqlEngine;
+
+  PhysicalOperatorPtr root_;
+  std::vector<const PhysicalOperator*> operators_;
+  std::vector<std::string> labels_;
+  std::vector<int> depths_;
+  std::string digest_;
+  std::vector<OperatorMetricsSnapshot> last_run_;  // ExecutePhysical's
+};
+using PhysicalPlanPtr = std::unique_ptr<PhysicalPlan>;
 
 // ---------------------------------------------------------------------------
 // Sources
@@ -182,8 +255,24 @@ struct ScanPruneConjunct {
   size_t table_column = 0;
   BinaryOp op = BinaryOp::kEq;  // kCompare only: col OP literal
   double literal = 0.0;         // kCompare only
-  int param_slot = -1;          // kCompare only: the literal's slot
+  /// kCompare only. A BIGINT column compares to a BIGINT literal exactly,
+  /// while zone maps hold doubles. Rounding is monotone, so `x < L` still
+  /// implies double(x) <= double(L); it implies double(x) < double(L) only
+  /// while |L| < 2^53, where no two integers share a double. False for a
+  /// BIGINT literal past that: a strict comparison is checked non-strict.
+  bool strict_exact = true;
+  int param_slot = -1;  // kCompare only: the literal's slot
+
+  /// Sets the kCompare literal to `value`, a non-NULL number.
+  void SetLiteral(const storage::Value& value);
 };
+
+/// `conjuncts` as an execution with the statement parameters `params`
+/// reads them: every comparison whose literal has a slot takes that
+/// parameter's value. Null `params`: as planned.
+std::vector<ScanPruneConjunct> BindPruneConjuncts(
+    const std::vector<ScanPruneConjunct>& conjuncts,
+    const std::vector<storage::Value>* params);
 
 /// Maps a column index of a scan's output through the scan's `projection`
 /// (empty = all columns) to the column index in `table`; -1 when out of
@@ -222,37 +311,44 @@ bool ZoneMapsDisprove(const std::vector<ScanPruneConjunct>& conjuncts,
       case ScanPruneConjunct::Kind::kIsNotNull:
         if (zm.null_count == zm.row_count) return true;
         break;
-      case ScanPruneConjunct::Kind::kCompare:
+      case ScanPruneConjunct::Kind::kCompare: {
         // A comparison never passes NULL, so an all-NULL segment cannot
         // satisfy it regardless of the range.
         if (zm.null_count == zm.row_count) return true;
         if (!zm.numeric || !zm.has_range) break;  // cannot rule out
+        const double lit = conjunct.literal;
+        const bool strict = conjunct.strict_exact;
         switch (conjunct.op) {
           case BinaryOp::kLt:
-            if (!(zm.min < conjunct.literal)) return true;
+            if (strict ? !(zm.min < lit) : !(zm.min <= lit)) return true;
             break;
           case BinaryOp::kLtEq:
-            if (!(zm.min <= conjunct.literal)) return true;
+            if (!(zm.min <= lit)) return true;
             break;
           case BinaryOp::kGt:
-            if (!(zm.max > conjunct.literal)) return true;
+            if (strict ? !(zm.max > lit) : !(zm.max >= lit)) return true;
             break;
           case BinaryOp::kGtEq:
-            if (!(zm.max >= conjunct.literal)) return true;
+            if (!(zm.max >= lit)) return true;
             break;
           case BinaryOp::kEq:
-            if (conjunct.literal < zm.min || conjunct.literal > zm.max) {
-              return true;
-            }
+            if (lit < zm.min || lit > zm.max) return true;
             break;
           default:
             break;
         }
         break;
+      }
     }
   }
   return false;
 }
+
+/// The non-empty segments of `table` that none of `conjuncts` disproves,
+/// ascending.
+std::vector<size_t> StandingSegments(
+    const storage::Table& table,
+    const std::vector<ScanPruneConjunct>& conjuncts);
 
 /// What the chain of Filter nodes from `top` down to the table scan it
 /// ends in proves about the scan's segments, read as scan pruning reads
@@ -260,7 +356,7 @@ bool ZoneMapsDisprove(const std::vector<ScanPruneConjunct>& conjuncts,
 /// disproves, ascending. `scan` is null when `top` is no such chain (a
 /// Filter-only path to a scan of a resolved table). Model compression
 /// folds the standing segments' zone maps, and the plan cache re-derives
-/// the set from a cached plan's newly bound literals with this one proof.
+/// the set from the conjuncts with a hit's parameters bound.
 struct ScanProof {
   const LogicalPlan* scan = nullptr;
   std::vector<ScanPruneConjunct> conjuncts;
@@ -279,25 +375,19 @@ class TableScanOp : public PhysicalOperator {
 
   std::string label() const override;
 
-  /// Zero-copy view of rows [begin, end) of segment `segment`, narrowed to
-  /// `projection`. The batch shares the segment's column vectors and must
-  /// not outlive the statement (see storage::Table).
+  /// Zero-copy view of rows [begin, end) of segment `segment`, built over
+  /// the `projection` columns only, with the output schema. The batch
+  /// shares the segment's column vectors and must not outlive the
+  /// statement (see storage::Table).
   storage::RecordBatch ScanMorsel(size_t segment, size_t begin,
                                   size_t end) const;
 
-  /// True when the segment's zone maps prove no row can satisfy the
-  /// pushed-down conjuncts. Evaluated per execution against live stats.
-  bool CanSkipSegment(size_t segment) const;
-
-  /// The same proof against the zone maps of one block of the segment
-  /// (rows [block * kBlockRows, (block + 1) * kBlockRows)).
-  bool CanSkipBlock(size_t segment, size_t block) const;
-
-  std::string table_name;
-  storage::TablePtr table;
-  std::vector<size_t> projection;  // empty = all columns
-  /// Filled by the planner from the parent Filter's predicate; consulted
-  /// by the executor when zone-map pruning is enabled.
+  const std::string table_name;
+  const storage::TablePtr table;
+  const std::vector<size_t> projection;  // empty = all columns
+  /// Filled by the planner from the parent Filter's predicate; the
+  /// executor binds them for each execution and, when zone-map pruning is
+  /// enabled, skips the segments and blocks they disprove.
   std::vector<ScanPruneConjunct> prune_conjuncts;
 };
 
@@ -307,7 +397,8 @@ class TableScanOp : public PhysicalOperator {
 
 /// Narrows each morsel's selection to the rows where `predicate` is TRUE,
 /// through the PredicateProgram compiled from it at construction (shared
-/// read-only by every morsel worker).
+/// read-only by every morsel worker; an execution whose parameters the
+/// kernels read keeps its bound copy as its state).
 class FilterOp : public PhysicalOperator {
  public:
   FilterOp(PhysicalOperatorPtr child, ExprPtr predicate);
@@ -315,8 +406,10 @@ class FilterOp : public PhysicalOperator {
   std::string label() const override;
   std::string AnalyzeDetail() const override;
   bool IsStreaming() const override { return true; }
+  std::unique_ptr<OperatorState> MakeState(
+      const ExecContext& ctx) const override;
   StatusOr<storage::RecordBatch> ProcessMorsel(
-      const ExecContext& ctx, storage::RecordBatch input) override;
+      const ExecContext& ctx, storage::RecordBatch input) const override;
 
   const ExprPtr predicate;
   const PredicateProgram program;
@@ -330,9 +423,9 @@ class ProjectOp : public PhysicalOperator {
   std::string label() const override;
   bool IsStreaming() const override { return true; }
   StatusOr<storage::RecordBatch> ProcessMorsel(
-      const ExecContext& ctx, storage::RecordBatch input) override;
+      const ExecContext& ctx, storage::RecordBatch input) const override;
 
-  std::vector<ExprPtr> exprs;
+  const std::vector<ExprPtr> exprs;
 
  private:
   /// Set when every expression is a bound column reference of matching
@@ -349,9 +442,9 @@ class ProjectOp : public PhysicalOperator {
 /// EXPLAIN line and OperatorMetrics, and keeps threshold push-up intact
 /// (PREDICT_GT & friends are just calls with a bool output column).
 /// Each call evaluates its constant arguments and binds
-/// (ScalarFunction::bind) once, on its first morsel with rows, for
-/// ExecContext::principal; every worker scores through that binding until
-/// the operator, lowered per execution, is destroyed.
+/// (ScalarFunction::bind) once per execution, on its first morsel with
+/// rows, for ExecContext::principal; every worker scores through that
+/// binding, which the execution's state holds until the execution ends.
 class PredictScoreOp : public PhysicalOperator {
  public:
   PredictScoreOp(PhysicalOperatorPtr child, std::vector<ExprPtr> calls,
@@ -360,17 +453,12 @@ class PredictScoreOp : public PhysicalOperator {
   std::string label() const override;
   bool IsStreaming() const override { return true; }
   bool NeedsDenseInput() const override { return true; }
+  std::unique_ptr<OperatorState> MakeState(
+      const ExecContext& ctx) const override;
   StatusOr<storage::RecordBatch> ProcessMorsel(
-      const ExecContext& ctx, storage::RecordBatch input) override;
+      const ExecContext& ctx, storage::RecordBatch input) const override;
 
-  std::vector<ExprPtr> calls;  // PREDICT-family function calls
-
- private:
-  std::mutex bind_mu_;
-  // Per call, set together under bind_mu_: its constant argument columns
-  // (one row each) and the kernel they bound.
-  std::vector<std::vector<storage::ColumnVectorPtr>> constants_;
-  std::vector<std::optional<StatusOr<ScalarKernel>>> bound_;
+  const std::vector<ExprPtr> calls;  // PREDICT-family function calls
 };
 
 // ---------------------------------------------------------------------------
@@ -384,16 +472,21 @@ struct JoinHashTable {
 };
 
 /// Build side of a hash join: a pipeline breaker that materializes its
-/// child and indexes it by the join keys. Executed once by the Executor
-/// before the probe pipeline starts.
+/// child and indexes it by the join keys. Executed once per execution by
+/// the Executor, before the probe pipeline starts, into its State.
 class HashJoinBuildOp : public PhysicalOperator {
  public:
+  struct State : OperatorState {
+    std::shared_ptr<const JoinHashTable> table;  // set by the Executor
+  };
+
   HashJoinBuildOp(PhysicalOperatorPtr child, std::vector<ExprPtr> keys);
 
   std::string label() const override;
+  std::unique_ptr<OperatorState> MakeState(
+      const ExecContext& ctx) const override;
 
-  std::vector<ExprPtr> keys;  // bound against the build child's schema
-  std::shared_ptr<const JoinHashTable> table;  // set by the Executor
+  const std::vector<ExprPtr> keys;  // bound against the build child's schema
 };
 
 /// Probe side of a hash join: a streaming operator, so probes run
@@ -409,17 +502,19 @@ class HashJoinProbeOp : public PhysicalOperator {
   std::string label() const override;
   bool IsStreaming() const override { return true; }
   bool NeedsDenseInput() const override { return true; }
+  std::unique_ptr<OperatorState> MakeState(
+      const ExecContext& ctx) const override;
   StatusOr<storage::RecordBatch> ProcessMorsel(
-      const ExecContext& ctx, storage::RecordBatch input) override;
+      const ExecContext& ctx, storage::RecordBatch input) const override;
 
-  HashJoinBuildOp* build() {
-    return static_cast<HashJoinBuildOp*>(children[1].get());
+  const HashJoinBuildOp& build() const {
+    return static_cast<const HashJoinBuildOp&>(*children[1]);
   }
 
-  std::vector<ExprPtr> keys;  // bound against the probe child's schema
+  const std::vector<ExprPtr> keys;  // bound against the probe child's schema
   /// Bound against probe ++ build schema; compiled into residual_program_.
   const std::vector<ExprPtr> residual;
-  JoinType join_type = JoinType::kInner;
+  const JoinType join_type = JoinType::kInner;
 
  private:
   std::optional<PredicateProgram> residual_program_;  // AND of `residual`
@@ -427,9 +522,14 @@ class HashJoinProbeOp : public PhysicalOperator {
 
 /// Cross join / non-equi join: streams probe-side morsels against the
 /// materialized right side. children[0] = left input, children[1] = right
-/// input (materialized by the Executor into `right_rows`).
+/// input (materialized by the Executor into the execution's State).
 class NestedLoopJoinOp : public PhysicalOperator {
  public:
+  struct State : OperatorState {
+    std::shared_ptr<const storage::RecordBatch> right_rows;  // by Executor
+    std::optional<PredicateProgram> condition;  // bound; else the op's own
+  };
+
   NestedLoopJoinOp(PhysicalOperatorPtr left, PhysicalOperatorPtr right,
                    ExprPtr condition, JoinType join_type,
                    storage::Schema schema);
@@ -437,12 +537,13 @@ class NestedLoopJoinOp : public PhysicalOperator {
   std::string label() const override;
   bool IsStreaming() const override { return true; }
   bool NeedsDenseInput() const override { return true; }
+  std::unique_ptr<OperatorState> MakeState(
+      const ExecContext& ctx) const override;
   StatusOr<storage::RecordBatch> ProcessMorsel(
-      const ExecContext& ctx, storage::RecordBatch input) override;
+      const ExecContext& ctx, storage::RecordBatch input) const override;
 
   const ExprPtr condition;  // may be null (cross join)
-  JoinType join_type = JoinType::kCross;
-  std::shared_ptr<const storage::RecordBatch> right_rows;  // set by Executor
+  const JoinType join_type = JoinType::kCross;
 
  private:
   std::optional<PredicateProgram> condition_program_;  // set iff condition
@@ -462,8 +563,8 @@ class HashAggregateOp : public PhysicalOperator {
 
   std::string label() const override;
 
-  std::vector<ExprPtr> group_by;
-  std::vector<ExprPtr> aggregates;  // COUNT/SUM/AVG/MIN/MAX calls
+  const std::vector<ExprPtr> group_by;
+  const std::vector<ExprPtr> aggregates;  // COUNT/SUM/AVG/MIN/MAX calls
 };
 
 class SortOp : public PhysicalOperator {
@@ -472,7 +573,7 @@ class SortOp : public PhysicalOperator {
 
   std::string label() const override;
 
-  std::vector<SortKey> keys;
+  const std::vector<SortKey> keys;
 };
 
 class DistinctOp : public PhysicalOperator {
@@ -482,14 +583,16 @@ class DistinctOp : public PhysicalOperator {
   std::string label() const override;
 };
 
+/// LIMIT/OFFSET. Planning pins both slots (PinScope), so a cached plan
+/// runs only with the values it was lowered with.
 class LimitOp : public PhysicalOperator {
  public:
   LimitOp(PhysicalOperatorPtr child, int64_t limit, int64_t offset);
 
   std::string label() const override;
 
-  int64_t limit = -1;  // -1 = unbounded
-  int64_t offset = 0;
+  const int64_t limit = -1;  // -1 = unbounded
+  const int64_t offset = 0;
 };
 
 }  // namespace flock::sql

@@ -125,19 +125,34 @@ void PhysicalPlanner::CollectScoringCalls(const Expr& e,
   }
 }
 
-StatusOr<PhysicalOperatorPtr> PhysicalPlanner::InsertPredictScore(
-    PhysicalOperatorPtr child, std::vector<ExprPtr> calls) const {
-  Schema schema = child->output_schema();
+StatusOr<bool> PhysicalPlanner::HoistScoring(
+    PhysicalOperatorPtr* child, const std::vector<ExprPtr*>& exprs) const {
+  std::vector<ExprPtr> calls;
+  for (const ExprPtr* e : exprs) CollectScoringCalls(**e, &calls);
+  if (calls.empty()) return false;
+  Schema schema = (*child)->output_schema();
+  const size_t base = schema.num_columns();
+  std::vector<DataType> types;
+  types.reserve(calls.size());
   for (const auto& call : calls) {
     FLOCK_ASSIGN_OR_RETURN(const ScalarFunction* fn,
                            registry_->Lookup(call->function_name));
+    types.push_back(fn->return_type);
     schema.AddColumn(ColumnDef{call->ToString(), fn->return_type, true});
   }
-  return PhysicalOperatorPtr(std::make_unique<PredictScoreOp>(
-      std::move(child), std::move(calls), std::move(schema)));
+  for (ExprPtr* e : exprs) ReplaceScoringCalls(e, calls, base, types);
+  *child = std::make_unique<PredictScoreOp>(
+      std::move(*child), std::move(calls), std::move(schema));
+  return true;
 }
 
-StatusOr<PhysicalOperatorPtr> PhysicalPlanner::Lower(
+StatusOr<PhysicalPlanPtr> PhysicalPlanner::Lower(
+    const LogicalPlan& plan) const {
+  FLOCK_ASSIGN_OR_RETURN(PhysicalOperatorPtr root, LowerNode(plan));
+  return std::make_unique<PhysicalPlan>(std::move(root));
+}
+
+StatusOr<PhysicalOperatorPtr> PhysicalPlanner::LowerNode(
     const LogicalPlan& plan) const {
   switch (plan.kind) {
     case PlanKind::kScan:
@@ -153,7 +168,7 @@ StatusOr<PhysicalOperatorPtr> PhysicalPlanner::Lower(
       return LowerAggregate(plan);
     case PlanKind::kSort: {
       FLOCK_ASSIGN_OR_RETURN(PhysicalOperatorPtr child,
-                             Lower(*plan.children[0]));
+                             LowerNode(*plan.children[0]));
       std::vector<SortKey> keys;
       keys.reserve(plan.sort_keys.size());
       for (const auto& k : plan.sort_keys) {
@@ -164,13 +179,13 @@ StatusOr<PhysicalOperatorPtr> PhysicalPlanner::Lower(
     }
     case PlanKind::kDistinct: {
       FLOCK_ASSIGN_OR_RETURN(PhysicalOperatorPtr child,
-                             Lower(*plan.children[0]));
+                             LowerNode(*plan.children[0]));
       return PhysicalOperatorPtr(
           std::make_unique<DistinctOp>(std::move(child)));
     }
     case PlanKind::kLimit: {
       FLOCK_ASSIGN_OR_RETURN(PhysicalOperatorPtr child,
-                             Lower(*plan.children[0]));
+                             LowerNode(*plan.children[0]));
       return PhysicalOperatorPtr(std::make_unique<LimitOp>(
           std::move(child), plan.limit, plan.offset));
     }
@@ -180,7 +195,8 @@ StatusOr<PhysicalOperatorPtr> PhysicalPlanner::Lower(
 
 StatusOr<PhysicalOperatorPtr> PhysicalPlanner::LowerFilter(
     const LogicalPlan& plan) const {
-  FLOCK_ASSIGN_OR_RETURN(PhysicalOperatorPtr child, Lower(*plan.children[0]));
+  FLOCK_ASSIGN_OR_RETURN(PhysicalOperatorPtr child,
+                         LowerNode(*plan.children[0]));
   ExprPtr predicate = plan.predicate->Clone();
 
   // Filter directly over a scan: hand the scan the conjuncts it can test
@@ -193,32 +209,14 @@ StatusOr<PhysicalOperatorPtr> PhysicalPlanner::LowerFilter(
                          &scan->prune_conjuncts);
   }
 
-  std::vector<ExprPtr> calls;
-  CollectScoringCalls(*predicate, &calls);
-  if (calls.empty()) {
-    return PhysicalOperatorPtr(
-        std::make_unique<FilterOp>(std::move(child), std::move(predicate)));
-  }
-
   // Hoist scoring below the filter, rewrite the predicate to reference the
   // score columns, and narrow back to the original width on top so the
   // appended columns stay operator-internal.
   const size_t base = child->output_schema().num_columns();
-  std::vector<DataType> types;
-  types.reserve(calls.size());
-  for (const auto& call : calls) {
-    FLOCK_ASSIGN_OR_RETURN(const ScalarFunction* fn,
-                           registry_->Lookup(call->function_name));
-    types.push_back(fn->return_type);
-  }
-  std::vector<ExprPtr> hoisted;
-  hoisted.reserve(calls.size());
-  for (const auto& call : calls) hoisted.push_back(call->Clone());
-  FLOCK_ASSIGN_OR_RETURN(
-      child, InsertPredictScore(std::move(child), std::move(hoisted)));
-  ReplaceScoringCalls(&predicate, calls, base, types);
+  FLOCK_ASSIGN_OR_RETURN(bool hoisted, HoistScoring(&child, {&predicate}));
   auto filter =
       std::make_unique<FilterOp>(std::move(child), std::move(predicate));
+  if (!hoisted) return PhysicalOperatorPtr(std::move(filter));
 
   std::vector<ExprPtr> narrow;
   narrow.reserve(base);
@@ -236,39 +234,25 @@ StatusOr<PhysicalOperatorPtr> PhysicalPlanner::LowerFilter(
 
 StatusOr<PhysicalOperatorPtr> PhysicalPlanner::LowerProject(
     const LogicalPlan& plan) const {
-  FLOCK_ASSIGN_OR_RETURN(PhysicalOperatorPtr child, Lower(*plan.children[0]));
+  FLOCK_ASSIGN_OR_RETURN(PhysicalOperatorPtr child,
+                         LowerNode(*plan.children[0]));
 
   std::vector<ExprPtr> exprs;
+  std::vector<ExprPtr*> targets;
   exprs.reserve(plan.exprs.size());
-  std::vector<ExprPtr> calls;
-  for (const auto& e : plan.exprs) {
-    exprs.push_back(e->Clone());
-    CollectScoringCalls(*e, &calls);
-  }
-  if (!calls.empty()) {
-    const size_t base = child->output_schema().num_columns();
-    std::vector<DataType> types;
-    types.reserve(calls.size());
-    for (const auto& call : calls) {
-      FLOCK_ASSIGN_OR_RETURN(const ScalarFunction* fn,
-                             registry_->Lookup(call->function_name));
-      types.push_back(fn->return_type);
-    }
-    std::vector<ExprPtr> hoisted;
-    hoisted.reserve(calls.size());
-    for (const auto& call : calls) hoisted.push_back(call->Clone());
-    FLOCK_ASSIGN_OR_RETURN(
-        child, InsertPredictScore(std::move(child), std::move(hoisted)));
-    for (auto& e : exprs) ReplaceScoringCalls(&e, calls, base, types);
-  }
+  for (const auto& e : plan.exprs) exprs.push_back(e->Clone());
+  for (auto& e : exprs) targets.push_back(&e);
+  FLOCK_RETURN_NOT_OK(HoistScoring(&child, targets).status());
   return PhysicalOperatorPtr(std::make_unique<ProjectOp>(
       std::move(child), std::move(exprs), plan.output_schema));
 }
 
 StatusOr<PhysicalOperatorPtr> PhysicalPlanner::LowerJoin(
     const LogicalPlan& plan) const {
-  FLOCK_ASSIGN_OR_RETURN(PhysicalOperatorPtr left, Lower(*plan.children[0]));
-  FLOCK_ASSIGN_OR_RETURN(PhysicalOperatorPtr right, Lower(*plan.children[1]));
+  FLOCK_ASSIGN_OR_RETURN(PhysicalOperatorPtr left,
+                         LowerNode(*plan.children[0]));
+  FLOCK_ASSIGN_OR_RETURN(PhysicalOperatorPtr right,
+                         LowerNode(*plan.children[1]));
   const size_t left_width = left->output_schema().num_columns();
 
   JoinKeys keys = ExtractJoinKeys(plan.join_condition.get(), left_width,
@@ -289,38 +273,19 @@ StatusOr<PhysicalOperatorPtr> PhysicalPlanner::LowerJoin(
 
 StatusOr<PhysicalOperatorPtr> PhysicalPlanner::LowerAggregate(
     const LogicalPlan& plan) const {
-  FLOCK_ASSIGN_OR_RETURN(PhysicalOperatorPtr child, Lower(*plan.children[0]));
+  FLOCK_ASSIGN_OR_RETURN(PhysicalOperatorPtr child,
+                         LowerNode(*plan.children[0]));
 
   std::vector<ExprPtr> group_by;
-  group_by.reserve(plan.group_by.size());
   std::vector<ExprPtr> aggregates;
+  std::vector<ExprPtr*> targets;
+  group_by.reserve(plan.group_by.size());
   aggregates.reserve(plan.aggregates.size());
-  std::vector<ExprPtr> calls;
-  for (const auto& g : plan.group_by) {
-    group_by.push_back(g->Clone());
-    CollectScoringCalls(*g, &calls);
-  }
-  for (const auto& a : plan.aggregates) {
-    aggregates.push_back(a->Clone());
-    CollectScoringCalls(*a, &calls);
-  }
-  if (!calls.empty()) {
-    const size_t base = child->output_schema().num_columns();
-    std::vector<DataType> types;
-    types.reserve(calls.size());
-    for (const auto& call : calls) {
-      FLOCK_ASSIGN_OR_RETURN(const ScalarFunction* fn,
-                             registry_->Lookup(call->function_name));
-      types.push_back(fn->return_type);
-    }
-    std::vector<ExprPtr> hoisted;
-    hoisted.reserve(calls.size());
-    for (const auto& call : calls) hoisted.push_back(call->Clone());
-    FLOCK_ASSIGN_OR_RETURN(
-        child, InsertPredictScore(std::move(child), std::move(hoisted)));
-    for (auto& g : group_by) ReplaceScoringCalls(&g, calls, base, types);
-    for (auto& a : aggregates) ReplaceScoringCalls(&a, calls, base, types);
-  }
+  for (const auto& g : plan.group_by) group_by.push_back(g->Clone());
+  for (const auto& a : plan.aggregates) aggregates.push_back(a->Clone());
+  for (auto& g : group_by) targets.push_back(&g);
+  for (auto& a : aggregates) targets.push_back(&a);
+  FLOCK_RETURN_NOT_OK(HoistScoring(&child, targets).status());
   return PhysicalOperatorPtr(std::make_unique<HashAggregateOp>(
       std::move(child), std::move(group_by), std::move(aggregates),
       plan.output_schema));

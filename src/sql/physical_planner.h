@@ -24,9 +24,14 @@ class PhysicalPlanner {
   explicit PhysicalPlanner(const FunctionRegistry* registry)
       : registry_(registry) {}
 
-  StatusOr<PhysicalOperatorPtr> Lower(const LogicalPlan& plan) const;
+  /// Lowers `plan` into an immutable PhysicalPlan. Lowering reads literal
+  /// values only through Expr::Equals (deduplicating scoring calls), which
+  /// pins them, so a plan lowered under the statement's PinScope serves
+  /// every value of its free slots.
+  StatusOr<PhysicalPlanPtr> Lower(const LogicalPlan& plan) const;
 
  private:
+  StatusOr<PhysicalOperatorPtr> LowerNode(const LogicalPlan& plan) const;
   StatusOr<PhysicalOperatorPtr> LowerFilter(const LogicalPlan& plan) const;
   StatusOr<PhysicalOperatorPtr> LowerProject(const LogicalPlan& plan) const;
   StatusOr<PhysicalOperatorPtr> LowerJoin(const LogicalPlan& plan) const;
@@ -36,10 +41,11 @@ class PhysicalPlanner {
   /// (deduplicated structurally).
   void CollectScoringCalls(const Expr& e, std::vector<ExprPtr>* calls) const;
 
-  /// Wraps `child` in a PredictScoreOp computing `calls`; returns the new
-  /// child. `rewrite` targets then reference the appended score columns.
-  StatusOr<PhysicalOperatorPtr> InsertPredictScore(
-      PhysicalOperatorPtr child, std::vector<ExprPtr> calls) const;
+  /// Hoists the scoring calls in `exprs` into a PredictScoreOp over
+  /// `*child` and points the expressions at its score columns; false when
+  /// they hold no scoring call.
+  StatusOr<bool> HoistScoring(PhysicalOperatorPtr* child,
+                              const std::vector<ExprPtr*>& exprs) const;
 
   const FunctionRegistry* registry_;
 };

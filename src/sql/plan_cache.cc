@@ -2,8 +2,9 @@
 
 #include <bit>
 
+#include "sql/evaluator.h"
 #include "sql/lexer.h"
-#include "sql/physical_plan.h"
+#include "sql/physical_planner.h"
 
 namespace flock::sql {
 
@@ -40,59 +41,32 @@ void ForEachExpr(LogicalPlan& plan, const Fn& fn) {
   for (auto& child : plan.children) ForEachExpr(*child, fn);
 }
 
-/// False when some scan of `plan` carries statistics of a table version
-/// that is no longer current.
-bool StatsCurrent(const LogicalPlan& plan) {
-  if (plan.stats_version.has_value() &&
-      *plan.stats_version != plan.table->current_version()) {
-    return false;
-  }
-  for (const auto& child : plan.children) {
-    if (!StatsCurrent(*child)) return false;
-  }
-  return true;
-}
-
-/// False when some node's filters leave other segments standing than the
-/// ones its rewrite was planned for.
-bool SameSegmentsStanding(const LogicalPlan& plan) {
-  if (plan.standing_segments.has_value() &&
-      ProveScan(*plan.children[0]).standing != *plan.standing_segments) {
-    return false;
-  }
-  for (const auto& child : plan.children) {
-    if (!SameSegmentsStanding(*child)) return false;
-  }
-  return true;
-}
-
 }  // namespace
 
-PlanPtr PlanCache::Bind(const Entry& entry, const std::vector<Value>& params) {
-  if (params.size() != entry.params.size()) return nullptr;
+bool PlanCache::GuardsHold(const Entry& entry,
+                           const std::vector<Value>& params) {
+  if (params.size() != entry.params.size()) return false;
   for (size_t k = 0; k < entry.pinned.size(); ++k) {
     if (entry.pinned[k] && !SameValue(params[k], entry.params[k])) {
-      return nullptr;
+      return false;
     }
   }
-  if (!StatsCurrent(*entry.plan)) return nullptr;
-  PlanPtr plan = entry.plan->Clone();
-  if (!params.empty()) {
-    ForEachExpr(*plan, [&](Expr& root) {
-      VisitExprMutable(&root, [&](Expr* e) {
-        if (e->kind == ExprKind::kLiteral && e->param_slot >= 0 &&
-            static_cast<size_t>(e->param_slot) < params.size()) {
-          e->literal = params[static_cast<size_t>(e->param_slot)];
-        }
-      });
-    });
+  for (const auto& [table, version] : entry.stats) {
+    if (table->current_version() != version) return false;
   }
-  if (!SameSegmentsStanding(*plan)) return nullptr;
-  return plan;
+  for (const StandingGuard& guard : entry.standing) {
+    const std::vector<size_t> standing =
+        guard.table == nullptr
+            ? std::vector<size_t>()
+            : StandingSegments(*guard.table,
+                               BindPruneConjuncts(guard.conjuncts, &params));
+    if (standing != guard.standing) return false;
+  }
+  return true;
 }
 
-PlanPtr PlanCache::Lookup(const std::string& key,
-                          const std::vector<Value>& params) {
+PlanCache::EntryPtr PlanCache::Get(const std::string& key,
+                                   const std::vector<Value>& params) {
   EntryPtr entry;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -102,17 +76,63 @@ PlanPtr PlanCache::Lookup(const std::string& key,
       entry = it->second->second;
     }
   }
-  // Binding works on a private clone, outside the lock.
-  PlanPtr plan = entry == nullptr ? nullptr : Bind(*entry, params);
-  (plan != nullptr ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
+  // The guards read the entry and the live tables, outside the lock.
+  if (entry != nullptr && !GuardsHold(*entry, params)) entry = nullptr;
+  return entry;
+}
+
+void PlanCache::Count(bool hit) {
+  (hit ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
+}
+
+std::shared_ptr<const PhysicalPlan> PlanCache::Find(
+    const std::string& key, const std::vector<Value>& params) {
+  EntryPtr entry = Get(key, params);
+  std::shared_ptr<const PhysicalPlan> plan =
+      entry != nullptr ? entry->physical : nullptr;
+  Count(plan != nullptr);
+  return plan;
+}
+
+PlanPtr PlanCache::Lookup(const std::string& key,
+                          const std::vector<Value>& params) {
+  EntryPtr entry = Get(key, params);
+  Count(entry != nullptr);
+  if (entry == nullptr) return nullptr;
+  PlanPtr plan = entry->plan->Clone();
+  ForEachExpr(*plan, [&](Expr& root) {
+    VisitExprMutable(&root, [&](Expr* e) {
+      if (e->kind == ExprKind::kLiteral) e->literal = LiteralValue(*e, &params);
+    });
+  });
   return plan;
 }
 
 void PlanCache::Insert(const std::string& key, PlanPtr plan,
+                       std::shared_ptr<const PhysicalPlan> physical,
                        std::vector<Value> params, std::vector<bool> pinned) {
   if (capacity_ == 0 || plan == nullptr) return;
-  auto entry = std::make_shared<const Entry>(
-      Entry{std::move(plan), std::move(params), std::move(pinned)});
+  auto entry = std::make_shared<Entry>();
+  // The data-dependent guards, read off the plan once.
+  std::vector<const LogicalPlan*> nodes = {plan.get()};
+  while (!nodes.empty()) {
+    const LogicalPlan* node = nodes.back();
+    nodes.pop_back();
+    if (node->stats_version.has_value()) {
+      entry->stats.emplace_back(node->table, *node->stats_version);
+    }
+    if (node->standing_segments.has_value()) {
+      ScanProof proof = ProveScan(*node->children[0]);
+      entry->standing.push_back(StandingGuard{
+          proof.scan != nullptr ? proof.scan->table : nullptr,
+          std::move(proof.conjuncts), *node->standing_segments});
+    }
+    for (const auto& child : node->children) nodes.push_back(child.get());
+  }
+  entry->plan = std::move(plan);
+  entry->physical = std::move(physical);
+  entry->params = std::move(params);
+  entry->pinned = std::move(pinned);
   std::lock_guard<std::mutex> lock(mu_);
   auto it = index_.find(key);
   if (it != index_.end()) {
@@ -128,6 +148,15 @@ void PlanCache::Insert(const std::string& key, PlanPtr plan,
   lru_.emplace_front(key, std::move(entry));
   index_[key] = lru_.begin();
   ++insertions_;
+}
+
+void PlanCache::Insert(const std::string& key, PlanPtr plan) {
+  std::shared_ptr<const PhysicalPlan> physical;
+  if (registry_ != nullptr && plan != nullptr) {
+    StatusOr<PhysicalPlanPtr> lowered = PhysicalPlanner(registry_).Lower(*plan);
+    if (lowered.ok()) physical = std::move(*lowered);
+  }
+  Insert(key, std::move(plan), std::move(physical), {}, {});
 }
 
 void PlanCache::Clear() {

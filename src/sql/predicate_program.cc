@@ -135,15 +135,17 @@ bool Contains(const std::vector<T>& list, const T& v) {
 /// every input row, exactly the rows an unfiltered evaluation of the whole
 /// predicate sees; otherwise over the surviving rows only.
 Status NarrowByExpr(const Expr& expr, const RecordBatch& input,
-                    const FunctionRegistry* registry, bool every_row,
+                    const FunctionRegistry* registry,
+                    const std::vector<Value>* params, bool every_row,
                     bool all, std::vector<uint32_t>* sel) {
   // Evaluated even when no row survives: type errors do not depend on the
   // row count.
   const bool over_input = all || every_row;
   FLOCK_ASSIGN_OR_RETURN(
       ColumnVectorPtr mask,
-      over_input ? EvaluateExpr(expr, input, registry)
-                 : EvaluateExpr(expr, input.SelectView(*sel), registry));
+      over_input ? EvaluateExpr(expr, input, registry, params)
+                 : EvaluateExpr(expr, input.SelectView(*sel), registry,
+                                params));
   if (all) {
     sel->resize(input.num_rows());
     for (size_t i = 0; i < sel->size(); ++i) {
@@ -197,15 +199,18 @@ ConjunctShape ClassifyConjunct(const Expr& e, const Schema& schema) {
     case ExprKind::kIn: {
       if (!BoundColumnType(*e.children[0], schema, &type)) return shape;
       std::vector<Value> list;
+      std::vector<int> slots;
       for (size_t c = 1; c < e.children.size(); ++c) {
         if (e.children[c]->kind != ExprKind::kLiteral) return shape;
         list.push_back(e.children[c]->literal);
+        slots.push_back(e.children[c]->param_slot);
       }
       shape.kind = ConjunctShape::Kind::kIn;
       shape.column = e.children[0]->column_index;
       shape.negated = e.negated;
       shape.strings = type == DataType::kString;
       shape.literals = std::move(list);
+      shape.slots = std::move(slots);
       return shape;
     }
     case ExprKind::kBinary: {
@@ -254,8 +259,9 @@ ConjunctShape ClassifyConjunct(const Expr& e, const Schema& schema) {
 
 struct PredicateProgram::Conjunct {
   ConjunctShape shape;
-  ExprPtr expr;                    // the conjunct as written
-  bool can_fail_per_row = false;   // residuals only
+  std::shared_ptr<const Expr> expr;  // the conjunct as written
+  bool can_fail_per_row = false;     // residuals only
+  bool has_slots = false;            // kernels: a literal has a slot
   // Literals hoisted once, in the form the kernel compares against.
   double lo = 0.0, hi = 0.0;       // BETWEEN bounds; compare literal in lo
   // The same when every literal is a BIGINT: a BIGINT column compares to
@@ -267,6 +273,54 @@ struct PredicateProgram::Conjunct {
   std::vector<double> in_others;   // IN: DOUBLE/BOOL options as doubles
   std::vector<double> in_numbers;  // IN: every numeric option as double
   std::vector<std::string> in_strings;
+
+  /// Hoists `lits`, the kernel's literals in shape order.
+  void Hoist(const std::vector<Value>& lits) {
+    switch (shape.kind) {
+      case ConjunctShape::Kind::kCompareLiteral:
+      case ConjunctShape::Kind::kBetween:
+        // The readings EvaluateExpr takes of a literal column: its string
+        // rendering against a string column, its double value otherwise.
+        if (shape.strings) {
+          str_lo = lits.front().ToString();
+          str_hi = lits.back().ToString();
+        } else {
+          lo = lits.front().AsDouble();
+          hi = lits.back().AsDouble();
+          int_literals = lits.front().type() == DataType::kInt64 &&
+                         lits.back().type() == DataType::kInt64;
+          if (int_literals) {
+            int_lo = lits.front().int_value();
+            int_hi = lits.back().int_value();
+          }
+        }
+        break;
+      case ConjunctShape::Kind::kIn:
+        // Value::operator== semantics: strings match strings only, BIGINT
+        // matches BIGINT exactly, every other numeric pair as doubles; a
+        // NULL option never matches.
+        in_ints.clear();
+        in_others.clear();
+        in_numbers.clear();
+        in_strings.clear();
+        for (const Value& v : lits) {
+          if (v.is_null()) continue;
+          if (v.type() == DataType::kString) {
+            in_strings.push_back(v.string_value());
+            continue;
+          }
+          if (v.type() == DataType::kInt64) {
+            in_ints.push_back(v.int_value());
+          } else {
+            in_others.push_back(v.AsDouble());
+          }
+          in_numbers.push_back(v.AsDouble());
+        }
+        break;
+      default:
+        break;
+    }
+  }
 };
 
 PredicateProgram::PredicateProgram(const Expr& predicate,
@@ -276,51 +330,13 @@ PredicateProgram::PredicateProgram(const Expr& predicate,
     Conjunct c;
     c.shape = ClassifyConjunct(*e, input_schema);
     c.expr = std::move(e);
-    const std::vector<Value>& lits = c.shape.literals;
-    switch (c.shape.kind) {
-      case ConjunctShape::Kind::kResidual:
-        c.can_fail_per_row = CanFailPerRow(*c.expr);
-        residual.push_back(std::move(c));
-        continue;
-      case ConjunctShape::Kind::kCompareLiteral:
-      case ConjunctShape::Kind::kBetween:
-        // The readings EvaluateExpr takes of a literal column: its string
-        // rendering against a string column, its double value otherwise.
-        if (c.shape.strings) {
-          c.str_lo = lits.front().ToString();
-          c.str_hi = lits.back().ToString();
-        } else {
-          c.lo = lits.front().AsDouble();
-          c.hi = lits.back().AsDouble();
-          c.int_literals = lits.front().type() == DataType::kInt64 &&
-                           lits.back().type() == DataType::kInt64;
-          if (c.int_literals) {
-            c.int_lo = lits.front().int_value();
-            c.int_hi = lits.back().int_value();
-          }
-        }
-        break;
-      case ConjunctShape::Kind::kIn:
-        // Value::operator== semantics: strings match strings only, BIGINT
-        // matches BIGINT exactly, every other numeric pair as doubles; a
-        // NULL option never matches.
-        for (const Value& v : lits) {
-          if (v.is_null()) continue;
-          if (v.type() == DataType::kString) {
-            c.in_strings.push_back(v.string_value());
-            continue;
-          }
-          if (v.type() == DataType::kInt64) {
-            c.in_ints.push_back(v.int_value());
-          } else {
-            c.in_others.push_back(v.AsDouble());
-          }
-          c.in_numbers.push_back(v.AsDouble());
-        }
-        break;
-      default:
-        break;
+    if (c.shape.kind == ConjunctShape::Kind::kResidual) {
+      c.can_fail_per_row = CanFailPerRow(*c.expr);
+      residual.push_back(std::move(c));
+      continue;
     }
+    c.Hoist(c.shape.literals);
+    for (int slot : c.shape.slots) c.has_slots |= slot >= 0;
     conjuncts_.push_back(std::move(c));
   }
   num_kernels_ = conjuncts_.size();
@@ -329,9 +345,29 @@ PredicateProgram::PredicateProgram(const Expr& predicate,
 }
 
 PredicateProgram::~PredicateProgram() = default;
+PredicateProgram::PredicateProgram(const PredicateProgram&) = default;
 PredicateProgram::PredicateProgram(PredicateProgram&&) noexcept = default;
 PredicateProgram& PredicateProgram::operator=(PredicateProgram&&) noexcept =
     default;
+
+std::optional<PredicateProgram> PredicateProgram::Bind(
+    const std::vector<Value>& params) const {
+  std::optional<PredicateProgram> bound;
+  for (size_t k = 0; k < num_kernels_; ++k) {
+    const Conjunct& c = conjuncts_[k];
+    if (!c.has_slots) continue;
+    if (!bound.has_value()) bound.emplace(*this);
+    std::vector<Value> lits = c.shape.literals;
+    for (size_t i = 0; i < lits.size(); ++i) {
+      const int slot = c.shape.slots[i];
+      if (slot >= 0 && static_cast<size_t>(slot) < params.size()) {
+        lits[i] = params[static_cast<size_t>(slot)];
+      }
+    }
+    bound->conjuncts_[k].Hoist(lits);
+  }
+  return bound;
+}
 
 bool PredicateProgram::RunKernel(const Conjunct& c, const RecordBatch& input,
                                  bool all, std::vector<uint32_t>* sel) {
@@ -484,7 +520,7 @@ bool PredicateProgram::RunKernel(const Conjunct& c, const RecordBatch& input,
 
 StatusOr<std::vector<uint32_t>> EvaluatePredicate(
     const PredicateProgram& program, const RecordBatch& input,
-    const FunctionRegistry* registry) {
+    const FunctionRegistry* registry, const std::vector<Value>* params) {
   std::vector<uint32_t> sel;
   bool all = true;
   // Kernels come first and cannot fail; residuals follow in the order
@@ -492,7 +528,7 @@ StatusOr<std::vector<uint32_t>> EvaluatePredicate(
   // evaluation would have reported.
   for (const PredicateProgram::Conjunct& c : program.conjuncts_) {
     if (!PredicateProgram::RunKernel(c, input, all, &sel)) {
-      FLOCK_RETURN_NOT_OK(NarrowByExpr(*c.expr, input, registry,
+      FLOCK_RETURN_NOT_OK(NarrowByExpr(*c.expr, input, registry, params,
                                        c.can_fail_per_row, all, &sel));
     }
     all = false;  // SplitConjuncts yields at least one conjunct

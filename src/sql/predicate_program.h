@@ -2,6 +2,7 @@
 #define FLOCK_SQL_PREDICATE_PROGRAM_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -40,7 +41,7 @@ struct ConjunctShape {
   bool strings = false;
   /// kCompareLiteral: {literal}; kBetween: {low, high}; kIn: the list.
   std::vector<storage::Value> literals;
-  /// kCompareLiteral, kBetween: the Expr::param_slot of each literal.
+  /// kCompareLiteral, kBetween, kIn: the Expr::param_slot of each literal.
   std::vector<int> slots;
 };
 
@@ -54,7 +55,8 @@ ConjunctShape ClassifyConjunct(const Expr& conjunct,
 ///
 /// Each recognised conjunct reads its base column through the batch's
 /// selection (no gather), against literals hoisted at compile time (no
-/// broadcast), and narrows one selection vector in place; Kleene AND keeps
+/// broadcast; Bind re-reads the ones with a parameter slot once per
+/// execution), and narrows one selection vector in place; Kleene AND keeps
 /// exactly the rows where every conjunct is TRUE. Unrecognised conjuncts
 /// stay Exprs evaluated by EvaluateExpr: over the surviving rows when
 /// they cannot fail on a row, and over every input row (the rows an
@@ -62,7 +64,7 @@ ConjunctShape ClassifyConjunct(const Expr& conjunct,
 /// so the returned Status is the same as evaluating the whole predicate.
 ///
 /// Immutable after construction: one program is shared read-only by every
-/// morsel worker.
+/// morsel worker, and by every execution of a cached plan.
 class PredicateProgram {
  public:
   /// `predicate` must be bound against `input_schema`, the schema of the
@@ -71,16 +73,25 @@ class PredicateProgram {
                    const storage::Schema& input_schema);
   ~PredicateProgram();
 
+  PredicateProgram(const PredicateProgram&);
   PredicateProgram(PredicateProgram&&) noexcept;
   PredicateProgram& operator=(PredicateProgram&&) noexcept;
 
   size_t num_kernels() const { return num_kernels_; }
   size_t num_residual() const { return num_residual_; }
 
+  /// The program an execution with the statement parameters `params` runs:
+  /// a copy whose kernels re-read every literal that has a slot from
+  /// `params`, or nullopt when no kernel literal has one (the program runs
+  /// as compiled). Residuals read `params` as they evaluate.
+  std::optional<PredicateProgram> Bind(
+      const std::vector<storage::Value>& params) const;
+
  private:
   friend StatusOr<std::vector<uint32_t>> EvaluatePredicate(
       const PredicateProgram& program, const storage::RecordBatch& input,
-      const FunctionRegistry* registry);
+      const FunctionRegistry* registry,
+      const std::vector<storage::Value>* params);
 
   struct Conjunct;
 
@@ -97,9 +108,12 @@ class PredicateProgram {
 
 /// Returns the logical row indexes of `input` (ascending) where the
 /// program's predicate is TRUE — the one entry point for filtering.
+/// Residual literals read `params` (LiteralValue); pass the program Bind
+/// returned for the same parameters.
 StatusOr<std::vector<uint32_t>> EvaluatePredicate(
     const PredicateProgram& program, const storage::RecordBatch& input,
-    const FunctionRegistry* registry);
+    const FunctionRegistry* registry,
+    const std::vector<storage::Value>* params = nullptr);
 
 }  // namespace flock::sql
 

@@ -61,16 +61,16 @@ RecordBatch RecordBatch::Select(const std::vector<uint32_t>& sel) const {
   return out;
 }
 
-RecordBatch RecordBatch::SelectView(std::vector<uint32_t> sel) const {
-  RecordBatch out;
-  out.schema_ = schema_;
-  out.columns_ = columns_;
+RecordBatch RecordBatch::SelectView(std::vector<uint32_t> sel) const& {
+  return RecordBatch(*this).SelectView(std::move(sel));
+}
+
+RecordBatch RecordBatch::SelectView(std::vector<uint32_t> sel) && {
   if (selection_) {
     for (auto& s : sel) s = (*selection_)[s];
   }
-  out.selection_ =
-      std::make_shared<const std::vector<uint32_t>>(std::move(sel));
-  return out;
+  selection_ = std::make_shared<const std::vector<uint32_t>>(std::move(sel));
+  return std::move(*this);
 }
 
 RecordBatch RecordBatch::Materialize() const {

@@ -28,6 +28,10 @@ class RecordBatch {
 
   RecordBatch() = default;
   explicit RecordBatch(Schema schema);
+  /// A dense batch over existing columns, one per schema column, of equal
+  /// row counts.
+  RecordBatch(Schema schema, std::vector<ColumnVectorPtr> columns)
+      : schema_(std::move(schema)), columns_(std::move(columns)) {}
 
   const Schema& schema() const { return schema_; }
   size_t num_columns() const { return columns_.size(); }
@@ -67,7 +71,9 @@ class RecordBatch {
 
   /// Zero-copy view: shares columns and records `sel` (logical indexes,
   /// composed with any existing selection) as the new selection vector.
-  RecordBatch SelectView(std::vector<uint32_t> sel) const;
+  RecordBatch SelectView(std::vector<uint32_t> sel) const&;
+  /// The same, reusing this batch's schema and column list.
+  RecordBatch SelectView(std::vector<uint32_t> sel) &&;
 
   /// Resolves any selection into dense columns. Cheap (shares columns)
   /// when the batch is already dense.

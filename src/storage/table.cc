@@ -179,21 +179,25 @@ Status Table::AppendRow(const std::vector<Value>& row) {
   return Status::OK();
 }
 
-RecordBatch Table::ScanSegment(size_t s, size_t begin, size_t end) const {
+RecordBatch Table::ScanSegment(size_t s, size_t begin, size_t end,
+                               const std::vector<size_t>& projection,
+                               const Schema& schema) const {
   const Segment& seg = *segments_[s];
   end = std::min(end, seg.num_rows);
   begin = std::min(begin, end);
-  RecordBatch view(schema_);
-  for (size_t c = 0; c < schema_.num_columns(); ++c) {
-    view.SetColumn(c, seg.columns[c]);
+  std::vector<ColumnVectorPtr> columns;
+  columns.reserve(schema.num_columns());
+  for (size_t c = 0; c < schema.num_columns(); ++c) {
+    columns.push_back(seg.columns[projection.empty() ? c : projection[c]]);
   }
+  RecordBatch view(schema, std::move(columns));
   if (begin == 0 && end == seg.num_rows) return view;
   std::vector<uint32_t> sel;
   sel.reserve(end - begin);
   for (size_t r = begin; r < end; ++r) {
     sel.push_back(static_cast<uint32_t>(r));
   }
-  return view.SelectView(std::move(sel));
+  return std::move(view).SelectView(std::move(sel));
 }
 
 RecordBatch Table::ScanRange(size_t begin, size_t end) const {

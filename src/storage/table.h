@@ -137,10 +137,18 @@ class Table {
   /// batch shares the segment's column vectors — dense when the range
   /// covers the whole segment, a selection view otherwise. See the class
   /// comment for view lifetime rules.
-  RecordBatch ScanSegment(size_t s, size_t begin, size_t end) const;
+  RecordBatch ScanSegment(size_t s, size_t begin, size_t end) const {
+    return ScanSegment(s, begin, end, {}, schema_);
+  }
   RecordBatch ScanSegment(size_t s) const {
     return ScanSegment(s, 0, segments_[s]->num_rows);
   }
+  /// The same view over the `projection` columns only (empty = all), in
+  /// that order, under `schema`, which must describe them: a scan builds
+  /// its morsels already projected, with its own output schema.
+  RecordBatch ScanSegment(size_t s, size_t begin, size_t end,
+                          const std::vector<size_t>& projection,
+                          const Schema& schema) const;
 
   /// Copies rows [begin, end), in global row order, into a fresh batch
   /// (DML snapshots and other consumers that outlive the statement).

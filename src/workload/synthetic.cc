@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/random.h"
+#include "common/string_util.h"
 #include "ml/tree.h"
 
 namespace flock::workload {
@@ -25,7 +26,7 @@ StatusOr<InferenceWorkload> BuildInferenceWorkload(
   schema.AddColumn(ColumnDef{"id", DataType::kInt64, false});
   for (size_t c = 0; c < numeric; ++c) {
     schema.AddColumn(
-        ColumnDef{"f" + std::to_string(c), DataType::kDouble, true});
+        ColumnDef{StrCat("f", std::to_string(c)), DataType::kDouble, true});
   }
   schema.AddColumn(ColumnDef{"segment", DataType::kString, true});
   FLOCK_RETURN_NOT_OK(
@@ -70,7 +71,7 @@ StatusOr<InferenceWorkload> BuildInferenceWorkload(
   // Pipeline over the raw feature columns (without id).
   std::vector<ml::FeatureSpec> specs;
   for (size_t c = 0; c < numeric; ++c) {
-    specs.push_back(ml::FeatureSpec{"f" + std::to_string(c),
+    specs.push_back(ml::FeatureSpec{StrCat("f", std::to_string(c)),
                                     ml::FeatureKind::kNumeric,
                                     {}});
   }

@@ -23,6 +23,7 @@
 
 #include "common/cancel.h"
 #include "common/stopwatch.h"
+#include "common/string_util.h"
 #include "flock/flock_engine.h"
 #include "flock/model_registry.h"
 #include "flock/scoring.h"
@@ -136,7 +137,7 @@ void BuildCrossJoinTables(sql::SqlEngine* engine, int rows) {
     std::string insert = std::string("INSERT INTO ") + name + " VALUES ";
     for (int i = 0; i < rows; ++i) {
       if (i > 0) insert += ", ";
-      insert += "(" + std::to_string(i) + ")";
+      insert += StrCat("(", std::to_string(i)) + ")";
     }
     ASSERT_TRUE(engine->Execute(insert).ok());
   }
@@ -413,7 +414,7 @@ TEST(ServerCancelTest, KillDuringExecutionThenCleanDrain) {
     std::string insert = std::string("INSERT INTO ") + name + " VALUES ";
     for (int i = 0; i < 1500; ++i) {
       if (i > 0) insert += ", ";
-      insert += "(" + std::to_string(i) + ")";
+      insert += StrCat("(", std::to_string(i)) + ")";
     }
     ASSERT_TRUE(engine.Execute(insert).ok());
   }

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <future>
 #include <set>
+#include <thread>
 
 #include "common/random.h"
 #include "common/status.h"
@@ -206,6 +207,23 @@ TEST(ThreadPoolTest, UnboundedTrySubmitNeverSheds) {
   }
   pool.WaitIdle();
   EXPECT_EQ(ran.load(), 64);
+}
+
+// Idle workers wake last-parked first: with the pool idle between them,
+// sequential submissions all run on the one warm worker.
+TEST(ThreadPoolTest, SequentialSubmissionsRunOnTheLastIdleWorker) {
+  ThreadPool pool(4);
+  std::set<std::thread::id> ran_on;
+  for (int i = 0; i < 20; ++i) {
+    while (pool.idle_workers() < pool.num_threads()) {
+      std::this_thread::yield();  // every worker parked
+    }
+    std::thread::id id;
+    pool.Submit([&id] { id = std::this_thread::get_id(); });
+    pool.WaitIdle();
+    ran_on.insert(id);
+  }
+  EXPECT_EQ(ran_on.size(), 1u);
 }
 
 }  // namespace

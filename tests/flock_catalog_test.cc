@@ -4,6 +4,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/string_util.h"
 #include "flock/flock_engine.h"
 #include "ml/linear.h"
 
@@ -313,7 +314,7 @@ TEST(CatalogViewConcurrencyTest, AuditSumNeverDecreasesWhileScoring) {
   constexpr int kRows = 3000;
   for (int i = 0; i < kRows; ++i) {
     if (i > 0) insert += ", ";
-    insert += "(" + std::to_string(i % 17 - 8) + ", " +
+    insert += StrCat("(", std::to_string(i % 17 - 8)) + ", " +
               std::to_string(i % 5) + ")";
   }
   ASSERT_TRUE(engine.Execute(insert).ok());

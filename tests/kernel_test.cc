@@ -40,6 +40,7 @@
 
 #include "common/random.h"
 #include "common/stopwatch.h"
+#include "common/string_util.h"
 #include "flock/model_registry.h"
 #include "flock/scoring.h"
 #include "ml/dataset.h"
@@ -99,7 +100,7 @@ std::vector<FeatureSpec> NumericSpecs(size_t n) {
   std::vector<FeatureSpec> specs;
   for (size_t c = 0; c < n; ++c) {
     specs.push_back(
-        FeatureSpec{"f" + std::to_string(c), FeatureKind::kNumeric, {}});
+        FeatureSpec{StrCat("f", std::to_string(c)), FeatureKind::kNumeric, {}});
   }
   return specs;
 }

@@ -200,7 +200,7 @@ Pipeline MakeTrainedPipeline(uint64_t seed, size_t noise_features = 4) {
 
   std::vector<FeatureSpec> specs;
   for (size_t c = 0; c < total_numeric; ++c) {
-    specs.push_back(FeatureSpec{"f" + std::to_string(c),
+    specs.push_back(FeatureSpec{StrCat("f", std::to_string(c)),
                                 FeatureKind::kNumeric, {}});
   }
   specs.push_back(FeatureSpec{

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "common/string_util.h"
 #include "sql/engine.h"
 #include "storage/database.h"
 #include "workload/tpch.h"
@@ -62,7 +63,7 @@ Database* JoinDb() {
     std::string dept_insert = "INSERT INTO dept VALUES ";
     for (int d = 0; d < 20; ++d) {
       if (d > 0) dept_insert += ", ";
-      dept_insert += "(" + std::to_string(d) + ", 'dept" +
+      dept_insert += StrCat("(", std::to_string(d)) + ", 'dept" +
                      std::to_string(d) + "', " +
                      std::to_string(1000 + 137 * d) + ".0)";
     }
@@ -74,9 +75,9 @@ Database* JoinDb() {
       // every 11th employee has a NULL dept_id (nulls never join).
       std::string dept =
           (i % 11 == 0) ? "NULL" : std::to_string((i * 7) % 25);
-      emp_insert += "(" + std::to_string(i) + ", 'e" + std::to_string(i) +
-                    "', " + dept + ", " +
-                    std::to_string(100 + (i * 37) % 3000) + ".5)";
+      emp_insert += StrCat("(", std::to_string(i), ", 'e",
+                           std::to_string(i), "', ", dept, ", ",
+                           std::to_string(100 + (i * 37) % 3000), ".5)");
     }
     EXPECT_TRUE(setup.Execute(emp_insert).ok());
     return database;

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "common/string_util.h"
 #include "flock/flock_engine.h"
 #include "ml/pipeline.h"
 #include "ml/tree.h"
@@ -136,7 +137,7 @@ void FillSqlTable(Pair* pair) {
   std::string insert = "INSERT INTO t VALUES ";
   for (int k = 0; k < 100; ++k) {
     if (k > 0) insert += ", ";
-    insert += "(" + std::to_string(k) + ", " + std::to_string(k / 10.0) +
+    insert += StrCat("(", std::to_string(k)) + ", " + std::to_string(k / 10.0) +
               ", 'name" + std::to_string(k % 7) + "')";
   }
   for (const std::string& sql :
@@ -184,7 +185,7 @@ class FlockPair : public Pair {
       std::string insert = "INSERT INTO t VALUES ";
       for (int id = 0; id < 16; ++id) {
         if (id > 0) insert += ", ";
-        insert += "(" + std::to_string(id) + ", " +
+        insert += StrCat("(", std::to_string(id)) + ", " +
                   std::to_string(0.1 + id * 0.07) + ", " +
                   std::to_string(id % 5) + ")";
       }
@@ -453,7 +454,7 @@ TEST(PlanCacheConcurrencyTest, WorkersBindDifferentIdsUnderOneKey) {
   data.model_name = "churn";
   ASSERT_TRUE(workload::BuildInferenceWorkload(&engine, data).ok());
   std::string features;
-  for (int c = 0; c < 27; ++c) features += "f" + std::to_string(c) + ", ";
+  for (int c = 0; c < 27; ++c) features += StrCat("f", std::to_string(c), ", ");
   features += "segment";
   const auto sql = [&](uint64_t id) {
     return "SELECT id, PREDICT(churn, " + features +

@@ -20,6 +20,7 @@
 #include <sstream>
 #include <thread>
 
+#include "common/string_util.h"
 #include "flock/flock_engine.h"
 #include "sql/engine.h"
 #include "sql/physical_plan.h"
@@ -91,9 +92,9 @@ Database* JoinDb() {
       if (i > 0) emp_insert += ", ";
       std::string dept =
           (i % 11 == 0) ? "NULL" : std::to_string((i * 7) % 25);
-      emp_insert += "(" + std::to_string(i) + ", 'e" + std::to_string(i) +
-                    "', " + dept + ", " +
-                    std::to_string(100 + (i * 37) % 3000) + ".5)";
+      emp_insert += StrCat("(", std::to_string(i), ", 'e",
+                           std::to_string(i), "', ", dept, ", ",
+                           std::to_string(100 + (i * 37) % 3000), ".5)");
     }
     EXPECT_TRUE(setup.Execute(emp_insert).ok());
     return database;
@@ -268,7 +269,7 @@ TEST(PruningDifferentialTest, CachedPlansStayCorrectAcrossDml) {
   std::string insert = "INSERT INTO t VALUES ";
   for (int i = 0; i < 100; ++i) {
     if (i > 0) insert += ", ";
-    insert += "(" + std::to_string(i) + ", " + std::to_string(i) + ".5)";
+    insert += StrCat("(", std::to_string(i)) + ", " + std::to_string(i) + ".5)";
   }
   ASSERT_TRUE(engine.Execute(insert).ok());
 
@@ -375,7 +376,7 @@ Database* BlockDb() {
         } else {
           x = std::to_string(i) + ".25";
         }
-        insert += "(" + std::to_string(i) + ", " + x + ", " +
+        insert += StrCat("(", std::to_string(i)) + ", " + x + ", " +
                   std::to_string((i * 7919) % 1000) + ")";
       }
       EXPECT_TRUE(setup.Execute(insert).ok());
@@ -436,7 +437,8 @@ TEST(PruningDifferentialTest, BlockPruningActuallyFires) {
     std::string insert = "INSERT INTO t VALUES ";
     for (int i = chunk * 2000; i < (chunk + 1) * 2000; ++i) {
       if (i > chunk * 2000) insert += ", ";
-      insert += "(" + std::to_string(i) + ", " + std::to_string(i) + ".5)";
+      insert += StrCat("(", std::to_string(i), ", ", std::to_string(i),
+                       ".5)");
     }
     ASSERT_TRUE(engine.Execute(insert).ok());
   }
@@ -500,7 +502,8 @@ TEST(PruningDifferentialTest, BlockPrunedLookupsRaceOpenBlockAppends) {
     std::string insert = "INSERT INTO t VALUES ";
     for (int i = chunk * 1000; i < (chunk + 1) * 1000; ++i) {
       if (i > chunk * 1000) insert += ", ";
-      insert += "(" + std::to_string(i) + ", " + std::to_string(i) + ".5)";
+      insert += StrCat("(", std::to_string(i), ", ", std::to_string(i),
+                       ".5)");
     }
     ASSERT_TRUE(engine.Execute(insert).ok());
   }

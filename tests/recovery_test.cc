@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "common/string_util.h"
 #include "flock/flock_engine.h"
 #include "ml/tree.h"
 #include "policy/policy_engine.h"
@@ -468,7 +469,7 @@ std::vector<std::string> BlockInserts(int begin, int end) {
     std::string sql = "INSERT INTO blk VALUES ";
     for (int i = chunk; i < std::min(end, chunk + 2000); ++i) {
       if (i > chunk) sql += ", ";
-      sql += "(" + std::to_string(i) + ", " + std::to_string(i) + ".5)";
+      sql += StrCat("(", std::to_string(i)) + ", " + std::to_string(i) + ".5)";
     }
     statements.push_back(std::move(sql));
   }

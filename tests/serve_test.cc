@@ -84,7 +84,8 @@ void BuildJoinTables(flock::FlockEngine* engine) {
   std::string dept_insert = "INSERT INTO dept VALUES ";
   for (int d = 0; d < 20; ++d) {
     if (d > 0) dept_insert += ", ";
-    dept_insert += "(" + std::to_string(d) + ", 'dept" + std::to_string(d) +
+    dept_insert += '(';
+    dept_insert += std::to_string(d) + ", 'dept" + std::to_string(d) +
                    "', " + std::to_string(1000 + 137 * d) + ".0)";
   }
   ASSERT_TRUE(engine->Execute(dept_insert).ok());
@@ -93,9 +94,10 @@ void BuildJoinTables(flock::FlockEngine* engine) {
     if (i > 0) emp_insert += ", ";
     std::string dept =
         (i % 11 == 0) ? "NULL" : std::to_string((i * 7) % 25);
-    emp_insert += "(" + std::to_string(i) + ", 'e" + std::to_string(i) +
-                  "', " + dept + ", " +
-                  std::to_string(100 + (i * 37) % 3000) + ".5)";
+    emp_insert += '(';
+    emp_insert += std::to_string(i) + ", 'e" + std::to_string(i) + "', " +
+                  dept + ", " + std::to_string(100 + (i * 37) % 3000) +
+                  ".5)";
   }
   ASSERT_TRUE(engine->Execute(emp_insert).ok());
 }
@@ -564,7 +566,9 @@ TEST_F(ServeTest, PlanCacheHitRateOnRepeatedTemplates) {
   for (int i = 0; i < 100; ++i) {
     auto result = client.Execute(sql);
     ASSERT_TRUE(result.ok());
-    if (i > 0) EXPECT_TRUE(result->from_plan_cache);
+    if (i > 0) {
+      EXPECT_TRUE(result->from_plan_cache);
+    }
   }
   EXPECT_GT(Metric(server, "plan_cache.hit_rate").value, 0.9);
 }
@@ -852,8 +856,9 @@ TEST_F(ServeTest, SessionTraceFlagYieldsSpanTreeOverTpch) {
   };
   // Cache hit or miss, the request-level stages must be covered.
   if (traced->from_plan_cache) {
+    // A hit runs the plan cached already lowered.
     EXPECT_TRUE(has_span("plan_cache.lookup"));
-    EXPECT_TRUE(has_span("lower"));
+    EXPECT_FALSE(has_span("lower"));
   } else {
     for (const char* stage : {"parse", "plan", "optimize", "lower"}) {
       EXPECT_TRUE(has_span(stage)) << stage;
@@ -1009,37 +1014,59 @@ TEST(RetryTest, DefaultPolicyIsSingleAttempt) {
 }
 
 TEST_F(ServeTest, LoopbackClientRetriesShedRequests) {
-  // One worker, no queue: a request submitted while the worker is busy
-  // is shed with Unavailable. A retrying client absorbs the shed.
+  // One worker, a one-slot queue. The worker is held inside its first
+  // request (through the interceptor) and a second request waits in the
+  // queue, so every attempt of the retrying client is shed until the
+  // worker is released, which happens once the client has seen exactly
+  // kSheds sheds. Its next attempt comes a backoff (80 ms) later, far
+  // longer than the worker needs to drain the queue, so it is admitted.
+  constexpr uint64_t kSheds = 3;
+  std::promise<void> entered;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::atomic<bool> first{true};
   ServerOptions options;
   options.admission.num_workers = 1;
   options.admission.max_queue_depth = 1;
+  options.interceptor = [&](const std::string&, const std::string& sql,
+                            const auto& execute) {
+    if (first.exchange(false)) {
+      entered.set_value();
+      released.wait();
+    }
+    return execute(sql);
+  };
   PredictionServer server(engine_.get(), options);
 
   RetryPolicy retry;
-  retry.max_attempts = 8;
-  retry.base_backoff_ms = 1;
-  retry.max_backoff_ms = 8;
-  LoopbackClient slow(&server);
+  retry.max_attempts = kSheds + 1;
+  retry.base_backoff_ms = 20;  // 20, 40, then 80 ms between attempts
+  retry.max_backoff_ms = 1000;
+  retry.jitter = 0.0;
+  LoopbackClient plain(&server);
   LoopbackClient retrying(&server, "", retry);
-  ASSERT_TRUE(slow.status().ok());
+  ASSERT_TRUE(plain.status().ok());
   ASSERT_TRUE(retrying.status().ok());
 
-  std::atomic<int> failures{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < 25; ++i) {
-        auto result = retrying.Execute("SELECT COUNT(*) FROM emp");
-        if (!result.ok()) failures++;
-      }
-    });
+  const std::string sql = "SELECT COUNT(*) FROM emp";
+  auto held = server.Submit(plain.session_id(), sql);
+  entered.get_future().wait();  // the worker is busy
+  auto queued = server.Submit(plain.session_id(), sql);
+  ASSERT_EQ(server.admission()->queue_depth(), 1u);  // the queue is full
+  const uint64_t sheds_before = server.admission()->shed_count();
+
+  auto retried = std::async(std::launch::async,
+                            [&] { return retrying.Execute(sql); });
+  while (server.admission()->shed_count() - sheds_before < kSheds) {
+    std::this_thread::yield();
   }
-  for (auto& t : threads) t.join();
-  // With 8 attempts and backoff the retrying client should ride out the
-  // shed window virtually every time (a plain client at this contention
-  // level sheds constantly — see OverloadShedsWithUnavailable).
-  EXPECT_LE(failures.load(), 2);
+  release.set_value();
+
+  auto result = retried.get();
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(server.admission()->shed_count() - sheds_before, kSheds);
+  EXPECT_TRUE(held.get().ok());
+  EXPECT_TRUE(queued.get().ok());
   server.Shutdown();
 }
 
@@ -1167,7 +1194,8 @@ TEST_F(ServeTest, KillAbortsInFlightCrossJoin) {
     std::string insert = std::string("INSERT INTO ") + name + " VALUES ";
     for (int i = 0; i < 2000; ++i) {
       if (i > 0) insert += ", ";
-      insert += "(" + std::to_string(i) + ")";
+      insert += '(';
+      insert += std::to_string(i) + ")";
     }
     ASSERT_TRUE(engine_->Execute(insert).ok());
   }
@@ -1217,7 +1245,8 @@ TEST_F(ServeTest, QueuedRequestPastDeadlineIsShedUnexecuted) {
   std::string insert = "INSERT INTO slow_a VALUES ";
   for (int i = 0; i < 1500; ++i) {
     if (i > 0) insert += ", ";
-    insert += "(" + std::to_string(i) + ")";
+    insert += '(';
+    insert += std::to_string(i) + ")";
   }
   ASSERT_TRUE(engine_->Execute(insert).ok());
 
@@ -1357,7 +1386,8 @@ TEST_F(ServeTest, DefaultDeadlineAppliesAndSessionOverrides) {
   std::string insert = "INSERT INTO slow_b VALUES ";
   for (int i = 0; i < 1500; ++i) {
     if (i > 0) insert += ", ";
-    insert += "(" + std::to_string(i) + ")";
+    insert += '(';
+    insert += std::to_string(i) + ")";
   }
   ASSERT_TRUE(engine_->Execute(insert).ok());
   const std::string slow =

@@ -4,6 +4,7 @@
 #include <thread>
 
 #include "common/cancel.h"
+#include "common/string_util.h"
 #include "sql/engine.h"
 #include "sql/lexer.h"
 #include "sql/parser.h"
@@ -380,7 +381,7 @@ TEST_F(SqlEngineTest, ParallelMatchesSerialOnLargeScan) {
     for (int i = 0; i < 1000; ++i) {
       int id = chunk * 1000 + i;
       if (i > 0) sql += ", ";
-      sql += "(" + std::to_string(id) + ", " +
+      sql += StrCat("(", std::to_string(id)) + ", " +
              std::to_string((id * 37) % 1000) + ".5)";
     }
     Exec(sql);
@@ -727,7 +728,7 @@ void BuildWideCrossJoin(SqlEngine* engine) {
     std::string insert = std::string("INSERT INTO ") + name + " VALUES ";
     for (int i = 0; i < 1000; ++i) {
       if (i > 0) insert += ", ";
-      insert += "(" + std::to_string(i) + ")";
+      insert += StrCat("(", std::to_string(i)) + ")";
     }
     ASSERT_TRUE(engine->Execute(insert).ok());
   }

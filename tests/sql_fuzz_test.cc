@@ -112,7 +112,7 @@ std::string Literal(const storage::Value& v) {
     std::snprintf(buf, sizeof(buf), "%.16e", v.double_value());
     const std::string s = buf;  // d.dddde+XX
     const size_t e = s.find('e');
-    return "." + s.substr(0, 1) + s.substr(2, e - 2) + "e" +
+    return StrCat(".", s.substr(0, 1)) + s.substr(2, e - 2) + "e" +
            std::to_string(std::atoi(s.c_str() + e + 1) + 1);
   }
   std::string out = "'";

@@ -65,7 +65,7 @@ class QueryFuzzer {
     for (int i = 0; i < 500; ++i) {
       if (i > 0) insert += ", ";
       bool null_b = rng_.NextBool(0.1);
-      insert += "(" + std::to_string(rng_.UniformInt(-50, 50)) + ", " +
+      insert += StrCat("(", std::to_string(rng_.UniformInt(-50, 50))) + ", " +
                 (null_b ? std::string("NULL")
                         : FormatDouble(rng_.UniformDouble(-10, 10), 3)) +
                 ", '" + words[rng_.Uniform(5)] + "', " +

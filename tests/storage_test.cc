@@ -775,7 +775,9 @@ TEST(SerializationTest, BatchRoundTripWithNullsAndEmptyStrings) {
     std::vector<Value> got = out.GetRow(r);
     for (size_t c = 0; c < want.size(); ++c) {
       EXPECT_EQ(got[c].is_null(), want[c].is_null()) << r << "," << c;
-      if (!want[c].is_null()) EXPECT_EQ(got[c], want[c]) << r << "," << c;
+      if (!want[c].is_null()) {
+        EXPECT_EQ(got[c], want[c]) << r << "," << c;
+      }
     }
   }
 }

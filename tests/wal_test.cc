@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/string_util.h"
 #include "storage/record_batch.h"
 #include "storage/schema.h"
 #include "storage/serialization.h"
@@ -244,9 +245,10 @@ TEST(WalWriterTest, EveryFsyncPolicyRoundTrips) {
     auto writer_or = WalWriter::Create(path, 1, options);
     ASSERT_TRUE(writer_or.ok()) << FsyncPolicyName(policy);
     for (int i = 0; i < 20; ++i) {
-      ASSERT_TRUE(
-          (*writer_or)->Append(WalRecord::DropTable("t" + std::to_string(i)))
-              .ok());
+      ASSERT_TRUE((*writer_or)
+                      ->Append(WalRecord::DropTable(
+                          StrCat("t", std::to_string(i))))
+                      .ok());
     }
     writer_or->reset();
     DrainedLog log = DrainLog(path);
