@@ -11,8 +11,8 @@
 # `obs`, `storage`, `repl`, `kernel`, `cancel` and `lifecycle` (data
 # races in the shared-engine serving path only show up under TSan with
 # genuinely concurrent sessions) — and finally a dedicated recovery stage: the WAL
-# group-commit tests under TSan (the one writer path with a genuinely
-# concurrent background flusher), plus the crash matrix (fault-injected
+# group-commit tests under TSan (concurrent appenders sharing a leader's
+# fsync, the one writer path with real concurrency), plus the crash matrix (fault-injected
 # child processes) under ASan when the full ASan stage did not run — and
 # an UndefinedBehaviorSanitizer build running the scoring-kernel, ML
 # property, graph/pipeline, mutation (`fuzz`), key-index (`keys`, which
@@ -149,8 +149,9 @@ if [[ "$RUN_RECOVERY" == 1 ]]; then
   fi
 
   echo "== recovery stage: WAL group commit under TSan =="
-  # Group commit is the only WAL path with real concurrency (appenders +
-  # background flusher); TSan proves the seq/cv handoff race-free.
+  # Group commit is the only WAL path with real concurrency (appenders
+  # writing frames while one of them leads the fsync outside the mutex);
+  # TSan proves the seq/cv handoff race-free.
   cmake -B build-tsan -S . -DFLOCK_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j "$JOBS" --target wal_test
   ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \

@@ -15,9 +15,6 @@ PredictionServer::PredictionServer(flock::FlockEngine* engine,
                                    ServerOptions options)
     : engine_(engine),
       options_(options),
-      default_principal_(options.default_principal.empty()
-                             ? "system"
-                             : options.default_principal),
       sessions_(options.max_sessions),
       admission_(options.admission) {
   if (options_.microbatch.enabled) {
@@ -170,7 +167,7 @@ StatusOr<uint64_t> PredictionServer::OpenSession(
   }
   FLOCK_ASSIGN_OR_RETURN(
       SessionPtr session,
-      sessions_.Open(principal.empty() ? default_principal_ : principal));
+      sessions_.Open(principal.empty() ? "system" : principal));
   return session->id();
 }
 

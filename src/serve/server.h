@@ -36,11 +36,6 @@ struct ServerOptions {
   /// identical with or without coalescing; only latency/throughput
   /// change.
   MicroBatchOptions microbatch;
-  /// Principal attached to sessions opened without one; "" = "system".
-  /// Every session's statements carry its principal in
-  /// sql::ExecOptions, so reads share the engine's lock whoever runs
-  /// them.
-  std::string default_principal;
   /// Policy engine whose decision counters should appear in the unified
   /// metrics (optional; must outlive the server).
   policy::PolicyEngine* policy = nullptr;
@@ -90,7 +85,10 @@ class PredictionServer {
   PredictionServer& operator=(const PredictionServer&) = delete;
 
   /// Opens a session; Unavailable at the session cap, or once Shutdown
-  /// has begun. Empty principal = options.default_principal.
+  /// has begun. A session opened without a principal runs as "system".
+  /// Every session's statements carry its principal in
+  /// sql::ExecOptions, so reads share the engine's lock whoever runs
+  /// them.
   StatusOr<uint64_t> OpenSession(const std::string& principal = "");
   Status CloseSession(uint64_t session_id);
 
@@ -147,7 +145,6 @@ class PredictionServer {
 
   flock::FlockEngine* engine_;
   ServerOptions options_;
-  std::string default_principal_;
   SessionManager sessions_;
   AdmissionController admission_;
   std::atomic<uint64_t> requests_ok_{0};

@@ -61,9 +61,19 @@ ExprPtr Expr::Clone() const {
   return out;
 }
 
-std::string Expr::ToString() const {
+std::string Expr::ToString(bool shape) const {
   switch (kind) {
     case ExprKind::kLiteral:
+      if (shape && param_slot >= 0) {
+        switch (literal.type()) {
+          case storage::DataType::kInt64:
+            return "?i";
+          case storage::DataType::kDouble:
+            return "?d";
+          default:
+            return "?s";
+        }
+      }
       if (!literal.is_null() &&
           literal.type() == storage::DataType::kString) {
         return StrCat("'", literal.string_value(), "'");
@@ -75,18 +85,19 @@ std::string Expr::ToString() const {
     case ExprKind::kStar:
       return "*";
     case ExprKind::kBinary:
-      return StrCat("(", children[0]->ToString(), " ",
-                    BinaryOpName(bin_op), " ", children[1]->ToString(), ")");
+      return StrCat("(", children[0]->ToString(shape), " ",
+                    BinaryOpName(bin_op), " ", children[1]->ToString(shape),
+                    ")");
     case ExprKind::kUnary:
       // Parenthesized so nested negation never prints "--" (a comment).
       return StrCat(un_op == UnaryOp::kNeg ? "(-" : "(NOT ",
-                    children[0]->ToString(), ")");
+                    children[0]->ToString(shape), ")");
     case ExprKind::kFunction: {
       std::string out =
           StrCat(function_name, distinct ? "(DISTINCT " : "(");
       for (size_t i = 0; i < children.size(); ++i) {
         if (i > 0) out += ", ";
-        out += children[i]->ToString();
+        out += children[i]->ToString(shape);
       }
       return out + ")";
     }
@@ -96,32 +107,32 @@ std::string Expr::ToString() const {
       for (size_t i = 0; i + 1 < pairs + 1 && i + 1 < children.size();
            i += 2) {
         if (i + 1 >= pairs && has_else) break;
-        out += StrCat(" WHEN ", children[i]->ToString(), " THEN ",
-                      children[i + 1]->ToString());
+        out += StrCat(" WHEN ", children[i]->ToString(shape), " THEN ",
+                      children[i + 1]->ToString(shape));
       }
-      if (has_else) out += StrCat(" ELSE ", children.back()->ToString());
+      if (has_else) out += StrCat(" ELSE ", children.back()->ToString(shape));
       return out + " END";
     }
     case ExprKind::kIn: {
       // Parenthesized so the whole test can appear as an operand.
-      std::string out = StrCat("(", children[0]->ToString(),
+      std::string out = StrCat("(", children[0]->ToString(shape),
                                negated ? " NOT IN (" : " IN (");
       for (size_t i = 1; i < children.size(); ++i) {
         if (i > 1) out += ", ";
-        out += children[i]->ToString();
+        out += children[i]->ToString(shape);
       }
       return out + "))";
     }
     case ExprKind::kBetween:
-      return StrCat("(", children[0]->ToString(),
+      return StrCat("(", children[0]->ToString(shape),
                     negated ? " NOT BETWEEN " : " BETWEEN ",
-                    children[1]->ToString(), " AND ",
-                    children[2]->ToString(), ")");
+                    children[1]->ToString(shape), " AND ",
+                    children[2]->ToString(shape), ")");
     case ExprKind::kCast:
-      return StrCat("CAST(", children[0]->ToString(), " AS ",
+      return StrCat("CAST(", children[0]->ToString(shape), " AS ",
                     storage::DataTypeName(cast_type), ")");
     case ExprKind::kIsNull:
-      return StrCat("(", children[0]->ToString(),
+      return StrCat("(", children[0]->ToString(shape),
                     negated ? " IS NOT NULL)" : " IS NULL)");
   }
   return "?";

@@ -98,7 +98,10 @@ struct Expr {
   std::vector<ExprPtr> children;
 
   ExprPtr Clone() const;
-  std::string ToString() const;
+  /// SQL-like rendering. With `shape`, every literal the statement text
+  /// wrote (param_slot >= 0) renders as its typed slot, `?i`, `?d` or
+  /// `?s`, as in LexedStatement::key.
+  std::string ToString(bool shape = false) const;
 
   /// Structural equality (ignores resolved column indexes). Comparing two
   /// literals reads their values, so it pins their slots (PinScope) unless

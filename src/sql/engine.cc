@@ -53,9 +53,8 @@ using storage::Value;
 
 SqlEngine::SqlEngine(storage::Database* db, EngineOptions options)
     : db_(db), options_(options),
-      plan_cache_(options.plan_cache_capacity, &registry_),
-      slow_log_(options.slow_log_capacity,
-                options.slow_query_threshold_ms) {
+      plan_cache_(kPlanCacheCapacity, &registry_),
+      slow_log_(kSlowLogCapacity, options.slow_query_threshold_ms) {
   if (options_.num_threads == 0) {
     options_.num_threads =
         std::max(1u, std::thread::hardware_concurrency());

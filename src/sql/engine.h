@@ -72,20 +72,23 @@ struct EngineOptions {
   /// cached for it with their own parameters, skipping
   /// parse/plan/optimize/lower. Invalidated on any DDL. Bypassed while a
   /// statement observer is set (observers must see every parsed
-  /// statement).
+  /// statement). Holds kPlanCacheCapacity shapes.
   bool enable_plan_cache = true;
-  size_t plan_cache_capacity = 256;
   /// Skip table segments whose zone maps disprove a scan's pushed-down
   /// filter conjuncts. An execution-time decision (plans are identical
   /// either way), so cached plans stay valid across DML; off only for
   /// differential testing and ablation benchmarks.
   bool enable_zone_map_pruning = true;
   /// Statements slower than this are captured in the slow-query log
-  /// (normalized SQL + plan digest + span tree). Negative disables.
+  /// (normalized SQL + plan digest + span tree), a ring of the last
+  /// kSlowLogCapacity. Negative disables.
   double slow_query_threshold_ms = 100.0;
-  /// Ring-buffer capacity of the slow-query log.
-  size_t slow_log_capacity = 64;
 };
+
+/// Statement shapes the plan cache holds (LRU).
+inline constexpr size_t kPlanCacheCapacity = 256;
+/// Entries the slow-query log keeps.
+inline constexpr size_t kSlowLogCapacity = 64;
 
 /// The SQL engine facade: parse -> plan -> optimize -> execute.
 ///

@@ -21,11 +21,11 @@ using storage::Schema;
 
 namespace {
 
-std::string JoinExprs(const std::vector<ExprPtr>& exprs) {
+std::string JoinExprs(const std::vector<ExprPtr>& exprs, bool shape) {
   std::string out;
   for (size_t i = 0; i < exprs.size(); ++i) {
     if (i > 0) out += ", ";
-    out += exprs[i]->ToString();
+    out += exprs[i]->ToString(shape);
   }
   return out;
 }
@@ -124,7 +124,7 @@ std::unique_ptr<OperatorState> PhysicalOperator::MakeState(
 
 StatusOr<RecordBatch> PhysicalOperator::ProcessMorsel(const ExecContext&,
                                                       RecordBatch) const {
-  return Status::Internal("operator '" + label() + "' is not streaming");
+  return Status::Internal("operator '" + label(false) + "' is not streaming");
 }
 
 // ---------------------------------------------------------------------------
@@ -137,7 +137,7 @@ PhysicalPlan::PhysicalPlan(PhysicalOperatorPtr root) : root_(std::move(root)) {
     void operator()(PhysicalOperator* op, int depth) {
       op->id_ = plan->operators_.size();
       plan->operators_.push_back(op);
-      plan->labels_.push_back(op->label());
+      plan->labels_.push_back(op->label(/*shape=*/true));
       plan->depths_.push_back(depth);
       for (const auto& child : op->children) (*this)(child.get(), depth + 1);
     }
@@ -179,7 +179,7 @@ std::string PhysicalPlan::ToString(
   std::ostringstream out;
   for (size_t i = 0; i < operators_.size(); ++i) {
     out << std::string(static_cast<size_t>(depths_[i]) * 2, ' ')
-        << labels_[i] << " width="
+        << operators_[i]->label(/*shape=*/false) << " width="
         << operators_[i]->output_schema().num_columns();
     if (metrics != nullptr && i < metrics->size()) {
       const OperatorMetricsSnapshot& m = (*metrics)[i];
@@ -206,7 +206,7 @@ void PhysicalPlan::CollectMetrics(
 // TableScanOp
 // ---------------------------------------------------------------------------
 
-std::string TableScanOp::label() const {
+std::string TableScanOp::label(bool) const {
   std::string out = "TableScan(" + table_name;
   if (!projection.empty()) {
     out += " cols=[";
@@ -342,8 +342,8 @@ FilterOp::FilterOp(PhysicalOperatorPtr child, ExprPtr predicate)
   children.push_back(std::move(child));
 }
 
-std::string FilterOp::label() const {
-  return "Filter(" + predicate->ToString() + ")";
+std::string FilterOp::label(bool shape) const {
+  return "Filter(" + predicate->ToString(shape) + ")";
 }
 
 std::string FilterOp::AnalyzeDetail() const {
@@ -392,8 +392,8 @@ ProjectOp::ProjectOp(PhysicalOperatorPtr child, std::vector<ExprPtr> exprs,
   children.push_back(std::move(child));
 }
 
-std::string ProjectOp::label() const {
-  return "Project(" + JoinExprs(exprs) + ")";
+std::string ProjectOp::label(bool shape) const {
+  return "Project(" + JoinExprs(exprs, shape) + ")";
 }
 
 StatusOr<RecordBatch> ProjectOp::ProcessMorsel(const ExecContext& ctx,
@@ -402,18 +402,18 @@ StatusOr<RecordBatch> ProjectOp::ProcessMorsel(const ExecContext& ctx,
     // Pure column shuffle: share column data, keep any selection vector.
     return input.Project(passthrough_);
   }
-  RecordBatch out(output_schema());
-  if (input.num_rows() > 0) {
-    for (size_t i = 0; i < exprs.size(); ++i) {
-      FLOCK_ASSIGN_OR_RETURN(
-          ColumnVectorPtr col,
-          EvaluateExpr(*exprs[i], input, ctx.registry, ctx.params));
-      FLOCK_ASSIGN_OR_RETURN(
-          col, NormalizeType(std::move(col), output_schema().column(i).type));
-      out.SetColumn(i, std::move(col));
-    }
+  if (input.num_rows() == 0) return RecordBatch(output_schema());
+  std::vector<ColumnVectorPtr> columns;
+  columns.reserve(exprs.size());
+  for (size_t i = 0; i < exprs.size(); ++i) {
+    FLOCK_ASSIGN_OR_RETURN(
+        ColumnVectorPtr col,
+        EvaluateExpr(*exprs[i], input, ctx.registry, ctx.params));
+    FLOCK_ASSIGN_OR_RETURN(
+        col, NormalizeType(std::move(col), output_schema().column(i).type));
+    columns.push_back(std::move(col));
   }
-  return out;
+  return RecordBatch(output_schema(), std::move(columns));
 }
 
 // ---------------------------------------------------------------------------
@@ -427,8 +427,8 @@ PredictScoreOp::PredictScoreOp(PhysicalOperatorPtr child,
   children.push_back(std::move(child));
 }
 
-std::string PredictScoreOp::label() const {
-  return "PredictScore(" + JoinExprs(calls) + ")";
+std::string PredictScoreOp::label(bool shape) const {
+  return "PredictScore(" + JoinExprs(calls, shape) + ")";
 }
 
 namespace {
@@ -513,8 +513,8 @@ HashJoinBuildOp::HashJoinBuildOp(PhysicalOperatorPtr child,
   children.push_back(std::move(child));
 }
 
-std::string HashJoinBuildOp::label() const {
-  return "HashJoinBuild(keys=[" + JoinExprs(keys) + "])";
+std::string HashJoinBuildOp::label(bool shape) const {
+  return "HashJoinBuild(keys=[" + JoinExprs(keys, shape) + "])";
 }
 
 std::unique_ptr<OperatorState> HashJoinBuildOp::MakeState(
@@ -542,12 +542,12 @@ HashJoinProbeOp::HashJoinProbeOp(PhysicalOperatorPtr probe,
   children.push_back(std::move(build));
 }
 
-std::string HashJoinProbeOp::label() const {
+std::string HashJoinProbeOp::label(bool shape) const {
   std::string out = join_type == JoinType::kLeft ? "HashJoinProbe(LEFT"
                                                  : "HashJoinProbe(INNER";
-  out += ", keys=[" + JoinExprs(keys) + "]";
+  out += ", keys=[" + JoinExprs(keys, shape) + "]";
   if (!residual.empty()) {
-    out += ", residual=" + JoinExprs(residual);
+    out += ", residual=" + JoinExprs(residual, shape);
   }
   out += ")";
   return out;
@@ -619,7 +619,7 @@ NestedLoopJoinOp::NestedLoopJoinOp(PhysicalOperatorPtr left,
   children.push_back(std::move(right));
 }
 
-std::string NestedLoopJoinOp::label() const {
+std::string NestedLoopJoinOp::label(bool shape) const {
   std::string out = "NestedLoopJoin(";
   switch (join_type) {
     case JoinType::kInner:
@@ -632,7 +632,7 @@ std::string NestedLoopJoinOp::label() const {
       out += "CROSS";
       break;
   }
-  if (condition) out += ", " + condition->ToString();
+  if (condition) out += ", " + condition->ToString(shape);
   out += ")";
   return out;
 }
@@ -694,9 +694,9 @@ HashAggregateOp::HashAggregateOp(PhysicalOperatorPtr child,
   children.push_back(std::move(child));
 }
 
-std::string HashAggregateOp::label() const {
-  return "HashAggregate(groups=[" + JoinExprs(group_by) + "], aggs=[" +
-         JoinExprs(aggregates) + "])";
+std::string HashAggregateOp::label(bool shape) const {
+  return "HashAggregate(groups=[" + JoinExprs(group_by, shape) + "], aggs=[" +
+         JoinExprs(aggregates, shape) + "])";
 }
 
 SortOp::SortOp(PhysicalOperatorPtr child, std::vector<SortKey> keys)
@@ -705,11 +705,11 @@ SortOp::SortOp(PhysicalOperatorPtr child, std::vector<SortKey> keys)
   children.push_back(std::move(child));
 }
 
-std::string SortOp::label() const {
+std::string SortOp::label(bool shape) const {
   std::string out = "Sort(";
   for (size_t i = 0; i < keys.size(); ++i) {
     if (i > 0) out += ", ";
-    out += keys[i].expr->ToString();
+    out += keys[i].expr->ToString(shape);
     out += keys[i].ascending ? " ASC" : " DESC";
   }
   out += ")";
@@ -721,7 +721,7 @@ DistinctOp::DistinctOp(PhysicalOperatorPtr child)
   children.push_back(std::move(child));
 }
 
-std::string DistinctOp::label() const { return "Distinct"; }
+std::string DistinctOp::label(bool) const { return "Distinct"; }
 
 LimitOp::LimitOp(PhysicalOperatorPtr child, int64_t limit, int64_t offset)
     : PhysicalOperator(Kind::kLimit, child->output_schema()),
@@ -730,7 +730,9 @@ LimitOp::LimitOp(PhysicalOperatorPtr child, int64_t limit, int64_t offset)
   children.push_back(std::move(child));
 }
 
-std::string LimitOp::label() const {
+std::string LimitOp::label(bool shape) const {
+  // LIMIT and OFFSET are always statement literals, so a shape has none.
+  if (shape) return "Limit";
   std::string out = "Limit(" + std::to_string(limit);
   if (offset > 0) out += " OFFSET " + std::to_string(offset);
   out += ")";

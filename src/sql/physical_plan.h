@@ -150,8 +150,11 @@ class PhysicalOperator {
   /// counters and state are indexed by.
   size_t id() const { return id_; }
 
-  /// Operator name + salient parameters, e.g. "Filter(salary > 100)".
-  virtual std::string label() const = 0;
+  /// Operator name + salient parameters, e.g. "Filter((salary > 100))".
+  /// With `shape`, the statement's literals render as their slots
+  /// ("Filter((salary > ?i))", see Expr::ToString), so the label holds
+  /// for every statement a cached plan serves.
+  virtual std::string label(bool shape) const = 0;
 
   /// Extra fields for the EXPLAIN ANALYZE bracket, each with a leading
   /// space (e.g. " kernels=2 residual=0"); empty by default.
@@ -194,9 +197,10 @@ State* ExecContext::state_of(const PhysicalOperator& op) const {
 }
 
 /// A lowered plan: the operator tree PhysicalPlanner::Lower built, with
-/// each operator's id, label and depth, and the plan's digest, computed
-/// once. Immutable, so the plan cache shares one per statement shape and
-/// every execution of that shape runs it, each with its own ExecContext.
+/// each operator's id, shape label and depth, and the plan's digest,
+/// computed once. Immutable, so the plan cache shares one per statement
+/// shape and every execution of that shape runs it, each with its own
+/// ExecContext.
 class PhysicalPlan {
  public:
   explicit PhysicalPlan(PhysicalOperatorPtr root);
@@ -207,17 +211,19 @@ class PhysicalPlan {
     return operators_;
   }
   /// Stable 16-hex-digit digest of the plan's shape: a hash over the
-  /// pre-order operator labels and depths, so the slow-query log can
-  /// group outliers by plan.
+  /// pre-order shape labels and depths, so every statement of one shape
+  /// shares it, hit or miss, and the slow-query log can group outliers
+  /// by plan.
   const std::string& digest() const { return digest_; }
 
   /// One execution's counters (`metrics`, indexed by operator id) as
-  /// snapshots in plan order.
+  /// snapshots in plan order, named by the shape labels.
   std::vector<OperatorMetricsSnapshot> Snapshot(
       const OperatorMetrics* metrics) const;
 
-  /// Indented rendering; with `metrics` (one execution's Snapshot),
-  /// every operator's counters too (EXPLAIN ANALYZE).
+  /// Indented rendering with the literals the plan was lowered with
+  /// (EXPLAIN); with `metrics` (one execution's Snapshot), every
+  /// operator's counters too (EXPLAIN ANALYZE).
   std::string ToString(
       const std::vector<OperatorMetricsSnapshot>* metrics = nullptr) const;
 
@@ -231,7 +237,7 @@ class PhysicalPlan {
 
   PhysicalOperatorPtr root_;
   std::vector<const PhysicalOperator*> operators_;
-  std::vector<std::string> labels_;
+  std::vector<std::string> labels_;  // label(/*shape=*/true)
   std::vector<int> depths_;
   std::string digest_;
   std::vector<OperatorMetricsSnapshot> last_run_;  // ExecutePhysical's
@@ -373,7 +379,7 @@ class TableScanOp : public PhysicalOperator {
         table(std::move(table)),
         projection(std::move(projection)) {}
 
-  std::string label() const override;
+  std::string label(bool shape) const override;
 
   /// Zero-copy view of rows [begin, end) of segment `segment`, built over
   /// the `projection` columns only, with the output schema. The batch
@@ -403,7 +409,7 @@ class FilterOp : public PhysicalOperator {
  public:
   FilterOp(PhysicalOperatorPtr child, ExprPtr predicate);
 
-  std::string label() const override;
+  std::string label(bool shape) const override;
   std::string AnalyzeDetail() const override;
   bool IsStreaming() const override { return true; }
   std::unique_ptr<OperatorState> MakeState(
@@ -420,7 +426,7 @@ class ProjectOp : public PhysicalOperator {
   ProjectOp(PhysicalOperatorPtr child, std::vector<ExprPtr> exprs,
             storage::Schema schema);
 
-  std::string label() const override;
+  std::string label(bool shape) const override;
   bool IsStreaming() const override { return true; }
   StatusOr<storage::RecordBatch> ProcessMorsel(
       const ExecContext& ctx, storage::RecordBatch input) const override;
@@ -450,7 +456,7 @@ class PredictScoreOp : public PhysicalOperator {
   PredictScoreOp(PhysicalOperatorPtr child, std::vector<ExprPtr> calls,
                  storage::Schema schema);
 
-  std::string label() const override;
+  std::string label(bool shape) const override;
   bool IsStreaming() const override { return true; }
   bool NeedsDenseInput() const override { return true; }
   std::unique_ptr<OperatorState> MakeState(
@@ -482,7 +488,7 @@ class HashJoinBuildOp : public PhysicalOperator {
 
   HashJoinBuildOp(PhysicalOperatorPtr child, std::vector<ExprPtr> keys);
 
-  std::string label() const override;
+  std::string label(bool shape) const override;
   std::unique_ptr<OperatorState> MakeState(
       const ExecContext& ctx) const override;
 
@@ -499,7 +505,7 @@ class HashJoinProbeOp : public PhysicalOperator {
                   std::vector<ExprPtr> keys, std::vector<ExprPtr> residual,
                   JoinType join_type, storage::Schema schema);
 
-  std::string label() const override;
+  std::string label(bool shape) const override;
   bool IsStreaming() const override { return true; }
   bool NeedsDenseInput() const override { return true; }
   std::unique_ptr<OperatorState> MakeState(
@@ -534,7 +540,7 @@ class NestedLoopJoinOp : public PhysicalOperator {
                    ExprPtr condition, JoinType join_type,
                    storage::Schema schema);
 
-  std::string label() const override;
+  std::string label(bool shape) const override;
   bool IsStreaming() const override { return true; }
   bool NeedsDenseInput() const override { return true; }
   std::unique_ptr<OperatorState> MakeState(
@@ -561,7 +567,7 @@ class HashAggregateOp : public PhysicalOperator {
   HashAggregateOp(PhysicalOperatorPtr child, std::vector<ExprPtr> group_by,
                   std::vector<ExprPtr> aggregates, storage::Schema schema);
 
-  std::string label() const override;
+  std::string label(bool shape) const override;
 
   const std::vector<ExprPtr> group_by;
   const std::vector<ExprPtr> aggregates;  // COUNT/SUM/AVG/MIN/MAX calls
@@ -571,7 +577,7 @@ class SortOp : public PhysicalOperator {
  public:
   SortOp(PhysicalOperatorPtr child, std::vector<SortKey> keys);
 
-  std::string label() const override;
+  std::string label(bool shape) const override;
 
   const std::vector<SortKey> keys;
 };
@@ -580,7 +586,7 @@ class DistinctOp : public PhysicalOperator {
  public:
   explicit DistinctOp(PhysicalOperatorPtr child);
 
-  std::string label() const override;
+  std::string label(bool shape) const override;
 };
 
 /// LIMIT/OFFSET. Planning pins both slots (PinScope), so a cached plan
@@ -589,7 +595,7 @@ class LimitOp : public PhysicalOperator {
  public:
   LimitOp(PhysicalOperatorPtr child, int64_t limit, int64_t offset);
 
-  std::string label() const override;
+  std::string label(bool shape) const override;
 
   const int64_t limit = -1;  // -1 = unbounded
   const int64_t offset = 0;

@@ -68,14 +68,7 @@ void MergeZoneMap(ColumnStats* into, const ColumnStats& part) {
 Table::Table(std::string name, Schema schema, size_t segment_capacity)
     : name_(std::move(name)),
       schema_(std::move(schema)),
-      segment_capacity_(std::max<size_t>(1, segment_capacity)) {
-  versions_.push_back(VersionInfo{0, "CREATE", 0});
-}
-
-void Table::BumpVersion(const std::string& op, size_t rows) {
-  versions_.push_back(
-      VersionInfo{versions_.back().version + 1, op, rows});
-}
+      segment_capacity_(std::max<size_t>(1, segment_capacity)) {}
 
 Segment* Table::OpenSegment() {
   if (segments_.empty() || segments_.back()->sealed) {
@@ -141,7 +134,7 @@ Status Table::AppendBatch(const RecordBatch& batch) {
   if (dense->num_rows() > 0) {
     AppendRowsToSegments(*dense);
   }
-  BumpVersion("INSERT", dense->num_rows());
+  ++version_;
   if (observer_ != nullptr) observer_->OnAppendBatch(*this, batch);
   return Status::OK();
 }
@@ -174,7 +167,7 @@ Status Table::AppendRow(const std::vector<Value>& row) {
   seg->num_rows += 1;
   if (seg->num_rows >= segment_capacity_) seg->sealed = true;
   ++num_rows_;
-  BumpVersion("INSERT", 1);
+  ++version_;
   if (observer_ != nullptr) observer_->OnAppendRow(*this, row);
   return Status::OK();
 }
@@ -257,7 +250,7 @@ size_t Table::FilterInPlace(const std::vector<bool>& keep) {
   }
   if (removed == 0) return 0;
   num_rows_ -= removed;
-  BumpVersion("DELETE", removed);
+  ++version_;
   if (observer_ != nullptr) observer_->OnDeleteRows(*this, keep, removed);
   return removed;
 }
@@ -310,7 +303,7 @@ Status Table::UpdateColumn(size_t col, const std::vector<uint32_t>& rows,
     segments_[s]->columns[col] = std::move(fresh);
     RecomputeZoneMap(segments_[s].get(), col);
   }
-  BumpVersion("UPDATE", rows.size());
+  ++version_;
   if (observer_ != nullptr) {
     observer_->OnUpdateColumn(*this, col, rows, values);
   }
@@ -365,7 +358,7 @@ Status Table::RestoreSegments(const std::vector<RecordBatch>& segments) {
     segments_[s]->sealed = true;
   }
   num_rows_ = total;
-  BumpVersion("INSERT", total);
+  ++version_;
   return Status::OK();
 }
 

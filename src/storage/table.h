@@ -33,15 +33,6 @@ struct ColumnStats {
   bool has_range = false;
 };
 
-/// Metadata describing one table version. The paper treats every mutation as
-/// producing a new version of the table in the provenance model (§4.2 C1);
-/// Flock keeps this ledger and the provenance catalog mirrors it.
-struct VersionInfo {
-  uint64_t version = 0;
-  std::string operation;  // "CREATE", "INSERT", "UPDATE", "DELETE"
-  size_t rows_affected = 0;
-};
-
 /// A fixed-capacity horizontal slice of a table's columns. Rows append into
 /// the *open* (last) segment until it reaches the table's segment capacity,
 /// at which point it is sealed and a new open segment starts. Sealed
@@ -68,7 +59,7 @@ struct Segment {
 
 /// An append-friendly columnar table, stored as a sequence of fixed-capacity
 /// immutable segments with per-segment and per-block zone maps, plus a
-/// version ledger.
+/// version counter.
 ///
 /// Locking contract (enforced by the engine layer, documented here because
 /// this class is where it matters): mutators (AppendBatch, AppendRow,
@@ -101,8 +92,9 @@ class Table {
   const Schema& schema() const { return schema_; }
   size_t num_rows() const { return num_rows_; }
 
-  uint64_t current_version() const { return versions_.back().version; }
-  const std::vector<VersionInfo>& versions() const { return versions_; }
+  /// 0 at creation; every INSERT, UPDATE and DELETE adds one. Cached
+  /// plans and compressed models record it to notice later mutations.
+  uint64_t current_version() const { return version_; }
 
   // --- Segment geometry -----------------------------------------------
 
@@ -186,7 +178,6 @@ class Table {
   void set_observer(TableObserver* observer) { observer_ = observer; }
 
  private:
-  void BumpVersion(const std::string& op, size_t rows);
   /// The open segment, creating one if the last is sealed/missing.
   Segment* OpenSegment();
   /// Appends rows [begin, end) of `dense` into segments, extending zone
@@ -205,7 +196,7 @@ class Table {
   size_t segment_capacity_;
   std::vector<std::unique_ptr<Segment>> segments_;
   size_t num_rows_ = 0;
-  std::vector<VersionInfo> versions_;
+  uint64_t version_ = 0;
   TableObserver* observer_ = nullptr;  // not owned
 };
 

@@ -11,7 +11,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 
 #include "storage/serialization.h"
@@ -80,8 +79,6 @@ const char* FsyncPolicyName(FsyncPolicy policy) {
   switch (policy) {
     case FsyncPolicy::kEveryRecord:
       return "every_record";
-    case FsyncPolicy::kGroupCommit:
-      return "group_commit";
     case FsyncPolicy::kNever:
       return "never";
   }
@@ -123,19 +120,9 @@ StatusOr<std::unique_ptr<WalWriter>> WalWriter::Resume(
 WalWriter::WalWriter(std::string path, std::FILE* file, uint64_t epoch,
                      WalWriterOptions options)
     : path_(std::move(path)), options_(options), epoch_(epoch),
-      file_(file) {
-  if (options_.fsync_policy == FsyncPolicy::kGroupCommit) {
-    flusher_ = std::thread([this] { FlusherLoop(); });
-  }
-}
+      file_(file) {}
 
 WalWriter::~WalWriter() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_flusher_ = true;
-  }
-  flush_cv_.notify_all();
-  if (flusher_.joinable()) flusher_.join();
   std::lock_guard<std::mutex> lock(mu_);
   if (file_ != nullptr) {
     if (health_.ok() && options_.fsync_policy != FsyncPolicy::kNever) {
@@ -147,14 +134,6 @@ WalWriter::~WalWriter() {
 }
 
 Status WalWriter::Append(const WalRecord& record) {
-  std::unique_lock<std::mutex> lock(mu_);
-  return AppendLocked(record, &lock);
-}
-
-Status WalWriter::AppendLocked(const WalRecord& record,
-                               std::unique_lock<std::mutex>* lock) {
-  FLOCK_RETURN_NOT_OK(health_);
-
   std::string body = EncodeRecordBody(record);
   std::string frame;
   frame.reserve(kRecordHeaderSize + body.size());
@@ -162,6 +141,8 @@ Status WalWriter::AppendLocked(const WalRecord& record,
   storage::PutU32(&frame, Crc32(body.data(), body.size()));
   frame.append(body);
 
+  std::unique_lock<std::mutex> lock(mu_);
+  FLOCK_RETURN_NOT_OK(health_);
   FaultInjector* faults = FaultInjector::Get();
   Status s = faults->Hit("wal.append.before_write");
   if (s.ok() && faults->WillTrigger("wal.append.partial_write")) {
@@ -173,99 +154,64 @@ Status WalWriter::AppendLocked(const WalRecord& record,
     s = faults->Hit("wal.append.partial_write");
   }
   if (s.ok()) s = WriteAll(file_, frame.data(), frame.size(), path_);
-
-  if (s.ok()) {
-    bytes_written_ += frame.size();
-    switch (options_.fsync_policy) {
-      case FsyncPolicy::kEveryRecord:
-        s = faults->Hit("wal.append.before_fsync");
-        if (s.ok()) s = SyncLocked();
-        if (s.ok()) s = faults->Hit("wal.append.after_fsync");
-        break;
-      case FsyncPolicy::kGroupCommit: {
-        uint64_t my_seq = ++written_seq_;
-        flush_cv_.notify_all();
-        flush_cv_.wait(*lock, [&] {
-          return flushed_seq_ >= my_seq || !health_.ok();
-        });
-        s = health_;
-        break;
-      }
-      case FsyncPolicy::kNever:
-        break;
-    }
+  if (!s.ok()) {
+    if (health_.ok()) health_ = s;
+    return s;
   }
-
-  if (!s.ok() && health_.ok()) {
-    health_ = s;
-    flush_cv_.notify_all();
+  bytes_written_ += frame.size();
+  uint64_t seq = ++written_seq_;
+  if (options_.fsync_policy == FsyncPolicy::kEveryRecord) {
+    FLOCK_RETURN_NOT_OK(WaitSynced(seq, &lock));
   }
-  if (s.ok()) {
-    ++records_appended_;
-    ++epoch_records_;
-  }
-  return s;
+  ++records_appended_;
+  ++epoch_records_;
+  return Status::OK();
 }
 
-Status WalWriter::SyncLocked() {
-  Status s = FsyncFile(file_, path_);
-  if (s.ok()) {
-    ++syncs_;
-  } else if (health_.ok()) {
-    health_ = s;
-    flush_cv_.notify_all();
+Status WalWriter::WaitSynced(uint64_t seq,
+                             std::unique_lock<std::mutex>* lock) {
+  while (synced_seq_ < seq) {
+    FLOCK_RETURN_NOT_OK(health_);
+    if (!sync_in_flight_) {
+      // Lead: one fsync covers every frame written so far. Only the
+      // descriptor leaves the lock; file_ stays open because
+      // ResetForEpoch runs with no Append or Sync in progress.
+      sync_in_flight_ = true;
+      uint64_t covers = written_seq_;
+      int fd = ::fileno(file_);
+      lock->unlock();
+      FaultInjector* faults = FaultInjector::Get();
+      Status s = faults->Hit("wal.append.before_fsync");
+      if (s.ok() && ::fsync(fd) != 0) s = Errno("fsync", path_);
+      if (s.ok()) s = faults->Hit("wal.append.after_fsync");
+      lock->lock();
+      sync_in_flight_ = false;
+      if (s.ok()) {
+        ++syncs_;
+        synced_seq_ = covers;
+      } else if (health_.ok()) {
+        health_ = s;
+      }
+      synced_cv_.notify_all();
+      FLOCK_RETURN_NOT_OK(s);
+    } else {
+      synced_cv_.wait(*lock);
+    }
   }
-  return s;
+  return Status::OK();
 }
 
 Status WalWriter::Sync() {
   std::unique_lock<std::mutex> lock(mu_);
   FLOCK_RETURN_NOT_OK(health_);
-  if (options_.fsync_policy == FsyncPolicy::kGroupCommit) {
-    uint64_t target = written_seq_;
-    if (flushed_seq_ >= target) return Status::OK();
-    flush_cv_.notify_all();
-    flush_cv_.wait(lock,
-                   [&] { return flushed_seq_ >= target || !health_.ok(); });
-    return health_;
-  }
-  return SyncLocked();
-}
-
-void WalWriter::FlusherLoop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  while (true) {
-    flush_cv_.wait_for(lock, kGroupCommitInterval, [&] {
-      return stop_flusher_ || written_seq_ > flushed_seq_;
-    });
-    if (written_seq_ > flushed_seq_ && health_.ok()) {
-      uint64_t covers = written_seq_;
-      Status s = FaultInjector::Get()->Hit("wal.append.before_fsync");
-      if (s.ok()) {
-        s = SyncLocked();
-      } else if (health_.ok()) {
-        health_ = s;
-      }
-      if (s.ok()) s = FaultInjector::Get()->Hit("wal.append.after_fsync");
-      if (s.ok()) flushed_seq_ = covers;
-      flush_cv_.notify_all();
-    }
-    if (stop_flusher_) return;
-  }
+  return WaitSynced(written_seq_, &lock);
 }
 
 Status WalWriter::ResetForEpoch(uint64_t new_epoch) {
   std::unique_lock<std::mutex> lock(mu_);
   FLOCK_RETURN_NOT_OK(health_);
-  // Group commit: everything already appended must be flushed before the
-  // old log is replaced (those records are covered by the snapshot, but a
-  // failed rename must leave a fully-durable old log behind).
-  if (options_.fsync_policy == FsyncPolicy::kGroupCommit &&
-      flushed_seq_ < written_seq_) {
-    Status s = SyncLocked();
-    FLOCK_RETURN_NOT_OK(s);
-    flushed_seq_ = written_seq_;
-    flush_cv_.notify_all();
+  if (options_.fsync_policy == FsyncPolicy::kEveryRecord) {
+    FLOCK_RETURN_NOT_OK(WaitSynced(written_seq_, &lock));
   }
 
   std::string tmp = path_ + ".tmp";

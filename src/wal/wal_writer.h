@@ -2,14 +2,12 @@
 #define FLOCK_WAL_WAL_WRITER_H_
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 
 #include "common/status_or.h"
 #include "wal/wal_record.h"
@@ -18,25 +16,16 @@ namespace flock::wal {
 
 /// When appends become durable.
 enum class FsyncPolicy {
-  /// fsync before every Append returns: strongest guarantee, one disk
-  /// round trip per record.
+  /// Append returns once a completed fsync covers the record. Concurrent
+  /// appenders share one fsync (group commit); a lone appender pays one
+  /// fsync per record.
   kEveryRecord,
-  /// Appends block until a background flusher's next fsync covers them
-  /// (interval-based group commit): one fsync amortized over every append
-  /// that arrived in the window. Same guarantee as kEveryRecord — Append
-  /// returning means the record is on disk — at far higher throughput.
-  kGroupCommit,
   /// No fsync; the OS decides. Survives process crash (page cache is
   /// kernel-owned) but not power loss. For bulk loads and tests.
   kNever,
 };
 
 const char* FsyncPolicyName(FsyncPolicy policy);
-
-/// Group-commit window: how long the flusher waits for more appends
-/// before one fsync covers them. Smaller = lower commit latency, more
-/// fsyncs.
-inline constexpr std::chrono::milliseconds kGroupCommitInterval{2};
 
 struct WalWriterOptions {
   FsyncPolicy fsync_policy = FsyncPolicy::kEveryRecord;
@@ -47,10 +36,17 @@ struct WalWriterOptions {
 /// lock, but the writer is independently safe so benches and the group-
 /// commit tests can drive it from many threads.
 ///
+/// Group commit: a frame is written under `mu_` and takes a sequence
+/// number; the appender then waits until a completed fsync covers it.
+/// The first waiter that finds no fsync in flight leads: it fsyncs
+/// everything written so far outside `mu_` (later appenders keep writing
+/// frames meanwhile), then publishes `synced_seq_` and wakes the rest.
+///
 /// Errors are sticky: after any write/fsync failure (including injected
 /// faults) every subsequent Append returns the first error — a log that
 /// failed once must not accept further records, or the failure window
-/// would be silently spanned.
+/// would be silently spanned. A failed fsync also fails every appender
+/// whose frame it was to cover.
 class WalWriter {
  public:
   /// Creates a fresh log (truncating any existing file) with `epoch` in
@@ -76,13 +72,16 @@ class WalWriter {
   /// fsync policy.
   Status Append(const WalRecord& record);
 
-  /// Forces an fsync covering everything appended so far.
+  /// Returns once a completed fsync covers everything appended so far.
   Status Sync();
 
   /// Checkpoint truncation: atomically replaces the log with a fresh one
   /// whose header carries `new_epoch` (write temp + rename + dir fsync),
   /// then switches appends to it. Caller must guarantee no concurrent
-  /// Append (the engine holds its exclusive lock across checkpoints).
+  /// Append or Sync (the engine holds its exclusive lock across
+  /// checkpoints).
+  /// Under kEveryRecord the old log is fully synced first, so a failed
+  /// rename leaves it durable.
   Status ResetForEpoch(uint64_t new_epoch);
 
   uint64_t epoch() const { return epoch_; }
@@ -105,10 +104,9 @@ class WalWriter {
   WalWriter(std::string path, std::FILE* file, uint64_t epoch,
             WalWriterOptions options);
 
-  Status AppendLocked(const WalRecord& record,
-                      std::unique_lock<std::mutex>* lock);
-  Status SyncLocked();
-  void FlusherLoop();
+  /// Waits (holding `*lock` on entry and exit) until a completed fsync
+  /// covers frame `seq`, leading that fsync if none is in flight.
+  Status WaitSynced(uint64_t seq, std::unique_lock<std::mutex>* lock);
 
   const std::string path_;
   const WalWriterOptions options_;
@@ -124,12 +122,11 @@ class WalWriter {
   std::atomic<uint64_t> syncs_{0};
   std::atomic<uint64_t> bytes_written_{0};
 
-  // Group commit: appenders wait until flushed_seq_ >= their seq.
-  std::condition_variable flush_cv_;
+  // Frames written / covered by a completed fsync, counted since open.
+  std::condition_variable synced_cv_;
   uint64_t written_seq_ = 0;
-  uint64_t flushed_seq_ = 0;
-  bool stop_flusher_ = false;
-  std::thread flusher_;
+  uint64_t synced_seq_ = 0;
+  bool sync_in_flight_ = false;
 };
 
 }  // namespace flock::wal

@@ -3,9 +3,11 @@
 // GROUP BY) with fresh literals against one warm plan cache, so many
 // executions run one cached PhysicalPlan at once while misses replace
 // entries under them. Every result must equal the same statement on an
-// engine with the cache off: its rows, and each operator's counters (rows
-// in and out, segments and blocks scanned and pruned), so no execution
-// sees another's parameters, state or counters. The engine-lifetime
+// engine with the cache off: its rows, and each operator's name and
+// counters (rows in and out, segments and blocks scanned and pruned), so
+// no execution sees another's parameters, state or counters. Names render
+// the statement's literals as slots, so every statement of one shape
+// shares one plan digest, hit or miss. The engine-lifetime
 // segments_scanned total must be the sum over the statements.
 //
 // Carries the `plancache` ctest label; scripts/check.sh runs it in its
@@ -14,6 +16,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -50,12 +53,11 @@ std::vector<std::string> ExactRows(const storage::RecordBatch& batch) {
   return rows;
 }
 
-/// Every operator's counters but its name (which renders the literals
-/// the plan was lowered with) and its wall time.
+/// Every operator's name and counters but its wall time.
 std::vector<std::string> Counters(const sql::QueryResult& result) {
   std::vector<std::string> out;
   for (const sql::OperatorMetricsSnapshot& op : result.operator_metrics) {
-    out.push_back(std::to_string(op.depth) + " in=" +
+    out.push_back(op.name + " " + std::to_string(op.depth) + " in=" +
                   std::to_string(op.rows_in) + " out=" +
                   std::to_string(op.rows_out) + " segments=" +
                   std::to_string(op.segments_scanned) + "/" +
@@ -163,6 +165,7 @@ TEST(SharedPlanTest, ConcurrentExecutionsOfCachedPlansMatchFreshPlans) {
 
   size_t hits = 0;
   uint64_t scanned_sum = 0;
+  std::set<std::string> digests[4];  // per shape: Statement's i % 4
   for (size_t t = 0; t < kThreads; ++t) {
     for (size_t i = 0; i < kPerThread; ++i) {
       const std::string& sql = sqls[t][i];
@@ -174,6 +177,8 @@ TEST(SharedPlanTest, ConcurrentExecutionsOfCachedPlansMatchFreshPlans) {
       EXPECT_FALSE(want->from_plan_cache);
       EXPECT_EQ(ExactRows(got->batch), ExactRows(want->batch));
       EXPECT_EQ(Counters(*got), Counters(*want));
+      EXPECT_EQ(got->plan_digest, want->plan_digest);
+      digests[(t + i) % 4].insert(got->plan_digest);
       hits += got->from_plan_cache ? 1 : 0;
       for (const auto& op : got->operator_metrics) {
         scanned_sum += op.segments_scanned;
@@ -181,8 +186,39 @@ TEST(SharedPlanTest, ConcurrentExecutionsOfCachedPlansMatchFreshPlans) {
     }
   }
   EXPECT_EQ(scanned, scanned_sum);
+  for (const std::set<std::string>& shape : digests) {
+    EXPECT_EQ(shape.size(), 1u);
+  }
   // The join and GROUP BY shapes read no statistics: every one hits.
   EXPECT_GE(hits, kThreads * kPerThread / 2);
+}
+
+// A hit names its operators with slots, never with the values of the
+// statement that lowered the cached plan, and shares that statement's
+// digest. EXPLAIN, which lowers its own plan, shows the statement's values.
+TEST(SharedPlanTest, CachedPlanNamesShowSlotsNotAnotherStatementsValues) {
+  flock::FlockEngine engine(Options(true));
+  Exec(&engine, "CREATE TABLE t (id BIGINT, name VARCHAR)");
+  Exec(&engine, "INSERT INTO t VALUES (17, 'a'), (42, 'b')");
+  auto miss = engine.Execute("SELECT name FROM t WHERE id = 17");
+  auto hit = engine.Execute("SELECT name FROM t WHERE id = 42");
+  ASSERT_TRUE(miss.ok()) << miss.status().ToString();
+  ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+  EXPECT_FALSE(miss->from_plan_cache);
+  EXPECT_TRUE(hit->from_plan_cache);
+  EXPECT_EQ(hit->plan_digest, miss->plan_digest);
+  std::string names;
+  for (const sql::OperatorMetricsSnapshot& op : hit->operator_metrics) {
+    names += op.name + "\n";
+  }
+  EXPECT_NE(names.find("Filter((id = ?i))"), std::string::npos) << names;
+  EXPECT_EQ(names.find("17"), std::string::npos) << names;
+  EXPECT_EQ(Counters(*hit), Counters(*miss));
+
+  auto explain = engine.Execute("EXPLAIN SELECT name FROM t WHERE id = 42");
+  ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+  EXPECT_NE(explain->plan_text.find("Filter((id = 42))"), std::string::npos)
+      << explain->plan_text;
 }
 
 }  // namespace

@@ -158,9 +158,6 @@ TEST(TableTest, VersionLedgerGrowsOnMutation) {
       t.AppendRow({Value::Int(1), Value::String("x"), Value::Double(1.0)})
           .ok());
   EXPECT_EQ(t.current_version(), 1u);
-  ASSERT_EQ(t.versions().size(), 2u);
-  EXPECT_EQ(t.versions()[1].operation, "INSERT");
-  EXPECT_EQ(t.versions()[1].rows_affected, 1u);
 }
 
 TEST(TableTest, ScanRangeClamps) {
@@ -186,7 +183,7 @@ TEST(TableTest, FilterInPlaceDeletes) {
   EXPECT_EQ(t.FilterInPlace(keep), 2u);
   EXPECT_EQ(t.num_rows(), 2u);
   EXPECT_EQ(t.ScanAll().column(0)->int_at(1), 2);
-  EXPECT_EQ(t.versions().back().operation, "DELETE");
+  EXPECT_EQ(t.current_version(), 5u);  // 4 INSERTs + 1 DELETE
 }
 
 TEST(TableTest, UpdateColumnRewrites) {
@@ -201,7 +198,7 @@ TEST(TableTest, UpdateColumnRewrites) {
   RecordBatch rows = t.ScanAll();
   EXPECT_DOUBLE_EQ(rows.column(2)->double_at(1), 9.5);
   EXPECT_DOUBLE_EQ(rows.column(2)->double_at(0), 0.0);
-  EXPECT_EQ(t.versions().back().operation, "UPDATE");
+  EXPECT_EQ(t.current_version(), 4u);  // 3 INSERTs + 1 UPDATE
 }
 
 TEST(TableTest, StatsComputeMinMaxAndInvalidate) {
@@ -262,7 +259,6 @@ TEST(SegmentTest, AppendStraddlesSegmentBoundary) {
     EXPECT_EQ(all.column(0)->int_at(i), i);
   }
   // One batch INSERT is one version bump, regardless of segments touched.
-  EXPECT_EQ(t.versions().back().rows_affected, 10u);
   EXPECT_EQ(t.current_version(), 1u);
 }
 

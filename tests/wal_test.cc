@@ -1,10 +1,11 @@
 // Unit tests for the WAL layer: record codec, frame format, torn-tail
-// semantics, fsync policies (incl. concurrent group commit, exercised
-// under TSan by scripts/check.sh), resume, fault injection in error
-// mode, and snapshot encode/decode.
+// semantics, fsync policies (incl. concurrent appenders sharing one
+// fsync, exercised under TSan by scripts/check.sh), resume, fault
+// injection in error mode, and snapshot encode/decode.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -235,9 +236,8 @@ TEST(WalWriterTest, WriteThenReadBack) {
 }
 
 TEST(WalWriterTest, EveryFsyncPolicyRoundTrips) {
-  for (FsyncPolicy policy : {FsyncPolicy::kEveryRecord,
-                             FsyncPolicy::kGroupCommit,
-                             FsyncPolicy::kNever}) {
+  for (FsyncPolicy policy :
+       {FsyncPolicy::kEveryRecord, FsyncPolicy::kNever}) {
     std::string dir = MakeTempDir();
     std::string path = dir + "/wal.log";
     WalWriterOptions options;
@@ -254,19 +254,20 @@ TEST(WalWriterTest, EveryFsyncPolicyRoundTrips) {
     DrainedLog log = DrainLog(path);
     ASSERT_TRUE(log.status.ok());
     for (size_t i = 0; i < log.records.size(); ++i) {
-      EXPECT_EQ(log.records[i].name, "t" + std::to_string(i));
+      EXPECT_EQ(log.records[i].name, StrCat("t", std::to_string(i)));
     }
     EXPECT_EQ(log.records.size(), 20u) << FsyncPolicyName(policy);
   }
 }
 
 // The TSan target in scripts/check.sh runs this: many threads appending
-// under group commit, one background flusher fsyncing.
+// under kEveryRecord, each waiting on whichever appender leads the fsync
+// that covers its frame.
 TEST(WalWriterTest, GroupCommitConcurrentAppends) {
   std::string dir = MakeTempDir();
   std::string path = dir + "/wal.log";
   WalWriterOptions options;
-  options.fsync_policy = FsyncPolicy::kGroupCommit;
+  options.fsync_policy = FsyncPolicy::kEveryRecord;
   auto writer_or = WalWriter::Create(path, 1, options);
   ASSERT_TRUE(writer_or.ok());
   WalWriter* writer = writer_or->get();
@@ -288,11 +289,58 @@ TEST(WalWriterTest, GroupCommitConcurrentAppends) {
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(writer->records_appended(),
             static_cast<uint64_t>(kThreads * kPerThread));
+  EXPECT_EQ(writer->epoch_records(),
+            static_cast<uint64_t>(kThreads * kPerThread));
+  EXPECT_LE(writer->syncs(), static_cast<uint64_t>(kThreads * kPerThread));
   writer_or->reset();
 
   DrainedLog log = DrainLog(path);
   ASSERT_TRUE(log.status.ok());
   EXPECT_EQ(log.records.size(), static_cast<size_t>(kThreads * kPerThread));
+}
+
+// A failed fsync fails every appender whose frame it was to cover, and
+// every later one. Only frames that a completed fsync covered count as
+// appended, and those are the log's prefix.
+TEST(WalWriterTest, GroupCommitFailedFsyncFailsEveryAppenderItCovers) {
+  std::string dir = MakeTempDir();
+  std::string path = dir + "/wal.log";
+  auto writer_or = WalWriter::Create(path, 1, {});
+  ASSERT_TRUE(writer_or.ok());
+  WalWriter* writer = writer_or->get();
+
+  // Each appender has at most one frame in flight, so 20 fsyncs cover at
+  // most 80 of the 200 frames and the 21st fsync always happens.
+  constexpr int kSkip = 20;
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 50;
+  FaultInjector::Get()->Arm("wal.append.before_fsync",
+                            FaultInjector::Mode::kError, kSkip);
+  std::atomic<uint64_t> acked{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([writer, t, &acked] {
+      for (int i = 0; i < kPerThread; ++i) {
+        WalRecord record = WalRecord::ProvProperty(
+            static_cast<uint64_t>(t), "i", std::to_string(i));
+        if (writer->Append(record).ok()) acked.fetch_add(1);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  FaultInjector::Get()->Disarm();
+
+  EXPECT_EQ(writer->syncs(), static_cast<uint64_t>(kSkip));
+  EXPECT_GE(acked.load(), static_cast<uint64_t>(kSkip));
+  EXPECT_LE(acked.load(), static_cast<uint64_t>(kSkip * kThreads));
+  EXPECT_EQ(writer->records_appended(), acked.load());
+  EXPECT_EQ(writer->epoch_records(), acked.load());
+  EXPECT_FALSE(writer->Sync().ok());
+  writer_or->reset();
+
+  DrainedLog log = DrainLog(path);
+  ASSERT_TRUE(log.status.ok());
+  EXPECT_GE(log.records.size(), acked.load());
 }
 
 TEST(WalWriterTest, ResumeAppendsAfterIntactPrefix) {
